@@ -3,6 +3,7 @@ package mirage
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -184,6 +185,33 @@ func BenchmarkLiveLocalAccess(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLiveLocalAccessParallel is the same fast path from every
+// processor at once, each goroutine on a page of its own: the access
+// check runs on the caller's goroutine, so resident accesses at one
+// site must not queue behind each other (ns/op falls as -cpu rises).
+func BenchmarkLiveLocalAccessParallel(b *testing.B) {
+	c, err := NewCluster(1, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	const pages = 64
+	ps := c.opts.PageSize
+	id, _ := c.Site(0).Shmget(1, pages*ps, Create, 0o600)
+	seg, _ := c.Site(0).Attach(id, false)
+	var next atomic.Int32
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		off := int(next.Add(1)-1) % pages * ps
+		for pb.Next() {
+			if _, err := seg.Uint32(off); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkLivePageMigration measures the live protocol's full

@@ -319,8 +319,13 @@ func (s *Site) AttachAs(id SegID, readonly bool, uid int) (*Segment, error) {
 	s.c.mu.Unlock()
 
 	nd := s.node
-	nd.call(func() { nd.eng.AttachSegment(seg) })
-	return &Segment{site: s, seg: seg, readonly: readonly, pid: s.c.pid()}, nil
+	var pages core.Mapping
+	nd.call(func() {
+		nd.eng.AttachSegment(seg)
+		pages, _ = nd.eng.Map(int32(id))
+	})
+	return &Segment{site: s, seg: seg, pages: pages, readonly: readonly,
+		record: s.c.opts.Check, pid: s.c.pid()}, nil
 }
 
 // Remove marks the segment for destruction (shmctl IPC_RMID): hidden

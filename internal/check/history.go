@@ -97,9 +97,13 @@ type replCheck struct {
 }
 
 // Checker is the streaming history checker. Feed it a schema-v1 trace
-// in emission order; that order is sound for live traces too, because
-// same-site events are emitted by one goroutine and cross-site events
-// are separated by the message exchange that caused them.
+// in emission order; that order is sound for live traces too. A site's
+// protocol events are emitted by one goroutine and cross-site events
+// are separated by the message exchange that caused them; a live op
+// record comes from the accessor's goroutine, while it holds the page:
+// after the event of the grant that let it in (emitted before the page
+// became visible) and before the event of the revocation that ends it
+// (emitted after the holders have left) — DESIGN.md §17.
 type Checker struct {
 	cfg   Config
 	idx   int

@@ -17,11 +17,13 @@
 //
 // Engines are not safe for concurrent use; each driver serializes
 // calls (the simulator by construction, live nodes with an actor
-// loop).
+// loop). The one exception is a Mapping, through which a live
+// accessor checks and holds a resident page on its own goroutine.
 package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"mirage/internal/mem"
@@ -268,14 +270,13 @@ type segNode struct {
 	// this site is rebuilding the record as the successor, and lateHold
 	// accumulates chunked holdings reports arriving after recovery.
 	curLib   int
-	segEpoch uint32
+	segEpoch atomic.Uint32 // written on the engine's goroutine; a Mapping reads it
 	recov    *recovery
 	lateHold map[int][]holding
 
-	// releasing is set between the last local detach and the library's
-	// confirmation of every page release; local accesses fault
-	// meanwhile.
-	releasing       bool
+	// Between the last local detach and the library's confirmation of
+	// every page release (releasesPending of them) the segment is
+	// releasing: its page table is closed, so local accesses fault.
 	releasesPending int
 
 	// Voluntary-migration state (Options.Placement): place is the
@@ -296,6 +297,10 @@ type segNode struct {
 	pageErr  map[int32]error  // page -> pending error for the accessor
 	reqTimer map[int32]func() // page -> end-to-end request deadline cancel
 }
+
+// releasing reports whether the segment is between its last local
+// detach and the library's confirmation of the release.
+func (sn *segNode) releasing() bool { return sn.m.Closed() }
 
 // Engine is one site's Mirage protocol instance.
 type Engine struct {
@@ -352,12 +357,21 @@ func (e *Engine) emit(ev obs.Event) {
 	if !e.obs.Tracing() {
 		return
 	}
+	var sn *segNode
+	if e.opt.Failover != nil { // the only thing the segment is looked up for
+		sn = e.segs[ev.Seg]
+	}
+	e.emitFor(sn, ev)
+}
+
+// emitFor is emit for a caller that knows the event's segment (nil if
+// it is not attached here). It reads nothing the engine's goroutine
+// writes but the epoch, so a Mapping may call it from any goroutine.
+func (e *Engine) emitFor(sn *segNode, ev obs.Event) {
 	ev.T = e.env.Now()
 	ev.Site = int32(e.site)
-	if e.opt.Failover != nil {
-		if sn, ok := e.segs[ev.Seg]; ok {
-			ev.Epoch = sn.segEpoch
-		}
+	if sn != nil && e.opt.Failover != nil {
+		ev.Epoch = sn.segEpoch.Load() // 0 until a first takeover
 	}
 	e.obs.Emit(ev)
 }
@@ -378,13 +392,18 @@ const (
 // RecordOp notes a completed application-level access for the coherence
 // history checker: an EvRead/EvWrite trace event carrying the page
 // range (From: offset, To: length) and an FNV-1a digest of the bytes as
-// read or written. Access layers call it after the data moved, while
-// still serialized with the engine. With tracing off it is a pointer
-// test and a return — zero allocations, like every other obs hook.
+// read or written. Access layers on the engine's goroutine call it
+// after the data moved; a live accessor calls Mapping.RecordOp instead.
+// With tracing off it is a pointer test and a return — zero
+// allocations, like every other obs hook.
 func (e *Engine) RecordOp(seg, page int32, off int, write bool, b []byte) {
 	if !e.obs.Tracing() {
 		return
 	}
+	e.emit(opEvent(seg, page, off, write, b))
+}
+
+func opEvent(seg, page int32, off int, write bool, b []byte) obs.Event {
 	var h uint64 = fnvOffset
 	for _, c := range b {
 		h = (h ^ uint64(c)) * fnvPrime
@@ -393,8 +412,45 @@ func (e *Engine) RecordOp(seg, page int32, off int, write bool, b []byte) {
 	if write {
 		typ = obs.EvWrite
 	}
-	e.emit(obs.Event{Type: typ, Seg: seg, Page: page,
-		From: int32(off), To: int32(len(b)), Arg: int64(h)})
+	return obs.Event{Type: typ, Seg: seg, Page: page,
+		From: int32(off), To: int32(len(b)), Arg: int64(h)}
+}
+
+// Mapping is one attached segment as a live accessor sees it: enough
+// to run a resident access without entering the engine (DESIGN.md
+// §17). Unlike every other entry point, its methods are safe on any
+// goroutine, and stay so after the segment is destroyed (every access
+// then faults).
+type Mapping struct {
+	e  *Engine
+	sn *segNode
+}
+
+// Map returns the segment's Mapping, or false if it is not attached
+// here. Like the rest of the engine it runs on the engine's goroutine;
+// the Mapping it returns does not have to.
+func (e *Engine) Map(seg int32) (Mapping, bool) {
+	sn, ok := e.segs[seg]
+	return Mapping{e, sn}, ok
+}
+
+// Hold is the access check (mmu.Seg.Hold): the frame of a page that
+// permits the access, held until Unhold, or false for a fault.
+func (v Mapping) Hold(page int, write bool) ([]byte, bool) { return v.sn.m.Hold(page, write) }
+
+// Unhold ends the access a successful Hold began.
+func (v Mapping) Unhold(page int, write bool) { v.sn.m.Unhold(page, write) }
+
+// RecordOp is Engine.RecordOp for an accessor that holds the page. The
+// hold is what places the record in the trace: after the event of the
+// grant that let the access in, which was emitted before the page
+// became visible, and before the event of the revocation that ends it,
+// which waits for the hold.
+func (v Mapping) RecordOp(page int32, off int, write bool, b []byte) {
+	if !v.e.obs.Tracing() {
+		return
+	}
+	v.e.emitFor(v.sn, opEvent(int32(v.sn.meta.ID), page, off, write, b))
 }
 
 // Stats returns a snapshot of the counters.
@@ -415,15 +471,15 @@ func (e *Engine) CreateSegment(meta *mem.Segment) {
 	lib := newLibSeg(meta)
 	sn.lib = lib
 	for p := 0; p < meta.Pages; p++ {
+		// Seed the trace with the initial placement so a checker reading
+		// it cold knows who holds what (Cycle 0 marks it ungranted).
+		e.emit(obs.Event{Type: obs.EvPageState, Seg: int32(meta.ID), Page: int32(p), Arg: 2})
 		sn.m.Install(p, nil, mmu.ReadWrite, now)
 		a := sn.m.Aux(p)
 		a.Writer = e.site
 		a.Window = 0 // the creator's initial hold is not a granted window
 		lib.pages[p].writer = e.site
 		lib.pages[p].clock = e.site
-		// Seed the trace with the initial placement so a checker reading
-		// it cold knows who holds what (Cycle 0 marks it ungranted).
-		e.emit(obs.Event{Type: obs.EvPageState, Seg: int32(meta.ID), Page: int32(p), Arg: 2})
 	}
 	if e.replicationEnabled() {
 		e.replSeedLeader(sn)
@@ -463,6 +519,7 @@ func (e *Engine) DestroySegment(id int32) {
 		return
 	}
 	delete(e.segs, id)
+	sn.m.Close() // for good: a Mapping outlives the segment
 	for p := int32(0); p < int32(sn.m.Pages()); p++ {
 		e.wakeWaiters(sn, p)
 	}
@@ -688,11 +745,11 @@ func (e *Engine) handle(m *wire.Msg) {
 		// Library-epoch fencing: traffic of a superseded epoch is dead
 		// with its library; traffic from a newer one means a takeover
 		// this site has not heard of yet.
-		if m.SegEpoch < sn.segEpoch {
+		if m.SegEpoch < sn.segEpoch.Load() {
 			e.staleEpoch(sn, m)
 			return
 		}
-		if m.SegEpoch > sn.segEpoch {
+		if m.SegEpoch > sn.segEpoch.Load() {
 			e.adoptAhead(sn, m)
 		}
 	}
@@ -765,7 +822,7 @@ func (e *Engine) transmit(to int, m *wire.Msg) {
 		// stamp of their first send: a message conceived under a dead
 		// epoch must not masquerade as current.
 		if sn, ok := e.segs[m.Seg]; ok {
-			m.SegEpoch = sn.segEpoch
+			m.SegEpoch = sn.segEpoch.Load()
 		}
 	}
 	if e.rel == nil || to == e.site {

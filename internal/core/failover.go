@@ -144,10 +144,10 @@ func (e *Engine) handleRecover(sn *segNode, m *wire.Msg) {
 		return
 	}
 	switch {
-	case m.SegEpoch > sn.segEpoch:
+	case m.SegEpoch > sn.segEpoch.Load():
 		e.adoptEpoch(sn, m.SegEpoch, int(m.Req))
 		e.sendHoldings(sn)
-	case m.SegEpoch == sn.segEpoch && int(m.Req) == e.site && !m.Readers.Empty():
+	case m.SegEpoch == sn.segEpoch.Load() && int(m.Req) == e.site && !m.Readers.Empty():
 		// Takeover trigger: only triggerFailover stamps the tried mask,
 		// so an empty Readers cannot nominate a successor. Identity
 		// notices (staleEpoch, migration redirects) reuse KRecover with
@@ -155,7 +155,7 @@ func (e *Engine) handleRecover(sn *segNode, m *wire.Msg) {
 		// the receiver, treating it as a trigger would launch a crash
 		// recovery against a live library.
 		e.beginRecovery(sn)
-	case m.SegEpoch == sn.segEpoch:
+	case m.SegEpoch == sn.segEpoch.Load():
 		switch {
 		case int(m.Req) == e.site:
 			// An identity notice naming this site. If we hold the role,
@@ -191,7 +191,7 @@ func (e *Engine) beginRecovery(sn *segNode) {
 		return // already the library, or a takeover is running
 	}
 	dead := sn.curLib
-	sn.segEpoch++
+	sn.segEpoch.Add(1)
 	sn.curLib = e.site
 	rc := &recovery{
 		from:    dead,
@@ -337,7 +337,7 @@ func (e *Engine) finishRecovery(sn *segNode) {
 // it feeds the record rebuild; at an established library it is a late
 // report from a site that just rejoined the epoch (see lateReport).
 func (e *Engine) handleRecoverReply(sn *segNode, m *wire.Msg) {
-	if e.opt.Failover == nil || m.SegEpoch != sn.segEpoch {
+	if e.opt.Failover == nil || m.SegEpoch != sn.segEpoch.Load() {
 		e.markStale()
 		return
 	}
@@ -385,10 +385,10 @@ func (e *Engine) handleRecoverReply(sn *segNode, m *wire.Msg) {
 // the library role itself are all dropped. Local page copies stay put —
 // they are reported to the new library like any holder's.
 func (e *Engine) adoptEpoch(sn *segNode, epoch uint32, newLib int) {
-	if epoch <= sn.segEpoch {
+	if epoch <= sn.segEpoch.Load() {
 		return
 	}
-	sn.segEpoch = epoch
+	sn.segEpoch.Store(epoch)
 	sn.curLib = newLib
 	seg := int32(sn.meta.ID)
 	if sn.lib != nil {
@@ -433,7 +433,7 @@ func (e *Engine) adoptEpoch(sn *segNode, epoch uint32, newLib int) {
 			delete(e.stash, k)
 		}
 	}
-	if sn.releasing {
+	if sn.releasing() {
 		// In-flight releases died with the old epoch (their eventual
 		// give-up is fenced by the epoch guard in deliveryFailed, and a
 		// deposed library dropped any it had queued): re-issue against
@@ -456,7 +456,7 @@ func (e *Engine) adoptEpoch(sn *segNode, epoch uint32, newLib int) {
 			})
 		}
 		if sn.releasesPending == 0 {
-			sn.releasing = false
+			sn.m.Open()
 		}
 	}
 	e.reaimRequests(sn)
@@ -513,8 +513,8 @@ func (e *Engine) rollbackPend(sn *segNode, page int32, pi *pendingInval) {
 	if sn.m.Present(p) || pi.data == nil {
 		return
 	}
-	sn.m.Install(p, pi.data, mmu.ReadOnly, e.env.Now())
 	e.emit(obs.Event{Type: obs.EvPageState, Seg: int32(sn.meta.ID), Page: page, Arg: 1})
+	sn.m.Install(p, pi.data, mmu.ReadOnly, e.env.Now())
 	a := sn.m.Aux(p)
 	a.Writer = mmu.NoWriter
 	a.Window = 0

@@ -74,12 +74,14 @@ func (e *Engine) fanoutInvalOrders(m *wire.Msg, targets mmu.Copyset) map[int]mmu
 	return sub
 }
 
-// CheckAccess classifies a local access for the ipc layer. Pages of a
-// segment being released (detached) always fault so a racing re-attach
-// refetches fresh copies through the library.
+// CheckAccess classifies a local access for the ipc layer, by the same
+// page-table word a live accessor's Mapping.Hold reads. Pages of a
+// segment being released (detached) always fault — its page table is
+// closed — so a racing re-attach refetches fresh copies through the
+// library.
 func (e *Engine) CheckAccess(seg, page int32, write bool) mmu.FaultType {
 	sn, ok := e.segs[seg]
-	if !ok || sn.releasing {
+	if !ok {
 		if write {
 			return mmu.WriteFault
 		}
@@ -219,7 +221,7 @@ func (e *Engine) acceptInval(sn *segNode, m *wire.Msg) {
 		sn.m.Downgrade(p, now)
 		e.stats.Downgrades++
 		e.obs.Count(e.site, obs.CDowngrade)
-		if !sn.releasing {
+		if !sn.releasing() {
 			// Mid-release the surrender was already traced when the copy
 			// shipped home; the frame survives only to serve this cycle
 			// (local access faults until release-done frees it). Once the
@@ -337,7 +339,6 @@ func (e *Engine) finishWriteGrant(sn *segNode, m *wire.Msg, data []byte) {
 			// Clock site upgrading itself: flip the protection in place
 			// and notify the library directly.
 			now := e.env.Now()
-			sn.m.Upgrade(int(m.Page), now)
 			a := sn.m.Aux(int(m.Page))
 			a.Writer = e.site
 			a.Window = m.Delta
@@ -345,6 +346,7 @@ func (e *Engine) finishWriteGrant(sn *segNode, m *wire.Msg, data []byte) {
 			e.obs.Count(e.site, obs.CUpgrade)
 			e.emit(obs.Event{Type: obs.EvUpgrade, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
 			e.emit(obs.Event{Type: obs.EvPageState, Seg: m.Seg, Page: m.Page, Arg: 2})
+			sn.m.Upgrade(int(m.Page), now)
 			e.send(sn.curLib, &wire.Msg{
 				Kind: wire.KInstalled, Mode: wire.Write, Seg: m.Seg, Page: m.Page,
 				Cycle: m.Cycle,
@@ -543,7 +545,7 @@ func (e *Engine) handleInvalFail(sn *segNode, m *wire.Msg) {
 // handlePageSend installs a received page at the requester and
 // completes its share of the grant cycle.
 func (e *Engine) handlePageSend(sn *segNode, m *wire.Msg) {
-	if sn.releasing && !sn.outR[m.Page] && !sn.outW[m.Page] {
+	if sn.releasing() && !sn.outR[m.Page] && !sn.outW[m.Page] {
 		// An unsolicited copy — a clock rollback re-shipping to a
 		// reader whose release is still queued at the busy library.
 		// The copy was surrendered the moment it shipped home;
@@ -624,7 +626,6 @@ func (e *Engine) handleUpgradeGrant(sn *segNode, m *wire.Msg) {
 		return
 	}
 	now := e.env.Now()
-	sn.m.Upgrade(p, now)
 	a := sn.m.Aux(p)
 	a.Writer = e.site
 	a.Window = m.Delta
@@ -633,6 +634,7 @@ func (e *Engine) handleUpgradeGrant(sn *segNode, m *wire.Msg) {
 	e.obs.Count(e.site, obs.CUpgrade)
 	e.emit(obs.Event{Type: obs.EvUpgrade, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
 	e.emit(obs.Event{Type: obs.EvPageState, Seg: m.Seg, Page: m.Page, Arg: 2})
+	sn.m.Upgrade(p, now)
 	e.send(sn.curLib, &wire.Msg{
 		Kind: wire.KInstalled, Mode: wire.Write, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle,
 	})
@@ -660,7 +662,7 @@ func (e *Engine) handleAlready(sn *segNode, m *wire.Msg) {
 	}
 	e.reqProgress(sn, m.Page)
 	if e.rel != nil && m.Mode == wire.Read && !sn.m.Present(int(m.Page)) &&
-		len(sn.waiters[m.Page]) > 0 && !sn.releasing {
+		len(sn.waiters[m.Page]) > 0 && !sn.releasing() {
 		// The record lists us as a reader but the copy is gone (dropped
 		// by an earlier degraded grant). Shed the stale record entry;
 		// the refault's fresh request, queued behind this correction on

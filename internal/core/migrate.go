@@ -288,7 +288,7 @@ func (e *Engine) abortMigration(sn *segNode, timedOut bool) {
 	e.stats.MigrationsRefused++
 	e.obs.Count(e.site, obs.CMigrationRefused)
 	if timedOut {
-		sn.segEpoch += 2
+		sn.segEpoch.Add(2)
 	}
 	for pg := range sn.lib.pages {
 		e.libProcess(sn, int32(pg))
@@ -305,15 +305,15 @@ func (e *Engine) handleMigrate(sn *segNode, m *wire.Msg) {
 		return
 	}
 	from := int(m.From)
-	if m.SegEpoch < sn.segEpoch {
+	if m.SegEpoch < sn.segEpoch.Load() {
 		e.markStale()
 		e.send(from, &wire.Msg{Kind: wire.KMigrateAck, Seg: m.Seg, Page: -1})
 		return
 	}
-	if m.SegEpoch > sn.segEpoch {
+	if m.SegEpoch > sn.segEpoch.Load() {
 		e.adoptEpoch(sn, m.SegEpoch, from)
 	}
-	if sn.lib != nil || sn.recov != nil || sn.releasing {
+	if sn.lib != nil || sn.recov != nil || sn.releasing() {
 		// Already the library (a duplicate or raced offer), mid-takeover,
 		// or detaching: not a home for the role.
 		e.send(from, &wire.Msg{Kind: wire.KMigrateAck, Seg: m.Seg, Page: -1})
@@ -392,7 +392,7 @@ func (e *Engine) installMigratedRecord(sn *segNode, from int, offerEpoch uint32,
 		}
 		p.flipEWMA, p.lastWriter = flip, lastWriter
 	}
-	sn.segEpoch = offerEpoch + 1
+	sn.segEpoch.Store(offerEpoch + 1)
 	sn.curLib = e.site
 	sn.lib = lib
 	// The old epoch's transient state is dead with it (mirrors
@@ -444,7 +444,7 @@ func (e *Engine) handleMigrateAck(sn *segNode, m *wire.Msg) {
 		e.abortMigration(sn, false)
 		return
 	}
-	if m.SegEpoch <= sn.segEpoch {
+	if m.SegEpoch <= sn.segEpoch.Load() {
 		e.markStale()
 		return
 	}

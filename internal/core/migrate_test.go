@@ -52,7 +52,7 @@ func TestMigrationRehomesLibrary(t *testing.T) {
 		if lib := n.engines[e].segs[1].curLib; lib != 1 {
 			t.Errorf("site %d believes library is %d, want 1", e, lib)
 		}
-		if ep := n.engines[e].segs[1].segEpoch; ep != 1 {
+		if ep := n.engines[e].segs[1].segEpoch.Load(); ep != 1 {
 			t.Errorf("site %d at epoch %d, want 1", e, ep)
 		}
 	}
@@ -118,7 +118,7 @@ func TestMigrationFencesStaleLibraryBelief(t *testing.T) {
 	if lib := n.engines[2].segs[1].curLib; lib != 1 {
 		t.Errorf("straggler rehomed to %d, want 1", lib)
 	}
-	if ep := n.engines[2].segs[1].segEpoch; ep != 1 {
+	if ep := n.engines[2].segs[1].segEpoch.Load(); ep != 1 {
 		t.Errorf("straggler at epoch %d, want 1", ep)
 	}
 }

@@ -366,7 +366,7 @@ func (e *Engine) deliveryFailed(to int, m *wire.Msg) {
 		e.abortMigration(sn, false)
 
 	case wire.KReleaseRead, wire.KReleaseWrite:
-		if e.opt.Failover != nil && m.SegEpoch != sn.segEpoch {
+		if e.opt.Failover != nil && m.SegEpoch != sn.segEpoch.Load() {
 			// A release conceived under a superseded epoch: adoptEpoch
 			// already re-issued it against the current library and reset
 			// the pending count, so this give-up must not decrement it.
@@ -378,7 +378,7 @@ func (e *Engine) deliveryFailed(to int, m *wire.Msg) {
 		if sn.releasesPending > 0 {
 			sn.releasesPending--
 			if sn.releasesPending == 0 {
-				sn.releasing = false
+				sn.m.Open()
 				for page := range sn.waiters {
 					e.wakeWaiters(sn, page)
 				}
@@ -443,10 +443,10 @@ func (e *Engine) invalOrderFailed(sn *segNode, m *wire.Msg, to int) {
 			})
 			return
 		}
-		sn.m.Install(p, pi.data, mmu.ReadOnly, now)
 		// No Cycle: the rolled-back copy carries no window (a.Window = 0
 		// below), and the checker keys window grants on Cycle != 0.
 		e.emit(obs.Event{Type: obs.EvPageState, Seg: m.Seg, Page: m.Page, Arg: 1})
+		sn.m.Install(p, pi.data, mmu.ReadOnly, now)
 	}
 	a := sn.m.Aux(p)
 	a.Writer = mmu.NoWriter

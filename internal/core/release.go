@@ -25,7 +25,7 @@ func (e *Engine) ReleaseSegment(seg int32) {
 	if sn.curLib == e.site {
 		return
 	}
-	sn.releasing = true
+	sn.m.Close()
 	for p := 0; p < sn.m.Pages(); p++ {
 		if !sn.m.Present(p) {
 			continue
@@ -47,14 +47,14 @@ func (e *Engine) ReleaseSegment(seg int32) {
 		e.emit(obs.Event{Type: obs.EvPageState, Seg: seg, Page: int32(p)})
 	}
 	if sn.releasesPending == 0 {
-		sn.releasing = false
+		sn.m.Open()
 	}
 }
 
 // Releasing reports whether the segment is mid-release at this site.
 func (e *Engine) Releasing(seg int32) bool {
 	sn, ok := e.segs[seg]
-	return ok && sn.releasing
+	return ok && sn.releasing()
 }
 
 // libProcessRelease runs at the library when a queued release reaches
@@ -135,6 +135,7 @@ func (e *Engine) libReclaim(sn *segNode, page int32, data []byte) {
 		e.obs.Count(e.site, obs.CLost)
 		data = make([]byte, sn.meta.PageSize)
 	}
+	e.emit(obs.Event{Type: obs.EvPageState, Seg: int32(sn.meta.ID), Page: page, Arg: 2})
 	sn.m.Install(int(page), data, mmu.ReadWrite, now)
 	a := sn.m.Aux(int(page))
 	a.Writer = e.site
@@ -143,7 +144,6 @@ func (e *Engine) libReclaim(sn *segNode, page int32, data []byte) {
 	p.writer = e.site
 	p.readers = mmu.Copyset{}
 	p.clock = e.site
-	e.emit(obs.Event{Type: obs.EvPageState, Seg: int32(sn.meta.ID), Page: page, Arg: 2})
 	e.replAppendSet(sn, page, replRecOf(p))
 }
 
@@ -170,7 +170,7 @@ func (e *Engine) handleReleaseDone(sn *segNode, m *wire.Msg) {
 	}
 	sn.releasesPending--
 	if sn.releasesPending == 0 {
-		sn.releasing = false
+		sn.m.Open()
 		// A re-attach may have queued faults while releasing.
 		for page := range sn.waiters {
 			e.wakeWaiters(sn, page)

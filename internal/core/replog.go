@@ -206,7 +206,7 @@ func (e *Engine) replActive(sn *segNode) bool {
 // the just-installed record, so the epoch's log is complete from entry
 // one and followers re-base from it.
 func (e *Engine) replSeedLeader(sn *segNode) {
-	rl := &replSeg{epoch: sn.segEpoch, pages: make(map[int32]*replEntry, len(sn.lib.pages))}
+	rl := &replSeg{epoch: sn.segEpoch.Load(), pages: make(map[int32]*replEntry, len(sn.lib.pages))}
 	for pg := range sn.lib.pages {
 		idx := uint32(pg + 1)
 		rl.pages[int32(pg)] = &replEntry{index: idx, page: int32(pg), post: replRecOf(&sn.lib.pages[pg])}
@@ -360,7 +360,7 @@ func (e *Engine) replAppend(sn *segNode, ent *replEntry, cont func()) {
 	rl, ld := sn.repl, sn.repl.lead
 	rl.lastIndex++
 	ent.index = rl.lastIndex
-	rl.epoch = sn.segEpoch
+	rl.epoch = sn.segEpoch.Load()
 	rl.pages[ent.page] = ent
 	enc := encodeReplEntry(nil, ent)
 	dig := replDigest(enc)
@@ -598,10 +598,10 @@ func (e *Engine) handleAppendAck(sn *segNode, m *wire.Msg) {
 // in simulation.
 func (e *Engine) replArmRevival(sn *segNode, f int) {
 	seg := int32(sn.meta.ID)
-	epoch := sn.segEpoch
+	epoch := sn.segEpoch.Load()
 	e.env.After(e.opt.Failover.recoverTimeout(), func() {
 		cur, ok := e.segs[seg]
-		if !ok || cur != sn || sn.segEpoch != epoch || sn.repl == nil || sn.repl.lead == nil {
+		if !ok || cur != sn || sn.segEpoch.Load() != epoch || sn.repl == nil || sn.repl.lead == nil {
 			return
 		}
 		sn.repl.lead.dead[f] = false

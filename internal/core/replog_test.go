@@ -320,8 +320,8 @@ func TestReplMigrationShipsLogHead(t *testing.T) {
 	if succ.repl == nil || succ.repl.lead == nil {
 		t.Fatal("successor does not lead the replication group")
 	}
-	if succ.repl.epoch != succ.segEpoch {
-		t.Errorf("successor log epoch %d != segment epoch %d", succ.repl.epoch, succ.segEpoch)
+	if succ.repl.epoch != succ.segEpoch.Load() {
+		t.Errorf("successor log epoch %d != segment epoch %d", succ.repl.epoch, succ.segEpoch.Load())
 	}
 	if len(succ.repl.pages) != 2 {
 		t.Errorf("successor log seeded with %d pages, want 2", len(succ.repl.pages))

@@ -12,6 +12,7 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 )
 
@@ -64,14 +65,14 @@ type Segment struct {
 	Mode     int
 
 	attaches int
-	removed  bool
+	removed  atomic.Bool // set by the registry's caller, read by accessors without its lock
 }
 
 // Attaches returns the cluster-wide attach count.
 func (s *Segment) Attaches() int { return s.attaches }
 
 // Removed reports whether the segment has been destroyed.
-func (s *Segment) Removed() bool { return s.removed }
+func (s *Segment) Removed() bool { return s.removed.Load() }
 
 // CanAccess reports whether uid may access the segment; write asks for
 // write permission.
@@ -181,7 +182,7 @@ func (r *Registry) Attach(id SegID, uid int, write bool) (*Segment, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	if s.removed {
+	if s.Removed() {
 		return nil, ErrRemoved
 	}
 	if !s.CanAccess(uid, write) {
@@ -231,7 +232,7 @@ func (r *Registry) Remove(id SegID, uid int) error {
 }
 
 func (r *Registry) destroy(s *Segment) {
-	s.removed = true
+	s.removed.Store(true)
 	delete(r.byID, s.ID)
 	if cur, ok := r.byKey[s.Key]; ok && cur == s {
 		delete(r.byKey, s.Key)

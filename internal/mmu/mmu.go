@@ -5,7 +5,9 @@
 //
 //   - a master page-table: one PTE per page with a valid bit and a
 //     protection bit (read-only or read-write), exactly the state the
-//     VAX hardware consults;
+//     VAX hardware consults. The PTE is one atomic word, so a live
+//     accessor checks it — and holds the page for the length of the
+//     access — on its own goroutine (pte.go, DESIGN.md §17);
 //   - an auxiliary parallel page table (auxpte, Table 2): per page,
 //     the reader mask, the current writer site, the page's time window
 //     in ticks (Δ), and the installation time at this site;
@@ -74,11 +76,6 @@ func (f FaultType) String() string {
 	return fmt.Sprintf("FaultType(%d)", uint8(f))
 }
 
-// PTE is one master page-table entry.
-type PTE struct {
-	Prot Prot
-}
-
 // AuxPTE is one auxiliary parallel page table entry (paper Table 2).
 type AuxPTE struct {
 	ReaderMask  Copyset       // set of sites using this page
@@ -90,12 +87,23 @@ type AuxPTE struct {
 // NoWriter is the AuxPTE.Writer value when no site holds a writable copy.
 const NoWriter = -1
 
-// Seg is the per-site MMU state for one segment.
+// Seg is the per-site MMU state for one segment. Everything but Hold
+// and Unhold belongs to the one goroutine that drives the site's
+// protocol engine; pte.go says what that goroutine and a holder may
+// each assume of the other.
 type Seg struct {
 	pageSize int
-	pte      []PTE
-	aux      []AuxPTE
-	frames   [][]byte
+	pages    []page
+}
+
+// page is everything the site keeps per page, in one place: a new
+// per-page field goes here. It is also what keeps accessors of
+// different pages off each other's cache lines — the struct is longer
+// than a line, so no two pte words share one.
+type page struct {
+	pte
+	frame []byte // changes only with the page taken exclusively
+	aux   AuxPTE
 }
 
 // NewSeg creates MMU state for a segment of npages pages.
@@ -103,45 +111,34 @@ func NewSeg(npages, pageSize int) *Seg {
 	if npages <= 0 || pageSize <= 0 {
 		panic(fmt.Sprintf("mmu: bad geometry %d x %d", npages, pageSize))
 	}
-	s := &Seg{
-		pageSize: pageSize,
-		pte:      make([]PTE, npages),
-		aux:      make([]AuxPTE, npages),
-		frames:   make([][]byte, npages),
-	}
-	for i := range s.aux {
-		s.aux[i].Writer = NoWriter
+	s := &Seg{pageSize: pageSize, pages: make([]page, npages)}
+	for i := range s.pages {
+		s.pages[i].aux.Writer = NoWriter
 	}
 	return s
 }
 
 // Pages returns the number of pages.
-func (s *Seg) Pages() int { return len(s.pte) }
+func (s *Seg) Pages() int { return len(s.pages) }
 
 // PageSize returns the page size in bytes.
 func (s *Seg) PageSize() int { return s.pageSize }
 
 // Prot returns the current protection of page p.
-func (s *Seg) Prot(p int) Prot { return s.pte[p].Prot }
+func (s *Seg) Prot(p int) Prot { return Prot(s.pages[p].Load() & protMask) }
 
 // Aux returns a pointer to page p's auxpte for inspection or update.
-func (s *Seg) Aux(p int) *AuxPTE { return &s.aux[p] }
+func (s *Seg) Aux(p int) *AuxPTE { return &s.pages[p].aux }
 
 // Check classifies an access against the master page table without
-// performing it.
+// performing it. Every page of a closed segment faults.
 func (s *Seg) Check(p int, write bool) FaultType {
-	switch s.pte[p].Prot {
-	case ReadWrite:
+	switch {
+	case permits(s.pages[p].Load(), write):
 		return NoFault
-	case ReadOnly:
-		if write {
-			return WriteFault
-		}
-		return NoFault
+	case write:
+		return WriteFault
 	default:
-		if write {
-			return WriteFault
-		}
 		return ReadFault
 	}
 }
@@ -149,72 +146,88 @@ func (s *Seg) Check(p int, write bool) FaultType {
 // Frame returns the frame backing page p, or nil when the page is not
 // present. Callers must respect the protection; the protocol engine is
 // the only writer of invalid/RO frames.
-func (s *Seg) Frame(p int) []byte { return s.frames[p] }
+func (s *Seg) Frame(p int) []byte { return s.pages[p].frame }
 
 // Install maps page p at this site with protection prot and contents
 // data (copied; nil means zero-filled), recording the install time for
 // the Δ clock check. Installing with Invalid protection is a model bug.
+// The new protection becomes visible to holders only when Install
+// returns, so an event a caller emits first precedes every access the
+// install enables.
 func (s *Seg) Install(p int, data []byte, prot Prot, now time.Duration) {
 	if prot == Invalid {
 		panic("mmu: Install with Invalid protection")
 	}
-	if s.frames[p] == nil {
-		s.frames[p] = make([]byte, s.pageSize)
+	if data != nil && len(data) != s.pageSize {
+		panic(fmt.Sprintf("mmu: install %d bytes into %d-byte page", len(data), s.pageSize))
+	}
+	pg := s.lock(p)
+	if pg.frame == nil {
+		pg.frame = make([]byte, s.pageSize)
 	}
 	if data != nil {
-		if len(data) != s.pageSize {
-			panic(fmt.Sprintf("mmu: install %d bytes into %d-byte page", len(data), s.pageSize))
-		}
-		copy(s.frames[p], data)
+		copy(pg.frame, data)
 	} else {
-		for i := range s.frames[p] {
-			s.frames[p][i] = 0
+		for i := range pg.frame {
+			pg.frame[i] = 0
 		}
 	}
-	s.pte[p].Prot = prot
-	s.aux[p].InstallTime = now
+	pg.aux.InstallTime = now
+	pg.unlock(prot)
 }
 
 // Invalidate unmaps page p and discards the frame. It returns the old
 // contents so a caller forwarding the page (invalidated writer sending
-// its data to the new writer) can use them without an extra copy.
+// its data to the new writer) can use them without an extra copy: it
+// returns only once no holder is left, and none can follow.
 func (s *Seg) Invalidate(p int) []byte {
-	f := s.frames[p]
-	s.frames[p] = nil
-	s.pte[p].Prot = Invalid
+	pg := &s.pages[p]
+	if mutateSkipHolderWait {
+		// Overtake the holders. They are left a frame of zeroes rather
+		// than none, so that the checker fails them, not a nil index.
+		f := pg.frame
+		pg.frame = make([]byte, s.pageSize)
+		pg.change(protMask, uint32(Invalid))
+		return f
+	}
+	s.lock(p)
+	f := pg.frame
+	pg.frame = nil
+	pg.unlock(Invalid)
 	return f
 }
 
 // Downgrade reduces a read-write page to read-only, retaining the
 // frame (optimization 2, §6.1). Downgrading a non-writable page is a
-// protocol bug and panics.
+// protocol bug and panics. On return no write holder is left.
 func (s *Seg) Downgrade(p int, now time.Duration) {
-	if s.pte[p].Prot != ReadWrite {
-		panic(fmt.Sprintf("mmu: downgrade of %v page %d", s.pte[p].Prot, p))
+	if s.Prot(p) != ReadWrite {
+		panic(fmt.Sprintf("mmu: downgrade of %v page %d", s.Prot(p), p))
 	}
-	s.pte[p].Prot = ReadOnly
-	s.aux[p].InstallTime = now
+	pg := s.lock(p)
+	pg.aux.InstallTime = now
+	pg.unlock(ReadOnly)
 }
 
 // Upgrade raises a read-only page to read-write in place (optimization
 // 1: a reader becoming writer receives no page copy). Upgrading a page
 // that is not read-only panics.
 func (s *Seg) Upgrade(p int, now time.Duration) {
-	if s.pte[p].Prot != ReadOnly {
-		panic(fmt.Sprintf("mmu: upgrade of %v page %d", s.pte[p].Prot, p))
+	if s.Prot(p) != ReadOnly {
+		panic(fmt.Sprintf("mmu: upgrade of %v page %d", s.Prot(p), p))
 	}
-	s.pte[p].Prot = ReadWrite
-	s.aux[p].InstallTime = now
+	s.pages[p].aux.InstallTime = now
+	s.pages[p].change(protMask, uint32(ReadWrite))
 }
 
 // Present reports whether page p has a frame at this site.
-func (s *Seg) Present(p int) bool { return s.pte[p].Prot != Invalid }
+func (s *Seg) Present(p int) bool { return s.Prot(p) != Invalid }
 
 // PresentCount returns how many pages are present at this site.
 func (s *Seg) PresentCount() int {
 	n := 0
-	for i := range s.pte {
-		if s.pte[i].Prot != Invalid {
+	for p := range s.pages {
+		if s.Present(p) {
 			n++
 		}
 	}
@@ -224,14 +237,14 @@ func (s *Seg) PresentCount() int {
 // WindowExpired reports whether page p's Δ window has elapsed at time
 // now. A zero window is always expired.
 func (s *Seg) WindowExpired(p int, now time.Duration) bool {
-	a := &s.aux[p]
+	a := &s.pages[p].aux
 	return now >= a.InstallTime+a.Window
 }
 
 // WindowRemaining returns how much of page p's Δ window remains at
 // time now (zero if expired).
 func (s *Seg) WindowRemaining(p int, now time.Duration) time.Duration {
-	a := &s.aux[p]
+	a := &s.pages[p].aux
 	rem := a.InstallTime + a.Window - now
 	if rem < 0 {
 		return 0

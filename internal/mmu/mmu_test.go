@@ -1,6 +1,9 @@
 package mmu
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -229,5 +232,143 @@ func TestProtAndFaultStrings(t *testing.T) {
 	}
 	if Prot(9).String() == "" || FaultType(9).String() == "" {
 		t.Fatal("unknown values must still render")
+	}
+}
+
+// --- the access check and the hold (pte.go) ---
+
+func TestHoldFollowsProtection(t *testing.T) {
+	s := newSeg()
+	try := func(write bool) bool {
+		_, ok := s.Hold(0, write)
+		if ok {
+			s.Unhold(0, write)
+		}
+		return ok
+	}
+	if try(false) || try(true) {
+		t.Fatal("invalid page held")
+	}
+	s.Install(0, nil, ReadOnly, 0)
+	if !try(false) || try(true) {
+		t.Fatal("read-only page: want read held, write refused")
+	}
+	s.Upgrade(0, 0)
+	if !try(false) || !try(true) {
+		t.Fatal("read-write page refused a hold")
+	}
+	s.Close()
+	if !s.Closed() || try(false) || try(true) || s.Check(0, false) != ReadFault || s.Check(0, true) != WriteFault {
+		t.Fatal("closed segment let an access through")
+	}
+	if s.Prot(0) != ReadWrite || !s.Present(0) {
+		t.Fatal("Close changed the protection")
+	}
+	s.Downgrade(0, 0) // transitions go on under Close
+	s.Open()
+	if s.Closed() || !try(false) || try(true) {
+		t.Fatal("reopened read-only page: want read held, write refused")
+	}
+}
+
+func TestReadersShareOneFrame(t *testing.T) {
+	s := newSeg()
+	s.Install(0, nil, ReadOnly, 0)
+	a, ok1 := s.Hold(0, false)
+	b, ok2 := s.Hold(0, false)
+	if !ok1 || !ok2 || &a[0] != &b[0] || &a[0] != &s.Frame(0)[0] {
+		t.Fatal("two readers did not both get the page's frame")
+	}
+	s.Unhold(0, false)
+	s.Unhold(0, false)
+	if got := s.Invalidate(0); &got[0] != &a[0] {
+		t.Fatal("Invalidate returned another frame")
+	}
+}
+
+// A transition that takes access away returns only when no access it
+// could cut short is left. The waiting bit is the event that shows the
+// transition has arrived and not got through.
+func TestRevocationWaitsForHolders(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		write  bool // the kind of hold in its way
+		revoke func(s *Seg)
+	}{
+		{"invalidate/reader", false, func(s *Seg) { s.Invalidate(0) }},
+		{"invalidate/writer", true, func(s *Seg) { s.Invalidate(0) }},
+		{"downgrade/writer", true, func(s *Seg) { s.Downgrade(0, 0) }},
+		{"close/reader", false, func(s *Seg) { s.Close() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSeg()
+			s.Install(0, nil, ReadWrite, 0)
+			if _, ok := s.Hold(0, tc.write); !ok {
+				t.Fatal("hold refused")
+			}
+			var revoked atomic.Bool
+			done := make(chan struct{})
+			go func() {
+				tc.revoke(s)
+				revoked.Store(true)
+				close(done)
+			}()
+			for s.pages[0].Load()&waitBit == 0 {
+				if revoked.Load() {
+					t.Fatal("revocation overtook the hold")
+				}
+				runtime.Gosched()
+			}
+			if revoked.Load() {
+				t.Fatal("revocation overtook the hold")
+			}
+			if s.Prot(0) != ReadWrite {
+				t.Fatal("protection changed under the hold")
+			}
+			s.Unhold(0, tc.write)
+			<-done
+			if _, ok := s.Hold(0, true); ok {
+				t.Fatal("write hold granted after the revocation")
+			}
+		})
+	}
+}
+
+// Writers exclude each other and readers: a plain counter in the frame
+// stays exact, and the race detector sees every access ordered.
+func TestWriteHoldExcludes(t *testing.T) {
+	s := newSeg()
+	s.Install(0, nil, ReadWrite, 0)
+	const writers, readers, rounds = 3, 3, 2000
+	var wg sync.WaitGroup
+	for g := 0; g < writers+readers; g++ {
+		write := g < writers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				f, ok := s.Hold(0, write)
+				for !ok { // read-only for a moment: the fault-and-retry loop
+					runtime.Gosched()
+					f, ok = s.Hold(0, write)
+				}
+				if write {
+					f[0]++
+					f[1] = f[0]
+				} else if f[0] != f[1] {
+					t.Error("reader saw a write half done")
+				}
+				s.Unhold(0, write)
+			}
+		}()
+	}
+	// Transitions that keep the page come and go meanwhile.
+	for i := 0; i < 200; i++ {
+		s.Downgrade(0, 0)
+		s.Upgrade(0, 0)
+	}
+	wg.Wait()
+	if got, want := s.Frame(0)[0], byte(writers*rounds%256); got != want {
+		t.Fatalf("counter %d, want %d", got, want)
 	}
 }

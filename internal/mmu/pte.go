@@ -1,0 +1,172 @@
+package mmu
+
+import (
+	"runtime"
+	"sync/atomic"
+)
+
+// pte is one master page-table entry: the protection the hardware
+// would consult, packed with the hold that stands in for the one thing
+// real hardware gives for free — an access in flight completes before
+// the kernel can take the page away (DESIGN.md §17).
+//
+//	bits 0-1  Prot
+//	bit  2    closed: the segment is releasing or destroyed here; every access faults
+//	bit  3    taken exclusively: by one write access, or by a transition
+//	bit  4    a transition is waiting for the holders to leave; no new hold
+//	bits 5-   number of read accesses holding the page
+//
+// Who may change it: an accessor only ever adds or removes its own
+// hold (Hold, Unhold), on any goroutine; everything else — protection,
+// closed, the waiting bit — belongs to the goroutine that drives the
+// site's engine. A transition that lowers access (Invalidate,
+// Downgrade, Close) first takes the page exclusively, so it returns
+// with every earlier access complete and none under way; one that
+// raises it (Install onto an absent page, Upgrade, Open) just
+// publishes the new word. A page's frame slice is written only with the
+// page taken exclusively and read, off that goroutine, only under a
+// hold.
+type pte struct{ atomic.Uint32 }
+
+const (
+	protMask  = 3
+	closedBit = 1 << 2
+	exclBit   = 1 << 3
+	waitBit   = 1 << 4
+	holdOne   = 1 << 5
+)
+
+// permits reports whether word w lets an access of the given kind
+// through: the page is open and its protection suffices.
+func permits(w uint32, write bool) bool {
+	if w&closedBit != 0 {
+		return false
+	}
+	if write {
+		return Prot(w&protMask) == ReadWrite
+	}
+	return Prot(w&protMask) != Invalid
+}
+
+// spinsBeforeYield is how often a waiter re-reads a busy word before
+// it starts yielding the processor. Holds last tens of nanoseconds,
+// so the wait is normally over within a few reads; yielding matters
+// when the holder was descheduled, or shares the only processor.
+const spinsBeforeYield = 32
+
+func pause(spins int) {
+	if spins >= spinsBeforeYield {
+		runtime.Gosched()
+	}
+}
+
+// Hold is the access check: if page p permits the access it takes the
+// page — shared for a read, exclusively for a write — and returns the
+// frame; the caller moves its bytes and calls Unhold, without blocking
+// in between. ok false is a fault: the caller asks the engine for the
+// page and tries again. Safe on any goroutine.
+//
+// It first bets on the common case with a single read-modify-write, so
+// that goroutines sharing a page move its cache line once per access: a
+// reader adds itself and looks at what it joined, a writer swaps in
+// the exclusive bit over the word of an idle writable page. A reader
+// that lost the bet leaves again; until then it stands in the count
+// without touching the frame, which costs a transition a moment's wait.
+func (s *Seg) Hold(p int, write bool) (frame []byte, ok bool) {
+	e := &s.pages[p]
+	if write {
+		if e.CompareAndSwap(uint32(ReadWrite), uint32(ReadWrite)|exclBit) {
+			return e.frame, true
+		}
+	} else {
+		if w := e.Add(holdOne); w&(exclBit|waitBit) == 0 && permits(w, false) {
+			return e.frame, true
+		}
+		e.Add(^uint32(holdOne - 1))
+	}
+	for spins := 0; ; spins++ {
+		w := e.Load()
+		if !permits(w, write) {
+			return nil, false
+		}
+		switch {
+		case w&(exclBit|waitBit) != 0:
+			// A write access or a transition owns the page, briefly.
+		case !write:
+			if e.CompareAndSwap(w, w+holdOne) {
+				return e.frame, true
+			}
+			continue // lost a race with another reader; not a wait
+		case w < holdOne:
+			if e.CompareAndSwap(w, w|exclBit) {
+				return e.frame, true
+			}
+			continue
+		}
+		pause(spins)
+	}
+}
+
+// Unhold ends the access a successful Hold began.
+func (s *Seg) Unhold(p int, write bool) {
+	if write {
+		s.pages[p].Add(^uint32(exclBit - 1))
+	} else {
+		s.pages[p].Add(^uint32(holdOne - 1))
+	}
+}
+
+// lock takes page p exclusively for a transition: it stops new holds,
+// waits for the present ones to end, and returns owning the page.
+func (s *Seg) lock(p int) *page {
+	e := &s.pages[p]
+	for spins := 0; ; spins++ {
+		w := e.Load()
+		switch {
+		case w&exclBit == 0 && w < holdOne:
+			if e.CompareAndSwap(w, (w|exclBit)&^waitBit) {
+				return e
+			}
+			continue
+		case w&waitBit == 0:
+			e.CompareAndSwap(w, w|waitBit)
+			continue
+		}
+		pause(spins)
+	}
+}
+
+// change replaces the bits of clear with those of set. The engine's
+// goroutine calls it on a page it owns or one only it can change.
+func (e *pte) change(clear, set uint32) {
+	for {
+		w := e.Load()
+		if e.CompareAndSwap(w, w&^clear|set) {
+			return
+		}
+	}
+}
+
+// unlock publishes the page's new protection and gives the page up.
+func (e *pte) unlock(prot Prot) { e.change(protMask|exclBit, uint32(prot)) }
+
+// Close makes every access to the segment fault, whatever the pages'
+// protection, until Open: the state of a segment between its last
+// local detach and the library's confirmation, and of a destroyed one.
+// On return no access is under way, so the caller may read any frame.
+func (s *Seg) Close() {
+	for p := range s.pages {
+		s.lock(p).change(exclBit, closedBit)
+	}
+}
+
+// Open ends Close: accesses again go by each page's protection.
+func (s *Seg) Open() {
+	for p := range s.pages {
+		s.pages[p].change(closedBit, 0)
+	}
+}
+
+// Closed reports whether the segment is closed. Close and Open change
+// every page on the one goroutine that may ask, so any page answers.
+func (s *Seg) Closed() bool { return s.pages[0].Load()&closedBit != 0 }

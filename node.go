@@ -10,8 +10,11 @@ import (
 )
 
 // node is one live site: a protocol engine owned by an actor loop.
-// Every engine call happens on the loop goroutine; accessors and the
-// transport post operations and (when needed) wait for replies.
+// Engine calls happen on the loop goroutine — the transport posts
+// messages, accessors post faults and wait for the wake — with one
+// exception: a resident access checks and holds its page through the
+// segment's core.Mapping on the accessor's own goroutine and never
+// comes here (DESIGN.md §17).
 type node struct {
 	site  int
 	eng   *core.Engine

@@ -3,7 +3,9 @@ package mirage
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
+	"mirage/internal/core"
 	"mirage/internal/mem"
 	"mirage/internal/mmu"
 )
@@ -15,11 +17,12 @@ import (
 type Segment struct {
 	site     *Site
 	seg      *mem.Segment
+	pages    core.Mapping // the site's page table for seg: the access check
 	readonly bool
+	record   bool // Options.Check: emit an op record per access
 	pid      int32
 
-	mu       sync.Mutex
-	detached bool
+	detached atomic.Bool
 }
 
 // Size returns the segment size in bytes.
@@ -34,25 +37,22 @@ func (g *Segment) PageSize() int { return g.seg.PageSize }
 // Detach unmaps the segment (System V shmdt). The cluster-wide last
 // detach destroys the segment.
 func (g *Segment) Detach() error {
-	g.mu.Lock()
-	if g.detached {
-		g.mu.Unlock()
+	if !g.detached.CompareAndSwap(false, true) {
 		return ErrDetached
 	}
-	g.detached = true
-	g.mu.Unlock()
 	return g.site.detach(g.seg.ID)
 }
 
 // access runs fn over each page-aligned chunk of [off, off+n) with the
-// page held in the needed mode, faulting through the protocol engine
-// as required. fn runs on the site's actor loop, serialized with the
-// protocol, so the frame bytes are stable for its duration.
+// page held in the needed mode. It is the paper's loop (§6.1): try the
+// access; on a fault ask the protocol engine for the page, sleep until
+// the page's state changed, and retry. fn runs here, on the caller's
+// goroutine, with the page held (DESIGN.md §17): against every other
+// access to that page at this site readers share and a writer
+// excludes, and the engine cannot take the page away before fn and the
+// op record are done. A resident access never enters the actor loop.
 func (g *Segment) access(off, n int, write bool, fn func(frame []byte, frameOff, bufOff, k int)) error {
-	g.mu.Lock()
-	detached := g.detached
-	g.mu.Unlock()
-	if detached {
+	if g.detached.Load() {
 		return ErrDetached
 	}
 	if write && g.readonly {
@@ -61,10 +61,9 @@ func (g *Segment) access(off, n int, write bool, fn func(frame []byte, frameOff,
 	if off < 0 || n < 0 || off+n > g.seg.Size {
 		return fmt.Errorf("%w: [%d,%d) of %d", ErrBounds, off, off+n, g.seg.Size)
 	}
-	nd := g.site.node
-	segID := int32(g.seg.ID)
 	ps := g.seg.PageSize
 	bufOff := 0
+	var wk *waker // taken by the first fault, shared by the rest
 	for n > 0 {
 		page := off / ps
 		fo := off % ps
@@ -73,55 +72,84 @@ func (g *Segment) access(off, n int, write bool, fn func(frame []byte, frameOff,
 			k = n
 		}
 		for {
-			if g.seg.Removed() {
-				return ErrDetached
-			}
-			done := make(chan bool, 1)
-			var faultErr error
-			fo, bufOff, k := fo, bufOff, k
-			ok := nd.post(func() {
-				if err := nd.eng.FaultError(segID, int32(page)); err != nil {
-					// A previous fault on this page was degraded (peer
-					// unreachable past the retry budget). Surface it
-					// instead of refaulting into the same partition.
-					faultErr = err
-					done <- true
-					return
+			if frame, ok := g.pages.Hold(page, write); ok {
+				fn(frame, fo, bufOff, k)
+				if g.record {
+					g.pages.RecordOp(int32(page), fo, write, frame[fo:fo+k])
 				}
-				if nd.eng.CheckAccess(segID, int32(page), write) == mmu.NoFault {
-					frame := nd.eng.Frame(segID, int32(page))
-					fn(frame, fo, bufOff, k)
-					if g.site.c.opts.Check {
-						// Op record for VerifyTrace; on the actor loop,
-						// so it lands in causal order with the protocol
-						// events.
-						nd.eng.RecordOp(segID, int32(page), fo, write, frame[fo:fo+k])
-					}
-					done <- true
-					return
-				}
-				nd.eng.Fault(segID, int32(page), write, g.pid, func() {
-					select {
-					case done <- false:
-					default: // already woken once for this attempt
-					}
-				})
-			})
-			if !ok {
-				return ErrDetached
-			}
-			if <-done {
-				if faultErr != nil {
-					return faultErr
-				}
+				g.pages.Unhold(page, write)
 				break
+			}
+			if wk == nil {
+				wk = wakers.Get().(*waker)
+			}
+			if err := g.fault(int32(page), write, wk); err != nil {
+				wakers.Put(wk)
+				return err
 			}
 		}
 		off += k
 		bufOff += k
 		n -= k
 	}
+	if wk != nil {
+		wakers.Put(wk)
+	}
 	return nil
+}
+
+// waker is what a faulting access sleeps on: a one-slot channel, and
+// the wake function the engine keeps while the fault is outstanding.
+// Every fault the loop accepts is answered on ch once — the engine
+// calls a waiter's wake once — and waited for by its accessor, so a
+// waker goes back to the pool with its slot empty.
+type waker struct {
+	ch   chan error
+	wake func() // signal(nil), made once with the channel
+}
+
+var wakers = sync.Pool{New: func() any {
+	w := &waker{ch: make(chan error, 1)}
+	w.wake = func() { w.signal(nil) }
+	return w
+}}
+
+// signal answers a fault. It runs on the actor loop, which must never
+// block: were the slot taken, the accessor is about to retry anyway.
+func (w *waker) signal(err error) {
+	select {
+	case w.ch <- err:
+	default:
+	}
+}
+
+// fault is the slow path of access: it reports the fault to the engine
+// on the actor loop and returns once the page's state at this site has
+// changed (or already permits the access), for the caller to retry.
+func (g *Segment) fault(page int32, write bool, wk *waker) error {
+	if g.seg.Removed() {
+		return ErrDetached
+	}
+	nd := g.site.node
+	segID := int32(g.seg.ID)
+	ok := nd.post(func() {
+		if err := nd.eng.FaultError(segID, page); err != nil {
+			// A previous fault on this page was degraded (peer
+			// unreachable past the retry budget). Surface it instead of
+			// refaulting into the same partition.
+			wk.signal(err)
+			return
+		}
+		if nd.eng.CheckAccess(segID, page, write) == mmu.NoFault {
+			wk.signal(nil) // the page arrived between the check and here
+			return
+		}
+		nd.eng.Fault(segID, page, write, g.pid, wk.wake)
+	})
+	if !ok {
+		return ErrDetached
+	}
+	return <-wk.ch
 }
 
 // ReadAt copies len(b) bytes from the segment at off into b,
@@ -164,11 +192,11 @@ func (g *Segment) SetUint32(off int, v uint32) error {
 // protocol state) adds delta to the word at off and returns the new
 // value. The word must not span pages.
 func (g *Segment) AddUint32(off int, delta uint32) (uint32, error) {
+	if ps := g.seg.PageSize; off >= 0 && off%ps > ps-4 {
+		panic("mirage: AddUint32 across a page boundary")
+	}
 	var out uint32
 	err := g.access(off, 4, true, func(frame []byte, fo, bo, k int) {
-		if k != 4 {
-			panic("mirage: AddUint32 across a page boundary")
-		}
 		v := uint32(frame[fo]) | uint32(frame[fo+1])<<8 | uint32(frame[fo+2])<<16 | uint32(frame[fo+3])<<24
 		v += delta
 		frame[fo] = byte(v)
