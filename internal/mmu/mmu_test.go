@@ -372,3 +372,104 @@ func TestWriteHoldExcludes(t *testing.T) {
 		t.Fatalf("counter %d, want %d", got, want)
 	}
 }
+
+// A write that waits for readers stops new ones, as a transition does:
+// the readers it found are the last it waits for. Without that, readers
+// that keep coming keep a write out for as long as they like.
+func TestWaitingWriteStopsNewReaders(t *testing.T) {
+	s := newSeg()
+	s.Install(0, nil, ReadWrite, 0)
+	if _, ok := s.Hold(0, false); !ok {
+		t.Fatal("read hold refused")
+	}
+	var late atomic.Bool // the reader that came after the write got in
+	wrote := make(chan bool)
+	go func() {
+		_, ok := s.Hold(0, true)
+		overtaken := late.Load()
+		s.Unhold(0, true)
+		wrote <- ok && !overtaken
+	}()
+	for t0 := time.Now(); s.pages[0].Load()&waitBit == 0; runtime.Gosched() {
+		if time.Since(t0) > 5*time.Second {
+			t.Fatal("the write waits for a reader and does not say so")
+		}
+	}
+	read := make(chan struct{})
+	go func() {
+		if _, ok := s.Hold(0, false); ok {
+			late.Store(true)
+			s.Unhold(0, false)
+		}
+		close(read)
+	}()
+	time.Sleep(10 * time.Millisecond) // time enough to join, were it let
+	if late.Load() {
+		t.Fatal("a reader joined a page a write was waiting for")
+	}
+	s.Unhold(0, false)
+	if !<-wrote {
+		t.Fatal("the later reader went before the waiting write")
+	}
+	<-read
+	if !late.Load() {
+		t.Fatal("the later reader never got in")
+	}
+	if w := s.pages[0].Load(); w != uint32(ReadWrite) {
+		t.Fatalf("page word %#x left behind, want an idle read-write page", w)
+	}
+}
+
+// The same under load: six readers spinning on a page let three writes
+// through in two seconds before a waiting write stopped them.
+func TestWriteHoldNotStarvedByReaders(t *testing.T) {
+	s := newSeg()
+	s.Install(0, nil, ReadWrite, 0)
+	const readers, writes = 6, 500
+	var stop atomic.Bool
+	var wg, started sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		started.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf [256]byte
+			for first := true; !stop.Load(); first = false {
+				if f, ok := s.Hold(0, false); ok {
+					copy(buf[:], f)
+					s.Unhold(0, false)
+				}
+				if first {
+					started.Done()
+				}
+			}
+		}()
+	}
+	started.Wait()
+	done := make(chan time.Duration)
+	go func() {
+		var worst time.Duration
+		for i := 0; i < writes; i++ {
+			t0 := time.Now()
+			f, ok := s.Hold(0, true)
+			if !ok {
+				t.Error("write hold refused on a read-write page")
+				break
+			}
+			f[0]++
+			s.Unhold(0, true)
+			if d := time.Since(t0); d > worst {
+				worst = d
+			}
+		}
+		done <- worst
+	}()
+	select {
+	case worst := <-done:
+		t.Logf("%d writes among %d spinning readers, worst wait %v", writes, readers, worst)
+	case <-time.After(5 * time.Second):
+		t.Error("the writer starved")
+	}
+	stop.Store(true)
+	wg.Wait()
+}

@@ -13,13 +13,13 @@ import (
 //	bits 0-1  Prot
 //	bit  2    closed: the segment is releasing or destroyed here; every access faults
 //	bit  3    taken exclusively: by one write access, or by a transition
-//	bit  4    a transition is waiting for the holders to leave; no new hold
+//	bit  4    a transition or a write access is waiting for the holders to leave; no new hold
 //	bits 5-   number of read accesses holding the page
 //
 // Who may change it: an accessor only ever adds or removes its own
-// hold (Hold, Unhold), on any goroutine; everything else — protection,
-// closed, the waiting bit — belongs to the goroutine that drives the
-// site's engine. A transition that lowers access (Invalidate,
+// hold, or says that it waits for one (Hold, Unhold), on any
+// goroutine; protection and closed belong to the goroutine that drives
+// the site's engine. A transition that lowers access (Invalidate,
 // Downgrade, Close) first takes the page exclusively, so it returns
 // with every earlier access complete and none under way; one that
 // raises it (Install onto an absent page, Upgrade, Open) just
@@ -66,39 +66,36 @@ func pause(spins int) {
 // in between. ok false is a fault: the caller asks the engine for the
 // page and tries again. Safe on any goroutine.
 //
-// It first bets on the common case with a single read-modify-write, so
-// that goroutines sharing a page move its cache line once per access: a
-// reader adds itself and looks at what it joined, a writer swaps in
-// the exclusive bit over the word of an idle writable page. A reader
-// that lost the bet leaves again; until then it stands in the count
-// without touching the frame, which costs a transition a moment's wait.
+// A write that finds readers on the page sets the waiting bit, as a
+// transition does, so that the readers already there are the last it
+// waits for. The bit says that somebody waits, not who: whoever takes
+// the page clears it, and a waiter that lost puts it back. Only one
+// that has set it may take a page that shows it; a write that arrives
+// later queues behind, which keeps a transition from being overtaken
+// for ever.
 func (s *Seg) Hold(p int, write bool) (frame []byte, ok bool) {
 	e := &s.pages[p]
-	if write {
-		if e.CompareAndSwap(uint32(ReadWrite), uint32(ReadWrite)|exclBit) {
-			return e.frame, true
-		}
-	} else {
-		if w := e.Add(holdOne); w&(exclBit|waitBit) == 0 && permits(w, false) {
-			return e.frame, true
-		}
-		e.Add(^uint32(holdOne - 1))
-	}
+	waiting := false // this write has set waitBit
 	for spins := 0; ; spins++ {
 		w := e.Load()
 		if !permits(w, write) {
 			return nil, false
 		}
 		switch {
-		case w&(exclBit|waitBit) != 0:
+		case w&exclBit != 0:
 			// A write access or a transition owns the page, briefly.
-		case !write:
+		case !write && w&waitBit == 0:
 			if e.CompareAndSwap(w, w+holdOne) {
 				return e.frame, true
 			}
 			continue // lost a race with another reader; not a wait
-		case w < holdOne:
-			if e.CompareAndSwap(w, w|exclBit) {
+		case !write:
+			// Somebody waits for the readers to leave: not one more.
+		case w >= holdOne && w&waitBit == 0:
+			waiting = e.CompareAndSwap(w, w|waitBit) || waiting
+			continue
+		case w < holdOne && (w&waitBit == 0 || waiting):
+			if e.CompareAndSwap(w, (w|exclBit)&^waitBit) {
 				return e.frame, true
 			}
 			continue
