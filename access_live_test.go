@@ -340,3 +340,68 @@ func TestResidentAccessZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// After a resident access to a page under a time window the caller
+// waits for the actor loop's turn; an access to a page without one
+// never meets the loop at all. Both are seen with the loop stopped.
+func TestWindowedAccessTakesLoopTurn(t *testing.T) {
+	for _, delta := range []time.Duration{0, time.Minute} {
+		t.Run(fmt.Sprint("delta=", delta), func(t *testing.T) {
+			c := newTestCluster(t, 2, Options{Delta: delta})
+			id, err := c.Site(0).Shmget(IPCPrivate, 512, Create, 0o600)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Site(0).Attach(id, false); err != nil {
+				t.Fatal(err)
+			}
+			seg, err := c.Site(1).Attach(id, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Site 1 is granted the page, with the window if there is one.
+			if err := seg.SetUint32(0, 7); err != nil {
+				t.Fatal(err)
+			}
+			release := make(chan struct{})
+			if !c.Site(1).node.post(func() { <-release }) {
+				t.Fatal("loop closed")
+			}
+			defer func() {
+				select {
+				case <-release:
+				default:
+					close(release)
+				}
+			}()
+			done := make(chan error, 1)
+			go func() {
+				v, err := seg.Uint32(0)
+				if err == nil && v != 7 {
+					err = fmt.Errorf("read %d, want 7", v)
+				}
+				done <- err
+			}()
+			if delta == 0 {
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("a resident access to a page without a window waited for the loop")
+				}
+				return
+			}
+			select {
+			case err := <-done:
+				t.Fatalf("the access returned (err %v) without the loop's turn", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(release)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

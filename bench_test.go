@@ -3,6 +3,7 @@ package mirage
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -212,6 +213,65 @@ func BenchmarkLiveLocalAccessParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkLiveRemoteFaultBesideAccessors times a write fault from
+// site 1 on a page that three goroutines at site 0 add to without
+// pause, more goroutines than the usual two processors: what a remote
+// site waits when the accessors of a resident page never block
+// (DESIGN.md §17, "The loop's turn"). With a window the fault waits out
+// Δ as well; handoffs/s says how many the accessors let through.
+func BenchmarkLiveRemoteFaultBesideAccessors(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		tcp   bool
+		delta time.Duration
+	}{
+		{"inproc/delta=0", false, 0},
+		{"inproc/delta=2ms", false, 2 * time.Millisecond},
+		{"tcp/delta=0", true, 0},
+		{"tcp/delta=2ms", true, 2 * time.Millisecond},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			c, err := NewCluster(2, Options{TCP: tc.tcp, Delta: tc.delta})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			id, _ := c.Site(0).Shmget(1, 512, Create, 0o600)
+			remote, _ := c.Site(1).Attach(id, false)
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			for g := 0; g < 3; g++ {
+				seg, _ := c.Site(0).Attach(id, false)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for !stop.Load() {
+						if _, err := seg.AddUint32(0, 1); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			var fault time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t := time.Now()
+				if _, err := remote.AddUint32(4, 1); err != nil {
+					b.Fatal(err)
+				}
+				fault += time.Since(t)
+				time.Sleep(200 * time.Microsecond) // site 0 takes the page back
+			}
+			b.StopTimer()
+			stop.Store(true)
+			wg.Wait()
+			b.ReportMetric(float64(fault.Nanoseconds())/float64(b.N), "fault-ns/op")
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "handoffs/s")
+		})
+	}
 }
 
 // BenchmarkLivePageMigration measures the live protocol's full

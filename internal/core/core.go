@@ -438,8 +438,9 @@ func (e *Engine) Map(seg int32) (Mapping, bool) {
 // permits the access, held until Unhold, or false for a fault.
 func (v Mapping) Hold(page int, write bool) ([]byte, bool) { return v.sn.m.Hold(page, write) }
 
-// Unhold ends the access a successful Hold began.
-func (v Mapping) Unhold(page int, write bool) { v.sn.m.Unhold(page, write) }
+// Unhold ends the access a successful Hold began and reports whether
+// the page is under a time window.
+func (v Mapping) Unhold(page int, write bool) (windowed bool) { return v.sn.m.Unhold(page, write) }
 
 // RecordOp is Engine.RecordOp for an accessor that holds the page. The
 // hold is what places the record in the trace: after the event of the
@@ -477,7 +478,7 @@ func (e *Engine) CreateSegment(meta *mem.Segment) {
 		sn.m.Install(p, nil, mmu.ReadWrite, now)
 		a := sn.m.Aux(p)
 		a.Writer = e.site
-		a.Window = 0 // the creator's initial hold is not a granted window
+		sn.m.SetWindow(p, 0) // the creator's initial hold is not a granted window
 		lib.pages[p].writer = e.site
 		lib.pages[p].clock = e.site
 	}

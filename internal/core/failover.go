@@ -517,7 +517,7 @@ func (e *Engine) rollbackPend(sn *segNode, page int32, pi *pendingInval) {
 	sn.m.Install(p, pi.data, mmu.ReadOnly, e.env.Now())
 	a := sn.m.Aux(p)
 	a.Writer = mmu.NoWriter
-	a.Window = 0
+	sn.m.SetWindow(p, 0)
 	a.ReaderMask = pi.origMask
 }
 

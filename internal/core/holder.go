@@ -232,7 +232,7 @@ func (e *Engine) acceptInval(sn *segNode, m *wire.Msg) {
 			e.emit(obs.Event{Type: obs.EvPageState, Seg: m.Seg, Page: m.Page, Arg: 1})
 		}
 		a.Writer = mmu.NoWriter
-		a.Window = m.Delta
+		sn.m.SetWindow(p, m.Delta)
 		a.ReaderMask = mmu.CopysetOf(e.site).Union(m.Readers)
 		data := sn.m.Frame(p)
 		m.Readers.ForEach(func(s int) {
@@ -341,7 +341,7 @@ func (e *Engine) finishWriteGrant(sn *segNode, m *wire.Msg, data []byte) {
 			now := e.env.Now()
 			a := sn.m.Aux(int(m.Page))
 			a.Writer = e.site
-			a.Window = m.Delta
+			sn.m.SetWindow(int(m.Page), m.Delta)
 			e.stats.Upgrades++
 			e.obs.Count(e.site, obs.CUpgrade)
 			e.emit(obs.Event{Type: obs.EvUpgrade, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
@@ -573,7 +573,7 @@ func (e *Engine) handlePageSend(sn *segNode, m *wire.Msg) {
 	}
 	sn.m.Install(p, m.Data, prot, now)
 	a := sn.m.Aux(p)
-	a.Window = m.Delta
+	sn.m.SetWindow(p, m.Delta)
 	if m.Mode == wire.Write {
 		a.Writer = e.site
 		a.ReaderMask = mmu.Copyset{}
@@ -628,7 +628,7 @@ func (e *Engine) handleUpgradeGrant(sn *segNode, m *wire.Msg) {
 	now := e.env.Now()
 	a := sn.m.Aux(p)
 	a.Writer = e.site
-	a.Window = m.Delta
+	sn.m.SetWindow(p, m.Delta)
 	a.ReaderMask = mmu.Copyset{}
 	e.stats.Upgrades++
 	e.obs.Count(e.site, obs.CUpgrade)

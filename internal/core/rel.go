@@ -443,14 +443,14 @@ func (e *Engine) invalOrderFailed(sn *segNode, m *wire.Msg, to int) {
 			})
 			return
 		}
-		// No Cycle: the rolled-back copy carries no window (a.Window = 0
+		// No Cycle: the rolled-back copy carries no window (SetWindow 0
 		// below), and the checker keys window grants on Cycle != 0.
 		e.emit(obs.Event{Type: obs.EvPageState, Seg: m.Seg, Page: m.Page, Arg: 1})
 		sn.m.Install(p, pi.data, mmu.ReadOnly, now)
 	}
 	a := sn.m.Aux(p)
 	a.Writer = mmu.NoWriter
-	a.Window = 0
+	sn.m.SetWindow(p, 0)
 	a.ReaderMask = pi.origMask
 	data := sn.m.Frame(p)
 	pi.acked.ForEach(func(s int) {

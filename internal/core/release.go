@@ -139,7 +139,7 @@ func (e *Engine) libReclaim(sn *segNode, page int32, data []byte) {
 	sn.m.Install(int(page), data, mmu.ReadWrite, now)
 	a := sn.m.Aux(int(page))
 	a.Writer = e.site
-	a.Window = 0
+	sn.m.SetWindow(int(page), 0)
 	a.ReaderMask = mmu.Copyset{}
 	p.writer = e.site
 	p.readers = mmu.Copyset{}

@@ -128,7 +128,21 @@ func (s *Seg) PageSize() int { return s.pageSize }
 func (s *Seg) Prot(p int) Prot { return Prot(s.pages[p].Load() & protMask) }
 
 // Aux returns a pointer to page p's auxpte for inspection or update.
+// The window is set with SetWindow.
 func (s *Seg) Aux(p int) *AuxPTE { return &s.pages[p].aux }
+
+// SetWindow records the time window Δ this site was given page p for,
+// and says in the page's word whether there is one, for Unhold to
+// report.
+func (s *Seg) SetWindow(p int, d time.Duration) {
+	pg := &s.pages[p]
+	pg.aux.Window = d
+	var bit uint32
+	if d > 0 {
+		bit = windowBit
+	}
+	pg.change(windowBit, bit)
+}
 
 // Check classifies an access against the master page table without
 // performing it. Every page of a closed segment faults.

@@ -473,3 +473,50 @@ func TestWriteHoldNotStarvedByReaders(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 }
+
+// The word says whether the page has a time window, Unhold reports it,
+// and only SetWindow changes it: not a hold, not a transition.
+func TestUnholdReportsWindow(t *testing.T) {
+	s := newSeg()
+	s.Install(0, nil, ReadWrite, 0)
+	windowed := func(write bool) bool {
+		t.Helper()
+		if _, ok := s.Hold(0, write); !ok {
+			t.Fatalf("hold (write %v) refused", write)
+		}
+		return s.Unhold(0, write)
+	}
+	if windowed(false) || windowed(true) {
+		t.Fatal("a page without a window reported one")
+	}
+	s.SetWindow(0, 2*time.Millisecond)
+	if s.Aux(0).Window != 2*time.Millisecond {
+		t.Fatalf("window %v, want 2ms", s.Aux(0).Window)
+	}
+	if _, ok := s.Hold(0, false); !ok { // a second reader beside the one below
+		t.Fatal("read hold refused")
+	}
+	if !windowed(false) {
+		t.Fatal("a reader beside another did not see the window")
+	}
+	if !s.Unhold(0, false) || !windowed(true) {
+		t.Fatal("the window went unreported")
+	}
+	s.Downgrade(0, 0)
+	if s.Prot(0) != ReadOnly || !windowed(false) {
+		t.Fatal("a downgrade lost the window bit")
+	}
+	s.Upgrade(0, 0)
+	s.Invalidate(0)
+	s.Install(0, nil, ReadWrite, 0)
+	if !windowed(true) {
+		t.Fatal("the window bit is SetWindow's alone, and a transition changed it")
+	}
+	s.SetWindow(0, 0)
+	if windowed(false) || windowed(true) {
+		t.Fatal("a cleared window is still reported")
+	}
+	if w := s.pages[0].Load(); w != uint32(ReadWrite) {
+		t.Fatalf("page word %#x left behind, want an idle read-write page", w)
+	}
+}

@@ -14,12 +14,13 @@ import (
 //	bit  2    closed: the segment is releasing or destroyed here; every access faults
 //	bit  3    taken exclusively: by one write access, or by a transition
 //	bit  4    a transition or a write access is waiting for the holders to leave; no new hold
-//	bits 5-   number of read accesses holding the page
+//	bit  5    windowed: the page's time window Δ is not zero (SetWindow)
+//	bits 6-   number of read accesses holding the page
 //
 // Who may change it: an accessor only ever adds or removes its own
 // hold, or says that it waits for one (Hold, Unhold), on any
-// goroutine; protection and closed belong to the goroutine that drives
-// the site's engine. A transition that lowers access (Invalidate,
+// goroutine; protection, closed and windowed belong to the goroutine
+// that drives the site's engine. A transition that lowers access (Invalidate,
 // Downgrade, Close) first takes the page exclusively, so it returns
 // with every earlier access complete and none under way; one that
 // raises it (Install onto an absent page, Upgrade, Open) just
@@ -33,7 +34,8 @@ const (
 	closedBit = 1 << 2
 	exclBit   = 1 << 3
 	waitBit   = 1 << 4
-	holdOne   = 1 << 5
+	windowBit = 1 << 5
+	holdOne   = 1 << 6
 )
 
 // permits reports whether word w lets an access of the given kind
@@ -104,13 +106,15 @@ func (s *Seg) Hold(p int, write bool) (frame []byte, ok bool) {
 	}
 }
 
-// Unhold ends the access a successful Hold began.
-func (s *Seg) Unhold(p int, write bool) {
+// Unhold ends the access a successful Hold began. It reports whether
+// the page is under a time window (SetWindow), which costs the
+// accessor nothing to learn: the word comes back from the subtraction.
+func (s *Seg) Unhold(p int, write bool) (windowed bool) {
+	sub := ^uint32(holdOne - 1)
 	if write {
-		s.pages[p].Add(^uint32(exclBit - 1))
-	} else {
-		s.pages[p].Add(^uint32(holdOne - 1))
+		sub = ^uint32(exclBit - 1)
 	}
+	return s.pages[p].Add(sub)&windowBit != 0
 }
 
 // lock takes page p exclusively for a transition: it stops new holds,

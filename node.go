@@ -13,8 +13,9 @@ import (
 // Engine calls happen on the loop goroutine — the transport posts
 // messages, accessors post faults and wait for the wake — with one
 // exception: a resident access checks and holds its page through the
-// segment's core.Mapping on the accessor's own goroutine and never
-// comes here (DESIGN.md §17).
+// segment's core.Mapping on the accessor's own goroutine and does not
+// come here, but to wait its turn after an access to a page under a
+// time window (DESIGN.md §17).
 type node struct {
 	site  int
 	eng   *core.Engine

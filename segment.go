@@ -50,7 +50,9 @@ func (g *Segment) Detach() error {
 // goroutine, with the page held (DESIGN.md §17): against every other
 // access to that page at this site readers share and a writer
 // excludes, and the engine cannot take the page away before fn and the
-// op record are done. A resident access never enters the actor loop.
+// op record are done. A resident access never enters the actor loop;
+// after one to a page under a time window the caller waits for the
+// loop's turn (turn).
 func (g *Segment) access(off, n int, write bool, fn func(frame []byte, frameOff, bufOff, k int)) error {
 	if g.detached.Load() {
 		return ErrDetached
@@ -63,7 +65,7 @@ func (g *Segment) access(off, n int, write bool, fn func(frame []byte, frameOff,
 	}
 	ps := g.seg.PageSize
 	bufOff := 0
-	var wk *waker // taken by the first fault, shared by the rest
+	var wk *waker // taken by the first fault or turn, shared by the rest
 	for n > 0 {
 		page := off / ps
 		fo := off % ps
@@ -77,13 +79,12 @@ func (g *Segment) access(off, n int, write bool, fn func(frame []byte, frameOff,
 				if g.record {
 					g.pages.RecordOp(int32(page), fo, write, frame[fo:fo+k])
 				}
-				g.pages.Unhold(page, write)
+				if g.pages.Unhold(page, write) {
+					g.turn(takeWaker(&wk))
+				}
 				break
 			}
-			if wk == nil {
-				wk = wakers.Get().(*waker)
-			}
-			if err := g.fault(int32(page), write, wk); err != nil {
+			if err := g.fault(int32(page), write, takeWaker(&wk)); err != nil {
 				wakers.Put(wk)
 				return err
 			}
@@ -98,11 +99,11 @@ func (g *Segment) access(off, n int, write bool, fn func(frame []byte, frameOff,
 	return nil
 }
 
-// waker is what a faulting access sleeps on: a one-slot channel, and
-// the wake function the engine keeps while the fault is outstanding.
-// Every fault the loop accepts is answered on ch once — the engine
-// calls a waiter's wake once — and waited for by its accessor, so a
-// waker goes back to the pool with its slot empty. The pool is worth
+// waker is what an access sleeps on: a one-slot channel, and the wake
+// function the engine keeps while a fault is outstanding. Every fault
+// or turn the loop accepts is answered on ch once — the engine calls a
+// waiter's wake once — and waited for by its accessor, so a waker goes
+// back to the pool with its slot empty. The pool is worth
 // three allocations a fault (a channel of errors is two) and 2.4–3.1 %
 // of a fault-inproc op's p50, on 9 of 10 pairs with and without it
 // (hypotheses/e24-access-check/FINDINGS.md).
@@ -123,6 +124,30 @@ func (w *waker) signal(err error) {
 	select {
 	case w.ch <- err:
 	default:
+	}
+}
+
+// takeWaker returns the access's waker, from the pool the first time.
+func takeWaker(wk **waker) *waker {
+	if *wk == nil {
+		*wk = wakers.Get().(*waker)
+	}
+	return *wk
+}
+
+// turn follows an access to a page under a time window (Δ > 0): the
+// caller, holding nothing, sleeps until the site's actor loop has
+// worked off what was queued before it. A window is granted where
+// sites compete for a page, and there the loop's turn is what every
+// access gave before the check left the loop: the accessor is off the
+// processor for a moment, so the loop, the timers and the network
+// poller run even where accessors that never fault fill every
+// processor, and an invalidation that has arrived is served before the
+// accesses that follow it. Pages without a window never come here
+// (DESIGN.md §17 says what that costs and what it leaves open).
+func (g *Segment) turn(wk *waker) {
+	if g.site.node.post(wk.wake) {
+		<-wk.ch
 	}
 }
 
