@@ -50,21 +50,6 @@ func NewCluster(n int, opts Options) (*Cluster, error) {
 	if opts.Chaos != nil && opts.Reliability == nil {
 		return nil, fmt.Errorf("mirage: Options.Chaos requires Options.Reliability")
 	}
-	if opts.Failover != nil && opts.Reliability == nil {
-		return nil, fmt.Errorf("mirage: Options.Failover requires Options.Reliability")
-	}
-	if opts.Placement != nil && opts.Failover == nil {
-		return nil, fmt.Errorf("mirage: Options.Placement requires Options.Failover")
-	}
-	if opts.Replication != nil && opts.Replication.Replicas > 0 {
-		if opts.Failover == nil {
-			return nil, fmt.Errorf("mirage: Options.Replication requires Options.Failover")
-		}
-		if opts.Replication.Replicas >= n {
-			return nil, fmt.Errorf("mirage: Options.Replication.Replicas %d must be below the cluster size %d",
-				opts.Replication.Replicas, n)
-		}
-	}
 	if opts.AutoDelta != nil {
 		ad := opts.AutoDelta
 		if ad.Min < 0 || ad.Max < 0 || ad.Step < 0 || ad.CheapDenial < 0 ||
@@ -74,6 +59,22 @@ func NewCluster(n int, opts Options) (*Cluster, error) {
 		if ad.Max != 0 && ad.Max < ad.Min {
 			return nil, fmt.Errorf("mirage: Options.AutoDelta.Max %v below Min %v", ad.Max, ad.Min)
 		}
+	}
+	// The engine layers are validated, and told the cluster's size, in
+	// one place for live and simulated clusters alike.
+	engOpts, err := core.Options{
+		Policy:      opts.Policy,
+		Costs:       &core.Costs{}, // live nodes run at native speed
+		Reliability: opts.Reliability,
+		Failover:    opts.Failover,
+		Placement:   opts.Placement,
+		Replication: opts.Replication,
+		AutoDelta:   opts.AutoDelta,
+		Obs:         opts.Obs,
+		InvalFanout: opts.InvalFanout,
+	}.ForCluster(n)
+	if err != nil {
+		return nil, fmt.Errorf("mirage: %w", err)
 	}
 	if opts.DebugAddr != "" && opts.Obs == nil {
 		return nil, fmt.Errorf("mirage: Options.DebugAddr requires Options.Obs")
@@ -91,32 +92,6 @@ func NewCluster(n int, opts Options) (*Cluster, error) {
 		c.nodes = append(c.nodes, newNode(i, start))
 	}
 
-	engOpts := core.Options{
-		Policy:      opts.Policy,
-		Costs:       &core.Costs{}, // live nodes run at native speed
-		Reliability: opts.Reliability,
-		Placement:   opts.Placement,
-		AutoDelta:   opts.AutoDelta,
-		Obs:         opts.Obs,
-		InvalFanout: opts.InvalFanout,
-	}
-	if opts.Reliability != nil && opts.Reliability.Sites == 0 {
-		rl := *opts.Reliability
-		rl.Sites = n
-		engOpts.Reliability = &rl
-	}
-	if opts.Failover != nil {
-		// Copy so the caller's struct is untouched; the cluster knows
-		// its own size better than the caller does.
-		fo := *opts.Failover
-		fo.Sites = n
-		engOpts.Failover = &fo
-	}
-	if opts.Replication != nil {
-		rp := *opts.Replication
-		rp.Sites = n
-		engOpts.Replication = &rp
-	}
 	if opts.TCP {
 		var meshes []*transport.TCPMesh
 		addrs := make([]string, n)

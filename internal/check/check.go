@@ -100,11 +100,6 @@ type Config struct {
 	// grant cycles may abort without a commit, so a new cycle opening
 	// while one is open is legal (the checker closes it implicitly).
 	Reliable bool `json:"reliable"`
-	// InsiderUpgrades marks a trace recorded with
-	// core.Options.SkipInsiderUpgradeCheck: clock sites legitimately
-	// yield inside the window to insider upgrades, so the window
-	// invariant is skipped.
-	InsiderUpgrades bool `json:"insiderUpgrades,omitempty"`
 	// MaxViolations stops the checker after that many findings;
 	// default 100.
 	MaxViolations int `json:"-"`

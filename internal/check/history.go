@@ -312,7 +312,7 @@ func (c *Checker) migrate(ev obs.Event) {
 // windowCheck fires when possession at the believed clock site ends at
 // instant t while its granted window is still running.
 func (c *Checker) windowCheck(p *pageCheck, ev obs.Event, what string) {
-	if c.cfg.Delta == 0 || c.cfg.InsiderUpgrades {
+	if c.cfg.Delta == 0 {
 		return
 	}
 	if p.clock != ev.Site {

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"mirage/internal/mmu"
 	"mirage/internal/obs"
 )
 
@@ -199,149 +198,5 @@ func TestTuneInfoCarriesDenialSignals(t *testing.T) {
 	}
 	if last.Requests == 0 || last.MeanGap <= 0 {
 		t.Errorf("demand stats empty: requests=%d gap=%v", last.Requests, last.MeanGap)
-	}
-}
-
-// TestMigrationShipsTuningState: a voluntary migration must hand the
-// successor the page's whole tuning record — the tuned Δ, the demand
-// EWMAs, and the denial-side signals — with lastReq re-based into the
-// successor's clock domain, not dropped to zero for it to re-learn.
-func TestMigrationShipsTuningState(t *testing.T) {
-	n := newTestNet(t, 3, migOptions(nil, 3))
-	n.newSeg(2, 0)
-	const tuned = 7 * time.Millisecond
-	if err := n.engines[0].SetPageDelta(1, 0, tuned); err != nil {
-		t.Fatal(err)
-	}
-
-	// Drive the 2:1 skew one round at a time and stop at the handoff, so
-	// the successor's record is dominated by shipped state, not by
-	// post-migration traffic it accumulated itself.
-	for i := 0; i < 80 && n.engines[1].Stats().Migrations == 0; i++ {
-		driveSkew(n, 1, 1)
-	}
-	n.settle()
-	if got := n.engines[1].Stats().Migrations; got != 1 {
-		t.Fatalf("site 1 accepted %d migrations, want 1", got)
-	}
-
-	lib := n.engines[1].segs[1].lib
-	if lib == nil {
-		t.Fatal("successor holds no segment record")
-	}
-	p := &lib.pages[0]
-	if p.delta != tuned {
-		t.Errorf("successor Δ = %v, want the tuned %v (segment default is 0)", p.delta, tuned)
-	}
-	// One driveSkew round generates at most 3 requests, so anything above
-	// that proves the demand history crossed the wire.
-	if p.requests < 6 {
-		t.Errorf("successor requests = %d, want the shipped history (>= 6)", p.requests)
-	}
-	if p.gapEWMA <= 0 {
-		t.Errorf("successor gapEWMA = %v, want carried over", p.gapEWMA)
-	}
-	if p.denied == 0 || p.denRemEWMA <= 0 {
-		t.Errorf("denial signals not shipped: denied=%d remEWMA=%v", p.denied, p.denRemEWMA)
-	}
-	if p.flipEWMA == 0 || p.lastWriter == mmu.NoWriter {
-		t.Errorf("write-sharing state not shipped: flipEWMA=%d lastWriter=%d", p.flipEWMA, p.lastWriter)
-	}
-	now := n.k.Now().Duration()
-	if p.lastReq <= 0 || p.lastReq > now {
-		t.Errorf("lastReq = %v not re-based into the successor's clock (now %v)", p.lastReq, now)
-	}
-	if p.tuned {
-		t.Error("controller rate-limit state shipped; the successor must restart its cooldown")
-	}
-	// The untouched page rides along with the segment default.
-	if q := &lib.pages[1]; q.delta != 0 || q.requests != 0 {
-		t.Errorf("idle page polluted: Δ=%v requests=%d", q.delta, q.requests)
-	}
-}
-
-// TestAutoDeltaSurvivesTakeover: the tuned Δ reaches the replicas
-// through the ordinary record log, so a takeover election must grant
-// with the tuned value — not cold-restart from the segment default.
-func TestAutoDeltaSurvivesTakeover(t *testing.T) {
-	o := obs.New()
-	opt := replOptions(o, 3, 2)
-	ad := fastAuto()
-	opt.AutoDelta = ad
-	n := newTestNet(t, 3, opt)
-	const seed = 40 * time.Millisecond
-	n.newSeg(1, seed)
-
-	for i := 0; i < 10; i++ {
-		n.acquire(2, 1, 0, true)
-		n.acquire(1, 1, 0, true)
-	}
-	n.settle()
-
-	tuned := n.engines[0].LibraryState(1, 0).Delta
-	if tuned >= seed {
-		t.Fatalf("setup: controller never shrank Δ below the %v seed (got %v)", seed, tuned)
-	}
-
-	n.crash(0)
-	// Site 2 was invalidated by site 1's last write, so this access
-	// faults, gives up on the dead library, and triggers the takeover.
-	n.acquire(2, 1, 0, false)
-	n.settle()
-
-	succ := n.engines[1]
-	if el := succ.Stats().Elections; el != 1 {
-		t.Fatalf("successor Elections = %d, want 1", el)
-	}
-	if got := succ.LibraryState(1, 0).Delta; got != tuned {
-		t.Errorf("Δ after takeover = %v, want the tuned %v", got, tuned)
-	}
-	// The post-takeover grant itself must carry the tuned window: a
-	// stale-Δ grant would show up here as the seed.
-	if w := n.engines[2].Seg(1).Aux(0).Window; w != tuned {
-		t.Errorf("post-takeover grant window = %v, want the tuned %v", w, tuned)
-	}
-}
-
-// TestFailoverRestoresTunedDeltaFromHoldings: without replication the
-// rebuilt record is reconstructed from holder reports, and the holders
-// are the only survivors that know their granted windows. The rebuild
-// must restore the tuned Δ from them instead of clobbering it with the
-// segment default.
-func TestFailoverRestoresTunedDeltaFromHoldings(t *testing.T) {
-	opt := Options{
-		Reliability: &Reliability{
-			AckTimeout: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond,
-			MaxAttempts: 5, RequestTimeout: 10 * time.Second,
-		},
-		Failover: &Failover{Sites: 3, RecoverTimeout: 500 * time.Millisecond},
-	}
-	n := newTestNet(t, 3, opt)
-	n.newSeg(1, 0) // segment default Δ is 0
-	const tuned = 25 * time.Millisecond
-	if err := n.engines[0].SetPageDelta(1, 0, tuned); err != nil {
-		t.Fatal(err)
-	}
-
-	n.acquire(1, 1, 0, true) // site 1 holds the page with the tuned window
-	n.settle()
-	if w := n.engines[1].Seg(1).Aux(0).Window; w != tuned {
-		t.Fatalf("setup: holder window = %v, want %v", w, tuned)
-	}
-
-	n.crash(0)
-	n.acquire(2, 1, 0, false) // give-up → holder rebuild at site 1
-	n.settle()
-
-	succ := n.engines[1]
-	st := succ.Stats()
-	if st.Elections != 0 || st.Recoveries != 1 {
-		t.Fatalf("Elections=%d Recoveries=%d, want a legacy rebuild (0/1)", st.Elections, st.Recoveries)
-	}
-	if got := succ.LibraryState(1, 0).Delta; got != tuned {
-		t.Errorf("rebuilt Δ = %v, want %v restored from the holder's window", got, tuned)
-	}
-	if w := n.engines[2].Seg(1).Aux(0).Window; w != tuned {
-		t.Errorf("post-rebuild grant window = %v, want the tuned %v", w, tuned)
 	}
 }

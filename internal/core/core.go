@@ -22,6 +22,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -185,12 +186,43 @@ type Options struct {
 	// latency instead of one unicast per reader. Values below 2 (the
 	// default) keep the flat per-reader unicast of the paper.
 	InvalFanout int
-	// SkipInsiderUpgradeCheck, when set, lets a new writer that is a
-	// member of the current read set upgrade without the Δ clock check
-	// (reading the window as protection from outside interruption
-	// only). The default is the paper's Table 1: the clock check
-	// applies to every Readers→Writer transition.
-	SkipInsiderUpgradeCheck bool
+}
+
+// ForCluster returns the options every engine of an n-site cluster is
+// built with: the cluster size filled into the layers that need it
+// (copies — the caller's structs are untouched), or an error naming the
+// first invalid combination. Failover and Replication walk the site ID
+// space and must agree on n everywhere; Reliability.Sites only scales
+// timeouts, so a caller's own value stands.
+func (o Options) ForCluster(n int) (Options, error) {
+	switch {
+	case o.Failover != nil && o.Reliability == nil:
+		return o, fmt.Errorf("Options.Failover requires Options.Reliability")
+	case o.Placement != nil && o.Failover == nil:
+		return o, fmt.Errorf("Options.Placement requires Options.Failover")
+	}
+	if rl := o.Reliability; rl != nil && rl.Sites == 0 {
+		r := *rl
+		r.Sites = n
+		o.Reliability = &r
+	}
+	if o.Failover != nil {
+		f := *o.Failover
+		f.Sites = n
+		o.Failover = &f
+	}
+	if rp := o.Replication; rp != nil {
+		if rp.Replicas > 0 && o.Failover == nil {
+			return o, fmt.Errorf("Options.Replication requires Options.Failover")
+		}
+		if rp.Replicas >= n {
+			return o, fmt.Errorf("Options.Replication.Replicas %d must be below the cluster size %d", rp.Replicas, n)
+		}
+		r := *rp
+		r.Sites = n
+		o.Replication = &r
+	}
+	return o, nil
 }
 
 // Stats counts engine activity. All counters are cumulative.
@@ -267,12 +299,12 @@ type segNode struct {
 	// until a failover elects a successor. segEpoch is the library epoch —
 	// bumped by each takeover and stamped on every outgoing message, so
 	// traffic from superseded epochs can be fenced. recov is non-nil while
-	// this site is rebuilding the record as the successor, and lateHold
-	// accumulates chunked holdings reports arriving after recovery.
+	// this site is obtaining the record as the successor, and partials
+	// holds the chunked payloads (sendChunked) still arriving.
 	curLib   int
 	segEpoch atomic.Uint32 // written on the engine's goroutine; a Mapping reads it
 	recov    *recovery
-	lateHold map[int][]holding
+	partials map[partialKey]*partial
 
 	// Between the last local detach and the library's confirmation of
 	// every page release (releasesPending of them) the segment is
@@ -281,11 +313,9 @@ type segNode struct {
 
 	// Voluntary-migration state (Options.Placement): place is the
 	// library's demand window for the placement policy, migOut the
-	// in-flight outbound offer (its presence freezes granting), migIn
-	// the successor's accumulator for an incoming offer's record chunks.
+	// in-flight outbound offer (its presence freezes granting).
 	place  *placeTrack
 	migOut *migration
-	migIn  *migInbound
 
 	// Replication state (Options.Replication): the per-segment log. At
 	// the leader repl.lead is non-nil and gates record mutations on
@@ -316,6 +346,17 @@ type Engine struct {
 	stats Stats
 	obs   *obs.Obs  // nil when observability is off
 	auto  AutoDelta // normalized AutoDelta config; valid iff opt.AutoDelta != nil
+
+	// The rehoming layers, resolved once by New. Each rests on the one
+	// before — Failover's trigger is the reliable channel's give-up
+	// verdict, Placement and Replication ride Failover's epoch fence —
+	// so each is non-nil only if it is configured AND everything under it
+	// is: the engine asks one pointer per layer and the answers cannot
+	// disagree. failover and placement have their defaults filled in;
+	// replication is nil with zero Replicas.
+	failover    *Failover
+	placement   *Placement
+	replication *Replication
 }
 
 // New creates an engine for env's site.
@@ -341,6 +382,18 @@ func New(env Env, opt Options) *Engine {
 	if opt.Reliability != nil {
 		e.rel = newRel(e, *opt.Reliability)
 	}
+	if e.rel != nil && opt.Failover != nil {
+		fo := *opt.Failover
+		fo.RecoverTimeout = cmp.Or(fo.RecoverTimeout, 2*time.Second)
+		e.failover = &fo
+		if opt.Placement != nil {
+			p := opt.Placement.withDefaults()
+			e.placement = &p
+		}
+		if opt.Replication != nil && opt.Replication.Replicas > 0 {
+			e.replication = opt.Replication
+		}
+	}
 	if opt.AutoDelta != nil {
 		e.auto = opt.AutoDelta.withDefaults()
 	}
@@ -358,7 +411,7 @@ func (e *Engine) emit(ev obs.Event) {
 		return
 	}
 	var sn *segNode
-	if e.opt.Failover != nil { // the only thing the segment is looked up for
+	if e.failover != nil { // the only thing the segment is looked up for
 		sn = e.segs[ev.Seg]
 	}
 	e.emitFor(sn, ev)
@@ -370,7 +423,7 @@ func (e *Engine) emit(ev obs.Event) {
 func (e *Engine) emitFor(sn *segNode, ev obs.Event) {
 	ev.T = e.env.Now()
 	ev.Site = int32(e.site)
-	if sn != nil && e.opt.Failover != nil {
+	if sn != nil && e.failover != nil {
 		ev.Epoch = sn.segEpoch.Load() // 0 until a first takeover
 	}
 	e.obs.Emit(ev)
@@ -482,7 +535,7 @@ func (e *Engine) CreateSegment(meta *mem.Segment) {
 		lib.pages[p].writer = e.site
 		lib.pages[p].clock = e.site
 	}
-	if e.replicationEnabled() {
+	if e.replication != nil {
 		e.replSeedLeader(sn)
 	}
 }
@@ -521,28 +574,14 @@ func (e *Engine) DestroySegment(id int32) {
 	}
 	delete(e.segs, id)
 	sn.m.Close() // for good: a Mapping outlives the segment
-	for p := int32(0); p < int32(sn.m.Pages()); p++ {
-		e.wakeWaiters(sn, p)
-	}
+	e.wakeAll(sn)
 	for _, cancel := range sn.reqTimer {
 		cancel()
 	}
 	sn.reqTimer = nil
-	for k := range e.pend {
-		if k.seg == id {
-			delete(e.pend, k)
-		}
-	}
-	for k := range e.relay {
-		if k.seg == id {
-			delete(e.relay, k)
-		}
-	}
-	for k := range e.stash {
-		if k.seg == id {
-			delete(e.stash, k)
-		}
-	}
+	dropSeg(e.pend, id)
+	dropSeg(e.relay, id)
+	dropSeg(e.stash, id)
 }
 
 // Seg returns the site's MMU state for a segment (nil if not attached
@@ -646,6 +685,20 @@ func (e *Engine) wakeWaiters(sn *segNode, page int32) {
 	}
 }
 
+// live reports whether sn is still the segment's state at this site: a
+// timer or a gated continuation set up for it may fire after the
+// segment was destroyed, or destroyed and attached anew.
+func (e *Engine) live(sn *segNode) bool { return e.segs[int32(sn.meta.ID)] == sn }
+
+// wakeAll wakes the blocked faults of every page, in page order: map
+// order would reorder the requests they re-send between otherwise
+// identical runs and break replay determinism.
+func (e *Engine) wakeAll(sn *segNode) {
+	for p := int32(0); p < int32(sn.m.Pages()); p++ {
+		e.wakeWaiters(sn, p)
+	}
+}
+
 // Deliver injects a received protocol message (a *wire.Msg; the
 // parameter is any so engines with different message sets satisfy a
 // common transport interface). Transports call it for every message
@@ -694,72 +747,73 @@ func (e *Engine) handle(m *wire.Msg) {
 		From: m.From, To: int32(e.site), Cycle: m.Cycle})
 	sn, ok := e.segs[m.Seg]
 	if !ok {
-		if e.opt.Failover != nil && m.Kind == wire.KRecover && int(m.From) != e.site {
-			// This site never attached the segment: it can neither
-			// report holdings nor serve as a successor. Refuse
-			// explicitly (Page -2, trigger fields echoed) so the sender
-			// moves on instead of waiting out a timeout.
-			e.send(int(m.From), &wire.Msg{
-				Kind: wire.KRecoverReply, Seg: m.Seg, Page: -2,
-				Req: m.Req, Readers: m.Readers, SegEpoch: m.SegEpoch,
-			})
-			return
-		}
-		if e.opt.Failover != nil && m.Kind == wire.KMigrate && int(m.From) != e.site {
-			// Never attached: cannot host the library role. Refuse so the
-			// offering library resumes instead of waiting out its timeout.
-			e.send(int(m.From), &wire.Msg{Kind: wire.KMigrateAck, Seg: m.Seg, Page: -1})
-			return
-		}
-		if e.opt.Failover != nil && m.Kind == wire.KAppend && int(m.From) != e.site {
-			// Never attached: this site cannot mirror the log. Refuse
-			// (Page -2) so the leader benches it instead of waiting out a
-			// give-up. SegEpoch is set explicitly because transmit cannot
-			// stamp a segment this site does not know.
-			e.send(int(m.From), &wire.Msg{
-				Kind: wire.KAppendAck, Seg: m.Seg, Page: -2, SegEpoch: m.SegEpoch,
-			})
-			return
+		if e.failover != nil && int(m.From) != e.site {
+			// This site never attached the segment, so it can neither
+			// report holdings, host the library role nor mirror the log.
+			// Refuse explicitly so the sender moves on (to the next
+			// candidate, back to granting, or to benching this follower)
+			// instead of waiting out a timeout. SegEpoch is set where the
+			// receiver checks it, because transmit cannot stamp a segment
+			// this site does not know.
+			from := int(m.From)
+			switch m.Kind {
+			case wire.KRecover: // trigger fields echoed
+				e.send(from, &wire.Msg{Kind: wire.KRecoverReply, Seg: m.Seg, Page: -2,
+					Req: m.Req, Readers: m.Readers, SegEpoch: m.SegEpoch})
+				return
+			case wire.KMigrate:
+				e.send(from, &wire.Msg{Kind: wire.KMigrateAck, Seg: m.Seg, Page: -1})
+				return
+			case wire.KAppend:
+				e.send(from, &wire.Msg{Kind: wire.KAppendAck, Seg: m.Seg, Page: -2, SegEpoch: m.SegEpoch})
+				return
+			}
 		}
 		e.stats.Dropped++
 		return
 	}
-	if m.Kind == wire.KRecover {
-		e.handleRecover(sn, m)
-		return
-	}
-	if m.Kind == wire.KRecoverReply {
-		e.handleRecoverReply(sn, m)
-		return
-	}
-	// Migration traffic resolves epoch skew itself (like KRecover), so it
-	// dispatches ahead of the generic fence.
-	if m.Kind == wire.KMigrate {
-		e.handleMigrate(sn, m)
-		return
-	}
-	if m.Kind == wire.KMigrateAck {
-		e.handleMigrateAck(sn, m)
-		return
-	}
-	if e.opt.Failover != nil && int(m.From) != e.site {
-		// Library-epoch fencing: traffic of a superseded epoch is dead
-		// with its library; traffic from a newer one means a takeover
-		// this site has not heard of yet.
-		if m.SegEpoch < sn.segEpoch.Load() {
-			e.staleEpoch(sn, m)
+	switch m.Kind {
+	case wire.KRecover, wire.KRecoverReply, wire.KMigrate, wire.KMigrateAck:
+		// Rehoming traffic resolves epoch skew itself, so it skips the
+		// generic fence.
+		if e.failover == nil {
+			e.stats.Dropped++
 			return
 		}
-		if m.SegEpoch > sn.segEpoch.Load() {
-			e.adoptAhead(sn, m)
+	case wire.KAppend, wire.KAppendAck, wire.KVote:
+		if e.replication == nil {
+			e.stats.Dropped++
+			return
+		}
+		fallthrough
+	default:
+		if e.failover != nil && int(m.From) != e.site {
+			// Library-epoch fencing: traffic of a superseded epoch is dead
+			// with its library; traffic from a newer one means a takeover
+			// this site has not heard of yet.
+			if m.SegEpoch < sn.segEpoch.Load() {
+				e.staleEpoch(sn, m)
+				return
+			}
+			if m.SegEpoch > sn.segEpoch.Load() {
+				e.adoptAhead(sn, m)
+			}
 		}
 	}
 	switch m.Kind {
+	case wire.KRecover:
+		e.handleRecover(sn, m)
+	case wire.KRecoverReply:
+		e.handleRecoverReply(sn, m)
+	case wire.KMigrate:
+		e.handleMigrate(sn, m)
+	case wire.KMigrateAck:
+		e.handleMigrateAck(sn, m)
 	case wire.KReadReq, wire.KWriteReq, wire.KReleaseRead, wire.KReleaseWrite,
 		wire.KInstalled, wire.KBusy:
 		if sn.recov != nil {
-			// Mid-takeover: the record is still being rebuilt. Serve the
-			// request once recovery finishes.
+			// Mid-takeover: the record is still being obtained. Serve the
+			// request once it is installed.
 			sn.recov.buffered = append(sn.recov.buffered, m)
 			return
 		}
@@ -818,7 +872,7 @@ func (e *Engine) transmit(to int, m *wire.Msg) {
 	}
 	e.emit(obs.Event{Type: obs.EvMsgSend, Kind: m.Kind, Seg: m.Seg, Page: m.Page,
 		From: int32(e.site), To: int32(to), Cycle: m.Cycle})
-	if e.opt.Failover != nil {
+	if e.failover != nil {
 		// Stamp the sender's library epoch. Retransmissions keep the
 		// stamp of their first send: a message conceived under a dead
 		// epoch must not masquerade as current.

@@ -8,6 +8,7 @@ import (
 	"mirage/internal/mmu"
 	"mirage/internal/sim"
 	"mirage/internal/trace"
+	"mirage/internal/wire"
 )
 
 // testNet wires N engines together over a toy deterministic transport:
@@ -20,6 +21,9 @@ type testNet struct {
 	engines []*Engine
 	delay   time.Duration
 	down    map[int]bool // crashed sites: traffic to/from them is dropped
+	// mangle, when set, sees every message on its way out and may damage
+	// it (retransmissions pass again: keep it idempotent).
+	mangle func(to int, m *wire.Msg)
 }
 
 type tEnv struct {
@@ -36,6 +40,9 @@ func (e tEnv) After(d time.Duration, fn func()) func() {
 func (e tEnv) Send(to int, m NetMsg) {
 	if e.n.down[to] || e.n.down[e.site] {
 		return // a crashed site neither sends nor receives
+	}
+	if wm, ok := m.(*wire.Msg); ok && e.n.mangle != nil {
+		e.n.mangle(to, wm)
 	}
 	d := e.n.delay
 	if to == e.site {

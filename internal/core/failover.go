@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"time"
 
 	"mirage/internal/mmu"
@@ -43,40 +44,45 @@ type Failover struct {
 	RecoverTimeout time.Duration
 }
 
-func (f *Failover) recoverTimeout() time.Duration {
-	if f.RecoverTimeout == 0 {
-		return 2 * time.Second
-	}
-	return f.RecoverTimeout
-}
-
 // recovery is the successor's transient takeover state for one segment.
 type recovery struct {
 	from    int           // the dead library being replaced
 	started time.Duration // for the recovery-latency histogram
 	waiting map[int]bool  // sites whose holdings report is still due
-	got     map[int32]*recovPage
+	// got accumulates, per page, what the holders reported: readers,
+	// writer, the first reporter claiming the clock role, and as delta
+	// the granted window of the most authoritative holder so far (rank:
+	// 3 writer, 2 clock, 1 reader, 0 none). Holders are the only
+	// survivors that know a tuned Δ — every install carried its grant's —
+	// so the rebuild keeps it instead of clobbering it with the segment
+	// default. An election reads got only to resolve in-flight intents.
+	got  []libRecord
+	rank []int
 	// Library-bound messages (new-epoch requests from sites that
-	// already adopted) buffered until the record is rebuilt.
+	// already adopted) buffered until the record is installed.
 	buffered []*wire.Msg
 	cancel   func() // RecoverTimeout timer
 	// elect is non-nil when this takeover runs as a replicated-log
-	// election (docs/REPLICATION.md) instead of a holder rebuild; the
-	// record then installs from the merged log in installElectedLib.
+	// election (docs/REPLICATION.md) instead of a holder rebuild.
 	elect *replElect
 }
 
-// recovPage accumulates one page's reported holders.
-type recovPage struct {
-	readers mmu.Copyset
-	writer  int
-	clock   int // first reporter claiming the clock role, -1 if none
-	// window is the granted Δ reported by the most authoritative holder
-	// so far (winRank: 3 writer, 2 clock, 1 reader, 0 none). It lets
-	// the rebuild restore a tuned per-page Δ instead of clobbering it
-	// with the segment default.
-	window  time.Duration
-	winRank int
+// armRecovery (re)starts the takeover's timeout: fn runs when it
+// expires if rc is still the segment's recovery.
+func (e *Engine) armRecovery(sn *segNode, rc *recovery, fn func(*segNode)) {
+	rc.disarm()
+	rc.cancel = e.env.After(e.failover.RecoverTimeout, func() {
+		if e.live(sn) && sn.recov == rc {
+			fn(sn)
+		}
+	})
+}
+
+func (rc *recovery) disarm() {
+	if rc.cancel != nil {
+		rc.cancel()
+		rc.cancel = nil
+	}
 }
 
 // Holdings-report record layout: 13 bytes per held page — the page
@@ -93,45 +99,26 @@ const (
 	holdingBytes = 4 + 1 + 8
 )
 
-// holdingsPerChunk keeps each KRecoverReply under wire.MaxData.
-const holdingsPerChunk = 8192
-
-// failoverEnabled reports whether takeover is configured. The trigger
-// lives in the reliability layer, so Failover without Reliability is
-// inert by construction; NewCluster rejects the combination up front.
-func (e *Engine) failoverEnabled() bool {
-	return e.opt.Failover != nil && e.rel != nil
-}
-
 // triggerFailover nominates a successor for the segment's unreachable
 // library and sends it a KRecover trigger. tried accumulates candidates
 // already attempted (the trigger itself may be undeliverable); it
 // returns false when no candidate remains and the caller should fall
 // back to the degraded-grant path.
 func (e *Engine) triggerFailover(sn *segNode, seg int32, tried mmu.Copyset) bool {
-	fo := e.opt.Failover
-	dead := sn.curLib
-	cand := -1
-	for i := 1; i < fo.Sites; i++ {
-		c := (dead + i) % fo.Sites
-		if c == dead || tried.Has(c) {
+	dead, sites := sn.curLib, e.failover.Sites
+	for i := 1; i < sites; i++ {
+		cand := (dead + i) % sites
+		if tried.Has(cand) {
 			continue
 		}
-		cand = c
-		break
+		e.stats.Failovers++
+		e.obs.Count(e.site, obs.CFailover)
+		e.emit(obs.Event{Type: obs.EvFailover, Seg: seg, From: int32(dead), To: int32(cand)})
+		e.send(cand, &wire.Msg{Kind: wire.KRecover, Seg: seg, Page: -1,
+			Req: int32(cand), Readers: tried.Add(cand)})
+		return true
 	}
-	if cand < 0 {
-		return false
-	}
-	e.stats.Failovers++
-	e.obs.Count(e.site, obs.CFailover)
-	e.emit(obs.Event{Type: obs.EvFailover, Seg: seg,
-		From: int32(dead), To: int32(cand)})
-	e.send(cand, &wire.Msg{
-		Kind: wire.KRecover, Seg: seg, Page: -1,
-		Req: int32(cand), Readers: tried.Add(cand),
-	})
-	return true
+	return false
 }
 
 // handleRecover dispatches the three uses of KRecover: a takeover
@@ -139,10 +126,6 @@ func (e *Engine) triggerFailover(sn *segNode, seg int32, tried mmu.Copyset) bool
 // recovering successor (higher epoch, From == Req), and a stale-epoch
 // notice (higher epoch, Req names the library that sender knows).
 func (e *Engine) handleRecover(sn *segNode, m *wire.Msg) {
-	if e.opt.Failover == nil {
-		e.stats.Dropped++
-		return
-	}
 	switch {
 	case m.SegEpoch > sn.segEpoch.Load():
 		e.adoptEpoch(sn, m.SegEpoch, int(m.Req))
@@ -184,8 +167,9 @@ func (e *Engine) handleRecover(sn *segNode, m *wire.Msg) {
 }
 
 // beginRecovery starts the takeover at the nominated successor: bump
-// the epoch, claim the library role, and query every surviving site
-// for its holdings. Granting resumes in finishRecovery.
+// the epoch, claim the library role, and obtain the record — from the
+// group's logs if this site mirrors the dead library's, else from every
+// surviving site's holdings. Granting resumes in installLibrary.
 func (e *Engine) beginRecovery(sn *segNode) {
 	if sn.lib != nil || sn.recov != nil || sn.curLib == e.site {
 		return // already the library, or a takeover is running
@@ -197,13 +181,22 @@ func (e *Engine) beginRecovery(sn *segNode) {
 		from:    dead,
 		started: e.env.Now(),
 		waiting: make(map[int]bool),
-		got:     make(map[int32]*recovPage),
+		got:     make([]libRecord, sn.m.Pages()),
+		rank:    make([]int, sn.m.Pages()),
+	}
+	for pg := range rc.got {
+		rc.got[pg] = freshRecord(sn.meta, pg)
 	}
 	sn.recov = rc
 	// Requests aimed at the dead library are dead with it; blocked
-	// faults re-issue against this site once the record is rebuilt.
+	// faults re-issue against this site once the record is installed.
 	e.forgetRequests(sn)
-	if e.replicationEnabled() && e.replGroupHas(dead, e.site) {
+	// So are this site's own clock-side collections: roll them back now,
+	// before its holdings are read, so a copy it had invalidated for a
+	// cycle the crash killed is reported like any survivor's (adoptEpoch
+	// does the same at every other site before it reports).
+	e.dropEpochState(sn)
+	if e.replication != nil && e.replGroupHas(dead, e.site) {
 		// This site mirrors the dead library's log: run an election and
 		// install from the merged log tail instead of interrogating every
 		// holder (docs/REPLICATION.md). Falls back to the holder rebuild
@@ -211,33 +204,33 @@ func (e *Engine) beginRecovery(sn *segNode) {
 		e.beginElection(sn, rc)
 		return
 	}
-	e.mergeHoldings(rc, e.site, e.localHoldings(sn))
-	e.queryHoldings(sn, rc)
+	e.queryHoldings(sn, rc, e.everySite())
 }
 
-// queryHoldings sends the holdings query to every surviving site and
+// queryHoldings merges this site's own holdings, sends the holdings
+// query to the sites asked (never this one or the dead library) and
 // arms the report timeout; recovery finishes immediately when there is
 // nobody to ask.
-func (e *Engine) queryHoldings(sn *segNode, rc *recovery) {
-	fo := e.opt.Failover
-	seg := int32(sn.meta.ID)
-	for s := 0; s < fo.Sites; s++ {
-		if s == e.site || s == rc.from {
-			continue
-		}
+func (e *Engine) queryHoldings(sn *segNode, rc *recovery, ask mmu.Copyset) {
+	rc.merge(e.site, e.localHoldings(sn))
+	ask.Remove(e.site).Remove(rc.from).ForEach(func(s int) {
 		rc.waiting[s] = true
-		e.send(s, &wire.Msg{Kind: wire.KRecover, Seg: seg, Page: -1, Req: int32(e.site)})
-	}
+		e.send(s, &wire.Msg{Kind: wire.KRecover, Seg: int32(sn.meta.ID), Page: -1, Req: int32(e.site)})
+	})
 	if len(rc.waiting) == 0 {
 		e.finishRecovery(sn)
 		return
 	}
-	rc.cancel = e.env.After(fo.recoverTimeout(), func() {
-		if cur, ok := e.segs[seg]; !ok || cur != sn || sn.recov != rc {
-			return
-		}
-		e.finishRecovery(sn)
-	})
+	e.armRecovery(sn, rc, e.finishRecovery)
+}
+
+// everySite is the set a holder rebuild has to ask.
+func (e *Engine) everySite() mmu.Copyset {
+	var all mmu.Copyset
+	for s := 0; s < e.failover.Sites; s++ {
+		all = all.Add(s)
+	}
+	return all
 }
 
 // recovPeerDone marks one queried site's report complete (or the site
@@ -253,94 +246,58 @@ func (e *Engine) recovPeerDone(sn *segNode, s int) {
 	}
 }
 
-// finishRecovery rebuilds the library record from the collected
-// reports, installs it, and resumes granting.
+// finishRecovery installs what the takeover obtained: every awaited
+// report is in, or the sites still silent are treated as crashed and
+// their copies as lost.
 func (e *Engine) finishRecovery(sn *segNode) {
 	rc := sn.recov
 	if rc == nil {
 		return
 	}
+	src := e.holderSource(sn, rc)
 	if rc.elect != nil {
-		// Replicated takeover: the record comes from the merged log, not
-		// from holder reports (any reports that did arrive were probe
-		// replies and are consumed by resolveIntent).
-		e.installElectedLib(sn)
-		return
+		src = e.logSource(sn, rc)
 	}
-	if rc.cancel != nil {
-		rc.cancel()
-	}
-	sn.recov = nil
-	seg := int32(sn.meta.ID)
-	lib := newLibSeg(sn.meta)
-	for pg := range lib.pages {
-		p := &lib.pages[pg]
-		rp := rc.got[int32(pg)]
-		if rp != nil && rp.winRank > 0 {
-			// A surviving holder reported the window its copy was granted
-			// with: that IS the page's tuned Δ, so the rebuild keeps it
-			// instead of clobbering it with the segment default.
-			p.delta = rp.window
+	if err := e.installLibrary(sn, src); err != nil {
+		if rc.elect == nil {
+			// Reports are merged by page and sender, both checked on arrival.
+			panic(fmt.Sprintf("core: site %d: holder rebuild: %v", e.site, err))
 		}
-		switch {
-		case rp == nil:
-			// No surviving copy: the only data is wherever the dead
-			// library left it. Keep naming it writer — grants aimed
-			// there fail fast while it is down and work again when it
-			// rejoins. Zero-filling would discard the only good copy.
-			p.writer = rc.from
-			p.clock = rc.from
-		case rp.writer != mmu.NoWriter:
-			p.writer = rp.writer
-			p.clock = rp.writer
-			p.readers = mmu.Copyset{}
-			// Read copies alongside a writer are leftovers of a write
-			// cycle the crash interrupted mid-collection; order them
-			// discarded to restore Table 1's exclusivity.
-			rp.readers.Remove(rp.writer).ForEach(func(s int) {
-				e.send(s, &wire.Msg{Kind: wire.KInvalOrder, Seg: seg, Page: int32(pg)})
-			})
-		default:
-			p.writer = mmu.NoWriter
-			p.readers = rp.readers
-			clock := rp.clock
-			if clock < 0 || !rp.readers.Has(clock) {
-				if rp.readers.Has(e.site) {
-					clock = e.site
-				} else {
-					clock = rp.readers.Sites()[0]
-				}
-			}
-			p.clock = clock
-			// Refresh the clock's reader mask to the rebuilt set.
-			e.send(clock, &wire.Msg{
-				Kind: wire.KClockHandoff, Seg: seg, Page: int32(pg),
-				Readers: rp.readers,
-			})
-		}
-	}
-	sn.lib = lib
-	e.stats.Recoveries++
-	e.obs.Count(e.site, obs.CRecovery)
-	e.obs.Observe(obs.HRecoverLatency, int64(e.env.Now()-rc.started))
-	e.emit(obs.Event{Type: obs.EvRecover, Seg: seg, Arg: int64(rc.from)})
-	for _, m := range rc.buffered {
-		e.handleLibrary(sn, m)
-	}
-	rc.buffered = nil
-	for p := int32(0); p < int32(sn.m.Pages()); p++ {
-		e.wakeWaiters(sn, p)
+		// A log that names pages or sites that do not exist proves
+		// nothing: ask the holders instead.
+		e.markStale()
+		e.electionFallback(sn)
 	}
 }
 
-// handleRecoverReply merges one site's holdings report. During recovery
+// holderSource is the first rehoming source (DESIGN.md §11.2): the
+// record as the surviving holders reported it. It is not exact — a
+// crash can interrupt a cycle anywhere — and a page nobody reported
+// stays as freshRecord left it, for installLibrary to orphan.
+func (e *Engine) holderSource(sn *segNode, rc *recovery) libSource {
+	return libSource{recs: rc.got, prev: rc.from, prevDead: true, epoch: sn.segEpoch.Load(),
+		announce: func() { e.announceRecovery(sn, rc) }}
+}
+
+// announceRecovery counts and traces a completed crash takeover.
+func (e *Engine) announceRecovery(sn *segNode, rc *recovery) {
+	e.stats.Recoveries++
+	e.obs.Count(e.site, obs.CRecovery)
+	e.obs.Observe(obs.HRecoverLatency, int64(e.env.Now()-rc.started))
+	e.emit(obs.Event{Type: obs.EvRecover, Seg: int32(sn.meta.ID), Arg: int64(rc.from)})
+}
+
+// handleRecoverReply takes one site's holdings report. During recovery
 // it feeds the record rebuild; at an established library it is a late
 // report from a site that just rejoined the epoch (see lateReport).
+// Either way only a complete report counts: the reclaim sweep and the
+// orphan rule both read absence from it.
 func (e *Engine) handleRecoverReply(sn *segNode, m *wire.Msg) {
-	if e.opt.Failover == nil || m.SegEpoch != sn.segEpoch.Load() {
+	if m.SegEpoch != sn.segEpoch.Load() {
 		e.markStale()
 		return
 	}
+	from := int(m.From)
 	if m.Page == -2 {
 		// Refusal: the peer never attached the segment (see handle's
 		// unknown-segment branch). As a queried holder it has nothing to
@@ -348,32 +305,23 @@ func (e *Engine) handleRecoverReply(sn *segNode, m *wire.Msg) {
 		// the next candidate in the tried mask.
 		switch {
 		case sn.recov != nil && int(m.Req) == e.site:
-			e.recovPeerDone(sn, int(m.From))
-		case sn.recov == nil && sn.lib == nil && int(m.Req) == int(m.From):
+			e.recovPeerDone(sn, from)
+		case sn.recov == nil && sn.lib == nil && int(m.Req) == from:
 			e.triggerFailover(sn, m.Seg, m.Readers)
 		}
 		return
 	}
-	hs := e.decodeHoldings(sn, m.Data)
+	data, whole := sn.reassemble(m, 0)
+	if !whole {
+		return
+	}
+	hs := e.decodeHoldings(sn, data)
 	switch {
 	case sn.recov != nil:
-		e.mergeHoldings(sn.recov, int(m.From), hs)
-		if m.Upgrade { // final chunk
-			e.recovPeerDone(sn, int(m.From))
-		}
+		sn.recov.merge(from, hs)
+		e.recovPeerDone(sn, from)
 	case sn.lib != nil:
-		// A late report can span chunks; the reclaim sweep must only
-		// run against the complete set.
-		if sn.lateHold == nil {
-			sn.lateHold = make(map[int][]holding)
-		}
-		from := int(m.From)
-		sn.lateHold[from] = append(sn.lateHold[from], hs...)
-		if m.Upgrade {
-			all := sn.lateHold[from]
-			delete(sn.lateHold, from)
-			e.lateReport(sn, from, all)
-		}
+		e.lateReport(sn, from, hs)
 	default:
 		e.markStale()
 	}
@@ -390,12 +338,10 @@ func (e *Engine) adoptEpoch(sn *segNode, epoch uint32, newLib int) {
 	}
 	sn.segEpoch.Store(epoch)
 	sn.curLib = newLib
-	seg := int32(sn.meta.ID)
-	if sn.lib != nil {
-		// Deposed: a successor recovered while this site was presumed
-		// dead. The successor's record is authoritative now.
-		sn.lib = nil
-	}
+	// If this site WAS the library it is deposed: a successor recovered
+	// while it was presumed dead, and the successor's record is
+	// authoritative now.
+	sn.lib = nil
 	if sn.repl != nil {
 		// Deposed as replication leader too: quorum gates die with the
 		// role (their cycles are dead under the old epoch anyway). The
@@ -405,9 +351,7 @@ func (e *Engine) adoptEpoch(sn *segNode, epoch uint32, newLib int) {
 	}
 	if sn.recov != nil {
 		// Our own takeover lost the race to a higher epoch.
-		if sn.recov.cancel != nil {
-			sn.recov.cancel()
-		}
+		sn.recov.disarm()
 		sn.recov = nil
 	}
 	if sn.migOut != nil {
@@ -418,21 +362,7 @@ func (e *Engine) adoptEpoch(sn *segNode, epoch uint32, newLib int) {
 		}
 		sn.migOut = nil
 	}
-	sn.migIn = nil
-	e.rollbackSegPend(sn, seg)
-	// Delegated inval subtrees are dead with their epoch: the parent
-	// resolves them through its own epoch handling, and answering it
-	// from the old epoch would be fenced anyway.
-	for k := range e.relay {
-		if k.seg == seg {
-			delete(e.relay, k)
-		}
-	}
-	for k := range e.stash {
-		if k.seg == seg {
-			delete(e.stash, k)
-		}
-	}
+	e.dropEpochState(sn)
 	if sn.releasing() {
 		// In-flight releases died with the old epoch (their eventual
 		// give-up is fenced by the epoch guard in deliveryFailed, and a
@@ -441,23 +371,7 @@ func (e *Engine) adoptEpoch(sn *segNode, epoch uint32, newLib int) {
 		// can complete instead of waiting on confirmations that will
 		// never come.
 		sn.releasesPending = 0
-		for p := 0; p < sn.m.Pages(); p++ {
-			if !sn.m.Present(p) {
-				continue
-			}
-			sn.releasesPending++
-			kind := wire.KReleaseRead
-			if sn.m.Prot(p) == mmu.ReadWrite {
-				kind = wire.KReleaseWrite
-			}
-			e.send(sn.curLib, &wire.Msg{
-				Kind: kind, Seg: seg, Page: int32(p),
-				Data: append([]byte(nil), sn.m.Frame(p)...),
-			})
-		}
-		if sn.releasesPending == 0 {
-			sn.m.Open()
-		}
+		e.shipCopies(sn, false)
 	}
 	e.reaimRequests(sn)
 }
@@ -476,15 +390,10 @@ func (e *Engine) rollbackSegPend(sn *segNode, seg int32) {
 }
 
 // reaimRequests drops the segment's outstanding-request state and wakes
-// every blocked fault so it re-issues against the current library. The
-// waiters are woken in page order: map order would reorder the re-sent
-// requests between otherwise identical runs and break replay
-// determinism.
+// every blocked fault so it re-issues against the current library.
 func (e *Engine) reaimRequests(sn *segNode) {
 	e.forgetRequests(sn)
-	for p := int32(0); p < int32(sn.m.Pages()); p++ {
-		e.wakeWaiters(sn, p)
-	}
+	e.wakeAll(sn)
 }
 
 // forgetRequests clears every outstanding request and its deadline for
@@ -576,60 +485,35 @@ func (e *Engine) localHoldings(sn *segNode) []holding {
 	return hs
 }
 
-// sendHoldings ships this site's holdings to the current library in
-// MaxData-sized chunks; Upgrade marks the final chunk.
+// sendHoldings ships this site's holdings to the current library.
 func (e *Engine) sendHoldings(sn *segNode) {
-	seg := int32(sn.meta.ID)
 	hs := e.localHoldings(sn)
-	for start := 0; ; start += holdingsPerChunk {
-		end := start + holdingsPerChunk
-		last := end >= len(hs)
-		if last {
-			end = len(hs)
-		}
-		data := make([]byte, 0, (end-start)*holdingBytes)
-		for _, h := range hs[start:end] {
-			var b [holdingBytes]byte
-			binary.BigEndian.PutUint32(b[:4], uint32(h.page))
-			b[4] = h.state
-			binary.BigEndian.PutUint64(b[5:], uint64(h.window))
-			data = append(data, b[:]...)
-		}
-		e.send(sn.curLib, &wire.Msg{
-			Kind: wire.KRecoverReply, Seg: seg, Page: -1, Upgrade: last, Data: data,
-		})
-		if last {
-			return
-		}
-	}
+	tmpl := wire.Msg{Kind: wire.KRecoverReply, Seg: int32(sn.meta.ID), Page: -1}
+	e.sendChunked(sn.curLib, tmpl, nil, len(hs), func(m *wire.Msg, i int) {
+		m.Data = binary.BigEndian.AppendUint32(m.Data, uint32(hs[i].page))
+		m.Data = append(m.Data, hs[i].state)
+		m.Data = binary.BigEndian.AppendUint64(m.Data, uint64(hs[i].window))
+	})
 }
 
-// decodeHoldings parses a report chunk, discarding malformed or
+// decodeHoldings parses a report, discarding malformed or
 // out-of-range records rather than trusting the wire.
 func (e *Engine) decodeHoldings(sn *segNode, data []byte) []holding {
 	var hs []holding
-	for len(data) >= holdingBytes {
-		page := int32(binary.BigEndian.Uint32(data[:4]))
-		st := data[4]
-		window := time.Duration(binary.BigEndian.Uint64(data[5:]))
-		data = data[holdingBytes:]
-		if page < 0 || int(page) >= sn.m.Pages() || st&(recRead|recWrite) == 0 ||
-			window < 0 {
-			continue
+	for ; len(data) >= holdingBytes; data = data[holdingBytes:] {
+		h := holding{page: int32(binary.BigEndian.Uint32(data)), state: data[4],
+			window: time.Duration(binary.BigEndian.Uint64(data[5:]))}
+		if h.page >= 0 && int(h.page) < sn.m.Pages() && h.state&(recRead|recWrite) != 0 && h.window >= 0 {
+			hs = append(hs, h)
 		}
-		hs = append(hs, holding{page: page, state: st, window: window})
 	}
 	return hs
 }
 
-// mergeHoldings folds one site's report into the rebuild state.
-func (e *Engine) mergeHoldings(rc *recovery, site int, hs []holding) {
+// merge folds one site's report into the rebuild state.
+func (rc *recovery) merge(site int, hs []holding) {
 	for _, h := range hs {
-		rp := rc.got[h.page]
-		if rp == nil {
-			rp = &recovPage{writer: mmu.NoWriter, clock: -1}
-			rc.got[h.page] = rp
-		}
+		rp := &rc.got[h.page]
 		rank := 1
 		if h.state&recWrite != 0 {
 			rp.writer = site
@@ -637,14 +521,16 @@ func (e *Engine) mergeHoldings(rc *recovery, site int, hs []holding) {
 		} else {
 			rp.readers = rp.readers.Add(site)
 		}
-		if h.state&recClock != 0 && rp.clock < 0 {
-			rp.clock = site
+		if h.state&recClock != 0 {
+			if rp.clock < 0 {
+				rp.clock = site
+			}
+			if rank < 2 {
+				rank = 2
+			}
 		}
-		if h.state&recClock != 0 && rank < 2 {
-			rank = 2
-		}
-		if rank > rp.winRank {
-			rp.window, rp.winRank = h.window, rank
+		if rank > rc.rank[h.page] {
+			rp.delta, rc.rank[h.page] = h.window, rank
 		}
 	}
 }
@@ -658,7 +544,9 @@ func (e *Engine) mergeHoldings(rc *recovery, site int, hs []holding) {
 func (e *Engine) lateReport(sn *segNode, from int, hs []holding) {
 	lib := sn.lib
 	seg := int32(sn.meta.ID)
+	reported := make(map[int32]bool, len(hs))
 	for _, h := range hs {
+		reported[h.page] = true
 		p := &lib.pages[h.page]
 		if p.busy {
 			continue // never disturb a live grant cycle
@@ -682,10 +570,6 @@ func (e *Engine) lateReport(sn *segNode, from int, hs []holding) {
 		default:
 			e.send(from, &wire.Msg{Kind: wire.KInvalOrder, Seg: seg, Page: h.page})
 		}
-	}
-	reported := make(map[int32]bool, len(hs))
-	for _, h := range hs {
-		reported[h.page] = true
 	}
 	for pg := range lib.pages {
 		p := &lib.pages[pg]

@@ -42,14 +42,13 @@ type grantCycle struct {
 	attempts int
 }
 
-// libPage is the library's authoritative record for one page (§6.0:
-// "record which sites are storing a given page", distinguishing
-// writers from readers).
+// libPage is the library's authoritative state for one page: the
+// record that outlives this site's stay as library (§6.0: "record
+// which sites are storing a given page", distinguishing writers from
+// readers; see libRecord) and the state of the grant cycle in flight,
+// which does not.
 type libPage struct {
-	readers mmu.Copyset
-	writer  int // mmu.NoWriter if none
-	clock   int
-	delta   time.Duration
+	libRecord
 
 	queue           []libReq
 	busy            bool
@@ -61,28 +60,10 @@ type libPage struct {
 	// cycles that were since aborted.
 	cycle uint32
 
-	// Demand statistics feeding the dynamic Δ tuner and the trace
-	// analyses.
-	requests int
-	lastReq  time.Duration
-	gapEWMA  time.Duration
-
-	// Denial-side tuning signals (DESIGN.md §16). denied counts KBusy
-	// replies for this page; denRemEWMA smooths the remaining window
-	// time those denials reported. flipEWMA tracks write-sharing in
-	// fixed point (flipScale per alternation; see libFinishCycle) and
-	// lastWriter is the previous write grantee it compares against.
-	// All of it ships in the migration record and, via the demand
-	// stats above, survives rehoming.
-	denied     int
-	denRemEWMA time.Duration
-	flipEWMA   int
-	lastWriter int
-
 	// AutoDelta controller state: tuned marks the first-grant clamp
 	// done; tuneAt/tuneCycle/tuneDenied snapshot the last adjustment
-	// for rate limiting (see autoTuneDelta). Deliberately not shipped
-	// on migration — the successor restarts its cooldown fresh.
+	// for rate limiting (see autoTuneDelta). Deliberately not part of
+	// the record — a successor restarts its cooldown fresh.
 	tuned      bool
 	tuneAt     time.Duration
 	tuneCycle  uint32
@@ -98,14 +79,7 @@ type libSeg struct {
 func newLibSeg(meta *mem.Segment) *libSeg {
 	l := &libSeg{meta: meta, pages: make([]libPage, meta.Pages)}
 	for i := range l.pages {
-		l.pages[i].writer = mmu.NoWriter
-		l.pages[i].clock = meta.Library
-		// meta.Delta is the segment default: it seeds pages whose tuned
-		// value is unknown. Install paths that know better (migration
-		// records, the replicated log, holder-reported windows) overwrite
-		// it per page so a rebuild never clobbers a tuned Δ it can see.
-		l.pages[i].delta = meta.Delta
-		l.pages[i].lastWriter = mmu.NoWriter
+		l.pages[i].libRecord = freshRecord(meta, i)
 	}
 	return l
 }
@@ -168,7 +142,7 @@ func (e *Engine) SetPageDelta(seg, page int32, delta time.Duration) error {
 	sn.lib.pages[page].delta = delta
 	// Δ retunes replicate fire-and-forget: losing one across a takeover
 	// costs tuning quality, never coherence.
-	e.replAppendSet(sn, page, replRecOf(&sn.lib.pages[page]))
+	e.replAppendSet(sn, page)
 	return nil
 }
 
@@ -186,7 +160,7 @@ func (e *Engine) SetSegmentDelta(seg int32, delta time.Duration) error {
 	}
 	for i := range sn.lib.pages {
 		sn.lib.pages[i].delta = delta
-		e.replAppendSet(sn, int32(i), replRecOf(&sn.lib.pages[i]))
+		e.replAppendSet(sn, int32(i))
 	}
 	sn.meta.Delta = delta
 	return nil
@@ -195,7 +169,7 @@ func (e *Engine) SetSegmentDelta(seg int32, delta time.Duration) error {
 // handleLibrary dispatches messages addressed to the library role.
 func (e *Engine) handleLibrary(sn *segNode, m *wire.Msg) {
 	if sn.lib == nil {
-		if e.opt.Failover != nil {
+		if e.failover != nil {
 			// A requester addressed us as library at the current epoch but
 			// the role lives elsewhere. Reachable when the sender adopted
 			// the epoch from a message that does not name the library
@@ -299,10 +273,7 @@ func (e *Engine) handleLibrary(sn *segNode, m *wire.Msg) {
 		p.cancelRetry = e.env.After(m.Remaining, func() {
 			// Guards for live mode, where a cancelled timer may already
 			// have been queued: only retry the still-open cycle.
-			if cur, ok := e.segs[m.Seg]; !ok || cur != sn {
-				return
-			}
-			if !p.busy || !p.grant.active || p.grant.inval != inval {
+			if !e.live(sn) || !p.busy || !p.grant.active || p.grant.inval != inval {
 				return
 			}
 			p.cancelRetry = nil
@@ -424,7 +395,6 @@ func (e *Engine) libStartReadCycle(sn *segNode, page int32, batch mmu.Copyset) {
 	e.emit(obs.Event{Type: obs.EvGrantStart, Seg: int32(sn.meta.ID), Page: page, Cycle: p.cycle})
 	if p.writer != mmu.NoWriter {
 		// Downgrade the writer; it becomes (and stays) the clock site.
-		prior := replRecOf(p)
 		p.grant = grantCycle{
 			active: true, batch: batch, oldWrite: true, oldClock: p.writer,
 			inval: &wire.Msg{
@@ -432,20 +402,16 @@ func (e *Engine) libStartReadCycle(sn *segNode, page int32, batch mmu.Copyset) {
 				Readers: batch, Delta: delta, Cycle: p.cycle,
 			},
 		}
-		post := replRec{writer: mmu.NoWriter, clock: p.writer, delta: p.delta,
-			readers: mmu.CopysetOf(p.writer).Union(batch)}
-		e.replGateCycleOpen(sn, page, prior, post, p.writer, p.grant.inval)
+		e.replGateCycleOpen(sn, page, p.writer, p.grant.inval,
+			mmu.NoWriter, p.writer, mmu.CopysetOf(p.writer).Union(batch))
 		return
 	}
 	// Pure reader extension: no clock check, no invalidation.
-	prior := replRecOf(p)
 	p.grant = grantCycle{active: true, batch: batch, oldClock: p.clock}
-	post := prior
-	post.readers = prior.readers.Union(batch)
-	e.replGateCycleOpen(sn, page, prior, post, p.clock, &wire.Msg{
+	e.replGateCycleOpen(sn, page, p.clock, &wire.Msg{
 		Kind: wire.KAddReader, Seg: int32(sn.meta.ID), Page: page,
 		Readers: batch, Delta: delta, Cycle: p.cycle,
-	})
+	}, p.writer, p.clock, p.readers.Union(batch))
 }
 
 // libStartWriteCycle grants the writable copy to site `to` (Table 1
@@ -460,7 +426,6 @@ func (e *Engine) libStartWriteCycle(sn *segNode, page int32, to int) {
 	e.obs.Count(e.site, obs.CGrantCycle)
 	e.emit(obs.Event{Type: obs.EvGrantStart, Seg: int32(sn.meta.ID), Page: page,
 		To: int32(to), Cycle: p.cycle, Arg: 1})
-	prior := replRecOf(p)
 	p.grant = grantCycle{
 		active: true, write: true, to: to,
 		inval: &wire.Msg{
@@ -469,8 +434,7 @@ func (e *Engine) libStartWriteCycle(sn *segNode, page int32, to int) {
 			Cycle: p.cycle,
 		},
 	}
-	post := replRec{writer: to, clock: to, delta: p.delta}
-	e.replGateCycleOpen(sn, page, prior, post, p.clock, p.grant.inval)
+	e.replGateCycleOpen(sn, page, p.clock, p.grant.inval, to, to, mmu.Copyset{})
 }
 
 // libFinishCycle commits the completed grant to the authoritative
@@ -509,5 +473,5 @@ func (e *Engine) libFinishCycle(sn *segNode, page int32) {
 	p.busy = false
 	p.grant = grantCycle{}
 	// The committed record supersedes the cycle's intent in the log.
-	e.replAppendSet(sn, page, replRecOf(p))
+	e.replAppendSet(sn, page)
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
+	"cmp"
 	"time"
 
 	"mirage/internal/mmu"
@@ -58,21 +58,11 @@ type Placement struct {
 }
 
 func (p Placement) withDefaults() Placement {
-	if p.Window == 0 {
-		p.Window = 250 * time.Millisecond
-	}
-	if p.MinRequests == 0 {
-		p.MinRequests = 32
-	}
-	if p.Share == 0 {
-		p.Share = 0.6
-	}
-	if p.PingPong == 0 {
-		p.PingPong = 0.8
-	}
-	if p.Cooldown == 0 {
-		p.Cooldown = time.Second
-	}
+	p.Window = cmp.Or(p.Window, 250*time.Millisecond)
+	p.MinRequests = cmp.Or(p.MinRequests, 32)
+	p.Share = cmp.Or(p.Share, 0.6)
+	p.PingPong = cmp.Or(p.PingPong, 0.8)
+	p.Cooldown = cmp.Or(p.Cooldown, time.Second)
 	return p
 }
 
@@ -91,26 +81,12 @@ type migration struct {
 	cancel  func() // offer timeout
 }
 
-// migInbound accumulates an incoming offer's record chunks at the
-// successor until the final chunk installs them.
-type migInbound struct {
-	epoch uint32
-	from  int
-	data  []byte
-}
-
-// placementEnabled reports whether voluntary migration is configured.
-// Like failover, the machinery is inert without the reliability layer.
-func (e *Engine) placementEnabled() bool {
-	return e.opt.Placement != nil && e.failoverEnabled()
-}
-
 // noteDemand records one library request for the placement policy and
 // evaluates the policy at window boundaries. Called before the request
 // is queued: if a migration starts here, the triggering request joins
 // the frozen queue and is re-aimed at the successor at depose time.
 func (e *Engine) noteDemand(sn *segNode, from int) {
-	if !e.placementEnabled() || sn.migOut != nil {
+	if e.placement == nil || sn.migOut != nil {
 		return
 	}
 	now := e.env.Now()
@@ -121,11 +97,10 @@ func (e *Engine) noteDemand(sn *segNode, from int) {
 	}
 	pl.demand[from]++
 	pl.total++
-	p := e.opt.Placement.withDefaults()
-	if now-pl.windowStart < p.Window {
+	if now-pl.windowStart < e.placement.Window {
 		return
 	}
-	e.evalPlacement(sn, pl, p, now)
+	e.evalPlacement(sn, pl, now)
 	pl.demand = make(map[int]int)
 	pl.total = 0
 	pl.windowStart = now
@@ -133,16 +108,16 @@ func (e *Engine) noteDemand(sn *segNode, from int) {
 
 // evalPlacement applies the policy to one completed demand window.
 // Sites are scanned in ID order so the decision is replay-deterministic.
-func (e *Engine) evalPlacement(sn *segNode, pl *placeTrack, p Placement, now time.Duration) {
+func (e *Engine) evalPlacement(sn *segNode, pl *placeTrack, now time.Duration) {
+	p := e.placement
 	if pl.total < p.MinRequests {
 		return
 	}
 	if pl.lastMove != 0 && now-pl.lastMove < p.Cooldown {
 		return
 	}
-	fo := e.opt.Failover
 	lead, leadN, runN := -1, 0, 0
-	for s := 0; s < fo.Sites; s++ {
+	for s := 0; s < e.failover.Sites; s++ {
 		n := pl.demand[s]
 		if n == 0 {
 			continue
@@ -192,82 +167,34 @@ func (e *Engine) segQuiescent(sn *segNode) bool {
 // but grants nothing: arriving requests queue frozen and are converted
 // to epoch notices at depose time.
 func (e *Engine) startMigration(sn *segNode, target int, now time.Duration) {
-	seg := int32(sn.meta.ID)
 	mig := &migration{target: target, started: now}
 	sn.migOut = mig
-	e.sendMigrateRecords(sn, target)
-	mig.cancel = e.env.After(e.opt.Failover.recoverTimeout(), func() {
-		if cur, ok := e.segs[seg]; !ok || cur != sn || sn.migOut != mig {
-			return
+	e.sendOffer(sn, target)
+	mig.cancel = e.env.After(e.failover.RecoverTimeout, func() {
+		if e.live(sn) && sn.migOut == mig {
+			e.abortMigration(sn, true)
 		}
-		e.abortMigration(sn, true)
 	})
 }
 
-// Migration-record layout: per page a fixed header — page u32, writer
-// i32, clock i32, delta u64, then the demand/tuning state (gap EWMA
-// u64, last-request age u64, requests u32, denied u32,
-// denial-remaining EWMA u64, flip EWMA u16, last writer i32), and the
-// copyset length u16 — followed by the readers copyset in its wire
-// form. Chunks stay under wire.MaxData.
-//
-// The demand and tuning fields are what make a rehomed library warm:
-// without them the successor restarted cold (the ROADMAP-noted "demand
-// window forgets on migration"), and the Δ controller would relearn a
-// page it had already converged. lastReq crosses sites as an *age*
-// (now − lastReq at the encoder) and is re-based into the successor's
-// clock domain at install, so the first post-handoff gap measures real
-// request spacing instead of the difference of two unrelated clocks.
-const (
-	migRecordHeader = 4 + 4 + 4 + 8 + 8 + 8 + 4 + 4 + 8 + 2 + 4 + 2
-	migChunkBytes   = 60000
-)
-
-func encodeMigRecord(buf []byte, page int32, p *libPage, now time.Duration) []byte {
-	var h [migRecordHeader]byte
-	binary.BigEndian.PutUint32(h[0:], uint32(page))
-	binary.BigEndian.PutUint32(h[4:], uint32(int32(p.writer)))
-	binary.BigEndian.PutUint32(h[8:], uint32(int32(p.clock)))
-	binary.BigEndian.PutUint64(h[12:], uint64(p.delta))
-	binary.BigEndian.PutUint64(h[20:], uint64(p.gapEWMA))
-	age := time.Duration(0)
-	if p.requests > 0 {
-		age = now - p.lastReq
-	}
-	binary.BigEndian.PutUint64(h[28:], uint64(age))
-	binary.BigEndian.PutUint32(h[36:], uint32(p.requests))
-	binary.BigEndian.PutUint32(h[40:], uint32(p.denied))
-	binary.BigEndian.PutUint64(h[44:], uint64(p.denRemEWMA))
-	binary.BigEndian.PutUint16(h[52:], uint16(p.flipEWMA))
-	binary.BigEndian.PutUint32(h[54:], uint32(int32(p.lastWriter)))
-	binary.BigEndian.PutUint16(h[58:], uint16(p.readers.WireLen()))
-	buf = append(buf, h[:]...)
-	return p.readers.AppendWire(buf)
-}
-
-// sendMigrateRecords ships every page record to the successor in
-// chunked KMigrate messages; Upgrade marks the final chunk, whose
-// SegEpoch (stamped by transmit) is the epoch the successor's
-// installation must exceed.
-func (e *Engine) sendMigrateRecords(sn *segNode, target int) {
-	seg := int32(sn.meta.ID)
-	lib := sn.lib
-	var data []byte
-	flush := func(last bool) {
-		e.send(target, &wire.Msg{
-			Kind: wire.KMigrate, Seg: seg, Page: -1,
-			Req: int32(target), Upgrade: last, Data: data,
-		})
-		data = nil
-	}
+// sendOffer ships every page record to the successor as one chunked
+// KMigrate payload of full-form records (appendRecord). The demand and
+// tuning fields are what make a rehomed library warm: without them the
+// successor restarted cold and the Δ controller relearned a page it had
+// already converged. The last chunk's SegEpoch (stamped by transmit) is
+// the epoch the successor's installation must exceed.
+func (e *Engine) sendOffer(sn *segNode, target int) {
 	now := e.env.Now()
-	for pg := range lib.pages {
-		if len(data) >= migChunkBytes {
-			flush(false)
+	pages := sn.lib.pages
+	tmpl := wire.Msg{Kind: wire.KMigrate, Seg: int32(sn.meta.ID), Page: -1, Req: int32(target)}
+	e.sendChunked(target, tmpl, nil, len(pages), func(m *wire.Msg, i int) {
+		rec := pages[i].libRecord
+		rec.lastReq = 0 // crosses as an age, meaningful once a request was seen
+		if rec.requests > 0 {
+			rec.lastReq = now - pages[i].lastReq
 		}
-		data = encodeMigRecord(data, int32(pg), &lib.pages[pg], now)
-	}
-	flush(true)
+		m.Data = appendRecord(m.Data, &rec, true)
+	})
 }
 
 // abortMigration cancels an in-flight offer and resumes granting. A
@@ -298,16 +225,14 @@ func (e *Engine) abortMigration(sn *segNode, timedOut bool) {
 // handleMigrate runs at the offered successor. It is dispatched before
 // the generic epoch fence (like KRecover) so epoch skew resolves here:
 // an offer from a superseded epoch is refused, an offer ahead of this
-// site moves it forward first.
+// site moves it forward first. A refusal (KMigrateAck Page -1) leaves
+// this site untouched and the old library granting at its own epoch.
 func (e *Engine) handleMigrate(sn *segNode, m *wire.Msg) {
-	if !e.failoverEnabled() {
-		e.stats.Dropped++
-		return
-	}
 	from := int(m.From)
+	refuse := func() { e.send(from, &wire.Msg{Kind: wire.KMigrateAck, Seg: m.Seg, Page: -1}) }
 	if m.SegEpoch < sn.segEpoch.Load() {
 		e.markStale()
-		e.send(from, &wire.Msg{Kind: wire.KMigrateAck, Seg: m.Seg, Page: -1})
+		refuse()
 		return
 	}
 	if m.SegEpoch > sn.segEpoch.Load() {
@@ -316,125 +241,64 @@ func (e *Engine) handleMigrate(sn *segNode, m *wire.Msg) {
 	if sn.lib != nil || sn.recov != nil || sn.releasing() {
 		// Already the library (a duplicate or raced offer), mid-takeover,
 		// or detaching: not a home for the role.
-		e.send(from, &wire.Msg{Kind: wire.KMigrateAck, Seg: m.Seg, Page: -1})
+		refuse()
 		return
 	}
-	in := sn.migIn
-	if in == nil || in.epoch != m.SegEpoch || in.from != from {
-		in = &migInbound{epoch: m.SegEpoch, from: from}
-		sn.migIn = in
-	}
-	in.data = append(in.data, m.Data...)
-	if !m.Upgrade {
+	data, whole := sn.reassemble(m, 0)
+	if !whole {
 		return
 	}
-	sn.migIn = nil
-	e.installMigratedRecord(sn, from, m.SegEpoch, in.data)
+	src, err := e.offerSource(sn, m, data)
+	if err == nil {
+		err = e.installLibrary(sn, src)
+	}
+	if err != nil {
+		// A damaged offer installs nothing, not the part that parsed.
+		e.markStale()
+		refuse()
+	}
 }
 
-// installMigratedRecord makes this site the segment's library under
-// epoch offerEpoch+1 with the transferred record, then confirms to the
-// old library. The epoch is created here, not at the offer: no site can
-// address this site as the E+1 library before the record exists.
-func (e *Engine) installMigratedRecord(sn *segNode, from int, offerEpoch uint32, data []byte) {
-	seg := int32(sn.meta.ID)
+// offerSource is the third rehoming source (DESIGN.md §14): the old
+// library's own record of a quiescent segment, transferred rather than
+// reconstructed, so it is exact and the old library is alive. The epoch
+// is created at the installation, not at the offer: no site can address
+// this site as the E+1 library before the record exists.
+func (e *Engine) offerSource(sn *segNode, m *wire.Msg, data []byte) (libSource, error) {
 	now := e.env.Now()
-	lib := newLibSeg(sn.meta)
-	for len(data) >= migRecordHeader {
-		page := int32(binary.BigEndian.Uint32(data[0:]))
-		writer := int(int32(binary.BigEndian.Uint32(data[4:])))
-		clock := int(int32(binary.BigEndian.Uint32(data[8:])))
-		delta := time.Duration(binary.BigEndian.Uint64(data[12:]))
-		gap := time.Duration(binary.BigEndian.Uint64(data[20:]))
-		age := time.Duration(binary.BigEndian.Uint64(data[28:]))
-		requests := int(int32(binary.BigEndian.Uint32(data[36:])))
-		denied := int(int32(binary.BigEndian.Uint32(data[40:])))
-		denRem := time.Duration(binary.BigEndian.Uint64(data[44:]))
-		flip := int(binary.BigEndian.Uint16(data[52:]))
-		lastWriter := int(int32(binary.BigEndian.Uint32(data[54:])))
-		cs := int(binary.BigEndian.Uint16(data[58:]))
-		data = data[migRecordHeader:]
-		if cs > len(data) {
-			break
+	var recs []libRecord
+	for len(data) > 0 {
+		r, n, err := decodeRecord(data, true)
+		if err != nil {
+			return libSource{}, err
 		}
-		var readers mmu.Copyset
-		if cs > 0 {
-			var err error
-			readers, err = mmu.DecodeCopysetWire(data[:cs])
-			if err != nil {
-				data = data[cs:]
-				continue
-			}
+		data = data[n:]
+		// Re-base the shipped age into this site's clock domain, so the
+		// first post-handoff gap measures real request spacing instead of
+		// the difference of two unrelated clocks.
+		if r.requests > 0 {
+			r.lastReq = max(now-r.lastReq, 0)
+		} else {
+			r.lastReq = 0
 		}
-		data = data[cs:]
-		if page < 0 || int(page) >= len(lib.pages) || delta < 0 ||
-			gap < 0 || age < 0 || denRem < 0 || requests < 0 || denied < 0 {
-			continue
-		}
-		p := &lib.pages[page]
-		p.writer, p.clock, p.delta, p.readers = writer, clock, delta, readers
-		// Carry the demand window and denial signals so the rehomed
-		// library stays warm. lastReq is re-based from the shipped age
-		// into this site's clock domain; the controller's rate-limit
-		// state is deliberately left fresh (tuned=false restarts the
-		// cooldown at the first local grant without touching Δ).
-		p.gapEWMA, p.requests = gap, requests
-		if requests > 0 {
-			p.lastReq = now - age
-			if p.lastReq < 0 {
-				p.lastReq = 0
-			}
-		}
-		p.denied, p.denRemEWMA = denied, denRem
-		p.tuneDenied = denied
-		if flip > flipScale {
-			flip = flipScale
-		}
-		p.flipEWMA, p.lastWriter = flip, lastWriter
+		recs = append(recs, r)
 	}
-	sn.segEpoch.Store(offerEpoch + 1)
-	sn.curLib = e.site
-	sn.lib = lib
-	// The old epoch's transient state is dead with it (mirrors
-	// adoptEpoch; quiescence means there should be none, but a raced
-	// abort can leave leftovers).
-	e.rollbackSegPend(sn, seg)
-	for k := range e.relay {
-		if k.seg == seg {
-			delete(e.relay, k)
-		}
-	}
-	for k := range e.stash {
-		if k.seg == seg {
-			delete(e.stash, k)
-		}
-	}
-	// Seed the policy's hysteresis: accepting the role starts a fresh
-	// window and a cooldown, so the segment cannot bounce straight back.
-	sn.place = &placeTrack{demand: make(map[int]int), windowStart: now, lastMove: now}
-	if e.replicationEnabled() {
-		// The migrated record IS the log head: re-seed the epoch's log
-		// from it and base this leader's follower group eagerly — the
-		// offer shipped a reconstruction-free snapshot, and the group
-		// changes with the leader.
-		e.replSeedLeader(sn)
-		e.replBaseFollowers(sn)
-	}
-	e.stats.Migrations++
-	e.obs.Count(e.site, obs.CMigration)
-	e.emit(obs.Event{Type: obs.EvMigrate, Seg: seg, Arg: int64(from)})
-	e.send(from, &wire.Msg{Kind: wire.KMigrateAck, Seg: seg, Page: 0})
-	e.reaimRequests(sn)
+	from := int(m.From)
+	return libSource{recs: recs, prev: from, exact: true, relog: true, epoch: m.SegEpoch + 1, announce: func() {
+		e.stats.Migrations++
+		e.obs.Count(e.site, obs.CMigration)
+		e.emit(obs.Event{Type: obs.EvMigrate, Seg: m.Seg, Arg: int64(from)})
+		e.send(from, &wire.Msg{Kind: wire.KMigrateAck, Seg: m.Seg, Page: 0})
+		// This site's own requests sat in the old library's frozen queue,
+		// which the ack drops: the woken faults re-issue them here.
+		e.forgetRequests(sn)
+	}}, nil
 }
 
 // handleMigrateAck runs at the old library: a refusal resumes granting
 // under the unchanged epoch; an acceptance deposes this site and
 // re-aims everything that queued during the transfer at the successor.
 func (e *Engine) handleMigrateAck(sn *segNode, m *wire.Msg) {
-	if !e.failoverEnabled() {
-		e.stats.Dropped++
-		return
-	}
 	mig := sn.migOut
 	if mig == nil || int(m.From) != mig.target {
 		e.markStale()
@@ -448,30 +312,22 @@ func (e *Engine) handleMigrateAck(sn *segNode, m *wire.Msg) {
 		e.markStale()
 		return
 	}
-	if mig.cancel != nil {
-		mig.cancel()
-	}
-	sn.migOut = nil
 	e.obs.Observe(obs.HMigrateLatency, int64(e.env.Now()-mig.started))
 	// Collect the frozen queue's requesters before adoptEpoch drops the
-	// record. Read/write requesters re-request at the successor when the
-	// notice moves them forward; releasing sites re-issue their releases
-	// from adoptEpoch's own releasing path.
-	seg := int32(sn.meta.ID)
-	notify := make(map[int]bool)
+	// record (and, with it, the committed offer and its timer).
+	// Read/write requesters re-request at the successor when the notice
+	// moves them forward; releasing sites re-issue their releases from
+	// adoptEpoch's own releasing path.
+	var notify mmu.Copyset
 	for pg := range sn.lib.pages {
 		for _, r := range sn.lib.pages[pg].queue {
 			if r.site != e.site {
-				notify[r.site] = true
+				notify = notify.Add(r.site)
 			}
 		}
 	}
 	e.adoptEpoch(sn, m.SegEpoch, mig.target)
-	for s := 0; s < e.opt.Failover.Sites; s++ {
-		if notify[s] {
-			e.send(s, &wire.Msg{
-				Kind: wire.KRecover, Seg: seg, Page: -1, Req: int32(mig.target),
-			})
-		}
-	}
+	notify.ForEach(func(s int) {
+		e.send(s, &wire.Msg{Kind: wire.KRecover, Seg: m.Seg, Page: -1, Req: int32(mig.target)})
+	})
 }

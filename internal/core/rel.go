@@ -298,7 +298,7 @@ func (e *Engine) deliveryFailed(to int, m *wire.Msg) {
 		// successor and leave the faults blocked — the request deadline
 		// stays armed as the backstop and the takeover's epoch adoption
 		// wakes them to re-request. Otherwise fail the access.
-		if e.failoverEnabled() && to == sn.curLib &&
+		if e.failover != nil && to == sn.curLib &&
 			e.triggerFailover(sn, m.Seg, mmu.Copyset{}) {
 			return
 		}
@@ -352,7 +352,7 @@ func (e *Engine) deliveryFailed(to int, m *wire.Msg) {
 		}
 		// A takeover trigger that could not reach its candidate: walk
 		// on to the next one. Readers carries the candidates tried.
-		if e.failoverEnabled() && int(m.Req) == to &&
+		if e.failover != nil && int(m.Req) == to &&
 			e.triggerFailover(sn, m.Seg, m.Readers) {
 			return
 		}
@@ -393,7 +393,7 @@ func (e *Engine) deliveryFailed(to int, m *wire.Msg) {
 	case wire.KAppendAck:
 		// The leader is unreachable from this follower — the same verdict
 		// a lost request gives a requester: nominate a successor.
-		if e.failoverEnabled() && to == sn.curLib &&
+		if e.failover != nil && to == sn.curLib &&
 			e.triggerFailover(sn, m.Seg, mmu.Copyset{}) {
 			return
 		}
@@ -538,8 +538,7 @@ func (e *Engine) armReqTimer(sn *segNode, seg, page int32) {
 		return
 	}
 	sn.reqTimer[page] = e.env.After(e.rel.opt.RequestTimeout, func() {
-		cur, ok := e.segs[seg]
-		if !ok || cur != sn {
+		if !e.live(sn) {
 			return
 		}
 		delete(sn.reqTimer, page)
@@ -606,7 +605,7 @@ func (e *Engine) libAbortCycle(sn *segNode, page int32) {
 	}
 	// The cycle's logged intent is void: log the unchanged record so an
 	// elected successor does not probe (or adopt) a grant that died here.
-	e.replAppendSet(sn, page, replRecOf(p))
+	e.replAppendSet(sn, page)
 	e.libProcess(sn, page)
 }
 

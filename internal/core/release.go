@@ -26,6 +26,17 @@ func (e *Engine) ReleaseSegment(seg int32) {
 		return
 	}
 	sn.m.Close()
+	e.shipCopies(sn, true)
+}
+
+// shipCopies sends every copy this site holds home to the current
+// library as a release to be confirmed, and reopens the page table at
+// once if there is none. surrender traces each: trace-wise a copy is
+// surrendered the moment it first ships home — the frame stays installed
+// only to serve grant cycles already in flight, and the detached process
+// can never touch it again — so a re-issue under a new epoch is silent.
+func (e *Engine) shipCopies(sn *segNode, surrender bool) {
+	seg := int32(sn.meta.ID)
 	for p := 0; p < sn.m.Pages(); p++ {
 		if !sn.m.Present(p) {
 			continue
@@ -41,10 +52,9 @@ func (e *Engine) ReleaseSegment(seg int32) {
 			Kind: kind, Seg: seg, Page: int32(p),
 			Data: append([]byte(nil), sn.m.Frame(p)...),
 		})
-		// Trace-wise the copy is surrendered the moment it ships home:
-		// the frame stays installed only to serve grant cycles already
-		// in flight, and the detached process can never touch it again.
-		e.emit(obs.Event{Type: obs.EvPageState, Seg: seg, Page: int32(p)})
+		if surrender {
+			e.emit(obs.Event{Type: obs.EvPageState, Seg: seg, Page: int32(p)})
+		}
 	}
 	if sn.releasesPending == 0 {
 		sn.m.Open()
@@ -106,11 +116,10 @@ func (e *Engine) libProcessRelease(sn *segNode, page int32, r libReq) {
 		// KReleaseDone, so the confirmation waits for the record change
 		// to be quorum-durable — otherwise an elected successor could
 		// grant from a record still naming the departed holder.
-		e.replAppend(sn, &replEntry{page: page, post: replRecOf(p)}, func() {
-			if cur, ok := e.segs[seg]; !ok || cur != sn || sn.lib == nil {
-				return
+		e.replAppend(sn, &replEntry{post: p.logged()}, func() {
+			if e.live(sn) && sn.lib != nil {
+				confirm()
 			}
-			confirm()
 		})
 		return
 	}
@@ -144,7 +153,7 @@ func (e *Engine) libReclaim(sn *segNode, page int32, data []byte) {
 	p.writer = e.site
 	p.readers = mmu.Copyset{}
 	p.clock = e.site
-	e.replAppendSet(sn, page, replRecOf(p))
+	e.replAppendSet(sn, page)
 }
 
 // handleReleaseDone finalizes one page release at the departing site.

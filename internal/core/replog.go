@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -61,18 +62,10 @@ const (
 	SyncAll
 )
 
-// replicationEnabled reports whether the replicated-record machinery is
-// configured. Like Placement it is inert without Failover (and
-// therefore Reliability): the takeover that consumes the log is the
-// failover election.
-func (e *Engine) replicationEnabled() bool {
-	return e.opt.Replication != nil && e.opt.Replication.Replicas > 0 && e.failoverEnabled()
-}
-
 // replFollowers returns the follower group for a segment led by
 // leader: the Replicas sites after it in ID order.
 func (e *Engine) replFollowers(leader int) []int {
-	rp := e.opt.Replication
+	rp := e.replication
 	var out []int
 	for i := 1; len(out) < rp.Replicas && i < rp.Sites; i++ {
 		out = append(out, (leader+i)%rp.Sites)
@@ -83,18 +76,13 @@ func (e *Engine) replFollowers(leader int) []int {
 // replGroupHas reports whether s is in the follower group of a segment
 // led by leader.
 func (e *Engine) replGroupHas(leader, s int) bool {
-	for _, f := range e.replFollowers(leader) {
-		if f == s {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(e.replFollowers(leader), s)
 }
 
 // replQuorum is the number of group members (leader counts itself)
 // whose applied log must cover an intent before its cycle opens.
 func (e *Engine) replQuorum() int {
-	rp := e.opt.Replication
+	rp := e.replication
 	if rp.SyncMode == SyncAll {
 		return rp.Replicas + 1
 	}
@@ -106,31 +94,18 @@ func (e *Engine) replQuorum() int {
 // vote set intersects any commit set in at least one surviving
 // follower.
 func (e *Engine) replVoteQuorum() int {
-	return e.opt.Replication.Replicas + 2 - e.replQuorum()
+	return e.replication.Replicas + 2 - e.replQuorum()
 }
 
-// replRec is one page record as carried in a log entry — the same
-// fields migration ships (a KMigrate chunk is exactly a compacted log
-// head; see docs/REPLICATION.md).
-type replRec struct {
-	writer  int
-	clock   int
-	delta   time.Duration
-	readers mmu.Copyset
-}
-
-func replRecOf(p *libPage) replRec {
-	return replRec{writer: p.writer, clock: p.clock, delta: p.delta, readers: p.readers}
-}
-
-// replEntry is one log entry: a full page-record snapshot, so per-page
-// latest-entry compaction loses nothing.
+// replEntry is one log entry: a full snapshot of one page's record
+// (libRecord.logged; post.page names the page), so per-page
+// latest-entry compaction loses nothing. A KMigrate offer is exactly a
+// compacted log head with the tuning state attached.
 type replEntry struct {
-	intent bool   // write-ahead intent (prior valid) vs committed set
-	index  uint32 // position in the leader's log for this epoch
-	page   int32
-	post   replRec // the record the mutation commits
-	prior  replRec // the record before the cycle (intents only)
+	intent bool      // write-ahead intent (prior valid) vs committed set
+	index  uint32    // position in the leader's log for this epoch
+	post   libRecord // the record the mutation commits
+	prior  libRecord // the record before the cycle (intents only)
 }
 
 // replSeg is a site's replication state for one segment: the compacted
@@ -165,40 +140,20 @@ type replGate struct {
 
 // replElect is an election winner's vote-merge state, carried on the
 // recovery struct so the existing request buffering covers the whole
-// takeover.
+// takeover. A ballot merges only once reassemble has all of it, so a
+// truncated higher-epoch ballot can never replace the merge wholesale
+// with a partial page set.
 type replElect struct {
-	bestEpoch uint32
-	bestIndex uint32
-	pages     map[int32]*replEntry
-	waiting   map[int]bool // voters whose final chunk is still due
-	votes     int          // complete ballots merged, the winner's own included
-	need      int          // replVoteQuorum
-	bufs      map[int]*voteBuf
-}
-
-// voteBuf accumulates one voter's chunked reply; it merges only when
-// complete, so a truncated higher-epoch ballot can never replace the
-// merge wholesale with a partial page set.
-type voteBuf struct {
-	epoch   uint32
-	last    uint32
-	entries []byte
-}
-
-func (e *Engine) newReplLead() *replLead {
-	return &replLead{
-		followers: e.replFollowers(e.site),
-		acked:     make(map[int]uint32),
-		dead:      make(map[int]bool),
-		based:     make(map[int]bool),
-	}
+	log     replSeg      // the merge so far: best epoch, its highest index, per-page latest entries
+	waiting map[int]bool // voters whose ballot is still due
+	votes   int          // complete ballots merged, the winner's own included
+	need    int          // replVoteQuorum
 }
 
 // replActive reports whether this site is currently gating mutations
 // through a live replication group for the segment.
 func (e *Engine) replActive(sn *segNode) bool {
-	return e.replicationEnabled() && sn.repl != nil && sn.repl.lead != nil &&
-		len(sn.repl.lead.followers) > 0
+	return sn.repl != nil && sn.repl.lead != nil && len(sn.repl.lead.followers) > 0
 }
 
 // replSeedLeader makes this site the segment's log leader for the
@@ -208,12 +163,29 @@ func (e *Engine) replActive(sn *segNode) bool {
 func (e *Engine) replSeedLeader(sn *segNode) {
 	rl := &replSeg{epoch: sn.segEpoch.Load(), pages: make(map[int32]*replEntry, len(sn.lib.pages))}
 	for pg := range sn.lib.pages {
-		idx := uint32(pg + 1)
-		rl.pages[int32(pg)] = &replEntry{index: idx, page: int32(pg), post: replRecOf(&sn.lib.pages[pg])}
+		rl.pages[int32(pg)] = &replEntry{index: uint32(pg + 1), post: sn.lib.pages[pg].logged()}
 	}
 	rl.lastIndex = uint32(len(sn.lib.pages))
-	rl.lead = e.newReplLead()
+	rl.lead = &replLead{
+		followers: e.replFollowers(e.site),
+		acked:     make(map[int]uint32),
+		dead:      make(map[int]bool),
+		based:     make(map[int]bool),
+	}
 	sn.repl = rl
+}
+
+// replBaseFollowers ships the just-seeded log to every follower at
+// once. installLibrary's choice, where the group members are
+// known-attached; segment creation bases lazily on first append
+// instead, so a follower that has not attached yet is not benched
+// before it ever joined.
+func (e *Engine) replBaseFollowers(sn *segNode) {
+	ld := sn.repl.lead
+	for _, f := range ld.followers {
+		e.replSendLog(sn, f)
+		ld.based[f] = true
+	}
 }
 
 // ---- Entry wire form ----
@@ -223,71 +195,28 @@ func (e *Engine) replSeedLeader(sn *segNode) {
 //
 //	kind u8 (1 intent, 2 set) | index u32 | page i32 | post record | [prior record]
 //
-// record = writer i32 | clock i32 | delta i64 | cs-len u16 | copyset wire
-//
-// The copyset reuses the dual inline/bitmap wire form of
-// mmu.AppendWire. The 32-bit FNV-1a digest of an entry's encoded bytes
-// is its identity in EvReplicate events; leader and follower compute
-// it over the identical bytes, so the checker can pin log-prefix
-// agreement without shipping the entries in the trace.
+// with each record in appendRecord's core form. The 32-bit FNV-1a
+// digest of an entry's encoded bytes is its identity in EvReplicate
+// events; leader and follower compute it over the identical bytes, so
+// the checker can pin log-prefix agreement without shipping the entries
+// in the trace.
 const (
 	replKindIntent = 1
 	replKindSet    = 2
-	replRecHeader  = 4 + 4 + 8 + 2
 	replEntryHdr   = 1 + 4 + 4
-	replChunkBytes = 60000
 )
-
-func appendReplRec(buf []byte, r *replRec) []byte {
-	var h [replRecHeader]byte
-	binary.BigEndian.PutUint32(h[0:], uint32(int32(r.writer)))
-	binary.BigEndian.PutUint32(h[4:], uint32(int32(r.clock)))
-	binary.BigEndian.PutUint64(h[8:], uint64(r.delta))
-	binary.BigEndian.PutUint16(h[16:], uint16(r.readers.WireLen()))
-	buf = append(buf, h[:]...)
-	return r.readers.AppendWire(buf)
-}
-
-func decodeReplRec(data []byte) (replRec, int, error) {
-	if len(data) < replRecHeader {
-		return replRec{}, 0, fmt.Errorf("repl: record truncated at %d bytes", len(data))
-	}
-	r := replRec{
-		writer: int(int32(binary.BigEndian.Uint32(data[0:]))),
-		clock:  int(int32(binary.BigEndian.Uint32(data[4:]))),
-		delta:  time.Duration(binary.BigEndian.Uint64(data[8:])),
-	}
-	cs := int(binary.BigEndian.Uint16(data[16:]))
-	if r.delta < 0 {
-		return replRec{}, 0, fmt.Errorf("repl: negative Δ %v", r.delta)
-	}
-	n := replRecHeader + cs
-	if cs > len(data)-replRecHeader {
-		return replRec{}, 0, fmt.Errorf("repl: copyset truncated: %d of %d bytes", len(data)-replRecHeader, cs)
-	}
-	if cs > 0 {
-		var err error
-		r.readers, err = mmu.DecodeCopysetWire(data[replRecHeader:n])
-		if err != nil {
-			return replRec{}, 0, err
-		}
-	}
-	return r, n, nil
-}
 
 func encodeReplEntry(buf []byte, ent *replEntry) []byte {
 	kind := byte(replKindSet)
 	if ent.intent {
 		kind = replKindIntent
 	}
-	var h [replEntryHdr]byte
-	h[0] = kind
-	binary.BigEndian.PutUint32(h[1:], ent.index)
-	binary.BigEndian.PutUint32(h[5:], uint32(ent.page))
-	buf = append(buf, h[:]...)
-	buf = appendReplRec(buf, &ent.post)
+	buf = append(buf, kind)
+	buf = binary.BigEndian.AppendUint32(buf, ent.index)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(ent.post.page))
+	buf = appendRecord(buf, &ent.post, false)
 	if ent.intent {
-		buf = appendReplRec(buf, &ent.prior)
+		buf = appendRecord(buf, &ent.prior, false)
 	}
 	return buf
 }
@@ -298,38 +227,26 @@ func decodeReplEntry(data []byte) (replEntry, int, error) {
 	if len(data) < replEntryHdr {
 		return replEntry{}, 0, fmt.Errorf("repl: entry truncated at %d bytes", len(data))
 	}
-	var ent replEntry
-	switch data[0] {
-	case replKindIntent:
-		ent.intent = true
-	case replKindSet:
-	default:
+	if data[0] != replKindIntent && data[0] != replKindSet {
 		return replEntry{}, 0, fmt.Errorf("repl: unknown entry kind %d", data[0])
 	}
-	ent.index = binary.BigEndian.Uint32(data[1:])
-	ent.page = int32(binary.BigEndian.Uint32(data[5:]))
-	n := replEntryHdr
-	var err error
-	ent.post, err = decodeRecAt(data, &n)
-	if err != nil {
-		return replEntry{}, 0, err
-	}
+	ent := replEntry{intent: data[0] == replKindIntent, index: binary.BigEndian.Uint32(data[1:])}
+	page := int32(binary.BigEndian.Uint32(data[5:]))
+	recs := []*libRecord{&ent.post}
 	if ent.intent {
-		ent.prior, err = decodeRecAt(data, &n)
+		recs = append(recs, &ent.prior)
+	}
+	n := replEntryHdr
+	for _, rec := range recs {
+		r, c, err := decodeRecord(data[n:], false)
 		if err != nil {
 			return replEntry{}, 0, err
 		}
+		*rec = r
+		rec.page = page
+		n += c
 	}
 	return ent, n, nil
-}
-
-func decodeRecAt(data []byte, n *int) (replRec, error) {
-	r, c, err := decodeReplRec(data[*n:])
-	if err != nil {
-		return replRec{}, err
-	}
-	*n += c
-	return r, nil
 }
 
 // replDigest is the 32-bit FNV-1a digest of an entry's encoded bytes.
@@ -361,7 +278,7 @@ func (e *Engine) replAppend(sn *segNode, ent *replEntry, cont func()) {
 	rl.lastIndex++
 	ent.index = rl.lastIndex
 	rl.epoch = sn.segEpoch.Load()
-	rl.pages[ent.page] = ent
+	rl.pages[ent.post.page] = ent
 	enc := encodeReplEntry(nil, ent)
 	dig := replDigest(enc)
 	e.stats.Appends++
@@ -379,43 +296,38 @@ func (e *Engine) replAppend(sn *segNode, ent *replEntry, cont func()) {
 			ld.based[f] = true
 			continue
 		}
-		e.send(f, &wire.Msg{Kind: wire.KAppend, Seg: seg, Page: ent.page, Cycle: ent.index, Data: enc})
+		e.send(f, &wire.Msg{Kind: wire.KAppend, Seg: seg, Page: ent.post.page, Cycle: ent.index, Data: enc})
 	}
 	if cont == nil {
 		return
 	}
-	g := &replGate{index: ent.index, page: ent.page, digest: dig, started: e.env.Now(), release: cont}
+	g := &replGate{index: ent.index, page: ent.post.page, digest: dig, started: e.env.Now(), release: cont}
 	ld.gates = append(ld.gates, g)
 	e.replRecomputeGates(sn)
 }
 
-// replSendLog ships the leader's whole compacted log to one follower
-// in index order (the follower's applied-index stream must ascend),
-// chunked under the wire payload bound.
-func (e *Engine) replSendLog(sn *segNode, f int) {
-	rl := sn.repl
-	ents := make([]*replEntry, 0, len(rl.pages))
+// tail returns the log's entries above index after, in index order (a
+// follower's applied-index stream must ascend).
+func (rl *replSeg) tail(after uint32) []*replEntry {
+	var ents []*replEntry
 	for _, ent := range rl.pages {
-		ents = append(ents, ent)
+		if ent.index > after {
+			ents = append(ents, ent)
+		}
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].index < ents[j].index })
-	seg := int32(sn.meta.ID)
-	var data []byte
-	var last uint32
-	flush := func() {
-		e.send(f, &wire.Msg{Kind: wire.KAppend, Seg: seg, Page: -1, Cycle: last, Data: data})
-		data = nil
-	}
-	for _, ent := range ents {
-		if len(data) >= replChunkBytes {
-			flush()
-		}
-		data = encodeReplEntry(data, ent)
-		last = ent.index
-	}
-	if len(data) > 0 || len(ents) == 0 {
-		flush()
-	}
+	return ents
+}
+
+// replSendLog ships the leader's whole compacted log to one follower:
+// a snapshot (Page -1), each chunk stamped with its last index.
+func (e *Engine) replSendLog(sn *segNode, f int) {
+	ents := sn.repl.tail(0)
+	tmpl := wire.Msg{Kind: wire.KAppend, Seg: int32(sn.meta.ID), Page: -1}
+	e.sendChunked(f, tmpl, nil, len(ents), func(m *wire.Msg, i int) {
+		m.Data = encodeReplEntry(m.Data, ents[i])
+		m.Cycle = ents[i].index
+	})
 }
 
 // replRecomputeGates re-evaluates every pending gate against the
@@ -430,24 +342,12 @@ func (e *Engine) replRecomputeGates(sn *segNode) {
 		return
 	}
 	q := e.replQuorum()
-	live := 1
-	for _, f := range ld.followers {
-		if !ld.dead[f] {
-			live++
-		}
-	}
-	degraded := live < q
+	degraded := ld.covering(0) < q // index 0: everyone live
 	seg := int32(sn.meta.ID)
 	var keep []*replGate
 	for _, g := range ld.gates {
-		n := 1 // the leader's own log always covers its gates
-		for _, f := range ld.followers {
-			if !ld.dead[f] && ld.acked[f] >= g.index {
-				n++
-			}
-		}
 		switch {
-		case n >= q:
+		case ld.covering(g.index) >= q:
 			e.stats.ReplCommits++
 			e.obs.Count(e.site, obs.CReplCommit)
 			e.obs.Observe(obs.HReplLag, int64(e.env.Now()-g.started))
@@ -465,36 +365,51 @@ func (e *Engine) replRecomputeGates(sn *segNode) {
 	ld.gates = keep
 }
 
-// replGateCycleOpen logs a grant cycle's write-ahead intent and defers
-// the cycle's opening send to the quorum commit. The continuation
+// covering counts the group members whose log has reached index: the
+// live followers that acknowledged it, and the leader, whose own log
+// always covers its gates.
+func (ld *replLead) covering(index uint32) int {
+	n := 1
+	for _, f := range ld.followers {
+		if !ld.dead[f] && ld.acked[f] >= index {
+			n++
+		}
+	}
+	return n
+}
+
+// replGateCycleOpen logs a grant cycle's write-ahead intent — the
+// record as it stands and as the cycle will commit it: with the given
+// writer, clock and readers — and defers the cycle's opening send to
+// the quorum commit. The continuation
 // re-checks the cycle (by number) before sending: an epoch change or
 // abort in the gap must not fire a dead cycle's invalidation.
-func (e *Engine) replGateCycleOpen(sn *segNode, page int32, prior, post replRec, to int, open *wire.Msg) {
+func (e *Engine) replGateCycleOpen(sn *segNode, page int32, to int, open *wire.Msg,
+	writer, clock int, readers mmu.Copyset) {
 	if !e.replActive(sn) {
 		e.send(to, open)
 		return
 	}
-	seg := int32(sn.meta.ID)
+	prior := sn.lib.pages[page].logged() // the cycle commits to the record only when it finishes
+	post := prior
+	post.writer, post.clock, post.readers = writer, clock, readers
 	cyc := sn.lib.pages[page].cycle
-	e.replAppend(sn, &replEntry{intent: true, page: page, post: post, prior: prior}, func() {
-		cur, ok := e.segs[seg]
-		if !ok || cur != sn || sn.lib == nil {
+	e.replAppend(sn, &replEntry{intent: true, post: post, prior: prior}, func() {
+		if !e.live(sn) || sn.lib == nil {
 			return
 		}
-		p := &sn.lib.pages[page]
-		if !p.busy || !p.grant.active || p.cycle != cyc {
-			return
+		if p := &sn.lib.pages[page]; p.busy && p.grant.active && p.cycle == cyc {
+			e.send(to, open)
 		}
-		e.send(to, open)
 	})
 }
 
-// replAppendSet logs a committed record mutation fire-and-forget.
-func (e *Engine) replAppendSet(sn *segNode, page int32, rec replRec) {
+// replAppendSet logs a page's committed record fire-and-forget.
+func (e *Engine) replAppendSet(sn *segNode, page int32) {
 	if !e.replActive(sn) {
 		return
 	}
-	e.replAppend(sn, &replEntry{page: page, post: rec}, nil)
+	e.replAppend(sn, &replEntry{post: sn.lib.pages[page].logged()}, nil)
 }
 
 // ---- Follower: applying the stream ----
@@ -503,50 +418,68 @@ func (e *Engine) replAppendSet(sn *segNode, page int32, rec replRec) {
 // acknowledges its cumulative applied index. The generic epoch fence
 // already matched the message to this site's epoch; a stream from a
 // newer term than the local log resets it (the leader re-bases every
-// epoch with a full snapshot, so nothing carried over is needed).
+// epoch with a full snapshot, so nothing carried over is needed). A
+// snapshot (Page -1) applies only once all of it is here: a log reset
+// to half a snapshot would be a ballot that names half the pages.
 func (e *Engine) handleAppend(sn *segNode, m *wire.Msg) {
-	if e.opt.Replication == nil {
-		e.stats.Dropped++
-		return
-	}
 	if mutateReplAckWithoutApply {
 		// MUTATION BUILD: acknowledge the append without applying it —
 		// the lie the acked-append-lost invariant exists to catch.
 		e.send(int(m.From), &wire.Msg{Kind: wire.KAppendAck, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
 		return
 	}
-	rl := sn.repl
-	if rl == nil {
-		rl = &replSeg{pages: make(map[int32]*replEntry)}
-		sn.repl = rl
-	}
-	if m.SegEpoch > rl.epoch {
-		rl.epoch = m.SegEpoch
-		rl.lastIndex = 0
-		rl.pages = make(map[int32]*replEntry)
-	}
 	data := m.Data
+	if m.Page < 0 {
+		var whole bool
+		if data, whole = sn.reassemble(m, 0); !whole {
+			return
+		}
+	}
+	if sn.repl == nil {
+		sn.repl = &replSeg{}
+	}
+	rl := sn.repl
+	err := rl.absorb(m.SegEpoch, 0, data, func(ent *replEntry, enc []byte) {
+		e.emit(obs.Event{Type: obs.EvReplicate, Seg: m.Seg, Page: ent.post.page,
+			From: m.From, Arg: int64(ent.index), Cycle: replDigest(enc)})
+	})
+	if err != nil {
+		e.markStale()
+	}
+	e.send(int(m.From), &wire.Msg{Kind: wire.KAppendAck, Seg: m.Seg, Page: m.Page, Cycle: rl.lastIndex})
+}
+
+// absorb folds entries written under epoch into the log, the one rule
+// a follower's stream and an election's ballots share: a newer epoch
+// replaces the log wholesale (every epoch starts from a full snapshot,
+// so nothing carried over is needed), an older one adds nothing, and
+// within an epoch the higher index wins per page — a re-based snapshot
+// re-sends entries already held. last is the sender's highest index
+// where it may exceed the entries sent. taken sees each entry kept,
+// with its encoded bytes; entries ahead of a damaged one stay.
+func (rl *replSeg) absorb(epoch, last uint32, data []byte, taken func(ent *replEntry, enc []byte)) error {
+	if epoch < rl.epoch {
+		return nil
+	}
+	if epoch > rl.epoch || rl.pages == nil {
+		*rl = replSeg{epoch: epoch, pages: make(map[int32]*replEntry), lead: rl.lead}
+	}
+	rl.lastIndex = max(rl.lastIndex, last)
 	for len(data) > 0 {
 		ent, n, err := decodeReplEntry(data)
 		if err != nil {
-			e.markStale()
-			break
+			return err
 		}
-		dig := replDigest(data[:n])
+		if cur := rl.pages[ent.post.page]; cur == nil || ent.index > cur.index {
+			rl.pages[ent.post.page] = &ent
+			rl.lastIndex = max(rl.lastIndex, ent.index)
+			if taken != nil {
+				taken(&ent, data[:n])
+			}
+		}
 		data = data[n:]
-		cur := rl.pages[ent.page]
-		if cur != nil && ent.index <= cur.index {
-			continue // a re-based snapshot re-sent an entry already held
-		}
-		entCopy := ent
-		rl.pages[ent.page] = &entCopy
-		if ent.index > rl.lastIndex {
-			rl.lastIndex = ent.index
-		}
-		e.emit(obs.Event{Type: obs.EvReplicate, Seg: m.Seg, Page: ent.page,
-			From: m.From, Arg: int64(ent.index), Cycle: dig})
 	}
-	e.send(int(m.From), &wire.Msg{Kind: wire.KAppendAck, Seg: m.Seg, Page: m.Page, Cycle: rl.lastIndex})
+	return nil
 }
 
 // handleAppendAck runs at the leader: a cumulative-ack advance
@@ -564,22 +497,12 @@ func (e *Engine) handleAppendAck(sn *segNode, m *wire.Msg) {
 	}
 	ld := rl.lead
 	f := int(m.From)
-	member := false
-	for _, s := range ld.followers {
-		if s == f {
-			member = true
-			break
-		}
-	}
-	if !member {
+	if !slices.Contains(ld.followers, f) {
 		e.markStale()
 		return
 	}
 	if m.Page == -2 {
-		ld.dead[f] = true
-		ld.based[f] = false
-		e.replArmRevival(sn, f)
-		e.replRecomputeGates(sn)
+		e.replFollowerFailed(sn, f)
 		return
 	}
 	if m.Cycle > ld.acked[f] {
@@ -597,15 +520,12 @@ func (e *Engine) handleAppendAck(sn *segNode, m *wire.Msg) {
 // really gone just benches again — bounded, periodic, and deterministic
 // in simulation.
 func (e *Engine) replArmRevival(sn *segNode, f int) {
-	seg := int32(sn.meta.ID)
 	epoch := sn.segEpoch.Load()
-	e.env.After(e.opt.Failover.recoverTimeout(), func() {
-		cur, ok := e.segs[seg]
-		if !ok || cur != sn || sn.segEpoch.Load() != epoch || sn.repl == nil || sn.repl.lead == nil {
-			return
+	e.env.After(e.failover.RecoverTimeout, func() {
+		if e.live(sn) && sn.segEpoch.Load() == epoch && sn.repl != nil && sn.repl.lead != nil {
+			sn.repl.lead.dead[f] = false
+			sn.repl.lead.based[f] = false
 		}
-		sn.repl.lead.dead[f] = false
-		sn.repl.lead.based[f] = false
 	})
 }
 
@@ -630,60 +550,43 @@ func (e *Engine) replFollowerFailed(sn *segNode, f int) {
 // the role and forgot the dead library's requests): solicit the group's
 // log tails, merge a vote quorum, and install from the merged log —
 // no cluster-wide holdings interrogation. Vote timeout or an
-// unreachable quorum falls back to the legacy rebuild under the
+// unreachable quorum falls back to the holder rebuild under the
 // already-bumped epoch.
 func (e *Engine) beginElection(sn *segNode, rc *recovery) {
-	seg := int32(sn.meta.ID)
-	el := &replElect{
-		pages:   make(map[int32]*replEntry),
-		waiting: make(map[int]bool),
-		votes:   1,
-		need:    e.replVoteQuorum(),
-		bufs:    make(map[int]*voteBuf),
-	}
+	// The winner's own log is the first ballot (a copy: a lost race must
+	// leave this site's ballot for the next election as it was).
+	el := &replElect{waiting: make(map[int]bool), votes: 1, need: e.replVoteQuorum()}
+	el.log.pages = make(map[int32]*replEntry)
 	if rl := sn.repl; rl != nil {
-		el.bestEpoch = rl.epoch
-		el.bestIndex = rl.lastIndex
+		el.log.epoch, el.log.lastIndex = rl.epoch, rl.lastIndex
 		for pg, ent := range rl.pages {
-			el.pages[pg] = ent
+			el.log.pages[pg] = ent
 		}
 	}
 	rc.elect = el
-	var ballot [8]byte
-	binary.BigEndian.PutUint32(ballot[0:], el.bestEpoch)
-	binary.BigEndian.PutUint32(ballot[4:], el.bestIndex)
-	group := append([]int{rc.from}, e.replFollowers(rc.from)...)
-	for _, s := range group {
-		if s == e.site || s == rc.from {
+	ballot := binary.BigEndian.AppendUint32(nil, el.log.epoch)
+	ballot = binary.BigEndian.AppendUint32(ballot, el.log.lastIndex)
+	for _, s := range e.replFollowers(rc.from) {
+		if s == e.site {
 			continue
 		}
 		el.waiting[s] = true
-		e.send(s, &wire.Msg{Kind: wire.KVote, Seg: seg, Page: -1,
-			Req: int32(e.site), Data: append([]byte(nil), ballot[:]...)})
+		e.send(s, &wire.Msg{Kind: wire.KVote, Seg: int32(sn.meta.ID), Page: -1,
+			Req: int32(e.site), Data: append([]byte(nil), ballot...)})
 	}
 	if el.votes >= el.need || len(el.waiting) == 0 {
 		e.settleElection(sn)
 		return
 	}
-	rc.cancel = e.env.After(e.opt.Failover.recoverTimeout(), func() {
-		if cur, ok := e.segs[seg]; !ok || cur != sn || sn.recov != rc {
-			return
-		}
-		e.electionFallback(sn)
-	})
+	e.armRecovery(sn, rc, e.electionFallback)
 }
 
 // handleVote serves both directions of the election exchange. A
 // solicitation (From == Req, another site) is answered with this
 // site's ballot: log epoch, applied index, and the per-page latest
-// entries the solicitor's own log cannot already hold, chunked with
-// Upgrade marking the final chunk. A reply (Req == this site) is
-// buffered per voter and merged when complete.
+// entries the solicitor's own log cannot already hold. A reply (Req ==
+// this site) merges once all of it has arrived.
 func (e *Engine) handleVote(sn *segNode, m *wire.Msg) {
-	if e.opt.Replication == nil {
-		e.stats.Dropped++
-		return
-	}
 	from := int(m.From)
 	switch {
 	case int(m.Req) == from && from != e.site:
@@ -695,25 +598,14 @@ func (e *Engine) handleVote(sn *segNode, m *wire.Msg) {
 			return
 		}
 		el := rc.elect
-		if len(m.Data) < 8 {
-			e.markStale()
+		b, whole := sn.reassemble(m, 8)
+		if !whole {
 			return
 		}
-		b := el.bufs[from]
-		if b == nil {
-			b = &voteBuf{
-				epoch: binary.BigEndian.Uint32(m.Data[0:]),
-				last:  binary.BigEndian.Uint32(m.Data[4:]),
-			}
-			el.bufs[from] = b
-		}
-		b.entries = append(b.entries, m.Data[8:]...)
-		if !m.Upgrade {
-			return
-		}
-		delete(el.bufs, from)
 		delete(el.waiting, from)
-		el.merge(b)
+		// A ballot cut off by a damaged entry still counts as a vote, with
+		// the entries ahead of the damage.
+		_ = el.log.absorb(binary.BigEndian.Uint32(b[0:]), binary.BigEndian.Uint32(b[4:]), b[8:], nil)
 		el.votes++
 		if el.votes >= el.need || len(el.waiting) == 0 {
 			e.settleElection(sn)
@@ -723,116 +615,63 @@ func (e *Engine) handleVote(sn *segNode, m *wire.Msg) {
 	}
 }
 
-// merge folds one complete ballot into the election state: a higher
-// log epoch wins wholesale, an equal one merges per page by index, a
-// lower one contributes nothing but still counts as a vote.
-func (el *replElect) merge(b *voteBuf) {
-	if b.epoch < el.bestEpoch {
-		return
-	}
-	if b.epoch > el.bestEpoch {
-		el.bestEpoch = b.epoch
-		el.bestIndex = 0
-		el.pages = make(map[int32]*replEntry)
-	}
-	if b.last > el.bestIndex {
-		el.bestIndex = b.last
-	}
-	data := b.entries
-	for len(data) > 0 {
-		ent, n, err := decodeReplEntry(data)
-		if err != nil {
-			return
-		}
-		data = data[n:]
-		cur := el.pages[ent.page]
-		if cur == nil || ent.index > cur.index {
-			entCopy := ent
-			el.pages[ent.page] = &entCopy
-		}
-	}
-}
-
-// sendVoteReply ships this site's ballot to an election winner. The
-// solicitation carries the winner's own (epoch, index) so a same-epoch
-// reply can skip entries the winner's log already covers.
+// sendVoteReply ships this site's ballot to an election winner, every
+// chunk headed by the log's (epoch, index). The solicitation carries
+// the winner's own so a same-epoch reply can skip entries the winner's
+// log already covers, and a ballot older than the solicitor's is the
+// header alone: its entries cannot beat anything the winner merged.
 func (e *Engine) sendVoteReply(sn *segNode, to int, ballot []byte) {
 	var solEpoch, solIdx uint32
 	if len(ballot) >= 8 {
 		solEpoch = binary.BigEndian.Uint32(ballot[0:])
 		solIdx = binary.BigEndian.Uint32(ballot[4:])
 	}
-	rl := sn.repl
-	var hdr [8]byte
+	hdr := make([]byte, 8)
 	var ents []*replEntry
-	if rl != nil {
+	if rl := sn.repl; rl != nil {
 		binary.BigEndian.PutUint32(hdr[0:], rl.epoch)
 		binary.BigEndian.PutUint32(hdr[4:], rl.lastIndex)
-		// A ballot older than the solicitor's is epoch+index alone: its
-		// entries cannot beat anything the winner already merged.
-		if rl.epoch >= solEpoch {
-			for _, ent := range rl.pages {
-				if rl.epoch == solEpoch && ent.index <= solIdx {
-					continue
-				}
-				ents = append(ents, ent)
-			}
-			sort.Slice(ents, func(i, j int) bool { return ents[i].index < ents[j].index })
+		switch {
+		case rl.epoch > solEpoch:
+			ents = rl.tail(0)
+		case rl.epoch == solEpoch:
+			ents = rl.tail(solIdx)
 		}
 	}
-	seg := int32(sn.meta.ID)
-	send := func(data []byte, last bool) {
-		e.send(to, &wire.Msg{Kind: wire.KVote, Seg: seg, Page: -1,
-			Req: int32(to), Upgrade: last, Data: data})
-	}
-	data := append([]byte(nil), hdr[:]...)
-	for _, ent := range ents {
-		if len(data) >= replChunkBytes {
-			send(data, false)
-			data = append([]byte(nil), hdr[:]...)
-		}
-		data = encodeReplEntry(data, ent)
-	}
-	send(data, true)
+	tmpl := wire.Msg{Kind: wire.KVote, Seg: int32(sn.meta.ID), Page: -1, Req: int32(to)}
+	e.sendChunked(to, tmpl, hdr, len(ents), func(m *wire.Msg, i int) {
+		m.Data = encodeReplEntry(m.Data, ents[i])
+	})
 }
 
 // voteSolicitFailed reacts to an undeliverable solicitation: the voter
 // is gone; if no awaited ballot remains and the quorum is short, the
-// election cannot complete and the legacy rebuild takes over.
+// election cannot complete and the holder rebuild takes over.
 func (e *Engine) voteSolicitFailed(sn *segNode, to int) {
 	rc := sn.recov
 	if rc == nil || rc.elect == nil || !rc.elect.waiting[to] {
 		e.stats.Dropped++
 		return
 	}
-	el := rc.elect
-	delete(el.waiting, to)
-	delete(el.bufs, to)
-	if el.votes >= el.need {
-		e.settleElection(sn)
-		return
-	}
-	if len(el.waiting) == 0 {
+	delete(rc.elect.waiting, to)
+	if len(rc.elect.waiting) == 0 {
+		// And the quorum is short, or the election would have settled.
 		e.electionFallback(sn)
 	}
 }
 
-// electionFallback abandons the vote and reconstructs the record the
-// legacy way (holder interrogation) under the already-bumped epoch:
-// quorum lost means the log's completeness can no longer be proven, and
-// an unprovable log is worth less than the holders' own word.
+// electionFallback abandons the vote and reconstructs the record from
+// the holders (holderSource) under the already-bumped epoch: quorum
+// lost means the log's completeness can no longer be proven, and an
+// unprovable log is worth less than the holders' own word.
 func (e *Engine) electionFallback(sn *segNode) {
 	rc := sn.recov
 	if rc == nil || rc.elect == nil {
 		return
 	}
-	if rc.cancel != nil {
-		rc.cancel()
-		rc.cancel = nil
-	}
+	rc.disarm()
 	rc.elect = nil
-	e.mergeHoldings(rc, e.site, e.localHoldings(sn))
-	e.queryHoldings(sn, rc)
+	e.queryHoldings(sn, rc, e.everySite())
 }
 
 // settleElection runs once the vote quorum is merged. Pages whose
@@ -848,48 +687,25 @@ func (e *Engine) settleElection(sn *segNode) {
 	if rc == nil || rc.elect == nil {
 		return
 	}
-	if rc.cancel != nil {
-		rc.cancel()
-		rc.cancel = nil
-	}
+	rc.disarm()
 	el := rc.elect
 	el.waiting = nil
-	// This site's own holdings resolve intents it was itself involved in
-	// (it is never probed): e.g. an upgrade intent whose new writer is
-	// the electing site — whether it took effect is written in the local
-	// MMU, not in anyone else's report.
-	e.mergeHoldings(rc, e.site, e.localHoldings(sn))
-	targets := make(map[int]bool)
-	for _, ent := range el.pages {
+	var targets mmu.Copyset
+	for _, ent := range el.log.pages {
 		if !ent.intent {
 			continue
 		}
 		for _, s := range []int{ent.post.writer, ent.post.clock, ent.prior.clock, ent.prior.writer} {
-			if s >= 0 && s != e.site && s != rc.from {
-				targets[s] = true
+			if s >= 0 && s < e.failover.Sites { // a log may name anything
+				targets = targets.Add(s)
 			}
 		}
 	}
-	if len(targets) == 0 {
-		e.installElectedLib(sn)
-		return
-	}
-	seg := int32(sn.meta.ID)
-	order := make([]int, 0, len(targets))
-	for s := range targets {
-		order = append(order, s)
-	}
-	sort.Ints(order)
-	for _, s := range order {
-		rc.waiting[s] = true
-		e.send(s, &wire.Msg{Kind: wire.KRecover, Seg: seg, Page: -1, Req: int32(e.site)})
-	}
-	rc.cancel = e.env.After(e.opt.Failover.recoverTimeout(), func() {
-		if cur, ok := e.segs[seg]; !ok || cur != sn || sn.recov != rc {
-			return
-		}
-		e.installElectedLib(sn)
-	})
+	// This site's own holdings, merged with the probes' (it is never
+	// probed), resolve intents it was itself involved in: e.g. an upgrade
+	// intent whose new writer is the electing site — whether it took
+	// effect is written in the local MMU, not in anyone else's report.
+	e.queryHoldings(sn, rc, targets)
 }
 
 // resolveIntent picks the record for a page whose log tail is an
@@ -898,16 +714,16 @@ func (e *Engine) settleElection(sn *segNode) {
 // holds the writable copy; a downgrade failed only if the old writer
 // still holds it; a pure reader extension is always safe to adopt —
 // a listed reader without a copy just acks its invalidations vacuously.
-func resolveIntent(rc *recovery, ent *replEntry) replRec {
-	rp := rc.got[ent.page]
+func resolveIntent(rc *recovery, ent *replEntry) libRecord {
+	held := rc.got[ent.post.page].writer // who reported the writable copy
 	switch {
 	case ent.post.writer != mmu.NoWriter:
-		if rp != nil && rp.writer == ent.post.writer {
+		if held == ent.post.writer {
 			return ent.post
 		}
 		return ent.prior
 	case ent.prior.writer != mmu.NoWriter:
-		if rp != nil && rp.writer == ent.prior.writer {
+		if held == ent.prior.writer {
 			return ent.prior
 		}
 		return ent.post
@@ -916,107 +732,30 @@ func resolveIntent(rc *recovery, ent *replEntry) replRec {
 	}
 }
 
-// installElectedLib installs the merged log as the library record and
-// resumes granting: the replicated takeover's counterpart of
-// finishRecovery. The dead leader is scrubbed from the record; pages
-// it alone held stay attributed to it (the orphan fail-fast rule —
-// zero-filling would discard the only good copy, exactly as in the
-// legacy rebuild).
-func (e *Engine) installElectedLib(sn *segNode) {
-	rc := sn.recov
-	if rc == nil || rc.elect == nil {
-		return
-	}
-	if rc.cancel != nil {
-		rc.cancel()
-	}
-	sn.recov = nil
+// logSource is the second rehoming source (DESIGN.md §15): the merged
+// log tail, each in-flight intent resolved. It is not exact — the log
+// runs ahead of the holders by design, and the dead leader's own copies
+// are in it — and a page never logged never left its creator, the dead
+// leader: it stays as freshRecord left it, for installLibrary to orphan
+// like any page with no surviving copy.
+func (e *Engine) logSource(sn *segNode, rc *recovery) libSource {
 	el := rc.elect
-	seg := int32(sn.meta.ID)
-	dead := rc.from
-	lib := newLibSeg(sn.meta)
-	for pg := range lib.pages {
-		p := &lib.pages[pg]
-		ent := el.pages[int32(pg)]
-		if ent == nil {
-			// Never logged: the page never left its creator — the dead
-			// leader. Orphan it like the legacy no-surviving-copy rule.
-			p.writer, p.clock = dead, dead
-			continue
-		}
-		rec := ent.post
-		if ent.intent {
-			rec = resolveIntent(rc, ent)
-		}
-		p.writer = rec.writer
-		p.delta = rec.delta
-		p.readers = rec.readers.Remove(dead)
-		switch {
-		case p.writer == dead:
-			// The writable copy died with the leader: orphan fail-fast.
-			p.readers = mmu.Copyset{}
-			p.clock = dead
-		case p.writer != mmu.NoWriter:
-			p.clock = p.writer
-			// Restore writer exclusivity: reader entries alongside a
-			// writer are leftovers of an interrupted cycle.
-			p.readers.Remove(p.writer).ForEach(func(s int) {
-				e.send(s, &wire.Msg{Kind: wire.KInvalOrder, Seg: seg, Page: int32(pg)})
-			})
-			p.readers = mmu.Copyset{}
-		case p.readers.Empty():
-			// Reader-mode with every copy at the dead leader: orphaned.
-			p.writer, p.clock = dead, dead
+	recs := make([]libRecord, sn.m.Pages())
+	for pg := range recs {
+		switch ent := el.log.pages[int32(pg)]; {
+		case ent == nil:
+			recs[pg] = freshRecord(sn.meta, pg)
+		case ent.intent:
+			recs[pg] = resolveIntent(rc, ent)
 		default:
-			clock := rec.clock
-			if clock == dead || !p.readers.Has(clock) {
-				if p.readers.Has(e.site) {
-					clock = e.site
-				} else {
-					clock = p.readers.Sites()[0]
-				}
-			}
-			p.clock = clock
-			e.send(clock, &wire.Msg{
-				Kind: wire.KClockHandoff, Seg: seg, Page: int32(pg), Readers: p.readers,
-			})
+			recs[pg] = ent.post
 		}
 	}
-	sn.lib = lib
-	e.replSeedLeader(sn)
-	e.replBaseFollowers(sn)
-	e.stats.Recoveries++
-	e.stats.Elections++
-	e.obs.Count(e.site, obs.CRecovery)
-	e.obs.Count(e.site, obs.CElect)
-	e.obs.Observe(obs.HRecoverLatency, int64(e.env.Now()-rc.started))
-	e.emit(obs.Event{Type: obs.EvElect, Seg: seg, From: int32(dead),
-		Cycle: el.bestEpoch, Arg: int64(el.bestIndex)})
-	e.emit(obs.Event{Type: obs.EvRecover, Seg: seg, Arg: int64(dead)})
-	for _, m := range rc.buffered {
-		e.handleLibrary(sn, m)
-	}
-	rc.buffered = nil
-	for p := int32(0); p < int32(sn.m.Pages()); p++ {
-		e.wakeWaiters(sn, p)
-	}
-}
-
-// replBaseFollowers eagerly re-bases the new leader's follower group
-// with the epoch's seed log. Used after elections and migrations,
-// where the group members are known-attached; initial segment creation
-// bases lazily on first append instead, so a follower that has not
-// attached yet is not benched before it ever joined.
-func (e *Engine) replBaseFollowers(sn *segNode) {
-	if !e.replActive(sn) {
-		return
-	}
-	ld := sn.repl.lead
-	for _, f := range ld.followers {
-		if ld.dead[f] {
-			continue
-		}
-		e.replSendLog(sn, f)
-		ld.based[f] = true
-	}
+	return libSource{recs: recs, prev: rc.from, prevDead: true, relog: true, epoch: sn.segEpoch.Load(), announce: func() {
+		e.stats.Elections++
+		e.obs.Count(e.site, obs.CElect)
+		e.emit(obs.Event{Type: obs.EvElect, Seg: int32(sn.meta.ID), From: int32(rc.from),
+			Cycle: el.log.epoch, Arg: int64(el.log.lastIndex)})
+		e.announceRecovery(sn, rc)
+	}}
 }

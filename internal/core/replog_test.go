@@ -36,17 +36,20 @@ func TestReplEntryCodecRoundTrip(t *testing.T) {
 	for s := 0; s < 40; s++ {
 		dense = dense.Add(s)
 	}
+	rec := func(page int32, writer, clock int, delta time.Duration, readers mmu.Copyset) libRecord {
+		return libRecord{page: page, writer: writer, clock: clock, delta: delta, readers: readers,
+			lastWriter: mmu.NoWriter}
+	}
 	cases := []replEntry{
-		{index: 1, page: 0, post: replRec{writer: 3, clock: 3, delta: 20 * time.Millisecond}},
-		{index: 7, page: 2, post: replRec{writer: mmu.NoWriter, clock: 1, readers: sparse}},
-		{index: 9, page: 5, post: replRec{writer: mmu.NoWriter, clock: 0, readers: dense,
-			delta: time.Second}},
-		{intent: true, index: 12, page: 1,
-			post:  replRec{writer: 2, clock: 2, delta: 5 * time.Millisecond},
-			prior: replRec{writer: mmu.NoWriter, clock: 4, readers: sparse}},
-		{intent: true, index: 13, page: 3,
-			post:  replRec{writer: mmu.NoWriter, clock: 6, readers: dense},
-			prior: replRec{writer: 6, clock: 6}},
+		{index: 1, post: rec(0, 3, 3, 20*time.Millisecond, mmu.Copyset{})},
+		{index: 7, post: rec(2, mmu.NoWriter, 1, 0, sparse)},
+		{index: 9, post: rec(5, mmu.NoWriter, 0, time.Second, dense)},
+		{intent: true, index: 12,
+			post:  rec(1, 2, 2, 5*time.Millisecond, mmu.Copyset{}),
+			prior: rec(1, mmu.NoWriter, 4, 0, sparse)},
+		{intent: true, index: 13,
+			post:  rec(3, mmu.NoWriter, 6, 0, dense),
+			prior: rec(3, 6, 6, 0, mmu.Copyset{})},
 	}
 	var buf []byte
 	for i := range cases {
@@ -58,17 +61,11 @@ func TestReplEntryCodecRoundTrip(t *testing.T) {
 			t.Fatalf("entry %d: decode: %v", i, err)
 		}
 		want := cases[i]
-		if ent.intent != want.intent || ent.index != want.index || ent.page != want.page {
+		if ent.intent != want.intent || ent.index != want.index {
 			t.Fatalf("entry %d: header %+v, want %+v", i, ent, want)
 		}
-		for _, pair := range []struct{ got, want replRec }{{ent.post, want.post}, {ent.prior, want.prior}} {
-			if pair.got.writer != pair.want.writer || pair.got.clock != pair.want.clock ||
-				pair.got.delta != pair.want.delta || !pair.got.readers.Equal(pair.want.readers) {
-				t.Fatalf("entry %d: record %+v, want %+v", i, pair.got, pair.want)
-			}
-		}
-		if !want.intent && ent.prior.readers.Count() != 0 {
-			t.Fatalf("entry %d: set entry decoded a prior record", i)
+		if !sameRecord(ent.post, want.post) || !sameRecord(ent.prior, want.prior) {
+			t.Fatalf("entry %d: records %+v / %+v, want %+v / %+v", i, ent.post, ent.prior, want.post, want.prior)
 		}
 		buf = buf[n:]
 	}
@@ -80,9 +77,9 @@ func TestReplEntryCodecRoundTrip(t *testing.T) {
 // TestReplEntryCodecRejectsCorrupt feeds truncations and corruptions of
 // a valid entry to the decoder; none may round-trip silently.
 func TestReplEntryCodecRejectsCorrupt(t *testing.T) {
-	ent := replEntry{intent: true, index: 4, page: 1,
-		post:  replRec{writer: 2, clock: 2, delta: time.Millisecond},
-		prior: replRec{writer: mmu.NoWriter, clock: 3, readers: mmu.CopysetOf(3).Add(4)}}
+	ent := replEntry{intent: true, index: 4,
+		post:  libRecord{page: 1, writer: 2, clock: 2, delta: time.Millisecond},
+		prior: libRecord{page: 1, writer: mmu.NoWriter, clock: 3, readers: mmu.CopysetOf(3).Add(4)}}
 	good := encodeReplEntry(nil, &ent)
 	for cut := 0; cut < len(good); cut++ {
 		if _, _, err := decodeReplEntry(good[:cut]); err == nil {

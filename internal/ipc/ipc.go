@@ -152,24 +152,14 @@ func NewCluster(n int, cfg Config) *Cluster {
 	if cfg.MaxBytes == 0 {
 		cfg.MaxBytes = vaxmodel.MaxSegmentBytes
 	}
-	if rl := cfg.Engine.Reliability; rl != nil && rl.Sites == 0 {
-		// Fill in the cluster size so the AckTimeout auto-scale (see
-		// core.Reliability.Sites) sees the real N.
-		r := *rl
-		r.Sites = n
-		cfg.Engine.Reliability = &r
+	// Fill in the cluster size (callers pass &core.Failover{}, and the
+	// AckTimeout auto-scale wants the real N). A simulated cluster with an
+	// invalid option stack is a bug in the experiment that built it.
+	eng, err := cfg.Engine.ForCluster(n)
+	if err != nil {
+		panic(fmt.Sprintf("ipc: NewCluster: %v", err))
 	}
-	if fo := cfg.Engine.Failover; fo != nil && fo.Sites == 0 {
-		// Fill in the cluster size so callers can pass &core.Failover{}.
-		f := *fo
-		f.Sites = n
-		cfg.Engine.Failover = &f
-	}
-	if rp := cfg.Engine.Replication; rp != nil && rp.Sites == 0 {
-		r := *rp
-		r.Sites = n
-		cfg.Engine.Replication = &r
-	}
+	cfg.Engine = eng
 	c := &Cluster{
 		K:            sim.NewKernel(),
 		Registry:     mem.NewRegistry(cfg.PageSize, cfg.Delta, cfg.MaxBytes),
