@@ -8,6 +8,7 @@ import (
 	"mirage/internal/chaos"
 	"mirage/internal/core"
 	"mirage/internal/mem"
+	"mirage/internal/obs"
 	"mirage/internal/transport"
 	"mirage/internal/wire"
 )
@@ -299,8 +300,12 @@ func (s *Site) AttachAs(id SegID, readonly bool, uid int) (*Segment, error) {
 		nd.eng.AttachSegment(seg)
 		pages, _ = nd.eng.Map(int32(id))
 	})
-	return &Segment{site: s, seg: seg, pages: pages, readonly: readonly,
-		record: s.c.opts.Check, pid: s.c.pid()}, nil
+	g := &Segment{site: s, seg: seg, pages: pages, readonly: readonly,
+		record: s.c.opts.Check, pid: s.c.pid()}
+	if o := s.c.opts.Obs; o != nil && o.Metrics != nil {
+		g.faultLat = o.Metrics.Hist(obs.HFaultLatency)
+	}
+	return g, nil
 }
 
 // Remove marks the segment for destruction (shmctl IPC_RMID): hidden

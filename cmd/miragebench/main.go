@@ -11,7 +11,8 @@
 // run lengths for a fast smoke pass. -par caps the sweep worker pool
 // (0 = GOMAXPROCS); results are identical at any setting. -out writes
 // a machine-readable benchmark record (wall times per experiment plus
-// the data-path microbenchmarks) to the given file.
+// each sweep's grid) to the given file; the live data path is priced by
+// bench/ (bash bench/run.sh).
 //
 // E16 re-runs the Figure 7 Δ-sweep with the observability layer on.
 // -trace saves the Δ = quantum point's protocol trace (schema-v1
@@ -82,24 +83,19 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync/atomic"
-	"testing"
 	"time"
 
 	"mirage"
 	"mirage/internal/check"
 	"mirage/internal/exp"
 	"mirage/internal/load"
-	"mirage/internal/mmu"
 	"mirage/internal/obs"
 	"mirage/internal/stats"
-	"mirage/internal/transport"
 	"mirage/internal/vaxmodel"
-	"mirage/internal/wire"
 )
 
-// benchRecord is the -out JSON shape: enough to compare data-path and
-// harness performance across commits.
+// benchRecord is the -out JSON shape: enough to compare experiment
+// results and harness performance across commits.
 type benchRecord struct {
 	GOOS        string             `json:"goos"`
 	GOARCH      string             `json:"goarch"`
@@ -108,7 +104,6 @@ type benchRecord struct {
 	Quick       bool               `json:"quick"`
 	Experiments []experimentWall   `json:"experiments"`
 	TotalWallS  float64            `json:"total_wall_seconds"`
-	Micro       map[string]string  `json:"microbench,omitempty"`
 	Service     *serviceRecord     `json:"service,omitempty"`
 	Scale       *scaleRecord       `json:"scale,omitempty"`
 	Migration   *migrationRecord   `json:"migration,omitempty"`
@@ -210,68 +205,6 @@ func liveServiceLadder(cfg exp.ServiceConfig) ([]load.Rung, error) {
 		}))
 	}
 	return rungs, nil
-}
-
-// microbench measures the live data path: the wire codec hot paths and
-// sustained throughput over a real loopback TCP mesh.
-func microbench() map[string]string {
-	out := map[string]string{}
-	ctl := wire.Msg{Kind: wire.KInval, Mode: wire.Write, Seg: 3, Page: 17, Req: 2, Readers: mmu.CopysetOf(0, 1, 3)}
-	page := wire.Msg{Kind: wire.KPageSend, Seg: 1, Page: 2, Data: make([]byte, 512)}
-	buf := make([]byte, 0, wire.MaxFrame)
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = wire.Encode(buf[:0], &ctl)
-		}
-	})
-	out["wire_encode"] = fmt.Sprintf("%.1f ns/op, %d allocs/op", float64(r.NsPerOp()), r.AllocsPerOp())
-	frame := wire.Encode(nil, &page)
-	r = testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := wire.Decode(frame); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	out["wire_decode_page"] = fmt.Sprintf("%.1f ns/op, %d allocs/op", float64(r.NsPerOp()), r.AllocsPerOp())
-
-	// Live TCP loopback throughput, short and page frames.
-	tcp := func(m *wire.Msg) (float64, error) {
-		var count atomic.Int64
-		m0, err := transport.NewTCPSite(0, "127.0.0.1:0", func(*wire.Msg) {})
-		if err != nil {
-			return 0, err
-		}
-		defer m0.Close()
-		m1, err := transport.NewTCPSite(1, "127.0.0.1:0", func(*wire.Msg) { count.Add(1) })
-		if err != nil {
-			return 0, err
-		}
-		defer m1.Close()
-		addrs := []string{m0.Addr(), m1.Addr()}
-		m0.SetPeers(addrs)
-		m1.SetPeers(addrs)
-		const n = 200_000
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			if err := m0.Send(1, m); err != nil {
-				return 0, err
-			}
-		}
-		for count.Load() < n {
-			time.Sleep(100 * time.Microsecond)
-		}
-		return n / time.Since(start).Seconds(), nil
-	}
-	if rate, err := tcp(&ctl); err == nil {
-		out["tcp_short"] = fmt.Sprintf("%.0f msgs/s", rate)
-	}
-	if rate, err := tcp(&page); err == nil {
-		out["tcp_pages"] = fmt.Sprintf("%.0f msgs/s, %.1f MB/s", rate, rate*512/1e6)
-	}
-	return out
 }
 
 func main() {
@@ -906,7 +839,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	rec.TotalWallS = time.Since(totalStart).Seconds()
 	if *out != "" {
-		rec.Micro = microbench()
 		data, err := json.MarshalIndent(rec, "", "  ")
 		if err != nil {
 			fmt.Fprintf(stderr, "miragebench: marshal record: %v\n", err)

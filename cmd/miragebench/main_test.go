@@ -82,7 +82,7 @@ func TestE18FailoverSweepCommand(t *testing.T) {
 
 func TestE19ServiceLadder(t *testing.T) {
 	if testing.Short() {
-		t.Skip("wall-clock live ladder plus -out microbench")
+		t.Skip("wall-clock live ladder")
 	}
 	out := filepath.Join(t.TempDir(), "e19.json")
 	code, stdout, stderr := runBench(t, "-e", "e19", "-quick", "-out", out)
@@ -133,9 +133,6 @@ func TestE23AutoDeltaCommand(t *testing.T) {
 }
 
 func TestOutRecord(t *testing.T) {
-	if testing.Short() {
-		t.Skip("microbench loopback TCP is slow")
-	}
 	out := filepath.Join(t.TempDir(), "bench.json")
 	code, stdout, stderr := runBench(t, "-e", "e2", "-quick", "-out", out)
 	if code != 0 {

@@ -175,3 +175,39 @@ func TestTraceAndReflogFiles(t *testing.T) {
 		}
 	}
 }
+
+// TestTablesSameWithAndWithoutMetrics: the per-site tables are views of
+// the engines' own counters, so attaching the registry (-metrics) may
+// add the registry dump and nothing else — and what the dump says of a
+// counter is what the table says of its field.
+func TestTablesSameWithAndWithoutMetrics(t *testing.T) {
+	for _, scenario := range [][]string{
+		{"-workload", "counters", "-delta", "120ms", "-dur", "3s"},
+		{"-workload", "readers", "-sites", "3", "-dur", "4s", "-chaos", "crash site=0 from=2s", "-failover"},
+	} {
+		code, plain, stderr := runSim(t, scenario...)
+		if code != 0 {
+			t.Fatalf("%v: code %d, stderr %s", scenario, code, stderr)
+		}
+		code, full, stderr := runSim(t, append(scenario, "-metrics")...)
+		if code != 0 {
+			t.Fatalf("%v -metrics: code %d, stderr %s", scenario, code, stderr)
+		}
+		tables, dump, ok := strings.Cut(full, "\nmetrics registry:\n")
+		if !ok {
+			t.Fatalf("%v -metrics: no registry dump:\n%s", scenario, full)
+		}
+		if tables != plain {
+			t.Errorf("%v: tables differ with -metrics:\n--- without\n%s\n--- with\n%s", scenario, plain, tables)
+		}
+		// Site 1's read faults, by both routes (the dump omits zeros).
+		row := regexp.MustCompile(`(?m)^1 +(\d+) `).FindStringSubmatch(plain)
+		dumped := "0"
+		if m := regexp.MustCompile(`(?m)^read_faults .*site1=(\d+)`).FindStringSubmatch(dump); m != nil {
+			dumped = m[1]
+		}
+		if row == nil || row[1] != dumped {
+			t.Errorf("%v: site 1 read faults: table row %v, registry %s", scenario, row, dumped)
+		}
+	}
+}

@@ -163,11 +163,9 @@ func (e *Engine) autoTuneDelta(sn *segNode, page int32) time.Duration {
 		return p.delta
 	}
 	if p.delta > old {
-		e.stats.DeltaGrows++
-		e.obs.Count(e.site, obs.CDeltaGrow)
+		e.count(obs.CDeltaGrow)
 	} else {
-		e.stats.DeltaShrinks++
-		e.obs.Count(e.site, obs.CDeltaShrink)
+		e.count(obs.CDeltaShrink)
 	}
 	e.obs.Observe(obs.HTunedDelta, int64(p.delta))
 	e.emit(obs.Event{Type: obs.EvRetune, Seg: int32(sn.meta.ID), Page: page,

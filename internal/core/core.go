@@ -225,7 +225,9 @@ func (o Options) ForCluster(n int) (Options, error) {
 	return o, nil
 }
 
-// Stats counts engine activity. All counters are cumulative.
+// Stats is engine activity as Site.Stats() and the experiment tables
+// read it: a view of the site's counters in the obs vocabulary
+// (docs/OBSERVABILITY.md), all cumulative.
 type Stats struct {
 	ReadFaults     int
 	WriteFaults    int
@@ -343,9 +345,15 @@ type Engine struct {
 	relay map[pageKey]*invalRelay   // interior-site delegated inval subtrees
 	rel   *rel                      // nil unless Options.Reliability set
 	stash map[pageKey][]byte        // clock-side frames captured per grant cycle
-	stats Stats
-	obs   *obs.Obs  // nil when observability is off
-	auto  AutoDelta // normalized AutoDelta config; valid iff opt.AutoDelta != nil
+	obs   *obs.Obs                  // nil when observability is off
+	auto  AutoDelta                 // normalized AutoDelta config; valid iff opt.AutoDelta != nil
+
+	// The one ledger (DESIGN.md §9): counts is this site's entry per
+	// counter of the obs vocabulary, written by count and countN on the
+	// engine's goroutine and read by Stats; reg, when observability is on
+	// with a registry, receives the same entries.
+	counts [obs.NumCounters]int64
+	reg    *obs.Registry
 
 	// The rehoming layers, resolved once by New. Each rests on the one
 	// before — Failover's trigger is the reliable channel's give-up
@@ -378,6 +386,9 @@ func New(env Env, opt Options) *Engine {
 		relay: make(map[pageKey]*invalRelay),
 		stash: make(map[pageKey][]byte),
 		obs:   opt.Obs,
+	}
+	if opt.Obs != nil {
+		e.reg = opt.Obs.Metrics
 	}
 	if opt.Reliability != nil {
 		e.rel = newRel(e, *opt.Reliability)
@@ -429,11 +440,21 @@ func (e *Engine) emitFor(sn *segNode, ev obs.Event) {
 	e.obs.Emit(ev)
 }
 
-// markStale counts a tolerated out-of-cycle or inconsistent message.
-func (e *Engine) markStale() {
-	e.stats.Stale++
-	e.obs.Count(e.site, obs.CStale)
+// count and countN are the only code in this package that counts: one
+// entry in the engine's own array — plain adds, so with observability
+// off an event costs a nil test and no allocation — and the same entry
+// in the registry when one is attached.
+func (e *Engine) count(c obs.Counter) { e.countN(c, 1) }
+
+func (e *Engine) countN(c obs.Counter, n int64) {
+	e.counts[c] += n
+	if e.reg != nil {
+		e.reg.Add(e.site, c, n)
+	}
 }
+
+// markStale counts a tolerated out-of-cycle or inconsistent message.
+func (e *Engine) markStale() { e.count(obs.CStale) }
 
 // fnvOffset and fnvPrime are the FNV-1a 64-bit parameters RecordOp
 // digests op payloads with.
@@ -507,11 +528,47 @@ func (v Mapping) RecordOp(page int32, off int, write bool, b []byte) {
 	v.e.emitFor(v.sn, opEvent(int32(v.sn.meta.ID), page, off, write, b))
 }
 
-// Stats returns a snapshot of the counters.
-func (e *Engine) Stats() Stats { return e.stats }
-
-// ResetStats zeroes the counters.
-func (e *Engine) ResetStats() { e.stats = Stats{} }
+// Stats returns a snapshot of the counters: a view of the engine's
+// entries in the obs vocabulary, field by field (written out rather than
+// reflected — live callers time this call).
+func (e *Engine) Stats() Stats {
+	n := func(c obs.Counter) int { return int(e.counts[c]) }
+	return Stats{
+		ReadFaults:        n(obs.CReadFault),
+		WriteFaults:       n(obs.CWriteFault),
+		RequestsSent:      n(obs.CRequestSent),
+		PagesSent:         n(obs.CPageSent),
+		PagesReceived:     n(obs.CPageRecv),
+		Upgrades:          n(obs.CUpgrade),
+		Downgrades:        n(obs.CDowngrade),
+		InvalsReceived:    n(obs.CInvalRecv),
+		InvalOrders:       n(obs.CInvalOrder),
+		BusyReplies:       n(obs.CBusyReply),
+		Retries:           n(obs.CRetry),
+		Already:           n(obs.CAlready),
+		WindowWait:        time.Duration(e.counts[obs.CWindowWait]),
+		Dropped:           n(obs.CDropped),
+		Retransmits:       n(obs.CRetransmit),
+		DupDrops:          n(obs.CDupDrop),
+		GaveUp:            n(obs.CGaveUp),
+		Denied:            n(obs.CDenied),
+		Degraded:          n(obs.CDegraded),
+		Stale:             n(obs.CStale),
+		Lost:              n(obs.CLost),
+		Reissued:          n(obs.CReissued),
+		Failovers:         n(obs.CFailover),
+		Recoveries:        n(obs.CRecovery),
+		StaleEpoch:        n(obs.CStaleEpoch),
+		Migrations:        n(obs.CMigration),
+		MigrationsRefused: n(obs.CMigrationRefused),
+		Appends:           n(obs.CAppend),
+		ReplCommits:       n(obs.CReplCommit),
+		ReplDegraded:      n(obs.CReplDegraded),
+		Elections:         n(obs.CElect),
+		DeltaGrows:        n(obs.CDeltaGrow),
+		DeltaShrinks:      n(obs.CDeltaShrink),
+	}
+}
 
 // CreateSegment initializes protocol state for a segment created at
 // this site, which becomes its library site (§6.0). All pages start
@@ -625,12 +682,10 @@ func (e *Engine) Fault(seg int32, page int32, write bool, pid int32, wake func()
 		return
 	}
 	if write {
-		e.stats.WriteFaults++
-		e.obs.Count(e.site, obs.CWriteFault)
+		e.count(obs.CWriteFault)
 		e.emit(obs.Event{Type: obs.EvFault, Seg: seg, Page: page, Arg: 1})
 	} else {
-		e.stats.ReadFaults++
-		e.obs.Count(e.site, obs.CReadFault)
+		e.count(obs.CReadFault)
 		e.emit(obs.Event{Type: obs.EvFault, Seg: seg, Page: page})
 	}
 	sn.waiters[page] = append(sn.waiters[page], waiter{write: write, wake: wake})
@@ -654,7 +709,7 @@ func (e *Engine) Fault(seg int32, page int32, write bool, pid int32, wake func()
 	if !needReq {
 		return
 	}
-	e.stats.RequestsSent++
+	e.count(obs.CRequestSent)
 	cost := e.costs.Request
 	if sn.curLib == e.site {
 		cost = e.costs.LocalFault
@@ -742,7 +797,7 @@ func (e *Engine) receive(m *wire.Msg) {
 }
 
 func (e *Engine) handle(m *wire.Msg) {
-	e.obs.Count(e.site, obs.CMsgRecv)
+	e.count(obs.CMsgRecv)
 	e.emit(obs.Event{Type: obs.EvMsgRecv, Kind: m.Kind, Seg: m.Seg, Page: m.Page,
 		From: m.From, To: int32(e.site), Cycle: m.Cycle})
 	sn, ok := e.segs[m.Seg]
@@ -769,7 +824,7 @@ func (e *Engine) handle(m *wire.Msg) {
 				return
 			}
 		}
-		e.stats.Dropped++
+		e.count(obs.CDropped)
 		return
 	}
 	switch m.Kind {
@@ -777,12 +832,12 @@ func (e *Engine) handle(m *wire.Msg) {
 		// Rehoming traffic resolves epoch skew itself, so it skips the
 		// generic fence.
 		if e.failover == nil {
-			e.stats.Dropped++
+			e.count(obs.CDropped)
 			return
 		}
 	case wire.KAppend, wire.KAppendAck, wire.KVote:
 		if e.replication == nil {
-			e.stats.Dropped++
+			e.count(obs.CDropped)
 			return
 		}
 		fallthrough
@@ -862,13 +917,13 @@ func (e *Engine) send(to int, m *wire.Msg) {
 // transmit hands a message to the reliability layer when one is
 // configured; loopback always bypasses it (a site reaches itself).
 func (e *Engine) transmit(to int, m *wire.Msg) {
-	e.obs.Count(e.site, obs.CMsgSent)
-	e.obs.CountN(e.site, obs.CWireByte, int64(m.EncodedLen()))
+	e.count(obs.CMsgSent)
+	e.countN(obs.CWireByte, int64(m.EncodedLen()))
 	switch m.Kind {
 	case wire.KPageSend:
-		e.obs.Count(e.site, obs.CPageSent)
+		e.count(obs.CPageSent)
 	case wire.KInval, wire.KInvalOrder:
-		e.obs.Count(e.site, obs.CInvalSent)
+		e.count(obs.CInvalSent)
 	}
 	e.emit(obs.Event{Type: obs.EvMsgSend, Kind: m.Kind, Seg: m.Seg, Page: m.Page,
 		From: int32(e.site), To: int32(to), Cycle: m.Cycle})

@@ -6,6 +6,7 @@ import (
 
 	"mirage/internal/mem"
 	"mirage/internal/mmu"
+	"mirage/internal/obs"
 	"mirage/internal/sim"
 	"mirage/internal/trace"
 	"mirage/internal/wire"
@@ -551,7 +552,7 @@ func TestReleaseReaderAndClockHandoff(t *testing.T) {
 	if n.engines[1].Seg(1).Present(0) {
 		t.Fatal("released site should drop its copy")
 	}
-	if n.engines[1].Releasing(1) {
+	if n.engines[1].Seg(1).Closed() {
 		t.Fatal("release not finalized")
 	}
 }
@@ -655,6 +656,28 @@ func TestWindowWaitAccounted(t *testing.T) {
 	n.acquire(0, 1, 0, true)
 	if w := n.engines[1].Stats().WindowWait; w < 40*time.Millisecond {
 		t.Fatalf("WindowWait = %v, want most of the 60ms window", w)
+	}
+}
+
+// TestCountAllocFree is the "off is free" gate for the one ledger: with
+// no registry an event is an add into the engine's own array, and with
+// one (its site's shard touched) still no allocation.
+func TestCountAllocFree(t *testing.T) {
+	for name, o := range map[string]*obs.Obs{"off": nil, "registry": obs.New()} {
+		e := newTestNet(t, 1, Options{Obs: o}).engines[0]
+		e.count(obs.CMsgSent)
+		if a := testing.AllocsPerRun(1000, func() {
+			e.count(obs.CReadFault)
+			e.countN(obs.CWindowWait, 40)
+		}); a != 0 {
+			t.Errorf("%s: count allocates %.1f per event pair", name, a)
+		}
+		if st := e.Stats(); st.ReadFaults != 1001 || st.WindowWait != 40*1001 {
+			t.Errorf("%s: Stats = %d read faults, %v window wait after 1001 pairs", name, st.ReadFaults, st.WindowWait)
+		}
+		if o != nil && o.Metrics.Get(0, obs.CReadFault) != 1001 {
+			t.Errorf("registry saw %d read faults", o.Metrics.Get(0, obs.CReadFault))
+		}
 	}
 }
 

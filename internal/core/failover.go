@@ -111,8 +111,7 @@ func (e *Engine) triggerFailover(sn *segNode, seg int32, tried mmu.Copyset) bool
 		if tried.Has(cand) {
 			continue
 		}
-		e.stats.Failovers++
-		e.obs.Count(e.site, obs.CFailover)
+		e.count(obs.CFailover)
 		e.emit(obs.Event{Type: obs.EvFailover, Seg: seg, From: int32(dead), To: int32(cand)})
 		e.send(cand, &wire.Msg{Kind: wire.KRecover, Seg: seg, Page: -1,
 			Req: int32(cand), Readers: tried.Add(cand)})
@@ -281,8 +280,7 @@ func (e *Engine) holderSource(sn *segNode, rc *recovery) libSource {
 
 // announceRecovery counts and traces a completed crash takeover.
 func (e *Engine) announceRecovery(sn *segNode, rc *recovery) {
-	e.stats.Recoveries++
-	e.obs.Count(e.site, obs.CRecovery)
+	e.count(obs.CRecovery)
 	e.obs.Observe(obs.HRecoverLatency, int64(e.env.Now()-rc.started))
 	e.emit(obs.Event{Type: obs.EvRecover, Seg: int32(sn.meta.ID), Arg: int64(rc.from)})
 }
@@ -434,8 +432,7 @@ func (e *Engine) rollbackPend(sn *segNode, page int32, pi *pendingInval) {
 // sender which epoch is current — a deposed library that comes back
 // learns of its replacement from exactly this notice.
 func (e *Engine) staleEpoch(sn *segNode, m *wire.Msg) {
-	e.stats.StaleEpoch++
-	e.obs.Count(e.site, obs.CStaleEpoch)
+	e.count(obs.CStaleEpoch)
 	e.send(int(m.From), &wire.Msg{
 		Kind: wire.KRecover, Seg: m.Seg, Page: -1, Req: int32(sn.curLib),
 	})

@@ -68,7 +68,7 @@ func (e *Engine) fanoutInvalOrders(m *wire.Msg, targets mmu.Copyset) map[int]mmu
 			Readers: slice,
 		})
 	}
-	e.obs.Count(e.site, obs.CInvalFanout)
+	e.count(obs.CInvalFanout)
 	e.emit(obs.Event{Type: obs.EvInvalFanout, Seg: m.Seg, Page: m.Page,
 		Cycle: m.Cycle, Arg: int64(len(sub))})
 	return sub
@@ -124,7 +124,6 @@ func (e *Engine) handleAddReader(sn *segNode, m *wire.Msg) {
 	a.ReaderMask = a.ReaderMask.Union(m.Readers)
 	data := sn.m.Frame(p)
 	m.Readers.ForEach(func(s int) {
-		e.stats.PagesSent++
 		e.send(s, &wire.Msg{
 			Kind:  wire.KPageSend,
 			Mode:  wire.Read,
@@ -142,7 +141,7 @@ func (e *Engine) handleAddReader(sn *segNode, m *wire.Msg) {
 // any other outstanding readers, and distribute the page to the new
 // writer or new readers.
 func (e *Engine) handleInval(sn *segNode, m *wire.Msg) {
-	e.stats.InvalsReceived++
+	e.count(obs.CInvalRecv)
 	p := int(m.Page)
 	if !sn.m.Present(p) {
 		if e.rel == nil {
@@ -162,20 +161,20 @@ func (e *Engine) handleInval(sn *segNode, m *wire.Msg) {
 		// immediately with the amount of time the library must wait".
 		// However the policy resolves it, this is a Δ denial — the
 		// datum behind the Δ-tuning analyses.
-		e.obs.Count(e.site, obs.CDeltaDenial)
+		e.count(obs.CDeltaDenial)
 		e.obs.Observe(obs.HDenialRemaining, int64(rem))
 		e.emit(obs.Event{Type: obs.EvDeltaDeny, Seg: m.Seg, Page: m.Page,
 			Cycle: m.Cycle, Arg: int64(rem)})
 		switch e.opt.Policy {
 		case PolicyRetry:
-			e.stats.BusyReplies++
+			e.count(obs.CBusyReply)
 			e.send(sn.curLib, &wire.Msg{
 				Kind: wire.KBusy, Seg: m.Seg, Page: m.Page, Remaining: rem, Cycle: m.Cycle,
 			})
 			return
 		case PolicyHonorClose:
 			if rem > e.opt.HonorThreshold {
-				e.stats.BusyReplies++
+				e.count(obs.CBusyReply)
 				e.send(sn.curLib, &wire.Msg{
 					Kind: wire.KBusy, Seg: m.Seg, Page: m.Page, Remaining: rem, Cycle: m.Cycle,
 				})
@@ -183,7 +182,7 @@ func (e *Engine) handleInval(sn *segNode, m *wire.Msg) {
 			}
 			fallthrough
 		case PolicyQueue:
-			e.stats.WindowWait += rem
+			e.countN(obs.CWindowWait, int64(rem))
 			e.env.After(rem, func() {
 				// Segment may have been destroyed while we waited.
 				if e.live(sn) {
@@ -218,8 +217,7 @@ func (e *Engine) acceptInval(sn *segNode, m *wire.Msg) {
 			return
 		}
 		sn.m.Downgrade(p, now)
-		e.stats.Downgrades++
-		e.obs.Count(e.site, obs.CDowngrade)
+		e.count(obs.CDowngrade)
 		if !sn.releasing() {
 			// Mid-release the surrender was already traced when the copy
 			// shipped home; the frame survives only to serve this cycle
@@ -235,7 +233,6 @@ func (e *Engine) acceptInval(sn *segNode, m *wire.Msg) {
 		a.ReaderMask = mmu.CopysetOf(e.site).Union(m.Readers)
 		data := sn.m.Frame(p)
 		m.Readers.ForEach(func(s int) {
-			e.stats.PagesSent++
 			e.send(s, &wire.Msg{
 				Kind:  wire.KPageSend,
 				Mode:  wire.Read,
@@ -322,7 +319,7 @@ func (e *Engine) reissueDelegations(k pageKey, cycle uint32, sub map[int]mmu.Cop
 		delete(sub, root)
 		subtree.ForEach(func(s int) {
 			if remaining.Has(s) {
-				e.stats.Reissued++
+				e.count(obs.CReissued)
 				e.send(s, &wire.Msg{Kind: wire.KInvalOrder, Seg: k.seg, Page: k.page, Cycle: cycle})
 			}
 		})
@@ -341,8 +338,7 @@ func (e *Engine) finishWriteGrant(sn *segNode, m *wire.Msg, data []byte) {
 			a := sn.m.Aux(int(m.Page))
 			a.Writer = e.site
 			sn.m.SetWindow(int(m.Page), m.Delta)
-			e.stats.Upgrades++
-			e.obs.Count(e.site, obs.CUpgrade)
+			e.count(obs.CUpgrade)
 			e.emit(obs.Event{Type: obs.EvUpgrade, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
 			e.emit(obs.Event{Type: obs.EvPageState, Seg: m.Seg, Page: m.Page, Arg: 2})
 			sn.m.Upgrade(int(m.Page), now)
@@ -373,7 +369,6 @@ func (e *Engine) finishWriteGrant(sn *segNode, m *wire.Msg, data []byte) {
 	if data == nil {
 		panic(fmt.Sprintf("core: site %d: write grant with no page data: %v", e.site, m))
 	}
-	e.stats.PagesSent++
 	e.send(req, &wire.Msg{
 		Kind:  wire.KPageSend,
 		Mode:  wire.Write,
@@ -390,7 +385,7 @@ func (e *Engine) finishWriteGrant(sn *segNode, m *wire.Msg, data []byte) {
 // discarding its own copy the site relays orders to the remaining
 // members and answers its parent with one aggregated ack.
 func (e *Engine) handleInvalOrder(sn *segNode, m *wire.Msg) {
-	e.stats.InvalOrders++
+	e.count(obs.CInvalOrder)
 	p := int(m.Page)
 	if sn.m.Present(p) {
 		sn.m.Invalidate(p)
@@ -412,7 +407,7 @@ func (e *Engine) handleInvalOrder(sn *segNode, m *wire.Msg) {
 	// until every member is resolved. A newer order for the same page
 	// supersedes any stale relay state (its parent has already given up
 	// or aborted; late acks to it resolve as stale).
-	e.obs.Count(e.site, obs.CRelay)
+	e.count(obs.CRelay)
 	e.emit(obs.Event{Type: obs.EvRelay, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle,
 		From: m.From, Arg: int64(rest.Count())})
 	rl := &invalRelay{
@@ -446,7 +441,7 @@ func ackCovered(m *wire.Msg) mmu.Copyset {
 // for the cycle in flight, or at an interior relay for its delegated
 // subtree.
 func (e *Engine) handleInvalAck(sn *segNode, m *wire.Msg) {
-	e.obs.Count(e.site, obs.CInvalAcked)
+	e.count(obs.CInvalAcked)
 	k := pageKey{m.Seg, m.Page}
 	if rl, ok := e.relay[k]; ok && rl.cycle == m.Cycle {
 		covered := ackCovered(m)
@@ -551,11 +546,10 @@ func (e *Engine) handlePageSend(sn *segNode, m *wire.Msg) {
 		// re-installing would leave a frame the library's record no
 		// longer tracks (and, once the record drains, coexist with a
 		// reclaimed writable copy at the library).
-		e.stats.Dropped++
+		e.count(obs.CDropped)
 		return
 	}
-	e.stats.PagesReceived++
-	e.obs.Count(e.site, obs.CPageRecv)
+	e.count(obs.CPageRecv)
 	p := int(m.Page)
 	now := e.env.Now()
 	prot := mmu.ReadOnly
@@ -629,8 +623,7 @@ func (e *Engine) handleUpgradeGrant(sn *segNode, m *wire.Msg) {
 	a.Writer = e.site
 	sn.m.SetWindow(p, m.Delta)
 	a.ReaderMask = mmu.Copyset{}
-	e.stats.Upgrades++
-	e.obs.Count(e.site, obs.CUpgrade)
+	e.count(obs.CUpgrade)
 	e.emit(obs.Event{Type: obs.EvUpgrade, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
 	e.emit(obs.Event{Type: obs.EvPageState, Seg: m.Seg, Page: m.Page, Arg: 2})
 	sn.m.Upgrade(p, now)
@@ -646,8 +639,7 @@ func (e *Engine) handleUpgradeGrant(sn *segNode, m *wire.Msg) {
 
 // handleAlready clears the satisfied request and lets waiters recheck.
 func (e *Engine) handleAlready(sn *segNode, m *wire.Msg) {
-	e.stats.Already++
-	e.obs.Count(e.site, obs.CAlready)
+	e.count(obs.CAlready)
 	if m.Mode == wire.Write {
 		sn.outW[m.Page] = false
 	} else {
@@ -670,10 +662,4 @@ func (e *Engine) handleAlready(sn *segNode, m *wire.Msg) {
 		e.send(sn.curLib, &wire.Msg{Kind: wire.KReleaseRead, Seg: m.Seg, Page: m.Page})
 	}
 	e.wakeWaiters(sn, m.Page)
-}
-
-// windowRemainingForTest exposes Δ accounting to package tests.
-func (e *Engine) windowRemainingForTest(seg, page int32) time.Duration {
-	sn := e.segs[seg]
-	return sn.m.WindowRemaining(int(page), e.env.Now())
 }

@@ -254,8 +254,8 @@ func (e *Engine) handleLibrary(sn *segNode, m *wire.Msg) {
 			}
 			panic(fmt.Sprintf("core: site %d: busy with no cycle: %v", e.site, m))
 		}
-		e.stats.Retries++
-		e.stats.WindowWait += m.Remaining
+		e.count(obs.CRetry)
+		e.countN(obs.CWindowWait, int64(m.Remaining))
 		// The library's only denial signal is this KBusy (PolicyQueue
 		// absorbs waits at the clock site and never sends one). Feed the
 		// per-page tuning record the clock site's global counters
@@ -266,7 +266,6 @@ func (e *Engine) handleLibrary(sn *segNode, m *wire.Msg) {
 		} else {
 			p.denRemEWMA = (3*p.denRemEWMA + m.Remaining) / 4
 		}
-		e.obs.Count(e.site, obs.CRetry)
 		e.emit(obs.Event{Type: obs.EvRetry, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle,
 			Arg: int64(m.Remaining)})
 		inval := p.grant.inval
@@ -391,7 +390,7 @@ func (e *Engine) libStartReadCycle(sn *segNode, page int32, batch mmu.Copyset) {
 	p.busy = true
 	p.pendingInstalls = batch.Count()
 	p.cycle++
-	e.obs.Count(e.site, obs.CGrantCycle)
+	e.count(obs.CGrantCycle)
 	e.emit(obs.Event{Type: obs.EvGrantStart, Seg: int32(sn.meta.ID), Page: page, Cycle: p.cycle})
 	if p.writer != mmu.NoWriter {
 		// Downgrade the writer; it becomes (and stays) the clock site.
@@ -423,7 +422,7 @@ func (e *Engine) libStartWriteCycle(sn *segNode, page int32, to int) {
 	p.busy = true
 	p.pendingInstalls = 1
 	p.cycle++
-	e.obs.Count(e.site, obs.CGrantCycle)
+	e.count(obs.CGrantCycle)
 	e.emit(obs.Event{Type: obs.EvGrantStart, Seg: int32(sn.meta.ID), Page: page,
 		To: int32(to), Cycle: p.cycle, Arg: 1})
 	p.grant = grantCycle{

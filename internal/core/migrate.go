@@ -212,8 +212,7 @@ func (e *Engine) abortMigration(sn *segNode, timedOut bool) {
 		mig.cancel()
 	}
 	sn.migOut = nil
-	e.stats.MigrationsRefused++
-	e.obs.Count(e.site, obs.CMigrationRefused)
+	e.count(obs.CMigrationRefused)
 	if timedOut {
 		sn.segEpoch.Add(2)
 	}
@@ -284,9 +283,8 @@ func (e *Engine) offerSource(sn *segNode, m *wire.Msg, data []byte) (libSource, 
 		recs = append(recs, r)
 	}
 	from := int(m.From)
-	return libSource{recs: recs, prev: from, exact: true, relog: true, epoch: m.SegEpoch + 1, announce: func() {
-		e.stats.Migrations++
-		e.obs.Count(e.site, obs.CMigration)
+	return libSource{recs: recs, prev: from, exact: true, epoch: m.SegEpoch + 1, announce: func() {
+		e.count(obs.CMigration)
 		e.emit(obs.Event{Type: obs.EvMigrate, Seg: m.Seg, Arg: int64(from)})
 		e.send(from, &wire.Msg{Kind: wire.KMigrateAck, Seg: m.Seg, Page: 0})
 		// This site's own requests sat in the old library's frozen queue,

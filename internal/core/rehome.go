@@ -241,11 +241,6 @@ type libSource struct {
 	exact bool
 	// prevDead: prev crashed, and every copy it held is gone with it.
 	prevDead bool
-	// relog: the state is a log head — read from the group's logs or
-	// shipped as one — so this site leads the new epoch's group from it.
-	// A holder rebuild runs when no group could vouch for a log, and
-	// leaves the segment unreplicated (E25 records what that costs).
-	relog    bool
 	epoch    uint32 // the epoch the installed library grants under
 	announce func() // the source's counters, trace events and confirmation
 }
@@ -297,10 +292,12 @@ func (e *Engine) installLibrary(sn *segNode, src libSource) error {
 	// the segment cannot bounce straight back.
 	now := e.env.Now()
 	sn.place = &placeTrack{demand: make(map[int]int), windowStart: now, lastMove: now}
-	if src.relog && e.replication != nil {
-		// The installed record IS the new epoch's log head: seed the log
-		// from it and base this leader's follower group eagerly — the
-		// group changes with the leader.
+	if e.replication != nil {
+		// Whatever the source, the installed record IS the new epoch's log
+		// head: seed the log from it and base this leader's follower group
+		// eagerly — the group changes with the leader. A holder rebuild ran
+		// because no group could vouch for a log; the next crash must find
+		// one that has heard of everything this library grants.
 		e.replSeedLeader(sn)
 		e.replBaseFollowers(sn)
 	}

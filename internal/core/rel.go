@@ -177,8 +177,7 @@ func (r *rel) arm(to int, p *relPeer, pd *relPending) {
 			return
 		}
 		pd.attempts++
-		r.e.stats.Retransmits++
-		r.e.obs.Count(r.e.site, obs.CRetransmit)
+		r.e.count(obs.CRetransmit)
 		r.e.emit(obs.Event{Type: obs.EvRetransmit, Kind: pd.m.Kind,
 			Seg: pd.m.Seg, Page: pd.m.Page, From: int32(r.e.site), To: int32(to),
 			Cycle: pd.m.Cycle, Arg: int64(pd.m.Seq)})
@@ -202,8 +201,7 @@ func (r *rel) giveUp(to int, p *relPeer) {
 	p.pending = make(map[uint64]*relPending)
 	p.epoch++
 	p.nextSeq = 1
-	r.e.stats.GaveUp++
-	r.e.obs.Count(r.e.site, obs.CGaveUp)
+	r.e.count(obs.CGaveUp)
 	// React in send order: earlier messages set up state later ones
 	// depend on.
 	sort.Slice(msgs, func(i, j int) bool { return msgs[i].Seq < msgs[j].Seq })
@@ -248,8 +246,7 @@ func (r *rel) onSequenced(m *wire.Msg) {
 	switch {
 	case m.Seq < p.rNext:
 		// Duplicate (retransmission raced the ack, or a chaos dup).
-		r.e.stats.DupDrops++
-		r.e.obs.Count(r.e.site, obs.CDupDrop)
+		r.e.count(obs.CDupDrop)
 		r.ack(from, p)
 	case m.Seq == p.rNext:
 		p.rNext++
@@ -289,7 +286,7 @@ func (r *rel) ack(to int, p *relPeer) {
 func (e *Engine) deliveryFailed(to int, m *wire.Msg) {
 	sn, ok := e.segs[m.Seg]
 	if !ok {
-		e.stats.Dropped++
+		e.count(obs.CDropped)
 		return
 	}
 	switch m.Kind {
@@ -356,7 +353,7 @@ func (e *Engine) deliveryFailed(to int, m *wire.Msg) {
 			e.triggerFailover(sn, m.Seg, m.Readers) {
 			return
 		}
-		e.stats.Dropped++
+		e.count(obs.CDropped)
 
 	case wire.KMigrate:
 		// The migration offer could not reach the successor. The final
@@ -366,11 +363,11 @@ func (e *Engine) deliveryFailed(to int, m *wire.Msg) {
 		e.abortMigration(sn, false)
 
 	case wire.KReleaseRead, wire.KReleaseWrite:
-		if e.opt.Failover != nil && m.SegEpoch != sn.segEpoch.Load() {
+		if e.failover != nil && m.SegEpoch != sn.segEpoch.Load() {
 			// A release conceived under a superseded epoch: adoptEpoch
 			// already re-issued it against the current library and reset
 			// the pending count, so this give-up must not decrement it.
-			e.stats.Dropped++
+			e.count(obs.CDropped)
 			return
 		}
 		// The library never heard the release; keep the copy and stop
@@ -397,7 +394,7 @@ func (e *Engine) deliveryFailed(to int, m *wire.Msg) {
 			e.triggerFailover(sn, m.Seg, mmu.Copyset{}) {
 			return
 		}
-		e.stats.Dropped++
+		e.count(obs.CDropped)
 
 	case wire.KVote:
 		// An election solicitation (Req == this site) that never reached
@@ -406,14 +403,14 @@ func (e *Engine) deliveryFailed(to int, m *wire.Msg) {
 			e.voteSolicitFailed(sn, to)
 			return
 		}
-		e.stats.Dropped++
+		e.count(obs.CDropped)
 
 	default:
 		// KInstalled, KBusy, KInvalAck, KAlready, KDenied, KGrantFail,
 		// KClockHandoff, KReleaseDone: best-effort notifications. Losing
 		// one can stall the remote end's cycle, which the requester-side
 		// RequestTimeout backstop converts into a degraded grant there.
-		e.stats.Dropped++
+		e.count(obs.CDropped)
 	}
 }
 
@@ -454,7 +451,6 @@ func (e *Engine) invalOrderFailed(sn *segNode, m *wire.Msg, to int) {
 	a.ReaderMask = pi.origMask
 	data := sn.m.Frame(p)
 	pi.acked.ForEach(func(s int) {
-		e.stats.PagesSent++
 		e.send(s, &wire.Msg{
 			Kind: wire.KPageSend, Mode: wire.Read, Seg: m.Seg, Page: m.Page,
 			Data: append([]byte(nil), data...),
@@ -506,8 +502,7 @@ func (e *Engine) failPage(sn *segNode, seg, page int32, err error) {
 			sn.pageErr = make(map[int32]error)
 		}
 		sn.pageErr[page] = err
-		e.stats.Degraded++
-		e.obs.Count(e.site, obs.CDegraded)
+		e.count(obs.CDegraded)
 	}
 	e.wakeWaiters(sn, page)
 }
@@ -572,8 +567,7 @@ func (e *Engine) reqProgress(sn *segNode, page int32) {
 // handleDenied runs at a requester whose queued request the library
 // could not serve (a peer in the grant path is unreachable).
 func (e *Engine) handleDenied(sn *segNode, m *wire.Msg) {
-	e.stats.Denied++
-	e.obs.Count(e.site, obs.CDenied)
+	e.count(obs.CDenied)
 	e.failPage(sn, m.Seg, m.Page, fmt.Errorf("%w: library denied %v of seg %d page %d", ErrUnreachable, m.Mode, m.Seg, m.Page))
 }
 

@@ -61,12 +61,6 @@ func (e *Engine) shipCopies(sn *segNode, surrender bool) {
 	}
 }
 
-// Releasing reports whether the segment is mid-release at this site.
-func (e *Engine) Releasing(seg int32) bool {
-	sn, ok := e.segs[seg]
-	return ok && sn.releasing()
-}
-
 // libProcessRelease runs at the library when a queued release reaches
 // the head of a page's queue (never while a grant cycle is in flight).
 func (e *Engine) libProcessRelease(sn *segNode, page int32, r libReq) {
@@ -140,8 +134,7 @@ func (e *Engine) libReclaim(sn *segNode, page int32, data []byte) {
 		// Every recorded copy is gone and nothing came home: the page
 		// content is unrecoverable. Zero-fill rather than wedge the page
 		// forever, and account for it honestly.
-		e.stats.Lost++
-		e.obs.Count(e.site, obs.CLost)
+		e.count(obs.CLost)
 		data = make([]byte, sn.meta.PageSize)
 	}
 	e.emit(obs.Event{Type: obs.EvPageState, Seg: int32(sn.meta.ID), Page: page, Arg: 2})

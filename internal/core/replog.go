@@ -43,24 +43,10 @@ type Replication struct {
 	// record: the R sites after the current library in ID order. 0
 	// disables replication (the zero Options.Replication is inert).
 	Replicas int
-	// SyncMode selects how many acknowledgements gate a mutation.
-	SyncMode SyncMode
 	// Sites is the cluster size; cluster constructors fill it like
 	// Failover.Sites, so every engine derives the same follower groups.
 	Sites int
 }
-
-// SyncMode selects the replication acknowledgement discipline.
-type SyncMode int
-
-const (
-	// SyncQuorum (the default) gates each intent on a majority of the
-	// group (leader + Replicas followers), leader included.
-	SyncQuorum SyncMode = iota
-	// SyncAll gates each intent on every live follower, shrinking the
-	// election quorum to one: any single group member's log suffices.
-	SyncAll
-)
 
 // replFollowers returns the follower group for a segment led by
 // leader: the Replicas sites after it in ID order.
@@ -80,13 +66,10 @@ func (e *Engine) replGroupHas(leader, s int) bool {
 }
 
 // replQuorum is the number of group members (leader counts itself)
-// whose applied log must cover an intent before its cycle opens.
+// whose applied log must cover an intent before its cycle opens: a
+// majority of leader + Replicas followers.
 func (e *Engine) replQuorum() int {
-	rp := e.replication
-	if rp.SyncMode == SyncAll {
-		return rp.Replicas + 1
-	}
-	return (rp.Replicas+1)/2 + 1
+	return (e.replication.Replicas+1)/2 + 1
 }
 
 // replVoteQuorum is the number of group logs (the winner's own
@@ -281,8 +264,7 @@ func (e *Engine) replAppend(sn *segNode, ent *replEntry, cont func()) {
 	rl.pages[ent.post.page] = ent
 	enc := encodeReplEntry(nil, ent)
 	dig := replDigest(enc)
-	e.stats.Appends++
-	e.obs.Count(e.site, obs.CAppend)
+	e.count(obs.CAppend)
 	seg := int32(sn.meta.ID)
 	for _, f := range ld.followers {
 		if ld.dead[f] {
@@ -348,15 +330,13 @@ func (e *Engine) replRecomputeGates(sn *segNode) {
 	for _, g := range ld.gates {
 		switch {
 		case ld.covering(g.index) >= q:
-			e.stats.ReplCommits++
-			e.obs.Count(e.site, obs.CReplCommit)
+			e.count(obs.CReplCommit)
 			e.obs.Observe(obs.HReplLag, int64(e.env.Now()-g.started))
 			e.emit(obs.Event{Type: obs.EvReplicate, Seg: seg, Page: g.page,
 				From: int32(e.site), Arg: int64(g.index), Cycle: g.digest})
 			g.release()
 		case degraded:
-			e.stats.ReplDegraded++
-			e.obs.Count(e.site, obs.CReplDegraded)
+			e.count(obs.CReplDegraded)
 			g.release()
 		default:
 			keep = append(keep, g)
@@ -534,7 +514,7 @@ func (e *Engine) replArmRevival(sn *segNode, f int) {
 func (e *Engine) replFollowerFailed(sn *segNode, f int) {
 	rl := sn.repl
 	if rl == nil || rl.lead == nil {
-		e.stats.Dropped++
+		e.count(obs.CDropped)
 		return
 	}
 	rl.lead.dead[f] = true
@@ -650,7 +630,7 @@ func (e *Engine) sendVoteReply(sn *segNode, to int, ballot []byte) {
 func (e *Engine) voteSolicitFailed(sn *segNode, to int) {
 	rc := sn.recov
 	if rc == nil || rc.elect == nil || !rc.elect.waiting[to] {
-		e.stats.Dropped++
+		e.count(obs.CDropped)
 		return
 	}
 	delete(rc.elect.waiting, to)
@@ -751,9 +731,8 @@ func (e *Engine) logSource(sn *segNode, rc *recovery) libSource {
 			recs[pg] = ent.post
 		}
 	}
-	return libSource{recs: recs, prev: rc.from, prevDead: true, relog: true, epoch: sn.segEpoch.Load(), announce: func() {
-		e.stats.Elections++
-		e.obs.Count(e.site, obs.CElect)
+	return libSource{recs: recs, prev: rc.from, prevDead: true, epoch: sn.segEpoch.Load(), announce: func() {
+		e.count(obs.CElect)
 		e.emit(obs.Event{Type: obs.EvElect, Seg: int32(sn.meta.ID), From: int32(rc.from),
 			Cycle: el.log.epoch, Arg: int64(el.log.lastIndex)})
 		e.announceRecovery(sn, rc)

@@ -79,13 +79,20 @@ type ReplicationSweepResult struct {
 // (leader + 4 followers) plus two never-crashed incrementer sites.
 const replSites = 7
 
-// runReplicationWorkload drives the contended counter workload at the
-// given replication factor with the listed sites fail-stopped at 400ms.
-func runReplicationWorkload(name string, replicas, perSite int, crash []int) ReplicationPoint {
-	plan := &chaos.Plan{Seed: 42}
-	for _, s := range crash {
-		plan.Crashes = append(plan.Crashes, chaos.Crash{Site: s, From: 400 * time.Millisecond})
+// failStops is the E22 grid's crash plan: the listed sites fail-stopped
+// at 400ms, for good.
+func failStops(sites ...int) []chaos.Crash {
+	var cs []chaos.Crash
+	for _, s := range sites {
+		cs = append(cs, chaos.Crash{Site: s, From: 400 * time.Millisecond})
 	}
+	return cs
+}
+
+// runReplicationWorkload drives the contended counter workload at the
+// given replication factor under the given crash windows.
+func runReplicationWorkload(name string, replicas, perSite int, crashes []chaos.Crash) ReplicationPoint {
+	plan := &chaos.Plan{Seed: 42, Crashes: crashes}
 	o := obs.New()
 	engOpts := core.Options{
 		Reliability: failoverRel(),
@@ -274,10 +281,10 @@ func ReplicationSweep(perSite int) ReplicationSweepResult {
 	sweepTasks(n+2, func(i int) {
 		if i < n {
 			g := grid[i]
-			r.Points[i] = runReplicationWorkload(g.name, g.replicas, perSite, g.crash)
+			r.Points[i] = runReplicationWorkload(g.name, g.replicas, perSite, failStops(g.crash...))
 			return
 		}
-		replay[i-n] = runReplicationWorkload("leader-crash", 2, perSite, []int{0})
+		replay[i-n] = runReplicationWorkload("leader-crash", 2, perSite, failStops(0))
 	})
 	r.ReplayMatches = replay[0].Elapsed == replay[1].Elapsed &&
 		replay[0].Recoveries == replay[1].Recoveries &&

@@ -1,6 +1,13 @@
 package exp
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"mirage/internal/chaos"
+	"mirage/internal/obs"
+)
 
 // TestE22ReplicationSweep pins the E22 grid's qualitative shape: every
 // point completes and verifies coherent, the leader crash takes the
@@ -50,5 +57,51 @@ func TestE22ReplicationSweep(t *testing.T) {
 	if repl.UnavailMs >= base.UnavailMs {
 		t.Errorf("correlated crash: unavailable window %.1fms not below baseline %.1fms",
 			repl.UnavailMs, base.UnavailMs)
+	}
+}
+
+// TestReplDoubleCrashElectsFromReseededLog: a holder rebuild leaves the
+// segment replicated. The library (0) dies with one of its two
+// followers (2), so site 1's election cannot reach a quorum and it
+// rebuilds from the holders; site 2 comes back and is re-based; then the
+// rebuilt library dies too. The second takeover must be an election from
+// the log site 1 seeded at its install — a log of site 1's epoch, which
+// has heard of everything site 1 granted — not from what site 2 still
+// held of the first library's.
+func TestReplDoubleCrashElectsFromReseededLog(t *testing.T) {
+	pt := runReplicationWorkload("double-crash", 2, 70, []chaos.Crash{
+		{Site: 0, From: 400 * time.Millisecond},
+		{Site: 2, From: 400 * time.Millisecond, Until: 2 * time.Second},
+		{Site: 1, From: 5 * time.Second},
+	})
+	if !pt.Completed {
+		t.Errorf("workload incomplete (%d/%d)", pt.Final, pt.Want)
+	}
+	if pt.Violations != 0 {
+		t.Errorf("%d coherence violations", pt.Violations)
+	}
+	if pt.Recoveries != 2 || pt.Elections != 1 {
+		t.Fatalf("recoveries=%d elections=%d, want a rebuild and then an election", pt.Recoveries, pt.Elections)
+	}
+	_, events, err := obs.ReadJSONL(bytes.NewReader(pt.TraceJSONL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rebuilt uint32 // the epoch the holder rebuild installed
+	for _, ev := range events {
+		switch ev.Type {
+		case obs.EvRecover:
+			if rebuilt == 0 {
+				rebuilt = ev.Epoch
+			} else if ev.Arg != 1 {
+				t.Errorf("second takeover replaced site %d, want the rebuilt library 1", ev.Arg)
+			}
+		case obs.EvElect:
+			// Cycle is the merged log's epoch, Arg its tail index.
+			if ev.Cycle != rebuilt || ev.Arg == 0 {
+				t.Errorf("site %d elected from a log of epoch %d (tail %d), want the rebuilt library's epoch %d",
+					ev.Site, ev.Cycle, ev.Arg, rebuilt)
+			}
+		}
 	}
 }

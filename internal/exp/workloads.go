@@ -269,13 +269,6 @@ func traceEv(p *ipc.Proc, ev string) {
 	}
 }
 
-// RunCountersChunk is a calibration helper with explicit chunking.
-func RunCountersChunk(c *ipc.Cluster, dur time.Duration, chunk int) float64 {
-	st := runCounters(c, 0, 1, CountersConfig{Duration: dur, Chunk: chunk})
-	c.Run()
-	return 2 * float64(st.iters[0]+st.iters[1]) / dur.Seconds()
-}
-
 // SpawnSharedWriter starts a process at the site that periodically
 // writes a counter into the shared page until the deadline; *writes
 // counts completed stores (read after the cluster drains).

@@ -26,7 +26,6 @@ import (
 	"mirage/internal/obs"
 	"mirage/internal/sched"
 	"mirage/internal/sim"
-	"mirage/internal/stats"
 	"mirage/internal/vaxmodel"
 )
 
@@ -98,12 +97,10 @@ type Cluster struct {
 
 	// FaultLatency records, for every access that faulted, the time
 	// from the first fault to the access completing (§9.0-style
-	// observability; printed by cmd/miragesim).
-	FaultLatency *stats.Histogram
-
-	// obs mirrors Config.Engine.Obs for the access layer's fault
-	// latency histogram; nil when observability is off.
-	obs *obs.Obs
+	// observability; printed by cmd/miragesim). It is the registry's
+	// fault_latency_ns when Config.Engine.Obs carries one, a histogram
+	// of its own otherwise.
+	FaultLatency *obs.Hist
 }
 
 // Site is one machine.
@@ -167,8 +164,10 @@ func NewCluster(n int, cfg Config) *Cluster {
 		sems:         make(map[SemID]*semSet),
 		semsByKey:    make(map[mem.Key]*semSet),
 		nextSem:      1,
-		FaultLatency: stats.NewLatencyHistogram(),
-		obs:          cfg.Engine.Obs,
+		FaultLatency: obs.NewHist(int64(time.Millisecond)),
+	}
+	if o := cfg.Engine.Obs; o != nil && o.Metrics != nil {
+		c.FaultLatency = o.Metrics.Hist(obs.HFaultLatency)
 	}
 	c.Net = netsim.New(c.K, n)
 	c.Net.Obs = cfg.Engine.Obs
@@ -395,9 +394,7 @@ func (h *Shm) access(off, n int, write bool, fn func(frame []byte, frameOff, buf
 			}
 		}
 		if faultStart >= 0 {
-			lat := h.proc.Now() - faultStart
-			h.proc.site.c.FaultLatency.Observe(lat)
-			h.proc.site.c.obs.Observe(obs.HFaultLatency, int64(lat))
+			h.proc.site.c.FaultLatency.Observe(int64(h.proc.Now() - faultStart))
 		}
 		frame := eng.Frame(segID, int32(page))
 		fn(frame, fo, bufOff, k)

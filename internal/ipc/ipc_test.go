@@ -7,7 +7,9 @@ import (
 	"testing/quick"
 	"time"
 
+	"mirage/internal/core"
 	"mirage/internal/mem"
+	"mirage/internal/obs"
 	"mirage/internal/vaxmodel"
 )
 
@@ -441,7 +443,14 @@ func TestClusterDefaultsFromVaxModel(t *testing.T) {
 }
 
 func TestFaultLatencyHistogram(t *testing.T) {
-	c := NewCluster(2, Config{})
+	t.Run("standalone", func(t *testing.T) { testFaultLatency(t, nil) })
+	// With a registry the cluster's histogram IS fault_latency_ns: one
+	// fault is one sample in one place.
+	t.Run("registry", func(t *testing.T) { testFaultLatency(t, obs.New()) })
+}
+
+func testFaultLatency(t *testing.T, o *obs.Obs) {
+	c := NewCluster(2, Config{Engine: core.Options{Obs: o}})
 	c.Site(0).Spawn("lib", 0, func(p *Proc) {
 		id, _ := p.Shmget(7, 512, mem.Create, rw)
 		h, _ := p.Shmat(id, false)
@@ -456,11 +465,14 @@ func TestFaultLatencyHistogram(t *testing.T) {
 	})
 	c.Run()
 	hist := c.FaultLatency
+	if o != nil && hist != o.Metrics.Hist(obs.HFaultLatency) {
+		t.Fatal("FaultLatency is not the registry's fault_latency_ns")
+	}
 	if hist.Count() != 1 {
 		t.Fatalf("faults recorded = %d", hist.Count())
 	}
 	// Table 3's ~28.9 ms lands in the ≤32 ms bucket.
-	if q := hist.Quantile(1.0); q < 27*time.Millisecond || q > 33*time.Millisecond {
+	if q := time.Duration(hist.Quantile(1.0)); q < 27*time.Millisecond || q > 33*time.Millisecond {
 		t.Fatalf("fault latency = %v, want ≈29 ms", q)
 	}
 }

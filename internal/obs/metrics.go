@@ -15,7 +15,7 @@ type Counter uint8
 
 // The counter vocabulary. Every coherence event the protocol can
 // produce has a counter; units are plain event counts unless the name
-// says bytes. docs/OBSERVABILITY.md carries the prose definitions.
+// says bytes or ns. docs/OBSERVABILITY.md carries the prose definitions.
 const (
 	// Protocol faults and message flow.
 	CReadFault Counter = iota
@@ -79,8 +79,22 @@ const (
 	// AutoDelta controller: per-page closed-loop Δ adjustments.
 	CDeltaGrow
 	CDeltaShrink
+	// Engine accounting that Site.Stats() reports: requests issued,
+	// invalidations handled as clock site and as reader, KBusy replies,
+	// time invalidations waited on Δ (a sum of nanoseconds), messages
+	// dropped for want of a segment or a role, and delegated orders the
+	// watchdog reissued as unicast.
+	CRequestSent
+	CInvalRecv
+	CInvalOrder
+	CBusyReply
+	CWindowWait
+	CDropped
+	CReissued
 
-	counterCount
+	// NumCounters is the size of the vocabulary: an array indexed by
+	// Counter has this many entries.
+	NumCounters
 )
 
 var counterNames = [...]string{
@@ -133,6 +147,13 @@ var counterNames = [...]string{
 	CElect:            "elections",
 	CDeltaGrow:        "delta_grow",
 	CDeltaShrink:      "delta_shrink",
+	CRequestSent:      "requests_sent",
+	CInvalRecv:        "invals_recv",
+	CInvalOrder:       "inval_orders",
+	CBusyReply:        "busy_replies",
+	CWindowWait:       "window_wait_ns",
+	CDropped:          "dropped",
+	CReissued:         "reissued",
 }
 
 func (c Counter) String() string {
@@ -144,7 +165,7 @@ func (c Counter) String() string {
 
 // Counters lists every counter in declaration order.
 func Counters() []Counter {
-	out := make([]Counter, counterCount)
+	out := make([]Counter, NumCounters)
 	for i := range out {
 		out[i] = Counter(i)
 	}
@@ -173,7 +194,7 @@ const blockSites = 64
 // shard holds one site's counters on its own cache lines so sites
 // never contend on increments.
 type shard struct {
-	v [counterCount]atomic.Int64
+	v [NumCounters]atomic.Int64
 	_ [64]byte
 }
 
@@ -340,9 +361,9 @@ type HistSnapshot struct {
 	Buckets []int64 `json:"buckets,omitempty"` // counts matching Bounds; last may be overflow (bound -1)
 }
 
-// Snapshot copies the histogram's current state, keeping only
-// non-empty buckets.
-func (h *Hist) snapshot(name string) HistSnapshot {
+// Snapshot copies the histogram's current state under the given name,
+// keeping only non-empty buckets.
+func (h *Hist) Snapshot(name string) HistSnapshot {
 	s := HistSnapshot{Name: name, Count: h.Count(), Sum: h.Sum(), Max: h.Max(), Mean: h.Mean()}
 	ub := h.lo
 	for i := 0; i <= histBucketCount; i++ {
@@ -452,8 +473,8 @@ type Snapshot struct {
 
 // Snapshot copies the registry's current state.
 func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{Totals: make(map[string]int64, int(counterCount))}
-	for c := Counter(0); c < counterCount; c++ {
+	s := Snapshot{Totals: make(map[string]int64, int(NumCounters))}
+	for c := Counter(0); c < NumCounters; c++ {
 		s.Totals[c.String()] = r.Total(c)
 	}
 	for bi := range r.blocks {
@@ -464,7 +485,7 @@ func (r *Registry) Snapshot() Snapshot {
 		for si := range b.shards {
 			site := bi*blockSites + si
 			var m map[string]int64
-			for c := Counter(0); c < counterCount; c++ {
+			for c := Counter(0); c < NumCounters; c++ {
 				if v := b.shards[si].v[c].Load(); v != 0 {
 					if m == nil {
 						m = make(map[string]int64)
@@ -482,7 +503,7 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for id := HistID(0); id < histCount; id++ {
 		if r.hists[id].Count() > 0 {
-			s.Hists = append(s.Hists, r.hists[id].snapshot(id.String()))
+			s.Hists = append(s.Hists, r.hists[id].Snapshot(id.String()))
 		}
 	}
 	return s

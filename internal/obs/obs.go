@@ -237,12 +237,7 @@ func New() *Obs {
 }
 
 // Count increments a counter for a site. Nil-safe.
-func (o *Obs) Count(site int, c Counter) {
-	if o == nil || o.Metrics == nil {
-		return
-	}
-	o.Metrics.Inc(site, c)
-}
+func (o *Obs) Count(site int, c Counter) { o.CountN(site, c, 1) }
 
 // CountN adds n to a counter for a site. Nil-safe.
 func (o *Obs) CountN(site int, c Counter, n int64) {

@@ -142,9 +142,6 @@ func (c *CPU) Kernel() *sim.Kernel { return c.k }
 // Stats returns a snapshot of the counters.
 func (c *CPU) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the counters.
-func (c *CPU) ResetStats() { c.stats = Stats{} }
-
 // taskReq is what a task asked the scheduler to do when it parked.
 type taskReq int
 

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"time"
 	"unicode/utf8"
-
-	"mirage/internal/quantile"
 )
 
 // Table renders rows with aligned columns. Rows are added as cells;
@@ -96,103 +94,10 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-n)
 }
 
-// Pct formats measured against a reference value as "x (y% of paper)".
-func Pct(measured, paper float64) string {
-	if paper == 0 {
-		return fmt.Sprintf("%.1f", measured)
-	}
-	return fmt.Sprintf("%.1f (%.0f%% of paper %.1f)", measured, 100*measured/paper, paper)
-}
-
 // Ratio renders a/b with a guard for zero.
 func Ratio(a, b float64) string {
 	if b == 0 {
 		return "∞"
 	}
 	return fmt.Sprintf("%.2fx", a/b)
-}
-
-// Histogram is a fixed-bucket latency histogram with power-of-two-ish
-// duration buckets, for fault/operation latency distributions.
-type Histogram struct {
-	bounds []time.Duration
-	counts []int
-	total  int
-	sum    time.Duration
-	max    time.Duration
-}
-
-// NewLatencyHistogram covers 1 ms .. ~4 s in doubling buckets.
-func NewLatencyHistogram() *Histogram {
-	var bounds []time.Duration
-	for d := time.Millisecond; d <= 4*time.Second; d *= 2 {
-		bounds = append(bounds, d)
-	}
-	return &Histogram{bounds: bounds, counts: make([]int, len(bounds)+1)}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(d time.Duration) {
-	h.total++
-	h.sum += d
-	if d > h.max {
-		h.max = d
-	}
-	for i, b := range h.bounds {
-		if d <= b {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(h.bounds)]++
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() int { return h.total }
-
-// Mean returns the average sample (0 if empty).
-func (h *Histogram) Mean() time.Duration {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.total)
-}
-
-// Max returns the largest sample.
-func (h *Histogram) Max() time.Duration { return h.max }
-
-// Quantile returns an upper bound for the q-quantile (0 < q <= 1),
-// resolved to bucket boundaries. The scan itself is the shared
-// internal/quantile helper.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	counts := make([]int64, len(h.counts))
-	for i, c := range h.counts {
-		counts[i] = int64(c)
-	}
-	bounds := make([]int64, len(h.bounds))
-	for i, b := range h.bounds {
-		bounds[i] = int64(b)
-	}
-	return time.Duration(quantile.Q(q, counts, bounds, int64(h.max)))
-}
-
-// WriteTo prints an ASCII rendering of non-empty buckets.
-func (h *Histogram) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		label := "+inf"
-		if i < len(h.bounds) {
-			label = "≤" + h.bounds[i].String()
-		}
-		bar := strings.Repeat("#", 1+c*40/h.total)
-		n, err := fmt.Fprintf(w, "%10s  %6d  %s\n", label, c, bar)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }

@@ -133,16 +133,6 @@ type Replication = core.Replication
 // and docs/TUNING.md.
 type AutoDelta = core.AutoDelta
 
-// Replication acknowledgement disciplines (Replication.SyncMode).
-const (
-	// SyncQuorum gates each mutation on a majority of the replication
-	// group, leader included — the default.
-	SyncQuorum = core.SyncQuorum
-	// SyncAll gates each mutation on every live follower, shrinking the
-	// election quorum to any single group member.
-	SyncAll = core.SyncAll
-)
-
 // FaultPlan is a deterministic, seeded fault-injection plan applied to
 // the cluster's transport fabric (drops, duplicates, delays, reorders,
 // partitions, crash windows). Build one with ParseFaultPlan or

@@ -140,6 +140,57 @@ func TestLiveTracedRun(t *testing.T) {
 	}
 }
 
+// TestLiveFaultLatencyRecorded: in live mode every access that faults
+// is one fault_latency_ns sample, as it is in the simulator. Two sites
+// write one unwindowed page in turn, so each write after the first is
+// exactly one remote fault.
+func TestLiveFaultLatencyRecorded(t *testing.T) {
+	for _, tcp := range []bool{false, true} {
+		t.Run(map[bool]string{false: "inproc", true: "tcp"}[tcp], func(t *testing.T) {
+			o := mirage.NewObs()
+			c, err := mirage.NewCluster(2, mirage.Options{TCP: tcp, Obs: o})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			id, err := c.Site(0).Shmget(mirage.IPCPrivate, 512, mirage.Create, 0o600)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := c.Site(0).Attach(id, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := c.Site(1).Attach(id, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.SetUint32(0, 0); err != nil { // resident at its creator: no fault
+				t.Fatal(err)
+			}
+			const rounds = 50
+			for i := uint32(1); i <= rounds; i++ {
+				if err := b.SetUint32(0, i); err != nil {
+					t.Fatal(err)
+				}
+				if err := a.SetUint32(0, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h := o.Metrics.Hist(obs.HFaultLatency)
+			if h.Count() != 2*rounds {
+				t.Fatalf("fault_latency_ns has %d samples after %d remote faults", h.Count(), 2*rounds)
+			}
+			if h.Max() <= 0 || h.Max() > int64(10*time.Second) {
+				t.Errorf("fault_latency_ns max = %v", time.Duration(h.Max()))
+			}
+			if wf := c.Site(0).Stats().WriteFaults + c.Site(1).Stats().WriteFaults; wf < 2*rounds {
+				t.Errorf("engines saw %d write faults, want at least %d", wf, 2*rounds)
+			}
+		})
+	}
+}
+
 func getJSON(t *testing.T, url string, into any) {
 	t.Helper()
 	resp, err := http.Get(url)

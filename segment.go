@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mirage/internal/core"
 	"mirage/internal/mem"
 	"mirage/internal/mmu"
+	"mirage/internal/obs"
 )
 
 // Segment is one attach of a shared segment at a site: the handle
@@ -23,6 +25,8 @@ type Segment struct {
 	pid      int32
 
 	detached atomic.Bool
+
+	faultLat *obs.Hist // fault_latency_ns, fed by faultIn; nil without metrics
 }
 
 // Size returns the segment size in bytes.
@@ -73,21 +77,20 @@ func (g *Segment) access(off, n int, write bool, fn func(frame []byte, frameOff,
 		if k > n {
 			k = n
 		}
-		for {
-			if frame, ok := g.pages.Hold(page, write); ok {
-				fn(frame, fo, bufOff, k)
-				if g.record {
-					g.pages.RecordOp(int32(page), fo, write, frame[fo:fo+k])
-				}
-				if g.pages.Unhold(page, write) {
-					g.turn(takeWaker(&wk))
-				}
-				break
-			}
-			if err := g.fault(int32(page), write, takeWaker(&wk)); err != nil {
+		frame, ok := g.pages.Hold(page, write)
+		if !ok {
+			var err error
+			if frame, err = g.faultIn(page, write, takeWaker(&wk)); err != nil {
 				wakers.Put(wk)
 				return err
 			}
+		}
+		fn(frame, fo, bufOff, k)
+		if g.record {
+			g.pages.RecordOp(int32(page), fo, write, frame[fo:fo+k])
+		}
+		if g.pages.Unhold(page, write) {
+			g.turn(takeWaker(&wk))
 		}
 		off += k
 		bufOff += k
@@ -151,7 +154,30 @@ func (g *Segment) turn(wk *waker) {
 	}
 }
 
-// fault is the slow path of access: it reports the fault to the engine
+// faultIn is the slow path of access, entered when the check refused:
+// fault and retry until the page is held. With metrics on, the whole of
+// it — retries included, as the simulator's access layer measures it —
+// is one fault_latency_ns sample; a resident access never comes here and
+// never reads the clock.
+func (g *Segment) faultIn(page int, write bool, wk *waker) ([]byte, error) {
+	var began time.Time
+	if g.faultLat != nil {
+		began = time.Now()
+	}
+	for {
+		if err := g.fault(int32(page), write, wk); err != nil {
+			return nil, err
+		}
+		if frame, ok := g.pages.Hold(page, write); ok {
+			if g.faultLat != nil {
+				g.faultLat.Observe(int64(time.Since(began)))
+			}
+			return frame, nil
+		}
+	}
+}
+
+// fault is one round of the slow path: it reports the fault to the engine
 // on the actor loop and returns once the page's state at this site has
 // changed (or already permits the access), for the caller to retry.
 func (g *Segment) fault(page int32, write bool, wk *waker) error {
