@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mirage/internal/wire"
 )
 
 // The access check runs on the caller's goroutine (DESIGN.md §17), so
@@ -308,6 +310,11 @@ func closeUnderLoad(t *testing.T, c *Cluster, id SegID) {
 	wg.Wait()
 	if n := clean.Load(); n != stressSites*stressPerSite {
 		t.Errorf("%d of %d workers returned ErrDetached", n, stressSites*stressPerSite)
+	}
+	// The fabric is down too: an engine timer or a chaos-delayed copy
+	// that fires now must be refused, not delivered.
+	if err := c.nodes[0].tr.Send(1, &wire.Msg{Kind: wire.KReadReq}); err == nil {
+		t.Error("Send after Close succeeded")
 	}
 }
 

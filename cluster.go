@@ -33,7 +33,8 @@ type Cluster struct {
 }
 
 // NewCluster starts n sites. With Options.TCP the sites exchange
-// protocol traffic over TCP sockets; otherwise over in-process queues.
+// protocol traffic over TCP sockets; otherwise a sender appends its
+// message to the receiving site's inbox itself.
 func NewCluster(n int, opts Options) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("mirage: cluster size %d out of range [1,%d]", n, MaxSites)
@@ -128,7 +129,6 @@ func NewCluster(n int, opts Options) (*Cluster, error) {
 			handlers[i] = nd.deliver
 		}
 		mesh := transport.NewInprocMesh(handlers)
-		mesh.SetObs(opts.Obs)
 		for i := range c.nodes {
 			c.nodes[i].tr = mesh.Site(i)
 		}

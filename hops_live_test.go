@@ -1,0 +1,172 @@
+package mirage
+
+import (
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"mirage/internal/transport"
+	"mirage/internal/wire"
+)
+
+// countingTransport stands between a node and its fabric and counts
+// what the node hands over.
+type countingTransport struct {
+	inner       transport.Transport
+	site        int
+	total, self *atomic.Int64
+}
+
+func (c *countingTransport) Send(to int, m *wire.Msg) error {
+	c.total.Add(1)
+	if to == c.site {
+		c.self.Add(1)
+	}
+	return c.inner.Send(to, m)
+}
+
+func (c *countingTransport) Close() error { return c.inner.Close() }
+
+// TestSelfMessagesStayInNode: with the library co-located with a
+// requester, what that site tells itself (its request to the library,
+// the library's grant to it) never reaches a Transport, on either
+// mesh; the values read and the checked trace are what they were when
+// the meshes carried those messages.
+func TestSelfMessagesStayInNode(t *testing.T) {
+	for _, tcp := range []bool{false, true} {
+		t.Run(map[bool]string{false: "inproc", true: "tcp"}[tcp], func(t *testing.T) {
+			c := newTestCluster(t, 2, Options{TCP: tcp, Obs: NewObs(), Check: true})
+			var total, self atomic.Int64
+			for _, nd := range c.nodes {
+				nd := nd
+				nd.call(func() {
+					nd.tr = &countingTransport{inner: nd.tr, site: nd.site, total: &total, self: &self}
+				})
+			}
+			// Site 0 creates the segment, so it is the library.
+			id, err := c.Site(0).Shmget(IPCPrivate, 512, Create, 0o600)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var segs [2]*Segment
+			for s := range segs {
+				if segs[s], err = c.Site(s).Attach(id, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			set := func(s int, v uint32) {
+				t.Helper()
+				if err := segs[s].SetUint32(0, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := func(s int, v uint32) {
+				t.Helper()
+				got, err := segs[s].Uint32(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != v {
+					t.Fatalf("site %d read %d, want %d", s, got, v)
+				}
+			}
+			for i := uint32(0); i < 50; i++ {
+				v := 4 * i
+				set(1, v)   // remote write fault
+				want(0, v)  // read fault at the library's own site
+				set(0, v+1) // upgrade at the library's own site
+				want(1, v+1)
+				set(1, v+2)
+				set(0, v+3) // write fault at the library's own site
+				want(1, v+3)
+			}
+
+			if n := self.Load(); n != 0 {
+				t.Fatalf("%d messages with to == from reached the transport", n)
+			}
+			sent := c.Obs().Metrics.Snapshot().Totals["msgs_sent"]
+			if kept := sent - total.Load(); kept <= 0 || total.Load() == 0 {
+				t.Fatalf("engines sent %d messages, transports carried %d: want some of each, and some kept in the node",
+					sent, total.Load())
+			}
+			violations, err := c.VerifyTrace()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(violations) > 0 {
+				t.Fatalf("%d violations, first: %v", len(violations), violations[0])
+			}
+		})
+	}
+}
+
+// goroutinesSettled returns the process's goroutine count once it has
+// stopped moving (an earlier test's goroutines may still be exiting).
+func goroutinesSettled() int {
+	n := runtime.NumGoroutine()
+	for same := 0; same < 10; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, same = m, 0
+		} else {
+			same++
+		}
+	}
+	return n
+}
+
+// goroutinesReach polls until the process runs want goroutines, and
+// returns the last count read.
+func goroutinesReach(want int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n == want || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestClusterGoroutines: an open in-process cluster runs one goroutine
+// per site — the actor loop; the mesh has none — and Close, on either
+// mesh, leaves none behind.
+func TestClusterGoroutines(t *testing.T) {
+	const n = 4
+	for _, tcp := range []bool{false, true} {
+		t.Run(map[bool]string{false: "inproc", true: "tcp"}[tcp], func(t *testing.T) {
+			before := goroutinesSettled()
+			c, err := NewCluster(n, Options{TCP: tcp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tcp {
+				if open := goroutinesReach(before + n); open != before+n {
+					c.Close()
+					t.Fatalf("open cluster of %d sites runs %d goroutines, want %d (one loop a site)", n, open-before, n)
+				}
+			}
+			// Traffic, so that the TCP mesh has dialled its circuits.
+			id, err := c.Site(0).Shmget(IPCPrivate, 512, Create, 0o600)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < n; s++ {
+				seg, err := c.Site(s).Attach(id, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := seg.SetUint32(0, uint32(s)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if after := goroutinesReach(before); after != before {
+				t.Fatalf("%d goroutines before NewCluster, %d after Close", before, after)
+			}
+		})
+	}
+}

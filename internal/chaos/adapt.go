@@ -42,12 +42,10 @@ func WrapTransport(inner transport.Transport, in *Injector, site int, now func()
 	return &FaultyTransport{inner: inner, in: in, site: site, now: now}
 }
 
-// Send implements transport.Transport. Loopback bypasses injection,
-// mirroring netsim (a site always reaches itself).
+// Send implements transport.Transport. A site's messages to itself
+// never come here (the live node keeps them), so every message is
+// subject to the plan.
 func (f *FaultyTransport) Send(to int, m *wire.Msg) error {
-	if to == f.site {
-		return f.inner.Send(to, m)
-	}
 	a := f.in.Apply(f.now(), f.site, to, m.Kind)
 	if a.Drop {
 		return nil

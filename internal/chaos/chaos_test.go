@@ -2,11 +2,13 @@ package chaos
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mirage/internal/netsim"
 	"mirage/internal/sim"
+	"mirage/internal/transport"
 	"mirage/internal/wire"
 )
 
@@ -175,5 +177,42 @@ func TestNetworkReplayDeterminism(t *testing.T) {
 	}
 	if n1.Delivered != n1.Sent-n1.Dropped+n1.Duplicated {
 		t.Fatalf("delivery accounting: %+v", n1)
+	}
+}
+
+// TestDelayedSendAfterClose: a delayed copy is resent from a timer
+// goroutine, which may fire after the fabric was closed. It must find
+// the fabric closed — no delivery, no panic — and while the fabric is
+// open it must be subject to the plan even when a site addresses
+// itself (the live node never sends such a message here, so there is no
+// bypass to keep).
+func TestDelayedSendAfterClose(t *testing.T) {
+	const delay = 30 * time.Millisecond
+	var delivered atomic.Int64
+	count := func(*wire.Msg) { delivered.Add(1) }
+	mesh := transport.NewInprocMesh([]transport.Handler{count, count})
+	in := New(Plan{Seed: 1, Rules: []Rule{
+		{Op: OpDelay, P: 1, From: Any, To: Any, MinDelay: delay, MaxDelay: delay},
+	}})
+	start := time.Now()
+	ft := WrapTransport(mesh.Site(0), in, 0, func() time.Duration { return time.Since(start) })
+
+	for _, to := range []int{1, 0} {
+		if err := ft.Send(to, &wire.Msg{Kind: wire.KReadReq}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := delivered.Load(); n != 0 {
+		t.Fatalf("%d messages delivered before their delay", n)
+	}
+	if d := in.Stats().Decisions; d != 2 {
+		t.Fatalf("injector saw %d messages, want 2 (a self-addressed one included)", d)
+	}
+	if err := ft.Close(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(3 * delay)
+	if n := delivered.Load(); n != 0 {
+		t.Fatalf("%d delayed messages delivered after Close", n)
 	}
 }

@@ -52,7 +52,7 @@ const (
 	CChaosDelay
 	CChaosPartition
 	CChaosCrash
-	// Transport batching.
+	// TCP sender batching (the in-process mesh has no batch).
 	CFlushBatch
 	CFlushFrame
 	CFlushByte
@@ -212,9 +212,9 @@ const (
 	HDenialRemaining HistID = iota
 	// HFaultLatency: fault-to-resume latency (ns) at the faulting site.
 	HFaultLatency
-	// HFlushFrames: frames per transport write-batch flush.
+	// HFlushFrames: frames per TCP sender write-batch flush.
 	HFlushFrames
-	// HFlushBytes: bytes per transport write-batch flush.
+	// HFlushBytes: bytes per TCP sender write-batch flush.
 	HFlushBytes
 	// HRecoverLatency: library-failover duration (ns), from the
 	// successor starting recovery to it resuming grants.

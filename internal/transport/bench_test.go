@@ -117,12 +117,9 @@ func BenchmarkTCPMeshRoundTrip(b *testing.B) {
 	}
 }
 
-// TestInprocSteadyStateAllocFreeWithoutObs gates the observability
-// instrumentation's disabled cost on the in-process delivery path: with
-// no sink attached (the default), a steady-state send—enqueue—drain
-// cycle must stay allocation-free, exactly as it was before the obs
-// hooks existed. AllocsPerRun counts mallocs process-wide, so the drain
-// goroutine's work is included in the measurement.
+// TestInprocSteadyStateAllocFreeWithoutObs gates the in-process
+// delivery path: a send is one call of the receiver's handler and must
+// stay allocation-free.
 func TestInprocSteadyStateAllocFreeWithoutObs(t *testing.T) {
 	var delivered atomic.Int64
 	m := NewInprocMesh([]Handler{func(*wire.Msg) { delivered.Add(1) }})
@@ -130,8 +127,6 @@ func TestInprocSteadyStateAllocFreeWithoutObs(t *testing.T) {
 	p := m.Site(0)
 	msg := &wire.Msg{Kind: wire.KInval, Seg: 1, Page: 2}
 
-	// Warm the inbox so its recycled backing arrays have capacity for
-	// anything the measured loop can queue.
 	const warm = 512
 	for i := 0; i < warm; i++ {
 		if err := p.Send(0, msg); err != nil {

@@ -2,127 +2,49 @@ package transport
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
-	"mirage/internal/obs"
 	"mirage/internal/wire"
 )
 
-// InprocMesh connects n sites within one process. Each site owns an
-// unbounded FIFO inbox drained by a dedicated delivery goroutine, so
-// senders never block and per-sender order is preserved (the inbox is
-// globally FIFO, which is stronger).
+// InprocMesh connects n sites within one process. It has no queue and
+// no goroutine of its own: Send calls the receiving site's handler on
+// the sender's goroutine, so a message costs whatever the handler costs
+// and is delivered when Send returns. The handler contract (see
+// Handler) is what makes that safe — it may be called from any number
+// of senders at once and never blocks — and per-sender order holds
+// because a sender's Sends return in the order it made them.
 type InprocMesh struct {
-	inboxes []*inbox
+	handlers []Handler
+	closed   atomic.Bool
 }
 
-type inbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []*wire.Msg
-	spare  []*wire.Msg // recycled batch backing array
-	closed bool
-	done   chan struct{}
-	site   int
-	obs    *obs.Obs // delivery-batch metrics sink; nil when off
-}
-
-// NewInprocMesh creates the mesh and starts delivery goroutines; the
-// handler for site i receives every message addressed to it.
+// NewInprocMesh creates the mesh; the handler for site i receives every
+// message addressed to it.
 func NewInprocMesh(handlers []Handler) *InprocMesh {
-	m := &InprocMesh{}
-	for i := range handlers {
-		ib := &inbox{done: make(chan struct{}), site: i}
-		ib.cond = sync.NewCond(&ib.mu)
-		m.inboxes = append(m.inboxes, ib)
-		go ib.drain(handlers[i])
-	}
-	return m
+	return &InprocMesh{handlers: handlers}
 }
 
-// SetObs attaches an observability sink: each delivery batch a site's
-// drain goroutine swaps out is then counted (flush_batches /
-// flush_frames, attributed to the receiving site) and sized into the
-// flush-frames histogram.
-func (m *InprocMesh) SetObs(o *obs.Obs) {
-	for _, ib := range m.inboxes {
-		ib.mu.Lock()
-		ib.obs = o
-		ib.mu.Unlock()
-	}
-}
+// Site returns the Transport site i sends through: the mesh itself,
+// which needs no per-sender state.
+func (m *InprocMesh) Site(i int) Transport { return m }
 
-// Site returns a Transport bound to the given sender site.
-func (m *InprocMesh) Site(i int) Transport { return inprocPort{m: m} }
-
-type inprocPort struct {
-	m *InprocMesh
-}
-
-func (p inprocPort) Send(to int, msg *wire.Msg) error {
-	if to < 0 || to >= len(p.m.inboxes) {
+// Send implements Transport.
+func (m *InprocMesh) Send(to int, msg *wire.Msg) error {
+	if to < 0 || to >= len(m.handlers) {
 		return fmt.Errorf("transport: site %d out of range", to)
 	}
-	ib := p.m.inboxes[to]
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	if ib.closed {
+	if m.closed.Load() {
 		return errClosed
 	}
-	ib.queue = append(ib.queue, msg)
-	ib.cond.Signal()
+	m.handlers[to](msg)
 	return nil
 }
 
-func (p inprocPort) Close() error { return p.m.Close() }
-
-// Close stops all delivery goroutines after their queues drain.
+// Close makes every later Send fail. It has no queue to empty: a
+// message is delivered before its Send returns. A Send that raced with
+// Close may still reach the handler.
 func (m *InprocMesh) Close() error {
-	for _, ib := range m.inboxes {
-		ib.mu.Lock()
-		if !ib.closed {
-			ib.closed = true
-			ib.cond.Signal()
-		}
-		ib.mu.Unlock()
-	}
-	for _, ib := range m.inboxes {
-		<-ib.done
-	}
+	m.closed.Store(true)
 	return nil
-}
-
-// drain delivers queued messages in batches: each wakeup swaps the
-// whole queue out under the lock and hands the batch to the handler
-// lock-free. The drained batch's backing array is recycled, so the
-// steady-state delivery path allocates nothing.
-func (ib *inbox) drain(h Handler) {
-	defer close(ib.done)
-	for {
-		ib.mu.Lock()
-		for len(ib.queue) == 0 && !ib.closed {
-			ib.cond.Wait()
-		}
-		if len(ib.queue) == 0 && ib.closed {
-			ib.mu.Unlock()
-			return
-		}
-		batch := ib.queue
-		ib.queue = ib.spare[:0]
-		ib.spare = nil
-		o := ib.obs
-		ib.mu.Unlock()
-		o.Count(ib.site, obs.CFlushBatch)
-		o.CountN(ib.site, obs.CFlushFrame, int64(len(batch)))
-		o.Observe(obs.HFlushFrames, int64(len(batch)))
-		for i, m := range batch {
-			h(m)
-			batch[i] = nil // drop the reference; the engine owns it now
-		}
-		ib.mu.Lock()
-		if ib.spare == nil {
-			ib.spare = batch[:0]
-		}
-		ib.mu.Unlock()
-	}
 }

@@ -239,16 +239,11 @@ func (m *TCPMesh) serve(c net.Conn) {
 // circuit's staging buffer and returns; the writer goroutine owns the
 // socket, so Send blocks only when the circuit's staging bound is full
 // (backpressure), never on the wire. Only structural problems (mesh
-// closed, unknown peer) surface here; socket faults are absorbed by
-// the writer — it evicts the circuit, redials once, and reports
-// through the error counters and OnError (the reliability layer, when
-// enabled, owns retry pacing beyond that).
+// closed, unknown peer, own site) surface here; socket faults are
+// absorbed by the writer — it evicts the circuit, redials once, and
+// reports through the error counters and OnError (the reliability
+// layer, when enabled, owns retry pacing beyond that).
 func (m *TCPMesh) Send(to int, msg *wire.Msg) error {
-	if to == m.site {
-		// Loopback stays off the wire but keeps FIFO with itself.
-		m.handler(msg)
-		return nil
-	}
 	tc, err := m.conn(to)
 	if err != nil {
 		return err
@@ -271,8 +266,8 @@ func (m *TCPMesh) conn(to int) (*tcpConn, error) {
 	if c, ok := m.conns[to]; ok {
 		return c, nil
 	}
-	if to < 0 || to >= len(m.addrs) {
-		return nil, fmt.Errorf("transport: no address for site %d", to)
+	if to < 0 || to >= len(m.addrs) || to == m.site {
+		return nil, fmt.Errorf("transport: site %d has no circuit to site %d", m.site, to)
 	}
 	tc := &tcpConn{m: m, to: to}
 	tc.cond = sync.NewCond(&tc.mu)

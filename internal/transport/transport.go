@@ -12,9 +12,16 @@ import (
 	"mirage/internal/wire"
 )
 
-// Handler receives delivered messages for a site. Implementations call
-// it from a single delivery goroutine per site: handlers never race
-// with themselves.
+// Handler receives delivered messages for a site. A fabric calls it
+// from whichever goroutine the message arrived on — the sender's own
+// for InprocMesh, one reader per inbound connection for TCPMesh, a
+// timer's for a chaos-delayed copy — so it must be safe to call from
+// several goroutines at once, and it must not block: it runs on the
+// sender's time. What a fabric guarantees in return is order per
+// sender: the messages one goroutine sent to a site reach that site's
+// handler in the order they were sent, each call returning before the
+// next begins. The live node's handler (an append to its inbox under a
+// mutex) is the model.
 //
 // Ownership: the message belongs to the handler, which may retain it
 // (and its Data) indefinitely. Fabrics whose decode path aliases a
@@ -24,9 +31,13 @@ type Handler func(m *wire.Msg)
 
 // Transport sends protocol messages between sites.
 type Transport interface {
-	// Send queues m for delivery to site `to`. It must not block on
-	// the receiver's processing. Loopback (to == own site) is
-	// delivered like any other message.
+	// Send hands m to site `to`. It may be called from several
+	// goroutines at once and must not block on the receiver's
+	// processing; messages one goroutine sends to one site are
+	// delivered in that order. A site's messages to itself are not a
+	// fabric's business: the live node keeps them in its own inbox,
+	// and TCPMesh refuses them as it refuses any site it has no
+	// circuit to.
 	Send(to int, m *wire.Msg) error
 	// Close tears the fabric down; subsequent Sends fail.
 	Close() error

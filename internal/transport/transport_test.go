@@ -155,18 +155,6 @@ func TestTCPOrderUnderLoad(t *testing.T) {
 	}
 }
 
-func TestTCPLoopbackSkipsWire(t *testing.T) {
-	var c0, c1 collect
-	m0, _ := newTCPPair(t, c0.handler(), c1.handler())
-	if err := m0.Send(0, &wire.Msg{Kind: wire.KBusy}); err != nil {
-		t.Fatal(err)
-	}
-	got := c0.wait(t, 1)
-	if got[0].Kind != wire.KBusy {
-		t.Fatalf("kind = %v", got[0].Kind)
-	}
-}
-
 func TestTCPUnknownPeer(t *testing.T) {
 	var c0 collect
 	m0, err := NewTCPSite(0, "127.0.0.1:0", c0.handler())
@@ -177,6 +165,11 @@ func TestTCPUnknownPeer(t *testing.T) {
 	m0.SetPeers([]string{m0.Addr()})
 	if err := m0.Send(5, &wire.Msg{}); err == nil {
 		t.Fatal("expected error for unknown peer")
+	}
+	// A mesh has no circuit to its own site either: what a site tells
+	// itself stays in the node and must not be dialled.
+	if err := m0.Send(0, &wire.Msg{}); err == nil {
+		t.Fatal("expected error for a send to the mesh's own site")
 	}
 }
 
@@ -346,4 +339,95 @@ func TestTCPInboundCorruptionCounted(t *testing.T) {
 	if e.DecodeErrors != 1 || e.CorruptStreams != 1 {
 		t.Fatalf("errors = %+v, want 1 decode + 1 corrupt", e)
 	}
+}
+
+// orderCheck is a handler that meets the Handler contract — safe from
+// several goroutines at once, never blocking — and checks what a fabric
+// owes in return: each sender's messages (Seg names the sender, Page
+// counts up) arrive in the order sent.
+type orderCheck struct {
+	mu   sync.Mutex
+	next map[int32]int32
+	bad  []string
+	got  int
+}
+
+func (o *orderCheck) handler() Handler {
+	return func(m *wire.Msg) {
+		o.mu.Lock()
+		if want := o.next[m.Seg]; m.Page != want {
+			o.bad = append(o.bad, fmt.Sprintf("sender %d: got %d, want %d", m.Seg, m.Page, want))
+		}
+		o.next[m.Seg] = m.Page + 1
+		o.got++
+		o.mu.Unlock()
+	}
+}
+
+// TestPerSenderFIFOConcurrentSenders drives both meshes the way the
+// live cluster does — several goroutines sending into one site at the
+// same time, so the handler is entered concurrently — and checks
+// per-sender order at the handler. Run it under -race.
+func TestPerSenderFIFOConcurrentSenders(t *testing.T) {
+	const senders, per = 6, 400
+	drop := func(*wire.Msg) {}
+	run := func(t *testing.T, check *orderCheck, port func(sender int) Transport) {
+		var wg sync.WaitGroup
+		for s := 0; s < senders; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				tr := port(s)
+				for i := 0; i < per; i++ {
+					if err := tr.Send(2, &wire.Msg{Kind: wire.KReadReq, Seg: int32(s), Page: int32(i)}); err != nil {
+						t.Errorf("sender %d: %v", s, err)
+						return
+					}
+				}
+			}(s)
+		}
+		wg.Wait()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			check.mu.Lock()
+			got, bad := check.got, check.bad
+			check.mu.Unlock()
+			if len(bad) > 0 {
+				t.Fatalf("order broken: %v", bad[0])
+			}
+			if got == senders*per {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("delivered %d of %d", got, senders*per)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	t.Run("inproc", func(t *testing.T) {
+		check := &orderCheck{next: map[int32]int32{}}
+		mesh := NewInprocMesh([]Handler{drop, drop, check.handler()})
+		defer mesh.Close()
+		run(t, check, func(s int) Transport { return mesh.Site(s % 2) })
+	})
+	t.Run("tcp", func(t *testing.T) {
+		// Two sending meshes: site 2 reads them on two connections, so
+		// its handler runs on two reader goroutines at once.
+		check := &orderCheck{next: map[int32]int32{}}
+		var meshes []*TCPMesh
+		var addrs []string
+		for i, h := range []Handler{drop, drop, check.handler()} {
+			m, err := NewTCPSite(i, "127.0.0.1:0", h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			meshes = append(meshes, m)
+			addrs = append(addrs, m.Addr())
+		}
+		for _, m := range meshes {
+			m.SetPeers(addrs)
+		}
+		run(t, check, func(s int) Transport { return meshes[s%2] })
+	})
 }

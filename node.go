@@ -10,12 +10,12 @@ import (
 )
 
 // node is one live site: a protocol engine owned by an actor loop.
-// Engine calls happen on the loop goroutine — the transport posts
-// messages, accessors post faults and wait for the wake — with one
-// exception: a resident access checks and holds its page through the
-// segment's core.Mapping on the accessor's own goroutine and does not
-// come here, but to wait its turn after an access to a page under a
-// time window (DESIGN.md §17).
+// Engine calls happen on the loop goroutine — senders append their
+// messages to its inbox (deliver), accessors post faults and wait for
+// the wake — with one exception: a resident access checks and holds its
+// page through the segment's core.Mapping on the accessor's own
+// goroutine and does not come here, but to wait its turn after an
+// access to a page under a time window (DESIGN.md §17).
 type node struct {
 	site  int
 	eng   *core.Engine
@@ -32,8 +32,8 @@ type node struct {
 
 // loopItem is one queued actor operation: either a function to run or
 // an inbound protocol message to hand to the engine. Messages get
-// their own variant so the transport's delivery path enqueues a bare
-// pointer instead of allocating a closure per message.
+// their own variant so the delivery path enqueues a bare pointer
+// instead of allocating a closure per message.
 type loopItem struct {
 	fn func()
 	m  *wire.Msg
@@ -126,15 +126,17 @@ func (n *node) close() {
 	<-n.done
 }
 
-// deliver is the transport handler: it hands a received message to the
-// engine on the loop. The message rides the inbox as a bare pointer —
+// deliver is the transport handler, callable from any goroutine — a
+// sending site's loop, a TCP reader, a chaos timer: lock, append,
+// signal, never a wait. The message rides the inbox as a bare pointer —
 // no per-message closure — and the loop feeds it to the engine.
 func (n *node) deliver(m *wire.Msg) {
 	n.enqueue(loopItem{m: m})
 }
 
 // nodeEnv adapts the node to core.Env. Live mode keeps real time and
-// ignores the simulated CPU costs: Exec is just loop scheduling.
+// ignores the simulated CPU costs. The engine calls it on the loop
+// goroutine only.
 type nodeEnv struct{ n *node }
 
 func (e nodeEnv) Site() int          { return e.n.site }
@@ -145,13 +147,26 @@ func (e nodeEnv) After(d time.Duration, fn func()) func() {
 	return func() { t.Stop() }
 }
 
+// Send hands m to the transport, but for what the site tells itself
+// (requester and library coincide): that goes to the back of the
+// site's own inbox, in order with its other messages to itself, and
+// the loop — which is running, this being one of its items — finds it
+// at its next batch without a wake.
 func (e nodeEnv) Send(to int, m core.NetMsg) {
+	if to == e.n.site {
+		e.n.deliver(m.(*wire.Msg))
+		return
+	}
 	// Errors here mean the fabric is down (cluster closing); the
 	// blocked accessors are woken by Close.
 	_ = e.n.tr.Send(to, m.(*wire.Msg))
 }
 
+// Exec runs fn now. A live node charges no CPU cost, and the engine
+// calls Exec only as the last thing a loop item does: sending fn
+// through the inbox would cost a lock round trip and put it behind
+// items nothing orders it against.
 func (e nodeEnv) Exec(cost time.Duration, fn func()) {
 	_ = cost // live nodes run at native speed
-	e.n.post(fn)
+	fn()
 }
