@@ -300,11 +300,11 @@ func (s *Site) AttachAs(id SegID, readonly bool, uid int) (*Segment, error) {
 		nd.eng.AttachSegment(seg)
 		pages, _ = nd.eng.Map(int32(id))
 	})
-	g := &Segment{site: s, seg: seg, pages: pages, readonly: readonly,
-		record: s.c.opts.Check, pid: s.c.pid()}
+	g := &Segment{slow: liveSlowPath{site: s, seg: seg, pages: pages, pid: s.c.pid()}}
 	if o := s.c.opts.Obs; o != nil && o.Metrics != nil {
-		g.faultLat = o.Metrics.Hist(obs.HFaultLatency)
+		g.slow.faultLat = o.Metrics.Hist(obs.HFaultLatency)
 	}
+	g.Accessor = mem.NewAccessor(seg, pages.Seg(), &g.slow, readonly, s.c.opts.Check)
 	return g, nil
 }
 

@@ -484,6 +484,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			cfg.Delta = core.AutoDelta{}.Min
 		}
 		viols := check.Verify(cfg, buf.Events())
+		// The run is over and no access is under way: no page may be
+		// left held at any site.
+		for _, seg := range c.Registry.Segments() {
+			for i := 0; i < c.Sites(); i++ {
+				if m := c.Site(i).DSM.Seg(int32(seg.ID)); m != nil {
+					viols = append(viols, check.HeldPages(i, int32(seg.ID), m)...)
+				}
+			}
+		}
 		if len(viols) == 0 {
 			fmt.Fprintf(stdout, "\ncoherence check: %d events, clean\n", buf.Len())
 		} else {

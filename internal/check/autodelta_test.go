@@ -6,7 +6,6 @@ import (
 
 	"mirage/internal/core"
 	"mirage/internal/mem"
-	"mirage/internal/mmu"
 	"mirage/internal/obs"
 	"mirage/internal/sim"
 )
@@ -77,23 +76,14 @@ func newAutoNet(t *testing.T, sites int, opt core.Options, seed time.Duration) *
 
 func (n *autoNet) access(site int, page int32, write bool, val byte) {
 	n.t.Helper()
-	e := n.engines[site]
+	op := Op{Site: site, Page: page, Write: write, Val: val}
 	done := false
 	var loop func()
 	loop = func() {
-		if err := e.FaultError(1, page); err != nil {
+		var err error
+		if done, err = tryOp(n.engines[site], op, loop); err != nil {
 			n.t.Fatalf("site %d degraded: %v", site, err)
 		}
-		if e.CheckAccess(1, page, write) == mmu.NoFault {
-			f := e.Frame(1, page)
-			if write {
-				f[0] = val
-			}
-			e.RecordOp(1, page, 0, write, f[:1])
-			done = true
-			return
-		}
-		e.Fault(1, page, write, 100+int32(site), loop)
 	}
 	loop()
 	for !done {

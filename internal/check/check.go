@@ -74,6 +74,9 @@ const (
 	// InvRecord: the library's record disagreed with actual page
 	// placement after quiescence (explorer harness only).
 	InvRecord = "final-record-agreement"
+	// InvIdleWord: a page was still held, or waited for, at a site with
+	// no access under way — a hold never given back (post-run only).
+	InvIdleWord = "page-word-idle"
 )
 
 // Config parameterizes the history checker.

@@ -302,3 +302,32 @@ func BenchmarkExploredRun(b *testing.B) {
 }
 
 var _ = time.Second
+
+// TestLeakedHoldIsCaught shows that the idle-word invariant bites: a
+// drained cluster passes the final checks, the same cluster with one
+// hold taken and its Unhold skipped fails them on exactly that page, and
+// passes again once the page is given back.
+func TestLeakedHoldIsCaught(t *testing.T) {
+	n := newMigNet(t, 2, obs.New())
+	n.access(0, 0, true, 1)
+	n.access(1, 0, false, 0)
+	n.k.Run()
+	sc := Scenario{Sites: 2, Pages: 2}
+	if v := finalChecks(sc, n.engines); len(v) != 0 {
+		t.Fatalf("drained cluster: %v", v)
+	}
+	for _, write := range []bool{false, true} {
+		m := n.engines[0].Seg(scenarioSeg)
+		if _, ok := m.Hold(1, write); !ok {
+			t.Fatalf("library site refused a hold (write=%v) on its own page", write)
+		}
+		v := finalChecks(sc, n.engines)
+		if len(v) != 1 || v[0].Invariant != InvIdleWord {
+			t.Fatalf("leaked hold (write=%v): violations = %v, want one %s", write, v, InvIdleWord)
+		}
+		m.Unhold(1, write)
+		if v := finalChecks(sc, n.engines); len(v) != 0 {
+			t.Fatalf("after the Unhold (write=%v): %v", write, v)
+		}
+	}
+}

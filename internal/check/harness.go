@@ -275,13 +275,7 @@ func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
 				len(sc.Ops)-h.done-h.failed, len(sc.Ops)),
 		})
 	}
-	if sc.Chaos == "" {
-		// Without faults the drained cluster must be quiescent with the
-		// library record matching actual placement; under chaos the
-		// record may legitimately be degraded (shed entries, denied
-		// grants), and the trace checker already covered safety.
-		res.violations = append(res.violations, finalChecks(sc, h.engines)...)
-	}
+	res.violations = append(res.violations, finalChecks(sc, h.engines)...)
 	return res
 }
 
@@ -293,46 +287,67 @@ func traceOf(o *obs.Obs) []obs.Event {
 	return b.Events()
 }
 
-// startSite chains ops[0..] at a site: fault-loop until granted (or
-// degraded), perform the byte access, record it, then post the next op.
+// startSite chains ops[0..] at a site: each is attempted until it is
+// done or degraded, then the next is posted.
 func (h *harness) startSite(site int, ops []Op) {
-	e := h.engines[site]
-	next := 0
-	var issue func()
-	var attempt func()
-	issue = func() {
-		if next >= len(ops) {
+	var step func()
+	step = func() {
+		if len(ops) == 0 {
 			return
 		}
-		op := ops[next]
-		next++
-		attempt = func() {
-			if err := e.FaultError(scenarioSeg, op.Page); err != nil {
-				h.failed++
-				h.k.After(0, issue)
-				return
-			}
-			if e.CheckAccess(scenarioSeg, op.Page, op.Write) != mmu.NoFault {
-				e.Fault(scenarioSeg, op.Page, op.Write, 100+int32(site), attempt)
-				return
-			}
-			f := e.Frame(scenarioSeg, op.Page)
-			if op.Write {
-				f[0] = op.Val
-			}
-			e.RecordOp(scenarioSeg, op.Page, 0, op.Write, f[:1])
-			h.done++
-			h.k.After(0, issue)
+		done, err := tryOp(h.engines[site], ops[0], step)
+		if !done {
+			return // step is the wake the engine holds
 		}
-		attempt()
+		if err != nil {
+			h.failed++
+		} else {
+			h.done++
+		}
+		ops = ops[1:]
+		h.k.After(0, step)
 	}
-	h.k.After(0, issue)
+	h.k.After(0, step)
 }
 
-// finalChecks compares the quiesced library record against actual page
-// placement — the explorer's port of the core quick-test oracle.
+// tryOp is one attempt at op on its site's engine, the access loop
+// (mem.Accessor) for a caller that is a kernel event rather than a
+// task: it holds the page, moves the byte, records the op and gives
+// the page back — or, when the check refuses, reports the fault and
+// returns not done; the engine calls retry once the page's state at the
+// site has changed. A degraded grant ends the op with its error.
+func tryOp(e *core.Engine, op Op, retry func()) (done bool, err error) {
+	if err := e.FaultError(scenarioSeg, op.Page); err != nil {
+		return true, err
+	}
+	m := e.Seg(scenarioSeg)
+	f, ok := m.Hold(int(op.Page), op.Write)
+	if !ok {
+		e.Fault(scenarioSeg, op.Page, op.Write, 100+int32(op.Site), retry)
+		return false, nil
+	}
+	if op.Write {
+		f[0] = op.Val
+	}
+	e.RecordOp(scenarioSeg, op.Page, 0, op.Write, f[:1])
+	m.Unhold(int(op.Page), op.Write)
+	return true, nil
+}
+
+// finalChecks looks at the cluster after the run. No page may be left
+// held at any site, whatever happened. Without faults the drained
+// cluster must also be quiescent with the library record matching actual
+// placement — the explorer's port of the core quick-test oracle; under
+// chaos the record may legitimately be degraded (shed entries, denied
+// grants), and the trace checker already covered safety.
 func finalChecks(sc Scenario, engines []*core.Engine) []Violation {
 	var out []Violation
+	for s, e := range engines {
+		out = append(out, HeldPages(s, scenarioSeg, e.Seg(scenarioSeg))...)
+	}
+	if sc.Chaos != "" {
+		return out
+	}
 	bad := func(page int32, format string, args ...any) {
 		out = append(out, Violation{
 			Invariant: InvRecord, Index: -1,
@@ -363,6 +378,24 @@ func finalChecks(sc Scenario, engines []*core.Engine) []Violation {
 					bad(page, "site %d holds a %v copy the library does not record", s, prot)
 				}
 			}
+		}
+	}
+	return out
+}
+
+// HeldPages checks the idle-word invariant on one site's page table for
+// a segment: with no access under way, every page's word shows no
+// reader, no exclusive holder and no waiter. A hold leaked on some error
+// path stops a live site at the page's next transition; nothing else
+// shows it.
+func HeldPages(site int, seg int32, m *mmu.Seg) []Violation {
+	var out []Violation
+	for p := 0; p < m.Pages(); p++ {
+		if !m.Idle(p) {
+			out = append(out, Violation{
+				Invariant: InvIdleWord, Index: -1,
+				Detail: fmt.Sprintf("site %d seg %d page %d: page word not idle after the run (a hold was not given back)", site, seg, p),
+			})
 		}
 	}
 	return out

@@ -508,13 +508,9 @@ func (e *Engine) Map(seg int32) (Mapping, bool) {
 	return Mapping{e, sn}, ok
 }
 
-// Hold is the access check (mmu.Seg.Hold): the frame of a page that
-// permits the access, held until Unhold, or false for a fault.
-func (v Mapping) Hold(page int, write bool) ([]byte, bool) { return v.sn.m.Hold(page, write) }
-
-// Unhold ends the access a successful Hold began and reports whether
-// the page is under a time window.
-func (v Mapping) Unhold(page int, write bool) (windowed bool) { return v.sn.m.Unhold(page, write) }
+// Seg returns the site's page table for the segment: the access check
+// and the hold (mmu.Seg.Hold, Unhold) are called on it directly.
+func (v Mapping) Seg() *mmu.Seg { return v.sn.m }
 
 // RecordOp is Engine.RecordOp for an accessor that holds the page. The
 // hold is what places the record in the trace: after the event of the

@@ -143,7 +143,7 @@ func runFailoverWorkload(crashes, perSite int) (FailoverPoint, *ipc.Cluster) {
 			}
 			add := func(off int) {
 				for {
-					if err := h.AddUint32(off, 1); err == nil {
+					if _, err := h.AddUint32(off, 1); err == nil {
 						return
 					} else if !errors.Is(err, core.ErrUnreachable) {
 						return

@@ -89,7 +89,7 @@ func runFaultWorkload(plan *chaos.Plan, sites, perSite int) (FaultSweepPoint, *i
 			}
 			add := func(off int) {
 				for {
-					err := h.AddUint32(off, 1)
+					_, err := h.AddUint32(off, 1)
 					if err == nil {
 						return
 					}

@@ -113,7 +113,7 @@ func runHotSpot(name string, dur time.Duration, hotDelta, coldDelta time.Duratio
 						n = r
 					}
 					p.Compute(time.Duration(n) * iterCost)
-					if h.AddUint32(off, -uint32(n)) != nil {
+					if _, err := h.AddUint32(off, -uint32(n)); err != nil {
 						return
 					}
 					r -= n

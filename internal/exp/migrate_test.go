@@ -10,7 +10,7 @@ import (
 )
 
 // TestMigrationSweep runs the full E21 grid on the default config and
-// asserts the properties BENCH_PR8 and the findings rely on: the
+// asserts the properties the E21 findings rely on: the
 // on-cells actually migrate, the traced run's handoffs pass the
 // coherence checker, the sweep replays deterministically, and under the
 // shifting hotspot migration beats the static baseline on p99 or

@@ -168,7 +168,7 @@ func runReplicationWorkload(name string, replicas, perSite int, crashes []chaos.
 			add := func(off int) {
 				start := p.Now()
 				for {
-					if err := h.AddUint32(off, 1); err == nil {
+					if _, err := h.AddUint32(off, 1); err == nil {
 						break
 					} else if !errors.Is(err, core.ErrUnreachable) {
 						return

@@ -186,7 +186,7 @@ func TestManyPagesManySites(t *testing.T) {
 				for pg := 0; pg < pages; pg++ {
 					off := pg * 512
 					if pg%sites == s {
-						if err := h.AddUint32(off, 1); err != nil {
+						if _, err := h.AddUint32(off, 1); err != nil {
 							t.Errorf("site %d page %d: %v", s, pg, err)
 							return
 						}

@@ -224,7 +224,7 @@ func runCounters(c *ipc.Cluster, siteA, siteB int, cfg CountersConfig) *counters
 					// store write-faults if the page moved away
 					// mid-chunk, re-acquiring it before the commit.
 					p.Compute(time.Duration(n) * iterCost)
-					if h.AddUint32(myOff, -uint32(n)) != nil {
+					if _, err := h.AddUint32(myOff, -uint32(n)); err != nil {
 						return
 					}
 					remaining -= n

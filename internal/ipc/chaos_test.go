@@ -28,7 +28,7 @@ func testRel() *core.Reliability {
 // no partial write happened).
 func addRetry(t *testing.T, p *Proc, h *Shm, off int) {
 	for {
-		err := h.AddUint32(off, 1)
+		_, err := h.AddUint32(off, 1)
 		if err == nil {
 			return
 		}

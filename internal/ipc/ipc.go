@@ -13,7 +13,6 @@
 package ipc
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -38,9 +37,12 @@ type DSM interface {
 	AttachSegment(meta *mem.Segment)
 	DestroySegment(id int32)
 	ReleaseSegment(id int32)
-	Attached(id int32) bool
-	CheckAccess(seg, page int32, write bool) mmu.FaultType
-	Frame(seg, page int32) []byte
+	// Seg is the site's page table for a segment, nil if the segment is
+	// not attached here: an access checks and holds its page there
+	// (mmu.Seg.Hold), and faults when that refuses. It is one table from
+	// the attach until the segment is destroyed, and closed for good
+	// then.
+	Seg(id int32) *mmu.Seg
 	Fault(seg, page int32, write bool, pid int32, wake func())
 	// FaultError takes (returns and clears) the pending degraded-grant
 	// error for a page: non-nil means a fault on the page was failed
@@ -51,15 +53,14 @@ type DSM interface {
 	// digest) for the coherence checker; a no-op pointer test when
 	// tracing is off.
 	RecordOp(seg, page int32, off int, write bool, b []byte)
-	MappedPages() int
 	Deliver(payload any)
 }
 
 // Errors returned by segment accessors.
 var (
-	ErrDetached = errors.New("ipc: segment detached")
-	ErrBounds   = errors.New("ipc: access outside segment")
-	ErrReadOnly = errors.New("ipc: write to read-only attach")
+	ErrDetached = mem.ErrDetached
+	ErrBounds   = mem.ErrBounds
+	ErrReadOnly = mem.ErrReadOnly
 )
 
 // Config parameterizes a cluster. Zero values take paper defaults.
@@ -238,17 +239,13 @@ func (s *Site) Spawn(name string, uid int, fn func(p *Proc)) *Proc {
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		for _, id := range ids {
-			if h := p.attached[id]; !h.detached {
-				p.shmdt(h)
-			}
+			p.Shmdt(p.attached[id])
 		}
 	})
 	p.task.RemapPages = func() int {
 		n := 0
 		for _, h := range p.attached {
-			if !h.detached {
-				n += h.seg.Pages
-			}
+			n += h.seg.Pages
 		}
 		return n
 	}
@@ -283,7 +280,7 @@ func (p *Proc) Shmget(key mem.Key, size int, flags, mode int) (mem.SegID, error)
 	if err != nil {
 		return 0, err
 	}
-	if seg.Library == p.site.id && !p.site.DSM.Attached(int32(seg.ID)) {
+	if seg.Library == p.site.id && p.site.DSM.Seg(int32(seg.ID)) == nil {
 		p.site.DSM.CreateSegment(seg)
 	}
 	return seg.ID, nil
@@ -298,7 +295,8 @@ func (p *Proc) Shmat(id mem.SegID, readonly bool) (*Shm, error) {
 	}
 	p.site.DSM.AttachSegment(seg)
 	p.site.attaches[id]++
-	h := &Shm{proc: p, seg: seg, readonly: readonly}
+	h := &Shm{proc: p, seg: seg, pages: p.site.DSM.Seg(int32(id))}
+	h.Accessor = mem.NewAccessor(seg, h.pages, h, readonly, true)
 	p.attached[id] = h
 	return h, nil
 }
@@ -306,14 +304,9 @@ func (p *Proc) Shmat(id mem.SegID, readonly bool) (*Shm, error) {
 // Shmdt detaches (System V shmdt). The cluster-wide last detach
 // destroys the segment (§2.2).
 func (p *Proc) Shmdt(h *Shm) error {
-	if h.detached {
+	if !mem.Detach(&h.Accessor) {
 		return ErrDetached
 	}
-	return p.shmdt(h)
-}
-
-func (p *Proc) shmdt(h *Shm) error {
-	h.detached = true
 	delete(p.attached, h.seg.ID)
 	s := p.site
 	s.attaches[h.seg.ID]--
@@ -340,142 +333,49 @@ func (p *Proc) ShmRemove(id mem.SegID) error {
 }
 
 // Shm is an attached segment: the process's window onto shared memory.
+// The accessors and the page loop are mem.Accessor's, the ones a live
+// site uses; Shm is their slow path on a simulated site (mem.SlowPath).
 type Shm struct {
-	proc     *Proc
-	seg      *mem.Segment
-	readonly bool
-	detached bool
+	mem.Accessor
+	proc  *Proc
+	seg   *mem.Segment
+	pages *mmu.Seg // the site's page table for seg
 }
 
 // Seg returns the segment metadata.
 func (h *Shm) Seg() *mem.Segment { return h.seg }
 
-// access runs fn over each page-aligned chunk of [off, off+n) once the
-// page is accessible, faulting and sleeping as needed.
-func (h *Shm) access(off, n int, write bool, fn func(frame []byte, frameOff, bufOff, k int)) error {
-	if h.detached {
-		return ErrDetached
-	}
-	if write && h.readonly {
-		return ErrReadOnly
-	}
-	if off < 0 || n < 0 || off+n > h.seg.Size {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrBounds, off, off+n, h.seg.Size)
-	}
-	eng := h.proc.site.DSM
+// Fault asks the protocol for the page and sleeps until the local state
+// changes, then tries the hold again (the hardware retries the faulting
+// instruction), until it has the page. The whole of it is one
+// FaultLatency sample on the virtual clock.
+func (h *Shm) Fault(page int, write bool, w mem.Waiter) ([]byte, mem.Waiter, error) {
+	p := h.proc
+	eng := p.site.DSM
 	segID := int32(h.seg.ID)
-	ps := h.seg.PageSize
-	bufOff := 0
-	for n > 0 {
-		page := off / ps
-		fo := off % ps
-		k := ps - fo
-		if k > n {
-			k = n
+	began := p.Now()
+	for {
+		if h.seg.Removed() {
+			return nil, w, ErrDetached
 		}
-		faultStart := time.Duration(-1)
-		for {
-			if h.seg.Removed() {
-				return ErrDetached
-			}
-			if eng.CheckAccess(segID, int32(page), write) == mmu.NoFault {
-				break
-			}
-			if faultStart < 0 {
-				faultStart = h.proc.Now()
-			}
-			// Fault: ask the protocol for the page and sleep until the
-			// local state changes, then recheck (the hardware retries
-			// the faulting instruction).
-			eng.Fault(segID, int32(page), write, h.proc.pid, h.proc.task.Wakeup)
-			h.proc.task.Block()
-			if err := eng.FaultError(segID, int32(page)); err != nil {
-				return err
-			}
+		eng.Fault(segID, int32(page), write, p.pid, p.task.Wakeup)
+		p.task.Block()
+		if err := eng.FaultError(segID, int32(page)); err != nil {
+			return nil, w, err
 		}
-		if faultStart >= 0 {
-			h.proc.site.c.FaultLatency.Observe(int64(h.proc.Now() - faultStart))
+		if frame, ok := h.pages.Hold(page, write); ok {
+			p.site.c.FaultLatency.Observe(int64(p.Now() - began))
+			return frame, w, nil
 		}
-		frame := eng.Frame(segID, int32(page))
-		fn(frame, fo, bufOff, k)
-		// Op record for the coherence checker; a pointer test when
-		// tracing is off.
-		eng.RecordOp(segID, int32(page), fo, write, frame[fo:fo+k])
-		off += k
-		bufOff += k
-		n -= k
 	}
-	return nil
 }
 
-// ReadAt copies len(b) bytes from the segment at off into b.
-func (h *Shm) ReadAt(b []byte, off int) error {
-	return h.access(off, len(b), false, func(frame []byte, fo, bo, k int) {
-		copy(b[bo:bo+k], frame[fo:fo+k])
-	})
-}
+// Turn is nothing here: a simulated process gives the processor up
+// when the scheduler says so, and the engine runs between its events.
+func (h *Shm) Turn(w mem.Waiter) mem.Waiter { return w }
 
-// WriteAt copies b into the segment at off.
-func (h *Shm) WriteAt(b []byte, off int) error {
-	return h.access(off, len(b), true, func(frame []byte, fo, bo, k int) {
-		copy(frame[fo:fo+k], b[bo:bo+k])
-	})
-}
-
-// Uint32 reads a 32-bit little-endian word (the VAX byte order).
-func (h *Shm) Uint32(off int) (uint32, error) {
-	var v uint32
-	err := h.access(off, 4, false, func(frame []byte, fo, bo, k int) {
-		for i := 0; i < k; i++ {
-			v |= uint32(frame[fo+i]) << (8 * uint(bo+i))
-		}
-	})
-	return v, err
-}
-
-// SetUint32 writes a 32-bit little-endian word.
-func (h *Shm) SetUint32(off int, v uint32) error {
-	return h.access(off, 4, true, func(frame []byte, fo, bo, k int) {
-		for i := 0; i < k; i++ {
-			frame[fo+i] = byte(v >> (8 * uint(bo+i)))
-		}
-	})
-}
-
-// AddUint32 adds delta to the 32-bit word at off under write access —
-// a read-modify-write like the VAX decrement instruction, whose
-// faulting access is a write fault. It returns the new value.
-func (h *Shm) AddUint32(off int, delta uint32) error {
-	return h.access(off, 4, true, func(frame []byte, fo, bo, k int) {
-		if k != 4 {
-			// Word split across pages: fall back to byte-serial RMW
-			// within this access (both pages are writable here only if
-			// the span fit one page; reject instead).
-			panic("ipc: AddUint32 across a page boundary")
-		}
-		v := uint32(frame[fo]) | uint32(frame[fo+1])<<8 | uint32(frame[fo+2])<<16 | uint32(frame[fo+3])<<24
-		v += delta
-		frame[fo] = byte(v)
-		frame[fo+1] = byte(v >> 8)
-		frame[fo+2] = byte(v >> 16)
-		frame[fo+3] = byte(v >> 24)
-	})
-}
-
-// TestAndSet performs the VAX interlocked test-and-set on one byte:
-// it obtains write access, sets the byte to 1, and returns the old
-// value. §7.2 measures (and recommends against) spinlocks built on it.
-func (h *Shm) TestAndSet(off int) (old byte, err error) {
-	err = h.access(off, 1, true, func(frame []byte, fo, bo, k int) {
-		old = frame[fo]
-		frame[fo] = 1
-	})
-	return old, err
-}
-
-// Clear sets one byte to zero with write access (spinlock release).
-func (h *Shm) Clear(off int) error {
-	return h.access(off, 1, true, func(frame []byte, fo, bo, k int) {
-		frame[fo] = 0
-	})
+// RecordOp emits the op record for the coherence checker; a pointer
+// test when tracing is off.
+func (h *Shm) RecordOp(page, off int, write bool, b []byte) {
+	h.proc.site.DSM.RecordOp(int32(h.seg.ID), int32(page), off, write, b)
 }

@@ -160,86 +160,6 @@ func TestLocalFaultColocatedLibraryIsCheap(t *testing.T) {
 	}
 }
 
-func TestReadOnlyAttachRejectsWrites(t *testing.T) {
-	c := NewCluster(1, Config{})
-	var gotErr error
-	c.Site(0).Spawn("ro", 0, func(p *Proc) {
-		id, _ := p.Shmget(7, 512, mem.Create, rw)
-		h, _ := p.Shmat(id, true)
-		gotErr = h.SetUint32(0, 1)
-	})
-	c.Run()
-	if !errors.Is(gotErr, ErrReadOnly) {
-		t.Fatalf("err = %v", gotErr)
-	}
-}
-
-func TestBoundsChecking(t *testing.T) {
-	c := NewCluster(1, Config{})
-	var e1, e2 error
-	c.Site(0).Spawn("oob", 0, func(p *Proc) {
-		id, _ := p.Shmget(7, 1000, mem.Create, rw)
-		h, _ := p.Shmat(id, false)
-		e1 = h.WriteAt([]byte{1}, 1000)
-		e2 = h.ReadAt(make([]byte, 10), -1)
-	})
-	c.Run()
-	if !errors.Is(e1, ErrBounds) || !errors.Is(e2, ErrBounds) {
-		t.Fatalf("errs = %v, %v", e1, e2)
-	}
-}
-
-func TestAccessSpanningPages(t *testing.T) {
-	c := NewCluster(2, Config{})
-	ok := false
-	c.Site(0).Spawn("span", 0, func(p *Proc) {
-		id, _ := p.Shmget(7, 2048, mem.Create, rw)
-		h, _ := p.Shmat(id, false)
-		data := make([]byte, 1024)
-		for i := range data {
-			data[i] = byte(i * 7)
-		}
-		if err := h.WriteAt(data, 300); err != nil { // spans pages 0..2
-			t.Error(err)
-			return
-		}
-		back := make([]byte, 1024)
-		if err := h.ReadAt(back, 300); err != nil {
-			t.Error(err)
-			return
-		}
-		for i := range back {
-			if back[i] != data[i] {
-				t.Errorf("byte %d: %d != %d", i, back[i], data[i])
-				return
-			}
-		}
-		ok = true
-	})
-	c.Run()
-	if !ok {
-		t.Fatal("span access failed")
-	}
-}
-
-func TestDetachedHandleFails(t *testing.T) {
-	c := NewCluster(1, Config{})
-	var err1, err2 error
-	c.Site(0).Spawn("d", 0, func(p *Proc) {
-		id, _ := p.Shmget(7, 512, mem.Create, rw)
-		h, _ := p.Shmat(id, false)
-		if err := p.Shmdt(h); err != nil {
-			t.Error(err)
-		}
-		err1 = h.SetUint32(0, 1)
-		err2 = p.Shmdt(h)
-	})
-	c.Run()
-	if !errors.Is(err1, ErrDetached) || !errors.Is(err2, ErrDetached) {
-		t.Fatalf("errs = %v, %v", err1, err2)
-	}
-}
-
 func TestLastDetachDestroysEverywhere(t *testing.T) {
 	c := NewCluster(2, Config{})
 	c.Site(0).Spawn("a", 0, func(p *Proc) {

@@ -49,7 +49,6 @@ type dynSeg struct {
 	outR    map[int32]bool
 	outW    map[int32]bool
 
-	releasing       bool
 	releasesPending int
 }
 
@@ -109,6 +108,7 @@ func (e *Dynamic) DestroySegment(id int32) {
 		return
 	}
 	delete(e.segs, id)
+	sn.m.Close() // for good: an attach may outlive the segment
 	for p, ws := range sn.waiters {
 		for _, w := range ws {
 			w()
@@ -117,40 +117,14 @@ func (e *Dynamic) DestroySegment(id int32) {
 	}
 }
 
-// Attached reports whether the segment is known here.
-func (e *Dynamic) Attached(id int32) bool {
-	_, ok := e.segs[id]
-	return ok
-}
-
-// CheckAccess classifies a local access.
-func (e *Dynamic) CheckAccess(seg, page int32, write bool) mmu.FaultType {
-	sn, ok := e.segs[seg]
-	if !ok || sn.releasing {
-		if write {
-			return mmu.WriteFault
-		}
-		return mmu.ReadFault
-	}
-	return sn.m.Check(int(page), write)
-}
-
-// Frame exposes the local frame for the data path.
-func (e *Dynamic) Frame(seg, page int32) []byte {
-	sn, ok := e.segs[seg]
+// Seg returns the site's page table for a segment (nil if it is not
+// attached here): where the access layer checks and holds a page.
+func (e *Dynamic) Seg(id int32) *mmu.Seg {
+	sn, ok := e.segs[id]
 	if !ok {
 		return nil
 	}
-	return sn.m.Frame(int(page))
-}
-
-// MappedPages reports resident pages for the remap charge.
-func (e *Dynamic) MappedPages() int {
-	n := 0
-	for _, sn := range e.segs {
-		n += sn.m.PresentCount()
-	}
-	return n
+	return sn.m
 }
 
 func (e *Dynamic) send(to int, m *Msg) {
@@ -453,7 +427,7 @@ func (e *Dynamic) ReleaseSegment(seg int32) {
 	if !ok || sn.meta.Library == e.site {
 		return
 	}
-	sn.releasing = true
+	sn.m.Close()
 	for p := 0; p < sn.m.Pages(); p++ {
 		dp := &sn.pages[p]
 		if dp.owner {
@@ -468,7 +442,7 @@ func (e *Dynamic) ReleaseSegment(seg int32) {
 		}
 	}
 	if sn.releasesPending == 0 {
-		sn.releasing = false
+		sn.m.Open()
 	}
 }
 
@@ -505,7 +479,7 @@ func (e *Dynamic) handleDynReleaseDone(sn *dynSeg, m *Msg) {
 	dp.probOwner = sn.meta.Library
 	sn.releasesPending--
 	if sn.releasesPending == 0 {
-		sn.releasing = false
+		sn.m.Open()
 		for page := range sn.waiters {
 			e.wakeWaiters(sn, page)
 		}

@@ -137,7 +137,6 @@ type segNode struct {
 
 	mgr []mgrPage // non-nil at the manager site
 
-	releasing       bool
 	releasesPending int
 }
 
@@ -201,6 +200,7 @@ func (e *Engine) DestroySegment(id int32) {
 		return
 	}
 	delete(e.segs, id)
+	sn.m.Close() // for good: an attach may outlive the segment
 	for p, ws := range sn.waiters {
 		for _, w := range ws {
 			w()
@@ -209,40 +209,14 @@ func (e *Engine) DestroySegment(id int32) {
 	}
 }
 
-// Attached reports whether the segment is known here.
-func (e *Engine) Attached(id int32) bool {
-	_, ok := e.segs[id]
-	return ok
-}
-
-// CheckAccess classifies a local access.
-func (e *Engine) CheckAccess(seg, page int32, write bool) mmu.FaultType {
-	sn, ok := e.segs[seg]
-	if !ok || sn.releasing {
-		if write {
-			return mmu.WriteFault
-		}
-		return mmu.ReadFault
-	}
-	return sn.m.Check(int(page), write)
-}
-
-// Frame exposes the local frame for the data path.
-func (e *Engine) Frame(seg, page int32) []byte {
-	sn, ok := e.segs[seg]
+// Seg returns the site's page table for a segment (nil if it is not
+// attached here): where the access layer checks and holds a page.
+func (e *Engine) Seg(id int32) *mmu.Seg {
+	sn, ok := e.segs[id]
 	if !ok {
 		return nil
 	}
-	return sn.m.Frame(int(page))
-}
-
-// MappedPages reports resident shared pages for the remap charge.
-func (e *Engine) MappedPages() int {
-	n := 0
-	for _, sn := range e.segs {
-		n += sn.m.PresentCount()
-	}
-	return n
+	return sn.m
 }
 
 // Fault requests page access for a local process.
@@ -298,7 +272,7 @@ func (e *Engine) ReleaseSegment(seg int32) {
 	if !ok || sn.meta.Library == e.site {
 		return
 	}
-	sn.releasing = true
+	sn.m.Close()
 	for p := 0; p < sn.m.Pages(); p++ {
 		if !sn.m.Present(p) {
 			continue
@@ -310,7 +284,7 @@ func (e *Engine) ReleaseSegment(seg int32) {
 		})
 	}
 	if sn.releasesPending == 0 {
-		sn.releasing = false
+		sn.m.Open()
 	}
 }
 
@@ -540,7 +514,7 @@ func (e *Engine) handleReleaseDone(sn *segNode, m *Msg) {
 	}
 	sn.releasesPending--
 	if sn.releasesPending == 0 {
-		sn.releasing = false
+		sn.m.Open()
 		for page := range sn.waiters {
 			e.wakeWaiters(sn, page)
 		}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mirage/internal/obs"
-	"mirage/internal/quantile"
 )
 
 // Report accumulates one rung's outcome. Both runners feed it — the
@@ -84,7 +83,7 @@ type Rung struct {
 	// Goodput is completions per offered second (req/s).
 	Goodput float64 `json:"goodput"`
 	// Latency summarizes scheduled-arrival→completion time (ns).
-	Latency quantile.Summary `json:"latency_ns"`
+	Latency obs.HistSummary `json:"latency_ns"`
 	// MeanLatency is the mean of the same distribution (ns).
 	MeanLatency int64 `json:"mean_latency_ns"`
 	// LivenessOK reports the liveness invariant: every admitted

@@ -12,6 +12,7 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -247,11 +248,12 @@ func (r *Registry) DestroyAll() {
 	}
 }
 
-// Segments returns the live segments (diagnostic).
+// Segments returns the live segments, in id order.
 func (r *Registry) Segments() []*Segment {
 	out := make([]*Segment, 0, len(r.byID))
 	for _, s := range r.byID {
 		out = append(out, s)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -171,3 +171,12 @@ func (s *Seg) Open() {
 // Closed reports whether the segment is closed. Close and Open change
 // every page on the one goroutine that may ask, so any page answers.
 func (s *Seg) Closed() bool { return s.pages[0].Load()&closedBit != 0 }
+
+// Idle reports whether page p's word shows no access and no transition:
+// no reader, not taken exclusively, nobody waiting. Every page is idle
+// whenever no access or transition is under way; one that is not is a
+// hold that was never given back, and the next transition of the page
+// will wait for it for ever.
+func (s *Seg) Idle(p int) bool {
+	return s.pages[p].Load()&^(protMask|closedBit|windowBit) == 0
+}

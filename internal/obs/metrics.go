@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
-
-	"mirage/internal/quantile"
 )
 
 // Counter identifies one monotonic per-site counter in a Registry.
@@ -330,25 +328,56 @@ func (h *Hist) Mean() float64 {
 	return float64(h.sum.Load()) / float64(n)
 }
 
-// Quantile returns an upper bound for the q-quantile (0 < q ≤ 1) from
-// the bucket boundaries, or 0 when empty. The scan is the shared
-// internal/quantile helper over a point-in-time copy of the atomic
-// buckets.
+// Quantile returns an upper bound for the q-quantile, exact to bucket
+// resolution: the upper bound of the first bucket at or past
+// ceil(q·total) samples, the largest sample for the overflow bucket, 0
+// when empty. q is clamped to (0, 1]: q ≤ 0 resolves the smallest
+// recorded sample's bucket and q > 1 behaves as q = 1.
 func (h *Hist) Quantile(q float64) int64 {
-	var counts [histBucketCount + 1]int64
-	var bounds [histBucketCount]int64
+	var total int64
+	for i := range h.buckets {
+		total += h.buckets[i].Load()
+	}
+	if total == 0 {
+		return 0
+	}
+	if q > 1 {
+		q = 1
+	}
+	target := int64(q * float64(total))
+	if target < 1 {
+		target = 1
+	}
+	var seen int64
 	ub := h.lo
 	for i := 0; i < histBucketCount; i++ {
-		counts[i] = h.buckets[i].Load()
-		bounds[i] = ub
+		if seen += h.buckets[i].Load(); seen >= target {
+			return ub
+		}
 		ub <<= 1
 	}
-	counts[histBucketCount] = h.buckets[histBucketCount].Load()
-	return quantile.Q(q, counts[:], bounds[:], h.max.Load())
+	return h.max.Load()
+}
+
+// HistSummary is the standard latency quartet reported by the load
+// generator and the benchmark tables. Values carry whatever unit the
+// histogram used (nanoseconds throughout this repository).
+type HistSummary struct {
+	P50  int64 `json:"p50"`
+	P95  int64 `json:"p95"`
+	P99  int64 `json:"p99"`
+	P999 int64 `json:"p999"`
 }
 
 // Summary returns the histogram's standard p50/p95/p99/p999 quartet.
-func (h *Hist) Summary() quantile.Summary { return quantile.Of(h) }
+func (h *Hist) Summary() HistSummary {
+	return HistSummary{
+		P50:  h.Quantile(0.50),
+		P95:  h.Quantile(0.95),
+		P99:  h.Quantile(0.99),
+		P999: h.Quantile(0.999),
+	}
+}
 
 // HistSnapshot is a point-in-time copy of one histogram, JSON-friendly.
 type HistSnapshot struct {

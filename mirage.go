@@ -171,11 +171,11 @@ func NewObs() *Obs { return obs.New() }
 // Errors surfaced by segment handles.
 var (
 	// ErrDetached reports use of a detached or destroyed segment.
-	ErrDetached = errors.New("mirage: segment detached")
+	ErrDetached = mem.ErrDetached
 	// ErrBounds reports an access outside the segment.
-	ErrBounds = errors.New("mirage: access outside segment")
+	ErrBounds = mem.ErrBounds
 	// ErrReadOnly reports a write through a read-only attach.
-	ErrReadOnly = errors.New("mirage: write to read-only attach")
+	ErrReadOnly = mem.ErrReadOnly
 	// ErrClosed reports use of a closed cluster.
 	ErrClosed = errors.New("mirage: cluster closed")
 	// ErrUnreachable reports a degraded grant: a peer needed to satisfy

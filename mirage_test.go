@@ -110,76 +110,6 @@ func TestBulkDataAcrossPages(t *testing.T) {
 	}
 }
 
-func TestReadOnlyAttach(t *testing.T) {
-	c := newTestCluster(t, 2, Options{})
-	id, _ := c.Site(0).Shmget(7, 512, Create, 0o600)
-	a, _ := c.Site(0).Attach(id, false)
-	ro, _ := c.Site(1).Attach(id, true)
-	a.SetUint32(0, 9)
-	if v, _ := ro.Uint32(0); v != 9 {
-		t.Fatalf("ro read %d", v)
-	}
-	if err := ro.SetUint32(0, 1); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestBoundsAndDetachErrors(t *testing.T) {
-	c := newTestCluster(t, 1, Options{})
-	id, _ := c.Site(0).Shmget(7, 100, Create, 0o600)
-	seg, _ := c.Site(0).Attach(id, false)
-	if err := seg.WriteAt([]byte{1}, 100); !errors.Is(err, ErrBounds) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := seg.ReadAt(make([]byte, 4), -1); !errors.Is(err, ErrBounds) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := seg.Detach(); err != nil {
-		t.Fatal(err)
-	}
-	if err := seg.SetUint32(0, 1); !errors.Is(err, ErrDetached) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := seg.Detach(); !errors.Is(err, ErrDetached) {
-		t.Fatalf("second detach: %v", err)
-	}
-}
-
-// AddUint32 of a word that crosses a page is a programming error and
-// panics, but only where the access would otherwise have gone through:
-// the errors of access come first, and the panic leaves no page held.
-func TestAddUint32AcrossPages(t *testing.T) {
-	c := newTestCluster(t, 1, Options{PageSize: 512})
-	id, _ := c.Site(0).Shmget(7, 1024, Create, 0o600)
-	seg, _ := c.Site(0).Attach(id, false)
-	ro, _ := c.Site(0).Attach(id, true)
-	if _, err := seg.AddUint32(1022, 1); !errors.Is(err, ErrBounds) {
-		t.Fatalf("word past the end: err = %v", err)
-	}
-	if _, err := ro.AddUint32(510, 1); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("read-only handle: err = %v", err)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("AddUint32 across a page boundary did not panic")
-			}
-		}()
-		seg.AddUint32(510, 1)
-	}()
-	for _, off := range []int{508, 512} { // both pages are free again
-		if v, err := seg.AddUint32(off, 1); err != nil || v != 1 {
-			t.Fatalf("AddUint32(%d) after the panic = %d, %v", off, v, err)
-		}
-	}
-	if err := seg.Detach(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := seg.AddUint32(510, 1); !errors.Is(err, ErrDetached) {
-		t.Fatalf("detached handle: err = %v", err)
-	}
-}
-
 func TestLastDetachDestroys(t *testing.T) {
 	c := newTestCluster(t, 2, Options{})
 	id, _ := c.Site(0).Shmget(7, 512, Create, 0o600)
