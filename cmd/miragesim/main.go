@@ -485,11 +485,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		viols := check.Verify(cfg, buf.Events())
 		// The run is over and no access is under way: no page may be
-		// left held at any site.
+		// left held at any site, or in flight in its engine.
 		for _, seg := range c.Registry.Segments() {
 			for i := 0; i < c.Sites(); i++ {
 				if m := c.Site(i).DSM.Seg(int32(seg.ID)); m != nil {
 					viols = append(viols, check.HeldPages(i, int32(seg.ID), m)...)
+				}
+				if e := c.Site(i).Eng; e != nil {
+					viols = append(viols, check.BusyPages(i, int32(seg.ID), e)...)
 				}
 			}
 		}

@@ -170,3 +170,34 @@ func TestClusterGoroutines(t *testing.T) {
 		})
 	}
 }
+
+// TestCancelledTimerNeverRuns: core.Env.After promises that a cancel on
+// the engine's goroutine, before fn started, means fn never runs. The
+// hard case for a live node is a timer that has already fired into the
+// inbox and sits there behind the loop item that cancels it.
+func TestCancelledTimerNeverRuns(t *testing.T) {
+	n := newNode(0, time.Now())
+	n.startLoop()
+	defer n.close()
+	ran := false // loop-side, read after the drain below
+	n.call(func() {
+		cancel := nodeEnv{n}.After(time.Millisecond, func() { ran = true })
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			n.mu.Lock()
+			queued := len(n.ops)
+			n.mu.Unlock()
+			if queued > 0 {
+				break // the fire is in the inbox, behind this item
+			}
+			if time.Now().After(deadline) {
+				t.Error("timer never fired into the inbox")
+				break
+			}
+		}
+		cancel()
+	})
+	n.call(func() {}) // drain: the fire was queued before this
+	if ran {
+		t.Fatal("a timer cancelled on the loop, before its function started, ran it")
+	}
+}

@@ -77,6 +77,10 @@ const (
 	// InvIdleWord: a page was still held, or waited for, at a site with
 	// no access under way — a hold never given back (post-run only).
 	InvIdleWord = "page-word-idle"
+	// InvIdlePage: a site's engine still tracked something for a page —
+	// a blocked fault, an outstanding request or its deadline, a
+	// collection or a relay — with the run drained (post-run only).
+	InvIdlePage = "site-page-idle"
 )
 
 // Config parameterizes the history checker.

@@ -335,7 +335,8 @@ func tryOp(e *core.Engine, op Op, retry func()) (done bool, err error) {
 }
 
 // finalChecks looks at the cluster after the run. No page may be left
-// held at any site, whatever happened. Without faults the drained
+// held at any site, or in flight in any site's engine, whatever
+// happened. Without faults the drained
 // cluster must also be quiescent with the library record matching actual
 // placement — the explorer's port of the core quick-test oracle; under
 // chaos the record may legitimately be degraded (shed entries, denied
@@ -344,6 +345,7 @@ func finalChecks(sc Scenario, engines []*core.Engine) []Violation {
 	var out []Violation
 	for s, e := range engines {
 		out = append(out, HeldPages(s, scenarioSeg, e.Seg(scenarioSeg))...)
+		out = append(out, BusyPages(s, scenarioSeg, e)...)
 	}
 	if sc.Chaos != "" {
 		return out
@@ -395,6 +397,29 @@ func HeldPages(site int, seg int32, m *mmu.Seg) []Violation {
 			out = append(out, Violation{
 				Invariant: InvIdleWord, Index: -1,
 				Detail: fmt.Sprintf("site %d seg %d page %d: page word not idle after the run (a hold was not given back)", site, seg, p),
+			})
+		}
+	}
+	return out
+}
+
+// BusyPages checks the idle-record invariant on one site's engine for a
+// segment: with the run drained, the engine tracks nothing for any page
+// — no blocked fault, no request outstanding or deadline armed, no
+// collection or relay for another site's write grant. A flag left
+// behind by some path is invisible until the page's next fault finds a
+// request "outstanding" that nobody will answer.
+func BusyPages(site int, seg int32, e *core.Engine) []Violation {
+	m := e.Seg(seg)
+	if m == nil {
+		return nil // not attached here
+	}
+	var out []Violation
+	for p := 0; p < m.Pages(); p++ {
+		if st := e.SitePage(seg, int32(p)); st != (core.SitePageState{}) {
+			out = append(out, Violation{
+				Invariant: InvIdlePage, Index: -1,
+				Detail: fmt.Sprintf("site %d seg %d page %d: engine record not idle after the run: %+v", site, seg, p, st),
 			})
 		}
 	}

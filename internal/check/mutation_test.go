@@ -5,6 +5,8 @@ package check
 import (
 	"bytes"
 	"testing"
+
+	"mirage/internal/core"
 )
 
 // TestMutationWindowViolationCaught is the detector-of-detectors: the
@@ -97,4 +99,21 @@ func TestMutationWindowViolationCaught(t *testing.T) {
 		t.Fatal("decoded repro replays a different trace")
 	}
 	wantInv(t, c.Violations, InvWindow)
+}
+
+// TestMutationLeftWriteOutstandingCaught: with core's
+// MutateLeaveWriteOutstanding on, a requester that installs a write
+// grant keeps its write request marked outstanding. One write is enough:
+// it completes, the trace is clean, and only the engine's record of the
+// page shows what was left behind — which the site-page-idle final check
+// must report.
+func TestMutationLeftWriteOutstandingCaught(t *testing.T) {
+	core.MutateLeaveWriteOutstanding = true
+	defer func() { core.MutateLeaveWriteOutstanding = false }()
+	sc := Scenario{Sites: 2, Pages: 1, Policy: 2, Ops: []Op{{Site: 1, Write: true, Val: 7}}}
+	res := Exhaustive(sc, ExploreOpts{MaxRuns: 50})
+	if res.Counterexample == nil {
+		t.Fatalf("mutation not caught in %d runs", res.Runs)
+	}
+	wantInv(t, res.Violations, InvIdlePage)
 }

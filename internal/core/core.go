@@ -47,7 +47,10 @@ type Env interface {
 	// Now returns the current time (virtual in simulation, monotonic
 	// wall time live). Δ windows are measured in real time (§9.0).
 	Now() time.Duration
-	// After schedules fn after d; the returned function cancels.
+	// After schedules fn after d; the returned function cancels. Both
+	// fn and cancel run on the engine's goroutine, and a cancel there
+	// before fn has started means fn never runs: the engine keeps no
+	// guard of its own against a timer it cancelled.
 	After(d time.Duration, fn func()) (cancel func())
 	// Send transmits a protocol message to a site (possibly this one;
 	// loopback must deliver with no network charge).
@@ -275,25 +278,93 @@ type Stats struct {
 	DeltaShrinks int // controller halved a page's Δ (multiplicative decrease)
 }
 
-type pageKey struct {
-	seg  int32
-	page int32
-}
-
 // waiter is a blocked fault continuation.
 type waiter struct {
 	write bool
 	wake  func()
 }
 
+// sitePage is what a site's engine tracks for one page while something
+// is in flight for it: the engine's share of the paper's auxiliary
+// page-table entry (§6.2, Table 2; DESIGN.md §19 sets it beside mmu.page
+// and libPage). A new per-page field of the engine goes here and gets a
+// line in reset — TestSitePageResetCoversEveryField fails until it has.
+type sitePage struct {
+	// This site's own faults, and the request made for them.
+	waiters    []waiter // blocked faults; the backing array outlives a wake
+	outR, outW bool     // read, write request outstanding
+
+	// Other sites' grant cycles this site is serving.
+	pend  *pendingInval // clock site: copies being collected for a write grant
+	relay *invalRelay   // interior site: a delegated invalidation subtree
+
+	// The reliability layer's share, nil until it first has something
+	// to keep: the record is paid per page per attached site, and set
+	// out flat these three fields are 40 of its 96 bytes.
+	rel *pageRel
+}
+
+type pageRel struct {
+	cancelReq func() // requests: the end-to-end deadline, nil when not armed
+	err       error  // requests: the degraded-grant verdict the accessor has yet to take
+	stash     []byte // cycles: the frame the clock site captured for an upgrade grant
+}
+
+// relPart returns the reliability layer's share of the record, made on
+// first use.
+func (sp *sitePage) relPart() *pageRel {
+	if sp.rel == nil {
+		sp.rel = new(pageRel)
+	}
+	return sp.rel
+}
+
+// takeErr returns and clears the page's degraded-grant verdict.
+func (sp *sitePage) takeErr() error {
+	if sp.rel == nil {
+		return nil
+	}
+	err := sp.rel.err
+	sp.rel.err = nil
+	return err
+}
+
+// reset is the only code that ends in-flight state. Besides the blocked
+// faults a record holds two kinds — this site's own requests (flags,
+// deadline, verdict) and the cycles it serves for other sites
+// (collection, relay, captured frame) — and the events that end state
+// differ only in which they end (DESIGN.md §19 has the table): a library
+// that moved within the epoch ends the requests, a superseded epoch
+// both, an arriving role the cycles and, if the old library lives, the
+// requests, destroy both. The blocked faults survive them all: the
+// caller wakes them, to ask the current library again or to find the
+// segment gone. reset returns the collection the caller owes a rollback.
+func (sp *sitePage) reset(requests, cycles bool) (rolled *pendingInval) {
+	r := sp.rel
+	if requests {
+		sp.outR, sp.outW = false, false
+		if r != nil {
+			if r.cancelReq != nil {
+				r.cancelReq()
+			}
+			r.cancelReq, r.err = nil, nil
+		}
+	}
+	if cycles {
+		rolled = sp.pend
+		sp.pend, sp.relay = nil, nil
+		if r != nil {
+			r.stash = nil
+		}
+	}
+	return rolled
+}
+
 // segNode is per-site state for one attached segment.
 type segNode struct {
-	meta *mem.Segment
-	m    *mmu.Seg
-
-	waiters map[int32][]waiter // page -> blocked faults
-	outR    map[int32]bool     // read request outstanding
-	outW    map[int32]bool     // write request outstanding
+	meta  *mem.Segment
+	m     *mmu.Seg
+	pages []sitePage // by page number, like m's
 
 	lib *libSeg // non-nil at the library site
 
@@ -324,10 +395,6 @@ type segNode struct {
 	// quorum acks; at followers repl mirrors the applied record so an
 	// election can install from it.
 	repl *replSeg
-
-	// Degraded-grant state (reliability layer only).
-	pageErr  map[int32]error  // page -> pending error for the accessor
-	reqTimer map[int32]func() // page -> end-to-end request deadline cancel
 }
 
 // releasing reports whether the segment is between its last local
@@ -341,12 +408,9 @@ type Engine struct {
 	costs Costs
 	site  int
 	segs  map[int32]*segNode
-	pend  map[pageKey]*pendingInval // clock-side invalidation collections
-	relay map[pageKey]*invalRelay   // interior-site delegated inval subtrees
-	rel   *rel                      // nil unless Options.Reliability set
-	stash map[pageKey][]byte        // clock-side frames captured per grant cycle
-	obs   *obs.Obs                  // nil when observability is off
-	auto  AutoDelta                 // normalized AutoDelta config; valid iff opt.AutoDelta != nil
+	rel   *rel      // nil unless Options.Reliability set
+	obs   *obs.Obs  // nil when observability is off
+	auto  AutoDelta // normalized AutoDelta config; valid iff opt.AutoDelta != nil
 
 	// The one ledger (DESIGN.md §9): counts is this site's entry per
 	// counter of the obs vocabulary, written by count and countN on the
@@ -382,9 +446,6 @@ func New(env Env, opt Options) *Engine {
 		costs: costs,
 		site:  env.Site(),
 		segs:  make(map[int32]*segNode),
-		pend:  make(map[pageKey]*pendingInval),
-		relay: make(map[pageKey]*invalRelay),
-		stash: make(map[pageKey][]byte),
 		obs:   opt.Obs,
 	}
 	if opt.Obs != nil {
@@ -605,12 +666,10 @@ func (e *Engine) register(meta *mem.Segment) *segNode {
 		return sn
 	}
 	sn := &segNode{
-		meta:    meta,
-		m:       mmu.NewSeg(meta.Pages, meta.PageSize),
-		waiters: make(map[int32][]waiter),
-		outR:    make(map[int32]bool),
-		outW:    make(map[int32]bool),
-		curLib:  meta.Library,
+		meta:   meta,
+		m:      mmu.NewSeg(meta.Pages, meta.PageSize),
+		pages:  make([]sitePage, meta.Pages),
+		curLib: meta.Library,
 	}
 	e.segs[int32(meta.ID)] = sn
 	return sn
@@ -628,13 +687,21 @@ func (e *Engine) DestroySegment(id int32) {
 	delete(e.segs, id)
 	sn.m.Close() // for good: a Mapping outlives the segment
 	e.wakeAll(sn)
-	for _, cancel := range sn.reqTimer {
-		cancel()
+	e.resetPages(sn, true, true)
+}
+
+// resetPages applies sitePage.reset to every page of the segment, in
+// page order so that the rollbacks' events land identically across
+// replays. A destroyed segment has no page table to roll back into.
+func (e *Engine) resetPages(sn *segNode, requests, cycles bool) {
+	for p := range sn.pages {
+		if pi := sn.pages[p].reset(requests, cycles); pi != nil && e.live(sn) {
+			e.rollbackPend(sn, int32(p), pi)
+		}
 	}
-	sn.reqTimer = nil
-	dropSeg(e.pend, id)
-	dropSeg(e.relay, id)
-	dropSeg(e.stash, id)
+	if cycles {
+		sn.partials = nil // half-received payloads die with their epoch too
+	}
 }
 
 // Seg returns the site's MMU state for a segment (nil if not attached
@@ -664,6 +731,24 @@ func (e *Engine) Attached(id int32) bool {
 	return ok
 }
 
+// SitePageState is a read-only snapshot of what the engine tracks for a
+// page at this site, for tests and the post-run checks: the zero value
+// is an idle record, as every record is once a run has drained.
+type SitePageState struct {
+	Blocked           int  // faults waiting
+	ReadOut, WriteOut bool // request outstanding
+	Deadline          bool // request deadline armed
+	Collecting        bool // clock site, invalidation collection in flight
+	Relaying          bool // interior site, delegated subtree in flight
+}
+
+// SitePage returns the engine's record of a page of an attached segment.
+func (e *Engine) SitePage(seg, page int32) SitePageState {
+	sp := &e.segs[seg].pages[page]
+	return SitePageState{Blocked: len(sp.waiters), ReadOut: sp.outR, WriteOut: sp.outW,
+		Deadline: sp.rel != nil && sp.rel.cancelReq != nil, Collecting: sp.pend != nil, Relaying: sp.relay != nil}
+}
+
 // Fault reports a page fault by a local process: the process (pid)
 // needs page of seg with (write) access; wake is called — possibly
 // multiple faults later — whenever the page's local state changed so
@@ -684,20 +769,21 @@ func (e *Engine) Fault(seg int32, page int32, write bool, pid int32, wake func()
 		e.count(obs.CReadFault)
 		e.emit(obs.Event{Type: obs.EvFault, Seg: seg, Page: page})
 	}
-	sn.waiters[page] = append(sn.waiters[page], waiter{write: write, wake: wake})
+	sp := &sn.pages[page]
+	sp.waiters = append(sp.waiters, waiter{write: write, wake: wake})
 
 	needReq := false
 	var kind wire.Kind
 	if write {
-		if !sn.outW[page] {
-			sn.outW[page] = true
+		if !sp.outW {
+			sp.outW = true
 			needReq = true
 			kind = wire.KWriteReq
 		}
 	} else {
 		// A pending write request will satisfy a read fault too.
-		if !sn.outR[page] && !sn.outW[page] {
-			sn.outR[page] = true
+		if !sp.outR && !sp.outW {
+			sp.outR = true
 			needReq = true
 			kind = wire.KReadReq
 		}
@@ -726,13 +812,15 @@ func (e *Engine) Fault(seg int32, page int32, write bool, pid int32, wake func()
 // wakeWaiters wakes every blocked fault on a page; each rechecks its
 // access and refaults if still unsatisfied.
 func (e *Engine) wakeWaiters(sn *segNode, page int32) {
-	ws := sn.waiters[page]
-	if len(ws) == 0 {
-		return
-	}
-	delete(sn.waiters, page)
-	for _, w := range ws {
+	sp := &sn.pages[page]
+	ws := sp.waiters
+	sp.waiters = nil // taken first: a wake may re-enter Fault
+	for i, w := range ws {
+		ws[i] = waiter{}
 		w.wake()
+	}
+	if sp.waiters == nil {
+		sp.waiters = ws[:0] // the backing array serves the page's next fault
 	}
 }
 
@@ -741,9 +829,21 @@ func (e *Engine) wakeWaiters(sn *segNode, page int32) {
 // segment was destroyed, or destroyed and attached anew.
 func (e *Engine) live(sn *segNode) bool { return e.segs[int32(sn.meta.ID)] == sn }
 
-// wakeAll wakes the blocked faults of every page, in page order: map
-// order would reorder the requests they re-send between otherwise
-// identical runs and break replay determinism.
+// after is Env.After for a timer that belongs to a segment, and the one
+// rule such timers follow: a fire that finds the segment gone is
+// dropped. Env.After's contract covers the other half — a cancelled
+// timer never fires — so fn tests only protocol state that can change
+// without anybody holding the cancel.
+func (e *Engine) after(sn *segNode, d time.Duration, fn func()) (cancel func()) {
+	return e.env.After(d, func() {
+		if e.live(sn) {
+			fn()
+		}
+	})
+}
+
+// wakeAll wakes the blocked faults of every page, in page order: the
+// requests they re-send then go out in the same order in every run.
 func (e *Engine) wakeAll(sn *segNode) {
 	for p := int32(0); p < int32(sn.m.Pages()); p++ {
 		e.wakeWaiters(sn, p)
@@ -823,10 +923,12 @@ func (e *Engine) handle(m *wire.Msg) {
 		e.count(obs.CDropped)
 		return
 	}
+	fenced := true
 	switch m.Kind {
 	case wire.KRecover, wire.KRecoverReply, wire.KMigrate, wire.KMigrateAck:
 		// Rehoming traffic resolves epoch skew itself, so it skips the
 		// generic fence.
+		fenced = false
 		if e.failover == nil {
 			e.count(obs.CDropped)
 			return
@@ -836,19 +938,25 @@ func (e *Engine) handle(m *wire.Msg) {
 			e.count(obs.CDropped)
 			return
 		}
-		fallthrough
 	default:
-		if e.failover != nil && int(m.From) != e.site {
-			// Library-epoch fencing: traffic of a superseded epoch is dead
-			// with its library; traffic from a newer one means a takeover
-			// this site has not heard of yet.
-			if m.SegEpoch < sn.segEpoch.Load() {
-				e.staleEpoch(sn, m)
-				return
-			}
-			if m.SegEpoch > sn.segEpoch.Load() {
-				e.adoptAhead(sn, m)
-			}
+		// Every other kind names a page, and its handler indexes this
+		// site's tables with the number a peer sent (the kinds above
+		// carry -1 or -2 there and index nothing with it).
+		if m.Page < 0 || int(m.Page) >= len(sn.pages) {
+			e.count(obs.CDropped)
+			return
+		}
+	}
+	if fenced && e.failover != nil && int(m.From) != e.site {
+		// Library-epoch fencing: traffic of a superseded epoch is dead
+		// with its library; traffic from a newer one means a takeover
+		// this site has not heard of yet.
+		if m.SegEpoch < sn.segEpoch.Load() {
+			e.staleEpoch(sn, m)
+			return
+		}
+		if m.SegEpoch > sn.segEpoch.Load() {
+			e.adoptAhead(sn, m)
 		}
 	}
 	switch m.Kind {

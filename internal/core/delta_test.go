@@ -72,7 +72,7 @@ func TestDegradedErrorClearedByInstall(t *testing.T) {
 	sn := n.engines[1].segs[1]
 	// A past unreachable-peer verdict is still cached when a grant cycle
 	// finally installs the page.
-	sn.pageErr = map[int32]error{0: ErrUnreachable}
+	sn.pages[0].relPart().err = ErrUnreachable
 	n.acquire(1, 1, 0, false)
 	n.settle()
 	if err := n.engines[1].FaultError(1, 0); err != nil {

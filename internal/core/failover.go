@@ -68,14 +68,10 @@ type recovery struct {
 }
 
 // armRecovery (re)starts the takeover's timeout: fn runs when it
-// expires if rc is still the segment's recovery.
+// expires. Whatever ends the takeover first disarms it.
 func (e *Engine) armRecovery(sn *segNode, rc *recovery, fn func(*segNode)) {
 	rc.disarm()
-	rc.cancel = e.env.After(e.failover.RecoverTimeout, func() {
-		if e.live(sn) && sn.recov == rc {
-			fn(sn)
-		}
-	})
+	rc.cancel = e.after(sn, e.failover.RecoverTimeout, func() { fn(sn) })
 }
 
 func (rc *recovery) disarm() {
@@ -158,7 +154,8 @@ func (e *Engine) handleRecover(sn *segNode, m *wire.Msg) {
 			// broadcasts nothing. Re-aim outstanding requests at the
 			// successor the deposed library names.
 			sn.curLib = int(m.Req)
-			e.reaimRequests(sn)
+			e.resetPages(sn, true, false)
+			e.wakeAll(sn)
 		}
 	default:
 		e.markStale() // trigger or notice from a superseded epoch
@@ -189,12 +186,11 @@ func (e *Engine) beginRecovery(sn *segNode) {
 	sn.recov = rc
 	// Requests aimed at the dead library are dead with it; blocked
 	// faults re-issue against this site once the record is installed.
-	e.forgetRequests(sn)
 	// So are this site's own clock-side collections: roll them back now,
 	// before its holdings are read, so a copy it had invalidated for a
 	// cycle the crash killed is reported like any survivor's (adoptEpoch
 	// does the same at every other site before it reports).
-	e.dropEpochState(sn)
+	e.resetPages(sn, true, true)
 	if e.replication != nil && e.replGroupHas(dead, e.site) {
 		// This site mirrors the dead library's log: run an election and
 		// install from the merged log tail instead of interrogating every
@@ -327,9 +323,11 @@ func (e *Engine) handleRecoverReply(sn *segNode, m *wire.Msg) {
 
 // adoptEpoch moves this site into a newer library epoch: the previous
 // epoch's in-flight state is dead with its library, so outstanding
-// requests, clock-side collections, and (if this site WAS the library)
-// the library role itself are all dropped. Local page copies stay put —
-// they are reported to the new library like any holder's.
+// requests and their verdicts (the new library may well serve pages the
+// dead one could not), clock-side collections, and (if this site WAS
+// the library) the library role itself are all dropped. Local page
+// copies stay put — they are reported to the new library like any
+// holder's.
 func (e *Engine) adoptEpoch(sn *segNode, epoch uint32, newLib int) {
 	if epoch <= sn.segEpoch.Load() {
 		return
@@ -360,7 +358,7 @@ func (e *Engine) adoptEpoch(sn *segNode, epoch uint32, newLib int) {
 		}
 		sn.migOut = nil
 	}
-	e.dropEpochState(sn)
+	e.resetPages(sn, true, true)
 	if sn.releasing() {
 		// In-flight releases died with the old epoch (their eventual
 		// give-up is fenced by the epoch guard in deliveryFailed, and a
@@ -371,45 +369,7 @@ func (e *Engine) adoptEpoch(sn *segNode, epoch uint32, newLib int) {
 		sn.releasesPending = 0
 		e.shipCopies(sn, false)
 	}
-	e.reaimRequests(sn)
-}
-
-// rollbackSegPend rolls back every clock-side pending invalidation of
-// the segment, in page order so the emitted page-state events (and any
-// sim work they schedule) land identically across replays.
-func (e *Engine) rollbackSegPend(sn *segNode, seg int32) {
-	for p := int32(0); p < int32(sn.m.Pages()); p++ {
-		k := pageKey{seg: seg, page: p}
-		if pi, ok := e.pend[k]; ok {
-			delete(e.pend, k)
-			e.rollbackPend(sn, p, pi)
-		}
-	}
-}
-
-// reaimRequests drops the segment's outstanding-request state and wakes
-// every blocked fault so it re-issues against the current library.
-func (e *Engine) reaimRequests(sn *segNode) {
-	e.forgetRequests(sn)
-	e.wakeAll(sn)
-}
-
-// forgetRequests clears every outstanding request and its deadline for
-// the segment, and any degraded-grant verdicts of the old epoch: the
-// woken faults re-request against the current library, which may well
-// be able to serve pages the dead one could not.
-func (e *Engine) forgetRequests(sn *segNode) {
-	for page := range sn.outR {
-		delete(sn.outR, page)
-	}
-	for page := range sn.outW {
-		delete(sn.outW, page)
-	}
-	for page, cancel := range sn.reqTimer {
-		cancel()
-		delete(sn.reqTimer, page)
-	}
-	sn.pageErr = nil
+	e.wakeAll(sn) // to re-request at the current library
 }
 
 // rollbackPend reinstates the copy a clock site invalidated for a write

@@ -183,12 +183,7 @@ func (e *Engine) handleInval(sn *segNode, m *wire.Msg) {
 			fallthrough
 		case PolicyQueue:
 			e.countN(obs.CWindowWait, int64(rem))
-			e.env.After(rem, func() {
-				// Segment may have been destroyed while we waited.
-				if e.live(sn) {
-					e.acceptInval(sn, m)
-				}
-			})
+			e.after(sn, rem, func() { e.acceptInval(sn, m) })
 			return
 		}
 	}
@@ -276,13 +271,15 @@ func (e *Engine) acceptInval(sn *segNode, m *wire.Msg) {
 		return
 	}
 	pi := &pendingInval{m: m, remaining: targets, data: data, origMask: origMask}
-	k := pageKey{m.Seg, m.Page}
-	e.pend[k] = pi
+	sp := &sn.pages[m.Page]
+	sp.pend = pi
 	pi.sub = e.fanoutInvalOrders(m, targets)
 	if e.rel != nil && len(pi.sub) > 0 {
-		e.env.After(e.delegationTimeout(), func() {
-			if cur, ok := e.pend[k]; ok && cur == pi {
-				e.reissueDelegations(k, pi.m.Cycle, pi.sub, pi.remaining)
+		// Nobody cancels a watchdog: it asks whether its collection is
+		// still the page's.
+		e.after(sn, e.delegationTimeout(), func() {
+			if sp.pend == pi {
+				e.reissueDelegations(m, pi.sub, pi.remaining)
 			}
 		})
 	}
@@ -314,13 +311,13 @@ func (e *Engine) delegationTimeout() time.Duration {
 // live-but-slow relay's late aggregate merges idempotently, and a
 // truly dead member now fails through the normal order give-up path
 // (abort at the clock, KInvalFail at a relay) instead of hanging.
-func (e *Engine) reissueDelegations(k pageKey, cycle uint32, sub map[int]mmu.Copyset, remaining mmu.Copyset) {
+func (e *Engine) reissueDelegations(m *wire.Msg, sub map[int]mmu.Copyset, remaining mmu.Copyset) {
 	for root, subtree := range sub {
 		delete(sub, root)
 		subtree.ForEach(func(s int) {
 			if remaining.Has(s) {
 				e.count(obs.CReissued)
-				e.send(s, &wire.Msg{Kind: wire.KInvalOrder, Seg: k.seg, Page: k.page, Cycle: cycle})
+				e.send(s, &wire.Msg{Kind: wire.KInvalOrder, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
 			}
 		})
 	}
@@ -346,11 +343,11 @@ func (e *Engine) finishWriteGrant(sn *segNode, m *wire.Msg, data []byte) {
 				Kind: wire.KInstalled, Mode: wire.Write, Seg: m.Seg, Page: m.Page,
 				Cycle: m.Cycle,
 			})
-			delete(sn.pageErr, m.Page) // in-place grant supersedes old verdicts
+			sp := &sn.pages[m.Page]
+			sp.takeErr() // in-place grant supersedes old verdicts
 			e.wakeWaiters(sn, m.Page)
-			sn.outW[m.Page] = false
-			sn.outR[m.Page] = false
-			e.reqProgress(sn, m.Page)
+			sp.outW, sp.outR = false, false
+			sp.reqProgress()
 			return
 		}
 		// Optimization 1: no page copy; a notification acknowledges the
@@ -358,7 +355,7 @@ func (e *Engine) finishWriteGrant(sn *segNode, m *wire.Msg, data []byte) {
 		// delivery (or an upgrade landing on an invalid copy) can still
 		// rehome the page at the library.
 		if e.rel != nil && data != nil {
-			e.stash[pageKey{m.Seg, m.Page}] = data
+			sn.pages[m.Page].relPart().stash = data
 		}
 		e.send(req, &wire.Msg{
 			Kind: wire.KUpgradeGrant, Seg: m.Seg, Page: m.Page, Delta: m.Delta,
@@ -417,12 +414,12 @@ func (e *Engine) handleInvalOrder(sn *segNode, m *wire.Msg) {
 		acked:     mmu.CopysetOf(e.site),
 	}
 	rl.sub = e.fanoutInvalOrders(m, rest)
-	k := pageKey{m.Seg, m.Page}
-	e.relay[k] = rl
+	sp := &sn.pages[m.Page]
+	sp.relay = rl
 	if e.rel != nil && len(rl.sub) > 0 {
-		e.env.After(e.delegationTimeout(), func() {
-			if cur, ok := e.relay[k]; ok && cur == rl {
-				e.reissueDelegations(k, rl.cycle, rl.sub, rl.remaining)
+		e.after(sn, e.delegationTimeout(), func() {
+			if sp.relay == rl {
+				e.reissueDelegations(m, rl.sub, rl.remaining)
 			}
 		})
 	}
@@ -442,17 +439,17 @@ func ackCovered(m *wire.Msg) mmu.Copyset {
 // subtree.
 func (e *Engine) handleInvalAck(sn *segNode, m *wire.Msg) {
 	e.count(obs.CInvalAcked)
-	k := pageKey{m.Seg, m.Page}
-	if rl, ok := e.relay[k]; ok && rl.cycle == m.Cycle {
+	sp := &sn.pages[m.Page]
+	if rl := sp.relay; rl != nil && rl.cycle == m.Cycle {
 		covered := ackCovered(m)
 		rl.acked = rl.acked.Union(covered)
 		rl.remaining = rl.remaining.Subtract(covered)
 		delete(rl.sub, int(m.From))
-		e.relayMaybeFinish(k, rl)
+		e.relayMaybeFinish(sn, m.Page, rl)
 		return
 	}
-	pi, ok := e.pend[k]
-	if !ok || (e.rel != nil && m.Cycle != pi.m.Cycle) {
+	pi := sp.pend
+	if pi == nil || (e.rel != nil && m.Cycle != pi.m.Cycle) {
 		if e.rel != nil {
 			e.markStale()
 			return
@@ -468,7 +465,7 @@ func (e *Engine) handleInvalAck(sn *segNode, m *wire.Msg) {
 	if !pi.remaining.Empty() {
 		return
 	}
-	delete(e.pend, k)
+	sp.pend = nil
 	e.finishWriteGrant(sn, pi.m, pi.data)
 }
 
@@ -476,18 +473,19 @@ func (e *Engine) handleInvalAck(sn *segNode, m *wire.Msg) {
 // once every subtree member is resolved. The ack travels first so the
 // parent merges this relay's confirmed set before any failure report
 // triggers rollback — both messages ride the same FIFO circuit.
-func (e *Engine) relayMaybeFinish(k pageKey, rl *invalRelay) {
+func (e *Engine) relayMaybeFinish(sn *segNode, page int32, rl *invalRelay) {
 	if !rl.remaining.Empty() {
 		return
 	}
-	delete(e.relay, k)
+	sn.pages[page].relay = nil
+	seg := int32(sn.meta.ID)
 	e.send(rl.parent, &wire.Msg{
-		Kind: wire.KInvalAck, Seg: k.seg, Page: k.page, Cycle: rl.cycle,
+		Kind: wire.KInvalAck, Seg: seg, Page: page, Cycle: rl.cycle,
 		Readers: rl.acked,
 	})
 	if !rl.failed.Empty() {
 		e.send(rl.parent, &wire.Msg{
-			Kind: wire.KInvalFail, Seg: k.seg, Page: k.page, Cycle: rl.cycle,
+			Kind: wire.KInvalFail, Seg: seg, Page: page, Cycle: rl.cycle,
 			Readers: rl.failed,
 		})
 	}
@@ -498,7 +496,7 @@ func (e *Engine) relayMaybeFinish(k pageKey, rl *invalRelay) {
 // delegated falls back to direct unicast orders from this relay, so a
 // crashed interior site degrades the tree to the flat path instead of
 // stranding its descendants.
-func (e *Engine) relayOrderFailed(k pageKey, rl *invalRelay, to int) {
+func (e *Engine) relayOrderFailed(sn *segNode, page int32, rl *invalRelay, to int) {
 	subtree, ok := rl.sub[to]
 	delete(rl.sub, to)
 	if !ok {
@@ -510,10 +508,10 @@ func (e *Engine) relayOrderFailed(k pageKey, rl *invalRelay, to int) {
 	}
 	subtree.Remove(to).ForEach(func(s int) {
 		if rl.remaining.Has(s) {
-			e.send(s, &wire.Msg{Kind: wire.KInvalOrder, Seg: k.seg, Page: k.page, Cycle: rl.cycle})
+			e.send(s, &wire.Msg{Kind: wire.KInvalOrder, Seg: int32(sn.meta.ID), Page: page, Cycle: rl.cycle})
 		}
 	})
-	e.relayMaybeFinish(k, rl)
+	e.relayMaybeFinish(sn, page, rl)
 }
 
 // handleInvalFail receives a relay's unreachable-subtree report. At
@@ -521,15 +519,15 @@ func (e *Engine) relayOrderFailed(k pageKey, rl *invalRelay, to int) {
 // circuit giving up; at an intermediate relay it folds the failure
 // into the aggregated answer for its own parent.
 func (e *Engine) handleInvalFail(sn *segNode, m *wire.Msg) {
-	k := pageKey{m.Seg, m.Page}
-	if rl, ok := e.relay[k]; ok && rl.cycle == m.Cycle {
+	sp := &sn.pages[m.Page]
+	if rl := sp.relay; rl != nil && rl.cycle == m.Cycle {
 		rl.failed = rl.failed.Union(m.Readers)
 		rl.remaining = rl.remaining.Subtract(m.Readers)
-		e.relayMaybeFinish(k, rl)
+		e.relayMaybeFinish(sn, m.Page, rl)
 		return
 	}
-	pi, ok := e.pend[k]
-	if !ok || m.Cycle != pi.m.Cycle {
+	pi := sp.pend
+	if pi == nil || m.Cycle != pi.m.Cycle {
 		e.markStale()
 		return
 	}
@@ -539,7 +537,8 @@ func (e *Engine) handleInvalFail(sn *segNode, m *wire.Msg) {
 // handlePageSend installs a received page at the requester and
 // completes its share of the grant cycle.
 func (e *Engine) handlePageSend(sn *segNode, m *wire.Msg) {
-	if sn.releasing() && !sn.outR[m.Page] && !sn.outW[m.Page] {
+	sp := &sn.pages[m.Page]
+	if sn.releasing() && !sp.outR && !sp.outW {
 		// An unsolicited copy — a clock rollback re-shipping to a
 		// reader whose release is still queued at the busy library.
 		// The copy was surrendered the moment it shipped home;
@@ -576,17 +575,15 @@ func (e *Engine) handlePageSend(sn *segNode, m *wire.Msg) {
 	e.send(sn.curLib, &wire.Msg{
 		Kind: wire.KInstalled, Mode: m.Mode, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle,
 	})
-	if m.Mode == wire.Write {
-		sn.outW[m.Page] = false
-		sn.outR[m.Page] = false
-	} else {
-		sn.outR[m.Page] = false
+	sp.outR = false
+	if m.Mode == wire.Write && !MutateLeaveWriteOutstanding {
+		sp.outW = false
 	}
 	// A fresh copy supersedes any degraded-grant verdict still cached
 	// for the page: without this, an access after the peer heals would
 	// fail with the stale error instead of using the installed copy.
-	delete(sn.pageErr, m.Page)
-	e.reqProgress(sn, m.Page)
+	sp.takeErr()
+	sp.reqProgress()
 	e.wakeWaiters(sn, m.Page)
 }
 
@@ -630,30 +627,31 @@ func (e *Engine) handleUpgradeGrant(sn *segNode, m *wire.Msg) {
 	e.send(sn.curLib, &wire.Msg{
 		Kind: wire.KInstalled, Mode: wire.Write, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle,
 	})
-	sn.outW[m.Page] = false
-	sn.outR[m.Page] = false
-	delete(sn.pageErr, m.Page) // the upgraded copy supersedes old verdicts
-	e.reqProgress(sn, m.Page)
+	sp := &sn.pages[m.Page]
+	sp.outW, sp.outR = false, false
+	sp.takeErr() // the upgraded copy supersedes old verdicts
+	sp.reqProgress()
 	e.wakeWaiters(sn, m.Page)
 }
 
 // handleAlready clears the satisfied request and lets waiters recheck.
 func (e *Engine) handleAlready(sn *segNode, m *wire.Msg) {
 	e.count(obs.CAlready)
+	sp := &sn.pages[m.Page]
 	if m.Mode == wire.Write {
-		sn.outW[m.Page] = false
+		sp.outW = false
 	} else {
-		sn.outR[m.Page] = false
+		sp.outR = false
 	}
 	if sn.m.Present(int(m.Page)) {
 		// The record says we hold the page and we do: any cached
 		// degraded verdict is from an older failure and must not poison
 		// the access that triggered this round trip.
-		delete(sn.pageErr, m.Page)
+		sp.takeErr()
 	}
-	e.reqProgress(sn, m.Page)
+	sp.reqProgress()
 	if e.rel != nil && m.Mode == wire.Read && !sn.m.Present(int(m.Page)) &&
-		len(sn.waiters[m.Page]) > 0 && !sn.releasing() {
+		len(sp.waiters) > 0 && !sn.releasing() {
 		// The record lists us as a reader but the copy is gone (dropped
 		// by an earlier degraded grant). Shed the stale record entry;
 		// the refault's fresh request, queued behind this correction on

@@ -268,11 +268,12 @@ func (e *Engine) handleLibrary(sn *segNode, m *wire.Msg) {
 		}
 		e.emit(obs.Event{Type: obs.EvRetry, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle,
 			Arg: int64(m.Remaining)})
-		inval := p.grant.inval
-		p.cancelRetry = e.env.After(m.Remaining, func() {
-			// Guards for live mode, where a cancelled timer may already
-			// have been queued: only retry the still-open cycle.
-			if !e.live(sn) || !p.busy || !p.grant.active || p.grant.inval != inval {
+		lib, inval := sn.lib, p.grant.inval
+		p.cancelRetry = e.after(sn, m.Remaining, func() {
+			// Whatever ends the cycle cancels the retry, but for the one
+			// thing that ends every cycle at once: adoptEpoch drops a
+			// deposed library's record without visiting its pages.
+			if sn.lib != lib {
 				return
 			}
 			p.cancelRetry = nil

@@ -170,11 +170,7 @@ func (e *Engine) startMigration(sn *segNode, target int, now time.Duration) {
 	mig := &migration{target: target, started: now}
 	sn.migOut = mig
 	e.sendOffer(sn, target)
-	mig.cancel = e.env.After(e.failover.RecoverTimeout, func() {
-		if e.live(sn) && sn.migOut == mig {
-			e.abortMigration(sn, true)
-		}
-	})
+	mig.cancel = e.after(sn, e.failover.RecoverTimeout, func() { e.abortMigration(sn, true) })
 }
 
 // sendOffer ships every page record to the successor as one chunked
@@ -287,9 +283,6 @@ func (e *Engine) offerSource(sn *segNode, m *wire.Msg, data []byte) (libSource, 
 		e.count(obs.CMigration)
 		e.emit(obs.Event{Type: obs.EvMigrate, Seg: m.Seg, Arg: int64(from)})
 		e.send(from, &wire.Msg{Kind: wire.KMigrateAck, Seg: m.Seg, Page: 0})
-		// This site's own requests sat in the old library's frozen queue,
-		// which the ack drops: the woken faults re-issue them here.
-		e.forgetRequests(sn)
 	}}, nil
 }
 

@@ -15,3 +15,9 @@ const mutateSkipWindowCheck = false
 // prove the acked-append-lost invariant catches the resulting lost
 // update across a takeover.
 const mutateReplAckWithoutApply = false
+
+// MutateLeaveWriteOutstanding is the production value of the page-record
+// mutation switch: a write grant that lands clears the write request it
+// answers. Under -tags mirage_mutation it is a variable the mutation
+// test sets, to prove the site-page-idle check sees a flag left behind.
+const MutateLeaveWriteOutstanding = false

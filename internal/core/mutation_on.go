@@ -15,3 +15,13 @@ const mutateSkipWindowCheck = true
 // election can then install a log missing mutations the leader already
 // acknowledged at quorum.
 const mutateReplAckWithoutApply = true
+
+// MutateLeaveWriteOutstanding: MUTATION BUILD, and off until a test
+// turns it on. A requester then installs a write grant and keeps its
+// write request marked outstanding; the site-page-idle check
+// (internal/check) must see the flag in the drained cluster. It is a
+// variable, not a third constant, because it cannot be on beside the
+// others: a site with the flag stuck never asks for the page again, so
+// every workload that write-faults twice on a page stops — the other
+// mutation kills' scenarios included.
+var MutateLeaveWriteOutstanding = false

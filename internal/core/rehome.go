@@ -287,7 +287,12 @@ func (e *Engine) installLibrary(sn *segNode, src libSource) error {
 	if rc != nil {
 		rc.disarm()
 	}
-	e.dropEpochState(sn)
+	// Transient state of older epochs is dead. So are this site's own
+	// requests if the previous library is alive: they sit in its frozen
+	// queue, which it drops on hearing of this installation, and the woken
+	// faults re-issue them here. (A dead library's were forgotten when the
+	// takeover began; those made since wait in rc.buffered.)
+	e.resetPages(sn, !src.prevDead, true)
 	// Accepting the role starts a fresh demand window and a cooldown, so
 	// the segment cannot bounce straight back.
 	now := e.env.Now()
@@ -370,27 +375,5 @@ func (e *Engine) repairRecord(seg int32, r *libRecord, src libSource) {
 		}
 		// Refresh the clock's reader mask to the repaired set.
 		e.send(r.clock, &wire.Msg{Kind: wire.KClockHandoff, Seg: seg, Page: r.page, Readers: r.readers})
-	}
-}
-
-// dropEpochState discards the segment's transient state of superseded
-// epochs at this site: clock-side collections are rolled back, delegated
-// inval subtrees and captured frames dropped (their parents and cycles
-// resolve through their own epoch handling, and an answer from the old
-// epoch would be fenced anyway), half-received payloads forgotten.
-func (e *Engine) dropEpochState(sn *segNode) {
-	seg := int32(sn.meta.ID)
-	e.rollbackSegPend(sn, seg)
-	dropSeg(e.relay, seg)
-	dropSeg(e.stash, seg)
-	sn.partials = nil
-}
-
-// dropSeg deletes a segment's entries from a per-page map.
-func dropSeg[V any](m map[pageKey]V, seg int32) {
-	for k := range m {
-		if k.seg == seg {
-			delete(m, k)
-		}
 	}
 }

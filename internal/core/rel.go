@@ -166,12 +166,9 @@ func (r *rel) send(to int, m *wire.Msg) {
 }
 
 func (r *rel) arm(to int, p *relPeer, pd *relPending) {
+	// No guard: an ack or a give-up that retires pd cancels this timer,
+	// and a cancelled timer never fires (Env.After).
 	pd.cancel = r.e.env.After(r.timeout(pd.attempts), func() {
-		// The channel may have moved on (epoch bump) while this timer
-		// was in flight; only act on the live incarnation.
-		if p.pending[pd.m.Seq] != pd || pd.m.Epoch != p.epoch {
-			return
-		}
 		if pd.attempts >= r.opt.MaxAttempts {
 			r.giveUp(to, p)
 			return
@@ -329,13 +326,13 @@ func (e *Engine) deliveryFailed(to int, m *wire.Msg) {
 		fail := &wire.Msg{
 			Kind: wire.KGrantFail, Mode: wire.Write, Upgrade: true,
 			Seg: m.Seg, Page: m.Page, Req: int32(to), Cycle: m.Cycle,
-			Data: e.stash[pageKey{m.Seg, m.Page}],
+			Data: sn.pages[m.Page].relPart().stash,
 		}
 		e.send(sn.curLib, fail)
 
 	case wire.KInvalOrder:
-		if rl, ok := e.relay[pageKey{m.Seg, m.Page}]; ok && rl.cycle == m.Cycle {
-			e.relayOrderFailed(pageKey{m.Seg, m.Page}, rl, to)
+		if rl := sn.pages[m.Page].relay; rl != nil && rl.cycle == m.Cycle {
+			e.relayOrderFailed(sn, m.Page, rl, to)
 			return
 		}
 		e.invalOrderFailed(sn, m, to)
@@ -376,9 +373,7 @@ func (e *Engine) deliveryFailed(to int, m *wire.Msg) {
 			sn.releasesPending--
 			if sn.releasesPending == 0 {
 				sn.m.Open()
-				for page := range sn.waiters {
-					e.wakeWaiters(sn, page)
-				}
+				e.wakeAll(sn)
 			}
 		}
 
@@ -421,13 +416,13 @@ func (e *Engine) deliveryFailed(to int, m *wire.Msg) {
 // discarded theirs, restores the reader mask, and reports the aborted
 // grant to the library — no data moved, record unchanged.
 func (e *Engine) invalOrderFailed(sn *segNode, m *wire.Msg, to int) {
-	k := pageKey{m.Seg, m.Page}
-	pi, ok := e.pend[k]
-	if !ok {
+	sp := &sn.pages[m.Page]
+	pi := sp.pend
+	if pi == nil {
 		e.markStale()
 		return
 	}
-	delete(e.pend, k)
+	sp.pend = nil
 	p := int(m.Page)
 	now := e.env.Now()
 	if !sn.m.Present(p) {
@@ -468,13 +463,13 @@ func (e *Engine) invalOrderFailed(sn *segNode, m *wire.Msg, to int) {
 // read copy when another site is known to hold one (never the last
 // copy), bounding staleness after an upgrade grant was rehomed.
 func (e *Engine) failPage(sn *segNode, seg, page int32, err error) {
-	hadW := sn.outW[page]
-	if !sn.outR[page] && !hadW {
+	sp := &sn.pages[page]
+	hadW := sp.outW
+	if !sp.outR && !hadW {
 		return
 	}
-	sn.outR[page] = false
-	sn.outW[page] = false
-	e.cancelReqTimer(sn, page)
+	sp.outR, sp.outW = false, false
+	sp.reqProgress()
 	p := int(page)
 	if hadW && sn.m.Present(p) && sn.m.Prot(p) == mmu.ReadOnly {
 		a := sn.m.Aux(p)
@@ -497,11 +492,8 @@ func (e *Engine) failPage(sn *segNode, seg, page int32, err error) {
 			})
 		}
 	}
-	if len(sn.waiters[page]) > 0 {
-		if sn.pageErr == nil {
-			sn.pageErr = make(map[int32]error)
-		}
-		sn.pageErr[page] = err
+	if len(sp.waiters) > 0 {
+		sp.relPart().err = err
 		e.count(obs.CDegraded)
 	}
 	e.wakeWaiters(sn, page)
@@ -512,12 +504,10 @@ func (e *Engine) failPage(sn *segNode, seg, page int32, err error) {
 // means the access should fail with the error rather than refault.
 func (e *Engine) FaultError(seg, page int32) error {
 	sn, ok := e.segs[seg]
-	if !ok || sn.pageErr == nil {
+	if !ok {
 		return nil
 	}
-	err := sn.pageErr[page]
-	delete(sn.pageErr, page)
-	return err
+	return sn.pages[page].takeErr()
 }
 
 // armReqTimer starts the end-to-end request deadline for a page if not
@@ -526,41 +516,22 @@ func (e *Engine) armReqTimer(sn *segNode, seg, page int32) {
 	if e.rel == nil {
 		return
 	}
-	if sn.reqTimer == nil {
-		sn.reqTimer = make(map[int32]func())
-	}
-	if sn.reqTimer[page] != nil {
+	r := sn.pages[page].relPart()
+	if r.cancelReq != nil {
 		return
 	}
-	sn.reqTimer[page] = e.env.After(e.rel.opt.RequestTimeout, func() {
-		if !e.live(sn) {
-			return
-		}
-		delete(sn.reqTimer, page)
+	r.cancelReq = e.after(sn, e.rel.opt.RequestTimeout, func() {
+		r.cancelReq = nil
 		e.failPage(sn, seg, page, fmt.Errorf("%w: request for seg %d page %d timed out", ErrUnreachable, seg, page))
 	})
 }
 
-// cancelReqTimer stops the request deadline once nothing is
-// outstanding for the page.
-func (e *Engine) cancelReqTimer(sn *segNode, page int32) {
-	if sn.reqTimer == nil {
-		return
-	}
-	if c := sn.reqTimer[page]; c != nil {
-		c()
-		delete(sn.reqTimer, page)
-	}
-}
-
-// reqProgress cancels the request deadline when both request flags
-// have been satisfied.
-func (e *Engine) reqProgress(sn *segNode, page int32) {
-	if e.rel == nil {
-		return
-	}
-	if !sn.outR[page] && !sn.outW[page] {
-		e.cancelReqTimer(sn, page)
+// reqProgress stops the request deadline once nothing is outstanding
+// for the page.
+func (sp *sitePage) reqProgress() {
+	if r := sp.rel; r != nil && r.cancelReq != nil && !sp.outR && !sp.outW {
+		r.cancelReq()
+		r.cancelReq = nil
 	}
 }
 
@@ -628,7 +599,7 @@ func (e *Engine) handleGrantFail(sn *segNode, m *wire.Msg) {
 			return
 		}
 		fwd := *m
-		fwd.Data = e.stash[pageKey{m.Seg, m.Page}]
+		fwd.Data = sn.pages[m.Page].relPart().stash
 		e.send(sn.curLib, &fwd)
 		return
 	}

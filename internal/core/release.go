@@ -173,9 +173,6 @@ func (e *Engine) handleReleaseDone(sn *segNode, m *wire.Msg) {
 	sn.releasesPending--
 	if sn.releasesPending == 0 {
 		sn.m.Open()
-		// A re-attach may have queued faults while releasing.
-		for page := range sn.waiters {
-			e.wakeWaiters(sn, page)
-		}
+		e.wakeAll(sn) // a re-attach may have queued faults while releasing
 	}
 }

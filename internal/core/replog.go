@@ -501,8 +501,8 @@ func (e *Engine) handleAppendAck(sn *segNode, m *wire.Msg) {
 // in simulation.
 func (e *Engine) replArmRevival(sn *segNode, f int) {
 	epoch := sn.segEpoch.Load()
-	e.env.After(e.failover.RecoverTimeout, func() {
-		if e.live(sn) && sn.segEpoch.Load() == epoch && sn.repl != nil && sn.repl.lead != nil {
+	e.after(sn, e.failover.RecoverTimeout, func() {
+		if sn.segEpoch.Load() == epoch && sn.repl != nil && sn.repl.lead != nil {
 			sn.repl.lead.dead[f] = false
 			sn.repl.lead.based[f] = false
 		}

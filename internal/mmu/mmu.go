@@ -96,10 +96,13 @@ type Seg struct {
 	pages    []page
 }
 
-// page is everything the site keeps per page, in one place: a new
-// per-page field goes here. It is also what keeps accessors of
-// different pages off each other's cache lines — the struct is longer
-// than a line, so no two pte words share one.
+// page is what an accessor and the hardware see of a page: the pte
+// word, the frame and the paper's auxiliary entry (Table 2). What the
+// site's engine tracks for a page in flight is core.sitePage, what the
+// library owns core.libPage; DESIGN.md §19 has the three side by side.
+// The struct is also what keeps accessors of different pages off each
+// other's cache lines — it is longer than a line, so no two pte words
+// share one.
 type page struct {
 	pte
 	frame []byte // changes only with the page taken exclusively

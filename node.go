@@ -142,9 +142,23 @@ type nodeEnv struct{ n *node }
 func (e nodeEnv) Site() int          { return e.n.site }
 func (e nodeEnv) Now() time.Duration { return time.Since(e.n.start) }
 
+// After keeps core.Env's promise that a cancelled timer never fires.
+// Stopping the timer is not enough — it may already have posted fn to
+// the inbox — so the posted item looks at a flag the cancel sets. Both
+// run on the loop: the flag needs no synchronization.
 func (e nodeEnv) After(d time.Duration, fn func()) func() {
-	t := time.AfterFunc(d, func() { e.n.post(fn) })
-	return func() { t.Stop() }
+	cancelled := false
+	t := time.AfterFunc(d, func() {
+		e.n.post(func() {
+			if !cancelled {
+				fn()
+			}
+		})
+	})
+	return func() {
+		cancelled = true
+		t.Stop()
+	}
 }
 
 // Send hands m to the transport, but for what the site tells itself
