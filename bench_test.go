@@ -100,9 +100,9 @@ func BenchmarkE8DynamicDelta(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r = exp.DynamicDelta(exp.CountersConfig{Duration: 5 * time.Second})
 	}
-	b.ReportMetric(r.FixedZero, "fixed0_insn/s")
-	b.ReportMetric(r.FixedPeak, "fixed600_insn/s")
-	b.ReportMetric(r.Adaptive, "adaptive_insn/s")
+	b.ReportMetric(r.Fixed[0], "fixed0_insn/s")
+	b.ReportMetric(r.Fixed[2], "fixed600_insn/s")
+	b.ReportMetric(r.Adaptive[2], "autodelta600_insn/s")
 }
 
 func BenchmarkE9TestAndSet(b *testing.B) {

@@ -10,7 +10,6 @@ import (
 	"mirage/internal/mem"
 	"mirage/internal/obs"
 	"mirage/internal/transport"
-	"mirage/internal/wire"
 )
 
 // Cluster is a set of Mirage sites sharing one segment name space.
@@ -317,18 +316,14 @@ func (s *Site) Remove(id SegID) error {
 }
 
 // SetSegmentDelta changes Δ for every page of a segment. It must be
-// called on the segment's library site; negative windows are rejected.
+// called on the segment's library site, which is the site that holds
+// the role now — the creating site until a failover, an election or a
+// voluntary migration moves it. Any other site, or an unknown segment,
+// gives ErrNotLibrary; a negative window gives ErrNegativeDelta.
 func (s *Site) SetSegmentDelta(id SegID, delta time.Duration) error {
 	var err error
 	nd := s.node
-	nd.call(func() {
-		defer func() {
-			if recover() != nil {
-				err = fmt.Errorf("mirage: SetSegmentDelta: site %d is not the library for segment %d", s.id, id)
-			}
-		}()
-		err = nd.eng.SetSegmentDelta(int32(id), delta)
-	})
+	nd.call(func() { err = nd.eng.SetSegmentDelta(int32(id), delta) })
 	return err
 }
 
@@ -367,6 +362,3 @@ func (s *Site) detach(id SegID) error {
 	}
 	return nil
 }
-
-// ensure wire is linked for the transport assertions.
-var _ = wire.KReadReq

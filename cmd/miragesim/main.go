@@ -33,8 +33,8 @@
 //
 // -trace writes the run's protocol event timeline in the schema-v1
 // JSONL encoding (docs/OBSERVABILITY.md); analyze it with miragetrace
-// summarize/timeline/chrome/denials. -reflog writes the library-site
-// reference log for miragetrace's page-heat analysis. -metrics dumps
+// summarize/timeline/chrome/denials (summarize's per-page table is the
+// §9.0 library reference log, as a view of the trace). -metrics dumps
 // the observability counter registry after the run.
 //
 // -check records the run's trace (with per-access op events) and
@@ -100,7 +100,6 @@ import (
 	"mirage/internal/mmu"
 	"mirage/internal/obs"
 	"mirage/internal/stats"
-	"mirage/internal/trace"
 )
 
 func main() {
@@ -125,7 +124,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	yield := fs.Bool("yield", true, "use the yield() call in wait loops (pingpong)")
 	policy := fs.String("policy", "retry", "invalidation policy: retry | honor-close | queue")
 	tracePath := fs.String("trace", "", "write the protocol event trace (schema-v1 JSONL) to this file")
-	reflogPath := fs.String("reflog", "", "write the library's reference log to this file")
 	metrics := fs.Bool("metrics", false, "dump the observability metrics registry after the run")
 	chaosSpec := fs.String("chaos", "", `fault plan, e.g. "drop p=0.05; delay p=0.3 max=20ms; partition sites=1 from=2s until=3s"`)
 	failover := fs.Bool("failover", false, "elect a successor library when the library site fail-stops (implies the ARQ layer)")
@@ -155,14 +153,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *replicas < 0 {
 		return fail("-replicas must be non-negative")
-	}
-	if *runs > 1 && *reflogPath != "" {
-		return fail("-reflog is incompatible with -runs > 1")
-	}
-
-	var recorder *trace.Log
-	if *reflogPath != "" {
-		recorder = trace.NewLog()
 	}
 
 	if *sites > mmu.MaxSites {
@@ -225,9 +215,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	wantTrace := *tracePath != "" || *checkRun
 	runOnce := func() (string, *ipc.Cluster, *obs.Obs, *app.Stats) {
 		opts := core.Options{Policy: pol, InvalFanout: *fanout}
-		if recorder != nil {
-			opts.Tracer = recorder
-		}
 		var o *obs.Obs
 		if wantTrace || *metrics {
 			o = obs.New()
@@ -455,21 +442,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			note = fmt.Sprintf(" (%d dropped at the buffer cap)", d)
 		}
 		fmt.Fprintf(stdout, "protocol trace: %d events -> %s%s (analyze with miragetrace summarize)\n", buf.Len(), *tracePath, note)
-	}
-
-	if recorder != nil {
-		f, err := os.Create(*reflogPath)
-		if err != nil {
-			return fail("%v", err)
-		}
-		if _, err := recorder.WriteTo(f); err != nil {
-			f.Close()
-			return fail("%v", err)
-		}
-		if err := f.Close(); err != nil {
-			return fail("%v", err)
-		}
-		fmt.Fprintf(stdout, "reference log: %d entries -> %s (analyze with miragetrace reflog)\n", recorder.Len(), *reflogPath)
 	}
 
 	if *checkRun {

@@ -22,7 +22,6 @@ func TestBadFlags(t *testing.T) {
 		{"-runs", "0"},
 		{"-workload", "readers", "-sites", "1"},
 		{"-chaos", "drop q=banana"},
-		{"-runs", "2", "-reflog", "x"},
 	} {
 		if code, _, stderr := runSim(t, args...); code != 2 {
 			t.Errorf("args %v: code %d (stderr %q), want 2", args, code, stderr)
@@ -154,25 +153,21 @@ func TestParallelRunsIdentical(t *testing.T) {
 	}
 }
 
-func TestTraceAndReflogFiles(t *testing.T) {
-	dir := t.TempDir()
-	tr := filepath.Join(dir, "run.jsonl")
-	rl := filepath.Join(dir, "refs.log")
+func TestTraceFile(t *testing.T) {
+	tr := filepath.Join(t.TempDir(), "run.jsonl")
 	code, stdout, stderr := runSim(t,
 		"-workload", "counters", "-delta", "600ms", "-dur", "1s",
-		"-trace", tr, "-reflog", rl, "-metrics")
+		"-trace", tr, "-metrics")
 	if code != 0 {
 		t.Fatalf("code %d, stderr %s", code, stderr)
 	}
-	for _, want := range []string{"protocol trace:", "reference log:", "metrics registry:"} {
+	for _, want := range []string{"protocol trace:", "metrics registry:"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("output missing %q:\n%s", want, stdout)
 		}
 	}
-	for _, p := range []string{tr, rl} {
-		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
-			t.Errorf("artifact %s missing or empty: %v", p, err)
-		}
+	if fi, err := os.Stat(tr); err != nil || fi.Size() == 0 {
+		t.Errorf("artifact %s missing or empty: %v", tr, err)
 	}
 }
 

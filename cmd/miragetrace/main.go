@@ -1,12 +1,13 @@
 // Command miragetrace is the analysis front-end for Mirage's
 // observability artifacts. It reads the schema-v1 JSONL protocol
 // traces produced by miragesim -trace, miragebench -trace, or a live
-// cluster's /debug/obs/trace endpoint, plus the library-site reference
-// logs (§9.0) produced by miragesim -reflog.
+// cluster's /debug/obs/trace endpoint.
 //
 // Subcommands:
 //
-//	summarize <trace.jsonl>            event/page/denial totals
+//	summarize <trace.jsonl>            event/page/denial totals and the
+//	                                   library reference log (§9.0):
+//	                                   per page, the requests received
 //	timeline  [-seg N] [-page N] <trace.jsonl>
 //	                                   the event timeline, optionally
 //	                                   filtered to one page
@@ -21,11 +22,6 @@
 //	                                   verify the trace against the
 //	                                   coherence invariants; exits 1
 //	                                   on any violation
-//	reflog    [flags] <refs.log>       page heat, migration advice, and
-//	                                   suggested Δ from a reference log
-//
-// Invoking miragetrace with a bare file argument keeps the historical
-// behaviour and treats it as a reference log.
 package main
 
 import (
@@ -33,13 +29,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"mirage/internal/check"
 	"mirage/internal/obs"
-	"mirage/internal/stats"
-	"mirage/internal/trace"
-	"mirage/internal/vaxmodel"
 )
 
 func main() {
@@ -62,26 +54,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cmdDenials(args[1:], stdout, stderr)
 	case "check":
 		return cmdCheck(args[1:], stdout, stderr)
-	case "reflog":
-		return cmdReflog(args[1:], stdout, stderr)
-	case "-h", "-help", "--help", "help":
-		return usage(stderr)
 	default:
-		// Historical interface: miragetrace [flags] <reference-log>.
-		return cmdReflog(args, stdout, stderr)
+		return usage(stderr)
 	}
 }
 
 func usage(stderr io.Writer) int {
 	fmt.Fprint(stderr, `usage: miragetrace <subcommand> [flags] <file>
 
-  summarize <trace.jsonl>                 event/page/denial totals
+  summarize <trace.jsonl>                 event/page/denial totals, reference log
   timeline  [-seg N] [-page N] <trace.jsonl>
   chrome    [-o out.json] <trace.jsonl>   convert for chrome://tracing
   denials   [-buckets N] <trace.jsonl>    Δ-denial remaining-time breakdown
   check     [-delta D] [-slack D] [-reliable] <trace.jsonl>
                                           verify coherence invariants
-  reflog    [flags] <refs.log>            reference-log page-heat analysis
 `)
 	return 2
 }
@@ -298,63 +284,4 @@ func cmdCheck(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stderr, "miragetrace: %d coherence violation(s)\n", len(viols))
 	return 1
-}
-
-func cmdReflog(args []string, stdout, stderr io.Writer) int {
-	fs := newFlagSet("reflog", stderr)
-	top := fs.Int("top", 20, "show the hottest N pages")
-	threshold := fs.Float64("migrate-threshold", 0.75, "dominant-site share that triggers migration advice")
-	minReq := fs.Int("migrate-min", 10, "minimum requests before advising migration")
-	if fs.Parse(args) != nil {
-		return 2
-	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: miragetrace reflog [flags] <reference-log>")
-		return 2
-	}
-
-	f, err := os.Open(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(stderr, "miragetrace: %v\n", err)
-		return 1
-	}
-	defer f.Close()
-	l, err := trace.ReadLog(f)
-	if err != nil {
-		fmt.Fprintf(stderr, "miragetrace: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "%d requests\n\n", l.Len())
-	if l.Len() == 0 {
-		return 0
-	}
-
-	transfer := vaxmodel.ReadRequestService + 2*vaxmodel.MsgSideElapsed(0) +
-		vaxmodel.ServerRequestService + 2*vaxmodel.MsgSideElapsed(1024) + vaxmodel.PageInstallService
-
-	heats := trace.Heat(l)
-	t := stats.NewTable("seg", "page", "requests", "reads", "writes", "sites", "mean gap", "dominant", "suggested Δ")
-	shown := 0
-	for _, h := range heats {
-		if shown >= *top {
-			break
-		}
-		shown++
-		t.Row(h.Key.Seg, h.Key.Page, h.Requests, h.Reads, h.Writes, h.Sites,
-			h.MeanGap.Round(time.Millisecond),
-			fmt.Sprintf("site %d (%.0f%%)", h.DominantSite, 100*h.DominantShare),
-			trace.SuggestDelta(h, transfer).Round(time.Millisecond))
-	}
-	t.WriteTo(stdout)
-
-	adv := trace.AdviseMigration(l, *threshold, *minReq)
-	if len(adv) == 0 {
-		fmt.Fprintln(stdout, "\nno migration advice (no page dominated by a single remote site)")
-		return 0
-	}
-	fmt.Fprintln(stdout, "\nmigration advice:")
-	for _, a := range adv {
-		fmt.Fprintf(stdout, "  seg %d page %d -> colocate with site %d (%s)\n", a.Key.Seg, a.Key.Page, a.Target, a.Reason)
-	}
-	return 0
 }

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"mirage/internal/obs"
-	"mirage/internal/trace"
+	"mirage/internal/wire"
 )
 
 // writeTrace serializes events to a temp JSONL trace file.
@@ -34,6 +34,7 @@ func sharingTrace() []obs.Event {
 	return []obs.Event{
 		{T: 0, Type: obs.EvPageState, Site: 0, Seg: 1, Page: 0, Arg: 2},
 		{T: 1 * time.Millisecond, Type: obs.EvFault, Site: 1, Seg: 1, Page: 0},
+		{T: 1 * time.Millisecond, Type: obs.EvMsgRecv, Kind: wire.KReadReq, Site: 0, Seg: 1, Page: 0, From: 1, To: 0},
 		{T: 1 * time.Millisecond, Type: obs.EvGrantStart, Site: 0, Seg: 1, Page: 0, Cycle: 1},
 		{T: 2 * time.Millisecond, Type: obs.EvDowngrade, Site: 0, Seg: 1, Page: 0, Cycle: 1},
 		{T: 3 * time.Millisecond, Type: obs.EvPageState, Site: 1, Seg: 1, Page: 0, Cycle: 1, Arg: 1},
@@ -76,6 +77,13 @@ func TestSummarize(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "2 sites") {
 		t.Errorf("summary missing header info:\n%s", stdout)
+	}
+	// The reference view (§9.0): sharingTrace's one read request, as the
+	// library received it.
+	for _, want := range []string{"library reference log", "requests", "dominant", "mean gap", "site 1 (100%)"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("summary missing %q:\n%s", want, stdout)
+		}
 	}
 }
 
@@ -144,41 +152,5 @@ func TestCheckFlagsViolations(t *testing.T) {
 func TestCheckMissingFile(t *testing.T) {
 	if code, _, _ := runTrace(t, "check", filepath.Join(t.TempDir(), "nope.jsonl")); code != 1 {
 		t.Fatalf("missing file: code %d, want 1", code)
-	}
-}
-
-func TestReflog(t *testing.T) {
-	l := trace.NewLog()
-	for i := 0; i < 12; i++ {
-		l.Record(trace.Entry{
-			T: time.Duration(i) * 10 * time.Millisecond, Seg: 1, Page: 3,
-			Site: 1, Pid: 7, Write: i%2 == 0,
-		})
-	}
-	path := filepath.Join(t.TempDir(), "refs.log")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.WriteTo(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, stderr := runTrace(t, "reflog", path)
-	if code != 0 {
-		t.Fatalf("code %d, stderr %s", code, stderr)
-	}
-	if !strings.Contains(stdout, "12 requests") {
-		t.Errorf("request count missing:\n%s", stdout)
-	}
-	// Dominated by remote site 1 -> migration advice expected.
-	if !strings.Contains(stdout, "migration advice") {
-		t.Errorf("no migration advice:\n%s", stdout)
-	}
-	// Historical bare-file interface routes to reflog too.
-	if code, stdout, _ := runTrace(t, path); code != 0 || !strings.Contains(stdout, "12 requests") {
-		t.Errorf("historical interface broken: code %d\n%s", code, stdout)
 	}
 }

@@ -60,6 +60,7 @@ func fastAutoDelta() *core.AutoDelta {
 func newAutoNet(t *testing.T, sites int, opt core.Options, seed time.Duration) *autoNet {
 	n := &autoNet{t: t, k: sim.NewKernel(), down: make(map[int]bool)}
 	opt.Costs = &core.Costs{}
+	opt.Sites = sites
 	for i := 0; i < sites; i++ {
 		n.engines = append(n.engines, core.New(autoEnv{n, i}, opt))
 	}
@@ -116,7 +117,7 @@ func TestVerifyAcceptsAutoDeltaMigratedTrace(t *testing.T) {
 			AckTimeout: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond,
 			MaxAttempts: 5, RequestTimeout: 10 * time.Second,
 		},
-		Failover: &core.Failover{Sites: 3},
+		Failover: &core.Failover{},
 		Placement: &core.Placement{
 			Window: 50 * time.Millisecond, MinRequests: 4,
 			Share: 0.5, PingPong: 0.8, Cooldown: time.Hour,
@@ -166,8 +167,8 @@ func TestVerifyAcceptsAutoDeltaTakeoverTrace(t *testing.T) {
 			AckTimeout: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond,
 			MaxAttempts: 5, RequestTimeout: 10 * time.Second,
 		},
-		Failover:    &core.Failover{Sites: 3, RecoverTimeout: 500 * time.Millisecond},
-		Replication: &core.Replication{Replicas: 2, Sites: 3},
+		Failover:    &core.Failover{RecoverTimeout: 500 * time.Millisecond},
+		Replication: &core.Replication{Replicas: 2},
 		AutoDelta:   ad,
 		Obs:         o,
 	}
@@ -199,5 +200,43 @@ func TestVerifyAcceptsAutoDeltaTakeoverTrace(t *testing.T) {
 	}
 	for _, v := range Verify(Config{Sites: 3, Delta: ad.Min, Reliable: true}, events) {
 		t.Errorf("checker rejected AutoDelta takeover trace: %v", v)
+	}
+}
+
+// TestVerifyAutoDeltaSetterTrace: Config.Delta = AutoDelta.Min stays a
+// sound bound when SetSegmentDelta and SetPageDelta write a Δ outside
+// the band between grants — the controller clamps what it grants, not
+// only what it tunes (internal/core's TestAutoDeltaBandHoldsAcrossSetters
+// reads the installed windows; this is the same history through the
+// window invariant). The writes alternate one hop apart, so a window
+// shorter than Min is revoked inside it.
+func TestVerifyAutoDeltaSetterTrace(t *testing.T) {
+	o := obs.New()
+	ad := &core.AutoDelta{Min: 10 * time.Millisecond, Max: 40 * time.Millisecond, MinCycles: 1, Cooldown: time.Hour}
+	n := newAutoNet(t, 3, core.Options{AutoDelta: ad, Obs: o}, 20*time.Millisecond)
+	lib := n.engines[0]
+	val := byte(0)
+	pingpong := func() {
+		for i := 0; i < 3; i++ {
+			val++
+			n.access(1, 0, true, val)
+			val++
+			n.access(2, 0, true, val)
+		}
+		n.k.Run()
+	}
+	pingpong()
+	for _, d := range []time.Duration{0, time.Second} {
+		if err := lib.SetSegmentDelta(1, d); err != nil {
+			t.Fatal(err)
+		}
+		pingpong()
+		if err := lib.SetPageDelta(1, 0, d); err != nil {
+			t.Fatal(err)
+		}
+		pingpong()
+	}
+	for _, v := range Verify(Config{Sites: 3, Delta: ad.Min}, o.Buffer().Events()) {
+		t.Errorf("checker rejected the trace at Delta = Min: %v", v)
 	}
 }

@@ -197,6 +197,7 @@ func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
 	opt := core.Options{
 		Policy: core.InvalPolicy(sc.Policy),
 		Costs:  &core.Costs{},
+		Sites:  sc.Sites,
 		Obs:    o,
 	}
 	if sc.Chaos != "" {
@@ -220,10 +221,10 @@ func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
 		}
 	}
 	if sc.Failover || sc.Replicas > 0 {
-		opt.Failover = &core.Failover{Sites: sc.Sites, RecoverTimeout: 100 * sc.Hop}
+		opt.Failover = &core.Failover{RecoverTimeout: 100 * sc.Hop}
 	}
 	if sc.Replicas > 0 {
-		opt.Replication = &core.Replication{Replicas: sc.Replicas, Sites: sc.Sites}
+		opt.Replication = &core.Replication{Replicas: sc.Replicas}
 	}
 	for i := 0; i < sc.Sites; i++ {
 		h.engines = append(h.engines, core.New(hEnv{h, i}, opt))

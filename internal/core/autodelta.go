@@ -53,7 +53,7 @@ const (
 
 // AutoDelta configures the built-in per-page Δ controller. The zero
 // value is usable: it tunes within [0, 4·quantum] with tick-sized
-// steps. Takes precedence over Options.TuneDelta.
+// steps.
 type AutoDelta struct {
 	// Min and Max clamp every tuned Δ. Min is also the sound
 	// verification bound: pass it as check.Config.Delta when checking a
@@ -113,35 +113,26 @@ func (a AutoDelta) withDefaults() AutoDelta {
 // the EWMA, so flipScale/2 marks the half-the-grants-alternate line.
 const flipScale = 16
 
-// clampDur bounds d to [lo, hi].
-func clampDur(d, lo, hi time.Duration) time.Duration {
-	if d < lo {
-		return lo
-	}
-	if d > hi {
-		return hi
-	}
-	return d
-}
-
-// autoTuneDelta runs the controller for one page and returns the Δ to
-// grant with. Called from libTunedDelta, so the adjusted value lands on
-// the invalidation of the very grant cycle being opened and in its
-// replicated post-record.
-func (e *Engine) autoTuneDelta(sn *segNode, page int32) time.Duration {
-	ad := &e.auto
+// retune runs the controller for one page and returns the Δ to grant
+// with, which is inside [Min, Max] whichever way it returns. Called from
+// libTunedDelta, so the adjusted value lands on the invalidation of the
+// very grant cycle being opened and in its replicated post-record.
+func (e *Engine) retune(sn *segNode, page int32) time.Duration {
+	ad := e.auto
 	p := &sn.lib.pages[page]
 	now := e.env.Now()
+	// The stored Δ is whatever was last written — the segment default, a
+	// migrated or recovered value, SetPageDelta, SetSegmentDelta — and
+	// the band is decided here, before any window goes out: the checker's
+	// lower bound must hold from the first granted window to the last.
+	p.delta = min(max(p.delta, ad.Min), ad.Max) // withDefaults made Min <= Max
 	if !p.tuned {
-		// First grant under the controller at this site: clamp the
-		// seeded Δ (the segment default, or a migrated/recovered value)
-		// into the band before any window goes out — the checker's
-		// lower bound must hold from the first granted window.
+		// First grant under the controller at this site: start the
+		// rate limiter.
 		p.tuned = true
 		p.tuneAt = now
 		p.tuneCycle = p.cycle
 		p.tuneDenied = p.denied
-		p.delta = clampDur(p.delta, ad.Min, ad.Max)
 		return p.delta
 	}
 	if now-p.tuneAt < ad.Cooldown || int(p.cycle-p.tuneCycle) < ad.MinCycles {
@@ -152,9 +143,9 @@ func (e *Engine) autoTuneDelta(sn *segNode, page int32) time.Duration {
 	case p.denied == p.tuneDenied:
 		// The window never turned a request away this interval.
 	case p.flipEWMA >= flipScale/2 || p.denRemEWMA > ad.CheapDenial:
-		p.delta = clampDur(p.delta/2, ad.Min, ad.Max)
+		p.delta = max(p.delta/2, ad.Min)
 	default:
-		p.delta = clampDur(p.delta+ad.Step, ad.Min, ad.Max)
+		p.delta = min(p.delta+ad.Step, ad.Max)
 	}
 	p.tuneAt = now
 	p.tuneCycle = p.cycle

@@ -160,17 +160,12 @@ func TestAutoDeltaFirstGrantClampsAndRateLimits(t *testing.T) {
 	}
 }
 
-// TestTuneInfoCarriesDenialSignals: the TuneDelta hook must see the
-// denial-side signals the library now records — denied count, the
-// remaining-window EWMA from KBusy replies, and the write-sharing
-// indicator — not just the demand stats.
-func TestTuneInfoCarriesDenialSignals(t *testing.T) {
-	var captured []TuneInfo
-	opt := Options{TuneDelta: func(ti TuneInfo) time.Duration {
-		captured = append(captured, ti)
-		return ti.Delta
-	}}
-	n := newTestNet(t, 3, opt)
+// TestLibraryStateCarriesDenialSignals: the library records the denial-side
+// signals AutoDelta steers by — denied count, the remaining-window EWMA
+// from KBusy replies, and the write-sharing indicator — whether or not
+// a controller is reading them, and LibraryState shows them.
+func TestLibraryStateCarriesDenialSignals(t *testing.T) {
+	n := newTestNet(t, 3, Options{})
 	const delta = 20 * time.Millisecond
 	n.newSeg(1, delta)
 
@@ -180,23 +175,60 @@ func TestTuneInfoCarriesDenialSignals(t *testing.T) {
 	}
 	n.settle()
 
-	if len(captured) == 0 {
-		t.Fatal("tuner hook never called")
+	ls := n.engines[0].LibraryState(1, 0)
+	if ls.Delta != delta {
+		t.Errorf("Δ = %v with no controller, want the stored %v", ls.Delta, delta)
 	}
-	last := captured[len(captured)-1]
-	if last.Seg != 1 || last.Page != 0 || last.Delta != delta {
-		t.Errorf("TuneInfo header = seg=%d page=%d Δ=%v, want 1/0/%v", last.Seg, last.Page, last.Delta, delta)
+	if ls.Denied == 0 {
+		t.Error("Denied = 0 after window denials")
 	}
-	if last.Denied == 0 {
-		t.Error("TuneInfo.Denied = 0 after window denials")
+	if ls.DenialRemaining <= 0 || ls.DenialRemaining > delta {
+		t.Errorf("DenialRemaining = %v, want in (0, %v]", ls.DenialRemaining, delta)
 	}
-	if last.DenialRemaining <= 0 || last.DenialRemaining > delta {
-		t.Errorf("TuneInfo.DenialRemaining = %v, want in (0, %v]", last.DenialRemaining, delta)
+	if !ls.WriteSharing {
+		t.Error("WriteSharing = false after alternating write grants")
 	}
-	if !last.WriteSharing {
-		t.Error("TuneInfo.WriteSharing = false after alternating write grants")
-	}
-	if last.Requests == 0 || last.MeanGap <= 0 {
-		t.Errorf("demand stats empty: requests=%d gap=%v", last.Requests, last.MeanGap)
+}
+
+// TestAutoDeltaBandHoldsAcrossSetters: SetSegmentDelta and SetPageDelta
+// write the stored Δ, and the controller decides what is granted — every
+// window it hands out is inside [Min, Max] whichever of its branches
+// returns (rate-limited, no denials since the last adjustment, retune),
+// not only the first grant and the retunes. check.Config.Delta = Min is
+// documented to be sound on exactly that (internal/check verifies such a
+// trace: TestVerifyAutoDeltaSetterTrace).
+func TestAutoDeltaBandHoldsAcrossSetters(t *testing.T) {
+	const lo, hi = 10 * time.Millisecond, 40 * time.Millisecond
+	for name, cooldown := range map[string]time.Duration{
+		"rate-limited": time.Hour,        // every grant after the first returns from the cooldown test
+		"free-running": time.Millisecond, // grants reach the denial test and the retune
+	} {
+		t.Run(name, func(t *testing.T) {
+			ad := &AutoDelta{Min: lo, Max: hi, Step: 5 * time.Millisecond, MinCycles: 1, Cooldown: cooldown}
+			n := newTestNet(t, 3, Options{AutoDelta: ad})
+			n.newSeg(1, 20*time.Millisecond)
+			lib := n.engines[0]
+			grant := func(site int) {
+				t.Helper()
+				n.acquire(site, 1, 0, true)
+				if w := n.engines[site].Seg(1).Aux(0).Window; w < lo || w > hi {
+					t.Fatalf("site %d installed window %v, outside the band [%v, %v]", site, w, lo, hi)
+				}
+			}
+			grant(1)
+			for i, set := range []func(time.Duration) error{
+				func(d time.Duration) error { return lib.SetSegmentDelta(1, d) },
+				func(d time.Duration) error { return lib.SetPageDelta(1, 0, d) },
+			} {
+				for _, d := range []time.Duration{0, time.Second} {
+					if err := set(d); err != nil {
+						t.Fatalf("setter %d, Δ=%v: %v", i, d, err)
+					}
+					grant(2)
+					grant(1)
+					n.settle() // the next set finds no cycle in flight
+				}
+			}
+		})
 	}
 }

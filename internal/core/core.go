@@ -30,7 +30,6 @@ import (
 	"mirage/internal/mem"
 	"mirage/internal/mmu"
 	"mirage/internal/obs"
-	"mirage/internal/trace"
 	"mirage/internal/vaxmodel"
 	"mirage/internal/wire"
 )
@@ -112,37 +111,17 @@ func DefaultCosts() Costs {
 	}
 }
 
-// TuneInfo is what a dynamic Δ tuner sees before the library forwards
-// an invalidation (§8.0: "the page's Δ value can be changed before it
-// is forwarded to the target site and installed").
-type TuneInfo struct {
-	Seg      int32
-	Page     int32
-	Delta    time.Duration // current per-page Δ
-	Write    bool          // the triggering request is a write
-	MeanGap  time.Duration // EWMA of the page's inter-request interval
-	Requests int           // requests seen for this page
-
-	// Denial-side signals (§7.2/E16: the denial histogram is what a
-	// tuner should steer by). Denied counts KBusy replies the library
-	// received for this page; DenialRemaining is an EWMA of the window
-	// time remaining when those denials arrived. Under PolicyQueue the
-	// clock site absorbs window waits locally, so both stay zero — the
-	// library is blind to denials it is never told about.
-	Denied          int
-	DenialRemaining time.Duration
-	// WriteSharing reports that recent write grants alternated between
-	// sites (ping-pong): at least half of the recent write grants went
-	// to a different site than the one before.
-	WriteSharing bool
-}
-
 // Options configure an Engine.
 type Options struct {
 	Policy         InvalPolicy
 	HonorThreshold time.Duration // for PolicyHonorClose; default vaxmodel.ShortRTT
 	Costs          *Costs        // nil means DefaultCosts
-	Tracer         trace.Recorder
+	// Sites is the cluster size, stated once: the successor walk, the
+	// holder rebuild's query set, the follower groups and the ack-timeout
+	// scale all read it, so every engine of a cluster must be given the
+	// same value. ForCluster sets it; a caller building engines directly
+	// sets it whenever it sets Failover, or Reliability at 16 sites and up.
+	Sites int
 	// Obs, when non-nil, receives protocol metrics and (if its Tracer
 	// is set) structured coherence events. nil — the default — keeps
 	// every hot path at a single pointer test and zero allocations.
@@ -171,15 +150,12 @@ type Options struct {
 	// Reliability); falls back to the legacy holder rebuild when the
 	// group quorum is lost.
 	Replication *Replication
-	// TuneDelta, if non-nil, may return a new Δ for a page each time
-	// the library is about to grant it. Mirage ships the routine
-	// disabled (nil), as the paper does. Ignored when AutoDelta is set.
-	TuneDelta func(TuneInfo) time.Duration
 	// AutoDelta, when non-nil, enables the built-in per-page closed-loop
 	// Δ controller (DESIGN.md §16, docs/TUNING.md): the library watches
 	// each page's denial signals and write-sharing pattern and walks Δ
 	// toward the §7.2 crossover with an AIMD policy, clamped to
-	// [Min, Max] and rate-limited. Takes precedence over TuneDelta.
+	// [Min, Max] and rate-limited. nil — the paper ships its tuning
+	// routine disabled (§8.0) — grants every page its stored Δ.
 	AutoDelta *AutoDelta
 	// InvalFanout, when ≥ 2, turns write-grant invalidation into a
 	// k-ary fan-out tree: the clock site partitions the reader set into
@@ -192,27 +168,14 @@ type Options struct {
 }
 
 // ForCluster returns the options every engine of an n-site cluster is
-// built with: the cluster size filled into the layers that need it
-// (copies — the caller's structs are untouched), or an error naming the
-// first invalid combination. Failover and Replication walk the site ID
-// space and must agree on n everywhere; Reliability.Sites only scales
-// timeouts, so a caller's own value stands.
+// built with — the cluster size filled in — or an error naming the
+// first invalid combination.
 func (o Options) ForCluster(n int) (Options, error) {
 	switch {
 	case o.Failover != nil && o.Reliability == nil:
 		return o, fmt.Errorf("Options.Failover requires Options.Reliability")
 	case o.Placement != nil && o.Failover == nil:
 		return o, fmt.Errorf("Options.Placement requires Options.Failover")
-	}
-	if rl := o.Reliability; rl != nil && rl.Sites == 0 {
-		r := *rl
-		r.Sites = n
-		o.Reliability = &r
-	}
-	if o.Failover != nil {
-		f := *o.Failover
-		f.Sites = n
-		o.Failover = &f
 	}
 	if rp := o.Replication; rp != nil {
 		if rp.Replicas > 0 && o.Failover == nil {
@@ -221,10 +184,8 @@ func (o Options) ForCluster(n int) (Options, error) {
 		if rp.Replicas >= n {
 			return o, fmt.Errorf("Options.Replication.Replicas %d must be below the cluster size %d", rp.Replicas, n)
 		}
-		r := *rp
-		r.Sites = n
-		o.Replication = &r
 	}
+	o.Sites = n
 	return o, nil
 }
 
@@ -404,13 +365,18 @@ func (sn *segNode) releasing() bool { return sn.m.Closed() }
 // Engine is one site's Mirage protocol instance.
 type Engine struct {
 	env   Env
-	opt   Options
 	costs Costs
 	site  int
+	sites int // Options.Sites, the cluster size
 	segs  map[int32]*segNode
-	rel   *rel      // nil unless Options.Reliability set
-	obs   *obs.Obs  // nil when observability is off
-	auto  AutoDelta // normalized AutoDelta config; valid iff opt.AutoDelta != nil
+	rel   *rel     // nil unless Options.Reliability set
+	obs   *obs.Obs // nil when observability is off
+
+	// The clock site's share of the options: how an unexpired window
+	// answers an invalidation, and how wide one fans out.
+	policy InvalPolicy
+	honor  time.Duration // PolicyHonorClose's threshold, default filled in
+	fanout int
 
 	// The one ledger (DESIGN.md §9): counts is this site's entry per
 	// counter of the obs vocabulary, written by count and countN on the
@@ -419,13 +385,14 @@ type Engine struct {
 	counts [obs.NumCounters]int64
 	reg    *obs.Registry
 
-	// The rehoming layers, resolved once by New. Each rests on the one
-	// before — Failover's trigger is the reliable channel's give-up
-	// verdict, Placement and Replication ride Failover's epoch fence —
-	// so each is non-nil only if it is configured AND everything under it
-	// is: the engine asks one pointer per layer and the answers cannot
-	// disagree. failover and placement have their defaults filled in;
-	// replication is nil with zero Replicas.
+	// The opt-in layers, resolved once by New: nil when off, defaults
+	// filled in when on. auto is the Δ controller. Of the rehoming layers
+	// each rests on the one before — Failover's trigger is the reliable
+	// channel's give-up verdict, Placement and Replication ride Failover's
+	// epoch fence — so each is non-nil only if it is configured AND
+	// everything under it is: the engine asks one pointer per layer and
+	// the answers cannot disagree. replication is nil with zero Replicas.
+	auto        *AutoDelta
 	failover    *Failover
 	placement   *Placement
 	replication *Replication
@@ -433,26 +400,26 @@ type Engine struct {
 
 // New creates an engine for env's site.
 func New(env Env, opt Options) *Engine {
-	if opt.HonorThreshold == 0 {
-		opt.HonorThreshold = vaxmodel.ShortRTT
-	}
 	costs := DefaultCosts()
 	if opt.Costs != nil {
 		costs = *opt.Costs
 	}
 	e := &Engine{
-		env:   env,
-		opt:   opt,
-		costs: costs,
-		site:  env.Site(),
-		segs:  make(map[int32]*segNode),
-		obs:   opt.Obs,
+		env:    env,
+		costs:  costs,
+		site:   env.Site(),
+		sites:  opt.Sites,
+		segs:   make(map[int32]*segNode),
+		obs:    opt.Obs,
+		policy: opt.Policy,
+		honor:  cmp.Or(opt.HonorThreshold, vaxmodel.ShortRTT),
+		fanout: opt.InvalFanout,
 	}
 	if opt.Obs != nil {
 		e.reg = opt.Obs.Metrics
 	}
 	if opt.Reliability != nil {
-		e.rel = newRel(e, *opt.Reliability)
+		e.rel = newRel(e, opt.Reliability.withDefaults(opt.Sites))
 	}
 	if e.rel != nil && opt.Failover != nil {
 		fo := *opt.Failover
@@ -467,7 +434,8 @@ func New(env Env, opt Options) *Engine {
 		}
 	}
 	if opt.AutoDelta != nil {
-		e.auto = opt.AutoDelta.withDefaults()
+		ad := opt.AutoDelta.withDefaults()
+		e.auto = &ad
 	}
 	return e
 }

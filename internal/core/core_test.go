@@ -8,7 +8,6 @@ import (
 	"mirage/internal/mmu"
 	"mirage/internal/obs"
 	"mirage/internal/sim"
-	"mirage/internal/trace"
 	"mirage/internal/wire"
 )
 
@@ -64,6 +63,7 @@ func newTestNet(t *testing.T, sites int, opt Options) *testNet {
 	if opt.Costs == nil {
 		opt.Costs = zeroCosts()
 	}
+	opt.Sites = sites
 	n := &testNet{t: t, k: sim.NewKernel(), delay: time.Millisecond, down: make(map[int]bool)}
 	for i := 0; i < sites; i++ {
 		n.engines = append(n.engines, New(tEnv{n, i}, opt))
@@ -469,48 +469,6 @@ func TestWriterWriterTransfers(t *testing.T) {
 	}
 	n.settle()
 	n.checkSingleWriter(1, 0)
-}
-
-func TestTracerRecordsRequests(t *testing.T) {
-	log := trace.NewLog()
-	n := newTestNet(t, 2, Options{Tracer: log})
-	n.newSeg(1, 0)
-	n.acquire(1, 1, 0, false)
-	n.acquire(1, 1, 0, true)
-	n.settle()
-	if log.Len() != 2 {
-		t.Fatalf("log entries = %d", log.Len())
-	}
-	es := log.Entries()
-	if es[0].Write || !es[1].Write {
-		t.Fatalf("modes: %+v", es)
-	}
-	if es[0].Site != 1 || es[0].Pid != 101 {
-		t.Fatalf("entry = %+v", es[0])
-	}
-}
-
-func TestDynamicDeltaTuner(t *testing.T) {
-	var seen []TuneInfo
-	n := newTestNet(t, 2, Options{
-		TuneDelta: func(ti TuneInfo) time.Duration {
-			seen = append(seen, ti)
-			return 5 * time.Millisecond
-		},
-	})
-	n.newSeg(1, 0)
-	n.acquire(1, 1, 0, true)
-	n.settle()
-	if len(seen) == 0 {
-		t.Fatal("tuner never consulted")
-	}
-	if n.engines[1].Seg(1).Aux(0).Window != 5*time.Millisecond {
-		t.Fatalf("granted window = %v, want tuner's 5ms", n.engines[1].Seg(1).Aux(0).Window)
-	}
-	st := n.engines[0].LibraryState(1, 0)
-	if st.Delta != 5*time.Millisecond {
-		t.Fatalf("library Δ = %v", st.Delta)
-	}
 }
 
 func TestSetPageAndSegmentDelta(t *testing.T) {

@@ -37,31 +37,6 @@ func TestSetDeltaRejectsNegative(t *testing.T) {
 	}
 }
 
-// TestTuneDeltaNegativeIgnored pins the tuner-validation bugfix: a
-// tuner returning a negative Δ is ignored (the previous window stands)
-// instead of being granted verbatim.
-func TestTuneDeltaNegativeIgnored(t *testing.T) {
-	calls := 0
-	n := newTestNet(t, 2, Options{
-		TuneDelta: func(ti TuneInfo) time.Duration {
-			calls++
-			return -5 * time.Millisecond
-		},
-	})
-	n.newSeg(1, 15*time.Millisecond)
-	n.acquire(1, 1, 0, true)
-	n.settle()
-	if calls == 0 {
-		t.Fatal("tuner never consulted")
-	}
-	if w := n.engines[1].Seg(1).Aux(0).Window; w != 15*time.Millisecond {
-		t.Fatalf("granted window = %v, want the untuned 15ms (negative tuner return leaked)", w)
-	}
-	if d := n.engines[0].LibraryState(1, 0).Delta; d != 15*time.Millisecond {
-		t.Fatalf("library Δ = %v, want 15ms", d)
-	}
-}
-
 // TestDegradedErrorClearedByInstall is the degraded-sticky regression:
 // a page that was failed back (degraded grant) and later installed by a
 // successful grant must not keep serving the cached error — the next

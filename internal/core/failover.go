@@ -35,9 +35,6 @@ import (
 // Options.Reliability: the takeover trigger is the reliable channel's
 // give-up verdict on a request to the library.
 type Failover struct {
-	// Sites is the cluster size; successor election walks the site ID
-	// space, so every engine must agree on it.
-	Sites int
 	// RecoverTimeout bounds the successor's wait for holder reports;
 	// sites that have not replied by then are treated as crashed and
 	// their copies as lost. Default 2s.
@@ -101,7 +98,7 @@ const (
 // returns false when no candidate remains and the caller should fall
 // back to the degraded-grant path.
 func (e *Engine) triggerFailover(sn *segNode, seg int32, tried mmu.Copyset) bool {
-	dead, sites := sn.curLib, e.failover.Sites
+	dead, sites := sn.curLib, e.sites
 	for i := 1; i < sites; i++ {
 		cand := (dead + i) % sites
 		if tried.Has(cand) {
@@ -222,7 +219,7 @@ func (e *Engine) queryHoldings(sn *segNode, rc *recovery, ask mmu.Copyset) {
 // everySite is the set a holder rebuild has to ask.
 func (e *Engine) everySite() mmu.Copyset {
 	var all mmu.Copyset
-	for s := 0; s < e.failover.Sites; s++ {
+	for s := 0; s < e.sites; s++ {
 		all = all.Add(s)
 	}
 	return all

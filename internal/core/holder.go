@@ -45,7 +45,7 @@ type invalRelay struct {
 // returns one aggregated ack. Returns the child->subtree map (nil for
 // the unicast path) for give-up fallback bookkeeping.
 func (e *Engine) fanoutInvalOrders(m *wire.Msg, targets mmu.Copyset) map[int]mmu.Copyset {
-	k := e.opt.InvalFanout
+	k := e.fanout
 	if k < 2 || targets.Count() <= k {
 		targets.ForEach(func(s int) {
 			e.send(s, &wire.Msg{Kind: wire.KInvalOrder, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
@@ -165,7 +165,7 @@ func (e *Engine) handleInval(sn *segNode, m *wire.Msg) {
 		e.obs.Observe(obs.HDenialRemaining, int64(rem))
 		e.emit(obs.Event{Type: obs.EvDeltaDeny, Seg: m.Seg, Page: m.Page,
 			Cycle: m.Cycle, Arg: int64(rem)})
-		switch e.opt.Policy {
+		switch e.policy {
 		case PolicyRetry:
 			e.count(obs.CBusyReply)
 			e.send(sn.curLib, &wire.Msg{
@@ -173,7 +173,7 @@ func (e *Engine) handleInval(sn *segNode, m *wire.Msg) {
 			})
 			return
 		case PolicyHonorClose:
-			if rem > e.opt.HonorThreshold {
+			if rem > e.honor {
 				e.count(obs.CBusyReply)
 				e.send(sn.curLib, &wire.Msg{
 					Kind: wire.KBusy, Seg: m.Seg, Page: m.Page, Remaining: rem, Cycle: m.Cycle,

@@ -7,7 +7,6 @@ import (
 	"mirage/internal/mem"
 	"mirage/internal/mmu"
 	"mirage/internal/obs"
-	"mirage/internal/trace"
 	"mirage/internal/wire"
 )
 
@@ -25,9 +24,7 @@ const (
 type libReq struct {
 	kind reqKind
 	site int
-	pid  int32
 	data []byte // release payload
-	at   time.Duration
 }
 
 // grantCycle describes the in-flight grant for a page.
@@ -62,7 +59,7 @@ type libPage struct {
 
 	// AutoDelta controller state: tuned marks the first-grant clamp
 	// done; tuneAt/tuneCycle/tuneDenied snapshot the last adjustment
-	// for rate limiting (see autoTuneDelta). Deliberately not part of
+	// for rate limiting (see retune). Deliberately not part of
 	// the record — a successor restarts its cooldown fresh.
 	tuned      bool
 	tuneAt     time.Duration
@@ -94,8 +91,6 @@ type LibraryPageState struct {
 	Busy    bool
 
 	// Tuning signals (DESIGN.md §16).
-	Requests        int
-	MeanGap         time.Duration
 	Denied          int
 	DenialRemaining time.Duration
 	WriteSharing    bool
@@ -112,7 +107,6 @@ func (e *Engine) LibraryState(seg, page int32) LibraryPageState {
 	return LibraryPageState{
 		Readers: p.readers, Writer: p.writer, Clock: p.clock,
 		Delta: p.delta, Queued: len(p.queue), Busy: p.busy,
-		Requests: p.requests, MeanGap: p.gapEWMA,
 		Denied: p.denied, DenialRemaining: p.denRemEWMA,
 		WriteSharing: p.flipEWMA >= flipScale/2,
 	}
@@ -123,9 +117,27 @@ func (e *Engine) LibraryState(seg, page int32) LibraryPageState {
 // (WindowRemaining, the checker's window invariant, the tuner's EWMA).
 var ErrNegativeDelta = fmt.Errorf("core: negative Δ")
 
+// ErrNotLibrary rejects a Δ change at a site that is not the segment's
+// library now: Δ lives in the library's page records, and the role
+// moves (failover, election, migration), so "the library site" is
+// wherever it currently is, not where the segment was created.
+var ErrNotLibrary = fmt.Errorf("core: not the segment's library site")
+
+// libraryOf returns the segment's state if this site is its library.
+func (e *Engine) libraryOf(seg int32) (*segNode, error) {
+	sn := e.segs[seg]
+	if sn == nil || sn.lib == nil {
+		return nil, fmt.Errorf("%w: site %d, seg %d", ErrNotLibrary, e.site, seg)
+	}
+	return sn, nil
+}
+
 // SetPageDelta changes one page's Δ at the library (§8.0: "per-page
 // Δs may be useful"). It takes effect on the next grant. Negative
-// values are rejected with ErrNegativeDelta, leaving Δ unchanged.
+// values are rejected with ErrNegativeDelta, an unknown segment or a
+// site that is not its library with ErrNotLibrary, leaving Δ unchanged.
+// Under AutoDelta the controller clamps what is set here into its band
+// at the next grant.
 //
 // The segment-wide meta.Delta is deliberately untouched: it is the
 // segment *default*, seeding pages whose tuned value is unknown — not
@@ -135,9 +147,9 @@ func (e *Engine) SetPageDelta(seg, page int32, delta time.Duration) error {
 	if delta < 0 {
 		return fmt.Errorf("%w: %v for seg %d page %d", ErrNegativeDelta, delta, seg, page)
 	}
-	sn := e.segs[seg]
-	if sn == nil || sn.lib == nil {
-		panic(fmt.Sprintf("core: SetPageDelta at non-library site %d", e.site))
+	sn, err := e.libraryOf(seg)
+	if err != nil {
+		return err
 	}
 	sn.lib.pages[page].delta = delta
 	// Δ retunes replicate fire-and-forget: losing one across a takeover
@@ -148,15 +160,14 @@ func (e *Engine) SetPageDelta(seg, page int32, delta time.Duration) error {
 
 // SetSegmentDelta changes Δ for every page of the segment and resets
 // the segment default (meta.Delta) that future rebuilds seed unknown
-// pages with. Negative values are rejected with ErrNegativeDelta,
-// leaving Δ unchanged.
+// pages with. It fails as SetPageDelta does.
 func (e *Engine) SetSegmentDelta(seg int32, delta time.Duration) error {
 	if delta < 0 {
 		return fmt.Errorf("%w: %v for seg %d", ErrNegativeDelta, delta, seg)
 	}
-	sn := e.segs[seg]
-	if sn == nil || sn.lib == nil {
-		panic(fmt.Sprintf("core: SetSegmentDelta at non-library site %d", e.site))
+	sn, err := e.libraryOf(seg)
+	if err != nil {
+		return err
 	}
 	for i := range sn.lib.pages {
 		sn.lib.pages[i].delta = delta
@@ -191,32 +202,17 @@ func (e *Engine) handleLibrary(sn *segNode, m *wire.Msg) {
 	p := &lib.pages[m.Page]
 	switch m.Kind {
 	case wire.KReadReq, wire.KWriteReq:
-		now := e.env.Now()
-		write := m.Kind == wire.KWriteReq
-		if e.opt.Tracer != nil {
-			e.opt.Tracer.Record(trace.Entry{
-				T: now, Seg: m.Seg, Page: m.Page, Site: m.From, Pid: m.Pid, Write: write,
-			})
-		}
-		if p.requests > 0 {
-			gap := now - p.lastReq
-			if p.gapEWMA == 0 {
-				p.gapEWMA = gap
-			} else {
-				p.gapEWMA = (3*p.gapEWMA + gap) / 4
-			}
-		}
-		p.requests++
-		p.lastReq = now
-		// Feed the placement policy before queueing: if a migration
+		// The arrival is on record once, as handle's EvMsgRecv: the §9.0
+		// reference log is a view of the trace (obs.Summarize). Feed the
+		// placement policy before queueing: if a migration
 		// starts here the request joins the frozen queue and is re-aimed
 		// at the successor when the handoff commits.
 		e.noteDemand(sn, int(m.From))
 		kind := reqRead
-		if write {
+		if m.Kind == wire.KWriteReq {
 			kind = reqWrite
 		}
-		p.queue = append(p.queue, libReq{kind: kind, site: int(m.From), pid: m.Pid, at: now})
+		p.queue = append(p.queue, libReq{kind: kind, site: int(m.From)})
 		e.libProcess(sn, m.Page)
 
 	case wire.KReleaseRead, wire.KReleaseWrite:
@@ -225,8 +221,7 @@ func (e *Engine) handleLibrary(sn *segNode, m *wire.Msg) {
 			kind = reqReleaseWrite
 		}
 		p.queue = append(p.queue, libReq{
-			kind: kind, site: int(m.From), at: e.env.Now(),
-			data: append([]byte(nil), m.Data...),
+			kind: kind, site: int(m.From), data: append([]byte(nil), m.Data...),
 		})
 		e.libProcess(sn, m.Page)
 
@@ -353,41 +348,23 @@ func (e *Engine) libAlready(sn *segNode, page int32, site int, mode wire.Mode) {
 	e.send(site, &wire.Msg{Kind: wire.KAlready, Mode: mode, Seg: int32(sn.meta.ID), Page: page})
 }
 
-// libTunedDelta applies the dynamic tuner (AutoDelta controller or the
-// TuneDelta hook) and returns the Δ to grant with. It runs at cycle
-// open, so the tuned value lands on this cycle's invalidation and in
-// its replicated post-record.
-func (e *Engine) libTunedDelta(sn *segNode, page int32, write bool) time.Duration {
-	p := &sn.lib.pages[page]
-	if e.opt.AutoDelta != nil {
-		return e.autoTuneDelta(sn, page)
+// libTunedDelta returns the Δ to grant with: the controller's when
+// AutoDelta is on, else the page's stored one (§8.0: "the page's Δ
+// value can be changed before it is forwarded"). It runs at cycle open,
+// so a tuned value lands on this cycle's invalidation and in its
+// replicated post-record.
+func (e *Engine) libTunedDelta(sn *segNode, page int32) time.Duration {
+	if e.auto != nil {
+		return e.retune(sn, page)
 	}
-	if e.opt.TuneDelta != nil {
-		d := e.opt.TuneDelta(TuneInfo{
-			Seg:             int32(sn.meta.ID),
-			Page:            page,
-			Delta:           p.delta,
-			Write:           write,
-			MeanGap:         p.gapEWMA,
-			Requests:        p.requests,
-			Denied:          p.denied,
-			DenialRemaining: p.denRemEWMA,
-			WriteSharing:    p.flipEWMA >= flipScale/2,
-		})
-		// A negative return is a tuner bug; keep the previous Δ rather
-		// than grant a corrupt window.
-		if d >= 0 {
-			p.delta = d
-		}
-	}
-	return p.delta
+	return sn.lib.pages[page].delta
 }
 
 // libStartReadCycle grants a batch of readers (Table 1 rows
 // Readers/Readers and Writer/Readers).
 func (e *Engine) libStartReadCycle(sn *segNode, page int32, batch mmu.Copyset) {
 	p := &sn.lib.pages[page]
-	delta := e.libTunedDelta(sn, page, false)
+	delta := e.libTunedDelta(sn, page)
 	p.busy = true
 	p.pendingInstalls = batch.Count()
 	p.cycle++
@@ -418,7 +395,7 @@ func (e *Engine) libStartReadCycle(sn *segNode, page int32, batch mmu.Copyset) {
 // rows Readers/Writer and Writer/Writer).
 func (e *Engine) libStartWriteCycle(sn *segNode, page int32, to int) {
 	p := &sn.lib.pages[page]
-	delta := e.libTunedDelta(sn, page, true)
+	delta := e.libTunedDelta(sn, page)
 	upgrade := p.readers.Has(to)
 	p.busy = true
 	p.pendingInstalls = 1

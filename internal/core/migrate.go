@@ -117,7 +117,7 @@ func (e *Engine) evalPlacement(sn *segNode, pl *placeTrack, now time.Duration) {
 		return
 	}
 	lead, leadN, runN := -1, 0, 0
-	for s := 0; s < e.failover.Sites; s++ {
+	for s := 0; s < e.sites; s++ {
 		n := pl.demand[s]
 		if n == 0 {
 			continue
@@ -174,22 +174,16 @@ func (e *Engine) startMigration(sn *segNode, target int, now time.Duration) {
 }
 
 // sendOffer ships every page record to the successor as one chunked
-// KMigrate payload of full-form records (appendRecord). The demand and
-// tuning fields are what make a rehomed library warm: without them the
+// KMigrate payload of full-form records (appendRecord). The tuning
+// fields are what make a rehomed library warm: without them the
 // successor restarted cold and the Δ controller relearned a page it had
 // already converged. The last chunk's SegEpoch (stamped by transmit) is
 // the epoch the successor's installation must exceed.
 func (e *Engine) sendOffer(sn *segNode, target int) {
-	now := e.env.Now()
 	pages := sn.lib.pages
 	tmpl := wire.Msg{Kind: wire.KMigrate, Seg: int32(sn.meta.ID), Page: -1, Req: int32(target)}
 	e.sendChunked(target, tmpl, nil, len(pages), func(m *wire.Msg, i int) {
-		rec := pages[i].libRecord
-		rec.lastReq = 0 // crosses as an age, meaningful once a request was seen
-		if rec.requests > 0 {
-			rec.lastReq = now - pages[i].lastReq
-		}
-		m.Data = appendRecord(m.Data, &rec, true)
+		m.Data = appendRecord(m.Data, &pages[i].libRecord, true)
 	})
 }
 
@@ -260,7 +254,6 @@ func (e *Engine) handleMigrate(sn *segNode, m *wire.Msg) {
 // is created at the installation, not at the offer: no site can address
 // this site as the E+1 library before the record exists.
 func (e *Engine) offerSource(sn *segNode, m *wire.Msg, data []byte) (libSource, error) {
-	now := e.env.Now()
 	var recs []libRecord
 	for len(data) > 0 {
 		r, n, err := decodeRecord(data, true)
@@ -268,14 +261,6 @@ func (e *Engine) offerSource(sn *segNode, m *wire.Msg, data []byte) (libSource, 
 			return libSource{}, err
 		}
 		data = data[n:]
-		// Re-base the shipped age into this site's clock domain, so the
-		// first post-handoff gap measures real request spacing instead of
-		// the difference of two unrelated clocks.
-		if r.requests > 0 {
-			r.lastReq = max(now-r.lastReq, 0)
-		} else {
-			r.lastReq = 0
-		}
 		recs = append(recs, r)
 	}
 	from := int(m.From)

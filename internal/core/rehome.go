@@ -26,7 +26,7 @@ import (
 // libRecord is what the library knows about one page that outlives the
 // library's stay at a site: §6.0's "which sites are storing a given
 // page" (readers, writer), the clock site and the page's Δ, then the
-// demand and tuning state that keeps a rehomed library warm. It is
+// tuning state that keeps a rehomed library warm. It is
 // embedded in libPage, so a new per-page field that must survive a
 // move is added here and to appendRecord/decodeRecord, nowhere else.
 type libRecord struct {
@@ -35,12 +35,6 @@ type libRecord struct {
 	writer  int // mmu.NoWriter if none
 	clock   int
 	delta   time.Duration
-
-	// Demand statistics feeding the dynamic Δ tuner and the trace
-	// analyses.
-	requests int
-	lastReq  time.Duration
-	gapEWMA  time.Duration
 
 	// Denial-side tuning signals (DESIGN.md §16). denied counts KBusy
 	// replies for this page; denRemEWMA smooths the remaining window
@@ -63,8 +57,8 @@ func freshRecord(meta *mem.Segment, page int) libRecord {
 }
 
 // logged returns the part of the record a log entry carries — page,
-// writer, clock, Δ, readers — and none of the demand and tuning state:
-// an elected library relearns that, as a rebuilt one does.
+// writer, clock, Δ, readers — and none of the tuning state: an elected
+// library relearns that, as a rebuilt one does.
 func (r *libRecord) logged() libRecord {
 	return libRecord{page: r.page, readers: r.readers, writer: r.writer, clock: r.clock,
 		delta: r.delta, lastWriter: mmu.NoWriter}
@@ -76,17 +70,17 @@ func (r *libRecord) logged() libRecord {
 //
 // — is the record of a log entry (replog.go), whose bytes EvReplicate
 // digests. The full form, one record of a KMigrate offer, puts the
-// page number in front and the demand/tuning tail behind:
+// page number in front and the tuning tail behind:
 //
-//	page u32 | core | gap EWMA u64 | last-request age u64 | requests u32 |
-//	denied u32 | denial-remaining EWMA u64 | flip EWMA u16 | last writer i32
+//	page u32 | core | denied u32 | denial-remaining EWMA u64 |
+//	flip EWMA u16 | last writer i32
 //
 // The copyset reuses the dual inline/bitmap form of mmu.AppendWire.
-// lastReq crosses sites as an age: two sites' clocks are unrelated, so
-// the sender subtracts it from its own now and the receiver from its.
+// Nothing in a record is a point in time: two sites' clocks are
+// unrelated.
 const (
 	recCoreBytes = 4 + 4 + 8 + 2
-	recTailBytes = 8 + 8 + 4 + 4 + 8 + 2 + 4
+	recTailBytes = 4 + 8 + 2 + 4
 )
 
 func appendRecord(buf []byte, r *libRecord, full bool) []byte {
@@ -100,9 +94,6 @@ func appendRecord(buf []byte, r *libRecord, full bool) []byte {
 	buf = be.AppendUint16(buf, uint16(r.readers.WireLen()))
 	buf = r.readers.AppendWire(buf)
 	if full {
-		buf = be.AppendUint64(buf, uint64(r.gapEWMA))
-		buf = be.AppendUint64(buf, uint64(r.lastReq))
-		buf = be.AppendUint32(buf, uint32(r.requests))
 		buf = be.AppendUint32(buf, uint32(r.denied))
 		buf = be.AppendUint64(buf, uint64(r.denRemEWMA))
 		buf = be.AppendUint16(buf, uint16(r.flipEWMA))
@@ -145,17 +136,13 @@ func decodeRecord(data []byte, full bool) (libRecord, int, error) {
 	}
 	n += cs
 	if full {
-		r.gapEWMA = time.Duration(be.Uint64(data[n:]))
-		r.lastReq = time.Duration(be.Uint64(data[n+8:]))
-		r.requests = int(int32(be.Uint32(data[n+16:])))
-		r.denied = int(int32(be.Uint32(data[n+20:])))
-		r.denRemEWMA = time.Duration(be.Uint64(data[n+24:]))
-		r.flipEWMA = int(be.Uint16(data[n+32:]))
-		r.lastWriter = int(int32(be.Uint32(data[n+34:])))
+		r.denied = int(int32(be.Uint32(data[n:])))
+		r.denRemEWMA = time.Duration(be.Uint64(data[n+4:]))
+		r.flipEWMA = int(be.Uint16(data[n+12:]))
+		r.lastWriter = int(int32(be.Uint32(data[n+14:])))
 		n += recTailBytes
 	}
-	if r.delta < 0 || r.gapEWMA < 0 || r.lastReq < 0 || r.denRemEWMA < 0 ||
-		r.requests < 0 || r.denied < 0 || r.flipEWMA > flipScale {
+	if r.delta < 0 || r.denRemEWMA < 0 || r.denied < 0 || r.flipEWMA > flipScale {
 		return libRecord{}, 0, fmt.Errorf("record: page %d: value out of range", r.page)
 	}
 	return r, n, nil
@@ -318,7 +305,7 @@ func (e *Engine) installLibrary(sn *segNode, src libSource) error {
 
 // checkRecords is installLibrary's precondition.
 func (e *Engine) checkRecords(sn *segNode, src libSource) error {
-	sites := e.failover.Sites
+	sites := e.sites
 	site := func(s int) bool { return s >= 0 && s < sites }
 	seen := make([]bool, sn.m.Pages())
 	for i := range src.recs {

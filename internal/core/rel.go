@@ -48,29 +48,24 @@ type Reliability struct {
 	// behind a partitioned third party). Default 8s — comfortably past
 	// the give-up horizon of the message budget.
 	RequestTimeout time.Duration
-	// Sites is the cluster size, filled by the cluster constructors
-	// (like Failover.Sites). At 16 sites and above, an unset AckTimeout
-	// auto-scales linearly with Sites instead of taking the 30ms
-	// default: a library serializes N near-simultaneous installs (and
-	// their acks) at a few ms each, so a fixed small timeout retransmits
-	// into its own backlog and congestion-collapses the cluster into a
-	// give-up livelock (first observed in the E20 invalidation sweep).
-	// The scaled profile is AckTimeout = Sites×8ms, and — where unset —
-	// MaxBackoff = 4×AckTimeout, MaxAttempts = 3, RequestTimeout =
-	// 25×AckTimeout. Zero (or Sites < 16) keeps the fixed defaults.
-	Sites int
-	// NoAutoScale opts out of the Sites-based AckTimeout scaling,
-	// keeping the fixed defaults at any cluster size.
-	NoAutoScale bool
 }
 
 // autoScaleSites is the cluster size at which an unset AckTimeout stops
-// defaulting to the fixed 30ms and starts scaling with Sites.
+// defaulting to the fixed 30ms and starts scaling with the cluster: a
+// library serializes N near-simultaneous installs (and their acks) at a
+// few ms each, so a fixed small timeout retransmits into its own
+// backlog and congestion-collapses the cluster into a give-up livelock
+// (first observed in the E20 invalidation sweep). The scaled profile is
+// AckTimeout = sites×8ms, and — where unset — MaxBackoff = 4×AckTimeout,
+// MaxAttempts = 3, RequestTimeout = 25×AckTimeout. A caller that wants
+// the fixed profile at any size sets AckTimeout.
 const autoScaleSites = 16
 
-func (r Reliability) withDefaults() Reliability {
-	if r.AckTimeout == 0 && r.Sites >= autoScaleSites && !r.NoAutoScale {
-		rt := time.Duration(r.Sites) * 8 * time.Millisecond
+// withDefaults fills the unset fields for a cluster of sites
+// (Options.Sites; 0 when the caller did not say).
+func (r Reliability) withDefaults(sites int) Reliability {
+	if r.AckTimeout == 0 && sites >= autoScaleSites {
+		rt := time.Duration(sites) * 8 * time.Millisecond
 		r.AckTimeout = rt
 		if r.MaxBackoff == 0 {
 			r.MaxBackoff = 4 * rt
@@ -125,7 +120,7 @@ type rel struct {
 }
 
 func newRel(e *Engine, opt Reliability) *rel {
-	return &rel{e: e, opt: opt.withDefaults(), peers: make(map[int]*relPeer)}
+	return &rel{e: e, opt: opt, peers: make(map[int]*relPeer)}
 }
 
 func (r *rel) peer(site int) *relPeer {

@@ -43,18 +43,14 @@ type Replication struct {
 	// record: the R sites after the current library in ID order. 0
 	// disables replication (the zero Options.Replication is inert).
 	Replicas int
-	// Sites is the cluster size; cluster constructors fill it like
-	// Failover.Sites, so every engine derives the same follower groups.
-	Sites int
 }
 
 // replFollowers returns the follower group for a segment led by
 // leader: the Replicas sites after it in ID order.
 func (e *Engine) replFollowers(leader int) []int {
-	rp := e.replication
 	var out []int
-	for i := 1; len(out) < rp.Replicas && i < rp.Sites; i++ {
-		out = append(out, (leader+i)%rp.Sites)
+	for i := 1; len(out) < e.replication.Replicas && i < e.sites; i++ {
+		out = append(out, (leader+i)%e.sites)
 	}
 	return out
 }
@@ -676,7 +672,7 @@ func (e *Engine) settleElection(sn *segNode) {
 			continue
 		}
 		for _, s := range []int{ent.post.writer, ent.post.clock, ent.prior.clock, ent.prior.writer} {
-			if s >= 0 && s < e.failover.Sites { // a log may name anything
+			if s >= 0 && s < e.sites { // a log may name anything
 				targets = targets.Add(s)
 			}
 		}

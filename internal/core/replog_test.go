@@ -11,14 +11,14 @@ import (
 
 // replOptions enables the full replication stack with short timers so
 // the sim-driven tests cross the give-up and recovery horizons quickly.
-func replOptions(o *obs.Obs, sites, replicas int) Options {
+func replOptions(o *obs.Obs, replicas int) Options {
 	return Options{
 		Reliability: &Reliability{
 			AckTimeout: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond,
 			MaxAttempts: 5, RequestTimeout: 10 * time.Second,
 		},
-		Failover:    &Failover{Sites: sites, RecoverTimeout: 500 * time.Millisecond},
-		Replication: &Replication{Replicas: replicas, Sites: sites},
+		Failover:    &Failover{RecoverTimeout: 500 * time.Millisecond},
+		Replication: &Replication{Replicas: replicas},
 		Obs:         o,
 	}
 }
@@ -98,7 +98,7 @@ func TestReplEntryCodecRejectsCorrupt(t *testing.T) {
 // sees its effects.
 func TestReplQuorumGatesMutations(t *testing.T) {
 	o := obs.New()
-	n := newTestNet(t, 3, replOptions(o, 3, 2))
+	n := newTestNet(t, 3, replOptions(o, 2))
 	n.newSeg(2, 0)
 
 	n.acquire(1, 1, 0, true)
@@ -159,7 +159,7 @@ func TestReplQuorumGatesMutations(t *testing.T) {
 // election, not a holder rebuild) and the record survives exactly.
 func TestReplElectionInstallsFromLog(t *testing.T) {
 	o := obs.New()
-	n := newTestNet(t, 3, replOptions(o, 3, 2))
+	n := newTestNet(t, 3, replOptions(o, 2))
 	n.newSeg(2, 0)
 
 	n.acquire(1, 1, 0, true) // site 1 becomes page 0's writer
@@ -208,7 +208,7 @@ func TestReplElectionInstallsFromLog(t *testing.T) {
 // takeover must fall back to the legacy holder rebuild — a recovery
 // without an election.
 func TestReplElectionFallback(t *testing.T) {
-	n := newTestNet(t, 3, replOptions(nil, 3, 2))
+	n := newTestNet(t, 3, replOptions(nil, 2))
 	n.newSeg(2, 0)
 
 	n.acquire(1, 1, 0, false) // survivor holds a read copy of page 0
@@ -238,7 +238,7 @@ func TestReplElectionFallback(t *testing.T) {
 // quorum, gated mutations must release degraded instead of wedging the
 // grant path.
 func TestReplDegradedReleasesGates(t *testing.T) {
-	n := newTestNet(t, 4, replOptions(nil, 4, 3))
+	n := newTestNet(t, 4, replOptions(nil, 3))
 	n.newSeg(1, 0)
 
 	n.acquire(1, 1, 0, true)
@@ -269,7 +269,7 @@ func TestReplConcurrentClusters(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			n := newTestNet(t, 3, replOptions(nil, 3, 2))
+			n := newTestNet(t, 3, replOptions(nil, 2))
 			n.newSeg(2, 0)
 			for i := 0; i < 4; i++ {
 				n.acquire(1, 1, 0, true)
@@ -296,7 +296,7 @@ func TestReplConcurrentClusters(t *testing.T) {
 // successor leading a freshly seeded log (the offer is the log head),
 // with the old leader deposed.
 func TestReplMigrationShipsLogHead(t *testing.T) {
-	opt := replOptions(nil, 3, 2)
+	opt := replOptions(nil, 2)
 	opt.Placement = &Placement{
 		Window: 50 * time.Millisecond, MinRequests: 4,
 		Share: 0.5, PingPong: 0.8, Cooldown: time.Hour,

@@ -334,59 +334,42 @@ func InvalidationAblation(cfg CountersConfig, deltas []time.Duration) []PolicyPo
 // ---------------------------------------------------------------------------
 // E8 — §8.0 dynamic Δ tuning (the routine Mirage ships disabled).
 
-// DynamicDeltaResult compares fixed Δ choices against the adaptive
-// tuner on the representative application.
+// DynamicDeltas are E8's Δ choices: the deep contention side, Figure
+// 8's knee and peak, the deep retention side.
+var DynamicDeltas = [4]time.Duration{0, 120 * time.Millisecond, 600 * time.Millisecond, 2400 * time.Millisecond}
+
+// DynamicDeltaResult compares fixed Δ choices against the closed-loop
+// controller on the representative application, insn/s per entry of
+// DynamicDeltas.
 type DynamicDeltaResult struct {
-	FixedZero  float64 // Δ=0 (deep contention side)
-	FixedKnee  float64 // Δ=120 ms
-	FixedPeak  float64 // Δ=600 ms
-	FixedLarge float64 // Δ=2400 ms (deep retention side)
-	Adaptive   float64 // library tunes per page from observed demand
+	Fixed    [4]float64 // every page granted this Δ
+	Adaptive [4]float64 // AutoDelta{} seeded at this Δ
 }
 
-// DynamicDelta enables a tuner that sets a page's window to the EWMA
-// of its inter-request gap, clamped to [0, 1s] — pages with fast
-// re-request get windows about as long as their observed locality
-// interval.
+// DynamicDelta runs the counters workload at each of DynamicDeltas
+// twice: fixed, and as the seed of the AutoDelta controller with its
+// defaults — the one tuning routine there is (§8.0 ships its own
+// disabled).
 func DynamicDelta(cfg CountersConfig) DynamicDeltaResult {
 	if cfg.Duration == 0 {
 		cfg.Duration = 10 * time.Second
 	}
-	fixed := func(d time.Duration) float64 {
-		c := ipc.NewCluster(2, ipc.Config{Delta: d})
+	run := func(d time.Duration, ad *core.AutoDelta) float64 {
+		c := ipc.NewCluster(2, ipc.Config{Delta: d, Engine: core.Options{AutoDelta: ad}})
 		st := runCounters(c, 0, 1, cfg)
 		c.Run()
 		return 2 * float64(st.iters[0]+st.iters[1]) / cfg.Duration.Seconds()
 	}
-	tuner := func(ti core.TuneInfo) time.Duration {
-		d := ti.MeanGap
-		if ti.Requests < 4 {
-			return ti.Delta
-		}
-		if d > time.Second {
-			d = 0 // cold page: no window needed
-		}
-		return d
-	}
-	adaptive := func() float64 {
-		c := ipc.NewCluster(2, ipc.Config{
-			Delta:  0,
-			Engine: core.Options{TuneDelta: tuner},
-		})
-		st := runCounters(c, 0, 1, cfg)
-		c.Run()
-		return 2 * float64(st.iters[0]+st.iters[1]) / cfg.Duration.Seconds()
-	}
-	// The five configurations are independent runs: fan them out.
+	// The eight configurations are independent runs: fan them out.
 	var r DynamicDeltaResult
-	tasks := []func(){
-		func() { r.FixedZero = fixed(0) },
-		func() { r.FixedKnee = fixed(120 * time.Millisecond) },
-		func() { r.FixedPeak = fixed(600 * time.Millisecond) },
-		func() { r.FixedLarge = fixed(2400 * time.Millisecond) },
-		func() { r.Adaptive = adaptive() },
-	}
-	sweepTasks(len(tasks), func(i int) { tasks[i]() })
+	n := len(DynamicDeltas)
+	sweepTasks(2*n, func(i int) {
+		if i < n {
+			r.Fixed[i] = run(DynamicDeltas[i], nil)
+		} else {
+			r.Adaptive[i-n] = run(DynamicDeltas[i-n], &core.AutoDelta{})
+		}
+	})
 	return r
 }
 

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -185,16 +186,21 @@ func TestE7InvalidationAblation(t *testing.T) {
 
 func TestE8DynamicDelta(t *testing.T) {
 	r := DynamicDelta(CountersConfig{Duration: 8 * time.Second})
-	if r.FixedPeak <= r.FixedZero {
+	if r.Fixed[2] <= r.Fixed[0] {
 		t.Fatalf("Δ=600 should beat Δ=0: %+v", r)
 	}
-	// The adaptive tuner should land well above the worst fixed choice.
-	worst := r.FixedZero
-	if r.FixedLarge < worst {
-		worst = r.FixedLarge
+	// Whatever it is seeded with, the controller must not land below the
+	// worst fixed choice. (It does not reach the best either: E30.)
+	worst := slices.Min(r.Fixed[:])
+	for i, a := range r.Adaptive {
+		if a < worst {
+			t.Fatalf("adaptive seeded at %v: %f below worst fixed %f", DynamicDeltas[i], a, worst)
+		}
 	}
-	if r.Adaptive < worst {
-		t.Fatalf("adaptive %f below worst fixed %f", r.Adaptive, worst)
+	// Δ = 0 grants no window, so nothing is ever denied and the
+	// controller has no signal to move on: the run is the fixed one.
+	if r.Adaptive[0] != r.Fixed[0] {
+		t.Fatalf("adaptive seeded at Δ=0 = %f, fixed Δ=0 = %f: want the same run", r.Adaptive[0], r.Fixed[0])
 	}
 }
 

@@ -10,15 +10,19 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestGoldenExports locks the exact bytes both exporters produce for a
-// fixed event sequence. Any schema change must be deliberate: rerun
+// TestGoldenExports locks the exact bytes both exporters, and the
+// summary `miragetrace summarize` prints, produce for a fixed event
+// sequence. Any schema change must be deliberate: rerun
 // with -update and bump SchemaVersion if the JSONL shape changed.
 func TestGoldenExports(t *testing.T) {
 	hdr := NewHeader(ClockVirtual, 2)
 	events := sampleEvents()
 
-	var jsonl, chrome bytes.Buffer
+	var jsonl, chrome, summary bytes.Buffer
 	if err := WriteJSONL(&jsonl, hdr, events); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Summarize(events).WriteTo(&summary); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteChrome(&chrome, hdr, events); err != nil {
@@ -47,6 +51,7 @@ func TestGoldenExports(t *testing.T) {
 	}
 	check("trace.jsonl", jsonl.Bytes())
 	check("chrome.json", chrome.Bytes())
+	check("summary.txt", summary.Bytes())
 
 	// The golden trace must also read back cleanly.
 	gotHdr, gotEvents, err := ReadJSONL(bytes.NewReader(jsonl.Bytes()))

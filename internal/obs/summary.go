@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"time"
+
+	"mirage/internal/wire"
 )
 
 // Summary aggregates a trace: per-type event counts, per-kind message
@@ -29,17 +31,61 @@ type PageSummary struct {
 	Upgrades   int
 	Downgrades int
 	Denials    int
+
+	// The library's reference log for the page (§9.0), as a view of the
+	// trace: one entry per EvMsgRecv of a read or write request, which
+	// carries what the log did — time, page, requesting site (From), mode
+	// (Kind) — but for the faulting pid, which no analysis read. It
+	// is demand as the protocol saw it: every site that was addressed as
+	// the library counts, so a page whose library moved has receipts at
+	// the old site and at the new one, and a request that reached a
+	// deposed library and was redirected is two receipts.
+	Reads, Writes int           // request receipts by mode
+	Sites         int           // distinct requesting sites
+	Dominant      int32         // the site with the most requests, the lowest on a tie
+	DominantShare float64       // its fraction of the requests
+	MeanGap       time.Duration // mean time between successive receipts; 0 under two
+}
+
+// Requests is the number of request receipts for the page.
+func (p PageSummary) Requests() int { return p.Reads + p.Writes }
+
+// pageAcc is a PageSummary being accumulated.
+type pageAcc struct {
+	PageSummary
+	bySite      map[int32]int // request receipts by requesting site
+	first, last time.Duration // time of the first and the latest receipt
+}
+
+// finish derives the reference view's columns from what was counted.
+func (a *pageAcc) finish() PageSummary {
+	p := a.PageSummary
+	if n := p.Requests(); n > 0 {
+		p.Sites = len(a.bySite)
+		best := 0
+		for s, c := range a.bySite {
+			if c > best || (c == best && s < p.Dominant) {
+				p.Dominant, best = s, c
+			}
+		}
+		p.DominantShare = float64(best) / float64(n)
+		if n > 1 {
+			// Successive gaps telescope to the span of the receipts.
+			p.MeanGap = (a.last - a.first) / time.Duration(n-1)
+		}
+	}
+	return p
 }
 
 // Summarize reduces a trace to its Summary.
 func Summarize(events []Event) Summary {
 	s := Summary{ByType: make(map[EvType]int), ByKind: make(map[string]int)}
-	pages := make(map[[2]int32]*PageSummary)
-	page := func(ev Event) *PageSummary {
+	pages := make(map[[2]int32]*pageAcc)
+	page := func(ev Event) *pageAcc {
 		k := [2]int32{ev.Seg, ev.Page}
 		p := pages[k]
 		if p == nil {
-			p = &PageSummary{Seg: ev.Seg, Page: ev.Page}
+			p = &pageAcc{PageSummary: PageSummary{Seg: ev.Seg, Page: ev.Page}, bySite: make(map[int32]int)}
 			pages[k] = p
 		}
 		return p
@@ -53,6 +99,21 @@ func Summarize(events []Event) Summary {
 		switch ev.Type {
 		case EvMsgSend:
 			s.ByKind[ev.Kind.String()]++
+		case EvMsgRecv:
+			if ev.Kind != wire.KReadReq && ev.Kind != wire.KWriteReq {
+				break
+			}
+			p := page(ev)
+			if p.Requests() == 0 {
+				p.first = ev.T
+			}
+			p.last = ev.T
+			if ev.Kind == wire.KWriteReq {
+				p.Writes++
+			} else {
+				p.Reads++
+			}
+			p.bySite[ev.From]++
 		case EvFault:
 			page(ev).Faults++
 		case EvGrantStart:
@@ -72,7 +133,7 @@ func Summarize(events []Event) Summary {
 		}
 	}
 	for _, p := range pages {
-		s.Pages = append(s.Pages, *p)
+		s.Pages = append(s.Pages, p.finish())
 	}
 	sort.Slice(s.Pages, func(i, j int) bool {
 		if s.Pages[i].Seg != s.Pages[j].Seg {
@@ -125,6 +186,26 @@ func (s Summary) WriteTo(w io.Writer) (int64, error) {
 				p.Seg, p.Page, p.Faults, p.Grants, p.Upgrades, p.Downgrades, p.Denials); err != nil {
 				return written, err
 			}
+		}
+	}
+	// The reference view: one row per page a library was asked for.
+	const refRow = "  %-12s %8v %6v %6v %5v  %-15s %v\n"
+	header := false
+	for _, p := range s.Pages {
+		if p.Requests() == 0 {
+			continue
+		}
+		if !header {
+			header = true
+			if err := pf("library reference log (request receipts):\n"+refRow,
+				"page", "requests", "reads", "writes", "sites", "dominant", "mean gap"); err != nil {
+				return written, err
+			}
+		}
+		if err := pf(refRow, fmt.Sprintf("seg%d/p%d", p.Seg, p.Page), p.Requests(), p.Reads, p.Writes, p.Sites,
+			fmt.Sprintf("site %d (%.0f%%)", p.Dominant, 100*p.DominantShare),
+			p.MeanGap.Round(10*time.Microsecond)); err != nil {
+			return written, err
 		}
 	}
 	if s.Denials > 0 {

@@ -232,7 +232,7 @@ type Msg struct {
 	Page      int32       // page number within the segment
 	From      int32       // sending site
 	Req       int32       // requester / new writer site
-	Pid       int32       // requesting process id (for the library's reference log, §9.0)
+	Pid       int32       // requesting process id (carried, read by nothing: the header layout is pinned)
 	Readers   mmu.Copyset // copyset: read batch, reader bookkeeping, or fan-out subtree
 	Delta     time.Duration
 	Remaining time.Duration

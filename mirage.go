@@ -185,6 +185,9 @@ var (
 	// ErrNegativeDelta reports a rejected attempt to set a negative Δ
 	// window (Site.SetSegmentDelta).
 	ErrNegativeDelta = core.ErrNegativeDelta
+	// ErrNotLibrary reports Site.SetSegmentDelta called at a site that
+	// is not the segment's library now, or for a segment it does not know.
+	ErrNotLibrary = core.ErrNotLibrary
 	// ErrTooManySites reports a cluster sized beyond MaxSites, the
 	// copyset capacity. Rejected explicitly — silently truncating the
 	// reader record would corrupt coherence.

@@ -185,8 +185,70 @@ func TestSetSegmentDelta(t *testing.T) {
 	if err := c.Site(0).SetSegmentDelta(id, 50*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Site(1).SetSegmentDelta(id, 50*time.Millisecond); err == nil {
-		t.Fatal("non-library site must not set Δ")
+	// Refusals are typed: nothing on the loop is recovered and relabelled.
+	if err := c.Site(1).SetSegmentDelta(id, 50*time.Millisecond); !errors.Is(err, ErrNotLibrary) {
+		t.Fatalf("non-library site: err = %v, want ErrNotLibrary", err)
+	}
+	if err := c.Site(0).SetSegmentDelta(id+1, 50*time.Millisecond); !errors.Is(err, ErrNotLibrary) {
+		t.Fatalf("unknown segment: err = %v, want ErrNotLibrary", err)
+	}
+	if err := c.Site(0).SetSegmentDelta(id, -time.Millisecond); !errors.Is(err, ErrNegativeDelta) {
+		t.Fatalf("negative Δ: err = %v, want ErrNegativeDelta", err)
+	}
+}
+
+// TestSetSegmentDeltaFollowsLibrary: "the segment's library site" is
+// the site that holds the role now. After a voluntary migration the new
+// library accepts a Δ change and the creating site refuses it.
+func TestSetSegmentDeltaFollowsLibrary(t *testing.T) {
+	c := newTestCluster(t, 2, Options{
+		Reliability: &Reliability{},
+		Failover:    &Failover{},
+		Placement: &Placement{
+			Window: 10 * time.Millisecond, MinRequests: 4,
+			Share: 0.5, PingPong: 0.8, Cooldown: time.Hour,
+		},
+	})
+	id, err := c.Site(0).Shmget(7, 512, Create, 0o600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a0, err := c.Site(0).Attach(id, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a1, err := c.Site(1).Attach(id, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two requests from site 1 (read fault, then upgrade) for each one
+	// from site 0: site 1 dominates without it being ping-pong.
+	deadline := time.Now().Add(10 * time.Second)
+	for i := uint32(1); c.Site(1).Stats().Migrations == 0; i++ {
+		if time.Now().After(deadline) {
+			t.Fatal("no voluntary migration to site 1")
+		}
+		if err := a0.SetUint32(0, i); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a1.Uint32(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := a1.SetUint32(0, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Site(1).SetSegmentDelta(id, 5*time.Millisecond); err != nil {
+		t.Fatalf("new library: %v", err)
+	}
+	// The old library deposes itself on the successor's confirmation, one
+	// message behind the successor's own count; a request of its own is
+	// served only once it has.
+	if err := a0.SetUint32(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Site(0).SetSegmentDelta(id, 5*time.Millisecond); !errors.Is(err, ErrNotLibrary) {
+		t.Fatalf("old library after the handoff: err = %v, want ErrNotLibrary", err)
 	}
 }
 
