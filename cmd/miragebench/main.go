@@ -90,7 +90,6 @@ import (
 	"mirage/internal/exp"
 	"mirage/internal/load"
 	"mirage/internal/obs"
-	"mirage/internal/stats"
 	"mirage/internal/vaxmodel"
 )
 
@@ -258,7 +257,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	run("e1", "§7.1 component timings", func() {
 		r := exp.ComponentTimings()
-		t := stats.NewTable("measurement", "paper", "measured")
+		t := exp.NewTable("measurement", "paper", "measured")
 		t.Row("short message round trip", exp.PaperShortRTT, r.ShortRTT)
 		t.Row("1 KB message + short reply", exp.PaperPagePlusReply, r.PagePlusReply)
 		t.WriteTo(stdout)
@@ -266,7 +265,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	run("e2", "Table 3: remote in-memory page fetch", func() {
 		r := exp.Table3()
-		t := stats.NewTable("operation", "paper", "model")
+		t := exp.NewTable("operation", "paper", "model")
 		for _, row := range r.Rows {
 			t.Row(row.Name, row.Paper, row.Model)
 		}
@@ -277,7 +276,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	run("e3", "§7.2 single-site worst case: yield() vs busy wait", func() {
 		r := exp.SingleSiteWorstCase(*dur)
-		t := stats.NewTable("variant", "paper cycles/s", "measured cycles/s")
+		t := exp.NewTable("variant", "paper cycles/s", "measured cycles/s")
 		t.Row("busy wait", exp.PaperSingleSite.NoYield, r.NoYield)
 		t.Row("yield()", exp.PaperSingleSite.WithYield, r.WithYield)
 		t.Row("speedup", fmt.Sprintf("x%.0f", exp.PaperSingleSite.Speedup), fmt.Sprintf("x%.1f", r.Speedup))
@@ -286,9 +285,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	run("e4", "Figure 7: two-site worst case vs Δ", func() {
 		pts := exp.Figure7(*dur, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-		t := stats.NewTable("Δ (ticks)", "yield cycles/s", "busy-wait cycles/s", "yield/busy")
+		t := exp.NewTable("Δ (ticks)", "yield cycles/s", "busy-wait cycles/s", "yield/busy")
 		for _, p := range pts {
-			t.Row(p.DeltaTicks, p.Yield, p.NoYield, stats.Ratio(p.Yield, p.NoYield))
+			t.Row(p.DeltaTicks, p.Yield, p.NoYield, exp.Ratio(p.Yield, p.NoYield))
 		}
 		t.WriteTo(stdout)
 		fmt.Fprintln(stdout, "paper anchors: yield(0)≈8, yield(2)≈4.5 (90% of the 5/s bound), ~1.5x yield advantage at Δ=2")
@@ -299,7 +298,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	run("e4b", "N-site worst case (§7.2's ring variant)", func() {
 		pts := exp.NSiteWorstCase(*dur, []int{2, 3, 4, 6, 8})
-		t := stats.NewTable("sites", "ring rotations/s", "msgs/rotation")
+		t := exp.NewTable("sites", "ring rotations/s", "msgs/rotation")
 		for _, p := range pts {
 			t.Row(p.Sites, p.CyclesPerSec, p.MsgsPerCycle)
 		}
@@ -319,7 +318,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			2400 * time.Millisecond,
 		}
 		pts := exp.Figure8(exp.CountersConfig{Duration: d}, deltas)
-		t := stats.NewTable("Δ", "read-write insn/s", "bar")
+		t := exp.NewTable("Δ", "read-write insn/s", "bar")
 		for _, p := range pts {
 			t.Row(p.Delta, int(p.InsnPerSec), strings.Repeat("#", int(p.InsnPerSec/4000)))
 		}
@@ -329,7 +328,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	run("e6", "§7.3 thrashing amelioration (bystander throughput)", func() {
 		pts := exp.ThrashingAmelioration(*dur, []int{0, 2, 4, 6, 8})
-		t := stats.NewTable("Δ (ticks)", "app cycles/s", "bystander units/s")
+		t := exp.NewTable("Δ (ticks)", "app cycles/s", "bystander units/s")
 		for _, p := range pts {
 			t.Row(p.DeltaTicks, p.AppCycles, p.BystanderUnits)
 		}
@@ -344,7 +343,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		pts := exp.InvalidationAblation(exp.CountersConfig{Duration: d},
 			[]time.Duration{120 * time.Millisecond, 600 * time.Millisecond, 900 * time.Millisecond})
-		t := stats.NewTable("policy", "Δ", "insn/s", "retries")
+		t := exp.NewTable("policy", "Δ", "insn/s", "retries")
 		for _, p := range pts {
 			t.Row(p.Policy.String(), p.Delta, int(p.InsnPerSec), p.Retries)
 		}
@@ -358,7 +357,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			d = 5 * time.Second
 		}
 		r := exp.DynamicDelta(exp.CountersConfig{Duration: d})
-		t := stats.NewTable("Δ", "fixed insn/s", "AutoDelta seeded there, insn/s")
+		t := exp.NewTable("Δ", "fixed insn/s", "AutoDelta seeded there, insn/s")
 		for i, d := range exp.DynamicDeltas {
 			t.Row(d, int(r.Fixed[i]), int(r.Adaptive[i]))
 		}
@@ -368,7 +367,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	run("e9", "§7.2 test&set spinlock", func() {
 		r := exp.TestAndSetScenario(*dur, []int{0, 2, 4})
-		t := stats.NewTable("configuration", "writer crit-sections/s", "page transfers")
+		t := exp.NewTable("configuration", "writer crit-sections/s", "page transfers")
 		t.Row("no remote tester", r.Solo, "-")
 		for _, p := range r.Points {
 			t.Row(fmt.Sprintf("tester, Δ=%d ticks", p.DeltaTicks), p.CritPerSec, p.PageMoves)
@@ -379,7 +378,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	run("e10", "baseline: Mirage vs IVY (centralized manager SVM)", func() {
 		pts := exp.BaselineComparison(*dur)
-		t := stats.NewTable("system", "workload", "throughput", "unit", "page transfers")
+		t := exp.NewTable("system", "workload", "throughput", "unit", "page transfers")
 		for _, p := range pts {
 			t.Row(p.System, p.Workload, p.Throughput, p.Unit, p.PageMoves)
 		}
@@ -388,7 +387,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	run("e12", "§8.0 hot-spot organization (per-page Δ)", func() {
 		rs := exp.HotSpots(*dur)
-		t := stats.NewTable("window assignment", "hot exchanges/s", "cold insn/s")
+		t := exp.NewTable("window assignment", "hot exchanges/s", "cold insn/s")
 		for _, r := range rs {
 			t.Row(r.Config, r.HotOps, int(r.ColdInsn))
 		}
@@ -398,7 +397,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	run("e13", "§9.0 real-time Δ under site load", func() {
 		r := exp.LoadSensitivity(*dur)
-		t := stats.NewTable("site 1 configuration", "site 1 insn/s")
+		t := exp.NewTable("site 1 configuration", "site 1 insn/s")
 		t.Row("unloaded", int(r.UnloadedInsn))
 		t.Row("sharing the CPU with a hog", int(r.LoadedInsn))
 		t.WriteTo(stdout)
@@ -411,7 +410,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			perSite = 8
 		}
 		r := exp.FaultSweep(perSite, []float64{0, 2, 5, 10})
-		t := stats.NewTable("drop rate", "completed", "elapsed", "retransmits", "dup-drops", "gave-up", "net drops")
+		t := exp.NewTable("drop rate", "completed", "elapsed", "retransmits", "dup-drops", "gave-up", "net drops")
 		for _, p := range r.Points {
 			t.Row(fmt.Sprintf("%.0f%%", p.DropPct), p.Completed, p.Elapsed.Round(time.Millisecond),
 				p.Retransmits, p.DupDrops, p.GaveUp, p.NetDropped)
@@ -426,7 +425,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	run("e16", "Figure 7 Δ-sweep under full observability (E16)", func() {
 		ticks := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 		pts := exp.DeltaDenialSweep(*dur, ticks)
-		t := stats.NewTable("Δ (ticks)", "cycles/s", "denials", "retries", "mean remaining", "max remaining", "events")
+		t := exp.NewTable("Δ (ticks)", "cycles/s", "denials", "retries", "mean remaining", "max remaining", "events")
 		for _, p := range pts {
 			events := bytes.Count(p.TraceJSONL, []byte{'\n'}) - 1 // minus the header line
 			t.Row(p.DeltaTicks, p.CyclesPerSec, p.Denials, p.Retries,
@@ -475,7 +474,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Exhaustive half: every schedule of a contended two-site
 		// write/read scenario with a live Δ window, all three
 		// invalidation policies.
-		t := stats.NewTable("policy", "schedules", "choice points", "deepest", "max branch", "complete", "violations")
+		t := exp.NewTable("policy", "schedules", "choice points", "deepest", "max branch", "complete", "violations")
 		for pol := 0; pol <= 2; pol++ {
 			sc := check.Scenario{
 				Sites: 2, Pages: 1, Delta: 10 * time.Millisecond, Policy: pol,
@@ -529,7 +528,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			perSite = 8
 		}
 		r := exp.FailoverSweep(perSite, []int{0, 1, 2})
-		t := stats.NewTable("library crashes", "completed", "elapsed", "inc/s",
+		t := exp.NewTable("library crashes", "completed", "elapsed", "inc/s",
 			"failovers", "recoveries", "mean recovery", "max epoch", "stale fenced")
 		for _, p := range r.Points {
 			mean := "-"
@@ -624,7 +623,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	run("e20", "beyond the paper: scaling past 64 sites — flat vs tree invalidation (E20)", func() {
 		pts := exp.ScaleSweep(*quick)
-		t := stats.NewTable("sites", "fanout", "lib sends/fault", "inval ms", "KB/fault", "lib CPU", "relays")
+		t := exp.NewTable("sites", "fanout", "lib sends/fault", "inval ms", "KB/fault", "lib CPU", "relays")
 		byGrid := map[[2]int]exp.ScalePoint{}
 		maxN := 0
 		for _, p := range pts {
@@ -694,7 +693,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			cfg.Duration = 4 * time.Second
 		}
 		r := exp.MigrationSweep(cfg)
-		t := stats.NewTable("scenario", "placement", "goodput", "p50", "p99", "errors", "migrations", "refused", "fenced")
+		t := exp.NewTable("scenario", "placement", "goodput", "p50", "p99", "errors", "migrations", "refused", "fenced")
 		for _, p := range r.Points {
 			placement := "off"
 			if p.Placement {
@@ -746,7 +745,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		r := exp.AutoDeltaSweep(cfg)
-		t := stats.NewTable("workload", "cell", "score", "denials", "grows", "shrinks", "p99", "migrations")
+		t := exp.NewTable("workload", "cell", "score", "denials", "grows", "shrinks", "p99", "migrations")
 		cell := func(wl string, p exp.AutoDeltaPoint) {
 			name := fmt.Sprintf("Δ=%d ticks", p.DeltaTicks)
 			if p.DeltaTicks < 0 {
@@ -784,7 +783,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			perSite = 8
 		}
 		r := exp.ReplicationSweep(perSite)
-		t := stats.NewTable("scenario", "R", "completed", "elapsed", "appends", "commits", "degraded",
+		t := exp.NewTable("scenario", "R", "completed", "elapsed", "appends", "commits", "degraded",
 			"elections", "recoveries", "recovery", "unavail", "events", "violations")
 		for _, p := range r.Points {
 			recLat := "-"
@@ -826,7 +825,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	run("e11", "§6.2 lazy remap cost", func() {
 		pts := exp.RemapCost([]int{1, 16, 64, 128, 256})
-		t := stats.NewTable("mapped pages", "dispatch cost")
+		t := exp.NewTable("mapped pages", "dispatch cost")
 		for _, p := range pts {
 			t.Row(p.Pages, p.DispatchCost)
 		}

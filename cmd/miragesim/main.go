@@ -99,7 +99,6 @@ import (
 	"mirage/internal/load"
 	"mirage/internal/mmu"
 	"mirage/internal/obs"
-	"mirage/internal/stats"
 )
 
 func main() {
@@ -216,10 +215,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	runOnce := func() (string, *ipc.Cluster, *obs.Obs, *app.Stats) {
 		opts := core.Options{Policy: pol, InvalFanout: *fanout}
 		var o *obs.Obs
+		var c *ipc.Cluster
 		if wantTrace || *metrics {
 			o = obs.New()
-			if !wantTrace {
+			switch {
+			case !wantTrace:
 				o.Tracer = nil // metrics only; skip event buffering
+			case *checkRun:
+				// The page-event-order invariant reads a site's page word
+				// as the site traces the page's state.
+				o.Tracer = check.NewEventOrder(o.Buffer(), func(site int, seg int32) *mmu.Seg {
+					return c.Site(site).DSM.Seg(seg)
+				})
 			}
 			opts.Obs = o
 		}
@@ -253,7 +260,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				opts.Placement = exp.MigrationConfig{}.Policy()
 			}
 		}
-		c := ipc.NewCluster(n, ipc.Config{Delta: *delta, Engine: opts, Chaos: plan})
+		c = ipc.NewCluster(n, ipc.Config{Delta: *delta, Engine: opts, Chaos: plan})
 		var headline string
 		var svc *app.Stats
 		switch *workload {
@@ -337,7 +344,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "workload=%s sites=%d Δ=%v dur=%v policy=%s\n", *workload, n, *delta, *dur, *policy)
 	fmt.Fprintf(stdout, "result: %s\n\n", headline)
 
-	t := stats.NewTable("site", "rd-faults", "wr-faults", "pages tx/rx", "upgrades", "downgrades", "busies", "retries", "Δ-wait",
+	t := exp.NewTable("site", "rd-faults", "wr-faults", "pages tx/rx", "upgrades", "downgrades", "busies", "retries", "Δ-wait",
 		"cpu user", "cpu kernel", "dispatches")
 	for i := 0; i < c.Sites(); i++ {
 		es := c.Site(i).Eng.Stats()
@@ -363,7 +370,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if c.Chaos != nil {
 		executed := c.Chaos.Plan()
 		fmt.Fprintf(stdout, "\nchaos plan: %s\n%v\n", executed.String(), c.Chaos.Stats())
-		rt := stats.NewTable("site", "retransmits", "dup-drops", "gave-up", "degraded", "stale", "denied")
+		rt := exp.NewTable("site", "retransmits", "dup-drops", "gave-up", "degraded", "stale", "denied")
 		for i := 0; i < c.Sites(); i++ {
 			es := c.Site(i).Eng.Stats()
 			rt.Row(i, es.Retransmits, es.DupDrops, es.GaveUp, es.Degraded, es.Stale, es.Denied)
@@ -372,7 +379,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *failover || *migrate || *replicas > 0 {
-		ft := stats.NewTable("site", "failovers", "recoveries", "stale-epoch fenced", "migrations", "refused")
+		ft := exp.NewTable("site", "failovers", "recoveries", "stale-epoch fenced", "migrations", "refused")
 		for i := 0; i < c.Sites(); i++ {
 			es := c.Site(i).Eng.Stats()
 			ft.Row(i, es.Failovers, es.Recoveries, es.StaleEpoch, es.Migrations, es.MigrationsRefused)
@@ -382,7 +389,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *replicas > 0 {
-		rt := stats.NewTable("site", "appends", "commits", "degraded", "elections")
+		rt := exp.NewTable("site", "appends", "commits", "degraded", "elections")
 		for i := 0; i < c.Sites(); i++ {
 			es := c.Site(i).Eng.Stats()
 			rt.Row(i, es.Appends, es.ReplCommits, es.ReplDegraded, es.Elections)
@@ -392,7 +399,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *autodelta {
-		at := stats.NewTable("site", "Δ-grows", "Δ-shrinks")
+		at := exp.NewTable("site", "Δ-grows", "Δ-shrinks")
 		for i := 0; i < c.Sites(); i++ {
 			es := c.Site(i).Eng.Stats()
 			at.Row(i, es.DeltaGrows, es.DeltaShrinks)
@@ -456,6 +463,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			cfg.Delta = core.AutoDelta{}.Min
 		}
 		viols := check.Verify(cfg, buf.Events())
+		viols = append(viols, o.Tracer.(*check.EventOrder).Violations()...)
 		// The run is over and no access is under way: no page may be
 		// left held at any site, or in flight in its engine.
 		for _, seg := range c.Registry.Segments() {

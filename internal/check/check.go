@@ -81,6 +81,11 @@ const (
 	// a blocked fault, an outstanding request or its deadline, a
 	// collection or a relay — with the run drained (post-run only).
 	InvIdlePage = "site-page-idle"
+	// InvEventOrder: a page-state event was emitted on the wrong side of
+	// the page word's flip — a raising transition after the word granted
+	// the new access, or a lowering one before the holders had left
+	// (simulated runs only, checked as they emit: EventOrder).
+	InvEventOrder = "page-event-order"
 )
 
 // Config parameterizes the history checker.

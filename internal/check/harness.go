@@ -193,7 +193,10 @@ func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
 	h := &harness{k: sim.NewKernel(), hop: sc.Hop}
 	h.k.SetChooser(sch.choose)
 
-	o := &obs.Obs{Tracer: obs.NewBufferCap(1 << 22)}
+	order := NewEventOrder(obs.NewBufferCap(1<<22), func(site int, seg int32) *mmu.Seg {
+		return h.engines[site].Seg(seg)
+	})
+	o := &obs.Obs{Tracer: order}
 	opt := core.Options{
 		Policy: core.InvalPolicy(sc.Policy),
 		Costs:  &core.Costs{},
@@ -262,8 +265,8 @@ func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
 		res.steps++
 	}
 	res.opsDone, res.opsFailed = h.done, h.failed
-	res.violations = Verify(sc.checkerConfig(), traceOf(o))
-	res.trace = traceOf(o)
+	res.trace = order.Buffer().Events()
+	res.violations = append(Verify(sc.checkerConfig(), res.trace), order.Violations()...)
 	if res.steps >= maxSteps {
 		res.violations = append(res.violations, Violation{
 			Invariant: InvLiveness, Index: -1,
@@ -278,14 +281,6 @@ func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
 	}
 	res.violations = append(res.violations, finalChecks(sc, h.engines)...)
 	return res
-}
-
-func traceOf(o *obs.Obs) []obs.Event {
-	b := o.Buffer()
-	if b == nil {
-		return nil
-	}
-	return b.Events()
 }
 
 // startSite chains ops[0..] at a site: each is attempted until it is
@@ -385,6 +380,66 @@ func finalChecks(sc Scenario, engines []*core.Engine) []Violation {
 	}
 	return out
 }
+
+// EventOrder is a Tracer that checks the page-event-order invariant as
+// a simulated run emits, and records every event in a buffer. The live
+// checker's soundness rests on where a site traces a page's new state
+// against the flip of its page word (DESIGN.md §17): a raising
+// transition before the word lets the new access in, a lowering one
+// after the holders of the old access have left. So at every
+// EvPageState a site emits, its word must grant exactly the lesser of
+// the state the site traced before and the one it traces now (invalid <
+// read < write; a closed segment grants nothing). The trace alone cannot
+// show that — moving an event across its flip leaves it byte for byte
+// the same — so the check reads the word, which only a simulated run,
+// whose engines are still while their tracer runs, lets it do.
+type EventOrder struct {
+	buf   *obs.Buffer
+	seg   func(site int, seg int32) *mmu.Seg // nil when not attached
+	n     int
+	state map[traceKey]int64
+	viols []Violation
+}
+
+type traceKey struct{ site, seg, page int32 }
+
+// NewEventOrder records into buf and finds a site's page table with seg.
+func NewEventOrder(buf *obs.Buffer, seg func(site int, seg int32) *mmu.Seg) *EventOrder {
+	return &EventOrder{buf: buf, seg: seg, state: make(map[traceKey]int64)}
+}
+
+// Emit checks ev and records it.
+func (c *EventOrder) Emit(ev obs.Event) {
+	if ev.Type == obs.EvPageState {
+		k := traceKey{ev.Site, ev.Seg, ev.Page}
+		before := c.state[k]
+		want := min(before, ev.Arg)
+		c.state[k] = ev.Arg
+		if m := c.seg(int(ev.Site), ev.Seg); m != nil && len(c.viols) < 100 {
+			p := int(ev.Page)
+			var got int64
+			switch {
+			case m.Check(p, true) == mmu.NoFault:
+				got = 2
+			case m.Check(p, false) == mmu.NoFault:
+				got = 1
+			}
+			if got != want {
+				c.viols = append(c.viols, Violation{Invariant: InvEventOrder, Index: c.n, Event: ev,
+					Detail: fmt.Sprintf("state %d traced after %d: the page word grants %d, not %d",
+						ev.Arg, before, got, want)})
+			}
+		}
+	}
+	c.n++
+	c.buf.Emit(ev)
+}
+
+// Buffer is where the events are recorded (obs.Obs.Buffer finds it).
+func (c *EventOrder) Buffer() *obs.Buffer { return c.buf }
+
+// Violations returns what the check found, nil if the order held.
+func (c *EventOrder) Violations() []Violation { return c.viols }
 
 // HeldPages checks the idle-word invariant on one site's page table for
 // a segment: with no access under way, every page's word shows no

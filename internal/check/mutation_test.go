@@ -117,3 +117,25 @@ func TestMutationLeftWriteOutstandingCaught(t *testing.T) {
 	}
 	wantInv(t, res.Violations, InvIdlePage)
 }
+
+// TestMutationEventAfterWordCaught: with core's MutateEventAfterWord on,
+// every install traces the page's new state after the word has published
+// it. The trace is byte for byte what it was — only the page-event-order
+// check, reading the word as the event goes out, can tell — so the first
+// schedule of a single write must show it, and so must every replay.
+func TestMutationEventAfterWordCaught(t *testing.T) {
+	core.MutateEventAfterWord = true
+	defer func() { core.MutateEventAfterWord = false }()
+	sc := Scenario{Sites: 2, Pages: 1, Policy: 2, Ops: []Op{{Site: 1, Write: true, Val: 7}}}
+	res := Exhaustive(sc, ExploreOpts{MaxRuns: 1})
+	if res.Counterexample == nil {
+		t.Fatalf("mutation not caught in %d runs", res.Runs)
+	}
+	wantInv(t, res.Violations, InvEventOrder)
+	t.Logf("caught: %v", res.Violations[0])
+	for _, v := range res.Violations {
+		if v.Invariant != InvEventOrder {
+			t.Errorf("the swap shows as %v too: the trace was meant to be unchanged", v)
+		}
+	}
+}

@@ -603,17 +603,13 @@ func (e *Engine) CreateSegment(meta *mem.Segment) {
 		panic(fmt.Sprintf("core: CreateSegment at site %d for library %d", e.site, meta.Library))
 	}
 	sn := e.register(meta)
-	now := e.env.Now()
 	lib := newLibSeg(meta)
 	sn.lib = lib
 	for p := 0; p < meta.Pages; p++ {
-		// Seed the trace with the initial placement so a checker reading
-		// it cold knows who holds what (Cycle 0 marks it ungranted).
-		e.emit(obs.Event{Type: obs.EvPageState, Seg: int32(meta.ID), Page: int32(p), Arg: 2})
-		sn.m.Install(p, nil, mmu.ReadWrite, now)
-		a := sn.m.Aux(p)
-		a.Writer = e.site
-		sn.m.SetWindow(p, 0) // the creator's initial hold is not a granted window
+		// The install seeds the trace with the initial placement so a
+		// checker reading it cold knows who holds what; Cycle 0 marks it
+		// ungranted, and the creator's initial hold is not a granted window.
+		e.install(sn, int32(p), nil, mmu.ReadWrite, mmu.Copyset{}, 0, 0)
 		lib.pages[p].writer = e.site
 		lib.pages[p].clock = e.site
 	}
@@ -660,11 +656,13 @@ func (e *Engine) DestroySegment(id int32) {
 
 // resetPages applies sitePage.reset to every page of the segment, in
 // page order so that the rollbacks' events land identically across
-// replays. A destroyed segment has no page table to roll back into.
+// replays. A collection that dies with its epoch is rolled back without
+// a library to tell: the new one rebuilds from reports. A destroyed
+// segment has no page table to roll back into.
 func (e *Engine) resetPages(sn *segNode, requests, cycles bool) {
 	for p := range sn.pages {
 		if pi := sn.pages[p].reset(requests, cycles); pi != nil && e.live(sn) {
-			e.rollbackPend(sn, int32(p), pi)
+			e.reinstate(sn, int32(p), pi)
 		}
 	}
 	if cycles {
@@ -740,24 +738,14 @@ func (e *Engine) Fault(seg int32, page int32, write bool, pid int32, wake func()
 	sp := &sn.pages[page]
 	sp.waiters = append(sp.waiters, waiter{write: write, wake: wake})
 
-	needReq := false
-	var kind wire.Kind
-	if write {
-		if !sp.outW {
-			sp.outW = true
-			needReq = true
-			kind = wire.KWriteReq
-		}
-	} else {
-		// A pending write request will satisfy a read fault too.
-		if !sp.outR && !sp.outW {
-			sp.outR = true
-			needReq = true
-			kind = wire.KReadReq
-		}
-	}
-	if !needReq {
-		return
+	kind := wire.KReadReq
+	switch {
+	case write && !sp.outW:
+		sp.outW, kind = true, wire.KWriteReq
+	case !write && !sp.outR && !sp.outW: // a pending write request satisfies a read fault too
+		sp.outR = true
+	default:
+		return // the request already made answers this fault
 	}
 	e.count(obs.CRequestSent)
 	cost := e.costs.Request

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -635,6 +637,61 @@ func TestCountAllocFree(t *testing.T) {
 		}
 		if o != nil && o.Metrics.Get(0, obs.CReadFault) != 1001 {
 			t.Errorf("registry saw %d read faults", o.Metrics.Get(0, obs.CReadFault))
+		}
+	}
+}
+
+// silentRelaysRun has site 0 write a page six other sites read, over a
+// 2-ary invalidation tree whose two relay roots (sites 1 and 4) take
+// their orders and never answer: the mangle turns every aggregated ack
+// into a straggler of no cycle, which the clock counts stale. It returns
+// the net and every message sent from the write fault on, in order.
+func silentRelaysRun(t *testing.T) (*testNet, []string) {
+	opt := Options{InvalFanout: 2, Reliability: &Reliability{
+		AckTimeout: 10 * time.Millisecond, MaxBackoff: 40 * time.Millisecond, MaxAttempts: 4}}
+	n := newTestNet(t, 7, opt)
+	n.newSeg(1, 0)
+	for s := 1; s < 7; s++ {
+		n.acquire(s, 1, 0, false)
+	}
+	n.settle()
+	var sends []string
+	n.mangle = func(to int, m *wire.Msg) {
+		if m.Kind == wire.KInvalAck && m.Readers.Count() > 1 {
+			m.Cycle = 0
+		}
+		sends = append(sends, fmt.Sprintf("%d>%d %v %v", m.From, to, m.Kind, m.Readers))
+	}
+	n.acquire(0, 1, 0, true)
+	n.settle()
+	return n, sends
+}
+
+// TestDelegationWatchdogReissuesInSiteOrder: a relay that has the
+// order's transport ack but never sends the protocol's is what the
+// delegation watchdog exists for, and no test reached it. It must
+// resolve the cycle by reissuing the silent subtrees as unicast — and in
+// the same order every run: it ranged a map of subtrees, so with two
+// silent ones a simulated run was not a function of its inputs. A
+// two-entry map comes out the other way round about one time in eight,
+// so the runs are many.
+func TestDelegationWatchdogReissuesInSiteOrder(t *testing.T) {
+	n, want := silentRelaysRun(t)
+	if got := n.engines[0].Stats().Reissued; got != 6 {
+		t.Fatalf("clock reissued %d orders, want one to each of the six silent members", got)
+	}
+	if st := n.engines[0].LibraryState(1, 0); st.Busy || st.Writer != 0 || !st.Readers.Empty() {
+		t.Fatalf("cycle did not resolve: library state %+v", st)
+	}
+	for s, e := range n.engines {
+		if st := e.SitePage(1, 0); st != (SitePageState{}) {
+			t.Errorf("site %d still tracks %+v", s, st)
+		}
+	}
+	n.checkSingleWriter(1, 0)
+	for run := 1; run < 64; run++ {
+		if _, got := silentRelaysRun(t); !slices.Equal(got, want) {
+			t.Fatalf("run %d sent a different sequence from run 0 (%d vs %d messages)", run, len(got), len(want))
 		}
 	}
 }

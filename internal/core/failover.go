@@ -369,22 +369,6 @@ func (e *Engine) adoptEpoch(sn *segNode, epoch uint32, newLib int) {
 	e.wakeAll(sn) // to re-request at the current library
 }
 
-// rollbackPend reinstates the copy a clock site invalidated for a write
-// cycle that died with its library epoch. Unlike invalOrderFailed there
-// is no library to notify: the new one rebuilds from reports.
-func (e *Engine) rollbackPend(sn *segNode, page int32, pi *pendingInval) {
-	p := int(page)
-	if sn.m.Present(p) || pi.data == nil {
-		return
-	}
-	e.emit(obs.Event{Type: obs.EvPageState, Seg: int32(sn.meta.ID), Page: page, Arg: 1})
-	sn.m.Install(p, pi.data, mmu.ReadOnly, e.env.Now())
-	a := sn.m.Aux(p)
-	a.Writer = mmu.NoWriter
-	sn.m.SetWindow(p, 0)
-	a.ReaderMask = pi.origMask
-}
-
 // staleEpoch rejects a message from a superseded epoch and tells the
 // sender which epoch is current — a deposed library that comes back
 // learns of its replacement from exactly this notice.
@@ -502,7 +486,7 @@ func (e *Engine) lateReport(sn *segNode, from int, hs []holding) {
 	for _, h := range hs {
 		reported[h.page] = true
 		p := &lib.pages[h.page]
-		if p.busy {
+		if p.grant.active {
 			continue // never disturb a live grant cycle
 		}
 		switch {
@@ -527,7 +511,7 @@ func (e *Engine) lateReport(sn *segNode, from int, hs []holding) {
 	}
 	for pg := range lib.pages {
 		p := &lib.pages[pg]
-		if p.writer == from && !reported[int32(pg)] && !p.busy {
+		if p.writer == from && !reported[int32(pg)] && !p.grant.active {
 			e.libReclaim(sn, int32(pg), nil)
 			e.libProcess(sn, int32(pg))
 		}

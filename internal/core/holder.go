@@ -9,31 +9,65 @@ import (
 	"mirage/internal/wire"
 )
 
+// collection is a discard collection in flight: the copies a write
+// grant waits to see gone at the clock site, or a delegated subtree at
+// an interior relay.
+type collection struct {
+	remaining mmu.Copyset // targets whose discard is not yet confirmed
+	acked     mmu.Copyset // confirmed discards
+	// Tree mode: direct child -> the subtree copyset delegated to it,
+	// used to fall back to unicast when a child stays silent or its
+	// circuit gives up.
+	sub map[int]mmu.Copyset
+}
+
 // pendingInval is clock-site transient state while other readers'
 // copies are being collected for a write grant.
 type pendingInval struct {
-	m         *wire.Msg   // the KInval being honored
-	remaining mmu.Copyset // targets whose discard is not yet confirmed
-	data      []byte      // page contents captured for the new writer
-	// Rollback state for the reliability layer: the reader set as it
-	// stood before the cycle, and which targets have discarded so far.
+	collection
+	m    *wire.Msg // the KInval being honored
+	data []byte    // page contents captured for the new writer
+	// The reader mask as it stood before the cycle, for the rollback.
 	origMask mmu.Copyset
-	acked    mmu.Copyset
-	// Tree mode: direct child -> the subtree copyset delegated to it,
-	// used to fall back to unicast when a child's circuit gives up.
-	sub map[int]mmu.Copyset
 }
 
 // invalRelay is interior-site transient state for one delegated
 // invalidation subtree: the site discarded its own copy, relayed
 // orders onward, and owes its parent one aggregated ack.
 type invalRelay struct {
-	parent    int
-	cycle     uint32
-	remaining mmu.Copyset // subtree members not yet confirmed
-	acked     mmu.Copyset // confirmed discards (includes this site)
-	failed    mmu.Copyset // members given up on (reported via KInvalFail)
-	sub       map[int]mmu.Copyset
+	collection // acked includes this site
+	parent     int
+	cycle      uint32
+	failed     mmu.Copyset // members given up on (reported via KInvalFail)
+}
+
+// order sends the collection's discard orders for m's page. When some
+// went to delegated subtrees under the reliability layer it arms the
+// delegation watchdog, which nobody cancels: it asks whether its
+// collection is still the page's.
+func (e *Engine) order(sn *segNode, m *wire.Msg, c *collection) {
+	c.sub = e.fanoutInvalOrders(m, c.remaining)
+	if e.rel == nil || len(c.sub) == 0 {
+		return
+	}
+	sp := &sn.pages[m.Page]
+	e.after(sn, e.delegationTimeout(), func() {
+		if sp.pend != nil && &sp.pend.collection == c || sp.relay != nil && &sp.relay.collection == c {
+			e.reissueDelegations(m, c)
+		}
+	})
+}
+
+// ack merges one inval-ack: the sites it confirms are the carried
+// copyset on the tree path, the sender alone otherwise.
+func (c *collection) ack(m *wire.Msg) {
+	covered := m.Readers
+	if covered.Empty() {
+		covered = mmu.CopysetOf(int(m.From))
+	}
+	c.acked = c.acked.Union(covered)
+	c.remaining = c.remaining.Subtract(covered)
+	delete(c.sub, int(m.From))
 }
 
 // fanoutInvalOrders sends KInvalOrder to every site in targets. In
@@ -122,7 +156,12 @@ func (e *Engine) handleAddReader(sn *segNode, m *wire.Msg) {
 	}
 	a := sn.m.Aux(p)
 	a.ReaderMask = a.ReaderMask.Union(m.Readers)
-	data := sn.m.Frame(p)
+	e.shipReadCopies(sn, m)
+}
+
+// shipReadCopies sends this clock site's copy to every reader m grants.
+func (e *Engine) shipReadCopies(sn *segNode, m *wire.Msg) {
+	data := sn.m.Frame(int(m.Page))
 	m.Readers.ForEach(func(s int) {
 		e.send(s, &wire.Msg{
 			Kind:  wire.KPageSend,
@@ -165,27 +204,18 @@ func (e *Engine) handleInval(sn *segNode, m *wire.Msg) {
 		e.obs.Observe(obs.HDenialRemaining, int64(rem))
 		e.emit(obs.Event{Type: obs.EvDeltaDeny, Seg: m.Seg, Page: m.Page,
 			Cycle: m.Cycle, Arg: int64(rem)})
-		switch e.policy {
-		case PolicyRetry:
+		if e.policy == PolicyRetry || e.policy == PolicyHonorClose && rem > e.honor {
 			e.count(obs.CBusyReply)
 			e.send(sn.curLib, &wire.Msg{
 				Kind: wire.KBusy, Seg: m.Seg, Page: m.Page, Remaining: rem, Cycle: m.Cycle,
 			})
 			return
-		case PolicyHonorClose:
-			if rem > e.honor {
-				e.count(obs.CBusyReply)
-				e.send(sn.curLib, &wire.Msg{
-					Kind: wire.KBusy, Seg: m.Seg, Page: m.Page, Remaining: rem, Cycle: m.Cycle,
-				})
-				return
-			}
-			fallthrough
-		case PolicyQueue:
-			e.countN(obs.CWindowWait, int64(rem))
-			e.after(sn, rem, func() { e.acceptInval(sn, m) })
-			return
 		}
+		// PolicyQueue, or PolicyHonorClose with little left: wait the
+		// window out here and honor the invalidation at its expiry.
+		e.countN(obs.CWindowWait, int64(rem))
+		e.after(sn, rem, func() { e.acceptInval(sn, m) })
+		return
 	}
 	e.acceptInval(sn, m)
 }
@@ -193,8 +223,6 @@ func (e *Engine) handleInval(sn *segNode, m *wire.Msg) {
 // acceptInval performs the clock site's actions once the window allows.
 func (e *Engine) acceptInval(sn *segNode, m *wire.Msg) {
 	p := int(m.Page)
-	now := e.env.Now()
-	a := sn.m.Aux(p)
 
 	if m.Mode == wire.Read {
 		// Table 1 row Writer/Readers: downgrade the writer to reader
@@ -211,33 +239,8 @@ func (e *Engine) acceptInval(sn *segNode, m *wire.Msg) {
 			})
 			return
 		}
-		sn.m.Downgrade(p, now)
-		e.count(obs.CDowngrade)
-		if !sn.releasing() {
-			// Mid-release the surrender was already traced when the copy
-			// shipped home; the frame survives only to serve this cycle
-			// (local access faults until release-done frees it). Once the
-			// library drains the queued release it stops invalidating this
-			// site, so tracing a retained read copy here would leave a
-			// phantom holder coexisting with later writers.
-			e.emit(obs.Event{Type: obs.EvDowngrade, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
-			e.emit(obs.Event{Type: obs.EvPageState, Seg: m.Seg, Page: m.Page, Arg: 1})
-		}
-		a.Writer = mmu.NoWriter
-		sn.m.SetWindow(p, m.Delta)
-		a.ReaderMask = mmu.CopysetOf(e.site).Union(m.Readers)
-		data := sn.m.Frame(p)
-		m.Readers.ForEach(func(s int) {
-			e.send(s, &wire.Msg{
-				Kind:  wire.KPageSend,
-				Mode:  wire.Read,
-				Seg:   m.Seg,
-				Page:  m.Page,
-				Delta: m.Delta,
-				Cycle: m.Cycle,
-				Data:  append([]byte(nil), data...),
-			})
-		})
+		e.downgrade(sn, m.Page, mmu.CopysetOf(e.site).Union(m.Readers), m.Delta, m.Cycle)
+		e.shipReadCopies(sn, m)
 		return
 	}
 
@@ -252,37 +255,24 @@ func (e *Engine) acceptInval(sn *segNode, m *wire.Msg) {
 	// path, but fatal under an aborted cycle: they ack vacuously, land
 	// in the acked set, and the rollback re-ships them copies the
 	// library's record no longer tracks.
-	origMask := a.ReaderMask
-	targets := a.ReaderMask.Intersect(m.Readers).Remove(e.site).Remove(int(m.Req))
+	origMask := sn.m.Aux(p).ReaderMask
+	targets := origMask.Intersect(m.Readers).Remove(e.site).Remove(int(m.Req))
 	var data []byte
-	if int(m.Req) == e.site && m.Upgrade {
-		// We are both clock site and upgrading requester: keep our copy.
-	} else {
+	if int(m.Req) != e.site || !m.Upgrade {
 		// The frame is captured even for upgrades (which don't ship it):
-		// it is the rollback/rehome copy should the grant fail.
-		data = sn.m.Invalidate(p)
-		e.emit(obs.Event{Type: obs.EvPageState, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
+		// it is the rollback/rehome copy should the grant fail. A clock
+		// site that is also the upgrading requester keeps its copy, and
+		// the auxpte it holds until the upgrade or the rollback rewrites it.
+		data = e.drop(sn, m.Page, m.Cycle, true)
 	}
-	a.ReaderMask = mmu.Copyset{}
-	a.Writer = mmu.NoWriter
 
 	if targets.Empty() {
 		e.finishWriteGrant(sn, m, data)
 		return
 	}
-	pi := &pendingInval{m: m, remaining: targets, data: data, origMask: origMask}
-	sp := &sn.pages[m.Page]
-	sp.pend = pi
-	pi.sub = e.fanoutInvalOrders(m, targets)
-	if e.rel != nil && len(pi.sub) > 0 {
-		// Nobody cancels a watchdog: it asks whether its collection is
-		// still the page's.
-		e.after(sn, e.delegationTimeout(), func() {
-			if sp.pend == pi {
-				e.reissueDelegations(m, pi.sub, pi.remaining)
-			}
-		})
-	}
+	pi := &pendingInval{collection: collection{remaining: targets}, m: m, data: data, origMask: origMask}
+	sn.pages[m.Page].pend = pi
+	e.order(sn, m, &pi.collection)
 }
 
 // delegationTimeout is how long a delegating site waits for a
@@ -299,7 +289,9 @@ func (e *Engine) delegationTimeout() time.Duration {
 }
 
 // reissueDelegations converts every still-unanswered subtree to direct
-// unicast orders from this site. Flat orders need no watchdog —
+// unicast orders from this site, in ascending site order whatever the
+// subtrees' order in the map, so a simulated run stays a function of its
+// inputs. Flat orders need no watchdog —
 // processing an order and acking it are the same instant, so the
 // sender's ARQ on the order covers the whole exchange — but a
 // delegated order opens a window between the transport ack (order
@@ -311,16 +303,16 @@ func (e *Engine) delegationTimeout() time.Duration {
 // live-but-slow relay's late aggregate merges idempotently, and a
 // truly dead member now fails through the normal order give-up path
 // (abort at the clock, KInvalFail at a relay) instead of hanging.
-func (e *Engine) reissueDelegations(m *wire.Msg, sub map[int]mmu.Copyset, remaining mmu.Copyset) {
-	for root, subtree := range sub {
-		delete(sub, root)
-		subtree.ForEach(func(s int) {
-			if remaining.Has(s) {
-				e.count(obs.CReissued)
-				e.send(s, &wire.Msg{Kind: wire.KInvalOrder, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
-			}
-		})
+func (e *Engine) reissueDelegations(m *wire.Msg, c *collection) {
+	var silent mmu.Copyset
+	for _, subtree := range c.sub {
+		silent = silent.Union(subtree)
 	}
+	c.sub = nil
+	silent.Intersect(c.remaining).ForEach(func(s int) {
+		e.count(obs.CReissued)
+		e.send(s, &wire.Msg{Kind: wire.KInvalOrder, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
+	})
 }
 
 // finishWriteGrant runs at the clock site once no readable copy
@@ -331,23 +323,7 @@ func (e *Engine) finishWriteGrant(sn *segNode, m *wire.Msg, data []byte) {
 		if req == e.site {
 			// Clock site upgrading itself: flip the protection in place
 			// and notify the library directly.
-			now := e.env.Now()
-			a := sn.m.Aux(int(m.Page))
-			a.Writer = e.site
-			sn.m.SetWindow(int(m.Page), m.Delta)
-			e.count(obs.CUpgrade)
-			e.emit(obs.Event{Type: obs.EvUpgrade, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
-			e.emit(obs.Event{Type: obs.EvPageState, Seg: m.Seg, Page: m.Page, Arg: 2})
-			sn.m.Upgrade(int(m.Page), now)
-			e.send(sn.curLib, &wire.Msg{
-				Kind: wire.KInstalled, Mode: wire.Write, Seg: m.Seg, Page: m.Page,
-				Cycle: m.Cycle,
-			})
-			sp := &sn.pages[m.Page]
-			sp.takeErr() // in-place grant supersedes old verdicts
-			e.wakeWaiters(sn, m.Page)
-			sp.outW, sp.outR = false, false
-			sp.reqProgress()
+			e.upgrade(sn, m.Page, m.Delta, m.Cycle)
 			return
 		}
 		// Optimization 1: no page copy; a notification acknowledges the
@@ -383,14 +359,7 @@ func (e *Engine) finishWriteGrant(sn *segNode, m *wire.Msg, data []byte) {
 // members and answers its parent with one aggregated ack.
 func (e *Engine) handleInvalOrder(sn *segNode, m *wire.Msg) {
 	e.count(obs.CInvalOrder)
-	p := int(m.Page)
-	if sn.m.Present(p) {
-		sn.m.Invalidate(p)
-		a := sn.m.Aux(p)
-		a.ReaderMask = mmu.Copyset{}
-		a.Writer = mmu.NoWriter
-		e.emit(obs.Event{Type: obs.EvPageState, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
-	}
+	e.drop(sn, m.Page, m.Cycle, true)
 	rest := m.Readers.Remove(e.site)
 	if rest.Empty() {
 		// Leaf (or flat unicast): a single-site ack.
@@ -408,30 +377,12 @@ func (e *Engine) handleInvalOrder(sn *segNode, m *wire.Msg) {
 	e.emit(obs.Event{Type: obs.EvRelay, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle,
 		From: m.From, Arg: int64(rest.Count())})
 	rl := &invalRelay{
-		parent:    int(m.From),
-		cycle:     m.Cycle,
-		remaining: rest,
-		acked:     mmu.CopysetOf(e.site),
+		collection: collection{remaining: rest, acked: mmu.CopysetOf(e.site)},
+		parent:     int(m.From),
+		cycle:      m.Cycle,
 	}
-	rl.sub = e.fanoutInvalOrders(m, rest)
-	sp := &sn.pages[m.Page]
-	sp.relay = rl
-	if e.rel != nil && len(rl.sub) > 0 {
-		e.after(sn, e.delegationTimeout(), func() {
-			if sp.relay == rl {
-				e.reissueDelegations(m, rl.sub, rl.remaining)
-			}
-		})
-	}
-}
-
-// ackCovered returns the set of sites an inval-ack confirms: the
-// carried copyset on the tree path, the sender alone otherwise.
-func ackCovered(m *wire.Msg) mmu.Copyset {
-	if m.Readers.Empty() {
-		return mmu.CopysetOf(int(m.From))
-	}
-	return m.Readers
+	sn.pages[m.Page].relay = rl
+	e.order(sn, m, &rl.collection)
 }
 
 // handleInvalAck collects discard confirmations — at the clock site
@@ -441,10 +392,7 @@ func (e *Engine) handleInvalAck(sn *segNode, m *wire.Msg) {
 	e.count(obs.CInvalAcked)
 	sp := &sn.pages[m.Page]
 	if rl := sp.relay; rl != nil && rl.cycle == m.Cycle {
-		covered := ackCovered(m)
-		rl.acked = rl.acked.Union(covered)
-		rl.remaining = rl.remaining.Subtract(covered)
-		delete(rl.sub, int(m.From))
+		rl.ack(m)
 		e.relayMaybeFinish(sn, m.Page, rl)
 		return
 	}
@@ -456,12 +404,7 @@ func (e *Engine) handleInvalAck(sn *segNode, m *wire.Msg) {
 		}
 		panic(fmt.Sprintf("core: site %d: unexpected inval-ack: %v", e.site, m))
 	}
-	covered := ackCovered(m)
-	pi.acked = pi.acked.Union(covered)
-	pi.remaining = pi.remaining.Subtract(covered)
-	if pi.sub != nil {
-		delete(pi.sub, int(m.From))
-	}
+	pi.ack(m)
 	if !pi.remaining.Empty() {
 		return
 	}
@@ -549,42 +492,14 @@ func (e *Engine) handlePageSend(sn *segNode, m *wire.Msg) {
 		return
 	}
 	e.count(obs.CPageRecv)
-	p := int(m.Page)
-	now := e.env.Now()
 	prot := mmu.ReadOnly
-	state := int64(1)
 	if m.Mode == wire.Write {
 		prot = mmu.ReadWrite
-		state = 2
 	}
-	e.emit(obs.Event{Type: obs.EvPageState, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle, Arg: state})
-	if sn.m.Present(p) {
-		// A stale copy can exist if a read grant raced a later write
-		// request from this site; the incoming page is authoritative.
-		sn.m.Invalidate(p)
-	}
-	sn.m.Install(p, m.Data, prot, now)
-	a := sn.m.Aux(p)
-	sn.m.SetWindow(p, m.Delta)
-	if m.Mode == wire.Write {
-		a.Writer = e.site
-		a.ReaderMask = mmu.Copyset{}
-	} else {
-		a.Writer = mmu.NoWriter
-	}
-	e.send(sn.curLib, &wire.Msg{
-		Kind: wire.KInstalled, Mode: m.Mode, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle,
-	})
-	sp.outR = false
-	if m.Mode == wire.Write && !MutateLeaveWriteOutstanding {
-		sp.outW = false
-	}
-	// A fresh copy supersedes any degraded-grant verdict still cached
-	// for the page: without this, an access after the peer heals would
-	// fail with the stale error instead of using the installed copy.
-	sp.takeErr()
-	sp.reqProgress()
-	e.wakeWaiters(sn, m.Page)
+	// A stale copy can exist if a read grant raced a later write request
+	// from this site; the incoming page is authoritative.
+	e.install(sn, m.Page, m.Data, prot, mmu.Copyset{}, m.Delta, m.Cycle)
+	e.installed(sn, m.Page, m.Mode, m.Cycle)
 }
 
 // handleUpgradeGrant flips a read copy to writable in place
@@ -615,23 +530,7 @@ func (e *Engine) handleUpgradeGrant(sn *segNode, m *wire.Msg) {
 		})
 		return
 	}
-	now := e.env.Now()
-	a := sn.m.Aux(p)
-	a.Writer = e.site
-	sn.m.SetWindow(p, m.Delta)
-	a.ReaderMask = mmu.Copyset{}
-	e.count(obs.CUpgrade)
-	e.emit(obs.Event{Type: obs.EvUpgrade, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
-	e.emit(obs.Event{Type: obs.EvPageState, Seg: m.Seg, Page: m.Page, Arg: 2})
-	sn.m.Upgrade(p, now)
-	e.send(sn.curLib, &wire.Msg{
-		Kind: wire.KInstalled, Mode: wire.Write, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle,
-	})
-	sp := &sn.pages[m.Page]
-	sp.outW, sp.outR = false, false
-	sp.takeErr() // the upgraded copy supersedes old verdicts
-	sp.reqProgress()
-	e.wakeWaiters(sn, m.Page)
+	e.upgrade(sn, m.Page, m.Delta, m.Cycle)
 }
 
 // handleAlready clears the satisfied request and lets waiters recheck.

@@ -27,16 +27,19 @@ type libReq struct {
 	data []byte // release payload
 }
 
-// grantCycle describes the in-flight grant for a page.
+// grantCycle is the library's share of the grant in flight for a page:
+// the zero value is a page with none, and endCycle is the one way a
+// cycle ends.
 type grantCycle struct {
-	active   bool
-	write    bool
-	to       int         // new writer (write grants)
-	batch    mmu.Copyset // new readers (read grants)
-	oldWrite bool        // a writer was downgraded by this read grant
-	oldClock int
-	inval    *wire.Msg // retained for Δ retries
-	attempts int
+	active      bool
+	write       bool
+	to          int         // new writer (write grants)
+	batch       mmu.Copyset // new readers (read grants)
+	oldWrite    bool        // a writer was downgraded by this read grant
+	oldClock    int
+	installs    int       // KInstalled still due
+	inval       *wire.Msg // retained for Δ retries
+	cancelRetry func()    // the Δ retry a KBusy armed, nil when none is
 }
 
 // libPage is the library's authoritative state for one page: the
@@ -47,11 +50,8 @@ type grantCycle struct {
 type libPage struct {
 	libRecord
 
-	queue           []libReq
-	busy            bool
-	pendingInstalls int
-	grant           grantCycle
-	cancelRetry     func()
+	queue []libReq
+	grant grantCycle
 	// cycle numbers grant cycles; grants carry it and completions echo
 	// it back, so the reliability layer can discard stragglers from
 	// cycles that were since aborted.
@@ -106,7 +106,7 @@ func (e *Engine) LibraryState(seg, page int32) LibraryPageState {
 	p := &sn.lib.pages[page]
 	return LibraryPageState{
 		Readers: p.readers, Writer: p.writer, Clock: p.clock,
-		Delta: p.delta, Queued: len(p.queue), Busy: p.busy,
+		Delta: p.delta, Queued: len(p.queue), Busy: p.grant.active,
 		Denied: p.denied, DenialRemaining: p.denRemEWMA,
 		WriteSharing: p.flipEWMA >= flipScale/2,
 	}
@@ -226,7 +226,7 @@ func (e *Engine) handleLibrary(sn *segNode, m *wire.Msg) {
 		e.libProcess(sn, m.Page)
 
 	case wire.KInstalled:
-		if !p.busy || p.pendingInstalls <= 0 || m.Cycle != p.cycle {
+		if p.grant.installs <= 0 || m.Cycle != p.cycle {
 			if e.rel != nil {
 				// A completion from an aborted cycle, or a duplicate that
 				// survived give-up: harmless once denial went out.
@@ -235,14 +235,10 @@ func (e *Engine) handleLibrary(sn *segNode, m *wire.Msg) {
 			}
 			panic(fmt.Sprintf("core: site %d: unexpected installed: %v", e.site, m))
 		}
-		p.pendingInstalls--
-		if p.pendingInstalls == 0 {
-			e.libFinishCycle(sn, m.Page)
-			e.libProcess(sn, m.Page)
-		}
+		e.libInstalled(sn, m.Page)
 
 	case wire.KBusy:
-		if !p.busy || !p.grant.active || m.Cycle != p.cycle {
+		if !p.grant.active || m.Cycle != p.cycle {
 			if e.rel != nil {
 				e.markStale()
 				return
@@ -264,15 +260,14 @@ func (e *Engine) handleLibrary(sn *segNode, m *wire.Msg) {
 		e.emit(obs.Event{Type: obs.EvRetry, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle,
 			Arg: int64(m.Remaining)})
 		lib, inval := sn.lib, p.grant.inval
-		p.cancelRetry = e.after(sn, m.Remaining, func() {
-			// Whatever ends the cycle cancels the retry, but for the one
-			// thing that ends every cycle at once: adoptEpoch drops a
-			// deposed library's record without visiting its pages.
+		p.grant.cancelRetry = e.after(sn, m.Remaining, func() {
+			// endCycle cancels the retry, but for the one thing that ends
+			// every cycle at once: adoptEpoch drops a deposed library's
+			// record without visiting its pages.
 			if sn.lib != lib {
 				return
 			}
-			p.cancelRetry = nil
-			p.grant.attempts++
+			p.grant.cancelRetry = nil
 			e.send(p.clock, inval)
 		})
 
@@ -294,7 +289,7 @@ func (e *Engine) libProcess(sn *segNode, page int32) {
 	}
 	lib := sn.lib
 	p := &lib.pages[page]
-	for !p.busy && len(p.queue) > 0 {
+	for !p.grant.active && len(p.queue) > 0 {
 		head := p.queue[0]
 		switch head.kind {
 		case reqRead:
@@ -365,26 +360,22 @@ func (e *Engine) libTunedDelta(sn *segNode, page int32) time.Duration {
 func (e *Engine) libStartReadCycle(sn *segNode, page int32, batch mmu.Copyset) {
 	p := &sn.lib.pages[page]
 	delta := e.libTunedDelta(sn, page)
-	p.busy = true
-	p.pendingInstalls = batch.Count()
 	p.cycle++
 	e.count(obs.CGrantCycle)
 	e.emit(obs.Event{Type: obs.EvGrantStart, Seg: int32(sn.meta.ID), Page: page, Cycle: p.cycle})
+	p.grant = grantCycle{active: true, batch: batch, installs: batch.Count()}
 	if p.writer != mmu.NoWriter {
 		// Downgrade the writer; it becomes (and stays) the clock site.
-		p.grant = grantCycle{
-			active: true, batch: batch, oldWrite: true, oldClock: p.writer,
-			inval: &wire.Msg{
-				Kind: wire.KInval, Mode: wire.Read, Seg: int32(sn.meta.ID), Page: page,
-				Readers: batch, Delta: delta, Cycle: p.cycle,
-			},
+		p.grant.oldWrite, p.grant.oldClock = true, p.writer
+		p.grant.inval = &wire.Msg{
+			Kind: wire.KInval, Mode: wire.Read, Seg: int32(sn.meta.ID), Page: page,
+			Readers: batch, Delta: delta, Cycle: p.cycle,
 		}
 		e.replGateCycleOpen(sn, page, p.writer, p.grant.inval,
 			mmu.NoWriter, p.writer, mmu.CopysetOf(p.writer).Union(batch))
 		return
 	}
 	// Pure reader extension: no clock check, no invalidation.
-	p.grant = grantCycle{active: true, batch: batch, oldClock: p.clock}
 	e.replGateCycleOpen(sn, page, p.clock, &wire.Msg{
 		Kind: wire.KAddReader, Seg: int32(sn.meta.ID), Page: page,
 		Readers: batch, Delta: delta, Cycle: p.cycle,
@@ -397,14 +388,12 @@ func (e *Engine) libStartWriteCycle(sn *segNode, page int32, to int) {
 	p := &sn.lib.pages[page]
 	delta := e.libTunedDelta(sn, page)
 	upgrade := p.readers.Has(to)
-	p.busy = true
-	p.pendingInstalls = 1
 	p.cycle++
 	e.count(obs.CGrantCycle)
 	e.emit(obs.Event{Type: obs.EvGrantStart, Seg: int32(sn.meta.ID), Page: page,
 		To: int32(to), Cycle: p.cycle, Arg: 1})
 	p.grant = grantCycle{
-		active: true, write: true, to: to,
+		active: true, write: true, to: to, installs: 1,
 		inval: &wire.Msg{
 			Kind: wire.KInval, Mode: wire.Write, Seg: int32(sn.meta.ID), Page: page,
 			Req: int32(to), Upgrade: upgrade, Readers: p.readers, Delta: delta,
@@ -414,14 +403,28 @@ func (e *Engine) libStartWriteCycle(sn *segNode, page int32, to int) {
 	e.replGateCycleOpen(sn, page, p.clock, p.grant.inval, to, to, mmu.Copyset{})
 }
 
-// libFinishCycle commits the completed grant to the authoritative
-// record and releases the page for the next queued request.
-func (e *Engine) libFinishCycle(sn *segNode, page int32) {
-	p := &sn.lib.pages[page]
+// endCycle ends the page's grant cycle, whatever ends it — the last
+// install, an abort, a rehome — and returns it. A Δ retry the cycle
+// armed is cancelled with it.
+func (p *libPage) endCycle() grantCycle {
 	g := p.grant
-	if !g.active {
-		panic("core: finishing inactive cycle")
+	if g.cancelRetry != nil {
+		g.cancelRetry()
 	}
+	p.grant = grantCycle{}
+	return g
+}
+
+// libInstalled counts off one install the page's cycle waits for — a
+// KInstalled, or a reader of the batch that could not be reached — and
+// with the last one commits the grant and serves the queue on.
+func (e *Engine) libInstalled(sn *segNode, page int32) {
+	p := &sn.lib.pages[page]
+	p.grant.installs--
+	if p.grant.installs > 0 {
+		return
+	}
+	g := p.endCycle()
 	e.emit(obs.Event{Type: obs.EvGrantEnd, Seg: int32(sn.meta.ID), Page: page, Cycle: p.cycle})
 	if g.write {
 		p.writer = g.to
@@ -447,8 +450,7 @@ func (e *Engine) libFinishCycle(sn *segNode, page int32) {
 	} else {
 		p.readers = p.readers.Union(g.batch)
 	}
-	p.busy = false
-	p.grant = grantCycle{}
 	// The committed record supersedes the cycle's intent in the log.
 	e.replAppendSet(sn, page)
+	e.libProcess(sn, page)
 }

@@ -155,7 +155,7 @@ func (e *Engine) segQuiescent(sn *segNode) bool {
 	}
 	for i := range sn.lib.pages {
 		p := &sn.lib.pages[i]
-		if p.busy || len(p.queue) > 0 {
+		if p.grant.active || len(p.queue) > 0 {
 			return false
 		}
 	}

@@ -21,3 +21,9 @@ const mutateReplAckWithoutApply = false
 // answers. Under -tags mirage_mutation it is a variable the mutation
 // test sets, to prove the site-page-idle check sees a flag left behind.
 const MutateLeaveWriteOutstanding = false
+
+// MutateEventAfterWord is the production value of the event-order
+// mutation switch: install traces a page's new state before the word
+// publishes it. Under -tags mirage_mutation it is a variable the mutation
+// test sets, to prove the page-event-order invariant sees the swap.
+const MutateEventAfterWord = false

@@ -25,3 +25,11 @@ const mutateReplAckWithoutApply = true
 // every workload that write-faults twice on a page stops — the other
 // mutation kills' scenarios included.
 var MutateLeaveWriteOutstanding = false
+
+// MutateEventAfterWord: MUTATION BUILD, and off until a test turns it
+// on. install then traces a page's new state after the word has
+// published it, so an access the grant lets in can precede the grant's
+// event — the order the live checker's soundness rests on (DESIGN.md
+// §17), which nothing but the page-event-order invariant sees: the
+// trace itself is byte for byte the same.
+var MutateEventAfterWord = false

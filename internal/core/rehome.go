@@ -39,7 +39,7 @@ type libRecord struct {
 	// Denial-side tuning signals (DESIGN.md §16). denied counts KBusy
 	// replies for this page; denRemEWMA smooths the remaining window
 	// time those denials reported. flipEWMA tracks write-sharing in
-	// fixed point (flipScale per alternation; see libFinishCycle) and
+	// fixed point (flipScale per alternation; see libInstalled) and
 	// lastWriter is the previous write grantee it compares against.
 	denied     int
 	denRemEWMA time.Duration

@@ -418,34 +418,17 @@ func (e *Engine) invalOrderFailed(sn *segNode, m *wire.Msg, to int) {
 		return
 	}
 	sp.pend = nil
-	p := int(m.Page)
-	now := e.env.Now()
-	if !sn.m.Present(p) {
-		if pi.data == nil {
-			// Nothing to roll back with; the library's copy-carrying
-			// abort path is the only option left.
-			e.send(sn.curLib, &wire.Msg{
-				Kind: wire.KGrantFail, Mode: wire.Write, Seg: m.Seg, Page: m.Page,
-				Req: pi.m.Req, Cycle: pi.m.Cycle,
+	// Without a frame to roll back with, the library's copy-carrying
+	// abort path is the only option left.
+	if e.reinstate(sn, m.Page, pi) {
+		data := sn.m.Frame(int(m.Page))
+		pi.acked.ForEach(func(s int) {
+			e.send(s, &wire.Msg{
+				Kind: wire.KPageSend, Mode: wire.Read, Seg: m.Seg, Page: m.Page,
+				Data: append([]byte(nil), data...),
 			})
-			return
-		}
-		// No Cycle: the rolled-back copy carries no window (SetWindow 0
-		// below), and the checker keys window grants on Cycle != 0.
-		e.emit(obs.Event{Type: obs.EvPageState, Seg: m.Seg, Page: m.Page, Arg: 1})
-		sn.m.Install(p, pi.data, mmu.ReadOnly, now)
-	}
-	a := sn.m.Aux(p)
-	a.Writer = mmu.NoWriter
-	sn.m.SetWindow(p, 0)
-	a.ReaderMask = pi.origMask
-	data := sn.m.Frame(p)
-	pi.acked.ForEach(func(s int) {
-		e.send(s, &wire.Msg{
-			Kind: wire.KPageSend, Mode: wire.Read, Seg: m.Seg, Page: m.Page,
-			Data: append([]byte(nil), data...),
 		})
-	})
+	}
 	e.send(sn.curLib, &wire.Msg{
 		Kind: wire.KGrantFail, Mode: wire.Write, Seg: m.Seg, Page: m.Page,
 		Req: pi.m.Req, Cycle: pi.m.Cycle,
@@ -466,26 +449,17 @@ func (e *Engine) failPage(sn *segNode, seg, page int32, err error) {
 	sp.outR, sp.outW = false, false
 	sp.reqProgress()
 	p := int(page)
-	if hadW && sn.m.Present(p) && sn.m.Prot(p) == mmu.ReadOnly {
-		a := sn.m.Aux(p)
-		if !a.ReaderMask.Equal(mmu.CopysetOf(e.site)) {
-			// Either we are not the clock (the clock holds a copy) or
-			// other readers exist: discarding ours cannot lose data.
-			data := append([]byte(nil), sn.m.Frame(p)...)
-			sn.m.Invalidate(p)
-			a.ReaderMask = mmu.Copyset{}
-			a.Writer = mmu.NoWriter
-			e.emit(obs.Event{Type: obs.EvPageState, Seg: seg, Page: page})
-			// The library still lists this site as a reader — and
-			// possibly as the clock. Shed the record entry (the frame
-			// rides along as the rehome copy, like any release) so the
-			// library reassigns the clock role; otherwise every later
-			// write cycle is aimed at a copy that no longer exists and
-			// aborts forever.
-			e.send(sn.curLib, &wire.Msg{
-				Kind: wire.KReleaseRead, Seg: seg, Page: page, Data: data,
-			})
-		}
+	if hadW && sn.m.Prot(p) == mmu.ReadOnly && !sn.m.Aux(p).ReaderMask.Equal(mmu.CopysetOf(e.site)) {
+		// Either we are not the clock (the clock holds a copy) or other
+		// readers exist: discarding ours cannot lose data. The library
+		// still lists this site as a reader — and possibly as the clock.
+		// Shed the record entry (the frame rides along as the rehome
+		// copy, like any release) so the library reassigns the clock
+		// role; otherwise every later write cycle is aimed at a copy that
+		// no longer exists and aborts forever.
+		e.send(sn.curLib, &wire.Msg{
+			Kind: wire.KReleaseRead, Seg: seg, Page: page, Data: e.drop(sn, page, 0, true),
+		})
 	}
 	if len(sp.waiters) > 0 {
 		sp.relPart().err = err
@@ -546,19 +520,11 @@ func (e *Engine) libAbortCycle(sn *segNode, page int32) {
 		return
 	}
 	p := &sn.lib.pages[page]
-	if !p.busy {
+	if !p.grant.active {
 		e.markStale()
 		return
 	}
-	g := p.grant
-	if p.cancelRetry != nil {
-		p.cancelRetry()
-		p.cancelRetry = nil
-	}
-	p.busy = false
-	p.pendingInstalls = 0
-	p.grant = grantCycle{}
-	if g.write {
+	if g := p.endCycle(); g.write {
 		e.libDeny(sn, page, g.to, wire.Write, false)
 	} else {
 		g.batch.ForEach(func(s int) { e.libDeny(sn, page, s, wire.Read, false) })
@@ -599,7 +565,7 @@ func (e *Engine) handleGrantFail(sn *segNode, m *wire.Msg) {
 		return
 	}
 	p := &sn.lib.pages[m.Page]
-	if !p.busy || !p.grant.active || m.Cycle != p.cycle {
+	if !p.grant.active || m.Cycle != p.cycle {
 		e.markStale()
 		return
 	}
@@ -613,24 +579,14 @@ func (e *Engine) handleGrantFail(sn *segNode, m *wire.Msg) {
 		}
 		p.grant.batch = g.batch.Remove(int(m.Req))
 		e.libDeny(sn, m.Page, int(m.Req), wire.Read, false)
-		p.pendingInstalls--
-		if p.pendingInstalls == 0 {
-			e.libFinishCycle(sn, m.Page)
-			e.libProcess(sn, m.Page)
-		}
+		e.libInstalled(sn, m.Page)
 
 	case g.write && len(m.Data) > 0:
 		// The grant carried the only current copy (or, for an upgrade,
 		// the clock's captured frame): rehome it so the data survives
 		// and the page stays grantable. The requester's stale read copy,
 		// if any, is superseded — the denial says to drop it.
-		if p.cancelRetry != nil {
-			p.cancelRetry()
-			p.cancelRetry = nil
-		}
-		p.busy = false
-		p.pendingInstalls = 0
-		p.grant = grantCycle{}
+		p.endCycle()
 		e.libReclaim(sn, m.Page, append([]byte(nil), m.Data...))
 		e.libDeny(sn, m.Page, g.to, wire.Write, m.Upgrade)
 		e.libProcess(sn, m.Page)

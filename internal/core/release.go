@@ -123,26 +123,16 @@ func (e *Engine) libProcessRelease(sn *segNode, page int32, r libReq) {
 // libReclaim reinstalls a returned page at the library site.
 func (e *Engine) libReclaim(sn *segNode, page int32, data []byte) {
 	p := &sn.lib.pages[page]
-	now := e.env.Now()
-	if sn.m.Present(int(page)) {
-		sn.m.Invalidate(int(page))
-	}
 	if data == nil {
 		if e.rel == nil {
 			panic(fmt.Sprintf("core: site %d: reclaim of page %d with no data", e.site, page))
 		}
 		// Every recorded copy is gone and nothing came home: the page
-		// content is unrecoverable. Zero-fill rather than wedge the page
-		// forever, and account for it honestly.
+		// content is unrecoverable. Zero-fill (install's nil) rather than
+		// wedge the page forever, and account for it honestly.
 		e.count(obs.CLost)
-		data = make([]byte, sn.meta.PageSize)
 	}
-	e.emit(obs.Event{Type: obs.EvPageState, Seg: int32(sn.meta.ID), Page: page, Arg: 2})
-	sn.m.Install(int(page), data, mmu.ReadWrite, now)
-	a := sn.m.Aux(int(page))
-	a.Writer = e.site
-	sn.m.SetWindow(int(page), 0)
-	a.ReaderMask = mmu.Copyset{}
+	e.install(sn, page, data, mmu.ReadWrite, mmu.Copyset{}, 0, 0)
 	p.writer = e.site
 	p.readers = mmu.Copyset{}
 	p.clock = e.site
@@ -161,15 +151,9 @@ func (e *Engine) handleReleaseDone(sn *segNode, m *wire.Msg) {
 		// travels a different circuit): leave it alone.
 		return
 	}
-	p := int(m.Page)
-	if sn.m.Present(p) {
-		// The surrender was already traced when the release shipped
-		// (ReleaseSegment); this just frees the frame.
-		sn.m.Invalidate(p)
-		a := sn.m.Aux(p)
-		a.ReaderMask = mmu.Copyset{}
-		a.Writer = mmu.NoWriter
-	}
+	// The surrender was already traced when the release shipped
+	// (ReleaseSegment); this just frees the frame.
+	e.drop(sn, m.Page, 0, false)
 	sn.releasesPending--
 	if sn.releasesPending == 0 {
 		sn.m.Open()

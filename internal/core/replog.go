@@ -374,7 +374,7 @@ func (e *Engine) replGateCycleOpen(sn *segNode, page int32, to int, open *wire.M
 		if !e.live(sn) || sn.lib == nil {
 			return
 		}
-		if p := &sn.lib.pages[page]; p.busy && p.grant.active && p.cycle == cyc {
+		if p := &sn.lib.pages[page]; p.grant.active && p.cycle == cyc {
 			e.send(to, open)
 		}
 	})

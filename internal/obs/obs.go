@@ -267,13 +267,20 @@ func (o *Obs) Emit(ev Event) {
 // event construction entirely on hot paths).
 func (o *Obs) Tracing() bool { return o != nil && o.Tracer != nil }
 
-// Buffer returns the tracer as a *Buffer when it is one, else nil.
+// Buffer returns the buffer the events are recorded in: the tracer when
+// it is a *Buffer, the one it records into when it wraps one (as the
+// simulator's event-order check does), else nil.
 func (o *Obs) Buffer() *Buffer {
 	if o == nil {
 		return nil
 	}
-	b, _ := o.Tracer.(*Buffer)
-	return b
+	switch t := o.Tracer.(type) {
+	case *Buffer:
+		return t
+	case interface{ Buffer() *Buffer }:
+		return t.Buffer()
+	}
+	return nil
 }
 
 // DefaultBufferCap bounds an event Buffer: past it, events are counted
