@@ -19,6 +19,16 @@
 // JSONL, for miragetrace); -metrics prints each point's denial
 // histogram in full.
 //
+// Every point of a simulated sweep — E14, E16, E18, E19, E21, E22, E23
+// and E20's checked runs — is traced and verified through the one
+// harness (ipc.Cluster.VerifyTrace: the history checker, the event-order
+// check and the end-of-run idle checks, configured from the point's own
+// cluster); a violation is printed and fails the command, except on
+// E19's ladders, whose counts are reported. E14, E18, E19, E21, E22 and
+// E23 each re-run their last point and compare the trace sha256 and the
+// point's value: "replay determinism", which fails the command when it
+// does not hold.
+//
 // E17 runs the coherence model checker (internal/check): a bounded
 // exhaustive enumeration of every schedule of a tiny contended
 // scenario, plus a seed-swept random walk under an adversarial fault
@@ -26,9 +36,8 @@
 //
 // E18 fail-stops the library site — then each successor — under a
 // contended counter workload and measures takeover cost: recovery
-// latency per crash and end-to-end throughput versus crash count.
-// Every point's multi-epoch trace is re-verified by the coherence
-// checker; -trace saves the deepest point's trace for miragetrace.
+// latency per crash and end-to-end throughput versus crash count;
+// -trace saves the deepest point's trace for miragetrace.
 //
 // E20 breaks the 64-site wall: it sweeps cluster size to N=1000 on
 // the calibrated simulator under a read-all-then-write-one workload
@@ -53,25 +62,23 @@
 // a contended counter workload measures the standby cost of quorum
 // gating while nothing fails, the takeover latency of the log election
 // against E18's holder rebuild (isolated and correlated crashes), and
-// the degraded and fallback modes. Every point's trace — including the
-// replication invariants — re-verifies through the coherence checker;
-// -out records the full grid.
+// the degraded and fallback modes, the replication invariants among
+// the checks; -out records the full grid.
 //
 // E21 prices voluntary library migration (Options.Placement): the
 // affinity workload runs skewed (every shard mis-homed for the whole
 // run) and shifting (matched at first, hotspot rotates at half-time),
-// each with placement off and on, and the shifting+on run is traced so
-// its voluntary handoffs — each an epoch bump mid-load — re-verify
-// through the coherence checker; -out records all four cells.
+// each with placement off and on; the shifting+on run's voluntary
+// handoffs — each an epoch bump mid-load — are counted from its trace;
+// -out records all four cells.
 //
 // E23 closes the Δ loop (Options.AutoDelta): on three workloads — the
 // E16 ping-pong worst case, an E19 service rung, and the E21 skewed
 // affinity scenario with migration on — a fixed-Δ grid runs beside one
-// controller cell seeded at a deliberately wrong Δ. The command fails
-// unless the controller matches the best fixed Δ within tolerance on
-// every workload, every traced controller run verifies clean at the
-// Delta = Min sound bound, and the sweep replays deterministically;
-// -out records the full grid.
+// controller cell seeded at a deliberately wrong Δ, whose trace verifies
+// at the Delta = Min sound bound. The command fails unless the
+// controller matches the best fixed Δ within tolerance on every
+// workload; -out records the full grid.
 package main
 
 import (
@@ -119,8 +126,7 @@ type autodeltaRecord struct {
 }
 
 // replicationRecord is the E22 section of the -out record: the
-// replication-factor × failure-mode grid (traces omitted) plus the
-// determinism check.
+// replication-factor × failure-mode grid plus the determinism check.
 type replicationRecord struct {
 	Points        []exp.ReplicationPoint `json:"points"`
 	ReplayMatches bool                   `json:"replay_matches"`
@@ -160,6 +166,8 @@ type serviceRecord struct {
 type serviceLadderRecord struct {
 	Transport     string      `json:"transport"`
 	Chaos         bool        `json:"chaos"`
+	Events        int         `json:"verified_events"` // 0 on the live ladder: not verified
+	Violations    int         `json:"violations"`
 	KneeRung      int         `json:"knee_rung"` // -1 = no rung saturated
 	KneeRate      float64     `json:"knee_rate_rps,omitempty"`
 	P99AtHalfKnee int64       `json:"p99_at_half_knee_ns,omitempty"`
@@ -169,7 +177,8 @@ type serviceLadderRecord struct {
 func serviceRecordOf(r exp.ServiceSweepResult) *serviceRecord {
 	rec := &serviceRecord{ReplayMatches: r.ReplayMatches}
 	for _, l := range r.Ladders {
-		lr := serviceLadderRecord{Transport: l.Transport, Chaos: l.Chaos, KneeRung: l.Knee, Rungs: l.Rungs}
+		lr := serviceLadderRecord{Transport: l.Transport, Chaos: l.Chaos, Events: l.Events, Violations: l.Violations,
+			KneeRung: l.Knee, Rungs: l.Rungs}
 		if l.Knee >= 0 {
 			lr.KneeRate = l.Rungs[l.Knee].Rate
 		}
@@ -253,6 +262,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		wall := time.Since(start).Seconds()
 		rec.Experiments = append(rec.Experiments, experimentWall{ID: id, WallS: wall})
 		fmt.Fprintf(stdout, "   (%.2fs wall)\n\n", wall)
+	}
+	// verified prints what the sweep harness found in a simulated
+	// point's trace, and fails the command on any violation.
+	verified := func(label string, t exp.Trace) {
+		for _, v := range t.Violations {
+			fmt.Fprintf(stdout, "violation (%s): %v\n", label, v)
+			code = 1
+		}
+	}
+	// replay prints a sweep's determinism check — its last point run
+	// again, trace sha256 and value compared — and fails the command
+	// when it does not hold.
+	replay := func(ok bool) {
+		fmt.Fprintf(stdout, "replay determinism: %s\n", exp.Verdict(ok))
+		if !ok {
+			code = 1
+		}
 	}
 
 	run("e1", "§7.1 component timings", func() {
@@ -418,7 +444,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		t.Row("crash 0.1–0.4s", r.Crash.Completed, r.Crash.Elapsed.Round(time.Millisecond),
 			r.Crash.Retransmits, r.Crash.DupDrops, r.Crash.GaveUp, r.Crash.NetDropped)
 		t.WriteTo(stdout)
-		fmt.Fprintf(stdout, "same-seed replay identical: %v\n", r.ReplayMatches)
+		for _, p := range r.Points {
+			verified(fmt.Sprintf("drop %g%%", p.DropPct), p.Trace)
+		}
+		verified("crash", r.Crash.Trace)
+		replay(r.ReplayMatches)
 		fmt.Fprintln(stdout, "paper: §10.0 \"the current implementation does not tolerate site failures\"; this sweep measures the cost of fixing that")
 	})
 
@@ -427,11 +457,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pts := exp.DeltaDenialSweep(*dur, ticks)
 		t := exp.NewTable("Δ (ticks)", "cycles/s", "denials", "retries", "mean remaining", "max remaining", "events")
 		for _, p := range pts {
-			events := bytes.Count(p.TraceJSONL, []byte{'\n'}) - 1 // minus the header line
 			t.Row(p.DeltaTicks, p.CyclesPerSec, p.Denials, p.Retries,
-				p.MeanRemaining.Round(10*time.Microsecond), p.MaxRemaining.Round(10*time.Microsecond), events)
+				p.MeanRemaining.Round(10*time.Microsecond), p.MaxRemaining.Round(10*time.Microsecond), p.Events)
 		}
 		t.WriteTo(stdout)
+		for _, p := range pts {
+			verified(fmt.Sprintf("Δ=%d ticks", p.DeltaTicks), p.Trace)
+		}
 		fmt.Fprintf(stdout, "crossover at Δ = 1 scheduling quantum (%d ticks, %v): denials fall as 1/Δ while the\n",
 			vaxmodel.QuantumTicks, vaxmodel.Quantum)
 		fmt.Fprintln(stdout, "remaining time at each denial grows with Δ; past the quantum the denied holder is")
@@ -544,22 +576,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 				mean, p.MaxEpoch, p.StaleEpoch)
 		}
 		t.WriteTo(stdout)
-		fmt.Fprintf(stdout, "same-seed replay identical: %v\n", r.ReplayMatches)
-		// Re-verify every point's trace through the coherence checker:
-		// takeover must not cost correctness, only latency.
+		replay(r.ReplayMatches)
+		// Takeover must not cost correctness, only latency.
 		for _, p := range r.Points {
-			_, events, err := obs.ReadJSONL(bytes.NewReader(p.TraceJSONL))
-			if err != nil {
-				fmt.Fprintf(stderr, "miragebench: reparse e18 trace: %v\n", err)
-				code = 1
-				return
-			}
-			if viols := check.Verify(check.Config{Sites: 4, Reliable: true}, events); len(viols) > 0 {
-				for _, v := range viols {
-					fmt.Fprintf(stdout, "violation (crashes=%d): %v\n", p.Crashes, v)
-				}
-				code = 1
-			}
+			verified(fmt.Sprintf("crashes=%d", p.Crashes), p.Trace)
 		}
 		if code == 0 {
 			fmt.Fprintln(stdout, "all multi-epoch traces verify coherent")
@@ -609,9 +629,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout)
 		}
 		r.WriteFindings(stdout)
-		if !r.ReplayMatches {
-			code = 1
-		}
+		replay(r.ReplayMatches)
 		for _, l := range r.Ladders {
 			if !l.LivenessBelowKnee {
 				fmt.Fprintf(stdout, "liveness violated below the knee on %s\n", l.Transport)
@@ -678,10 +696,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				name = spec
 			}
 			fmt.Fprintf(stdout, "checked N=%d k=%d [%s]: %d events, %d violations\n",
-				checkN, checkK, name, r.Events, r.Violations)
-			if r.Violations > 0 {
-				code = 1
-			}
+				checkN, checkK, name, r.Events, len(r.Violations))
+			verified(name, r.Trace)
 		}
 		rec.Scale = &scaleRecord{Points: pts, Checked: checked}
 		fmt.Fprintln(stdout, "paper: §10.0 \"invalidations may become expensive\" — the fan-out tree caps the library's share at O(k)")
@@ -705,30 +721,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		t.WriteTo(stdout)
 		r.WriteFindings(stdout)
-		if !r.ReplayMatches {
-			code = 1
+		replay(r.ReplayMatches)
+		// Every voluntary handoff bumps the segment epoch mid-load, and
+		// the multi-epoch stream must still verify coherent.
+		for _, p := range r.Points {
+			verified(fmt.Sprintf("%s placement=%v", p.Scenario, p.Placement), p.Trace)
 		}
-		// Re-verify the traced shifting+placement run: every voluntary
-		// handoff bumps the segment epoch mid-load, and the multi-epoch
-		// stream must still verify coherent.
-		hdr, events, err := obs.ReadJSONL(bytes.NewReader(r.TraceJSONL))
-		if err != nil {
-			fmt.Fprintf(stderr, "miragebench: reparse e21 trace: %v\n", err)
-			code = 1
-			return
-		}
-		viols := check.Verify(check.Config{Sites: hdr.Sites, Reliable: true}, events)
-		for _, v := range viols {
-			fmt.Fprintf(stdout, "violation (shifting+placement): %v\n", v)
-			code = 1
-		}
+		on := r.Cell("shifting", true)
 		fmt.Fprintf(stdout, "traced shifting+placement run: %d events, %d voluntary handoffs, %d violations\n",
-			len(events), r.TraceMigrations, len(viols))
+			on.Events, on.Handoffs, len(on.Violations))
 		rec.Migration = &migrationRecord{
 			Points:          r.Points,
-			TraceMigrations: r.TraceMigrations,
-			TraceEvents:     len(events),
-			TraceViolations: len(viols),
+			TraceMigrations: on.Handoffs,
+			TraceEvents:     on.Events,
+			TraceViolations: len(on.Violations),
 			ReplayMatches:   r.ReplayMatches,
 		}
 		fmt.Fprintln(stdout, "paper: the library site is fixed for a segment's lifetime — E21 lets it follow the demand and prices the win")
@@ -765,13 +771,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		t.WriteTo(stdout)
 		r.WriteFindings(stdout)
+		replay(r.ReplayMatches)
 		for _, wl := range r.Workloads {
-			if !wl.AutoMatchesBest || wl.Violations != 0 {
+			if !wl.AutoMatchesBest {
 				code = 1
 			}
-		}
-		if !r.ReplayMatches {
-			code = 1
+			for _, p := range append(wl.Fixed, wl.Auto) {
+				verified(fmt.Sprintf("%s Δ=%d ticks", wl.Workload, p.DeltaTicks), p.Trace)
+			}
 		}
 		rec.AutoDelta = &autodeltaRecord{Workloads: r.Workloads, ReplayMatches: r.ReplayMatches}
 		fmt.Fprintln(stdout, "paper: §8.0 \"a per-segment tuning routine exists but ships disabled\" — E23 turns the loop on per page and scores it against the offline optimum")
@@ -802,24 +809,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			t.Row(p.Name, rep, p.Completed, p.Elapsed.Round(time.Millisecond),
 				p.Appends, p.Commits, p.Degraded, p.Elections, p.Recoveries,
-				recLat, fmt.Sprintf("%.0fms", p.UnavailMs), p.Events, p.Violations)
-			if !p.Completed || p.Violations > 0 {
+				recLat, fmt.Sprintf("%.0fms", p.UnavailMs), p.Events, len(p.Violations))
+			if !p.Completed {
 				code = 1
 			}
 		}
 		t.WriteTo(stdout)
-		fmt.Fprintf(stdout, "same-seed replay identical: %v\n", r.ReplayMatches)
-		if !r.ReplayMatches {
-			code = 1
+		for _, p := range r.Points {
+			verified(fmt.Sprintf("%s R=%d", p.Name, p.Replicas), p.Trace)
 		}
-		// The -out record keeps the grid numbers; the per-point traces
-		// (verified above) would bloat it hundredfold.
-		pts := make([]exp.ReplicationPoint, len(r.Points))
-		copy(pts, r.Points)
-		for i := range pts {
-			pts[i].TraceJSONL = nil
-		}
-		rec.Replication = &replicationRecord{Points: pts, ReplayMatches: r.ReplayMatches}
+		replay(r.ReplayMatches)
+		rec.Replication = &replicationRecord{Points: r.Points, ReplayMatches: r.ReplayMatches}
 		fmt.Fprintln(stdout, "paper: §10.0 tolerates no site failures; E18 rebuilt records reactively — E22 replicates them ahead of the crash and prices both sides")
 	})
 

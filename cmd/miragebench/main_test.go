@@ -66,7 +66,7 @@ func TestE18FailoverSweepCommand(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("E18 failed: code %d\n%s%s", code, stdout, stderr)
 	}
-	for _, want := range []string{"== E18 —", "recoveries", "same-seed replay identical: true",
+	for _, want := range []string{"== E18 —", "recoveries", "replay determinism: HOLDS",
 		"all multi-epoch traces verify coherent", "trace (2 crashes): "} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("output missing %q:\n%s", want, stdout)

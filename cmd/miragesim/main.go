@@ -80,7 +80,6 @@
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io"
@@ -92,7 +91,6 @@ import (
 
 	"mirage/internal/app"
 	"mirage/internal/chaos"
-	"mirage/internal/check"
 	"mirage/internal/core"
 	"mirage/internal/exp"
 	"mirage/internal/ipc"
@@ -212,21 +210,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// sink), so N of them can execute concurrently and must agree bit
 	// for bit.
 	wantTrace := *tracePath != "" || *checkRun
-	runOnce := func() (string, *ipc.Cluster, *obs.Obs, *app.Stats) {
+	runOnce := func() (string, *ipc.Cluster, *app.Stats) {
 		opts := core.Options{Policy: pol, InvalFanout: *fanout}
 		var o *obs.Obs
-		var c *ipc.Cluster
 		if wantTrace || *metrics {
 			o = obs.New()
-			switch {
-			case !wantTrace:
+			if !wantTrace {
 				o.Tracer = nil // metrics only; skip event buffering
-			case *checkRun:
-				// The page-event-order invariant reads a site's page word
-				// as the site traces the page's state.
-				o.Tracer = check.NewEventOrder(o.Buffer(), func(site int, seg int32) *mmu.Seg {
-					return c.Site(site).DSM.Seg(seg)
-				})
 			}
 			opts.Obs = o
 		}
@@ -260,7 +250,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				opts.Placement = exp.MigrationConfig{}.Policy()
 			}
 		}
-		c = ipc.NewCluster(n, ipc.Config{Delta: *delta, Engine: opts, Chaos: plan})
+		c := ipc.NewCluster(n, ipc.Config{Delta: *delta, Engine: opts, Chaos: plan})
 		var headline string
 		var svc *app.Stats
 		switch *workload {
@@ -289,20 +279,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			headline = fmt.Sprintf("%.1f req/s goodput at %.0f offered; shed %d, p50 %v, p99 %v, %d voluntary migrations",
 				g.Goodput, *rate, g.Shed, time.Duration(g.Latency.P50), time.Duration(g.Latency.P99), migs)
 		}
-		return headline, c, o, svc
+		return headline, c, svc
 	}
 
 	var headline string
 	var c *ipc.Cluster
-	var o *obs.Obs
 	var svc *app.Stats
 	if *runs == 1 {
-		headline, c, o, svc = runOnce()
+		headline, c, svc = runOnce()
 	} else {
 		headlines := make([]string, *runs)
 		digests := make([]string, *runs)
 		clusters := make([]*ipc.Cluster, *runs)
-		sinks := make([]*obs.Obs, *runs)
 		svcs := make([]*app.Stats, *runs)
 		start := time.Now()
 		var wg sync.WaitGroup
@@ -313,11 +301,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				h, cl, oo, st := runOnce()
+				h, cl, st := runOnce()
 				headlines[i] = h
-				digests[i] = h + " | " + digest(cl) + svcDigest(st) + traceDigest(cl, oo)
+				digests[i] = h + " | " + digest(cl) + svcDigest(st)
 				clusters[i] = cl
-				sinks[i] = oo
 				svcs[i] = st
 			}(i)
 		}
@@ -337,7 +324,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		headline = headlines[0]
 		// The runs are interchangeable; show run 0's detailed stats.
 		c = clusters[0]
-		o = sinks[0]
 		svc = svcs[0]
 	}
 
@@ -424,20 +410,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *metrics && o != nil {
+	if *metrics && c.Obs != nil {
 		fmt.Fprintln(stdout, "\nmetrics registry:")
-		if _, err := o.Metrics.WriteTo(stdout); err != nil {
+		if _, err := c.Obs.Metrics.WriteTo(stdout); err != nil {
 			return fail("%v", err)
 		}
 	}
 
-	if *tracePath != "" && o != nil {
-		buf := o.Buffer()
+	if *tracePath != "" {
+		buf := c.Obs.Buffer()
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			return fail("%v", err)
 		}
-		if err := obs.WriteJSONL(f, obs.NewHeader(obs.ClockVirtual, c.Sites()), buf.Events()); err != nil {
+		if err := c.WriteTrace(f); err != nil {
 			f.Close()
 			return fail("%v", err)
 		}
@@ -452,34 +438,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *checkRun {
-		buf := o.Buffer()
-		if d := buf.Dropped(); d > 0 {
-			return fail("trace buffer dropped %d events; coherence check would be unsound (shorten -dur)", d)
+		viols, err := c.VerifyTrace()
+		if err != nil {
+			return fail("%v (shorten -dur)", err)
 		}
-		cfg := check.Config{Sites: c.Sites(), Delta: *delta, Reliable: basePlan != nil}
-		if *autodelta {
-			// The controller retunes windows at runtime; the only sound
-			// static bound on every clamped grant is its configured Min.
-			cfg.Delta = core.AutoDelta{}.Min
-		}
-		viols := check.Verify(cfg, buf.Events())
-		viols = append(viols, o.Tracer.(*check.EventOrder).Violations()...)
-		// The run is over and no access is under way: no page may be
-		// left held at any site, or in flight in its engine.
-		for _, seg := range c.Registry.Segments() {
-			for i := 0; i < c.Sites(); i++ {
-				if m := c.Site(i).DSM.Seg(int32(seg.ID)); m != nil {
-					viols = append(viols, check.HeldPages(i, int32(seg.ID), m)...)
-				}
-				if e := c.Site(i).Eng; e != nil {
-					viols = append(viols, check.BusyPages(i, int32(seg.ID), e)...)
-				}
-			}
-		}
-		if len(viols) == 0 {
-			fmt.Fprintf(stdout, "\ncoherence check: %d events, clean\n", buf.Len())
+		if n := c.Obs.Buffer().Len(); len(viols) == 0 {
+			fmt.Fprintf(stdout, "\ncoherence check: %d events, clean\n", n)
 		} else {
-			fmt.Fprintf(stdout, "\ncoherence check: %d events, %d violation(s):\n", buf.Len(), len(viols))
+			fmt.Fprintf(stdout, "\ncoherence check: %d events, %d violation(s):\n", n, len(viols))
 			for _, v := range viols {
 				fmt.Fprintf(stdout, "  %v\n", v)
 			}
@@ -498,23 +464,10 @@ func svcDigest(st *app.Stats) string {
 	return " app{" + st.Digest() + "}"
 }
 
-// traceDigest folds a run's serialized protocol trace into the -runs
-// comparison: a sha256 over the exact JSONL bytes, so any divergence in
-// event order, timing, or content between runs fails the check.
-func traceDigest(c *ipc.Cluster, o *obs.Obs) string {
-	if o == nil || o.Buffer() == nil {
-		return ""
-	}
-	h := sha256.New()
-	if err := obs.WriteJSONL(h, obs.NewHeader(obs.ClockVirtual, c.Sites()), o.Buffer().Events()); err != nil {
-		panic(err) // sha256.New never fails to Write
-	}
-	return fmt.Sprintf(" trace{sha256=%x}", h.Sum(nil))
-}
-
 // digest summarizes a finished cluster's observable state for the
-// -runs determinism comparison: per-site protocol counters plus the
-// fabric totals.
+// -runs determinism comparison: per-site protocol counters, the fabric
+// totals and, when the run was traced, the trace's sha256 — so any
+// divergence in event order, timing or content fails the check.
 func digest(c *ipc.Cluster) string {
 	s := ""
 	for i := 0; i < c.Sites(); i++ {
@@ -527,6 +480,9 @@ func digest(c *ipc.Cluster) string {
 	s += fmt.Sprintf("net{msgs=%d bytes=%d}", ns.Delivered, ns.Bytes)
 	if c.Chaos != nil {
 		s += " chaos{" + c.Chaos.Stats().String() + "}"
+	}
+	if d := c.TraceDigest(); d != "" {
+		s += " trace{sha256=" + d + "}"
 	}
 	return s
 }

@@ -21,6 +21,15 @@ type ShardCounters struct {
 // Ops returns the shard's total operation count.
 func (s ShardCounters) Ops() int64 { return s.Gets + s.Puts + s.Deletes + s.CASes }
 
+// Add returns the field-wise sum of s and o.
+func (s ShardCounters) Add(o ShardCounters) ShardCounters {
+	return ShardCounters{
+		Gets: s.Gets + o.Gets, Puts: s.Puts + o.Puts, Deletes: s.Deletes + o.Deletes, CASes: s.CASes + o.CASes,
+		Hits: s.Hits + o.Hits, Misses: s.Misses + o.Misses,
+		Conflicts: s.Conflicts + o.Conflicts, Errors: s.Errors + o.Errors,
+	}
+}
+
 // shardCell is the atomic backing of one shard's counters.
 type shardCell struct {
 	gets, puts, deletes, cases atomic.Int64
@@ -60,15 +69,7 @@ func (st *Stats) Shards() int { return len(st.shards) }
 func (st *Stats) Total() ShardCounters {
 	var t ShardCounters
 	for i := range st.shards {
-		s := st.Shard(i)
-		t.Gets += s.Gets
-		t.Puts += s.Puts
-		t.Deletes += s.Deletes
-		t.CASes += s.CASes
-		t.Hits += s.Hits
-		t.Misses += s.Misses
-		t.Conflicts += s.Conflicts
-		t.Errors += s.Errors
+		t = t.Add(st.Shard(i))
 	}
 	return t
 }

@@ -313,7 +313,10 @@ func TestLeakedHoldIsCaught(t *testing.T) {
 	n.access(1, 0, false, 0)
 	n.k.Run()
 	sc := Scenario{Sites: 2, Pages: 2}
-	if v := finalChecks(sc, n.engines); len(v) != 0 {
+	final := func() []Violation {
+		return append(idle(n.engines, []int32{scenarioSeg}), finalChecks(sc, n.engines)...)
+	}
+	if v := final(); len(v) != 0 {
 		t.Fatalf("drained cluster: %v", v)
 	}
 	for _, write := range []bool{false, true} {
@@ -321,12 +324,12 @@ func TestLeakedHoldIsCaught(t *testing.T) {
 		if _, ok := m.Hold(1, write); !ok {
 			t.Fatalf("library site refused a hold (write=%v) on its own page", write)
 		}
-		v := finalChecks(sc, n.engines)
+		v := final()
 		if len(v) != 1 || v[0].Invariant != InvIdleWord {
 			t.Fatalf("leaked hold (write=%v): violations = %v, want one %s", write, v, InvIdleWord)
 		}
 		m.Unhold(1, write)
-		if v := finalChecks(sc, n.engines); len(v) != 0 {
+		if v := final(); len(v) != 0 {
 			t.Fatalf("after the Unhold (write=%v): %v", write, v)
 		}
 	}

@@ -182,9 +182,9 @@ const (
 )
 
 // runScenario executes one schedule of the scenario and checks it: the
-// trace goes through the history checker, and the quiesced cluster
-// through the record-agreement checks. maxSteps 0 means
-// defaultMaxSteps.
+// run goes through VerifyRun, as every simulated cluster's does, and the
+// quiesced cluster through the liveness and record-agreement checks.
+// maxSteps 0 means defaultMaxSteps.
 func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
 	sc = sc.withDefaults()
 	if maxSteps <= 0 {
@@ -266,7 +266,7 @@ func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
 	}
 	res.opsDone, res.opsFailed = h.done, h.failed
 	res.trace = order.Buffer().Events()
-	res.violations = append(Verify(sc.checkerConfig(), res.trace), order.Violations()...)
+	res.violations = VerifyRun(sc.checkerConfig(), order, h.engines, []int32{scenarioSeg})
 	if res.steps >= maxSteps {
 		res.violations = append(res.violations, Violation{
 			Invariant: InvLiveness, Index: -1,
@@ -330,22 +330,17 @@ func tryOp(e *core.Engine, op Op, retry func()) (done bool, err error) {
 	return true, nil
 }
 
-// finalChecks looks at the cluster after the run. No page may be left
-// held at any site, or in flight in any site's engine, whatever
-// happened. Without faults the drained
-// cluster must also be quiescent with the library record matching actual
-// placement — the explorer's port of the core quick-test oracle; under
-// chaos the record may legitimately be degraded (shed entries, denied
-// grants), and the trace checker already covered safety.
+// finalChecks looks at the cluster after the run, beyond what VerifyRun
+// covers. Without faults the drained cluster must be quiescent with the
+// library record matching actual placement — the explorer's port of the
+// core quick-test oracle; under chaos the record may legitimately be
+// degraded (shed entries, denied grants), and the trace checker already
+// covered safety.
 func finalChecks(sc Scenario, engines []*core.Engine) []Violation {
-	var out []Violation
-	for s, e := range engines {
-		out = append(out, HeldPages(s, scenarioSeg, e.Seg(scenarioSeg))...)
-		out = append(out, BusyPages(s, scenarioSeg, e)...)
-	}
 	if sc.Chaos != "" {
-		return out
+		return nil
 	}
+	var out []Violation
 	bad := func(page int32, format string, args ...any) {
 		out = append(out, Violation{
 			Invariant: InvRecord, Index: -1,
@@ -376,6 +371,36 @@ func finalChecks(sc Scenario, engines []*core.Engine) []Violation {
 					bad(page, "site %d holds a %v copy the library does not record", s, prot)
 				}
 			}
+		}
+	}
+	return out
+}
+
+// VerifyRun checks a finished simulated run, the one check the explorer
+// and ipc.Cluster.VerifyTrace both make: the history checker over the
+// trace order recorded, the page-event-order findings order made while
+// it recorded, and the end-of-run invariants on every engine for every
+// segment (idle). A nil engine — a site running another DSM — is
+// skipped.
+func VerifyRun(cfg Config, order *EventOrder, engines []*core.Engine, segs []int32) []Violation {
+	out := append(Verify(cfg, order.Buffer().Events()), order.Violations()...)
+	return append(out, idle(engines, segs)...)
+}
+
+// idle checks page-word-idle and site-page-idle: with the run drained, no
+// page is left held at any site, or in flight in any site's engine,
+// whatever happened.
+func idle(engines []*core.Engine, segs []int32) []Violation {
+	var out []Violation
+	for _, seg := range segs {
+		for s, e := range engines {
+			if e == nil {
+				continue
+			}
+			if m := e.Seg(seg); m != nil {
+				out = append(out, HeldPages(s, seg, m)...)
+			}
+			out = append(out, BusyPages(s, seg, e)...)
 		}
 	}
 	return out

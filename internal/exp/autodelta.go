@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"mirage/internal/app"
-	"mirage/internal/check"
 	"mirage/internal/core"
 	"mirage/internal/ipc"
+	"mirage/internal/load"
 	"mirage/internal/obs"
 	"mirage/internal/vaxmodel"
 )
@@ -24,9 +24,9 @@ import (
 // E19 service rung (mixed sharing under open-loop load), and the E21
 // skewed-affinity scenario with voluntary migration on, so tuned Δs
 // ride migration records in the measured path. Each workload runs a
-// fixed-Δ grid and one controller cell; the controller's traced runs
-// feed the coherence checker with Delta = AutoDelta.Min, the sound
-// lower bound on every clamped window.
+// fixed-Δ grid and one controller cell, every one traced and checked —
+// the controller's with Delta = AutoDelta.Min, the sound lower bound on
+// every clamped window.
 
 // AutoDeltaConfig parameterizes the E23 sweep.
 type AutoDeltaConfig struct {
@@ -109,6 +109,10 @@ type AutoDeltaPoint struct {
 	Shrinks int `json:"shrinks"`
 	// Migrations sums accepted voluntary migrations (affinity cells).
 	Migrations int `json:"migrations,omitempty"`
+	// Retunes counts EvRetune events in the cell's trace (zero in fixed
+	// cells).
+	Retunes int `json:"retunes"`
+	Trace
 }
 
 // AutoDeltaWorkload is one workload's grid plus the controller verdict.
@@ -124,11 +128,6 @@ type AutoDeltaWorkload struct {
 	// AutoMatchesBest reports Auto.Score >= best fixed score scaled by
 	// (1 - Tolerance).
 	AutoMatchesBest bool `json:"auto_matches_best"`
-	// Retunes counts EvRetune events in the controller cell's trace.
-	Retunes int `json:"retunes"`
-	// Violations counts coherence-checker findings against the
-	// controller cell's trace, verified with Delta = AutoDelta.Min.
-	Violations int `json:"violations"`
 }
 
 // AutoDeltaSweepResult is the whole E23 run.
@@ -137,176 +136,133 @@ type AutoDeltaSweepResult struct {
 	// Workloads holds pingpong, service, affinity in that order.
 	Workloads []AutoDeltaWorkload `json:"workloads"`
 	// ReplayMatches reports the determinism check: the affinity
-	// controller cell run twice (once traced, once not) scored
-	// identically.
+	// controller cell run twice gave one value and one trace.
 	ReplayMatches bool `json:"replay_matches"`
 }
 
-// autoDeltaEngine resolves one cell's engine options and segment Δ:
-// fixed cells pin Δ at ticks, the controller cell (ticks < 0) starts
-// from the deliberately wrong SeedTicks with the production-default
-// controller.
-func (c AutoDeltaConfig) autoDeltaEngine(ticks int, o *obs.Obs) (core.Options, time.Duration) {
-	eng := core.Options{Obs: o}
+// autoDeltaWorkloads are E23's workloads, in the order of its grid.
+var autoDeltaWorkloads = []string{"pingpong", "service", "affinity"}
+
+// service and affinity are the E19 and E21 configs the service and
+// affinity cells run.
+func (c AutoDeltaConfig) service() ServiceConfig {
+	return ServiceConfig{Duration: c.ServiceDur, Rates: []float64{c.Rate}}.WithDefaults()
+}
+
+func (c AutoDeltaConfig) affinity() MigrationConfig {
+	return MigrationConfig{Rate: c.Rate, Duration: c.AffinityDur}.WithDefaults()
+}
+
+// cluster is the cluster one cell runs on: the workload's size and
+// options, and the segments' Δ — pinned at ticks in a fixed cell; in the
+// controller cell (ticks < 0) the deliberately wrong SeedTicks the
+// production-default controller starts from.
+func (c AutoDeltaConfig) cluster(workload string, ticks int) (int, ipc.Config) {
+	cfg := ipc.Config{Delta: time.Duration(ticks) * vaxmodel.ClockTick}
 	if ticks < 0 {
-		eng.AutoDelta = &core.AutoDelta{}
-		return eng, time.Duration(c.SeedTicks) * vaxmodel.ClockTick
+		cfg.Delta = time.Duration(c.SeedTicks) * vaxmodel.ClockTick
+		cfg.Engine.AutoDelta = &core.AutoDelta{}
 	}
-	return eng, time.Duration(ticks) * vaxmodel.ClockTick
+	switch workload {
+	case "pingpong":
+		return 2, cfg
+	case "service":
+		return c.service().Sites, cfg
+	}
+	// The affinity cells run E21's skewed scenario with placement on, so
+	// the measured path includes voluntary migrations — and, in the
+	// controller cell, tuned Δs shipping in the migration records.
+	mcfg := c.affinity()
+	cfg.Engine.Reliability = failoverRel()
+	cfg.Engine.Failover = &core.Failover{}
+	cfg.Engine.Placement = mcfg.Policy()
+	return mcfg.Sites, cfg
 }
 
-// tallyEngine folds one site's engine counters into the point.
-func (p *AutoDeltaPoint) tallyEngine(st core.Stats) {
-	p.Denials += st.BusyReplies
-	p.Grows += st.DeltaGrows
-	p.Shrinks += st.DeltaShrinks
-	p.Migrations += st.Migrations
+// run drives one workload on cl and scores it: ping-pong cycles/s, or
+// the service and affinity rungs' goodput and p99. Ping-pong runs for
+// Warmup+PingPongDur but only cycles completed after the warmup count,
+// so the controller cell is scored on its converged Δ rather than its
+// transient — and every fixed cell is scored over the identical window.
+func (c AutoDeltaConfig) run(workload string, cl *ipc.Cluster) (float64, time.Duration) {
+	var rung load.Rung
+	switch workload {
+	case "pingpong":
+		st := runPingPong(cl, 0, 1, PingPongConfig{UseYield: true}, 512, c.Warmup+c.PingPongDur)
+		warm := 0
+		cl.Site(0).Spawn("warmup-mark", 0, func(p *ipc.Proc) {
+			p.Sleep(c.Warmup)
+			warm = st.cycles
+		})
+		cl.Run()
+		return float64(st.cycles-warm) / c.PingPongDur.Seconds(), 0
+	case "service":
+		scfg := c.service()
+		rung = RunService(cl, scfg, c.Rate, app.NewStats(scfg.Shards), nil)
+	default:
+		mcfg := c.affinity()
+		rung = RunAffinity(cl, mcfg, false, app.NewStats(mcfg.Shards), nil)
+	}
+	return rung.Goodput, time.Duration(rung.Latency.P99)
 }
 
-// pingPongCell runs the E16 worst case (yield variant) at one cell. The
-// workload runs for Warmup+PingPongDur but only cycles completed after
-// the warmup count, so the controller cell is scored on its converged Δ
-// rather than its transient — and every fixed cell is scored over the
-// identical window.
-func (c AutoDeltaConfig) pingPongCell(ticks int, o *obs.Obs) AutoDeltaPoint {
-	eng, delta := c.autoDeltaEngine(ticks, o)
-	cl := ipc.NewCluster(2, ipc.Config{Delta: delta, Engine: eng})
-	st := runPingPong(cl, 0, 1, PingPongConfig{UseYield: true}, 512, c.Warmup+c.PingPongDur)
-	warm := 0
-	cl.Site(0).Spawn("warmup-mark", 0, func(p *ipc.Proc) {
-		p.Sleep(c.Warmup)
-		warm = st.cycles
+// cell runs one workload×cell on its own traced cluster.
+func (c AutoDeltaConfig) cell(workload string, ticks int) AutoDeltaPoint {
+	n, cfg := c.cluster(workload, ticks)
+	p := AutoDeltaPoint{DeltaTicks: ticks}
+	p.Trace = simulate(n, cfg, func(cl *ipc.Cluster) {
+		p.Score, p.P99 = c.run(workload, cl)
+		for i := 0; i < cl.Sites(); i++ {
+			st := cl.Site(i).Eng.Stats()
+			p.Denials += st.BusyReplies
+			p.Grows += st.DeltaGrows
+			p.Shrinks += st.DeltaShrinks
+			p.Migrations += st.Migrations
+		}
+		p.Retunes = count(cl, obs.EvRetune)
 	})
-	cl.Run()
-	p := AutoDeltaPoint{DeltaTicks: ticks, Score: float64(st.cycles-warm) / c.PingPongDur.Seconds()}
-	for i := 0; i < cl.Sites(); i++ {
-		p.tallyEngine(cl.Site(i).Eng.Stats())
-	}
 	return p
-}
-
-// serviceCell runs one E19 rung at one cell.
-func (c AutoDeltaConfig) serviceCell(ticks int, o *obs.Obs) AutoDeltaPoint {
-	scfg := ServiceConfig{Duration: c.ServiceDur, Rates: []float64{c.Rate}}.WithDefaults()
-	eng, delta := c.autoDeltaEngine(ticks, o)
-	cl := ipc.NewCluster(scfg.Sites, ipc.Config{Delta: delta, Engine: eng})
-	rung := RunService(cl, scfg, c.Rate, app.NewStats(scfg.Shards), nil)
-	p := AutoDeltaPoint{DeltaTicks: ticks, Score: rung.Goodput, P99: time.Duration(rung.Latency.P99)}
-	for i := 0; i < cl.Sites(); i++ {
-		p.tallyEngine(cl.Site(i).Eng.Stats())
-	}
-	return p
-}
-
-// affinityCell runs the E21 skewed scenario with placement on at one
-// cell: every site's demand favors shards homed one site over, so the
-// measured path includes voluntary migrations — and, in the controller
-// cell, tuned Δs shipping in the migration records.
-func (c AutoDeltaConfig) affinityCell(ticks int, o *obs.Obs) AutoDeltaPoint {
-	mcfg := MigrationConfig{Rate: c.Rate, Duration: c.AffinityDur}.WithDefaults()
-	eng, delta := c.autoDeltaEngine(ticks, o)
-	eng.Reliability = failoverRel()
-	eng.Failover = &core.Failover{}
-	eng.Placement = mcfg.Policy()
-	cl := ipc.NewCluster(mcfg.Sites, ipc.Config{Delta: delta, Engine: eng})
-	rung := RunAffinity(cl, mcfg, false, app.NewStats(mcfg.Shards), nil)
-	p := AutoDeltaPoint{DeltaTicks: ticks, Score: rung.Goodput, P99: time.Duration(rung.Latency.P99)}
-	for i := 0; i < cl.Sites(); i++ {
-		p.tallyEngine(cl.Site(i).Eng.Stats())
-	}
-	return p
-}
-
-// autoDeltaCell dispatches one workload×cell run.
-func (c AutoDeltaConfig) autoDeltaCell(workload string, ticks int, o *obs.Obs) AutoDeltaPoint {
-	switch workload {
-	case "pingpong":
-		return c.pingPongCell(ticks, o)
-	case "service":
-		return c.serviceCell(ticks, o)
-	default:
-		return c.affinityCell(ticks, o)
-	}
-}
-
-// autoDeltaSites returns the cluster size a workload's trace was
-// recorded with, for the checker config.
-func (c AutoDeltaConfig) autoDeltaSites(workload string) int {
-	switch workload {
-	case "pingpong":
-		return 2
-	case "service":
-		return ServiceConfig{}.WithDefaults().Sites
-	default:
-		return MigrationConfig{}.WithDefaults().Sites
-	}
 }
 
 // AutoDeltaSweep runs the E23 grid: per workload, every fixed-Δ cell
-// plus a traced controller cell, all on private deterministic clusters
-// fanned across the worker pool, plus a determinism re-run of the
-// affinity controller cell. The controller traces are verified in
-// process with Delta = AutoDelta.Min (zero at the production default,
-// which disables only the window invariant; the single-writer,
-// serialization, and data-oracle invariants still apply).
+// plus the controller cell, all on private deterministic clusters fanned
+// across the worker pool, and replays the last (the affinity controller
+// cell). Every trace is verified with the configuration its cluster
+// implies: the controller cells' with Delta = AutoDelta.Min (zero at the
+// production default, which disables only the window invariant; the
+// single-writer, serialization, and data-oracle invariants still apply).
 func AutoDeltaSweep(cfg AutoDeltaConfig) AutoDeltaSweepResult {
 	cfg = cfg.WithDefaults()
-	workloads := []string{"pingpong", "service", "affinity"}
-	r := AutoDeltaSweepResult{Config: cfg}
-	r.Workloads = make([]AutoDeltaWorkload, len(workloads))
+	type cell struct {
+		workload string
+		ticks    int
+	}
+	var grid []cell
+	for _, wl := range autoDeltaWorkloads {
+		for _, k := range append(cfg.Ticks[:len(cfg.Ticks):len(cfg.Ticks)], -1) {
+			grid = append(grid, cell{wl, k})
+		}
+	}
+	pts, replay := sweepReplayed(grid, func(g cell) AutoDeltaPoint { return cfg.cell(g.workload, g.ticks) })
+	r := AutoDeltaSweepResult{Config: cfg, ReplayMatches: replay}
 	nt := len(cfg.Ticks)
-	perWL := nt + 1 // fixed grid + traced controller cell
-	traces := make([][]obs.Event, len(workloads))
-	var replay AutoDeltaPoint
-	for w := range r.Workloads {
-		r.Workloads[w] = AutoDeltaWorkload{Workload: workloads[w], Fixed: make([]AutoDeltaPoint, nt)}
-	}
-	sweepTasks(len(workloads)*perWL+1, func(i int) {
-		if i == len(workloads)*perWL {
-			// Determinism arm: the affinity controller cell again,
-			// untraced; compared against the traced grid cell below.
-			replay = cfg.autoDeltaCell("affinity", -1, nil)
-			return
-		}
-		w, k := i/perWL, i%perWL
-		wl := workloads[w]
-		if k < nt {
-			r.Workloads[w].Fixed[k] = cfg.autoDeltaCell(wl, cfg.Ticks[k], nil)
-			return
-		}
-		o := obs.New()
-		r.Workloads[w].Auto = cfg.autoDeltaCell(wl, -1, o)
-		traces[w] = o.Buffer().Events()
-	})
-	auto := core.AutoDelta{} // production defaults; Min is the checker bound
-	for w := range r.Workloads {
-		wl := &r.Workloads[w]
-		best := 0
+	for w, name := range autoDeltaWorkloads {
+		cells := pts[w*(nt+1) : (w+1)*(nt+1)]
+		wl := AutoDeltaWorkload{Workload: name, Fixed: cells[:nt:nt], Auto: cells[nt]}
 		for i, p := range wl.Fixed {
-			if p.Score > wl.Fixed[best].Score {
-				best = i
+			if p.Score > wl.Fixed[wl.BestFixed].Score {
+				wl.BestFixed = i
 			}
 		}
-		wl.BestFixed = best
-		wl.AutoMatchesBest = wl.Auto.Score >= wl.Fixed[best].Score*(1-cfg.Tolerance)
-		for _, ev := range traces[w] {
-			if ev.Type == obs.EvRetune {
-				wl.Retunes++
-			}
-		}
-		wl.Violations = len(check.Verify(check.Config{
-			Sites:    cfg.autoDeltaSites(wl.Workload),
-			Delta:    auto.Min,
-			Reliable: wl.Workload == "affinity", // the affinity cells run the reliability layer
-		}, traces[w]))
+		wl.AutoMatchesBest = wl.Auto.Score >= wl.Fixed[wl.BestFixed].Score*(1-cfg.Tolerance)
+		r.Workloads = append(r.Workloads, wl)
 	}
-	r.ReplayMatches = r.Workloads[2].Auto == replay
 	return r
 }
 
 // WriteFindings renders the FINDINGS-style verdict: per workload, the
-// fixed grid, the controller cell, and whether it matched the best
-// fixed Δ; plus the trace and determinism checks.
+// fixed grid, the controller cell, whether it matched the best fixed Δ,
+// and what the trace check found over the workload's cells.
 func (r AutoDeltaSweepResult) WriteFindings(w io.Writer) {
 	cfg := r.Config.WithDefaults()
 	fmt.Fprintf(w, "E23 — closed-loop Δ tuning (seed Δ %d ticks, grid %v, tolerance %.0f%%)\n",
@@ -328,7 +284,7 @@ func (r AutoDeltaSweepResult) WriteFindings(w io.Writer) {
 		}
 		best := wl.Fixed[wl.BestFixed]
 		fmt.Fprintf(w, "  auto (seed %d): score %8.1f  denials %6d  %d grows / %d shrinks / %d retunes",
-			cfg.SeedTicks, wl.Auto.Score, wl.Auto.Denials, wl.Auto.Grows, wl.Auto.Shrinks, wl.Retunes)
+			cfg.SeedTicks, wl.Auto.Score, wl.Auto.Denials, wl.Auto.Grows, wl.Auto.Shrinks, wl.Auto.Retunes)
 		if wl.Auto.P99 > 0 {
 			fmt.Fprintf(w, "  p99 %v", wl.Auto.P99)
 		}
@@ -337,8 +293,11 @@ func (r AutoDeltaSweepResult) WriteFindings(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 		fmt.Fprintf(w, "  best fixed: Δ=%d ticks (score %.1f)\n", best.DeltaTicks, best.Score)
-		fmt.Fprintf(w, "  auto matches best fixed: %s\n", verdict(wl.AutoMatchesBest))
-		fmt.Fprintf(w, "  traced run clean: %s (%d violations)\n", verdict(wl.Violations == 0), wl.Violations)
+		fmt.Fprintf(w, "  auto matches best fixed: %s\n", Verdict(wl.AutoMatchesBest))
+		viols := len(wl.Auto.Violations)
+		for _, p := range wl.Fixed {
+			viols += len(p.Violations)
+		}
+		fmt.Fprintf(w, "  traced run clean: %s (%d violations)\n", Verdict(viols == 0), viols)
 	}
-	fmt.Fprintf(w, "replay determinism: %v\n", verdict(r.ReplayMatches))
 }

@@ -20,10 +20,9 @@ func quickAutoDelta() AutoDeltaConfig {
 
 // TestAutoDeltaSweep runs the quick E23 grid and asserts the properties
 // the findings rely on: the controller actually retunes on every
-// workload, matches the best fixed Δ within tolerance, every traced
-// controller run verifies clean, and the sweep replays
-// deterministically. Virtual-time and seeded: a failure is a
-// regression, not noise.
+// workload, matches the best fixed Δ within tolerance, every cell's
+// trace verifies clean, and the sweep replays deterministically.
+// Virtual-time and seeded: a failure is a regression, not noise.
 func TestAutoDeltaSweep(t *testing.T) {
 	r := AutoDeltaSweep(quickAutoDelta())
 	if len(r.Workloads) != 3 {
@@ -33,17 +32,19 @@ func TestAutoDeltaSweep(t *testing.T) {
 		if wl.Auto.Score == 0 {
 			t.Errorf("%s: controller cell scored 0", wl.Workload)
 		}
-		if wl.Auto.Grows+wl.Auto.Shrinks == 0 || wl.Retunes == 0 {
+		if wl.Auto.Grows+wl.Auto.Shrinks == 0 || wl.Auto.Retunes == 0 {
 			t.Errorf("%s: controller never adjusted (grows=%d shrinks=%d retunes=%d)",
-				wl.Workload, wl.Auto.Grows, wl.Auto.Shrinks, wl.Retunes)
+				wl.Workload, wl.Auto.Grows, wl.Auto.Shrinks, wl.Auto.Retunes)
 		}
 		if !wl.AutoMatchesBest {
 			best := wl.Fixed[wl.BestFixed]
 			t.Errorf("%s: auto score %.1f below best fixed Δ=%d ticks (%.1f)",
 				wl.Workload, wl.Auto.Score, best.DeltaTicks, best.Score)
 		}
-		if wl.Violations != 0 {
-			t.Errorf("%s: traced controller run has %d coherence violations", wl.Workload, wl.Violations)
+		for _, p := range append(wl.Fixed, wl.Auto) {
+			for _, v := range p.Violations {
+				t.Errorf("%s Δ=%d ticks: coherence violation: %v", wl.Workload, p.DeltaTicks, v)
+			}
 		}
 	}
 	// The affinity controller cell must exercise the rehoming path the
@@ -68,7 +69,7 @@ func TestAutoDeltaFindings(t *testing.T) {
 	r.WriteFindings(&buf)
 	out := buf.String()
 	for _, want := range []string{"E23", "[pingpong]", "[service]", "[affinity]",
-		"auto matches best fixed", "replay determinism"} {
+		"auto matches best fixed", "traced run clean"} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("findings missing %q:\n%s", want, out)
 		}

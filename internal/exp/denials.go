@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"time"
 
-	"mirage/internal/core"
 	"mirage/internal/ipc"
 	"mirage/internal/obs"
 	"mirage/internal/vaxmodel"
@@ -34,35 +33,30 @@ type DeltaDenialPoint struct {
 	// JSONL encoding — a pure function of the virtual run, so it is
 	// byte-identical across repeats and worker counts.
 	TraceJSONL []byte
+	Trace
 }
 
 // DeltaDenialSweep runs the §7.2 worst case (yield variant) at each Δ
-// tick value with an observability sink attached, and returns per-point
+// tick value through the sweep harness, and returns per-point
 // throughput, denial statistics, and the serialized trace. Points run
 // in parallel (see Parallelism); each owns a private cluster and a
 // private sink, so results are deterministic at any worker count.
 func DeltaDenialSweep(dur time.Duration, ticks []int) []DeltaDenialPoint {
 	return sweep(ticks, func(k int) DeltaDenialPoint {
-		o := obs.New()
-		delta := time.Duration(k) * vaxmodel.ClockTick
-		c := ipc.NewCluster(2, ipc.Config{Delta: delta, Engine: core.Options{Obs: o}})
-		st := runPingPong(c, 0, 1, PingPongConfig{UseYield: true}, 512, dur)
-		c.Run()
-
-		h := o.Metrics.Hist(obs.HDenialRemaining)
-		p := DeltaDenialPoint{
-			DeltaTicks:    k,
-			CyclesPerSec:  float64(st.cycles) / dur.Seconds(),
-			Denials:       o.Metrics.Total(obs.CDeltaDenial),
-			Retries:       o.Metrics.Total(obs.CRetry),
-			MaxRemaining:  time.Duration(h.Max()),
-			MeanRemaining: time.Duration(h.Mean()),
-		}
-		var buf bytes.Buffer
-		if err := obs.WriteJSONL(&buf, obs.NewHeader(obs.ClockVirtual, c.Sites()), o.Buffer().Events()); err != nil {
-			panic(err) // bytes.Buffer cannot fail; a failure here is a bug
-		}
-		p.TraceJSONL = buf.Bytes()
+		p := DeltaDenialPoint{DeltaTicks: k}
+		p.Trace = simulate(2, ipc.Config{Delta: time.Duration(k) * vaxmodel.ClockTick}, func(c *ipc.Cluster) {
+			st := runPingPong(c, 0, 1, PingPongConfig{UseYield: true}, 512, dur)
+			c.Run()
+			m := c.Obs.Metrics
+			h := m.Hist(obs.HDenialRemaining)
+			p.CyclesPerSec = float64(st.cycles) / dur.Seconds()
+			p.Denials, p.Retries = m.Total(obs.CDeltaDenial), m.Total(obs.CRetry)
+			p.MaxRemaining, p.MeanRemaining = time.Duration(h.Max()), time.Duration(h.Mean())
+			var buf bytes.Buffer
+			if c.WriteTrace(&buf) == nil {
+				p.TraceJSONL = buf.Bytes()
+			}
+		})
 		return p
 	})
 }

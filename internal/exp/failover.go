@@ -25,17 +25,13 @@ import (
 // workload. The two incrementing sites are never crashed; the library
 // chain (creator, then each successor) is.
 type FailoverPoint struct {
-	Crashes    int           // library-site crashes injected
-	Completed  bool          // workload finished with the exact expected total
-	Final      uint32        // final counter value observed
-	Want       uint32        // incrementers × increments
-	Elapsed    time.Duration // virtual time to completion
-	Throughput float64       // increments per virtual second
-	Failovers  int           // takeover triggers across all sites
-	Recoveries int           // completed takeovers
-	StaleEpoch int           // messages fenced for carrying a dead epoch
-	Degraded   int           // accessor-visible degraded grants
-	MaxEpoch   uint32        // highest library epoch seen in the trace
+	Crashes int // library-site crashes injected
+	CounterRun
+	Failovers  int    // takeover triggers across all sites
+	Recoveries int    // completed takeovers
+	StaleEpoch int    // messages fenced for carrying a dead epoch
+	Degraded   int    // accessor-visible degraded grants
+	MaxEpoch   uint32 // highest library epoch seen in the trace
 	// RecoverLatency is, per takeover, the virtual time from the first
 	// failover trigger to the successor committing the rebuilt records
 	// (both taken from the trace).
@@ -43,13 +39,14 @@ type FailoverPoint struct {
 	// TraceJSONL is the run's full schema-v1 trace, replayable through
 	// miragetrace (timeline/check).
 	TraceJSONL []byte
+	Trace
 }
 
 // FailoverSweepResult is the whole E18 run.
 type FailoverSweepResult struct {
 	Points []FailoverPoint
-	// ReplayMatches reports the determinism check: the deepest point run
-	// twice produced identical end times and fault schedules.
+	// ReplayMatches reports the determinism check: the last point (the
+	// deepest crash count) run twice gave one value and one trace.
 	ReplayMatches bool
 }
 
@@ -64,35 +61,51 @@ func failoverRel() *core.Reliability {
 	}
 }
 
-// runFailoverWorkload drives the counter workload with the first
-// `crashes` sites of the library chain fail-stopped mid-run.
-func runFailoverWorkload(crashes, perSite int) (FailoverPoint, *ipc.Cluster) {
-	const sites = 4
-	plan := &chaos.Plan{Seed: 42}
-	for i := 0; i < crashes; i++ {
-		// The creator dies first; each successor (the next site by
-		// number) follows 600 ms later, inside the workload span.
-		plan.Crashes = append(plan.Crashes, chaos.Crash{
-			Site: i, From: 400*time.Millisecond + time.Duration(i)*600*time.Millisecond,
-		})
+// crashCase is one run of the library-crash counter workload E18 and
+// E22 share. Site 0 creates the segment (and so is the initial library
+// and log leader), writes the seed value, and idles into its crash
+// window. Sites 1 to sites-3 attach without accessing: silent members,
+// first in line for takeover and, under replication, the followers (an
+// unattached site refuses the log stream). The last two sites, never
+// crashed, do the increments, paced so the workload straddles every
+// crash window. Holding every attach past the measured window keeps
+// release traffic out of the trace.
+type crashCase struct {
+	sites    int
+	key      mem.Key
+	crashes  []chaos.Crash
+	replicas int // replication factor; 0 leaves replication off
+}
+
+// CounterRun is what the library-crash counter workload measures, in E18
+// and E22 alike.
+type CounterRun struct {
+	Completed  bool          // workload finished with the exact expected total
+	Final      uint32        // final counter value observed
+	Want       uint32        // incrementers × increments
+	Elapsed    time.Duration // virtual time to completion
+	Throughput float64       // increments per virtual second
+	// UnavailMs is the longest single increment in the run, ms: the
+	// user-visible unavailable-request window around a crash.
+	UnavailMs float64
+}
+
+// config is the case's cluster: the crash plan, the reliability and
+// takeover layers, and replication when it has a factor.
+func (cc crashCase) config() ipc.Config {
+	eng := core.Options{Reliability: failoverRel(), Failover: &core.Failover{}}
+	if cc.replicas > 0 {
+		eng.Replication = &core.Replication{Replicas: cc.replicas}
 	}
-	o := obs.New()
-	c := ipc.NewCluster(sites, ipc.Config{
-		Chaos: plan,
-		Engine: core.Options{
-			Reliability: failoverRel(),
-			Failover:    &core.Failover{},
-			Obs:         o,
-		},
-	})
-	var pt FailoverPoint
-	pt.Crashes = crashes
-	pt.Want = uint32(2 * perSite)
-	var doneAt time.Duration
-	// Site 0 creates the segment (and so is the initial library), writes
-	// the seed value, and idles into its crash window.
+	return ipc.Config{Chaos: &chaos.Plan{Seed: 42, Crashes: cc.crashes}, Engine: eng}
+}
+
+// run drives the workload on c, perSite increments at each incrementer.
+func (cc crashCase) run(c *ipc.Cluster, perSite int) CounterRun {
+	r := CounterRun{Want: uint32(2 * perSite)}
+	var doneAt, maxStall time.Duration
 	c.Site(0).Spawn("lib", 0, func(p *ipc.Proc) {
-		id, err := p.Shmget(0x4518, 512, mem.Create, rwMode)
+		id, err := p.Shmget(cc.key, 512, mem.Create, rwMode)
 		if err != nil {
 			return
 		}
@@ -101,55 +114,35 @@ func runFailoverWorkload(crashes, perSite int) (FailoverPoint, *ipc.Cluster) {
 			return
 		}
 		h.SetUint32(0, 0)
-		p.Sleep(10 * time.Minute) // hold the attach; dead from 500ms on
-	})
-	// Site 1 attaches without accessing: a silent member that is
-	// eligible (and first in line) for takeover. Holding every attach
-	// past the measured window keeps release traffic out of the trace.
-	c.Site(1).Spawn("standby", 0, func(p *ipc.Proc) {
-		var id mem.SegID
-		for {
-			var err error
-			id, err = p.Shmget(0x4518, 512, 0, 0)
-			if err == nil {
-				break
-			}
-			p.Sleep(time.Millisecond)
-		}
-		if _, err := p.Shmat(id, false); err != nil {
-			return
-		}
 		p.Sleep(10 * time.Minute)
 	})
-	// Sites 2 and 3 — never crashed in any point — do the increments,
-	// paced so the workload straddles every crash window.
-	for i := 2; i < sites; i++ {
-		site := c.Site(i)
-		last := i == sites-1
-		marker := 4 * (i - 1) // per-site done-marker word
-		site.Spawn("inc", 0, func(p *ipc.Proc) {
-			var id mem.SegID
-			for {
-				var err error
-				id, err = p.Shmget(0x4518, 512, 0, 0)
-				if err == nil {
-					break
-				}
-				p.Sleep(time.Millisecond)
+	for i := 1; i < cc.sites-2; i++ {
+		c.Site(i).Spawn("standby", 0, func(p *ipc.Proc) {
+			if _, err := p.Shmat(awaitSegment(p, cc.key, 512), false); err != nil {
+				return
 			}
-			h, err := p.Shmat(id, false)
+			p.Sleep(10 * time.Minute)
+		})
+	}
+	for i := cc.sites - 2; i < cc.sites; i++ {
+		last := i == cc.sites-1
+		marker := 4 * (i - (cc.sites - 3)) // per-site done-marker word
+		c.Site(i).Spawn("inc", 0, func(p *ipc.Proc) {
+			h, err := p.Shmat(awaitSegment(p, cc.key, 512), false)
 			if err != nil {
 				return
 			}
 			add := func(off int) {
+				start := p.Now()
 				for {
 					if _, err := h.AddUint32(off, 1); err == nil {
-						return
+						break
 					} else if !errors.Is(err, core.ErrUnreachable) {
 						return
 					}
 					p.Sleep(50 * time.Millisecond)
 				}
+				maxStall = max(maxStall, p.Now()-start)
 			}
 			for k := 0; k < perSite; k++ {
 				add(0)
@@ -165,34 +158,30 @@ func runFailoverWorkload(crashes, perSite int) (FailoverPoint, *ipc.Cluster) {
 					}
 					p.Sleep(20 * time.Millisecond)
 				}
-				v, _ := h.Uint32(0)
-				pt.Final = v
+				r.Final, _ = h.Uint32(0)
 				doneAt = p.Now()
 			}
 			p.Sleep(10 * time.Minute) // hold the attach past the run
 		})
 	}
 	c.RunFor(5 * time.Minute)
-	pt.Completed = pt.Final == pt.Want
-	pt.Elapsed = doneAt
+	r.Completed = r.Final == r.Want
+	r.Elapsed = doneAt
 	if doneAt > 0 {
-		pt.Throughput = float64(pt.Want) / doneAt.Seconds()
+		r.Throughput = float64(r.Want) / doneAt.Seconds()
 	}
-	for i := 0; i < sites; i++ {
-		st := c.Site(i).Eng.Stats()
-		pt.Failovers += st.Failovers
-		pt.Recoveries += st.Recoveries
-		pt.StaleEpoch += st.StaleEpoch
-		pt.Degraded += st.Degraded
-	}
-	events := o.Buffer().Events()
-	// Pair each takeover commit with the first trigger since the last
-	// commit: that span is the accessor-visible recovery outage.
+	r.UnavailMs = float64(maxStall.Microseconds()) / 1e3
+	return r
+}
+
+// takeovers pairs each takeover commit in a traced cluster's trace with
+// the first failover trigger since the commit before it — per takeover,
+// the accessor-visible recovery outage — and reports the highest library
+// epoch the trace shows.
+func takeovers(c *ipc.Cluster) (outages []time.Duration, maxEpoch uint32) {
 	trigger := time.Duration(-1)
-	for _, ev := range events {
-		if ev.Epoch > pt.MaxEpoch {
-			pt.MaxEpoch = ev.Epoch
-		}
+	for _, ev := range c.Obs.Buffer().Events() {
+		maxEpoch = max(maxEpoch, ev.Epoch)
 		switch ev.Type {
 		case obs.EvFailover:
 			if trigger < 0 {
@@ -200,44 +189,54 @@ func runFailoverWorkload(crashes, perSite int) (FailoverPoint, *ipc.Cluster) {
 			}
 		case obs.EvRecover:
 			if trigger >= 0 {
-				pt.RecoverLatency = append(pt.RecoverLatency, ev.T-trigger)
+				outages = append(outages, ev.T-trigger)
 				trigger = -1
 			}
 		}
 	}
-	var buf bytes.Buffer
-	if err := obs.WriteJSONL(&buf, obs.NewHeader(obs.ClockVirtual, c.Sites()), events); err == nil {
-		pt.TraceJSONL = buf.Bytes()
-	}
-	return pt, c
+	return outages, maxEpoch
 }
 
-// FailoverSweep runs the crash-count sweep plus a determinism
-// double-run of the deepest point. Every scenario is an independent
-// deterministic cluster, so the set fans out across the worker pool.
-func FailoverSweep(perSite int, crashCounts []int) FailoverSweepResult {
-	var r FailoverSweepResult
-	r.Points = make([]FailoverPoint, len(crashCounts))
-	n := len(crashCounts)
-	deepest := 0
-	for _, k := range crashCounts {
-		if k > deepest {
-			deepest = k
-		}
+// failoverCase is the library-crash counter workload as E18 runs it:
+// the first crashes sites of the library chain fail-stopped mid-run.
+func failoverCase(crashes int) crashCase {
+	cc := crashCase{sites: 4, key: 0x4518}
+	for i := 0; i < crashes; i++ {
+		// The creator dies first; each successor (the next site by
+		// number) follows 600 ms later, inside the workload span.
+		cc.crashes = append(cc.crashes, chaos.Crash{
+			Site: i, From: 400*time.Millisecond + time.Duration(i)*600*time.Millisecond,
+		})
 	}
-	replay := make([]FailoverPoint, 2)
-	replayStats := make([]string, 2)
-	sweepTasks(n+2, func(i int) {
-		if i < n {
-			r.Points[i], _ = runFailoverWorkload(crashCounts[i], perSite)
-			return
+	return cc
+}
+
+// runFailoverPoint runs one E18 crash count.
+func runFailoverPoint(crashes, perSite int) FailoverPoint {
+	cc := failoverCase(crashes)
+	pt := FailoverPoint{Crashes: crashes}
+	pt.Trace = simulate(cc.sites, cc.config(), func(c *ipc.Cluster) {
+		pt.CounterRun = cc.run(c, perSite)
+		for i := 0; i < c.Sites(); i++ {
+			st := c.Site(i).Eng.Stats()
+			pt.Failovers += st.Failovers
+			pt.Recoveries += st.Recoveries
+			pt.StaleEpoch += st.StaleEpoch
+			pt.Degraded += st.Degraded
 		}
-		pt, c := runFailoverWorkload(deepest, perSite)
-		replay[i-n] = pt
-		replayStats[i-n] = c.Chaos.Stats().String()
+		pt.RecoverLatency, pt.MaxEpoch = takeovers(c)
+		var buf bytes.Buffer
+		if c.WriteTrace(&buf) == nil {
+			pt.TraceJSONL = buf.Bytes()
+		}
 	})
-	r.ReplayMatches = replay[0].Elapsed == replay[1].Elapsed &&
-		replay[0].Recoveries == replay[1].Recoveries &&
-		replayStats[0] == replayStats[1]
-	return r
+	return pt
+}
+
+// FailoverSweep runs the crash-count sweep and replays its last point.
+// Every scenario is an independent deterministic cluster, so the set
+// fans out across the worker pool.
+func FailoverSweep(perSite int, crashCounts []int) FailoverSweepResult {
+	pts, replay := sweepReplayed(crashCounts, func(k int) FailoverPoint { return runFailoverPoint(k, perSite) })
+	return FailoverSweepResult{Points: pts, ReplayMatches: replay}
 }

@@ -33,6 +33,7 @@ type FaultSweepPoint struct {
 	Degraded    int           // accessor-visible degraded grants
 	NetDropped  int           // messages the injector destroyed
 	Delivered   int           // messages the fabric delivered
+	Trace
 }
 
 // FaultSweepResult is the whole E14 run.
@@ -41,8 +42,8 @@ type FaultSweepResult struct {
 	// Crash is the same workload with a site crashed for a window
 	// mid-run instead of random loss.
 	Crash FaultSweepPoint
-	// ReplayMatches reports the determinism check: the 5% point run
-	// twice produced identical virtual end times and fault schedules.
+	// ReplayMatches reports the determinism check: the crash point run
+	// twice gave one value and one trace.
 	ReplayMatches bool
 }
 
@@ -60,13 +61,30 @@ func faultSweepRel() *core.Reliability {
 	}
 }
 
-// runFaultWorkload drives the counter workload under the plan and
-// reports the observed point plus the cluster for deeper inspection.
-func runFaultWorkload(plan *chaos.Plan, sites, perSite int) (FaultSweepPoint, *ipc.Cluster) {
-	c := ipc.NewCluster(sites, ipc.Config{
-		Chaos:  plan,
-		Engine: core.Options{Reliability: faultSweepRel()},
-	})
+// faultSites is the E14 cluster size.
+const faultSites = 3
+
+// faultCase is one E14 run: the loss rate it sweeps (0 for the crash
+// window) and its chaos plan.
+type faultCase struct {
+	dropPct float64
+	plan    string
+}
+
+// config is the case's cluster: its plan, and the reliability layer
+// that retries through it.
+func (fc faultCase) config() ipc.Config {
+	plan, err := chaos.Parse(fc.plan)
+	if err != nil {
+		panic(err)
+	}
+	return ipc.Config{Chaos: plan, Engine: core.Options{Reliability: faultSweepRel()}}
+}
+
+// runFaultWorkload drives the counter workload on c: every site adds
+// perSite times to one word, then marks itself done.
+func runFaultWorkload(c *ipc.Cluster, perSite int) FaultSweepPoint {
+	sites := c.Sites()
 	var pt FaultSweepPoint
 	pt.Want = uint32(sites * perSite)
 	var doneAt time.Duration
@@ -134,66 +152,38 @@ func runFaultWorkload(plan *chaos.Plan, sites, perSite int) (FaultSweepPoint, *i
 	ns := c.Net.Stats()
 	pt.NetDropped = ns.Dropped
 	pt.Delivered = ns.Delivered
-	return pt, c
+	return pt
+}
+
+// runFaultPoint runs one E14 case.
+func runFaultPoint(fc faultCase, perSite int) FaultSweepPoint {
+	var pt FaultSweepPoint
+	tr := simulate(faultSites, fc.config(), func(c *ipc.Cluster) { pt = runFaultWorkload(c, perSite) })
+	pt.DropPct, pt.Trace = fc.dropPct, tr
+	return pt
 }
 
 // FaultSweep runs the loss-rate sweep (dup and delay stay constant so
-// the drop probability is the only variable), the crash-window
-// scenario, and the determinism double-run. Every scenario is an
-// independent deterministic cluster, so the whole set — loss points,
-// crash, and both replay runs — fans out across the worker pool (see
-// Parallelism) with results identical at any worker count.
+// the drop probability is the only variable), then the crash-window
+// scenario, and replays the last. Every scenario is an independent
+// deterministic cluster, so the whole set fans out across the worker
+// pool (see Parallelism) with results identical at any worker count.
 func FaultSweep(perSite int, dropPcts []float64) FaultSweepResult {
-	const sites = 3
-	var r FaultSweepResult
-	r.Points = make([]FaultSweepPoint, len(dropPcts))
-	replay := make([]FaultSweepPoint, 2)
-	replayStats := make([]string, 2)
-
-	// Task layout: [0, len) loss points, then crash, then the two
-	// determinism runs.
-	nPoints := len(dropPcts)
-	sweepTasks(nPoints+3, func(i int) {
-		switch {
-		case i < nPoints:
-			pct := dropPcts[i]
-			spec := "seed=42; dup p=0.05; delay p=0.1 max=5ms"
-			if pct > 0 {
-				spec = fmt.Sprintf("seed=42; drop p=%g; dup p=0.05; delay p=0.1 max=5ms", pct/100)
-			}
-			plan, err := chaos.Parse(spec)
-			if err != nil {
-				panic(err)
-			}
-			pt, _ := runFaultWorkload(plan, sites, perSite)
-			pt.DropPct = pct
-			r.Points[i] = pt
-		case i == nPoints:
-			// Crash window: site 2 is dead (all its traffic destroyed,
-			// both directions) for half the run, then comes back. The
-			// window sits inside the workload's ~500 ms span so the
-			// protocol actually rides through it; the retry budget
-			// (~1.3 s) outlasts the outage, so the stalled cycles
-			// complete on retransmission once the site returns.
-			plan, err := chaos.Parse("seed=42; crash site=2 from=100ms until=400ms")
-			if err != nil {
-				panic(err)
-			}
-			r.Crash, _ = runFaultWorkload(plan, sites, perSite)
-		default:
-			// Determinism: the 5% point twice must replay the exact
-			// schedule.
-			plan, err := chaos.Parse("seed=42; drop p=0.05; dup p=0.05; delay p=0.1 max=5ms")
-			if err != nil {
-				panic(err)
-			}
-			pt, c := runFaultWorkload(plan, sites, perSite)
-			replay[i-nPoints-1] = pt
-			replayStats[i-nPoints-1] = c.Chaos.Stats().String()
+	var grid []faultCase
+	for _, pct := range dropPcts {
+		spec := "seed=42; dup p=0.05; delay p=0.1 max=5ms"
+		if pct > 0 {
+			spec = fmt.Sprintf("seed=42; drop p=%g; dup p=0.05; delay p=0.1 max=5ms", pct/100)
 		}
-	})
-	r.ReplayMatches = replay[0].Elapsed == replay[1].Elapsed &&
-		replay[0].Retransmits == replay[1].Retransmits &&
-		replayStats[0] == replayStats[1]
-	return r
+		grid = append(grid, faultCase{pct, spec})
+	}
+	// Crash window: site 2 is dead (all its traffic destroyed, both
+	// directions) for half the run, then comes back. The window sits
+	// inside the workload's ~500 ms span so the protocol actually rides
+	// through it; the retry budget (~1.3 s) outlasts the outage, so the
+	// stalled cycles complete on retransmission once the site returns.
+	grid = append(grid, faultCase{0, "seed=42; crash site=2 from=100ms until=400ms"})
+	pts, replay := sweepReplayed(grid, func(fc faultCase) FaultSweepPoint { return runFaultPoint(fc, perSite) })
+	n := len(dropPcts)
+	return FaultSweepResult{Points: pts[:n:n], Crash: pts[n], ReplayMatches: replay}
 }

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"mirage/internal/core"
 	"mirage/internal/ipc"
 	"mirage/internal/load"
-	"mirage/internal/mem"
 	"mirage/internal/obs"
 )
 
@@ -26,8 +24,8 @@ import (
 // mis-homed (placement must fix a bad static layout), "shifting"
 // starts matched and rotates the affinity mid-run (placement must track
 // a moving hotspot). Each runs with migration off and on; the verdict
-// compares p99 and goodput, with the on-runs' traces carrying the
-// EvMigrate commits for the coherence checker.
+// compares p99 and goodput, with every run's trace — the on-runs'
+// carrying the EvMigrate commits — verified by the coherence checker.
 
 // MigrationConfig parameterizes the E21 sweep.
 type MigrationConfig struct {
@@ -203,6 +201,10 @@ type MigrationPoint struct {
 	Migrations int `json:"migrations"`
 	Refused    int `json:"refused"`
 	StaleEpoch int `json:"stale_epoch"`
+	// Handoffs counts the EvMigrate commits in the run's trace: the
+	// handoffs the checker must accept.
+	Handoffs int `json:"handoffs"`
+	Trace
 }
 
 // MigrationSweepResult is the whole E21 run.
@@ -210,38 +212,28 @@ type MigrationSweepResult struct {
 	Config MigrationConfig
 	// Points holds skewed{off,on} then shifting{off,on}.
 	Points []MigrationPoint
-	// TraceJSONL is the shifting+placement run's full trace; its
-	// EvMigrate commits are the handoffs the checker must accept.
-	TraceJSONL []byte
-	// TraceMigrations counts EvMigrate events in that trace.
-	TraceMigrations int
-	// ReplayMatches reports the determinism check: the skewed+placement
-	// point run twice scored identically.
+	// ReplayMatches reports the determinism check: the shifting+placement
+	// point run twice gave one value and one trace.
 	ReplayMatches bool
 }
 
-// spawnMigrationLoad wires the affinity workload onto the cluster. Per
-// site: a creator proc formatting the shards rendezvous places there,
-// and Workers lanes whose ops are re-keyed into the pools of the
-// shards hot at this site for the current phase. shift rotates the
-// affinity at Duration/2.
-func spawnMigrationLoad(c *ipc.Cluster, cfg MigrationConfig, shift bool, rep *load.Report, stats *app.Stats, o *obs.Obs) {
-	cfg = cfg.WithDefaults()
-	spec := cfg.Spec()
-	appCfg := cfg.AppConfig()
-	pools, all := cfg.shardPools()
-	half := cfg.Duration / 2
-	// Per-phase, per-site affine pools. The skewed scenario mis-homes
-	// every shard from the start and never changes; shifting starts
-	// matched and rotates at half-time.
+// rekey maps a lane's op at a site into the pool of the shards hot there
+// in the phase in force at its arrival. The skewed scenario mis-homes
+// every shard from the start and never changes; shifting starts matched
+// and rotates at Duration/2. A CrossFrac slice of the stream roams the
+// whole keyspace.
+func (c MigrationConfig) rekey(shift bool) func(site int, op load.Op) load.Op {
+	c = c.WithDefaults()
+	pools, all := c.shardPools()
+	half := c.Duration / 2
 	firstRot, secondRot := 1, 1
 	if shift {
 		firstRot, secondRot = 0, 1
 	}
 	sitePool := func(site, rot int) []uint64 {
 		var out []uint64
-		for s := 0; s < cfg.Shards; s++ {
-			if cfg.affinityHome(s, rot) == site {
+		for s := 0; s < c.Shards; s++ {
+			if c.affinityHome(s, rot) == site {
 				out = append(out, pools[s]...)
 			}
 		}
@@ -250,89 +242,24 @@ func spawnMigrationLoad(c *ipc.Cluster, cfg MigrationConfig, shift bool, rep *lo
 		}
 		return out
 	}
+	first, second := make([][]uint64, c.Sites), make([][]uint64, c.Sites)
+	for s := range first {
+		first[s], second[s] = sitePool(s, firstRot), sitePool(s, secondRot)
+	}
 	crossMod := uint64(100)
-	crossCut := uint64(float64(crossMod) * cfg.CrossFrac)
-	hold := cfg.Duration + serviceSlack
-	for s := 0; s < cfg.Sites; s++ {
-		s := s
-		first, second := sitePool(s, firstRot), sitePool(s, secondRot)
-		c.Site(s).Spawn("creator", 0, func(p *ipc.Proc) {
-			for shard := 0; shard < appCfg.Shards; shard++ {
-				if appCfg.LibraryFor(shard) != s {
-					continue
-				}
-				id, err := p.Shmget(serviceKey+mem.Key(shard), appCfg.ShardBytes(), mem.Create, rwMode)
-				if err != nil {
-					return
-				}
-				h, err := p.Shmat(id, false)
-				if err != nil {
-					return
-				}
-				if err := app.Format(h, appCfg, shard); err != nil {
-					return
-				}
-			}
-			p.Sleep(hold)
-		})
-		for w := 0; w < cfg.Workers; w++ {
-			lane := s*cfg.Workers + w
-			c.Site(s).Spawn("lane", 0, func(p *ipc.Proc) {
-				st := openServiceStore(p, appCfg, s, stats, o)
-				if st == nil {
-					return
-				}
-				g := load.NewGen(spec, lane)
-				rekey := func(op load.Op) load.Op {
-					// A CrossFrac slice of the stream roams the whole
-					// keyspace; the rest stays on this site's affine
-					// shards for the phase in force at arrival time.
-					mix := op.Key * 2654435761 % crossMod
-					pool := first
-					if shift && op.T >= half {
-						pool = second
-					}
-					if mix < crossCut {
-						op.Key = all[op.Key%uint64(len(all))]
-					} else {
-						op.Key = pool[op.Key%uint64(len(pool))]
-					}
-					return op
-				}
-				var backlog []load.Op
-				next, more := g.Next()
-				for {
-					if len(backlog) == 0 {
-						if !more {
-							return
-						}
-						if d := next.T - p.Now(); d > 0 {
-							p.Sleep(d)
-						}
-						backlog = append(backlog, rekey(next))
-						rep.Admit()
-						next, more = g.Next()
-					}
-					for more && next.T <= p.Now() {
-						if len(backlog) >= spec.QueueCap {
-							rep.Shed()
-						} else {
-							backlog = append(backlog, rekey(next))
-							rep.Admit()
-						}
-						next, more = g.Next()
-					}
-					rep.ObserveQueue(len(backlog))
-					op := backlog[0]
-					backlog = backlog[1:]
-					if spec.OpCost > 0 {
-						p.Compute(spec.OpCost)
-					}
-					hit, err := load.Execute(st, spec, op)
-					rep.Done(p.Now()-op.T, hit, err)
-				}
-			})
+	crossCut := uint64(float64(crossMod) * c.CrossFrac)
+	return func(site int, op load.Op) load.Op {
+		mix := op.Key * 2654435761 % crossMod
+		pool := first[site]
+		if shift && op.T >= half {
+			pool = second[site]
 		}
+		if mix < crossCut {
+			op.Key = all[op.Key%uint64(len(all))]
+		} else {
+			op.Key = pool[op.Key%uint64(len(pool))]
+		}
+		return op
 	}
 }
 
@@ -344,81 +271,49 @@ func spawnMigrationLoad(c *ipc.Cluster, cfg MigrationConfig, shift bool, rep *lo
 // caller decides whether the cluster's engines run a placement policy.
 func RunAffinity(c *ipc.Cluster, cfg MigrationConfig, shift bool, stats *app.Stats, o *obs.Obs) load.Rung {
 	cfg = cfg.WithDefaults()
-	rep := load.NewReport()
-	spawnMigrationLoad(c, cfg, shift, rep, stats, o)
-	c.RunFor(cfg.Duration + serviceSlack)
-	return rep.Rung(cfg.Spec())
+	return serve(c, cfg.AppConfig(), cfg.Spec(), cfg.Workers, cfg.rekey(shift), stats, o)
 }
 
-// runMigrationPoint runs one scenario×placement cell on a private
-// deterministic cluster. The returned events are nil unless o was
-// wanted (traced cells attach a fresh obs).
-func runMigrationPoint(cfg MigrationConfig, shift, placement, traced bool) (MigrationPoint, []obs.Event) {
-	cfg = cfg.WithDefaults()
-	var o *obs.Obs
-	if traced {
-		o = obs.New()
-	}
-	eng := core.Options{
-		Reliability: failoverRel(),
-		Failover:    &core.Failover{},
-		Obs:         o,
-	}
+// cluster is the cluster an E21 cell runs on: the takeover layers the
+// handoff rides on, and the placement policy when the cell has it.
+func (c MigrationConfig) cluster(placement bool) ipc.Config {
+	eng := core.Options{Reliability: failoverRel(), Failover: &core.Failover{}}
 	if placement {
-		eng.Placement = cfg.Policy()
+		eng.Placement = c.Policy()
 	}
-	c := ipc.NewCluster(cfg.Sites, ipc.Config{Engine: eng})
-	pt := MigrationPoint{Placement: placement, Rung: RunAffinity(c, cfg, shift, app.NewStats(cfg.Shards), o)}
-	pt.Scenario = "skewed"
+	return ipc.Config{Engine: eng}
+}
+
+// runMigrationPoint runs one scenario×placement cell on its own
+// deterministic cluster.
+func runMigrationPoint(cfg MigrationConfig, shift, placement bool) MigrationPoint {
+	cfg = cfg.WithDefaults()
+	pt := MigrationPoint{Scenario: "skewed", Placement: placement}
 	if shift {
 		pt.Scenario = "shifting"
 	}
-	for i := 0; i < cfg.Sites; i++ {
-		st := c.Site(i).Eng.Stats()
-		pt.Migrations += st.Migrations
-		pt.Refused += st.MigrationsRefused
-		pt.StaleEpoch += st.StaleEpoch
-	}
-	if o != nil {
-		return pt, o.Buffer().Events()
-	}
-	return pt, nil
+	pt.Trace = simulate(cfg.Sites, cfg.cluster(placement), func(c *ipc.Cluster) {
+		pt.Rung = RunAffinity(c, cfg, shift, app.NewStats(cfg.Shards), nil)
+		for i := 0; i < c.Sites(); i++ {
+			st := c.Site(i).Eng.Stats()
+			pt.Migrations += st.Migrations
+			pt.Refused += st.MigrationsRefused
+			pt.StaleEpoch += st.StaleEpoch
+		}
+		pt.Handoffs = count(c, obs.EvMigrate)
+	})
+	return pt
 }
 
-// MigrationSweep runs the four-cell E21 grid plus a determinism
-// double-run; every cell is an independent deterministic cluster, so
-// the set fans out across the worker pool.
+// MigrationSweep runs the four-cell E21 grid and replays its last cell;
+// every cell is an independent deterministic cluster, so the set fans
+// out across the worker pool.
 func MigrationSweep(cfg MigrationConfig) MigrationSweepResult {
 	cfg = cfg.WithDefaults()
-	r := MigrationSweepResult{Config: cfg}
-	r.Points = make([]MigrationPoint, 4)
-	var traceEvents []obs.Event
-	replay := make([]MigrationPoint, 2)
-	sweepTasks(6, func(i int) {
-		switch i {
-		case 0:
-			r.Points[0], _ = runMigrationPoint(cfg, false, false, false)
-		case 1:
-			r.Points[1], _ = runMigrationPoint(cfg, false, true, false)
-		case 2:
-			r.Points[2], _ = runMigrationPoint(cfg, true, false, false)
-		case 3:
-			r.Points[3], traceEvents = runMigrationPoint(cfg, true, true, true)
-		default:
-			replay[i-4], _ = runMigrationPoint(cfg, false, true, false)
-		}
-	})
-	for _, ev := range traceEvents {
-		if ev.Type == obs.EvMigrate {
-			r.TraceMigrations++
-		}
-	}
-	var buf bytes.Buffer
-	if err := obs.WriteJSONL(&buf, obs.NewHeader(obs.ClockVirtual, cfg.Sites), traceEvents); err == nil {
-		r.TraceJSONL = buf.Bytes()
-	}
-	r.ReplayMatches = replay[0] == replay[1]
-	return r
+	type cell struct{ shift, placement bool }
+	grid := []cell{{false, false}, {false, true}, {true, false}, {true, true}}
+	pts, replay := sweepReplayed(grid, func(g cell) MigrationPoint { return runMigrationPoint(cfg, g.shift, g.placement) })
+	return MigrationSweepResult{Config: cfg, Points: pts, ReplayMatches: replay}
 }
 
 // Cell returns the point for a scenario×placement cell.
@@ -432,8 +327,7 @@ func (r MigrationSweepResult) Cell(scenario string, placement bool) *MigrationPo
 }
 
 // WriteFindings renders the FINDINGS-style verdict: per scenario, the
-// off/on comparison on p99 and goodput, migration counts, and the
-// determinism check.
+// off/on comparison on p99 and goodput, and the migration counts.
 func (r MigrationSweepResult) WriteFindings(w io.Writer) {
 	cfg := r.Config.WithDefaults()
 	fmt.Fprintf(w, "E21 — voluntary library migration (seed %d, %d sites, %d shards, %.0f req/s, %s)\n",
@@ -454,9 +348,10 @@ func (r MigrationSweepResult) WriteFindings(w io.Writer) {
 			time.Duration(on.Rung.Latency.P99), on.Rung.Goodput, on.Rung.Shed,
 			on.Migrations, on.Refused, on.StaleEpoch)
 		better := on.Rung.Latency.P99 < off.Rung.Latency.P99 || on.Rung.Goodput > off.Rung.Goodput
-		fmt.Fprintf(w, "  migration wins on p99 or goodput: %s\n", verdict(better))
-		fmt.Fprintf(w, "  migrated at least once: %s\n", verdict(on.Migrations > 0))
+		fmt.Fprintf(w, "  migration wins on p99 or goodput: %s\n", Verdict(better))
+		fmt.Fprintf(w, "  migrated at least once: %s\n", Verdict(on.Migrations > 0))
 	}
-	fmt.Fprintf(w, "traced handoffs in shifting+on run: %d\n", r.TraceMigrations)
-	fmt.Fprintf(w, "replay determinism: %v\n", verdict(r.ReplayMatches))
+	if on := r.Cell("shifting", true); on != nil {
+		fmt.Fprintf(w, "traced handoffs in shifting+on run: %d\n", on.Handoffs)
+	}
 }

@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"testing"
 	"time"
-
-	"mirage/internal/check"
-	"mirage/internal/obs"
 )
 
 // TestMigrationSweep runs the full E21 grid on the default config and
-// asserts the properties the E21 findings rely on: the
-// on-cells actually migrate, the traced run's handoffs pass the
+// asserts the properties the E21 findings rely on: the on-cells
+// actually migrate, their traces (the handoffs among them) pass the
 // coherence checker, the sweep replays deterministically, and under the
 // shifting hotspot migration beats the static baseline on p99 or
 // goodput. The sim is virtual-time and seeded, so the numbers are
@@ -40,8 +37,8 @@ func TestMigrationSweep(t *testing.T) {
 	if !r.ReplayMatches {
 		t.Errorf("replay determinism violated: identical runs scored differently")
 	}
-	if r.TraceMigrations < 1 {
-		t.Errorf("traced shifting+on run has %d EvMigrate commits, want >= 1", r.TraceMigrations)
+	if h := r.Cell("shifting", true).Handoffs; h < 1 {
+		t.Errorf("traced shifting+on run has %d EvMigrate commits, want >= 1", h)
 	}
 
 	// The shifting scenario is the one migration exists for: the run
@@ -55,20 +52,19 @@ func TestMigrationSweep(t *testing.T) {
 			time.Duration(on.Rung.Latency.P99), on.Rung.Goodput)
 	}
 
-	// The voluntary handoffs must not cost coherence: the traced run's
-	// full event stream — spanning at least one EvMigrate epoch bump —
-	// verifies clean.
-	hdr, evs, err := obs.ReadJSONL(bytes.NewReader(r.TraceJSONL))
-	if err != nil {
-		t.Fatalf("trace decode: %v", err)
-	}
-	if viols := check.Verify(check.Config{Sites: hdr.Sites, Reliable: true}, evs); len(viols) > 0 {
-		for i, v := range viols {
-			if i >= 10 {
-				t.Errorf("... %d more violations", len(viols)-10)
-				break
-			}
-			t.Errorf("coherence violation: %v", v)
+	// The voluntary handoffs must not cost coherence: every on-cell's
+	// full event stream, spanning its EvMigrate epoch bumps, verifies
+	// clean, and so does the skewed off-cell. The shifting off-cell does
+	// not at this size: with no crash planned, its overloaded second half
+	// makes the ARQ layer give up on live libraries and failover elects
+	// successors beside them (FINDINGS E32, ROADMAP item 6).
+	for _, p := range r.Points {
+		if p.Scenario == "shifting" && !p.Placement {
+			t.Logf("shifting off-cell: %d violations (FINDINGS E32)", len(p.Violations))
+			continue
+		}
+		for _, v := range p.Violations {
+			t.Errorf("%s placement=%v: coherence violation: %v", p.Scenario, p.Placement, v)
 		}
 	}
 }
@@ -80,7 +76,7 @@ func TestMigrationFindings(t *testing.T) {
 	var buf bytes.Buffer
 	r.WriteFindings(&buf)
 	out := buf.String()
-	for _, want := range []string{"E21", "[skewed]", "[shifting]", "replay determinism"} {
+	for _, want := range []string{"E21", "[skewed]", "[shifting]", "traced handoffs in shifting+on run"} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("findings missing %q:\n%s", want, out)
 		}

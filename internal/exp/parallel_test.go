@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 	"time"
@@ -39,11 +38,34 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// sameTraces reports, per point, a trace digest that differs between
+// two runs of a sweep (or is missing): the serialized protocol timeline
+// — not just a subset of the point's fields — must be byte-identical.
+// This is what makes traces diffable artifacts: two runs of the same
+// scenario can be compared with cmp(1).
+func sameTraces(t *testing.T, name string, a, b []Trace) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d points against %d", name, len(a), len(b))
+	}
+	for i := range a {
+		if a[i].Digest == "" || a[i].Digest != b[i].Digest {
+			t.Errorf("%s point %d: trace sha256 %q against %q across parallelism", name, i, a[i].Digest, b[i].Digest)
+		}
+	}
+}
+
+// traces lists the traces of a sweep's points.
+func traces[P interface{ trace() Trace }](pts ...P) []Trace {
+	out := make([]Trace, len(pts))
+	for i, p := range pts {
+		out[i] = p.trace()
+	}
+	return out
+}
+
 // The observability acceptance property: a traced run's serialized
-// protocol timeline — not just its aggregate counters — is
-// byte-identical at any worker count. This is what makes traces
-// diffable artifacts: two runs of the same scenario can be compared
-// with cmp(1).
+// protocol timeline is byte-identical at any worker count.
 func TestDeltaDenialSweepTraceDeterministicAcrossParallelism(t *testing.T) {
 	run := func(par int) []DeltaDenialPoint {
 		old := Parallelism
@@ -53,16 +75,9 @@ func TestDeltaDenialSweepTraceDeterministicAcrossParallelism(t *testing.T) {
 	}
 	a := run(1)
 	b := run(4)
+	sameTraces(t, "DeltaDenialSweep", traces(a...), traces(b...))
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("DeltaDenialSweep differs across parallelism")
-	}
-	for i := range a {
-		if !bytes.Equal(a[i].TraceJSONL, b[i].TraceJSONL) {
-			t.Errorf("point %d (Δ=%d ticks): trace bytes differ across parallelism", i, a[i].DeltaTicks)
-		}
-		if len(a[i].TraceJSONL) == 0 {
-			t.Errorf("point %d: empty trace", i)
-		}
 	}
 	// The traced points must see denials where Δ > 0 — otherwise the
 	// byte comparison is vacuous.
@@ -83,8 +98,9 @@ func TestFaultSweepDeterministicAcrossParallelism(t *testing.T) {
 	}
 	a := run(1)
 	b := run(4)
+	sameTraces(t, "FaultSweep", traces(append(a.Points, a.Crash)...), traces(append(b.Points, b.Crash)...))
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("FaultSweep differs across parallelism:\n par=1: %+v\n par=4: %+v", a, b)
+		t.Errorf("FaultSweep differs across parallelism")
 	}
 	if !a.ReplayMatches {
 		t.Error("replay determinism check failed")

@@ -1,11 +1,11 @@
 package exp
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
 	"mirage/internal/chaos"
+	"mirage/internal/ipc"
 	"mirage/internal/obs"
 )
 
@@ -24,8 +24,8 @@ func TestE22ReplicationSweep(t *testing.T) {
 		if !p.Completed {
 			t.Errorf("%s R=%d: workload incomplete (%d/%d)", p.Name, p.Replicas, p.Final, p.Want)
 		}
-		if p.Violations != 0 {
-			t.Errorf("%s R=%d: %d coherence violations", p.Name, p.Replicas, p.Violations)
+		for _, v := range p.Violations {
+			t.Errorf("%s R=%d: coherence violation: %v", p.Name, p.Replicas, v)
 		}
 		pts[p.Name+string(rune('0'+p.Replicas))] = p
 	}
@@ -69,23 +69,30 @@ func TestE22ReplicationSweep(t *testing.T) {
 // has heard of everything site 1 granted — not from what site 2 still
 // held of the first library's.
 func TestReplDoubleCrashElectsFromReseededLog(t *testing.T) {
-	pt := runReplicationWorkload("double-crash", 2, 70, []chaos.Crash{
+	cc := replCase(2, []chaos.Crash{
 		{Site: 0, From: 400 * time.Millisecond},
 		{Site: 2, From: 400 * time.Millisecond, Until: 2 * time.Second},
 		{Site: 1, From: 5 * time.Second},
 	})
-	if !pt.Completed {
-		t.Errorf("workload incomplete (%d/%d)", pt.Final, pt.Want)
+	var run CounterRun
+	var recoveries, elections int
+	var events []obs.Event
+	tr := simulate(cc.sites, cc.config(), func(c *ipc.Cluster) {
+		run = cc.run(c, 70)
+		for i := 0; i < c.Sites(); i++ {
+			recoveries += c.Site(i).Eng.Stats().Recoveries
+			elections += c.Site(i).Eng.Stats().Elections
+		}
+		events = c.Obs.Buffer().Events()
+	})
+	if !run.Completed {
+		t.Errorf("workload incomplete (%d/%d)", run.Final, run.Want)
 	}
-	if pt.Violations != 0 {
-		t.Errorf("%d coherence violations", pt.Violations)
+	for _, v := range tr.Violations {
+		t.Errorf("coherence violation: %v", v)
 	}
-	if pt.Recoveries != 2 || pt.Elections != 1 {
-		t.Fatalf("recoveries=%d elections=%d, want a rebuild and then an election", pt.Recoveries, pt.Elections)
-	}
-	_, events, err := obs.ReadJSONL(bytes.NewReader(pt.TraceJSONL))
-	if err != nil {
-		t.Fatal(err)
+	if recoveries != 2 || elections != 1 {
+		t.Fatalf("recoveries=%d elections=%d, want a rebuild and then an election", recoveries, elections)
 	}
 	var rebuilt uint32 // the epoch the holder rebuild installed
 	for _, ev := range events {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mirage/internal/chaos"
-	"mirage/internal/check"
 	"mirage/internal/core"
 	"mirage/internal/ipc"
 	"mirage/internal/mem"
@@ -73,7 +72,7 @@ func ScaleSweep(quick bool) []ScalePoint {
 		}
 	}
 	return sweep(grid, func(p pt) ScalePoint {
-		r, _ := runScalePoint(p.n, p.k, 3, nil, "", nil)
+		r, _ := runScalePoint(p.n, p.k, 3, "", nil)
 		return r
 	})
 }
@@ -89,30 +88,19 @@ const (
 	scaleDeadline = 5 * time.Minute // virtual-time bail-out for every loop
 )
 
-// runScalePoint builds an n-site cluster with fan-out k and runs
-// rounds barriered read-all-then-write cycles, measuring the write
-// faults. o, when non-nil, supplies the observability sink (a caller
-// wanting the trace passes obs.New()); otherwise a metrics-only sink
-// is used. chaosSpec, when non-empty, is a chaos plan injected with
-// the reliability layer enabled; rel overrides the ARQ profile for such
-// runs (nil takes the engine's defaults, which scale with the cluster:
-// the linear-in-N profile this experiment discovered, after a fixed
-// 30 ms AckTimeout retransmitted into the library's own install backlog
-// and congestion-collapsed the cluster, is core.Reliability's). The returned
-// error reports a workload that failed to complete every round
-// (deadline hit or access error).
-func runScalePoint(n, k, rounds int, o *obs.Obs, chaosSpec string, rel *core.Reliability) (ScalePoint, error) {
-	if o == nil {
-		o = &obs.Obs{Metrics: obs.NewRegistry()}
-	}
-	cfg := ipc.Config{
-		Delta:  scaleDelta,
-		Engine: core.Options{InvalFanout: k, Obs: o},
-	}
+// scaleConfig is an E20 cluster: Δ scaleDelta, fan-out k and, when
+// chaosSpec is non-empty, that chaos plan with the reliability layer
+// enabled; rel overrides the ARQ profile for such runs (nil takes the
+// engine's defaults, which scale with the cluster: the linear-in-N
+// profile this experiment discovered, after a fixed 30 ms AckTimeout
+// retransmitted into the library's own install backlog and
+// congestion-collapsed the cluster, is core.Reliability's).
+func scaleConfig(k int, chaosSpec string, rel *core.Reliability) (ipc.Config, error) {
+	cfg := ipc.Config{Delta: scaleDelta, Engine: core.Options{InvalFanout: k}}
 	if chaosSpec != "" {
 		plan, err := chaos.Parse(chaosSpec)
 		if err != nil {
-			return ScalePoint{}, fmt.Errorf("chaos plan: %w", err)
+			return cfg, fmt.Errorf("chaos plan: %w", err)
 		}
 		cfg.Chaos = plan
 		if rel == nil {
@@ -120,7 +108,27 @@ func runScalePoint(n, k, rounds int, o *obs.Obs, chaosSpec string, rel *core.Rel
 		}
 		cfg.Engine.Reliability = rel
 	}
-	c := ipc.NewCluster(n, cfg)
+	return cfg, nil
+}
+
+// runScalePoint builds an n-site cluster with fan-out k and runs rounds
+// barriered read-all-then-write cycles on it (scaleRounds). The grid
+// reaches 1000 sites, so only a metrics registry is attached.
+func runScalePoint(n, k, rounds int, chaosSpec string, rel *core.Reliability) (ScalePoint, error) {
+	cfg, err := scaleConfig(k, chaosSpec, rel)
+	if err != nil {
+		return ScalePoint{}, err
+	}
+	cfg.Engine.Obs = &obs.Obs{Metrics: obs.NewRegistry()}
+	return scaleRounds(ipc.NewCluster(n, cfg), k, rounds)
+}
+
+// scaleRounds runs rounds barriered read-all-then-write cycles on c,
+// measuring the write faults through c's metrics registry. The returned
+// error reports a workload that failed to complete every round
+// (deadline hit or access error).
+func scaleRounds(c *ipc.Cluster, k, rounds int) (ScalePoint, error) {
+	n, o := c.Sites(), c.Obs
 	res := ScalePoint{Sites: n, Fanout: k, Rounds: rounds}
 
 	// Go-side barrier state: the simulator is single-threaded, so
@@ -256,34 +264,26 @@ func runScalePoint(n, k, rounds int, o *obs.Obs, chaosSpec string, rel *core.Rel
 }
 
 // ScaleCheckResult reports one checked E20 run: the full protocol
-// trace was captured and replayed through the coherence checker.
+// trace went through the coherence checker.
 type ScaleCheckResult struct {
-	Point      ScalePoint
-	Chaos      string // chaos plan in force, "" for a clean run
-	Events     int    // trace events verified
-	Violations int    // invariant violations found (must be 0)
+	Point ScalePoint
+	Chaos string // chaos plan in force, "" for a clean run
+	Trace
 }
 
-// ScaleChecked runs one E20 point with the tracer attached and
-// verifies the trace against the coherence invariants. chaosSpec,
-// when non-empty, injects the fault plan (with the reliability layer
-// enabled) — pass a crash window over an interior relay site to
-// exercise the tree's unicast fallback under verification.
+// ScaleChecked runs one E20 point through the sweep harness, its trace
+// verified against the coherence invariants. chaosSpec, when non-empty,
+// injects the fault plan (with the reliability layer enabled) — pass a
+// crash window over an interior relay site to exercise the tree's
+// unicast fallback under verification.
 func ScaleChecked(n, k int, chaosSpec string) (ScaleCheckResult, error) {
-	o := obs.New()
-	pt, err := runScalePoint(n, k, 2, o, chaosSpec, nil)
+	cfg, err := scaleConfig(k, chaosSpec, nil)
 	if err != nil {
 		return ScaleCheckResult{}, err
 	}
-	events := o.Buffer().Events()
-	cfg := check.Config{Sites: n, Delta: scaleDelta, Reliable: chaosSpec != ""}
-	viols := check.Verify(cfg, events)
-	return ScaleCheckResult{
-		Point:      pt,
-		Chaos:      chaosSpec,
-		Events:     len(events),
-		Violations: len(viols),
-	}, nil
+	r := ScaleCheckResult{Chaos: chaosSpec}
+	r.Trace = simulate(n, cfg, func(c *ipc.Cluster) { r.Point, err = scaleRounds(c, k, 2) })
+	return r, err
 }
 
 // ScaleRelayRoots returns the interior relay sites a k-ary fan-out

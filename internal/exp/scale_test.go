@@ -9,11 +9,11 @@ import (
 )
 
 func TestE20ScalePoint(t *testing.T) {
-	flat, err := runScalePoint(10, 0, 2, nil, "", nil)
+	flat, err := runScalePoint(10, 0, 2, "", nil)
 	if err != nil {
 		t.Fatalf("flat: %v", err)
 	}
-	tree, err := runScalePoint(10, 4, 2, nil, "", nil)
+	tree, err := runScalePoint(10, 4, 2, "", nil)
 	if err != nil {
 		t.Fatalf("tree: %v", err)
 	}
@@ -39,8 +39,8 @@ func TestE20ScaleChecked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Violations != 0 {
-		t.Fatalf("clean checked run: %d violations", r.Violations)
+	if len(r.Violations) != 0 {
+		t.Fatalf("clean checked run: %v", r.Violations)
 	}
 	if r.Events == 0 {
 		t.Fatal("checked run produced no trace events")
@@ -55,8 +55,8 @@ func TestE20ScaleCheckedUnderRelayCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Violations != 0 {
-		t.Fatalf("relay-crash checked run: %d violations", r.Violations)
+	if len(r.Violations) != 0 {
+		t.Fatalf("relay-crash checked run: %v", r.Violations)
 	}
 }
 
@@ -71,14 +71,14 @@ func TestE20ScaleCheckedUnderRelayCrash(t *testing.T) {
 // run hits the virtual-time deadline instead of finishing.
 func TestAutoScaleReliabilityN100(t *testing.T) {
 	const plan = "seed=3; drop p=0.02"
-	if _, err := runScalePoint(100, 8, 3, nil, plan, nil); err != nil {
+	if _, err := runScalePoint(100, 8, 3, plan, nil); err != nil {
 		t.Fatalf("auto-scaled profile failed at N=100: %v", err)
 	}
 	if testing.Short() {
 		t.Skip("skipping the livelock (negative) half in -short mode")
 	}
 	fixed := &core.Reliability{AckTimeout: 30 * time.Millisecond}
-	if _, err := runScalePoint(100, 8, 3, nil, plan, fixed); err == nil {
+	if _, err := runScalePoint(100, 8, 3, plan, fixed); err == nil {
 		t.Fatal("fixed 30ms profile completed 3 rounds at N=100; the auto-scale rationale no longer holds")
 	}
 }

@@ -156,16 +156,7 @@ func ServiceChaosPlan(seed int64) *chaos.Plan {
 func openServiceStore(p *ipc.Proc, cfg app.Config, site int, stats *app.Stats, o *obs.Obs) *app.Store {
 	segs := make([]app.Segment, cfg.Shards)
 	for shard := range segs {
-		var id mem.SegID
-		for {
-			var err error
-			id, err = p.Shmget(serviceKey+mem.Key(shard), cfg.ShardBytes(), 0, 0)
-			if err == nil {
-				break
-			}
-			p.Sleep(time.Millisecond)
-		}
-		h, err := p.Shmat(id, false)
+		h, err := p.Shmat(awaitSegment(p, serviceKey+mem.Key(shard), cfg.ShardBytes()), false)
 		if err != nil {
 			return nil
 		}
@@ -184,24 +175,22 @@ func openServiceStore(p *ipc.Proc, cfg app.Config, site int, stats *app.Stats, o
 	return st
 }
 
-// SpawnService wires one rung's service workload onto an existing
-// simulated cluster: per site, a creator proc that formats this site's
-// shards and holds the attaches, plus Workers service lanes. Each lane
-// is an independent open-loop frontend — it releases its own Poisson
-// sub-stream, serves ops in arrival order through its own store
-// frontend, and sheds arrivals that find its backlog at QueueCap.
-// Lanes never poll: an idle lane sleeps until its next scheduled
-// arrival, which matters because §6.2's lazy remap charges every
-// mapped page on every dispatch. Results accumulate into rep and
-// stats; o (which may be nil) receives the store's app counters. Run
-// the cluster for at least spec.Duration plus drain slack afterwards.
-func SpawnService(c *ipc.Cluster, cfg ServiceConfig, rate float64, rep *load.Report, stats *app.Stats, o *obs.Obs) {
-	cfg = cfg.WithDefaults()
-	spec := cfg.Spec(rate)
-	appCfg := cfg.AppConfig()
-	hold := cfg.Duration + serviceSlack
-	for s := 0; s < cfg.Sites; s++ {
-		s := s
+// serve wires one rung of the service workload E19 and E21 share onto
+// c, runs it (the rung's window plus drain slack) and scores it. Per
+// site: a creator proc that formats this site's shards and holds the
+// attaches, plus workers service lanes. Each lane is an independent
+// open-loop frontend — it releases its own Poisson sub-stream, serves
+// ops in arrival order through its own store frontend, and sheds
+// arrivals that find its backlog at QueueCap. Lanes never poll: an idle
+// lane sleeps until its next scheduled arrival, which matters because
+// §6.2's lazy remap charges every mapped page on every dispatch. rekey,
+// when non-nil, maps each arrival before it is queued (E21's affinity).
+// Store attribution accumulates into stats; o (which may be nil)
+// receives the store's app counters.
+func serve(c *ipc.Cluster, appCfg app.Config, spec load.Spec, workers int,
+	rekey func(site int, op load.Op) load.Op, stats *app.Stats, o *obs.Obs) load.Rung {
+	rep := load.NewReport()
+	for s := 0; s < appCfg.Sites; s++ {
 		c.Site(s).Spawn("creator", 0, func(p *ipc.Proc) {
 			for shard := 0; shard < appCfg.Shards; shard++ {
 				if appCfg.LibraryFor(shard) != s {
@@ -219,10 +208,10 @@ func SpawnService(c *ipc.Cluster, cfg ServiceConfig, rate float64, rep *load.Rep
 					return
 				}
 			}
-			p.Sleep(hold) // hold the attaches: the library must outlive the ladder
+			p.Sleep(spec.Duration + serviceSlack) // hold the attaches: the library must outlive the rung
 		})
-		for w := 0; w < cfg.Workers; w++ {
-			lane := s*cfg.Workers + w
+		for w := 0; w < workers; w++ {
+			lane := s*workers + w
 			c.Site(s).Spawn("lane", 0, func(p *ipc.Proc) {
 				st := openServiceStore(p, appCfg, s, stats, o)
 				if st == nil {
@@ -230,6 +219,13 @@ func SpawnService(c *ipc.Cluster, cfg ServiceConfig, rate float64, rep *load.Rep
 				}
 				g := load.NewGen(spec, lane)
 				var backlog []load.Op
+				admit := func(op load.Op) {
+					if rekey != nil {
+						op = rekey(s, op)
+					}
+					backlog = append(backlog, op)
+					rep.Admit()
+				}
 				next, more := g.Next()
 				for {
 					if len(backlog) == 0 {
@@ -239,8 +235,7 @@ func SpawnService(c *ipc.Cluster, cfg ServiceConfig, rate float64, rep *load.Rep
 						if d := next.T - p.Now(); d > 0 {
 							p.Sleep(d)
 						}
-						backlog = append(backlog, next)
-						rep.Admit()
+						admit(next)
 						next, more = g.Next()
 					}
 					// Absorb every arrival that came due while serving;
@@ -250,8 +245,7 @@ func SpawnService(c *ipc.Cluster, cfg ServiceConfig, rate float64, rep *load.Rep
 						if len(backlog) >= spec.QueueCap {
 							rep.Shed()
 						} else {
-							backlog = append(backlog, next)
-							rep.Admit()
+							admit(next)
 						}
 						next, more = g.Next()
 					}
@@ -267,38 +261,49 @@ func SpawnService(c *ipc.Cluster, cfg ServiceConfig, rate float64, rep *load.Rep
 			})
 		}
 	}
+	c.RunFor(spec.Duration + serviceSlack)
+	return rep.Rung(spec)
 }
 
 // serviceSlack bounds post-window drain: backlogs hold at most
 // QueueCap ops per lane, so a healthy rung finishes well inside it.
 const serviceSlack = 10 * time.Second
 
-// RunService wires one rung's service workload onto a caller-owned
-// simulated cluster, drives it to completion (the rung's window plus
-// drain slack), and scores it. Store attribution accumulates into
-// stats; o (which may be nil) receives the app counters. This is the
-// miragesim -workload service entry point.
+// RunService runs one rung of the service workload at the offered rate
+// on a caller-owned simulated cluster and scores it. Store attribution
+// accumulates into stats; o (which may be nil) receives the app
+// counters. This is the miragesim -workload service entry point.
 func RunService(c *ipc.Cluster, cfg ServiceConfig, rate float64, stats *app.Stats, o *obs.Obs) load.Rung {
 	cfg = cfg.WithDefaults()
-	rep := load.NewReport()
-	SpawnService(c, cfg, rate, rep, stats, o)
-	c.RunFor(cfg.Duration + serviceSlack)
-	return rep.Rung(cfg.Spec(rate))
+	return serve(c, cfg.AppConfig(), cfg.Spec(rate), cfg.Workers, nil, stats, o)
 }
 
-// serviceRungSim runs one rung on a private simulated cluster and
-// scores it.
-func serviceRungSim(cfg ServiceConfig, rate float64, withChaos bool) (load.Rung, *app.Stats) {
-	cfg = cfg.WithDefaults()
-	var plan *chaos.Plan
-	var eng core.Options
-	if withChaos {
-		plan = ServiceChaosPlan(cfg.Seed)
-		eng.Reliability = failoverRel()
+// serviceCluster is the cluster an E19 rung runs on: under the chaos
+// plan, with the reliability layer retrying through it.
+func serviceCluster(cfg ServiceConfig, withChaos bool) ipc.Config {
+	if !withChaos {
+		return ipc.Config{}
 	}
-	c := ipc.NewCluster(cfg.Sites, ipc.Config{Chaos: plan, Engine: eng})
-	stats := app.NewStats(cfg.Shards)
-	return RunService(c, cfg, rate, stats, nil), stats
+	return ipc.Config{Chaos: ServiceChaosPlan(cfg.Seed), Engine: core.Options{Reliability: failoverRel()}}
+}
+
+// serviceRung is one simulated E19 rung: its score, its store
+// attribution and its trace.
+type serviceRung struct {
+	Rung load.Rung
+	App  app.ShardCounters
+	Trace
+}
+
+// serviceRungSim runs one rung on its own simulated cluster.
+func serviceRungSim(cfg ServiceConfig, rate float64, withChaos bool) serviceRung {
+	var r serviceRung
+	r.Trace = simulate(cfg.Sites, serviceCluster(cfg, withChaos), func(c *ipc.Cluster) {
+		stats := app.NewStats(cfg.Shards)
+		r.Rung = RunService(c, cfg, rate, stats, nil)
+		r.App = stats.Total()
+	})
+	return r
 }
 
 // ServiceLadder is one transport's scored rate ladder.
@@ -320,6 +325,9 @@ type ServiceLadder struct {
 	// App is the aggregated store attribution (sim ladders only; the
 	// live ladder reports through its own cluster's stats).
 	App app.ShardCounters
+	// Events and Violations sum what the trace check found over the
+	// rungs (sim ladders only; a live run is not verified here).
+	Events, Violations int
 }
 
 // ScoreLadder folds scored rungs into a ladder verdict; the live
@@ -349,52 +357,47 @@ type ServiceSweepResult struct {
 	// second when enabled); callers may append live ladders before
 	// rendering findings.
 	Ladders []ServiceLadder
-	// ReplayMatches reports the determinism check: the busiest
-	// no-chaos rung run twice produced identical scores and store
-	// attribution.
+	// ReplayMatches reports the determinism check: the last rung run
+	// twice gave one value and one trace.
 	ReplayMatches bool
 }
 
 // ServiceSweep runs the simulated E19 ladder(s): every rung is an
 // independent deterministic cluster, so the whole grid fans out across
-// the worker pool, plus a determinism double-run of the busiest rung.
+// the worker pool; the last rung is replayed.
 func ServiceSweep(cfg ServiceConfig) ServiceSweepResult {
 	cfg = cfg.WithDefaults()
-	r := ServiceSweepResult{Config: cfg}
-	ladders := 1
-	if cfg.Chaos {
-		ladders = 2
+	type rung struct {
+		rate  float64
+		chaos bool
 	}
-	n := len(cfg.Rates)
-	rungs := make([]load.Rung, ladders*n)
-	stats := make([]*app.Stats, ladders*n)
-	replay := make([]load.Rung, 2)
-	replayDigest := make([]string, 2)
-	sweepTasks(ladders*n+2, func(i int) {
-		if i < ladders*n {
-			rungs[i], stats[i] = serviceRungSim(cfg, cfg.Rates[i%n], i >= n)
-			return
+	ladders := []bool{false}
+	if cfg.Chaos {
+		ladders = append(ladders, true)
+	}
+	var grid []rung
+	for _, withChaos := range ladders {
+		for _, rate := range cfg.Rates {
+			grid = append(grid, rung{rate, withChaos})
 		}
-		g, st := serviceRungSim(cfg, cfg.Rates[n-1], false)
-		replay[i-ladders*n] = g
-		replayDigest[i-ladders*n] = st.Digest()
-	})
-	for l := 0; l < ladders; l++ {
-		lad := ScoreLadder("sim", l == 1, cfg, rungs[l*n:(l+1)*n])
-		for _, st := range stats[l*n : (l+1)*n] {
-			t := st.Total()
-			lad.App.Gets += t.Gets
-			lad.App.Puts += t.Puts
-			lad.App.Deletes += t.Deletes
-			lad.App.CASes += t.CASes
-			lad.App.Hits += t.Hits
-			lad.App.Misses += t.Misses
-			lad.App.Conflicts += t.Conflicts
-			lad.App.Errors += t.Errors
+	}
+	pts, replay := sweepReplayed(grid, func(g rung) serviceRung { return serviceRungSim(cfg, g.rate, g.chaos) })
+	r := ServiceSweepResult{Config: cfg, ReplayMatches: replay}
+	n := len(cfg.Rates)
+	for l := 0; l*n < len(pts); l++ {
+		ladder := pts[l*n : (l+1)*n]
+		rungs := make([]load.Rung, n)
+		for i, p := range ladder {
+			rungs[i] = p.Rung
+		}
+		lad := ScoreLadder("sim", l == 1, cfg, rungs)
+		for _, p := range ladder {
+			lad.App = lad.App.Add(p.App)
+			lad.Events += p.Events
+			lad.Violations += len(p.Violations)
 		}
 		r.Ladders = append(r.Ladders, lad)
 	}
-	r.ReplayMatches = replay[0] == replay[1] && replayDigest[0] == replayDigest[1]
 	return r
 }
 
@@ -432,16 +435,19 @@ func (r ServiceSweepResult) WriteFindings(w io.Writer) {
 				cfg.SLO, l.FirstSLO, l.Rungs[l.FirstSLO].Rate,
 				time.Duration(l.Rungs[l.FirstSLO].Latency.P99))
 		}
-		fmt.Fprintf(w, "  liveness below knee: %v\n", verdict(l.LivenessBelowKnee))
+		fmt.Fprintf(w, "  liveness below knee: %v\n", Verdict(l.LivenessBelowKnee))
 		if l.App.Ops() > 0 {
 			fmt.Fprintf(w, "  store: %d ops, %d conflicts, %d errors\n",
 				l.App.Ops(), l.App.Conflicts, l.App.Errors)
 		}
+		if l.Events > 0 {
+			fmt.Fprintf(w, "  trace check: %d events verified, %d violations\n", l.Events, l.Violations)
+		}
 	}
-	fmt.Fprintf(w, "replay determinism: %v\n", verdict(r.ReplayMatches))
 }
 
-func verdict(ok bool) string {
+// Verdict renders a finding's outcome as the FINDINGS files write it.
+func Verdict(ok bool) string {
 	if ok {
 		return "HOLDS"
 	}

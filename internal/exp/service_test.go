@@ -65,7 +65,7 @@ func TestServiceFindingsRender(t *testing.T) {
 	r.WriteFindings(&buf)
 	out := buf.String()
 	for _, want := range []string{"E19", "Hypothesis", "knee: rung 1", "[sim]",
-		"liveness below knee: HOLDS", "replay determinism: HOLDS"} {
+		"liveness below knee: HOLDS", "trace check: "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("findings missing %q:\n%s", want, out)
 		}
@@ -90,17 +90,25 @@ func TestScoreLadder(t *testing.T) {
 	}
 }
 
-// SpawnService is also the miragesim -service workload; check it runs
-// on a caller-owned cluster and feeds obs counters.
+// TestServiceLadderTracesVerify: every rung of the no-chaos ladder is
+// traced and verified by the sweep harness, and none of them breaks an
+// invariant. (The chaos ladder's top rung does: FINDINGS E32.)
+func TestServiceLadderTracesVerify(t *testing.T) {
+	r := ServiceSweep(shortServiceConfig())
+	if l := r.Ladders[0]; l.Chaos || l.Events == 0 || l.Violations != 0 {
+		t.Fatalf("no-chaos ladder: chaos=%v, %d events verified, %d violations; want a clean trace",
+			l.Chaos, l.Events, l.Violations)
+	}
+}
+
+// RunService is also the miragesim -service workload; check it runs on
+// a caller-owned cluster and feeds obs counters.
 func TestSpawnServiceOnCallerCluster(t *testing.T) {
 	cfg := ServiceConfig{Duration: 2 * time.Second}.WithDefaults()
 	o := obs.New()
 	c := ipc.NewCluster(cfg.Sites, ipc.Config{Engine: core.Options{Obs: o}})
-	rep := load.NewReport()
 	stats := app.NewStats(cfg.Shards)
-	SpawnService(c, cfg, 25, rep, stats, o)
-	c.RunFor(cfg.Duration + serviceSlack)
-	g := rep.Rung(cfg.Spec(25))
+	g := RunService(c, cfg, 25, stats, o)
 	if g.Completed == 0 || !g.LivenessOK {
 		t.Fatalf("unhealthy rung: %+v", g)
 	}

@@ -13,11 +13,16 @@
 package ipc
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"time"
 
 	"mirage/internal/chaos"
+	"mirage/internal/check"
 	"mirage/internal/core"
 	"mirage/internal/mem"
 	"mirage/internal/mmu"
@@ -102,6 +107,14 @@ type Cluster struct {
 	// fault_latency_ns when Config.Engine.Obs carries one, a histogram
 	// of its own otherwise.
 	FaultLatency *obs.Hist
+
+	// Obs is Config.Engine.Obs as the sites report to it: the same
+	// registry and trace buffer, its tracer wrapped in the event-order
+	// check when it records a trace (nil when Config.Engine.Obs was).
+	Obs *obs.Obs
+
+	order    *check.EventOrder // nil when nothing records a trace
+	checkCfg check.Config      // derived once the config is resolved
 }
 
 // Site is one machine.
@@ -166,10 +179,28 @@ func NewCluster(n int, cfg Config) *Cluster {
 		semsByKey:    make(map[mem.Key]*semSet),
 		nextSem:      1,
 		FaultLatency: obs.NewHist(int64(time.Millisecond)),
+		checkCfg:     check.Config{Sites: n, Delta: cfg.Delta, Reliable: eng.Reliability != nil},
+	}
+	if eng.AutoDelta != nil {
+		// The controller retunes windows at run time; the only sound
+		// static bound on every clamped grant is its floor.
+		c.checkCfg.Delta = eng.AutoDelta.Min
 	}
 	if o := cfg.Engine.Obs; o != nil && o.Metrics != nil {
 		c.FaultLatency = o.Metrics.Hist(obs.HFaultLatency)
 	}
+	if o := cfg.Engine.Obs; o.Buffer() != nil {
+		// Record through the page-event-order check (DESIGN.md §17): it
+		// reads a site's page word as the site traces the page's state,
+		// which only a simulated run lets it do.
+		c.order = check.NewEventOrder(o.Buffer(), func(site int, seg int32) *mmu.Seg {
+			return c.sites[site].DSM.Seg(seg)
+		})
+		wrapped := *o
+		wrapped.Tracer = c.order
+		cfg.Engine.Obs = &wrapped
+	}
+	c.Obs = cfg.Engine.Obs
 	c.Net = netsim.New(c.K, n)
 	c.Net.Obs = cfg.Engine.Obs
 	if cfg.Chaos != nil {
@@ -211,6 +242,56 @@ func (c *Cluster) Run() { c.K.Run() }
 
 // RunFor advances virtual time by d.
 func (c *Cluster) RunFor(d time.Duration) { c.K.RunFor(d) }
+
+// CheckConfig is the history checker's configuration for the cluster's
+// trace, taken from its resolved config: the site count, the segments'
+// Δ (AutoDelta.Min when the controller is on) and whether the
+// reliability layer lets a grant cycle abort.
+func (c *Cluster) CheckConfig() check.Config { return c.checkCfg }
+
+// VerifyTrace checks the run against the coherence invariants
+// (DESIGN.md §10) through check.VerifyRun: the history checker with
+// CheckConfig, the event-order check made as the trace was recorded,
+// and the end-of-run idle checks on every site for every segment. Call
+// it with no access under way. It needs Config.Engine.Obs to record a
+// trace, and fails if the buffer dropped events.
+func (c *Cluster) VerifyTrace() ([]check.Violation, error) {
+	if c.order == nil {
+		return nil, errors.New("ipc: VerifyTrace needs Config.Engine.Obs to record a trace")
+	}
+	if d := c.order.Buffer().Dropped(); d > 0 {
+		return nil, fmt.Errorf("ipc: trace buffer dropped %d events; verification would be unsound", d)
+	}
+	engines := make([]*core.Engine, len(c.sites))
+	for i, s := range c.sites {
+		engines[i] = s.Eng
+	}
+	var segs []int32
+	for _, seg := range c.Registry.Segments() {
+		segs = append(segs, int32(seg.ID))
+	}
+	return check.VerifyRun(c.checkCfg, c.order, engines, segs), nil
+}
+
+// WriteTrace writes the run's trace in the schema-v1 JSONL encoding
+// (docs/OBSERVABILITY.md) under a virtual-clock header.
+func (c *Cluster) WriteTrace(w io.Writer) error {
+	if c.order == nil {
+		return errors.New("ipc: no trace recorded")
+	}
+	return obs.WriteJSONL(w, obs.NewHeader(obs.ClockVirtual, len(c.sites)), c.order.Buffer().Events())
+}
+
+// TraceDigest is the sha256 of the trace as WriteTrace writes it — what
+// scripts/tracesha.sh pins for miragesim's scenarios — or "" when
+// nothing records one.
+func (c *Cluster) TraceDigest() string {
+	h := sha256.New()
+	if c.WriteTrace(h) != nil {
+		return ""
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 // Proc is a simulated user process.
 type Proc struct {
