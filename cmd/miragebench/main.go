@@ -82,7 +82,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -96,7 +95,6 @@ import (
 	"mirage/internal/check"
 	"mirage/internal/exp"
 	"mirage/internal/load"
-	"mirage/internal/obs"
 	"mirage/internal/vaxmodel"
 )
 
@@ -229,7 +227,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	par := fs.Int("par", 0, "sweep worker pool size (0 = GOMAXPROCS); any value gives identical results")
 	out := fs.String("out", "", "write a JSON benchmark record to this file")
 	tracePath := fs.String("trace", "", "e16/e18: write a protocol trace (JSONL) to this file; e18's deepest-crash trace wins when both run")
-	metrics := fs.Bool("metrics", false, "e16: print each point's full denial breakdown")
+	metrics := fs.Bool("metrics", false, "e16: print each point's denial_remaining_ns histogram")
 	if fs.Parse(args) != nil {
 		return 2
 	}
@@ -458,7 +456,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		t := exp.NewTable("Δ (ticks)", "cycles/s", "denials", "retries", "mean remaining", "max remaining", "events")
 		for _, p := range pts {
 			t.Row(p.DeltaTicks, p.CyclesPerSec, p.Denials, p.Retries,
-				p.MeanRemaining.Round(10*time.Microsecond), p.MaxRemaining.Round(10*time.Microsecond), p.Events)
+				time.Duration(p.Remaining.Mean).Round(10*time.Microsecond),
+				time.Duration(p.Remaining.Max).Round(10*time.Microsecond), p.Events)
 		}
 		t.WriteTo(stdout)
 		for _, p := range pts {
@@ -470,21 +469,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "preempted before it can use the protected window, so the excess is pure latency")
 		if *metrics {
 			for _, p := range pts {
-				_, events, err := obs.ReadJSONL(bytes.NewReader(p.TraceJSONL))
-				if err != nil {
-					fmt.Fprintf(stderr, "miragebench: reparse e16 trace: %v\n", err)
-					code = 1
-					return
-				}
-				fmt.Fprintf(stdout, "\nΔ=%d ticks denial breakdown:\n", p.DeltaTicks)
-				bs := obs.DenialBreakdown(events, 6)
-				if bs == nil {
-					fmt.Fprintln(stdout, "  (no denials)")
-					continue
-				}
-				for _, b := range bs {
-					fmt.Fprintf(stdout, "  ≤%-12v %d\n", b.Upper, b.Count)
-				}
+				fmt.Fprintf(stdout, "\nΔ=%d ticks: ", p.DeltaTicks)
+				p.Remaining.WriteTo(stdout)
 			}
 		}
 		if *tracePath != "" {

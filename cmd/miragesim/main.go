@@ -85,7 +85,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -395,18 +394,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if h := c.FaultLatency; h.Count() > 0 {
-		fmt.Fprintf(stdout, "\nfault latency: %d faults, mean %v, p50 ≤%v, p99 ≤%v, max %v\n",
-			h.Count(), time.Duration(h.Mean()).Round(100*time.Microsecond),
-			time.Duration(h.Quantile(0.5)), time.Duration(h.Quantile(0.99)),
-			time.Duration(h.Max()).Round(100*time.Microsecond))
-		hs := h.Snapshot("")
-		for i, ub := range hs.Bounds {
-			label := "+inf"
-			if ub >= 0 {
-				label = "≤" + time.Duration(ub).String()
-			}
-			bar := strings.Repeat("#", 1+int(hs.Buckets[i]*40/hs.Count))
-			fmt.Fprintf(stdout, "%10s  %6d  %s\n", label, hs.Buckets[i], bar)
+		fmt.Fprintln(stdout)
+		if _, err := h.Snapshot(obs.HFaultLatency.String()).WriteTo(stdout); err != nil {
+			return fail("%v", err)
 		}
 	}
 

@@ -15,9 +15,9 @@
 //	                                   convert to Chrome trace_event
 //	                                   JSON (load in chrome://tracing
 //	                                   or Perfetto)
-//	denials   [-buckets N] <trace.jsonl>
-//	                                   Δ-window denial breakdown by
-//	                                   remaining time
+//	denials   <trace.jsonl>            Δ-window denials by remaining
+//	                                   time, as a denial_remaining_ns
+//	                                   histogram
 //	check     [-delta D] [-slack D] [-reliable] <trace.jsonl>
 //	                                   verify the trace against the
 //	                                   coherence invariants; exits 1
@@ -65,7 +65,7 @@ func usage(stderr io.Writer) int {
   summarize <trace.jsonl>                 event/page/denial totals, reference log
   timeline  [-seg N] [-page N] <trace.jsonl>
   chrome    [-o out.json] <trace.jsonl>   convert for chrome://tracing
-  denials   [-buckets N] <trace.jsonl>    Δ-denial remaining-time breakdown
+  denials   <trace.jsonl>                 Δ-denial remaining-time histogram
   check     [-delta D] [-slack D] [-reliable] <trace.jsonl>
                                           verify coherence invariants
 `)
@@ -184,9 +184,11 @@ func cmdChrome(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// cmdDenials prints the trace's Δ-denial remaining times as the
+// registry's denial_remaining_ns histogram would: the same samples,
+// bucketed and printed the one way.
 func cmdDenials(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("denials", stderr)
-	buckets := fs.Int("buckets", 8, "number of remaining-time buckets")
 	if fs.Parse(args) != nil {
 		return 2
 	}
@@ -198,38 +200,21 @@ func cmdDenials(args []string, stdout, stderr io.Writer) int {
 	if !ok {
 		return 1
 	}
-	bs := obs.DenialBreakdown(events, *buckets)
-	if len(bs) == 0 {
+	var h obs.Hist
+	for _, ev := range events {
+		if ev.Type == obs.EvDeltaDeny {
+			h.Observe(ev.Arg)
+		}
+	}
+	if h.Count() == 0 {
 		fmt.Fprintln(stdout, "no Δ-window denials in the trace")
 		return 0
 	}
-	total := 0
-	for _, b := range bs {
-		total += b.Count
-	}
-	fmt.Fprintf(stdout, "%d Δ-window denials by remaining window time:\n", total)
-	max := 0
-	for _, b := range bs {
-		if b.Count > max {
-			max = b.Count
-		}
-	}
-	for _, b := range bs {
-		bar := ""
-		if max > 0 {
-			bar = barOf(40 * b.Count / max)
-		}
-		fmt.Fprintf(stdout, "  ≤%-10v %6d  %s\n", b.Upper, b.Count, bar)
+	if _, err := h.Snapshot(obs.HDenialRemaining.String()).WriteTo(stdout); err != nil {
+		fmt.Fprintf(stderr, "miragetrace: %v\n", err)
+		return 1
 	}
 	return 0
-}
-
-func barOf(n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = '#'
-	}
-	return string(b)
 }
 
 // cmdCheck runs the coherence history checker over a recorded trace.

@@ -154,3 +154,25 @@ func TestCheckMissingFile(t *testing.T) {
 		t.Fatalf("missing file: code %d, want 1", code)
 	}
 }
+
+// TestDenials: the trace's remaining times print as the registry's
+// denial_remaining_ns histogram, one row per power-of-two bucket.
+func TestDenials(t *testing.T) {
+	var events []obs.Event
+	for _, rem := range []time.Duration{3 * time.Millisecond, 5 * time.Millisecond, 6 * time.Millisecond} {
+		events = append(events, obs.Event{Type: obs.EvDeltaDeny, Site: 1, Seg: 1, Arg: int64(rem)})
+	}
+	path := writeTrace(t, 2, events)
+	code, stdout, stderr := runTrace(t, "denials", path)
+	if code != 0 {
+		t.Fatalf("code %d, stderr %s", code, stderr)
+	}
+	for _, want := range []string{"denial_remaining_ns: n=3 mean=4.666666ms", "≤4.194304ms", "≤8.388608ms"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("denials output missing %q:\n%s", want, stdout)
+		}
+	}
+	if code, _, _ := runTrace(t, "denials", "-buckets", "3", path); code != 2 {
+		t.Errorf("-buckets accepted (code %d); the layout has no knob", code)
+	}
+}

@@ -69,9 +69,10 @@ const (
 	// replies with the remaining time and the library retries after it
 	// (the "two attempts to invalidate a page" caveat of §7.1).
 	PolicyRetry InvalPolicy = iota
-	// PolicyHonorClose implements §7.1's recommendation: if less than
-	// HonorThreshold remains, the clock site delays locally and then
-	// honors the invalidation instead of forcing a retry.
+	// PolicyHonorClose implements §7.1's recommendation: if no more than
+	// one short-message round trip (vaxmodel.ShortRTT) remains, the clock
+	// site delays locally and then honors the invalidation instead of
+	// forcing a retry.
 	PolicyHonorClose
 	// PolicyQueue is the "queued invalidation optimization" the paper
 	// notes its implementation lacks: the clock site always queues the
@@ -113,9 +114,8 @@ func DefaultCosts() Costs {
 
 // Options configure an Engine.
 type Options struct {
-	Policy         InvalPolicy
-	HonorThreshold time.Duration // for PolicyHonorClose; default vaxmodel.ShortRTT
-	Costs          *Costs        // nil means DefaultCosts
+	Policy InvalPolicy
+	Costs  *Costs // nil means DefaultCosts
 	// Sites is the cluster size, stated once: the successor walk, the
 	// holder rebuild's query set, the follower groups and the ack-timeout
 	// scale all read it, so every engine of a cluster must be given the
@@ -217,7 +217,7 @@ type Stats struct {
 	Degraded    int // accessor-visible degraded-grant errors raised
 	Stale       int // out-of-cycle or inconsistent messages tolerated
 	Lost        int // pages zero-filled after unrecoverable copy loss
-	Reissued    int // inval orders reissued as unicast by the delegation watchdog
+	Reissued    int // inval orders reissued as unicast: watchdog or relay give-up
 
 	// Failover counters; all zero unless Options.Failover is set.
 	Failovers  int // takeover triggers sent after losing the library
@@ -375,7 +375,6 @@ type Engine struct {
 	// The clock site's share of the options: how an unexpired window
 	// answers an invalidation, and how wide one fans out.
 	policy InvalPolicy
-	honor  time.Duration // PolicyHonorClose's threshold, default filled in
 	fanout int
 
 	// The one ledger (DESIGN.md §9): counts is this site's entry per
@@ -412,7 +411,6 @@ func New(env Env, opt Options) *Engine {
 		segs:   make(map[int32]*segNode),
 		obs:    opt.Obs,
 		policy: opt.Policy,
-		honor:  cmp.Or(opt.HonorThreshold, vaxmodel.ShortRTT),
 		fanout: opt.InvalFanout,
 	}
 	if opt.Obs != nil {

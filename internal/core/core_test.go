@@ -10,6 +10,7 @@ import (
 	"mirage/internal/mmu"
 	"mirage/internal/obs"
 	"mirage/internal/sim"
+	"mirage/internal/vaxmodel"
 	"mirage/internal/wire"
 )
 
@@ -347,22 +348,26 @@ func TestPolicyQueueAvoidsRetry(t *testing.T) {
 }
 
 func TestPolicyHonorClose(t *testing.T) {
-	// Window longer than the threshold: behaves like retry. Shorter
-	// remaining: honored locally.
-	n := newTestNet(t, 2, Options{Policy: PolicyHonorClose, HonorThreshold: 100 * time.Millisecond})
-	n.newSeg(1, 40*time.Millisecond)
-	n.acquire(1, 1, 0, true)
-	n.acquire(0, 1, 0, true) // remaining 40ms < threshold: no busy
-	if n.engines[1].Stats().BusyReplies != 0 {
-		t.Fatal("within threshold: should be honored without busy")
-	}
-
-	n2 := newTestNet(t, 2, Options{Policy: PolicyHonorClose, HonorThreshold: 10 * time.Millisecond})
-	n2.newSeg(1, 200*time.Millisecond)
-	n2.acquire(1, 1, 0, true)
-	n2.acquire(0, 1, 0, true)
-	if n2.engines[1].Stats().BusyReplies == 0 {
-		t.Fatal("beyond threshold: busy reply expected")
+	// The threshold is one short-message round trip. A window with less
+	// than that left is honored locally; with more, the clock site
+	// replies busy as PolicyRetry would.
+	for _, c := range []struct {
+		delta time.Duration
+		busy  bool
+	}{
+		{vaxmodel.ShortRTT - 3*time.Millisecond, false},
+		{vaxmodel.ShortRTT + 10*time.Millisecond, true},
+	} {
+		n := newTestNet(t, 2, Options{Policy: PolicyHonorClose})
+		n.newSeg(1, c.delta)
+		n.acquire(1, 1, 0, true)
+		n.acquire(0, 1, 0, true)
+		if busy := n.engines[1].Stats().BusyReplies != 0; busy != c.busy {
+			t.Errorf("Δ = %v: busy replies %v, want %v", c.delta, busy, c.busy)
+		}
+		if n.engines[1].counts[obs.CDeltaDenial] == 0 {
+			t.Errorf("Δ = %v: the invalidation met no open window", c.delta)
+		}
 	}
 }
 
@@ -693,6 +698,42 @@ func TestDelegationWatchdogReissuesInSiteOrder(t *testing.T) {
 		if _, got := silentRelaysRun(t); !slices.Equal(got, want) {
 			t.Fatalf("run %d sent a different sequence from run 0 (%d vs %d messages)", run, len(got), len(want))
 		}
+	}
+}
+
+// TestRelayGiveUpReissuesCounted: the watchdog's fallback has a twin at
+// a relay whose circuit to a child relay gives up, and they are one
+// function. Site 0 writes a page sites 1–8 read over a 2-ary tree: relay
+// 1 takes {1,2,3,4} and delegates {3,4} to site 3, which is down. When
+// that circuit gives up, relay 1 orders site 4 directly — and counts it.
+func TestRelayGiveUpReissuesCounted(t *testing.T) {
+	opt := Options{InvalFanout: 2, Reliability: &Reliability{
+		AckTimeout: 10 * time.Millisecond, MaxBackoff: 40 * time.Millisecond, MaxAttempts: 4}}
+	n := newTestNet(t, 9, opt)
+	n.newSeg(1, 0)
+	for s := 1; s < 9; s++ {
+		n.acquire(s, 1, 0, false)
+	}
+	n.settle()
+	var orders []string
+	n.mangle = func(to int, m *wire.Msg) {
+		if m.Kind == wire.KInvalOrder && m.From == 1 {
+			orders = append(orders, fmt.Sprintf("1>%d %v", to, m.Readers))
+		}
+	}
+	n.crash(3)
+	n.engines[0].Fault(1, 0, true, 9, func() {})
+	n.settle()
+	if got := n.engines[1].Stats().Reissued; got != 1 {
+		t.Fatalf("relay 1 reissued %d orders, want 1 (to site 4)", got)
+	}
+	// The order to site 3 never leaves: a crashed site's traffic is
+	// dropped before the mangle sees it.
+	if want := []string{"1>2 {2}", "1>4 {}"}; !slices.Equal(orders, want) {
+		t.Fatalf("relay 1 sent %q, want %q", orders, want)
+	}
+	if got := n.engines[0].Stats().Reissued; got != 0 {
+		t.Fatalf("clock reissued %d orders; its relays all answered", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"mirage/internal/mmu"
 	"mirage/internal/obs"
+	"mirage/internal/vaxmodel"
 	"mirage/internal/wire"
 )
 
@@ -53,7 +54,12 @@ func (e *Engine) order(sn *segNode, m *wire.Msg, c *collection) {
 	sp := &sn.pages[m.Page]
 	e.after(sn, e.delegationTimeout(), func() {
 		if sp.pend != nil && &sp.pend.collection == c || sp.relay != nil && &sp.relay.collection == c {
-			e.reissueDelegations(m, c)
+			var silent mmu.Copyset
+			for _, subtree := range c.sub {
+				silent = silent.Union(subtree)
+			}
+			c.sub = nil
+			e.reissue(c, silent, m.Seg, m.Page, m.Cycle)
 		}
 	})
 }
@@ -204,7 +210,7 @@ func (e *Engine) handleInval(sn *segNode, m *wire.Msg) {
 		e.obs.Observe(obs.HDenialRemaining, int64(rem))
 		e.emit(obs.Event{Type: obs.EvDeltaDeny, Seg: m.Seg, Page: m.Page,
 			Cycle: m.Cycle, Arg: int64(rem)})
-		if e.policy == PolicyRetry || e.policy == PolicyHonorClose && rem > e.honor {
+		if e.policy == PolicyRetry || e.policy == PolicyHonorClose && rem > vaxmodel.ShortRTT {
 			e.count(obs.CBusyReply)
 			e.send(sn.curLib, &wire.Msg{
 				Kind: wire.KBusy, Seg: m.Seg, Page: m.Page, Remaining: rem, Cycle: m.Cycle,
@@ -288,30 +294,28 @@ func (e *Engine) delegationTimeout() time.Duration {
 	return 2 * h
 }
 
-// reissueDelegations converts every still-unanswered subtree to direct
-// unicast orders from this site, in ascending site order whatever the
-// subtrees' order in the map, so a simulated run stays a function of its
-// inputs. Flat orders need no watchdog —
-// processing an order and acking it are the same instant, so the
-// sender's ARQ on the order covers the whole exchange — but a
-// delegated order opens a window between the transport ack (order
-// delivered to the relay) and the protocol ack (the relay's
-// aggregated KInvalAck). A relay that fail-stops inside that window
-// has already satisfied the sender's ARQ, so nothing retransmits and
-// the cycle would wedge forever. Reissuing as unicast is always safe:
-// a member that already discarded holds no copy and acks vacuously, a
-// live-but-slow relay's late aggregate merges idempotently, and a
-// truly dead member now fails through the normal order give-up path
-// (abort at the clock, KInvalFail at a relay) instead of hanging.
-func (e *Engine) reissueDelegations(m *wire.Msg, c *collection) {
-	var silent mmu.Copyset
-	for _, subtree := range c.sub {
-		silent = silent.Union(subtree)
-	}
-	c.sub = nil
-	silent.Intersect(c.remaining).ForEach(func(s int) {
+// reissue is the one fallback for delegated subtrees: every member of
+// subtrees that c still waits on gets a direct unicast order from this
+// site, in ascending site order whatever the subtrees' order in a map,
+// so a simulated run stays a function of its inputs. Two paths take
+// it: the delegation watchdog, for relays that stayed silent, and a
+// relay whose circuit to a child gave up, for the rest of that child's
+// subtree. Flat orders need no watchdog — processing an order and
+// acking it are the same instant, so the sender's ARQ on the order
+// covers the whole exchange — but a delegated order opens a window
+// between the transport ack (order delivered to the relay) and the
+// protocol ack (the relay's aggregated KInvalAck). A relay that
+// fail-stops inside that window has already satisfied the sender's
+// ARQ, so nothing retransmits and the cycle would wedge forever.
+// Reissuing as unicast is always safe: a member that already discarded
+// holds no copy and acks vacuously, a live-but-slow relay's late
+// aggregate merges idempotently, and a truly dead member now fails
+// through the normal order give-up path (abort at the clock,
+// KInvalFail at a relay) instead of hanging.
+func (e *Engine) reissue(c *collection, subtrees mmu.Copyset, seg, page int32, cycle uint32) {
+	subtrees.Intersect(c.remaining).ForEach(func(s int) {
 		e.count(obs.CReissued)
-		e.send(s, &wire.Msg{Kind: wire.KInvalOrder, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
+		e.send(s, &wire.Msg{Kind: wire.KInvalOrder, Seg: seg, Page: page, Cycle: cycle})
 	})
 }
 
@@ -449,11 +453,7 @@ func (e *Engine) relayOrderFailed(sn *segNode, page int32, rl *invalRelay, to in
 		rl.failed = rl.failed.Add(to)
 		rl.remaining = rl.remaining.Remove(to)
 	}
-	subtree.Remove(to).ForEach(func(s int) {
-		if rl.remaining.Has(s) {
-			e.send(s, &wire.Msg{Kind: wire.KInvalOrder, Seg: int32(sn.meta.ID), Page: page, Cycle: rl.cycle})
-		}
-	})
+	e.reissue(&rl.collection, subtree, int32(sn.meta.ID), page, rl.cycle)
 	e.relayMaybeFinish(sn, page, rl)
 }
 

@@ -24,10 +24,11 @@ type DeltaDenialPoint struct {
 	CyclesPerSec float64
 
 	// From the metrics registry.
-	Denials       int64
-	Retries       int64
-	MeanRemaining time.Duration // mean Δ-window time left at denial
-	MaxRemaining  time.Duration
+	Denials int64
+	Retries int64
+	// Remaining is denial_remaining_ns: the Δ-window time left at each
+	// denial, recorded where the clock site emits EvDeltaDeny.
+	Remaining obs.HistSnapshot
 
 	// TraceJSONL is the run's full protocol trace in the schema-v1
 	// JSONL encoding — a pure function of the virtual run, so it is
@@ -48,10 +49,9 @@ func DeltaDenialSweep(dur time.Duration, ticks []int) []DeltaDenialPoint {
 			st := runPingPong(c, 0, 1, PingPongConfig{UseYield: true}, 512, dur)
 			c.Run()
 			m := c.Obs.Metrics
-			h := m.Hist(obs.HDenialRemaining)
 			p.CyclesPerSec = float64(st.cycles) / dur.Seconds()
 			p.Denials, p.Retries = m.Total(obs.CDeltaDenial), m.Total(obs.CRetry)
-			p.MaxRemaining, p.MeanRemaining = time.Duration(h.Max()), time.Duration(h.Mean())
+			p.Remaining = m.Hist(obs.HDenialRemaining).Snapshot(obs.HDenialRemaining.String())
 			var buf bytes.Buffer
 			if c.WriteTrace(&buf) == nil {
 				p.TraceJSONL = buf.Bytes()

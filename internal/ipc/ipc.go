@@ -178,7 +178,7 @@ func NewCluster(n int, cfg Config) *Cluster {
 		sems:         make(map[SemID]*semSet),
 		semsByKey:    make(map[mem.Key]*semSet),
 		nextSem:      1,
-		FaultLatency: obs.NewHist(int64(time.Millisecond)),
+		FaultLatency: new(obs.Hist),
 		checkCfg:     check.Config{Sites: n, Delta: cfg.Delta, Reliable: eng.Reliability != nil},
 	}
 	if eng.AutoDelta != nil {

@@ -391,8 +391,8 @@ func testFaultLatency(t *testing.T, o *obs.Obs) {
 	if hist.Count() != 1 {
 		t.Fatalf("faults recorded = %d", hist.Count())
 	}
-	// Table 3's ~28.9 ms lands in the ≤32 ms bucket.
-	if q := time.Duration(hist.Quantile(1.0)); q < 27*time.Millisecond || q > 33*time.Millisecond {
+	// Table 3's ~28.9 ms lands in the ≤2^25 ns (33.55 ms) bucket.
+	if q := time.Duration(hist.Quantile(1.0)); q != 1<<25 {
 		t.Fatalf("fault latency = %v, want ≈29 ms", q)
 	}
 }

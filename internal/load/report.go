@@ -24,10 +24,8 @@ type Report struct {
 	lat       *obs.Hist
 }
 
-// NewReport returns an empty report (latency buckets start at 1µs).
-func NewReport() *Report {
-	return &Report{lat: obs.NewHist(int64(time.Microsecond))}
-}
+// NewReport returns an empty report.
+func NewReport() *Report { return &Report{lat: new(obs.Hist)} }
 
 // Admit records an arrival accepted into a frontend queue.
 func (r *Report) Admit() { r.admitted.Add(1) }

@@ -3,7 +3,12 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -254,36 +259,22 @@ func (h HistID) String() string {
 	return fmt.Sprintf("hist(%d)", uint8(h))
 }
 
-// histBuckets is the shared fixed bucket geometry: powers of two.
-// Duration-valued histograms start at 1ms and size-valued ones at 1,
-// but both use upper bounds ub[i] = lo << i with a final +Inf bucket,
-// so one atomic layout serves every histogram.
-const histBucketCount = 24
+// histBuckets is the one bucket layout every histogram shares: bucket
+// i holds 2^(i-1) < v ≤ 2^i and bucket 0 holds v ≤ 1, so a nanosecond
+// sample and a byte count resolve alike to within a factor of two. The
+// top bucket's bound, 2^63, reads as math.MaxInt64: no sample overflows.
+const histBuckets = 64
 
-var histLow = [histCount]int64{
-	HDenialRemaining: int64(time.Millisecond),
-	HFaultLatency:    int64(time.Millisecond),
-	HFlushFrames:     1,
-	HFlushBytes:      1,
-	HRecoverLatency:  int64(time.Millisecond),
-	HAppOpLatency:    int64(time.Microsecond),
-	HMigrateLatency:  int64(time.Millisecond),
-	HReplLag:         int64(time.Microsecond),
-	HTunedDelta:      int64(time.Millisecond),
-}
+// bucketOf returns the bucket a sample lands in.
+func bucketOf(v int64) int { return bits.Len64(uint64(max(v, 1) - 1)) }
 
-// NewHist returns a standalone histogram whose lowest bucket bound is
-// lo (buckets double from there). Registry histograms are built in
-// place; standalone ones serve ad hoc measurements like the load
-// generator's per-rung latency distributions.
-func NewHist(lo int64) *Hist { return &Hist{lo: lo} }
+// bucketBound returns bucket i's inclusive upper bound.
+func bucketBound(i int) int64 { return int64(min(uint64(1)<<i, math.MaxInt64)) }
 
-// Hist is a fixed-bucket, lock-free histogram. Buckets double from the
-// configured low bound; samples above the last bound land in the
-// overflow bucket.
+// Hist is a fixed-bucket, lock-free histogram in the one layout
+// histBuckets describes. The zero value is ready to use.
 type Hist struct {
-	lo      int64
-	buckets [histBucketCount + 1]atomic.Int64
+	buckets [histBuckets]atomic.Int64
 	count   atomic.Int64
 	sum     atomic.Int64
 	max     atomic.Int64
@@ -299,15 +290,7 @@ func (h *Hist) Observe(v int64) {
 			break
 		}
 	}
-	ub := h.lo
-	for i := 0; i < histBucketCount; i++ {
-		if v <= ub {
-			h.buckets[i].Add(1)
-			return
-		}
-		ub <<= 1
-	}
-	h.buckets[histBucketCount].Add(1)
+	h.buckets[bucketOf(v)].Add(1)
 }
 
 // Count returns the number of samples recorded.
@@ -328,36 +311,12 @@ func (h *Hist) Mean() float64 {
 	return float64(h.sum.Load()) / float64(n)
 }
 
-// Quantile returns an upper bound for the q-quantile, exact to bucket
-// resolution: the upper bound of the first bucket at or past
-// ceil(q·total) samples, the largest sample for the overflow bucket, 0
-// when empty. q is clamped to (0, 1]: q ≤ 0 resolves the smallest
-// recorded sample's bucket and q > 1 behaves as q = 1.
-func (h *Hist) Quantile(q float64) int64 {
-	var total int64
-	for i := range h.buckets {
-		total += h.buckets[i].Load()
-	}
-	if total == 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(q * float64(total))
-	if target < 1 {
-		target = 1
-	}
-	var seen int64
-	ub := h.lo
-	for i := 0; i < histBucketCount; i++ {
-		if seen += h.buckets[i].Load(); seen >= target {
-			return ub
-		}
-		ub <<= 1
-	}
-	return h.max.Load()
-}
+// Quantile returns the q-quantile to bucket resolution (see
+// HistSnapshot.Quantile).
+func (h *Hist) Quantile(q float64) int64 { return h.Snapshot("").Quantile(q) }
+
+// Summary returns the histogram's standard p50/p95/p99/p999 quartet.
+func (h *Hist) Summary() HistSummary { return h.Snapshot("").Summary() }
 
 // HistSummary is the standard latency quartet reported by the load
 // generator and the benchmark tables. Values carry whatever unit the
@@ -369,16 +328,6 @@ type HistSummary struct {
 	P999 int64 `json:"p999"`
 }
 
-// Summary returns the histogram's standard p50/p95/p99/p999 quartet.
-func (h *Hist) Summary() HistSummary {
-	return HistSummary{
-		P50:  h.Quantile(0.50),
-		P95:  h.Quantile(0.95),
-		P99:  h.Quantile(0.99),
-		P999: h.Quantile(0.999),
-	}
-}
-
 // HistSnapshot is a point-in-time copy of one histogram, JSON-friendly.
 type HistSnapshot struct {
 	Name    string  `json:"name"`
@@ -387,27 +336,72 @@ type HistSnapshot struct {
 	Max     int64   `json:"max"`
 	Mean    float64 `json:"mean"`
 	Bounds  []int64 `json:"bounds,omitempty"`  // upper bounds of non-empty buckets
-	Buckets []int64 `json:"buckets,omitempty"` // counts matching Bounds; last may be overflow (bound -1)
+	Buckets []int64 `json:"buckets,omitempty"` // counts matching Bounds
 }
 
 // Snapshot copies the histogram's current state under the given name,
 // keeping only non-empty buckets.
 func (h *Hist) Snapshot(name string) HistSnapshot {
 	s := HistSnapshot{Name: name, Count: h.Count(), Sum: h.Sum(), Max: h.Max(), Mean: h.Mean()}
-	ub := h.lo
-	for i := 0; i <= histBucketCount; i++ {
-		n := h.buckets[i].Load()
-		bound := ub
-		if i == histBucketCount {
-			bound = -1 // overflow
-		}
-		if n > 0 {
-			s.Bounds = append(s.Bounds, bound)
+	for i := range h.buckets {
+		if n := h.buckets[i].Load(); n > 0 {
+			s.Bounds = append(s.Bounds, bucketBound(i))
 			s.Buckets = append(s.Buckets, n)
 		}
-		ub <<= 1
 	}
 	return s
+}
+
+// Quantile returns an upper bound for the q-quantile, exact to bucket
+// resolution: the bound of the bucket holding the int(q·total)-th
+// smallest sample, 0 when empty. q is clamped to (0, 1]: q ≤ 0 resolves the
+// smallest recorded sample's bucket and q > 1 behaves as q = 1.
+func (s HistSnapshot) Quantile(q float64) int64 {
+	var total int64
+	for _, n := range s.Buckets {
+		total += n
+	}
+	target := max(int64(min(q, 1)*float64(total)), 1)
+	var seen int64
+	for i, n := range s.Buckets {
+		if seen += n; seen >= target {
+			return s.Bounds[i]
+		}
+	}
+	return 0
+}
+
+// Summary returns the snapshot's standard p50/p95/p99/p999 quartet.
+func (s HistSnapshot) Summary() HistSummary {
+	return HistSummary{
+		P50:  s.Quantile(0.50),
+		P95:  s.Quantile(0.95),
+		P99:  s.Quantile(0.99),
+		P999: s.Quantile(0.999),
+	}
+}
+
+// WriteTo prints the snapshot — the one way this repository prints a
+// distribution: a line with the count, mean, p50, p99 and max, then
+// one row per non-empty bucket with its bound, its count and a bar
+// scaled to the fullest bucket. Values print as durations when the
+// name ends in _ns.
+func (s HistSnapshot) WriteTo(w io.Writer) (int64, error) {
+	val := func(v int64) string { return strconv.FormatInt(v, 10) }
+	mean := strconv.FormatFloat(s.Mean, 'f', 1, 64)
+	if strings.HasSuffix(s.Name, "_ns") {
+		val = func(v int64) string { return time.Duration(v).String() }
+		mean = val(int64(s.Mean))
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s: n=%d mean=%s p50≤%s p99≤%s max=%s\n",
+		s.Name, s.Count, mean, val(s.Quantile(0.5)), val(s.Quantile(0.99)), val(s.Max))
+	top := slices.Max(append([]int64{1}, s.Buckets...))
+	for i, n := range s.Buckets {
+		fmt.Fprintf(&b, "  ≤%-14s %8d  %s\n", val(s.Bounds[i]), n, strings.Repeat("#", int(max(1, 40*n/top))))
+	}
+	n, err := io.WriteString(w, b.String())
+	return int64(n), err
 }
 
 // Registry is the sharded metrics store: one cache-line-isolated shard
@@ -422,13 +416,7 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	r := &Registry{}
-	for i := range r.hists {
-		r.hists[i].lo = histLow[i]
-	}
-	return r
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // shard returns site's shard, materializing its block on first touch.
 func (r *Registry) shard(site int) *shard {
@@ -584,29 +572,11 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	for _, hs := range s.Hists {
-		if err := pf("%s: n=%d mean=%.1f max=%d\n", hs.Name, hs.Count, hs.Mean, hs.Max); err != nil {
+		n, err := hs.WriteTo(w)
+		written += n
+		if err != nil {
 			return written, err
-		}
-		for i, b := range hs.Bounds {
-			label := fmt.Sprintf("≤%d", b)
-			if b == -1 {
-				label = fmt.Sprintf(">%d", histLowBound(hs.Name))
-			}
-			if err := pf("  %-16s %d\n", label, hs.Buckets[i]); err != nil {
-				return written, err
-			}
 		}
 	}
 	return written, nil
-}
-
-// histLowBound recovers a histogram's largest finite bucket bound from
-// its name, for labeling the overflow bucket in dumps.
-func histLowBound(name string) int64 {
-	for id := HistID(0); id < histCount; id++ {
-		if id.String() == name {
-			return histLow[id] << (histBucketCount - 1)
-		}
-	}
-	return 0
 }

@@ -268,27 +268,6 @@ func TestTimelineFilter(t *testing.T) {
 	}
 }
 
-func TestDenialBreakdown(t *testing.T) {
-	var events []Event
-	for i := 0; i < 10; i++ {
-		events = append(events, Event{Type: EvDeltaDeny, Arg: int64(i) * int64(time.Millisecond)})
-	}
-	rows := DenialBreakdown(events, 3)
-	if len(rows) != 3 {
-		t.Fatalf("got %d buckets, want 3", len(rows))
-	}
-	total := 0
-	for _, r := range rows {
-		total += r.Count
-	}
-	if total != 10 {
-		t.Fatalf("bucket counts sum to %d, want 10", total)
-	}
-	if DenialBreakdown(nil, 3) != nil {
-		t.Fatal("empty input should yield nil")
-	}
-}
-
 func TestRegistryWriteTo(t *testing.T) {
 	r := NewRegistry()
 	var buf bytes.Buffer

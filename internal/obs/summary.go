@@ -282,46 +282,3 @@ func FormatEvent(ev Event) string {
 	}
 	return line
 }
-
-// DenialBucket is one row of a Δ-denial remaining-time breakdown.
-type DenialBucket struct {
-	Upper time.Duration // inclusive upper bound; -1 duration = overflow
-	Count int
-}
-
-// DenialBreakdown buckets EvDeltaDeny remaining times into the given
-// number of equal-width buckets across [0, max remaining]. It answers
-// the tuning question the paper's Δ discussion raises: how close were
-// denied invalidations to the window expiring?
-func DenialBreakdown(events []Event, buckets int) []DenialBucket {
-	if buckets < 1 {
-		buckets = 8
-	}
-	var rems []time.Duration
-	var max time.Duration
-	for _, ev := range events {
-		if ev.Type == EvDeltaDeny {
-			r := time.Duration(ev.Arg)
-			rems = append(rems, r)
-			if r > max {
-				max = r
-			}
-		}
-	}
-	if len(rems) == 0 {
-		return nil
-	}
-	width := max/time.Duration(buckets) + 1
-	out := make([]DenialBucket, buckets)
-	for i := range out {
-		out[i].Upper = width * time.Duration(i+1)
-	}
-	for _, r := range rems {
-		i := int(r / width)
-		if i >= buckets {
-			i = buckets - 1
-		}
-		out[i].Count++
-	}
-	return out
-}

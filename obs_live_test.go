@@ -143,7 +143,7 @@ func TestLiveTracedRun(t *testing.T) {
 // TestLiveFaultLatencyRecorded: in live mode every access that faults
 // is one fault_latency_ns sample, as it is in the simulator. Two sites
 // write one unwindowed page in turn, so each write after the first is
-// exactly one remote fault.
+// exactly one remote fault, and the median resolves below a millisecond.
 func TestLiveFaultLatencyRecorded(t *testing.T) {
 	for _, tcp := range []bool{false, true} {
 		t.Run(map[bool]string{false: "inproc", true: "tcp"}[tcp], func(t *testing.T) {
@@ -183,6 +183,11 @@ func TestLiveFaultLatencyRecorded(t *testing.T) {
 			}
 			if h.Max() <= 0 || h.Max() > int64(10*time.Second) {
 				t.Errorf("fault_latency_ns max = %v", time.Duration(h.Max()))
+			}
+			// A live fault takes microseconds; the histogram must see
+			// that, not a millisecond floor every sample rounds up to.
+			if p50 := time.Duration(h.Quantile(0.5)); p50 >= time.Millisecond {
+				t.Errorf("fault_latency_ns p50 ≤ %v, want under 1ms", p50)
 			}
 			if wf := c.Site(0).Stats().WriteFaults + c.Site(1).Stats().WriteFaults; wf < 2*rounds {
 				t.Errorf("engines saw %d write faults, want at least %d", wf, 2*rounds)
