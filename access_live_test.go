@@ -371,7 +371,7 @@ func TestWindowedAccessTakesLoopTurn(t *testing.T) {
 				t.Fatal(err)
 			}
 			release := make(chan struct{})
-			if !c.Site(1).node.post(func() { <-release }) {
+			if !c.Site(1).node.queue(loopItem{fn: func() { <-release }}) {
 				t.Fatal("loop closed")
 			}
 			defer func() {

@@ -98,7 +98,7 @@ func NewCluster(n int, opts Options) (*Cluster, error) {
 		addrs := make([]string, n)
 		for i, nd := range c.nodes {
 			nd := nd
-			m, err := transport.NewTCPSite(i, opts.TCPAddr, nd.deliver)
+			m, err := transport.NewTCPSite(i, opts.TCPAddr, nd.receive)
 			if err != nil {
 				for _, prev := range meshes {
 					prev.Close()

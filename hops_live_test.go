@@ -1,7 +1,10 @@
 package mirage
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -98,6 +101,129 @@ func TestSelfMessagesStayInNode(t *testing.T) {
 				t.Fatalf("%d violations, first: %v", len(violations), violations[0])
 			}
 		})
+	}
+}
+
+// goid names the calling goroutine, from the first line of its stack.
+func goid() string {
+	var b [64]byte
+	return strings.Fields(string(b[:runtime.Stack(b[:], false)]))[1]
+}
+
+// goroutineTransport stands between a node and its fabric and notes
+// every goroutine a message was handed over on.
+type goroutineTransport struct {
+	inner transport.Transport
+	mu    *sync.Mutex
+	on    map[string]int
+}
+
+func (g *goroutineTransport) Send(to int, m *wire.Msg) error {
+	g.mu.Lock()
+	g.on[goid()]++
+	g.mu.Unlock()
+	return g.inner.Send(to, m)
+}
+
+func (g *goroutineTransport) Close() error { return g.inner.Close() }
+
+// TestFaultRunsOnTheFaultingGoroutine: in process, with both sites idle,
+// a fault is steps of sites nobody else is running, so the faulting
+// goroutine runs every one of them — the request, the library's answer,
+// the invalidation and its acknowledgement, the install and the
+// completion notice — and every message of the fault is sent from it.
+// The actor loops, which before ran each of those steps after a wake,
+// send nothing.
+func TestFaultRunsOnTheFaultingGoroutine(t *testing.T) {
+	c := newTestCluster(t, 2, Options{})
+	var mu sync.Mutex
+	on := map[string]int{}
+	for _, nd := range c.nodes {
+		nd := nd
+		nd.call(func() { nd.tr = &goroutineTransport{inner: nd.tr, mu: &mu, on: on} })
+	}
+	id, err := c.Site(0).Shmget(IPCPrivate, 512, Create, 0o600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var segs [2]*Segment
+	for s := range segs {
+		if segs[s], err = c.Site(s).Attach(id, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	clear(on) // attaching is not what this test is about
+	mu.Unlock()
+	for i := uint32(0); i < 20; i++ {
+		if err := segs[1].SetUint32(0, i); err != nil { // write fault at the remote site
+			t.Fatal(err)
+		}
+		if v, err := segs[0].Uint32(0); err != nil || v != i { // read fault at the library's site
+			t.Fatalf("read %d (err %v), want %d", v, err, i)
+		}
+		if err := segs[0].SetUint32(0, i); err != nil { // upgrade at the library's site
+			t.Fatal(err)
+		}
+	}
+	me := goid()
+	mu.Lock()
+	defer mu.Unlock()
+	if on[me] == 0 || len(on) != 1 {
+		t.Fatalf("messages handed over per goroutine %v; want all of them on the faulting goroutine %s", on, me)
+	}
+}
+
+// TestTurnKeepsSenderOrder: steps land on one site from several
+// goroutines at once — straight, from inside a step of another site,
+// and posted for the loop — and run one at a time, each once, every
+// sender's in the order sent, whichever goroutine holds the turn. Run
+// it under -race: the steps share state with no lock of its own, so
+// only the turn orders them.
+func TestTurnKeepsSenderOrder(t *testing.T) {
+	a, b := newNode(0, time.Now()), newNode(1, time.Now())
+	a.startLoop()
+	b.startLoop()
+	defer a.close()
+	defer b.close()
+	const senders, per = 6, 400
+	next := make([]int, senders) // b's steps alone touch these
+	ran := 0
+	var bad []string
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				step := func() {
+					if next[s] != i {
+						bad = append(bad, fmt.Sprintf("sender %d: step %d ran after %d", s, i, next[s]-1))
+					}
+					next[s] = i + 1
+					ran++
+				}
+				switch {
+				case s%3 == 1:
+					a.run(loopItem{fn: func() { b.run(loopItem{fn: step}) }})
+				case s%3 == 2 && i%7 == 0:
+					b.queue(loopItem{fn: step})
+				default:
+					b.run(loopItem{fn: step})
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	a.call(func() {}) // a's steps have handed theirs to b
+	var got int
+	var gotBad []string
+	b.call(func() { got, gotBad = ran, bad })
+	if len(gotBad) > 0 {
+		t.Fatalf("order broken: %v", gotBad[0])
+	}
+	if got != senders*per {
+		t.Fatalf("ran %d steps, want %d", got, senders*per)
 	}
 }
 

@@ -16,9 +16,10 @@
 // (internal/transport) under the public mirage package.
 //
 // Engines are not safe for concurrent use; each driver serializes
-// calls (the simulator by construction, live nodes with an actor
-// loop). The one exception is a Mapping, through which a live
-// accessor checks and holds a resident page on its own goroutine.
+// calls (the simulator by construction, a live node with its site's
+// turn, which whichever goroutine a step lands on may hold). The one
+// exception is a Mapping, through which a live accessor checks and
+// holds a resident page on its own goroutine.
 package core
 
 import (
@@ -47,9 +48,9 @@ type Env interface {
 	// wall time live). Δ windows are measured in real time (§9.0).
 	Now() time.Duration
 	// After schedules fn after d; the returned function cancels. Both
-	// fn and cancel run on the engine's goroutine, and a cancel there
-	// before fn has started means fn never runs: the engine keeps no
-	// guard of its own against a timer it cancelled.
+	// fn and cancel run serialized with every other engine call, and a
+	// cancel before fn has started means fn never runs: the engine
+	// keeps no guard of its own against a timer it cancelled.
 	After(d time.Duration, fn func()) (cancel func())
 	// Send transmits a protocol message to a site (possibly this one;
 	// loopback must deliver with no network charge).

@@ -10,7 +10,8 @@ import (
 // InprocMesh connects n sites within one process. It has no queue and
 // no goroutine of its own: Send calls the receiving site's handler on
 // the sender's goroutine, so a message costs whatever the handler costs
-// and is delivered when Send returns. The handler contract (see
+// — for a live node at an idle site, the receiver's protocol step — and
+// is delivered when Send returns. The handler contract (see
 // Handler) is what makes that safe — it may be called from any number
 // of senders at once and never blocks — and per-sender order holds
 // because a sender's Sends return in the order it made them.

@@ -20,8 +20,10 @@ import (
 // sender's time. What a fabric guarantees in return is order per
 // sender: the messages one goroutine sent to a site reach that site's
 // handler in the order they were sent, each call returning before the
-// next begins. The live node's handler (an append to its inbox under a
-// mutex) is the model.
+// next begins. The live node's handlers are the model: the in-process
+// one runs the protocol step on the calling goroutine at an idle site
+// and appends the message to the site's inbox at a busy one, the TCP one
+// always appends; neither waits.
 //
 // Ownership: the message belongs to the handler, which may retain it
 // (and its Data) indefinitely. Fabrics whose decode path aliases a

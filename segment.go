@@ -17,7 +17,7 @@ import (
 //
 // The accessors and the page loop are mem.Accessor's, the ones a
 // simulated process uses. A resident access checks and holds its page
-// there, on the caller's goroutine, and never enters the actor loop
+// there, on the caller's goroutine, and never takes the site's turn
 // (DESIGN.md §17); slow is what a live site adds.
 type Segment struct {
 	mem.Accessor
@@ -43,9 +43,9 @@ func (g *Segment) Detach() error {
 }
 
 // liveSlowPath is what an access at a live site does off the fast path
-// (mem.SlowPath): it posts the fault to the site's actor loop and
-// sleeps on a pooled waker, and after an access to a page under a time
-// window it waits for the loop's turn.
+// (mem.SlowPath): it runs the fault as a step of the site and sleeps on
+// a pooled waker, and after an access to a page under a time window it
+// waits for the loop's turn.
 type liveSlowPath struct {
 	site  *Site
 	seg   *mem.Segment
@@ -57,7 +57,7 @@ type liveSlowPath struct {
 
 // waker is what an access sleeps on: a one-slot channel, and the wake
 // function the engine keeps while a fault is outstanding. Every fault
-// or turn the loop accepts is answered on ch once — the engine calls a
+// or turn the site accepts is answered on ch once — the engine calls a
 // waiter's wake once — and waited for by its accessor, so a waker goes
 // back to the pool with its slot empty. The pool is worth
 // three allocations a fault (a channel of errors is two) and 2.4–3.1 %
@@ -74,8 +74,8 @@ var wakers = sync.Pool{New: func() any {
 	return w
 }}
 
-// signal answers a fault. It runs on the actor loop, which must never
-// block: were the slot taken, the accessor is about to retry anyway.
+// signal answers a fault. It runs in a step, which must never block:
+// were the slot taken, the accessor is about to retry anyway.
 func (w *waker) signal(err error) {
 	select {
 	case w.ch <- err:
@@ -95,18 +95,19 @@ func takeWaker(w mem.Waiter) *waker {
 }
 
 // Turn follows an access to a page under a time window (Δ > 0): the
-// caller, holding nothing, sleeps until the site's actor loop has
-// worked off what was queued before it. A window is granted where
-// sites compete for a page, and there the loop's turn is what every
-// access gave before the check left the loop: the accessor is off the
-// processor for a moment, so the loop, the timers and the network
+// caller, holding nothing, sleeps until the site has worked off what
+// was queued before it. Unlike a fault it never takes the site's turn
+// itself, idle or not: it queues its wake and sleeps. A window is
+// granted where sites compete for a page, and there the turn is what
+// every access gave before the check left the loop: the accessor is off
+// the processor for a moment, so the loop, the timers and the network
 // poller run even where accessors that never fault fill every
 // processor, and an invalidation that has arrived is served before the
 // accesses that follow it. Pages without a window never come here
 // (DESIGN.md §17 says what that costs and what it leaves open).
 func (s *liveSlowPath) Turn(w mem.Waiter) mem.Waiter {
 	wk := takeWaker(w)
-	if s.site.node.post(wk.wake) {
+	if s.site.node.queue(loopItem{fn: wk.wake}) {
 		<-wk.ch
 	}
 	return wk
@@ -135,16 +136,21 @@ func (s *liveSlowPath) Fault(page int, write bool, w mem.Waiter) ([]byte, mem.Wa
 	}
 }
 
-// fault is one round of Fault: it reports the fault to the engine on
-// the actor loop and returns once the page's state at this site has
-// changed (or already permits the access), for the caller to retry.
+// fault is one round of Fault: it reports the fault to the engine as a
+// step — on this goroutine when the site is idle, so an idle site costs
+// the fault no wake — and returns once the page's state at this site
+// has changed (or already permits the access), for the caller to retry.
+// In process the whole fault may run before the step returns: the
+// request, the library's answer and the install are steps of sites this
+// goroutine finds idle or already holds, and the wake is then a send on
+// a channel nobody waits on yet.
 func (s *liveSlowPath) fault(page int32, write bool, wk *waker) error {
 	if s.seg.Removed() {
 		return ErrDetached
 	}
 	nd := s.site.node
 	segID := int32(s.seg.ID)
-	ok := nd.post(func() {
+	ok := nd.run(loopItem{fn: func() {
 		if err := nd.eng.FaultError(segID, page); err != nil {
 			// A previous fault on this page was degraded (peer
 			// unreachable past the retry budget). Surface it instead of
@@ -157,7 +163,7 @@ func (s *liveSlowPath) fault(page int32, write bool, wk *waker) error {
 			return
 		}
 		nd.eng.Fault(segID, page, write, s.pid, wk.wake)
-	})
+	}})
 	if !ok {
 		return ErrDetached
 	}
