@@ -7,18 +7,6 @@ import (
 	"time"
 )
 
-// TestChaosRequiresReliability: a fault plan without the ARQ layer is
-// a configuration error, not a latent hang.
-func TestChaosRequiresReliability(t *testing.T) {
-	plan, err := ParseFaultPlan("seed=1; drop p=0.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewCluster(2, Options{Chaos: plan}); err == nil {
-		t.Fatal("NewCluster accepted Chaos without Reliability")
-	}
-}
-
 // TestLiveChaosCoherence runs the contended-counter workload over the
 // real mesh (in-process and TCP) while the injector drops, duplicates
 // and delays traffic: the reliability layer must absorb it all without

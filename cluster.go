@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mirage/internal/chaos"
+	"mirage/internal/check"
 	"mirage/internal/core"
 	"mirage/internal/mem"
 	"mirage/internal/obs"
@@ -25,9 +26,11 @@ type Cluster struct {
 	// debug is the debug HTTP server when Options.DebugAddr is set.
 	debug *debugServer
 
+	// checkCfg is what VerifyTrace checks the cluster's trace with.
+	checkCfg CheckConfig
+
 	mu       sync.Mutex
 	registry *mem.Registry
-	nextPid  int32
 	closed   bool
 }
 
@@ -35,34 +38,10 @@ type Cluster struct {
 // protocol traffic over TCP sockets; otherwise a sender appends its
 // message to the receiving site's inbox itself.
 func NewCluster(n int, opts Options) (*Cluster, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("mirage: cluster size %d out of range [1,%d]", n, MaxSites)
-	}
-	if n > MaxSites {
-		return nil, fmt.Errorf("mirage: cluster size %d: %w", n, ErrTooManySites)
-	}
 	opts = opts.withDefaults()
-	if opts.PageSize < 0 {
-		return nil, fmt.Errorf("mirage: negative page size")
-	}
-	if opts.Delta < 0 {
-		return nil, fmt.Errorf("mirage: negative Options.Delta %v", opts.Delta)
-	}
-	if opts.Chaos != nil && opts.Reliability == nil {
-		return nil, fmt.Errorf("mirage: Options.Chaos requires Options.Reliability")
-	}
-	if opts.AutoDelta != nil {
-		ad := opts.AutoDelta
-		if ad.Min < 0 || ad.Max < 0 || ad.Step < 0 || ad.CheapDenial < 0 ||
-			ad.Cooldown < 0 || ad.MinCycles < 0 {
-			return nil, fmt.Errorf("mirage: negative Options.AutoDelta field")
-		}
-		if ad.Max != 0 && ad.Max < ad.Min {
-			return nil, fmt.Errorf("mirage: Options.AutoDelta.Max %v below Min %v", ad.Max, ad.Min)
-		}
-	}
-	// The engine layers are validated, and told the cluster's size, in
-	// one place for live and simulated clusters alike.
+	// The engine layers are validated, completed and told the cluster's
+	// size in one place for live and simulated clusters alike; the rules
+	// below are the live cluster's own.
 	engOpts, err := core.Options{
 		Policy:      opts.Policy,
 		Costs:       &core.Costs{}, // live nodes run at native speed
@@ -73,21 +52,23 @@ func NewCluster(n int, opts Options) (*Cluster, error) {
 		AutoDelta:   opts.AutoDelta,
 		Obs:         opts.Obs,
 		InvalFanout: opts.InvalFanout,
-	}.ForCluster(n)
-	if err != nil {
+	}.ForCluster(n, opts.Delta, opts.Chaos != nil)
+	switch {
+	case err != nil:
 		return nil, fmt.Errorf("mirage: %w", err)
-	}
-	if opts.DebugAddr != "" && opts.Obs == nil {
-		return nil, fmt.Errorf("mirage: Options.DebugAddr requires Options.Obs")
-	}
-	if opts.Check && !opts.Obs.Tracing() {
-		return nil, fmt.Errorf("mirage: Options.Check requires Options.Obs with a tracer (e.g. mirage.NewObs())")
+	case opts.PageSize < 0:
+		return nil, fmt.Errorf("mirage: %w: negative page size %d", ErrInvalidOptions, opts.PageSize)
+	case opts.DebugAddr != "" && opts.Obs == nil:
+		return nil, fmt.Errorf("mirage: %w: Options.DebugAddr needs Options.Obs", ErrInvalidOptions)
+	case opts.Check && !opts.Obs.Tracing():
+		return nil, fmt.Errorf("mirage: %w: Options.Check needs Options.Obs with a tracer (e.g. mirage.NewObs())", ErrInvalidOptions)
 	}
 	c := &Cluster{
 		opts:     opts,
 		registry: mem.NewRegistry(opts.PageSize, opts.Delta, opts.MaxSegmentBytes),
-		nextPid:  1,
+		checkCfg: check.ConfigFor(engOpts, opts.Delta),
 	}
+	c.checkCfg.Slack = liveCheckSlack
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		c.nodes = append(c.nodes, newNode(i, start))
@@ -155,7 +136,7 @@ func NewCluster(n int, opts Options) (*Cluster, error) {
 	for i, nd := range c.nodes {
 		nd.eng = core.New(nodeEnv{nd}, engOpts)
 		nd.startLoop()
-		c.sites = append(c.sites, &Site{c: c, node: nd, id: i, attaches: map[SegID]int{}})
+		c.sites = append(c.sites, &Site{c: c, node: nd, id: i})
 	}
 	return c, nil
 }
@@ -222,22 +203,12 @@ func (c *Cluster) Close() error {
 	return err
 }
 
-func (c *Cluster) pid() int32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p := c.nextPid
-	c.nextPid++
-	return p
-}
-
 // Site is one machine's view of the cluster: the System V interface
 // plus Mirage's tuning handles.
 type Site struct {
 	c    *Cluster
 	node *node
 	id   int
-
-	attaches map[SegID]int // local attach counts (guarded by c.mu)
 }
 
 // ID returns the site's number.
@@ -264,7 +235,7 @@ func (s *Site) ShmgetAs(key Key, size int, flags, mode, uid int) (SegID, error) 
 	if seg.Library == s.id {
 		nd := s.node
 		nd.call(func() {
-			if !nd.eng.Attached(int32(seg.ID)) {
+			if nd.eng.Seg(int32(seg.ID)) == nil {
 				nd.eng.CreateSegment(seg)
 			}
 		})
@@ -285,13 +256,11 @@ func (s *Site) AttachAs(id SegID, readonly bool, uid int) (*Segment, error) {
 		s.c.mu.Unlock()
 		return nil, ErrClosed
 	}
-	seg, err := s.c.registry.Attach(id, uid, !readonly)
+	seg, err := s.c.registry.Attach(id, s.id, uid, !readonly)
+	s.c.mu.Unlock()
 	if err != nil {
-		s.c.mu.Unlock()
 		return nil, err
 	}
-	s.attaches[id]++
-	s.c.mu.Unlock()
 
 	nd := s.node
 	var pages core.Mapping
@@ -299,7 +268,7 @@ func (s *Site) AttachAs(id SegID, readonly bool, uid int) (*Segment, error) {
 		nd.eng.AttachSegment(seg)
 		pages, _ = nd.eng.Map(int32(id))
 	})
-	g := &Segment{slow: liveSlowPath{site: s, seg: seg, pages: pages, pid: s.c.pid()}}
+	g := &Segment{slow: liveSlowPath{site: s, seg: seg, pages: pages}}
 	if o := s.c.opts.Obs; o != nil && o.Metrics != nil {
 		g.slow.faultLat = o.Metrics.Hist(obs.HFaultLatency)
 	}
@@ -342,21 +311,17 @@ func (s *Site) detach(id SegID) error {
 		s.c.mu.Unlock()
 		return ErrClosed
 	}
-	s.attaches[id]--
-	lastLocal := s.attaches[id] == 0
-	destroyed, err := s.c.registry.Detach(id)
+	lastHere, destroyed, err := s.c.registry.Detach(id, s.id)
 	s.c.mu.Unlock()
-	if err != nil {
+	switch {
+	case err != nil:
 		return err
-	}
-	if destroyed {
+	case destroyed:
 		for _, nd := range s.c.nodes {
 			nd := nd
 			nd.call(func() { nd.eng.DestroySegment(int32(id)) })
 		}
-		return nil
-	}
-	if lastLocal {
+	case lastHere:
 		nd := s.node
 		nd.call(func() { nd.eng.ReleaseSegment(int32(id)) })
 	}

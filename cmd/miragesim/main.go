@@ -94,7 +94,6 @@ import (
 	"mirage/internal/exp"
 	"mirage/internal/ipc"
 	"mirage/internal/load"
-	"mirage/internal/mmu"
 	"mirage/internal/obs"
 )
 
@@ -147,13 +146,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *runs < 1 {
 		return fail("-runs must be at least 1")
 	}
-	if *replicas < 0 {
-		return fail("-replicas must be non-negative")
-	}
-
-	if *sites > mmu.MaxSites {
-		return fail("-sites %d: %v", *sites, mmu.ErrTooManySites)
-	}
 
 	n := 2
 	var svcSkew load.Skew
@@ -166,9 +158,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	case "service":
 		n = *sites
-		if n < 1 {
-			return fail("service needs at least 1 site")
-		}
 		var err error
 		svcSkew, err = load.ParseSkew(*skew)
 		if err != nil {
@@ -188,9 +177,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		return fail("unknown workload %q", *workload)
 	}
-	if *replicas >= n {
-		return fail("-replicas %d must be below the cluster size %d", *replicas, n)
-	}
 
 	var basePlan *chaos.Plan
 	if *chaosSpec != "" {
@@ -204,13 +190,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	// The layers the flags ask for; ForCluster brings the ones they
+	// rest on (-failover, -migrate and -replicas the ARQ layer, a chaos
+	// plan too) and refuses a bad value, which is a bad flag here.
+	layers := core.Options{Policy: pol, InvalFanout: *fanout}
+	if *failover {
+		layers.Failover = &core.Failover{}
+	}
+	if *replicas != 0 {
+		layers.Replication = &core.Replication{Replicas: *replicas}
+	}
+	if *autodelta {
+		layers.AutoDelta = &core.AutoDelta{}
+	}
+	if *migrate {
+		layers.Placement = &core.Placement{}
+		if *workload == "affinity" {
+			// Fault-driven demand is far sparser than op-driven load;
+			// use the thresholds the E21 sweep runs with.
+			layers.Placement = exp.MigrationConfig{}.Policy()
+		}
+	}
+	layers, err := layers.ForCluster(n, *delta, basePlan != nil)
+	if err != nil {
+		return fail("%v", err)
+	}
+
 	// runOnce builds a fresh virtual cluster and drives the scenario to
 	// completion; every run is self-contained (own cluster, own obs
 	// sink), so N of them can execute concurrently and must agree bit
 	// for bit.
 	wantTrace := *tracePath != "" || *checkRun
 	runOnce := func() (string, *ipc.Cluster, *app.Stats) {
-		opts := core.Options{Policy: pol, InvalFanout: *fanout}
+		opts := layers
 		var o *obs.Obs
 		if wantTrace || *metrics {
 			o = obs.New()
@@ -223,31 +235,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if basePlan != nil {
 			p := *basePlan
 			plan = &p
-			// A lossy fabric needs the ARQ layer; zero value = defaults.
-			opts.Reliability = &core.Reliability{}
-		}
-		if *failover || *migrate || *replicas > 0 {
-			// Failover rides on the ARQ give-up verdict, so it implies
-			// the reliability layer even on a clean fabric; migration
-			// and replication ride on the failover epoch fence in turn.
-			if opts.Reliability == nil {
-				opts.Reliability = &core.Reliability{}
-			}
-			opts.Failover = &core.Failover{}
-		}
-		if *replicas > 0 {
-			opts.Replication = &core.Replication{Replicas: *replicas}
-		}
-		if *autodelta {
-			opts.AutoDelta = &core.AutoDelta{}
-		}
-		if *migrate {
-			opts.Placement = &core.Placement{}
-			if *workload == "affinity" {
-				// Fault-driven demand is far sparser than op-driven load;
-				// use the thresholds the E21 sweep runs with.
-				opts.Placement = exp.MigrationConfig{}.Policy()
-			}
 		}
 		c := ipc.NewCluster(n, ipc.Config{Delta: *delta, Engine: opts, Chaos: plan})
 		var headline string
@@ -363,7 +350,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rt.WriteTo(stdout)
 	}
 
-	if *failover || *migrate || *replicas > 0 {
+	if layers.Failover != nil {
 		ft := exp.NewTable("site", "failovers", "recoveries", "stale-epoch fenced", "migrations", "refused")
 		for i := 0; i < c.Sites(); i++ {
 			es := c.Site(i).Eng.Stats()
@@ -373,7 +360,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ft.WriteTo(stdout)
 	}
 
-	if *replicas > 0 {
+	if layers.Replication != nil {
 		rt := exp.NewTable("site", "appends", "commits", "degraded", "elections")
 		for i := 0; i < c.Sites(); i++ {
 			es := c.Site(i).Eng.Stats()
@@ -383,7 +370,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rt.WriteTo(stdout)
 	}
 
-	if *autodelta {
+	if layers.AutoDelta != nil {
 		at := exp.NewTable("site", "Δ-grows", "Δ-shrinks")
 		for i := 0; i < c.Sites(); i++ {
 			es := c.Site(i).Eng.Stats()

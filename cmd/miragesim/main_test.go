@@ -22,6 +22,11 @@ func TestBadFlags(t *testing.T) {
 		{"-runs", "0"},
 		{"-workload", "readers", "-sites", "1"},
 		{"-chaos", "drop q=banana"},
+		// Refused by the option contract (core.Options.ForCluster).
+		{"-delta", "-1ms"},
+		{"-replicas", "-1"},
+		{"-replicas", "2"},
+		{"-workload", "readers", "-sites", "65537"},
 	} {
 		if code, _, stderr := runSim(t, args...); code != 2 {
 			t.Errorf("args %v: code %d (stderr %q), want 2", args, code, stderr)

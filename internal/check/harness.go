@@ -48,15 +48,15 @@ type Scenario struct {
 	Hop time.Duration `json:"hop,omitempty"`
 	Ops []Op          `json:"ops"`
 	// Chaos, when non-empty, is an internal/chaos plan in its grammar;
-	// it switches the reliability layer on (chaos without it livelocks
-	// by design).
+	// it brings the reliability layer (chaos without it livelocks by
+	// design).
 	Chaos string `json:"chaos,omitempty"`
-	// Failover enables the takeover layer (and the reliability layer it
-	// requires), so crash windows in Chaos lead to recoveries instead of
-	// failed ops.
+	// Failover enables the takeover layer (and brings the reliability
+	// layer under it), so crash windows in Chaos lead to recoveries
+	// instead of failed ops.
 	Failover bool `json:"failover,omitempty"`
 	// Replicas is the segment's replication factor
-	// (core.Replication.Replicas); > 0 implies Failover.
+	// (core.Replication.Replicas); > 0 brings Failover.
 	Replicas int `json:"replicas,omitempty"`
 }
 
@@ -68,22 +68,6 @@ func (sc Scenario) withDefaults() Scenario {
 		sc.Hop = time.Millisecond
 	}
 	return sc
-}
-
-// checkerConfig derives the history-checker configuration implied by a
-// scenario.
-func (sc Scenario) checkerConfig() Config {
-	return Config{
-		Sites:    sc.Sites,
-		Delta:    sc.Delta,
-		Reliable: sc.reliable(),
-	}
-}
-
-// reliable reports whether the scenario runs with the reliability layer
-// (and so grant cycles may abort without a commit).
-func (sc Scenario) reliable() bool {
-	return sc.Chaos != "" || sc.Failover || sc.Replicas > 0
 }
 
 // scheduler records and replays same-instant scheduling choices. A
@@ -197,25 +181,20 @@ func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
 		return h.engines[site].Seg(seg)
 	})
 	o := &obs.Obs{Tracer: order}
-	opt := core.Options{
-		Policy: core.InvalPolicy(sc.Policy),
-		Costs:  &core.Costs{},
-		Sites:  sc.Sites,
-		Obs:    o,
+	opt := core.Options{Policy: core.InvalPolicy(sc.Policy), Costs: &core.Costs{}, Obs: o}
+	if sc.Failover {
+		opt.Failover = &core.Failover{}
 	}
-	if sc.Chaos != "" {
-		plan, err := chaos.Parse(sc.Chaos)
-		if err != nil {
-			return runResult{violations: []Violation{{
-				Invariant: InvSchema, Index: -1,
-				Detail: fmt.Sprintf("bad chaos plan: %v", err),
-			}}}
-		}
-		h.inj = chaos.New(*plan)
+	if sc.Replicas > 0 {
+		opt.Replication = &core.Replication{Replicas: sc.Replicas}
 	}
-	if sc.reliable() {
-		// Timeouts sized to the hop so give-up happens in bounded
-		// virtual time.
+	opt, err := opt.ForCluster(sc.Sites, sc.Delta, sc.Chaos != "")
+	if err != nil {
+		return schemaFailure(err.Error())
+	}
+	// The layers the stack has, timed to the hop so a give-up or a
+	// recovery happens in bounded virtual time.
+	if opt.Reliability != nil {
 		opt.Reliability = &core.Reliability{
 			AckTimeout:     20 * sc.Hop,
 			MaxBackoff:     200 * sc.Hop,
@@ -223,11 +202,15 @@ func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
 			RequestTimeout: 4000 * sc.Hop,
 		}
 	}
-	if sc.Failover || sc.Replicas > 0 {
+	if opt.Failover != nil {
 		opt.Failover = &core.Failover{RecoverTimeout: 100 * sc.Hop}
 	}
-	if sc.Replicas > 0 {
-		opt.Replication = &core.Replication{Replicas: sc.Replicas}
+	if sc.Chaos != "" {
+		plan, err := chaos.Parse(sc.Chaos)
+		if err != nil {
+			return schemaFailure(fmt.Sprintf("bad chaos plan: %v", err))
+		}
+		h.inj = chaos.New(*plan)
 	}
 	for i := 0; i < sc.Sites; i++ {
 		h.engines = append(h.engines, core.New(hEnv{h, i}, opt))
@@ -247,10 +230,7 @@ func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
 	bySite := make([][]Op, sc.Sites)
 	for _, op := range sc.Ops {
 		if op.Site < 0 || op.Site >= sc.Sites || op.Page < 0 || int(op.Page) >= sc.Pages {
-			return runResult{violations: []Violation{{
-				Invariant: InvSchema, Index: -1,
-				Detail: fmt.Sprintf("op %v outside scenario bounds", op),
-			}}}
+			return schemaFailure(fmt.Sprintf("op %v outside scenario bounds", op))
 		}
 		bySite[op.Site] = append(bySite[op.Site], op)
 	}
@@ -266,7 +246,7 @@ func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
 	}
 	res.opsDone, res.opsFailed = h.done, h.failed
 	res.trace = order.Buffer().Events()
-	res.violations = VerifyRun(sc.checkerConfig(), order, h.engines, []int32{scenarioSeg})
+	res.violations = VerifyRun(ConfigFor(opt, sc.Delta), order, h.engines, []int32{scenarioSeg})
 	if res.steps >= maxSteps {
 		res.violations = append(res.violations, Violation{
 			Invariant: InvLiveness, Index: -1,
@@ -281,6 +261,11 @@ func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
 	}
 	res.violations = append(res.violations, finalChecks(sc, h.engines)...)
 	return res
+}
+
+// schemaFailure is the result of a scenario that cannot run.
+func schemaFailure(detail string) runResult {
+	return runResult{violations: []Violation{{Invariant: InvSchema, Index: -1, Detail: detail}}}
 }
 
 // startSite chains ops[0..] at a site: each is attempted until it is
@@ -374,6 +359,20 @@ func finalChecks(sc Scenario, engines []*core.Engine) []Violation {
 		}
 	}
 	return out
+}
+
+// ConfigFor is the history checker's configuration for the trace of a
+// cluster whose engines run the resolved stack o (core.Options.ForCluster)
+// with the segments' default Δ delta: the site count; the window bound,
+// which is AutoDelta.Min when the controller is on — the one sound
+// static bound on every grant it clamps — and delta otherwise; and
+// whether the reliability layer lets a grant cycle abort. Every cluster's
+// checker configuration is this one.
+func ConfigFor(o core.Options, delta time.Duration) Config {
+	if o.AutoDelta != nil {
+		delta = o.AutoDelta.Min
+	}
+	return Config{Sites: o.Sites, Delta: delta, Reliable: o.Reliability != nil}
 }
 
 // VerifyRun checks a finished simulated run, the one check the explorer

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"time"
 
 	"mirage/internal/obs"
@@ -83,28 +84,14 @@ const (
 	autoDefaultCooldown  = 3
 )
 
+// withDefaults fills the zero fields; ForCluster has refused a negative
+// one and an inverted band.
 func (a AutoDelta) withDefaults() AutoDelta {
-	if a.Min < 0 {
-		a.Min = 0
-	}
-	if a.Max == 0 {
-		a.Max = autoDefaultMaxQuanta * autoQuantum
-	}
-	if a.Max < a.Min {
-		a.Max = a.Min
-	}
-	if a.Step <= 0 {
-		a.Step = autoTick
-	}
-	if a.CheapDenial <= 0 {
-		a.CheapDenial = autoQuantum
-	}
-	if a.MinCycles <= 0 {
-		a.MinCycles = 4
-	}
-	if a.Cooldown <= 0 {
-		a.Cooldown = autoDefaultCooldown * autoTick
-	}
+	a.Max = cmp.Or(a.Max, autoDefaultMaxQuanta*autoQuantum)
+	a.Step = cmp.Or(a.Step, autoTick)
+	a.CheapDenial = cmp.Or(a.CheapDenial, autoQuantum)
+	a.MinCycles = cmp.Or(a.MinCycles, 4)
+	a.Cooldown = cmp.Or(a.Cooldown, autoDefaultCooldown*autoTick)
 	return a
 }
 
@@ -125,7 +112,7 @@ func (e *Engine) retune(sn *segNode, page int32) time.Duration {
 	// migrated or recovered value, SetPageDelta, SetSegmentDelta — and
 	// the band is decided here, before any window goes out: the checker's
 	// lower bound must hold from the first granted window to the last.
-	p.delta = min(max(p.delta, ad.Min), ad.Max) // withDefaults made Min <= Max
+	p.delta = min(max(p.delta, ad.Min), ad.Max) // ForCluster refused Max < Min
 	if !p.tuned {
 		// First grant under the controller at this site: start the
 		// rate limiter.

@@ -9,7 +9,7 @@ import (
 )
 
 // The copy: every change to a page's protection at a site, and to the
-// auxpte beside it (paper Table 2: writer, reader mask, window), is one
+// auxpte beside it (paper Table 2: reader mask, window), is one
 // of the functions below, and nothing else in the package calls the
 // mmu.Seg transitions (CI greps for it). Each one writes the auxpte once
 // and traces the page's new state on the side of the word flip the live
@@ -19,10 +19,10 @@ import (
 // after the holders have left, so it follows every access the old grant
 // let in. check.InvEventOrder holds the simulator to that order.
 
-// setAux writes a page's auxpte: writer, reader mask and window.
-func (sn *segNode) setAux(p int, writer int, mask mmu.Copyset, window time.Duration) {
-	a := sn.m.Aux(p)
-	a.Writer, a.ReaderMask = writer, mask
+// setAux writes a page's auxpte: reader mask and window. Its writer is
+// the protection beside it, and the library's record (§6.0).
+func (sn *segNode) setAux(p int, mask mmu.Copyset, window time.Duration) {
+	sn.m.Aux(p).ReaderMask = mask
 	sn.m.SetWindow(p, window)
 }
 
@@ -41,11 +41,7 @@ func (e *Engine) install(sn *segNode, page int32, data []byte, prot mmu.Prot, ma
 	if sn.m.Present(p) {
 		sn.m.Invalidate(p)
 	}
-	writer := mmu.NoWriter
-	if prot == mmu.ReadWrite {
-		writer = e.site
-	}
-	sn.setAux(p, writer, mask, window)
+	sn.setAux(p, mask, window)
 	sn.m.Install(p, data, prot, e.env.Now())
 	if MutateEventAfterWord {
 		e.emit(ev)
@@ -58,7 +54,7 @@ func (e *Engine) install(sn *segNode, page int32, data []byte, prot mmu.Prot, ma
 func (e *Engine) upgrade(sn *segNode, page int32, window time.Duration, cycle uint32) {
 	p := int(page)
 	seg := int32(sn.meta.ID)
-	sn.setAux(p, e.site, mmu.Copyset{}, window)
+	sn.setAux(p, mmu.Copyset{}, window)
 	e.count(obs.CUpgrade)
 	e.emit(obs.Event{Type: obs.EvUpgrade, Seg: seg, Page: page, Cycle: cycle})
 	e.emit(obs.Event{Type: obs.EvPageState, Seg: seg, Page: page, Arg: 2})
@@ -82,7 +78,7 @@ func (e *Engine) downgrade(sn *segNode, page int32, mask mmu.Copyset, window tim
 		e.emit(obs.Event{Type: obs.EvDowngrade, Seg: seg, Page: page, Cycle: cycle})
 		e.emit(obs.Event{Type: obs.EvPageState, Seg: seg, Page: page, Arg: 1})
 	}
-	sn.setAux(p, mmu.NoWriter, mask, window)
+	sn.setAux(p, mask, window)
 }
 
 // drop discards this site's copy, if it has one, and forgets the page's
@@ -99,7 +95,7 @@ func (e *Engine) drop(sn *segNode, page int32, cycle uint32, trace bool) (frame 
 			e.emit(obs.Event{Type: obs.EvPageState, Seg: int32(sn.meta.ID), Page: page, Cycle: cycle})
 		}
 	}
-	sn.setAux(p, mmu.NoWriter, mmu.Copyset{}, 0)
+	sn.setAux(p, mmu.Copyset{}, 0)
 	return frame
 }
 
@@ -112,7 +108,7 @@ func (e *Engine) reinstate(sn *segNode, page int32, pi *pendingInval) bool {
 	switch {
 	case sn.m.Present(p):
 		// The clock kept its copy: it was upgrading itself.
-		sn.setAux(p, mmu.NoWriter, pi.origMask, 0)
+		sn.setAux(p, pi.origMask, 0)
 	case pi.data == nil:
 		return false
 	default:

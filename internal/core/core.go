@@ -24,6 +24,7 @@ package core
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -121,7 +122,7 @@ type Options struct {
 	// holder rebuild's query set, the follower groups and the ack-timeout
 	// scale all read it, so every engine of a cluster must be given the
 	// same value. ForCluster sets it; a caller building engines directly
-	// sets it whenever it sets Failover, or Reliability at 16 sites and up.
+	// resolves its stack there too.
 	Sites int
 	// Obs, when non-nil, receives protocol metrics and (if its Tracer
 	// is set) structured coherence events. nil — the default — keeps
@@ -135,20 +136,21 @@ type Options struct {
 	// Failover, when non-nil, enables library-site takeover (DESIGN.md
 	// §11): a site that finds the library unreachable nominates a
 	// successor, which rebuilds the record from surviving holders under
-	// a bumped library epoch. Requires Reliability.
+	// a bumped library epoch. It brings Reliability, whose give-up verdict
+	// is its trigger.
 	Failover *Failover
 	// Placement, when non-nil, enables voluntary library migration
 	// (DESIGN.md §14): the library watches per-site request demand and
 	// rehomes the library role to a remote site that dominates it, using
-	// the failover epoch fence for the handoff. Requires Failover (and
-	// therefore Reliability).
+	// the failover epoch fence for the handoff. It brings Failover (and
+	// so Reliability).
 	Placement *Placement
 	// Replication, when non-nil with Replicas > 0, mirrors every library
 	// page-record mutation to a group of follower sites before the
 	// mutation is acknowledged (DESIGN.md §15, docs/REPLICATION.md), so
 	// a takeover installs the record from the replicated log instead of
-	// interrogating every holder. Requires Failover (and therefore
-	// Reliability); falls back to the legacy holder rebuild when the
+	// interrogating every holder. It brings Failover (and so
+	// Reliability), and falls back to the legacy holder rebuild when the
 	// group quorum is lost.
 	Replication *Replication
 	// AutoDelta, when non-nil, enables the built-in per-page closed-loop
@@ -168,23 +170,52 @@ type Options struct {
 	InvalFanout int
 }
 
-// ForCluster returns the options every engine of an n-site cluster is
-// built with — the cluster size filled in — or an error naming the
-// first invalid combination.
-func (o Options) ForCluster(n int) (Options, error) {
-	switch {
-	case o.Failover != nil && o.Reliability == nil:
-		return o, fmt.Errorf("Options.Failover requires Options.Reliability")
-	case o.Placement != nil && o.Failover == nil:
-		return o, fmt.Errorf("Options.Placement requires Options.Failover")
+// ErrInvalidOptions is what every refused cluster configuration wraps:
+// ForCluster's, and the live cluster's own few rules beside it.
+var ErrInvalidOptions = errors.New("invalid cluster options")
+
+// ForCluster is the one rule book for an option stack (DESIGN.md §18,
+// "Resolved config"). Given the cluster size n, the segments' default Δ
+// and whether a chaos plan is attached, it returns the options every
+// engine of the cluster is built with: the size filled in, and each
+// layer's base brought along — Placement and Replication bring Failover,
+// Failover and a chaos plan bring Reliability — so every subset of
+// layers is a valid stack. A bad value is an error wrapping
+// ErrInvalidOptions (and ErrTooManySites or ErrNegativeDelta where one
+// applies): a size outside [1, mmu.MaxSites], a negative Δ, a negative
+// or inverted AutoDelta band, Replicas outside [0, n).
+func (o Options) ForCluster(n int, delta time.Duration, chaos bool) (Options, error) {
+	bad := func(format string, a ...any) (Options, error) {
+		return o, fmt.Errorf("%w: "+format, append([]any{ErrInvalidOptions}, a...)...)
 	}
-	if rp := o.Replication; rp != nil {
-		if rp.Replicas > 0 && o.Failover == nil {
-			return o, fmt.Errorf("Options.Replication requires Options.Failover")
+	switch {
+	case n < 1:
+		return bad("cluster size %d out of range [1,%d]", n, mmu.MaxSites)
+	case n > mmu.MaxSites:
+		return bad("cluster size %d: %w", n, mmu.ErrTooManySites)
+	case delta < 0:
+		return bad("default Δ %v: %w", delta, ErrNegativeDelta)
+	}
+	if ad := o.AutoDelta; ad != nil {
+		if ad.Min < 0 || ad.Max < 0 || ad.Step < 0 || ad.CheapDenial < 0 || ad.Cooldown < 0 || ad.MinCycles < 0 {
+			return bad("negative AutoDelta field in %+v", *ad)
 		}
-		if rp.Replicas >= n {
-			return o, fmt.Errorf("Options.Replication.Replicas %d must be below the cluster size %d", rp.Replicas, n)
+		if band := ad.withDefaults(); band.Max < band.Min {
+			return bad("AutoDelta band [%v, %v] inverted", band.Min, band.Max)
 		}
+	}
+	replicas := 0
+	if o.Replication != nil {
+		replicas = o.Replication.Replicas
+	}
+	if replicas < 0 || replicas >= n {
+		return bad("Replication.Replicas %d outside [0, %d)", replicas, n)
+	}
+	if o.Failover == nil && (o.Placement != nil || replicas > 0) {
+		o.Failover = &Failover{}
+	}
+	if o.Reliability == nil && (o.Failover != nil || chaos) {
+		o.Reliability = &Reliability{}
 	}
 	o.Sites = n
 	return o, nil
@@ -389,16 +420,16 @@ type Engine struct {
 	// filled in when on. auto is the Δ controller. Of the rehoming layers
 	// each rests on the one before — Failover's trigger is the reliable
 	// channel's give-up verdict, Placement and Replication ride Failover's
-	// epoch fence — so each is non-nil only if it is configured AND
-	// everything under it is: the engine asks one pointer per layer and
-	// the answers cannot disagree. replication is nil with zero Replicas.
+	// epoch fence — and ForCluster brought each one's base, so the engine
+	// asks one pointer per layer. replication is nil with zero Replicas.
 	auto        *AutoDelta
 	failover    *Failover
 	placement   *Placement
 	replication *Replication
 }
 
-// New creates an engine for env's site.
+// New creates an engine for env's site from a stack ForCluster resolved:
+// it builds every layer that is set and checks nothing.
 func New(env Env, opt Options) *Engine {
 	costs := DefaultCosts()
 	if opt.Costs != nil {
@@ -420,17 +451,17 @@ func New(env Env, opt Options) *Engine {
 	if opt.Reliability != nil {
 		e.rel = newRel(e, opt.Reliability.withDefaults(opt.Sites))
 	}
-	if e.rel != nil && opt.Failover != nil {
+	if opt.Failover != nil {
 		fo := *opt.Failover
 		fo.RecoverTimeout = cmp.Or(fo.RecoverTimeout, 2*time.Second)
 		e.failover = &fo
-		if opt.Placement != nil {
-			p := opt.Placement.withDefaults()
-			e.placement = &p
-		}
-		if opt.Replication != nil && opt.Replication.Replicas > 0 {
-			e.replication = opt.Replication
-		}
+	}
+	if opt.Placement != nil {
+		p := opt.Placement.withDefaults()
+		e.placement = &p
+	}
+	if opt.Replication != nil && opt.Replication.Replicas > 0 {
+		e.replication = opt.Replication
 	}
 	if opt.AutoDelta != nil {
 		ad := opt.AutoDelta.withDefaults()
@@ -678,22 +709,6 @@ func (e *Engine) Seg(id int32) *mmu.Seg {
 		return nil
 	}
 	return sn.m
-}
-
-// MappedPages reports how many pages of all attached segments are
-// present at this site; the scheduler charges lazy remap for them.
-func (e *Engine) MappedPages() int {
-	n := 0
-	for _, sn := range e.segs {
-		n += sn.m.PresentCount()
-	}
-	return n
-}
-
-// Attached reports whether the segment is known at this site.
-func (e *Engine) Attached(id int32) bool {
-	_, ok := e.segs[id]
-	return ok
 }
 
 // SitePageState is a read-only snapshot of what the engine tracks for a

@@ -66,7 +66,10 @@ func newTestNet(t *testing.T, sites int, opt Options) *testNet {
 	if opt.Costs == nil {
 		opt.Costs = zeroCosts()
 	}
-	opt.Sites = sites
+	opt, err := opt.ForCluster(sites, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := &testNet{t: t, k: sim.NewKernel(), delay: time.Millisecond, down: make(map[int]bool)}
 	for i := 0; i < sites; i++ {
 		n.engines = append(n.engines, New(tEnv{n, i}, opt))
@@ -581,7 +584,7 @@ func TestDestroySegmentWakesWaiters(t *testing.T) {
 	if !woken {
 		t.Fatal("waiter not woken on destroy")
 	}
-	if n.engines[0].Attached(1) || n.engines[1].Attached(1) {
+	if n.engines[0].Seg(1) != nil || n.engines[1].Seg(1) != nil {
 		t.Fatal("segment still attached")
 	}
 }
@@ -599,17 +602,19 @@ func TestStragglersAfterDestroyAreDropped(t *testing.T) {
 	}
 }
 
+// TestMappedPages: a segment's pages are present at its library from
+// creation and at another site once fetched.
 func TestMappedPages(t *testing.T) {
 	n := newTestNet(t, 2, Options{})
 	n.newSeg(4, 0)
-	if got := n.engines[0].MappedPages(); got != 4 {
+	if got := n.engines[0].Seg(1).PresentCount(); got != 4 {
 		t.Fatalf("library mapped = %d", got)
 	}
-	if got := n.engines[1].MappedPages(); got != 0 {
+	if got := n.engines[1].Seg(1).PresentCount(); got != 0 {
 		t.Fatalf("remote mapped = %d", got)
 	}
 	n.acquire(1, 1, 2, false)
-	if got := n.engines[1].MappedPages(); got != 1 {
+	if got := n.engines[1].Seg(1).PresentCount(); got != 1 {
 		t.Fatalf("after one fetch mapped = %d", got)
 	}
 }

@@ -33,8 +33,8 @@ import (
 // Placement configures the voluntary-migration policy: the library
 // tracks per-site request demand for each segment in sliding windows
 // and offers the library role to a remote site that dominates the
-// window. Requires Options.Failover (and therefore Reliability): the
-// handoff is built on the library-epoch fence.
+// window. It brings Options.Failover (and so Reliability): the handoff
+// is built on the library-epoch fence.
 type Placement struct {
 	// Window is the demand-sampling period; the policy is evaluated at
 	// the first request after each window elapses. Default 250ms.

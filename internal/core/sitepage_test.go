@@ -164,10 +164,6 @@ func TestOutOfRangePageIsDropped(t *testing.T) {
 	layered := Options{Reliability: &Reliability{}, Failover: &Failover{},
 		Placement: &Placement{}, Replication: &Replication{Replicas: 1}}
 	for name, opt := range map[string]Options{"plain": {}, "layered": layered} {
-		opt, err := opt.ForCluster(3)
-		if err != nil {
-			t.Fatal(err)
-		}
 		n := newTestNet(t, 3, opt)
 		n.newSeg(pages, 0)
 		n.acquire(1, 1, 0, false)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mirage"
 	"mirage/internal/app"
 	"mirage/internal/check"
 	"mirage/internal/core"
@@ -64,9 +65,10 @@ func TestTracingDoesNotPerturbAPoint(t *testing.T) {
 
 // TestCheckConfigDerivedFromCluster: the checker configuration a sweep's
 // trace is verified with comes from the point's own cluster, and equals
-// what each sweep, or miragebench for it, used to write out by hand.
+// what each sweep, or miragebench for it, used to write out by hand. A
+// live cluster given the same options derives the same configuration,
+// apart from its wall-clock Slack.
 func TestCheckConfigDerivedFromCluster(t *testing.T) {
-	derived := func(n int, cfg ipc.Config) check.Config { return ipc.NewCluster(n, cfg).CheckConfig() }
 	scale := func(spec string) ipc.Config {
 		cfg, err := scaleConfig(4, spec, nil)
 		if err != nil {
@@ -74,25 +76,46 @@ func TestCheckConfigDerivedFromCluster(t *testing.T) {
 		}
 		return cfg
 	}
+	point := func(n int, cfg ipc.Config) func() (int, ipc.Config) {
+		return func() (int, ipc.Config) { return n, cfg }
+	}
+	live := func(n int, cfg ipc.Config) check.Config {
+		e := cfg.Engine
+		c, err := mirage.NewCluster(n, mirage.Options{Delta: cfg.Delta, Chaos: cfg.Chaos, Policy: e.Policy,
+			Reliability: e.Reliability, Failover: e.Failover, Placement: e.Placement,
+			Replication: e.Replication, AutoDelta: e.AutoDelta, InvalFanout: e.InvalFanout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		got := c.CheckConfig()
+		got.Slack = 0
+		return got
+	}
 	mig := MigrationConfig{}.WithDefaults()
 	ad := AutoDeltaConfig{}.WithDefaults()
 	floor := core.AutoDelta{}.Min
 	for _, tc := range []struct {
-		name      string
-		got, want check.Config
+		name  string
+		point func() (int, ipc.Config)
+		want  check.Config
 	}{
-		{"E18", derived(4, failoverCase(2).config()), check.Config{Sites: 4, Reliable: true}},
-		{"E20 checked, clean", derived(20, scale("")), check.Config{Sites: 20, Delta: 2 * time.Millisecond}},
-		{"E20 checked, relay crash", derived(20, scale("seed=7; crash site=5 from=2200ms until=10s")),
+		{"E18", point(4, failoverCase(2).config()), check.Config{Sites: 4, Reliable: true}},
+		{"E20 checked, clean", point(20, scale("")), check.Config{Sites: 20, Delta: 2 * time.Millisecond}},
+		{"E20 checked, relay crash", point(20, scale("seed=7; crash site=5 from=2200ms until=10s")),
 			check.Config{Sites: 20, Delta: 2 * time.Millisecond, Reliable: true}},
-		{"E21", derived(mig.Sites, mig.cluster(true)), check.Config{Sites: 4, Reliable: true}},
-		{"E22", derived(replSites, replCase(2, failStops(0)).config()), check.Config{Sites: 7, Reliable: true}},
-		{"E23 pingpong", derived(ad.cluster("pingpong", -1)), check.Config{Sites: 2, Delta: floor}},
-		{"E23 service", derived(ad.cluster("service", -1)), check.Config{Sites: 4, Delta: floor}},
-		{"E23 affinity", derived(ad.cluster("affinity", -1)), check.Config{Sites: 4, Delta: floor, Reliable: true}},
+		{"E21", point(mig.Sites, mig.cluster(true)), check.Config{Sites: 4, Reliable: true}},
+		{"E22", point(replSites, replCase(2, failStops(0)).config()), check.Config{Sites: 7, Reliable: true}},
+		{"E23 pingpong", func() (int, ipc.Config) { return ad.cluster("pingpong", -1) }, check.Config{Sites: 2, Delta: floor}},
+		{"E23 service", func() (int, ipc.Config) { return ad.cluster("service", -1) }, check.Config{Sites: 4, Delta: floor}},
+		{"E23 affinity", func() (int, ipc.Config) { return ad.cluster("affinity", -1) },
+			check.Config{Sites: 4, Delta: floor, Reliable: true}},
 	} {
-		if tc.got != tc.want {
-			t.Errorf("%s: derived %+v, want %+v", tc.name, tc.got, tc.want)
+		if got := ipc.NewCluster(tc.point()).CheckConfig(); got != tc.want {
+			t.Errorf("%s: derived %+v, want %+v", tc.name, got, tc.want)
+		}
+		if got := live(tc.point()); got != tc.want {
+			t.Errorf("%s, live: derived %+v, want %+v", tc.name, got, tc.want)
 		}
 	}
 }

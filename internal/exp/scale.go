@@ -89,8 +89,8 @@ const (
 )
 
 // scaleConfig is an E20 cluster: Δ scaleDelta, fan-out k and, when
-// chaosSpec is non-empty, that chaos plan with the reliability layer
-// enabled; rel overrides the ARQ profile for such runs (nil takes the
+// chaosSpec is non-empty, that chaos plan, which brings the reliability
+// layer; rel overrides the ARQ profile for such runs (nil takes the
 // engine's defaults, which scale with the cluster: the linear-in-N
 // profile this experiment discovered, after a fixed 30 ms AckTimeout
 // retransmitted into the library's own install backlog and
@@ -103,9 +103,6 @@ func scaleConfig(k int, chaosSpec string, rel *core.Reliability) (ipc.Config, er
 			return cfg, fmt.Errorf("chaos plan: %w", err)
 		}
 		cfg.Chaos = plan
-		if rel == nil {
-			rel = &core.Reliability{}
-		}
 		cfg.Engine.Reliability = rel
 	}
 	return cfg, nil

@@ -77,8 +77,7 @@ type Config struct {
 	Engine   core.Options  // protocol options (policy, tracer, tuner)
 
 	// Chaos, when set, injects the fault plan into the simulated
-	// network. Pair it with Engine.Reliability — without the
-	// reliability layer the engines assume lossless FIFO delivery.
+	// network, and brings the reliability layer.
 	Chaos *chaos.Plan
 
 	// NewDSM, when set, replaces the Mirage engine at every site (used
@@ -94,7 +93,6 @@ type Cluster struct {
 	Registry *mem.Registry
 	Chaos    *chaos.Injector // non-nil when Config.Chaos was set
 	sites    []*Site
-	nextPid  int32
 
 	// System V semaphore sets (see sem.go).
 	sems      map[SemID]*semSet
@@ -124,8 +122,6 @@ type Site struct {
 	CPU *sched.CPU
 	Eng *core.Engine // the Mirage engine, nil when a custom DSM is used
 	DSM DSM
-
-	attaches map[mem.SegID]int // local attach counts
 }
 
 // env adapts a Site to core.Env.
@@ -157,34 +153,25 @@ func NewCluster(n int, cfg Config) *Cluster {
 	if cfg.PageSize == 0 {
 		cfg.PageSize = vaxmodel.PageSize
 	}
-	if cfg.Delta < 0 {
-		cfg.Delta = 0 // a negative window is meaningless; clamp to "no window"
-	}
 	if cfg.MaxBytes == 0 {
 		cfg.MaxBytes = vaxmodel.MaxSegmentBytes
 	}
-	// Fill in the cluster size (callers pass &core.Failover{}, and the
-	// AckTimeout auto-scale wants the real N). A simulated cluster with an
-	// invalid option stack is a bug in the experiment that built it.
-	eng, err := cfg.Engine.ForCluster(n)
+	// The option contract is ForCluster's (it also brings each layer's
+	// base); a simulated cluster that breaks it is a bug in the
+	// experiment that built it.
+	eng, err := cfg.Engine.ForCluster(n, cfg.Delta, cfg.Chaos != nil)
 	if err != nil {
-		panic(fmt.Sprintf("ipc: NewCluster: %v", err))
+		panic(fmt.Errorf("ipc: NewCluster: %w", err))
 	}
 	cfg.Engine = eng
 	c := &Cluster{
 		K:            sim.NewKernel(),
 		Registry:     mem.NewRegistry(cfg.PageSize, cfg.Delta, cfg.MaxBytes),
-		nextPid:      1,
 		sems:         make(map[SemID]*semSet),
 		semsByKey:    make(map[mem.Key]*semSet),
 		nextSem:      1,
 		FaultLatency: new(obs.Hist),
-		checkCfg:     check.Config{Sites: n, Delta: cfg.Delta, Reliable: eng.Reliability != nil},
-	}
-	if eng.AutoDelta != nil {
-		// The controller retunes windows at run time; the only sound
-		// static bound on every clamped grant is its floor.
-		c.checkCfg.Delta = eng.AutoDelta.Min
+		checkCfg:     check.ConfigFor(eng, cfg.Delta),
 	}
 	if o := cfg.Engine.Obs; o != nil && o.Metrics != nil {
 		c.FaultLatency = o.Metrics.Hist(obs.HFaultLatency)
@@ -209,12 +196,7 @@ func NewCluster(n int, cfg Config) *Cluster {
 		chaos.WrapNetwork(c.Net, c.Chaos, func() time.Duration { return c.K.Now().Duration() })
 	}
 	for i := 0; i < n; i++ {
-		s := &Site{
-			c:        c,
-			id:       i,
-			CPU:      sched.New(c.K, fmt.Sprintf("site%d", i), cfg.Sched),
-			attaches: make(map[mem.SegID]int),
-		}
+		s := &Site{c: c, id: i, CPU: sched.New(c.K, fmt.Sprintf("site%d", i), cfg.Sched)}
 		if cfg.NewDSM != nil {
 			s.DSM = cfg.NewDSM(env{s})
 		} else {
@@ -244,9 +226,7 @@ func (c *Cluster) Run() { c.K.Run() }
 func (c *Cluster) RunFor(d time.Duration) { c.K.RunFor(d) }
 
 // CheckConfig is the history checker's configuration for the cluster's
-// trace, taken from its resolved config: the site count, the segments'
-// Δ (AutoDelta.Min when the controller is on) and whether the
-// reliability layer lets a grant cycle abort.
+// trace: check.ConfigFor of its resolved stack and the segments' Δ.
 func (c *Cluster) CheckConfig() check.Config { return c.checkCfg }
 
 // VerifyTrace checks the run against the coherence invariants
@@ -297,7 +277,6 @@ func (c *Cluster) TraceDigest() string {
 type Proc struct {
 	site *Site
 	task *sched.Task
-	pid  int32
 	uid  int
 
 	attached map[mem.SegID]*Shm
@@ -306,8 +285,7 @@ type Proc struct {
 // Spawn starts a process at the site running fn. uid 0 is a
 // reasonable default for single-user experiments.
 func (s *Site) Spawn(name string, uid int, fn func(p *Proc)) *Proc {
-	p := &Proc{site: s, pid: s.c.nextPid, uid: uid, attached: make(map[mem.SegID]*Shm)}
-	s.c.nextPid++
+	p := &Proc{site: s, uid: uid, attached: make(map[mem.SegID]*Shm)}
 	p.task = s.CPU.Spawn(name, func(t *sched.Task) {
 		fn(p)
 		// Detach anything still attached on exit, as UNIX does — in
@@ -332,9 +310,6 @@ func (s *Site) Spawn(name string, uid int, fn func(p *Proc)) *Proc {
 	}
 	return p
 }
-
-// Pid returns the process id.
-func (p *Proc) Pid() int32 { return p.pid }
 
 // Site returns the process's site id.
 func (p *Proc) Site() int { return p.site.id }
@@ -370,12 +345,11 @@ func (p *Proc) Shmget(key mem.Key, size int, flags, mode int) (mem.SegID, error)
 // Shmat attaches a segment into the process (System V shmat). readonly
 // attaches reject writes at the interface, as SHM_RDONLY does.
 func (p *Proc) Shmat(id mem.SegID, readonly bool) (*Shm, error) {
-	seg, err := p.site.c.Registry.Attach(id, p.uid, !readonly)
+	seg, err := p.site.c.Registry.Attach(id, p.site.id, p.uid, !readonly)
 	if err != nil {
 		return nil, err
 	}
 	p.site.DSM.AttachSegment(seg)
-	p.site.attaches[id]++
 	h := &Shm{proc: p, seg: seg, pages: p.site.DSM.Seg(int32(id))}
 	h.Accessor = mem.NewAccessor(seg, h.pages, h, readonly, true)
 	p.attached[id] = h
@@ -390,27 +364,18 @@ func (p *Proc) Shmdt(h *Shm) error {
 	}
 	delete(p.attached, h.seg.ID)
 	s := p.site
-	s.attaches[h.seg.ID]--
-	lastLocal := s.attaches[h.seg.ID] == 0
-	destroyed, err := s.c.Registry.Detach(h.seg.ID)
-	if err != nil {
+	lastHere, destroyed, err := s.c.Registry.Detach(h.seg.ID, s.id)
+	switch {
+	case err != nil:
 		return err
-	}
-	if destroyed {
+	case destroyed:
 		for _, site := range s.c.sites {
 			site.DSM.DestroySegment(int32(h.seg.ID))
 		}
-		return nil
-	}
-	if lastLocal {
+	case lastHere:
 		s.DSM.ReleaseSegment(int32(h.seg.ID))
 	}
 	return nil
-}
-
-// Shmctl-style removal (IPC_RMID).
-func (p *Proc) ShmRemove(id mem.SegID) error {
-	return p.site.c.Registry.Remove(id, p.uid)
 }
 
 // Shm is an attached segment: the process's window onto shared memory.
@@ -439,7 +404,7 @@ func (h *Shm) Fault(page int, write bool, w mem.Waiter) ([]byte, mem.Waiter, err
 		if h.seg.Removed() {
 			return nil, w, ErrDetached
 		}
-		eng.Fault(segID, int32(page), write, p.pid, p.task.Wakeup)
+		eng.Fault(segID, int32(page), write, 0, p.task.Wakeup)
 		p.task.Block()
 		if err := eng.FaultError(segID, int32(page)); err != nil {
 			return nil, w, err

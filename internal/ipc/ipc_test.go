@@ -181,7 +181,7 @@ func TestLastDetachDestroysEverywhere(t *testing.T) {
 	if got := len(c.Registry.Segments()); got != 0 {
 		t.Fatalf("segments left = %d", got)
 	}
-	if c.Site(0).Eng.Attached(1) || c.Site(1).Eng.Attached(1) {
+	if c.Site(0).Eng.Seg(1) != nil || c.Site(1).Eng.Seg(1) != nil {
 		t.Fatal("engines still hold destroyed segment")
 	}
 }

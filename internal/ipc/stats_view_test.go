@@ -37,7 +37,8 @@ var noStatsField = []obs.Counter{
 	obs.CInvalAcked, obs.CDeltaDenial, obs.CInvalFanout, obs.CRelay,
 	// internal/chaos, internal/transport, internal/netsim, internal/app.
 	obs.CChaosDrop, obs.CChaosDup, obs.CChaosDelay, obs.CChaosPartition, obs.CChaosCrash,
-	obs.CFlushBatch, obs.CFlushFrame, obs.CFlushByte, obs.CNetDelivered, obs.CNetByte,
+	obs.CFlushBatch, obs.CFlushFrame, obs.CFlushByte, obs.CTCPDecodeError, obs.CTCPCorruptStream,
+	obs.CTCPWriteError, obs.CTCPRedial, obs.CNetDelivered, obs.CNetByte,
 	obs.CAppOp, obs.CAppHit, obs.CAppMiss, obs.CAppConflict,
 }
 

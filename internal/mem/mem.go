@@ -65,12 +65,9 @@ type Segment struct {
 	Owner    int // creating uid
 	Mode     int
 
-	attaches int
+	attaches map[int]int // attach count by site, a site dropped at zero
 	removed  atomic.Bool // set by the registry's caller, read by accessors without its lock
 }
-
-// Attaches returns the cluster-wide attach count.
-func (s *Segment) Attaches() int { return s.attaches }
 
 // Removed reports whether the segment has been destroyed.
 func (s *Segment) Removed() bool { return s.removed.Load() }
@@ -158,6 +155,7 @@ func (r *Registry) GetSegment(key Key, size int, flags, mode, uid, site int) (*S
 		Delta:    r.defaultDelta,
 		Owner:    uid,
 		Mode:     mode,
+		attaches: make(map[int]int),
 	}
 	r.nextID++
 	r.byID[s.ID] = s
@@ -167,18 +165,9 @@ func (r *Registry) GetSegment(key Key, size int, flags, mode, uid, site int) (*S
 	return s, nil
 }
 
-// Lookup finds a segment by id.
-func (r *Registry) Lookup(id SegID) (*Segment, error) {
-	s, ok := r.byID[id]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return s, nil
-}
-
-// Attach records one attach of the segment (the shmat call), checking
-// permission. write requests a read-write attach.
-func (r *Registry) Attach(id SegID, uid int, write bool) (*Segment, error) {
+// Attach records one attach of the segment at site (the shmat call),
+// checking uid's permission. write requests a read-write attach.
+func (r *Registry) Attach(id SegID, site, uid int, write bool) (*Segment, error) {
 	s, ok := r.byID[id]
 	if !ok {
 		return nil, ErrNotFound
@@ -189,27 +178,32 @@ func (r *Registry) Attach(id SegID, uid int, write bool) (*Segment, error) {
 	if !s.CanAccess(uid, write) {
 		return nil, ErrPermission
 	}
-	s.attaches++
+	s.attaches[site]++
 	return s, nil
 }
 
-// Detach records one detach (the shmdt call). The last detach destroys
-// the segment (paper §2.2); Detach reports whether destruction
-// happened so callers can tear down page state.
-func (r *Registry) Detach(id SegID) (destroyed bool, err error) {
+// Detach records one detach at site (the shmdt call) and reports what
+// it ended, for the caller to tear down page state: the site's last
+// attach (lastHere), and the cluster's, which destroys the segment
+// (paper §2.2).
+func (r *Registry) Detach(id SegID, site int) (lastHere, destroyed bool, err error) {
 	s, ok := r.byID[id]
 	if !ok {
-		return false, ErrNotFound
+		return false, false, ErrNotFound
 	}
-	if s.attaches <= 0 {
-		return false, fmt.Errorf("%w: detach with no attaches", ErrInvalid)
+	if s.attaches[site] <= 0 {
+		return false, false, fmt.Errorf("%w: detach with no attach at site %d", ErrInvalid, site)
 	}
-	s.attaches--
-	if s.attaches == 0 {
+	s.attaches[site]--
+	if s.attaches[site] > 0 {
+		return false, false, nil
+	}
+	delete(s.attaches, site)
+	if len(s.attaches) == 0 {
 		r.destroy(s)
-		return true, nil
+		return true, true, nil
 	}
-	return false, nil
+	return true, false, nil
 }
 
 // Remove marks the segment for destruction (shmctl IPC_RMID): it is
@@ -223,7 +217,7 @@ func (r *Registry) Remove(id SegID, uid int) error {
 	if uid != s.Owner {
 		return ErrPermission
 	}
-	if s.attaches == 0 {
+	if len(s.attaches) == 0 {
 		r.destroy(s)
 		return nil
 	}

@@ -10,6 +10,16 @@ const rw = OwnerRead | OwnerWrite | OtherRead | OtherWrite
 
 func newReg() *Registry { return NewRegistry(512, 20*time.Millisecond, 128*1024) }
 
+// listed reports whether the registry lists s among its live segments.
+func listed(r *Registry, s *Segment) bool {
+	for _, got := range r.Segments() {
+		if got == s {
+			return true
+		}
+	}
+	return false
+}
+
 func TestCreateAndLookup(t *testing.T) {
 	r := newReg()
 	s, err := r.GetSegment(0x1234, 2000, Create, rw, 100, 2)
@@ -25,9 +35,8 @@ func TestCreateAndLookup(t *testing.T) {
 	if s.Delta != 20*time.Millisecond {
 		t.Fatalf("delta = %v", s.Delta)
 	}
-	got, err := r.Lookup(s.ID)
-	if err != nil || got != s {
-		t.Fatalf("lookup: %v %v", got, err)
+	if !listed(r, s) {
+		t.Fatalf("created segment %v not listed", s.ID)
 	}
 	// Second shmget with the same key returns the same segment.
 	again, err := r.GetSegment(0x1234, 2000, Create, rw, 100, 0)
@@ -105,10 +114,10 @@ func TestPermissions(t *testing.T) {
 		t.Fatal("other must not have write")
 	}
 	// Attach enforces permissions.
-	if _, err := r.Attach(s.ID, 200, true); !errors.Is(err, ErrPermission) {
+	if _, err := r.Attach(s.ID, 0, 200, true); !errors.Is(err, ErrPermission) {
 		t.Fatalf("attach rw as other: %v", err)
 	}
-	if _, err := r.Attach(s.ID, 200, false); err != nil {
+	if _, err := r.Attach(s.ID, 0, 200, false); err != nil {
 		t.Fatalf("attach ro as other: %v", err)
 	}
 }
@@ -122,23 +131,28 @@ func TestGetPermissionDenied(t *testing.T) {
 	}
 }
 
+// TestLastDetachDestroys: Detach tells a site's last attach from the
+// cluster's, and the cluster's destroys the segment.
 func TestLastDetachDestroys(t *testing.T) {
 	r := newReg()
 	s, _ := r.GetSegment(8, 512, Create, rw, 0, 0)
-	r.Attach(s.ID, 0, true)
-	r.Attach(s.ID, 0, true)
-	if d, _ := r.Detach(s.ID); d {
-		t.Fatal("first detach must not destroy")
+	r.Attach(s.ID, 0, 0, true)
+	r.Attach(s.ID, 0, 0, true)
+	r.Attach(s.ID, 1, 0, true)
+	for i, want := range []struct {
+		site                int
+		lastHere, destroyed bool
+	}{
+		{0, false, false}, {0, true, false}, {1, true, true},
+	} {
+		here, d, err := r.Detach(s.ID, want.site)
+		if err != nil || here != want.lastHere || d != want.destroyed {
+			t.Fatalf("detach %d at site %d: lastHere=%v destroyed=%v err=%v, want %v %v",
+				i, want.site, here, d, err, want.lastHere, want.destroyed)
+		}
 	}
-	d, err := r.Detach(s.ID)
-	if err != nil || !d {
-		t.Fatalf("last detach: destroyed=%v err=%v", d, err)
-	}
-	if !s.Removed() {
-		t.Fatal("segment not marked removed")
-	}
-	if _, err := r.Lookup(s.ID); !errors.Is(err, ErrNotFound) {
-		t.Fatal("destroyed segment still visible")
+	if !s.Removed() || listed(r, s) {
+		t.Fatal("destroyed segment still live")
 	}
 	// Key is free for reuse.
 	if _, err := r.GetSegment(8, 512, Create|Exclusive, rw, 0, 0); err != nil {
@@ -149,7 +163,8 @@ func TestLastDetachDestroys(t *testing.T) {
 func TestDetachUnattachedFails(t *testing.T) {
 	r := newReg()
 	s, _ := r.GetSegment(8, 512, Create, rw, 0, 0)
-	if _, err := r.Detach(s.ID); !errors.Is(err, ErrInvalid) {
+	r.Attach(s.ID, 1, 0, false)
+	if _, _, err := r.Detach(s.ID, 0); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -157,9 +172,9 @@ func TestDetachUnattachedFails(t *testing.T) {
 func TestAttachRemovedFails(t *testing.T) {
 	r := newReg()
 	s, _ := r.GetSegment(8, 512, Create, rw, 0, 0)
-	r.Attach(s.ID, 0, false)
-	r.Detach(s.ID) // destroys
-	if _, err := r.Attach(s.ID, 0, false); !errors.Is(err, ErrNotFound) {
+	r.Attach(s.ID, 0, 0, false)
+	r.Detach(s.ID, 0) // destroys
+	if _, err := r.Attach(s.ID, 0, 0, false); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -173,7 +188,7 @@ func TestRemoveImmediateWhenUnattached(t *testing.T) {
 	if err := r.Remove(s.ID, 42); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Lookup(s.ID); !errors.Is(err, ErrNotFound) {
+	if listed(r, s) {
 		t.Fatal("still present after remove")
 	}
 }
@@ -181,7 +196,7 @@ func TestRemoveImmediateWhenUnattached(t *testing.T) {
 func TestRemoveDeferredUntilDetach(t *testing.T) {
 	r := newReg()
 	s, _ := r.GetSegment(12, 512, Create, rw, 0, 0)
-	r.Attach(s.ID, 0, true)
+	r.Attach(s.ID, 0, 0, true)
 	if err := r.Remove(s.ID, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -190,10 +205,10 @@ func TestRemoveDeferredUntilDetach(t *testing.T) {
 		t.Fatalf("key still visible: %v", err)
 	}
 	// Still attachable by id? The segment lives until last detach.
-	if _, err := r.Lookup(s.ID); err != nil {
+	if !listed(r, s) {
 		t.Fatal("segment should live until last detach")
 	}
-	d, err := r.Detach(s.ID)
+	_, d, err := r.Detach(s.ID, 0)
 	if err != nil || !d {
 		t.Fatalf("detach after remove: %v %v", d, err)
 	}

@@ -9,8 +9,9 @@
 //     accessor checks it — and holds the page for the length of the
 //     access — on its own goroutine (pte.go, DESIGN.md §17);
 //   - an auxiliary parallel page table (auxpte, Table 2): per page,
-//     the reader mask, the current writer site, the page's time window
-//     in ticks (Δ), and the installation time at this site;
+//     the reader mask, the page's time window in ticks (Δ), and the
+//     installation time at this site (the writer is the protection: this
+//     site if the page is ReadWrite; the library's record names it);
 //   - the page frames themselves, for pages present at the site.
 //
 // Processes attach segments into address spaces managed by the ipc
@@ -79,12 +80,12 @@ func (f FaultType) String() string {
 // AuxPTE is one auxiliary parallel page table entry (paper Table 2).
 type AuxPTE struct {
 	ReaderMask  Copyset       // set of sites using this page
-	Writer      int           // current writer site, or NoWriter
 	Window      time.Duration // Δ allocated for this page ("window ticks")
 	InstallTime time.Duration // installation time of this page at this site
 }
 
-// NoWriter is the AuxPTE.Writer value when no site holds a writable copy.
+// NoWriter is the library record's writer when no site holds a
+// writable copy.
 const NoWriter = -1
 
 // Seg is the per-site MMU state for one segment. Everything but Hold
@@ -114,11 +115,7 @@ func NewSeg(npages, pageSize int) *Seg {
 	if npages <= 0 || pageSize <= 0 {
 		panic(fmt.Sprintf("mmu: bad geometry %d x %d", npages, pageSize))
 	}
-	s := &Seg{pageSize: pageSize, pages: make([]page, npages)}
-	for i := range s.pages {
-		s.pages[i].aux.Writer = NoWriter
-	}
-	return s
+	return &Seg{pageSize: pageSize, pages: make([]page, npages)}
 }
 
 // Pages returns the number of pages.

@@ -22,8 +22,8 @@ func TestNewSegInitialState(t *testing.T) {
 		if s.Present(p) {
 			t.Fatalf("page %d present", p)
 		}
-		if s.Aux(p).Writer != NoWriter {
-			t.Fatalf("page %d writer = %d", p, s.Aux(p).Writer)
+		if a := *s.Aux(p); !a.ReaderMask.Empty() || a.Window != 0 || a.InstallTime != 0 {
+			t.Fatalf("page %d auxpte = %+v", p, a)
 		}
 	}
 	if s.PresentCount() != 0 {

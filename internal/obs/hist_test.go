@@ -125,10 +125,10 @@ func TestHistSummary(t *testing.T) {
 func TestFlushHistSnapshotsUnchanged(t *testing.T) {
 	r := NewRegistry()
 	for _, v := range []int64{1, 1, 2, 3, 4, 5, 8, 9, 64, 100} {
-		r.Observe(HFlushFrames, v)
+		r.Hist(HFlushFrames).Observe(v)
 	}
 	for _, v := range []int64{40, 512, 4096, 65537, 1 << 23} {
-		r.Observe(HFlushBytes, v)
+		r.Hist(HFlushBytes).Observe(v)
 	}
 	want := []HistSnapshot{
 		{Name: "flush_frames_per_batch", Count: 10, Sum: 197, Max: 100, Mean: 19.7,

@@ -59,6 +59,13 @@ const (
 	CFlushBatch
 	CFlushFrame
 	CFlushByte
+	// TCP faults the mesh absorbs: an inbound frame that does not decode
+	// or a length no frame has (the connection is dropped either way), a
+	// failed dial or write (the circuit is evicted), a redial after one.
+	CTCPDecodeError
+	CTCPCorruptStream
+	CTCPWriteError
+	CTCPRedial
 	// Simulated fabric delivery.
 	CNetDelivered
 	CNetByte
@@ -133,6 +140,10 @@ var counterNames = [...]string{
 	CFlushBatch:       "flush_batches",
 	CFlushFrame:       "flush_frames",
 	CFlushByte:        "flush_bytes",
+	CTCPDecodeError:   "tcp_decode_errors",
+	CTCPCorruptStream: "tcp_corrupt_streams",
+	CTCPWriteError:    "tcp_write_errors",
+	CTCPRedial:        "tcp_redials",
 	CNetDelivered:     "net_delivered",
 	CNetByte:          "net_bytes",
 	CAppOp:            "app_ops",
@@ -426,21 +437,14 @@ func (r *Registry) shard(site int) *shard {
 	bp := &r.blocks[site/blockSites]
 	b := bp.Load()
 	if b == nil {
-		nb := &shardBlock{}
-		if !bp.CompareAndSwap(nil, nb) {
-			b = bp.Load()
-		} else {
-			b = nb
-		}
+		bp.CompareAndSwap(nil, &shardBlock{}) // one racing first touch wins
+		b = bp.Load()
 	}
 	return &b.shards[site%blockSites]
 }
 
-// Inc adds one to counter c for site. Out-of-range sites fold into
+// Add adds n to counter c for site. Out-of-range sites fold into
 // shard 0 rather than panicking — metrics must never take a run down.
-func (r *Registry) Inc(site int, c Counter) { r.Add(site, c, 1) }
-
-// Add adds n to counter c for site.
 func (r *Registry) Add(site int, c Counter, n int64) {
 	r.shard(site).v[c].Add(n)
 }
@@ -474,9 +478,6 @@ func (r *Registry) Total(c Counter) int64 {
 
 // Hist returns the identified histogram for direct observation.
 func (r *Registry) Hist(id HistID) *Hist { return &r.hists[id] }
-
-// Observe records one sample into the identified histogram.
-func (r *Registry) Observe(id HistID, v int64) { r.hists[id].Observe(v) }
 
 // Snapshot is a point-in-time, JSON-friendly copy of a Registry.
 // Totals holds every counter (zeros included, so consumers see the
@@ -545,10 +546,7 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
-		if err := pf("metrics: no events recorded\n"); err != nil {
-			return written, err
-		}
-		return written, nil
+		return written, pf("metrics: no events recorded\n")
 	}
 	sites := make([]string, 0, len(s.PerSite))
 	for site := range s.PerSite {

@@ -252,7 +252,7 @@ func (o *Obs) Observe(h HistID, v int64) {
 	if o == nil || o.Metrics == nil {
 		return
 	}
-	o.Metrics.Observe(h, v)
+	o.Metrics.Hist(h).Observe(v)
 }
 
 // Emit hands one event to the tracer. Nil-safe.

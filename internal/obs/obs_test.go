@@ -92,12 +92,12 @@ func TestReadJSONLRejectsBadInput(t *testing.T) {
 
 func TestRegistryCountsAndSnapshot(t *testing.T) {
 	r := NewRegistry()
-	r.Inc(0, CReadFault)
-	r.Inc(0, CReadFault)
-	r.Inc(1, CWriteFault)
+	r.Add(0, CReadFault, 1)
+	r.Add(0, CReadFault, 1)
+	r.Add(1, CWriteFault, 1)
 	r.Add(1, CFlushByte, 4096)
-	r.Inc(-5, CRetry)  // out of range folds into site 0
-	r.Inc(999, CRetry) // likewise
+	r.Add(-5, CRetry, 1)  // out of range folds into site 0
+	r.Add(999, CRetry, 1) // likewise
 	if got := r.Get(0, CReadFault); got != 2 {
 		t.Fatalf("Get(0, CReadFault) = %d, want 2", got)
 	}
@@ -150,9 +150,9 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			site := w % MaxSites
 			for i := 0; i < per; i++ {
-				r.Inc(site, CMsgSent)
+				r.Add(site, CMsgSent, 1)
 				r.Add(site, CFlushByte, 64)
-				r.Observe(HFlushBytes, 64)
+				r.Hist(HFlushBytes).Observe(64)
 				if i%100 == 0 {
 					_ = r.Snapshot()
 				}
@@ -212,13 +212,13 @@ func TestNilObsAllocFree(t *testing.T) {
 }
 
 // TestRegistryIncAllocFree proves enabled counting stays allocation
-// free: an Inc/Add/Observe is a few atomic adds, nothing more.
+// free: a counter Add or a histogram Observe is a few atomic adds.
 func TestRegistryIncAllocFree(t *testing.T) {
 	r := NewRegistry()
 	if n := testing.AllocsPerRun(1000, func() {
-		r.Inc(3, CMsgSent)
+		r.Add(3, CMsgSent, 1)
 		r.Add(3, CFlushByte, 64)
-		r.Observe(HFlushBytes, 64)
+		r.Hist(HFlushBytes).Observe(64)
 	}); n != 0 {
 		t.Fatalf("registry hot path allocates %.1f allocs/op, want 0", n)
 	}
@@ -277,8 +277,8 @@ func TestRegistryWriteTo(t *testing.T) {
 	if !strings.Contains(buf.String(), "no events") {
 		t.Fatalf("empty dump unexpected: %q", buf.String())
 	}
-	r.Inc(0, CReadFault)
-	r.Observe(HFaultLatency, int64(2*time.Millisecond))
+	r.Add(0, CReadFault, 1)
+	r.Hist(HFaultLatency).Observe(int64(2 * time.Millisecond))
 	buf.Reset()
 	if _, err := r.WriteTo(&buf); err != nil {
 		t.Fatal(err)

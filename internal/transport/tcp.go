@@ -46,29 +46,21 @@ type TCPMesh struct {
 	conns   map[int]*tcpConn
 	inbound map[net.Conn]struct{}
 	closed  bool
-	errs    TCPErrors
-	onError func(error)
 	wg      sync.WaitGroup
 
-	obs *obs.Obs // batch-flush metrics sink; nil when observability is off
+	obs *obs.Obs // flush and fault metrics sink; nil when observability is off
 }
 
 // SetObs attaches an observability sink: each writer-goroutine batch
 // flush is then counted (flush_batches / flush_frames / flush_bytes,
-// attributed to the sending site) and sized into the flush histograms.
-// Install before traffic starts.
+// attributed to the sending site) and sized into the flush histograms,
+// and each transport fault the mesh absorbs is counted against this
+// site (tcp_decode_errors, tcp_corrupt_streams, tcp_write_errors,
+// tcp_redials). Install before traffic starts.
 func (m *TCPMesh) SetObs(o *obs.Obs) {
 	m.mu.Lock()
 	m.obs = o
 	m.mu.Unlock()
-}
-
-// TCPErrors are a mesh's cumulative transport-fault counters.
-type TCPErrors struct {
-	DecodeErrors   int // frames that failed wire.Decode (connection dropped)
-	CorruptStreams int // length prefixes beyond any legal frame (connection dropped)
-	WriteErrors    int // outbound dial/write failures (cached circuit evicted)
-	Redials        int // successful re-establishments after an eviction
 }
 
 // maxQueuedBytes bounds one circuit's staging buffer. Senders that
@@ -125,31 +117,12 @@ func NewTCPSite(site int, addr string, h Handler) (*TCPMesh, error) {
 // Addr returns the listener's address for distribution to peers.
 func (m *TCPMesh) Addr() string { return m.listener.Addr().String() }
 
-// OnError installs a callback invoked (outside the mesh's locks) for
-// every transport fault the mesh absorbs: decode failures, corrupt
-// streams, dial and write errors. Install before traffic starts.
-func (m *TCPMesh) OnError(fn func(error)) {
+// count records one absorbed transport fault in the registry.
+func (m *TCPMesh) count(c obs.Counter) {
 	m.mu.Lock()
-	m.onError = fn
+	o := m.obs
 	m.mu.Unlock()
-}
-
-// Errors returns a snapshot of the fault counters.
-func (m *TCPMesh) Errors() TCPErrors {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.errs
-}
-
-// noteError bumps one counter and reports the fault.
-func (m *TCPMesh) noteError(counter *int, err error) {
-	m.mu.Lock()
-	*counter++
-	cb := m.onError
-	m.mu.Unlock()
-	if cb != nil {
-		cb(err)
-	}
+	o.Count(m.site, c)
 }
 
 // SetPeers supplies every site's listen address, indexed by site ID.
@@ -209,8 +182,7 @@ func (m *TCPMesh) serve(c net.Conn) {
 		if n > wire.MaxFrame {
 			// No legal frame is this long; the stream has lost sync and
 			// cannot be resynchronized — drop the connection.
-			m.noteError(&m.errs.CorruptStreams,
-				fmt.Errorf("transport: site %d: corrupt stream: frame length %d", m.site, n))
+			m.count(obs.CTCPCorruptStream)
 			return
 		}
 		if cap(buf) < int(n) {
@@ -222,8 +194,7 @@ func (m *TCPMesh) serve(c net.Conn) {
 		}
 		msg, _, err := wire.Decode(frame)
 		if err != nil {
-			m.noteError(&m.errs.DecodeErrors,
-				fmt.Errorf("transport: site %d: decode inbound frame: %w", m.site, err))
+			m.count(obs.CTCPDecodeError)
 			return
 		}
 		if msg.Data != nil {
@@ -241,8 +212,8 @@ func (m *TCPMesh) serve(c net.Conn) {
 // (backpressure), never on the wire. Only structural problems (mesh
 // closed, unknown peer, own site) surface here; socket faults are
 // absorbed by the writer — it evicts the circuit, redials once, and
-// reports through the error counters and OnError (the reliability
-// layer, when enabled, owns retry pacing beyond that).
+// counts it in the registry (the reliability layer, when enabled, owns
+// retry pacing beyond that).
 func (m *TCPMesh) Send(to int, msg *wire.Msg) error {
 	tc, err := m.conn(to)
 	if err != nil {
@@ -365,7 +336,7 @@ func (c *tcpConn) writeLoop() {
 				rest = c.writeFrames(batch, offs, len(offs)-rest)
 			}
 			if rest > 0 {
-				c.fail(fmt.Errorf("transport: site %d: dropped %d frames to site %d", c.m.site, rest, c.to))
+				c.m.count(obs.CTCPWriteError) // the tail is dropped
 			}
 		}
 		c.mu.Lock()
@@ -394,7 +365,7 @@ func (c *tcpConn) writeFrames(data []byte, offs []int, from int) (unsent int) {
 	if err == nil {
 		return 0
 	}
-	c.evict(conn, err)
+	c.evict(conn)
 	// Find the first frame the socket did not fully accept: everything
 	// before it was handed to the kernel (and possibly delivered), so
 	// resending those on a fresh circuit would duplicate them. The
@@ -414,7 +385,7 @@ func (c *tcpConn) writeFrames(data []byte, offs []int, from int) (unsent int) {
 }
 
 // socket returns the circuit's established socket, dialing if needed.
-// A nil return means the peer is unreachable (counted and reported).
+// A nil return means the peer is unreachable (counted).
 func (c *tcpConn) socket() net.Conn {
 	c.mu.Lock()
 	if c.closed {
@@ -436,7 +407,7 @@ func (c *tcpConn) socket() net.Conn {
 	c.m.mu.Unlock()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		c.fail(fmt.Errorf("transport: dial site %d: %w", c.to, err))
+		c.m.count(obs.CTCPWriteError)
 		return nil
 	}
 	if t, ok := conn.(*net.TCPConn); ok {
@@ -455,16 +426,15 @@ func (c *tcpConn) socket() net.Conn {
 	return conn
 }
 
-// evict drops the circuit's socket after a write fault and records it.
-func (c *tcpConn) evict(conn net.Conn, cause error) {
+// evict drops the circuit's socket after a write fault and counts it.
+func (c *tcpConn) evict(conn net.Conn) {
 	c.mu.Lock()
 	if c.c == conn {
 		c.c = nil
 	}
 	c.mu.Unlock()
 	conn.Close()
-	c.m.noteError(&c.m.errs.WriteErrors,
-		fmt.Errorf("transport: site %d: write to site %d: %w", c.m.site, c.to, cause))
+	c.m.count(obs.CTCPWriteError)
 }
 
 // redial re-establishes the circuit after an eviction: the peer may
@@ -474,15 +444,8 @@ func (c *tcpConn) redial() bool {
 	if c.socket() == nil {
 		return false
 	}
-	c.m.mu.Lock()
-	c.m.errs.Redials++
-	c.m.mu.Unlock()
+	c.m.count(obs.CTCPRedial)
 	return true
-}
-
-// fail counts one unrecoverable outbound fault.
-func (c *tcpConn) fail(err error) {
-	c.m.noteError(&c.m.errs.WriteErrors, err)
 }
 
 // Close shuts the listener and all connections.

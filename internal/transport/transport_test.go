@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mirage/internal/obs"
 	"mirage/internal/wire"
 )
 
@@ -216,9 +217,23 @@ func TestTCPConcurrentSenders(t *testing.T) {
 	}
 }
 
+// waitCounted waits for site 0's entry of counter c in reg to reach 1.
+func waitCounted(t *testing.T, reg *obs.Registry, c obs.Counter) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Get(0, c) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%v never counted: %v", c, reg.Snapshot().Totals)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestTCPWriteFailureEvictsAndRedials(t *testing.T) {
 	var c0, c1 collect
 	m0, _ := newTCPPair(t, c0.handler(), c1.handler())
+	reg := obs.NewRegistry()
+	m0.SetObs(&obs.Obs{Metrics: reg})
 	if err := m0.Send(1, &wire.Msg{Kind: wire.KReadReq, Seg: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -234,23 +249,17 @@ func TestTCPWriteFailureEvictsAndRedials(t *testing.T) {
 		tc.c.Close()
 	}
 	tc.mu.Unlock()
-	var err error
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 20 && reg.Get(0, obs.CTCPWriteError) == 0; i++ {
 		// The first write after a peer close can land in the kernel
 		// buffer; keep sending until the failure surfaces and the mesh
 		// recovers.
-		if err = m0.Send(1, &wire.Msg{Kind: wire.KReadReq, Seg: 2}); err != nil {
+		if err := m0.Send(1, &wire.Msg{Kind: wire.KReadReq, Seg: 2}); err != nil {
 			t.Fatalf("send after redial: %v", err)
-		}
-		if m0.Errors().WriteErrors > 0 {
-			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	e := m0.Errors()
-	if e.WriteErrors == 0 || e.Redials == 0 {
-		t.Fatalf("no eviction/redial recorded: %+v", e)
-	}
+	waitCounted(t, reg, obs.CTCPWriteError)
+	waitCounted(t, reg, obs.CTCPRedial)
 	// The circuit works again end to end.
 	if err := m0.Send(1, &wire.Msg{Kind: wire.KReadReq, Seg: 3}); err != nil {
 		t.Fatal(err)
@@ -314,8 +323,8 @@ func TestTCPInboundCorruptionCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m0.Close() })
-	faults := make(chan error, 4)
-	m0.OnError(func(err error) { faults <- err })
+	reg := obs.NewRegistry()
+	m0.SetObs(&obs.Obs{Metrics: reg})
 
 	// A garbage frame with a plausible length: decode error.
 	c, err := net.Dial("tcp", m0.Addr())
@@ -323,7 +332,7 @@ func TestTCPInboundCorruptionCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Write([]byte{0, 0, 0, 8, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4})
-	<-faults
+	waitCounted(t, reg, obs.CTCPDecodeError)
 	c.Close()
 
 	// An absurd length prefix: corrupt stream.
@@ -332,12 +341,11 @@ func TestTCPInboundCorruptionCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	<-faults
+	waitCounted(t, reg, obs.CTCPCorruptStream)
 	c.Close()
 
-	e := m0.Errors()
-	if e.DecodeErrors != 1 || e.CorruptStreams != 1 {
-		t.Fatalf("errors = %+v, want 1 decode + 1 corrupt", e)
+	if d, cs := reg.Get(0, obs.CTCPDecodeError), reg.Get(0, obs.CTCPCorruptStream); d != 1 || cs != 1 {
+		t.Fatalf("tcp_decode_errors %d, tcp_corrupt_streams %d, want 1 and 1", d, cs)
 	}
 }
 

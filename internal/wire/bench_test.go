@@ -102,16 +102,16 @@ func BenchmarkDecodePage(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendFramePooled is the transport send path's encode unit:
-// a pooled buffer, one length-prefixed frame, back to the pool.
-func BenchmarkAppendFramePooled(b *testing.B) {
+// BenchmarkAppendFrame is the transport send path's encode unit: one
+// length-prefixed frame appended to a TCP circuit's recycled staging
+// buffer.
+func BenchmarkAppendFrame(b *testing.B) {
 	m := benchMsg()
+	buf := make([]byte, 0, MaxFrame)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fb := GetBuf()
-		fb.B = AppendFrame(fb.B, &m)
-		PutBuf(fb)
+		buf = AppendFrame(buf[:0], &m)
 	}
 }
 
@@ -151,15 +151,15 @@ func TestDecodeAllocFree(t *testing.T) {
 	}
 }
 
+// TestAppendFramePooledAllocFree: a frame appended to a recycled
+// staging buffer — the pair each TCP circuit ping-pongs — allocates
+// nothing.
 func TestAppendFramePooledAllocFree(t *testing.T) {
 	m := benchMsg()
-	// Warm the pool so the measured runs only recycle.
-	PutBuf(GetBuf())
+	buf := make([]byte, 0, MaxFrame)
 	if n := testing.AllocsPerRun(100, func() {
-		fb := GetBuf()
-		fb.B = AppendFrame(fb.B, &m)
-		PutBuf(fb)
+		buf = AppendFrame(buf[:0], &m)
 	}); n != 0 {
-		t.Fatalf("pooled AppendFrame: %v allocs/op, want 0", n)
+		t.Fatalf("AppendFrame into a recycled buffer: %v allocs/op, want 0", n)
 	}
 }

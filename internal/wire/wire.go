@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"mirage/internal/mmu"
@@ -365,37 +364,6 @@ func AppendFrame(buf []byte, m *Msg) []byte {
 	var p [4]byte
 	binary.BigEndian.PutUint32(p[:], uint32(m.EncodedLen()))
 	return Encode(append(buf, p[:]...), m)
-}
-
-// Buf is a pooled encode buffer. The pointer wrapper keeps Get/Put
-// allocation-free (putting a bare slice into a sync.Pool would box it
-// on every call).
-type Buf struct{ B []byte }
-
-var bufPool = sync.Pool{
-	New: func() any { return &Buf{B: make([]byte, 0, 4096)} },
-}
-
-// GetBuf returns an empty encode buffer from the pool. Typical use:
-//
-//	b := wire.GetBuf()
-//	b.B = wire.AppendFrame(b.B, m)
-//	... write b.B ...
-//	wire.PutBuf(b)
-func GetBuf() *Buf {
-	b := bufPool.Get().(*Buf)
-	b.B = b.B[:0]
-	return b
-}
-
-// PutBuf returns a buffer to the pool. Oversized buffers (beyond one
-// max frame) are dropped so a single jumbo message cannot pin memory in
-// the pool forever.
-func PutBuf(b *Buf) {
-	if b == nil || cap(b.B) > MaxFrame+4 {
-		return
-	}
-	bufPool.Put(b)
 }
 
 // Decode parses one message from buf, returning the message and the

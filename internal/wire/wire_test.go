@@ -215,19 +215,6 @@ func TestCloneData(t *testing.T) {
 	}
 }
 
-func TestPutBufDropsOversized(t *testing.T) {
-	big := &Buf{B: make([]byte, 0, MaxFrame+5)}
-	PutBuf(big) // must be dropped, not pooled
-	for i := 0; i < 100; i++ {
-		got := GetBuf()
-		if cap(got.B) > MaxFrame+4 {
-			t.Fatal("oversized buffer leaked into the pool")
-		}
-		PutBuf(got)
-	}
-	PutBuf(nil) // must not panic
-}
-
 func TestDecodeStream(t *testing.T) {
 	// Multiple messages back to back decode in sequence.
 	var buf []byte

@@ -92,9 +92,10 @@ type Reliability = core.Reliability
 // the library's page records by querying the surviving holders, bumps
 // the segment's library epoch — carried on every subsequent protocol
 // message and trace event, fencing the deposed library's stragglers —
-// and resumes granting. Requires Options.Reliability. The zero value is
-// usable: NewCluster fills in the cluster size, and RecoverTimeout (the
-// bound on waiting for holder reports) defaults per core.Failover.
+// and resumes granting. It brings Options.Reliability, whose give-up
+// verdict is its trigger. The zero value is usable: NewCluster fills in
+// the cluster size, and RecoverTimeout (the bound on waiting for holder
+// reports) defaults per core.Failover.
 type Failover = core.Failover
 
 // Placement configures voluntary library migration: each library site
@@ -104,7 +105,7 @@ type Failover = core.Failover
 // library role to it using the same epoch-fenced handoff machinery as
 // failover — but with the page records transferred exactly instead of
 // reconstructed, since the outgoing library is alive and quiescent.
-// Requires Options.Failover (and therefore Reliability). The zero
+// It brings Options.Failover (and so Reliability). The zero
 // value takes the defaults documented on core.Placement; see
 // docs/PLACEMENT.md for the protocol and policy guidance.
 type Placement = core.Placement
@@ -114,8 +115,8 @@ type Placement = core.Placement
 // sites after it in ID order before the mutation is acknowledged, so a
 // library-site crash is survived by electing a follower that installs
 // the record from its replicated log — no cluster-wide holder
-// interrogation, no reconstruction pause. Requires Options.Failover
-// (and therefore Reliability); when the follower quorum is lost the
+// interrogation, no reconstruction pause. It brings Options.Failover
+// (and so Reliability); when the follower quorum is lost the
 // takeover falls back to failover's holder rebuild. NewCluster fills in
 // the cluster size. See docs/REPLICATION.md.
 type Replication = core.Replication
@@ -190,8 +191,14 @@ var (
 	ErrNotLibrary = core.ErrNotLibrary
 	// ErrTooManySites reports a cluster sized beyond MaxSites, the
 	// copyset capacity. Rejected explicitly — silently truncating the
-	// reader record would corrupt coherence.
+	// reader record would corrupt coherence. NewCluster's error wraps it
+	// inside ErrInvalidOptions.
 	ErrTooManySites = mmu.ErrTooManySites
+	// ErrInvalidOptions is what every error of NewCluster's option
+	// checks wraps: a size outside [1, MaxSites], a negative Delta or page
+	// size, a negative or inverted AutoDelta band, Replicas outside
+	// [0, n), DebugAddr without Obs, Check without a tracer.
+	ErrInvalidOptions = core.ErrInvalidOptions
 )
 
 // Re-exported registry errors, so callers can errors.Is against the
@@ -236,18 +243,18 @@ type Options struct {
 	// Failover, when non-nil, enables library-site failover on top of
 	// the ARQ layer: segments survive a library-site crash by electing
 	// a successor that rebuilds the page records from surviving
-	// holders. Requires Reliability. &Failover{} takes the defaults.
+	// holders. It brings Reliability. &Failover{} takes the defaults.
 	Failover *Failover
 	// Placement, when non-nil, enables voluntary library migration on
 	// top of failover: a segment's library follows its demand, rehoming
-	// itself to a site that dominates the request stream. Requires
+	// itself to a site that dominates the request stream. It brings
 	// Failover. &Placement{} takes the defaults.
 	Placement *Placement
 	// Replication, when non-nil with Replicas > 0, replicates each
 	// segment's library record to follower sites ahead of every
 	// acknowledged mutation, making library takeover pauseless (the
 	// elected follower installs from its log instead of rebuilding from
-	// holders). Requires Failover. &Replication{Replicas: 2} is typical.
+	// holders). It brings Failover. &Replication{Replicas: 2} is typical.
 	Replication *Replication
 	// AutoDelta, when non-nil, lets each segment's library tune every
 	// page's Δ online instead of granting the fixed Options.Delta: the
@@ -258,7 +265,7 @@ type Options struct {
 	// every granted window.
 	AutoDelta *AutoDelta
 	// Chaos, when non-nil, injects faults into the transport fabric per
-	// the plan. Requires Reliability: the lossless-fabric engine has no
+	// the plan. It brings Reliability: the lossless-fabric engine has no
 	// recovery paths for a lossy mesh.
 	Chaos *FaultPlan
 	// InvalFanout, when ≥ 2, invalidates large reader sets through a

@@ -20,21 +20,6 @@ func newTestCluster(t *testing.T, n int, opts Options) *Cluster {
 	return c
 }
 
-func TestClusterSizeValidation(t *testing.T) {
-	if _, err := NewCluster(0, Options{}); err == nil {
-		t.Fatal("size 0 should fail")
-	}
-	if _, err := NewCluster(MaxSites+1, Options{}); !errors.Is(err, ErrTooManySites) {
-		t.Fatalf("size %d: want ErrTooManySites, got %v", MaxSites+1, err)
-	}
-	// 65 sites used to be rejected; the copyset spill form lifted that.
-	c, err := NewCluster(65, Options{})
-	if err != nil {
-		t.Fatalf("size 65 should be accepted now: %v", err)
-	}
-	c.Close()
-}
-
 func TestLocalReadWrite(t *testing.T) {
 	c := newTestCluster(t, 1, Options{})
 	s := c.Site(0)

@@ -215,25 +215,6 @@ func getJSON(t *testing.T, url string, into any) {
 	}
 }
 
-// TestDebugAddrRequiresObs pins the constructor validation.
-func TestDebugAddrRequiresObs(t *testing.T) {
-	if _, err := mirage.NewCluster(2, mirage.Options{DebugAddr: "127.0.0.1:0"}); err == nil {
-		t.Fatal("NewCluster accepted DebugAddr without Obs")
-	}
-}
-
-// TestCheckRequiresTracer pins the Options.Check validation: op events
-// go to the trace, so there must be a tracer to receive them.
-func TestCheckRequiresTracer(t *testing.T) {
-	if _, err := mirage.NewCluster(2, mirage.Options{Check: true}); err == nil {
-		t.Fatal("NewCluster accepted Check without Obs")
-	}
-	o := &mirage.Obs{} // no tracer
-	if _, err := mirage.NewCluster(2, mirage.Options{Check: true, Obs: o}); err == nil {
-		t.Fatal("NewCluster accepted Check with a tracerless Obs")
-	}
-}
-
 // TestVerifyTraceAPI exercises the package-level checker entry on a
 // hand-rolled violating trace, and the Cluster method's error paths.
 func TestVerifyTraceAPI(t *testing.T) {

@@ -50,7 +50,6 @@ type liveSlowPath struct {
 	site  *Site
 	seg   *mem.Segment
 	pages core.Mapping // the site's page table for seg, and its op records
-	pid   int32
 
 	faultLat *obs.Hist // fault_latency_ns, fed by Fault; nil without metrics
 }
@@ -162,7 +161,7 @@ func (s *liveSlowPath) fault(page int32, write bool, wk *waker) error {
 			wk.signal(nil) // the page arrived between the check and here
 			return
 		}
-		nd.eng.Fault(segID, page, write, s.pid, wk.wake)
+		nd.eng.Fault(segID, page, write, 0, wk.wake)
 	}})
 	if !ok {
 		return ErrDetached

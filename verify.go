@@ -36,20 +36,22 @@ func VerifyTrace(cfg CheckConfig, events []TraceEvent) []Violation {
 // virtual-clock traces need no slack.
 const liveCheckSlack = 25 * time.Millisecond
 
+// CheckConfig is the configuration VerifyTrace checks the cluster's
+// trace with, derived from its options as a simulated cluster's is —
+// the site count; Options.Delta, or AutoDelta.Min with the controller
+// on, which bounds every window it clamps; whether the reliability
+// layer, set or brought by another layer, lets a grant cycle abort —
+// plus the wall-clock slack.
+//
+// Caveat: the window bound assumes the uniform Options.Delta; if the
+// run retuned windows with SetSegmentDelta, verify with an explicit
+// config (Delta 0 disables the window invariant) via the package-level
+// VerifyTrace instead.
+func (c *Cluster) CheckConfig() CheckConfig { return c.checkCfg }
+
 // VerifyTrace checks the cluster's own trace buffer against the
-// coherence invariants, with the configuration (site count, Δ,
-// reliability) derived from the cluster's options. It is valid while
-// the cluster is running or after Close.
-//
-// With Options.AutoDelta set, the derived config uses AutoDelta.Min as
-// the window bound: every granted window is clamped to at least Min,
-// so Min is a sound one-sided bound — any violation it reports is real
-// (Min 0 disables the window invariant, as usual).
-//
-// Caveat: the derived config otherwise assumes the uniform
-// Options.Delta; if the run retuned windows with SetSegmentDelta,
-// verify with an explicit config (Delta 0 disables the window
-// invariant) via the package-level VerifyTrace instead.
+// coherence invariants with CheckConfig. It is valid while the cluster
+// is running or after Close.
 func (c *Cluster) VerifyTrace() ([]Violation, error) {
 	if c.opts.Obs == nil {
 		return nil, fmt.Errorf("mirage: VerifyTrace requires Options.Obs")
@@ -61,15 +63,5 @@ func (c *Cluster) VerifyTrace() ([]Violation, error) {
 	if buf.Dropped() > 0 {
 		return nil, fmt.Errorf("mirage: trace buffer dropped %d events; verification would be unsound", buf.Dropped())
 	}
-	delta := c.opts.Delta
-	if c.opts.AutoDelta != nil {
-		delta = c.opts.AutoDelta.Min
-	}
-	cfg := CheckConfig{
-		Sites:    len(c.sites),
-		Delta:    delta,
-		Slack:    liveCheckSlack,
-		Reliable: c.opts.Reliability != nil,
-	}
-	return check.Verify(cfg, buf.Events()), nil
+	return check.Verify(c.checkCfg, buf.Events()), nil
 }
