@@ -244,6 +244,66 @@ var conformanceRows = []struct {
 			t.Errorf("bytes around the lock = %v, %v", b, err)
 		}
 	}},
+	{"word-edges", func(t *testing.T, s surface) {
+		const last = 512 - 4 // the last word of page 0; last+2 straddles pages 0 and 1
+		rw, ro := s.attach(false), s.attach(true)
+		if err := rw.SetUint32(last, 0x01020304); err != nil {
+			t.Error(err)
+		}
+		if v, err := rw.AddUint32(last, 1); v != 0x01020305 || err != nil {
+			t.Errorf("AddUint32 of the last word = %#x, %v", v, err)
+		}
+		if v, err := ro.Uint32(last); v != 0x01020305 || err != nil {
+			t.Errorf("Uint32 of the last word = %#x, %v", v, err)
+		}
+		// A word across two pages is two holds: read and written whole,
+		// but AddUint32, which would be one access, panics and writes
+		// nothing.
+		if err := rw.SetUint32(last+2, 0xA1B2C3D4); err != nil {
+			t.Error(err)
+		}
+		if !panics(func() { rw.AddUint32(last+2, 1) }) {
+			t.Error("AddUint32 across a page boundary did not panic")
+		}
+		for name, a := range map[string]accessor{"read-write": rw, "read-only": ro} {
+			if v, err := a.Uint32(last + 2); v != 0xA1B2C3D4 || err != nil {
+				t.Errorf("Uint32 across pages through the %s attach = %#x, %v", name, v, err)
+			}
+		}
+		// The checks' order holds at every edge: read-only before bounds.
+		for _, off := range []int{last, last + 2, confSize - 3} {
+			errs := everyAccessor(ro, off)
+			for _, name := range []string{"SetUint32", "AddUint32", "TestAndSet", "Clear"} {
+				if !errors.Is(errs[name], ErrReadOnly) {
+					t.Errorf("%s at %d through the read-only attach: err = %v", name, off, errs[name])
+				}
+			}
+		}
+		if _, err := ro.Uint32(confSize - 3); !errors.Is(err, ErrBounds) {
+			t.Errorf("Uint32 at size-3 through the read-only attach: err = %v", err)
+		}
+		for name, err := range map[string]error{
+			"Uint32":    func() error { _, err := rw.Uint32(confSize - 3); return err }(),
+			"SetUint32": rw.SetUint32(confSize-3, 1),
+			"AddUint32": func() error { _, err := rw.AddUint32(confSize-3, 1); return err }(),
+		} {
+			if !errors.Is(err, ErrBounds) {
+				t.Errorf("%s at size-3: err = %v", name, err)
+			}
+		}
+		// Detached before all of them.
+		gone := s.attach(false)
+		if err := s.detach(gone); err != nil {
+			t.Error(err)
+		}
+		for _, off := range []int{last, last + 2, confSize - 3} {
+			for name, err := range everyAccessor(gone, off) {
+				if !errors.Is(err, ErrDetached) {
+					t.Errorf("%s at %d on a detached handle: err = %v", name, off, err)
+				}
+			}
+		}
+	}},
 	{"detached", func(t *testing.T, s surface) {
 		keep, a := s.attach(false), s.attach(false) // keep: the segment outlives a
 		if err := a.SetUint32(0, 1); err != nil {

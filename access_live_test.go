@@ -319,9 +319,9 @@ func closeUnderLoad(t *testing.T, c *Cluster, id SegID) {
 	}
 }
 
-// A resident access allocates nothing: the access closure stays on the
-// caller's stack because nothing hands it to another goroutine, and no
-// channel is made unless the access faults.
+// A resident access allocates nothing: the page loop keeps its state in
+// locals, a word across pages goes through a buffer on the caller's
+// stack, and no channel is made unless the access faults.
 func TestResidentAccessZeroAllocs(t *testing.T) {
 	c := newTestCluster(t, 1, Options{})
 	id, err := c.Site(0).Shmget(IPCPrivate, 4096, Create, 0o600)
@@ -340,7 +340,12 @@ func TestResidentAccessZeroAllocs(t *testing.T) {
 		{"Uint32", func() error { _, err := seg.Uint32(8); return err }},
 		{"SetUint32", func() error { return seg.SetUint32(8, 7) }},
 		{"AddUint32", func() error { _, err := seg.AddUint32(8, 1); return err }},
-		{"ReadAt64", func() error { return seg.ReadAt(buf, 480) }}, // spans two pages
+		{"TestAndSet", func() error { _, err := seg.TestAndSet(12); return err }},
+		{"Clear", func() error { return seg.Clear(12) }},
+		{"ReadAt64", func() error { return seg.ReadAt(buf, 480) }},   // spans two pages
+		{"WriteAt64", func() error { return seg.WriteAt(buf, 480) }}, // spans two pages
+		{"Uint32Across", func() error { _, err := seg.Uint32(510); return err }},
+		{"SetUint32Across", func() error { return seg.SetUint32(510, 7) }},
 	} {
 		var err error
 		if n := testing.AllocsPerRun(200, func() { err = tc.op() }); n != 0 || err != nil {

@@ -274,6 +274,53 @@ func BenchmarkLiveRemoteFaultBesideAccessors(b *testing.B) {
 	}
 }
 
+// BenchmarkLiveFaultCycle runs the fault workloads' cycle between two
+// sites, in process and over TCP with 4096-byte pages: an upgrade (A
+// writes a page both sites read), a write fault (the page moves to B)
+// and a read fault (B downgrades, the page is copied to A). It is the
+// live fault path without the bench module, for -cpuprofile or -trace:
+//
+//	go test -run '^$' -bench 'LiveFaultCycle/tcp' -benchtime 20000x -trace tcp.trace .
+//	go tool trace -pprof=sched tcp.trace
+func BenchmarkLiveFaultCycle(b *testing.B) {
+	for _, tc := range []struct {
+		name     string
+		tcp      bool
+		pageSize int
+	}{{"inproc", false, 512}, {"tcp", true, 4096}} {
+		b.Run(tc.name, func(b *testing.B) {
+			c, err := NewCluster(2, Options{TCP: tc.tcp, PageSize: tc.pageSize})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			id, err := c.Site(0).Shmget(IPCPrivate, tc.pageSize, Create, 0o600)
+			if err != nil {
+				b.Fatal(err)
+			}
+			a, _ := c.Site(0).Attach(id, false)
+			d, _ := c.Site(1).Attach(id, false)
+			if _, err := d.Uint32(0); err != nil { // both sites hold a copy
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n := uint32(i)
+				if err := a.SetUint32(4, n); err != nil {
+					b.Fatal(err)
+				}
+				if err := d.SetUint32(0, ^n); err != nil {
+					b.Fatal(err)
+				}
+				if v, err := a.Uint32(0); err != nil || v != ^n {
+					b.Fatalf("read fault = %#x (err %v), want %#x", v, err, ^n)
+				}
+			}
+			b.ReportMetric(3, "faults/op")
+		})
+	}
+}
+
 // BenchmarkLivePageMigration measures the live protocol's full
 // cross-site write handoff (inproc transport).
 func BenchmarkLivePageMigration(b *testing.B) {

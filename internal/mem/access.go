@@ -77,99 +77,141 @@ func NewAccessor(seg *Segment, pages *mmu.Seg, slow SlowPath, readonly, record b
 // reports whether this call did it, which a second one does not.
 func Detach(a *Accessor) bool { return a.detached.CompareAndSwap(false, true) }
 
-// access runs fn over each page-aligned chunk of [off, off+n) with the
-// page held in the needed mode. It is the paper's loop (§6.1): try the
-// access; on a fault ask the protocol for the page, sleep until the
-// page's state changed, and retry. fn runs with the page held: against
-// every other access to that page at this site readers share and a
-// writer excludes, and the engine cannot take the page away before fn
-// and the op record are done. Nothing between Hold and Unhold may block
-// or panic — in the simulator a page held across a task switch would
-// stop the kernel's only thread at the next transition.
-func (a *Accessor) access(off, n int, write bool, fn func(frame []byte, frameOff, bufOff, k int)) error {
-	if a.detached.Load() {
+// check refuses an access of n bytes at off: a detached handle first,
+// then a write through a read-only attach, then a range out of bounds.
+func (a *Accessor) check(off, n int, write bool) error {
+	switch {
+	case a.detached.Load():
 		return ErrDetached
-	}
-	if write && a.readonly {
+	case write && a.readonly:
 		return ErrReadOnly
-	}
-	if off < 0 || n < 0 || off+n > a.size {
+	case off < 0 || n < 0 || off+n > a.size:
 		return fmt.Errorf("%w: [%d,%d) of %d", ErrBounds, off, off+n, a.size)
 	}
-	ps := a.pageSize
-	bufOff := 0
-	var w Waiter // taken by the first Fault or Turn, shared by the rest
-	for n > 0 {
-		page := off / ps
-		fo := off % ps
-		k := ps - fo
-		if k > n {
-			k = n
-		}
-		frame, ok := a.pages.Hold(page, write)
-		if !ok {
-			var err error
-			if frame, w, err = a.slow.Fault(page, write, w); err != nil {
-				release(w)
-				return err
-			}
-		}
-		fn(frame, fo, bufOff, k)
-		if a.record {
-			a.slow.RecordOp(page, fo, write, frame[fo:fo+k])
-		}
-		if a.pages.Unhold(page, write) && a.windowed.Add(1)%TurnEvery == 0 {
-			w = a.slow.Turn(w)
-		}
-		off += k
-		bufOff += k
-		n -= k
-	}
-	release(w)
 	return nil
 }
 
-// release ends the access of w, if it took one.
-func release(w Waiter) {
+// release ends the paper's loop (§6.1), which an access runs on each
+// page it touches: hold (mmu.Seg.Hold, SlowPath.Fault while refused),
+// load or store, release. While the page is held, readers at this site
+// share it, a writer excludes the rest, the engine cannot take it, and
+// nothing may block or panic (the simulator would stop). release records
+// b, at fo of page, unholds, and takes every TurnEvery-th windowed turn.
+func (a *Accessor) release(page, fo int, write bool, b []byte, w Waiter) Waiter {
+	if a.record {
+		a.slow.RecordOp(page, fo, write, b)
+	}
+	if a.pages.Unhold(page, write) && a.windowed.Add(1)%TurnEvery == 0 {
+		w = a.slow.Turn(w)
+	}
+	return w
+}
+
+// done ends the access of w, if it took one.
+func done(w Waiter) {
 	if w != nil {
 		w.Release()
 	}
 }
 
+// copyAt copies b into the segment at off if write is set, else the
+// segment into b: a hold and a release a page, one Waiter for them all.
+func (a *Accessor) copyAt(b []byte, off int, write bool) error {
+	err := a.check(off, len(b), write)
+	var w Waiter
+	for err == nil && len(b) > 0 {
+		page, fo := off/a.pageSize, off%a.pageSize
+		frame, ok := a.pages.Hold(page, write)
+		if !ok {
+			if frame, w, err = a.slow.Fault(page, write, w); err != nil {
+				done(w)
+				return err
+			}
+		}
+		dst, src := b, frame[fo:]
+		if write {
+			dst, src = src, dst
+		}
+		k := copy(dst, src)
+		w = a.release(page, fo, write, frame[fo:fo+k], w)
+		b, off = b[k:], off+k
+	}
+	done(w)
+	return err
+}
+
 // ReadAt copies len(b) bytes from the segment at off into b,
 // coherently: the bytes reflect the latest completed writes anywhere
 // in the cluster.
-func (a *Accessor) ReadAt(b []byte, off int) error {
-	return a.access(off, len(b), false, func(frame []byte, fo, bo, k int) {
-		copy(b[bo:bo+k], frame[fo:fo+k])
-	})
-}
+func (a *Accessor) ReadAt(b []byte, off int) error { return a.copyAt(b, off, false) }
 
 // WriteAt copies b into the segment at off.
-func (a *Accessor) WriteAt(b []byte, off int) error {
-	return a.access(off, len(b), true, func(frame []byte, fo, bo, k int) {
-		copy(frame[fo:fo+k], b[bo:bo+k])
-	})
+func (a *Accessor) WriteAt(b []byte, off int) error { return a.copyAt(b, off, true) }
+
+// A wordOp is what a word accessor does to its bytes, the page held.
+type wordOp uint8
+
+const (
+	opLoad       wordOp = iota // Uint32
+	opStore                    // SetUint32
+	opAdd                      // AddUint32
+	opTestAndSet               // TestAndSet, one byte
+	opClear                    // Clear, one byte
+)
+
+// word is the access of the n-byte word at off: one hold, op, one
+// release. A word across two pages is two holds, not one access:
+// Uint32 and SetUint32 take it through copyAt, which checks it, and
+// AddUint32 refuses it once it passed the checks.
+func (a *Accessor) word(off, n int, op wordOp, v uint32) (uint32, error) {
+	write := op != opLoad
+	page, fo := off/a.pageSize, off%a.pageSize
+	if fo+n > a.pageSize && op != opAdd {
+		var b [4]byte
+		binary.LittleEndian.PutUint32(b[:], v)
+		err := a.copyAt(b[:], off, write)
+		return binary.LittleEndian.Uint32(b[:]), err
+	}
+	err := a.check(off, n, write)
+	if err != nil {
+		return 0, err
+	}
+	if fo+n > a.pageSize {
+		panic("mem: AddUint32 across a page boundary")
+	}
+	var w Waiter
+	frame, ok := a.pages.Hold(page, write)
+	if !ok {
+		if frame, w, err = a.slow.Fault(page, write, nil); err != nil {
+			done(w)
+			return 0, err
+		}
+	}
+	b := frame[fo : fo+n]
+	switch op {
+	case opLoad:
+		v = binary.LittleEndian.Uint32(b)
+	case opStore:
+		binary.LittleEndian.PutUint32(b, v)
+	case opAdd:
+		v += binary.LittleEndian.Uint32(b)
+		binary.LittleEndian.PutUint32(b, v)
+	case opTestAndSet:
+		v, b[0] = uint32(b[0]), 1
+	case opClear:
+		b[0] = 0
+	}
+	done(a.release(page, fo, write, b, w))
+	return v, nil
 }
 
 // Uint32 reads a 32-bit little-endian word (the VAX byte order).
-func (a *Accessor) Uint32(off int) (uint32, error) {
-	var v uint32
-	err := a.access(off, 4, false, func(frame []byte, fo, bo, k int) {
-		for i := 0; i < k; i++ {
-			v |= uint32(frame[fo+i]) << (8 * uint(bo+i))
-		}
-	})
-	return v, err
-}
+func (a *Accessor) Uint32(off int) (uint32, error) { return a.word(off, 4, opLoad, 0) }
 
 // SetUint32 writes a 32-bit little-endian word.
 func (a *Accessor) SetUint32(off int, v uint32) error {
-	return a.access(off, 4, true, func(frame []byte, fo, bo, k int) {
-		for i := 0; i < k; i++ {
-			frame[fo+i] = byte(v >> (8 * uint(bo+i)))
-		}
-	})
+	_, err := a.word(off, 4, opStore, v)
+	return err
 }
 
 // AddUint32 atomically (with respect to the page's single-writer
@@ -177,36 +219,19 @@ func (a *Accessor) SetUint32(off int, v uint32) error {
 // value — a read-modify-write like the VAX decrement instruction, whose
 // faulting access is a write fault. The word must not span pages.
 func (a *Accessor) AddUint32(off int, delta uint32) (uint32, error) {
-	var out uint32
-	crosses := false
-	err := a.access(off, 4, true, func(frame []byte, fo, bo, k int) {
-		if k != 4 {
-			crosses = true // said below: nothing may panic holding a page
-			return
-		}
-		out = binary.LittleEndian.Uint32(frame[fo:]) + delta
-		binary.LittleEndian.PutUint32(frame[fo:], out)
-	})
-	if crosses {
-		panic("mem: AddUint32 across a page boundary")
-	}
-	return out, err
+	return a.word(off, 4, opAdd, delta)
 }
 
 // TestAndSet sets the byte at off to 1 under write access and returns
 // its previous value: the VAX interlocked instruction §7.2 studies (and
 // recommends against for cross-site spinlocks).
-func (a *Accessor) TestAndSet(off int) (old byte, err error) {
-	err = a.access(off, 1, true, func(frame []byte, fo, bo, k int) {
-		old = frame[fo]
-		frame[fo] = 1
-	})
-	return old, err
+func (a *Accessor) TestAndSet(off int) (byte, error) {
+	v, err := a.word(off, 1, opTestAndSet, 0)
+	return byte(v), err
 }
 
 // Clear zeroes the byte at off under write access (spinlock release).
 func (a *Accessor) Clear(off int) error {
-	return a.access(off, 1, true, func(frame []byte, fo, bo, k int) {
-		frame[fo] = 0
-	})
+	_, err := a.word(off, 1, opClear, 0)
+	return err
 }
