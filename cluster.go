@@ -78,7 +78,6 @@ func NewCluster(n int, opts Options) (*Cluster, error) {
 		var meshes []*transport.TCPMesh
 		addrs := make([]string, n)
 		for i, nd := range c.nodes {
-			nd := nd
 			m, err := transport.NewTCPSite(i, opts.TCPAddr, nd.receive)
 			if err != nil {
 				for _, prev := range meshes {
@@ -318,7 +317,6 @@ func (s *Site) detach(id SegID) error {
 		return err
 	case destroyed:
 		for _, nd := range s.c.nodes {
-			nd := nd
 			nd.call(func() { nd.eng.DestroySegment(int32(id)) })
 		}
 	case lastHere:

@@ -1,6 +1,7 @@
 package mirage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"strings"
@@ -171,6 +172,106 @@ func TestFaultRunsOnTheFaultingGoroutine(t *testing.T) {
 	defer mu.Unlock()
 	if on[me] == 0 || len(on) != 1 {
 		t.Fatalf("messages handed over per goroutine %v; want all of them on the faulting goroutine %s", on, me)
+	}
+}
+
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool
+
+// TestLiveFaultAllocs: an in-process fault between idle sites allocates
+// its four messages and page data, nothing else. The cycle of
+// BenchmarkLiveFaultCycle — an upgrade, a write fault, a read fault — is
+// twelve messages, the two frames installed where a copy had been
+// dropped, and the read copy's payload: 15. A closure made only to be
+// run at once (the engine's for Exec, the slow path's for its step)
+// costs three or more a cycle, and a library queue regrowing one.
+func TestLiveFaultAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled wakers at random")
+	}
+	c := newTestCluster(t, 2, Options{})
+	id, err := c.Site(0).Shmget(IPCPrivate, 512, Create, 0o600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := c.Site(0).Attach(id, false)
+	d, _ := c.Site(1).Attach(id, false)
+	if _, err := d.Uint32(0); err != nil { // both sites hold a copy
+		t.Fatal(err)
+	}
+	n := uint32(0)
+	cycle := func() {
+		n++
+		if err := a.SetUint32(4, n); err != nil { // upgrade
+			t.Fatal(err)
+		}
+		if err := d.SetUint32(0, ^n); err != nil { // write fault
+			t.Fatal(err)
+		}
+		if v, err := a.Uint32(0); err != nil || v != ^n { // read fault
+			t.Fatalf("read fault = %#x (err %v), want %#x", v, err, ^n)
+		}
+	}
+	cycle() // warm: the pooled waker, the queues' arrays
+	if allocs := testing.AllocsPerRun(200, cycle); allocs > 15 {
+		t.Fatalf("an in-process fault cycle allocates %.1f times, want at most 15", allocs)
+	}
+}
+
+// TestFaultStepRunsOnTheTurnHolder: an access that faults at a busy site
+// leaves its step — the waker's, with the page it wants — for whoever
+// holds the site's turn, and sleeps; a ReadAt across two absent pages
+// then rewrites the waker for its second round once the first has
+// answered. Run it under -race: the waker's arguments are shared
+// between the accessor and the holder by nothing but that order.
+func TestFaultStepRunsOnTheTurnHolder(t *testing.T) {
+	c := newTestCluster(t, 2, Options{})
+	const pages = 16
+	id, err := c.Site(0).Shmget(IPCPrivate, pages*512, Create, 0o600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, _ := c.Site(0).Attach(id, false)
+	seg, _ := c.Site(1).Attach(id, false)
+	for p := 0; p < pages; p++ { // a page's first word and its last
+		if err := lib.SetUint32(p*512, 100+uint32(p)); err != nil {
+			t.Fatal(err)
+		}
+		if err := lib.SetUint32(p*512+508, uint32(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nd := c.nodes[1]
+	var mu sync.Mutex
+	on := map[string]int{}
+	nd.call(func() { nd.tr = &goroutineTransport{inner: nd.tr, mu: &mu, on: on} })
+	buf := make([]byte, 8)
+	for p := 0; p < pages; p += 2 {
+		holder := make(chan string)
+		go nd.run(loopItem{fn: func() {
+			holder <- goid()
+			// Hold the turn until the accessor's first step is queued.
+			deadline := time.Now().Add(5 * time.Second)
+			for queued := 0; queued == 0 && time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
+				nd.mu.Lock()
+				queued = len(nd.ops)
+				nd.mu.Unlock()
+			}
+		}})
+		hid := <-holder
+		if err := seg.ReadAt(buf, p*512+508); err != nil { // the last word of p, the first of p+1
+			t.Fatal(err)
+		}
+		last, first := binary.LittleEndian.Uint32(buf), binary.LittleEndian.Uint32(buf[4:])
+		if last != uint32(p) || first != 101+uint32(p) {
+			t.Fatalf("pages %d and %d: read %d and %d, want %d and %d", p, p+1, last, first, p, 101+p)
+		}
+		mu.Lock()
+		ran := on[hid]
+		mu.Unlock()
+		if ran == 0 {
+			t.Fatalf("page %d: the turn's holder sent none of the fault's messages (%v)", p, on)
+		}
 	}
 }
 

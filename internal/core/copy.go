@@ -26,6 +26,16 @@ func (sn *segNode) setAux(p int, mask mmu.Copyset, window time.Duration) {
 	sn.m.SetWindow(p, window)
 }
 
+// stamp is the install time of a copy granted window. Only a window is
+// ever measured from it (handleInval), so without one the clock is not
+// read: the time is 0, and a zero window is expired at any time.
+func (e *Engine) stamp(window time.Duration) time.Duration {
+	if window == 0 {
+		return 0
+	}
+	return e.env.Now()
+}
+
 // install maps a copy at this site: a granted page, a page the library
 // reclaims, a segment's creation and a clock's rollback. A copy already
 // there is stale and the incoming one replaces it. The window is set
@@ -42,7 +52,7 @@ func (e *Engine) install(sn *segNode, page int32, data []byte, prot mmu.Prot, ma
 		sn.m.Invalidate(p)
 	}
 	sn.setAux(p, mask, window)
-	sn.m.Install(p, data, prot, e.env.Now())
+	sn.m.Install(p, data, prot, e.stamp(window))
 	if MutateEventAfterWord {
 		e.emit(ev)
 	}
@@ -58,7 +68,7 @@ func (e *Engine) upgrade(sn *segNode, page int32, window time.Duration, cycle ui
 	e.count(obs.CUpgrade)
 	e.emit(obs.Event{Type: obs.EvUpgrade, Seg: seg, Page: page, Cycle: cycle})
 	e.emit(obs.Event{Type: obs.EvPageState, Seg: seg, Page: page, Arg: 2})
-	sn.m.Upgrade(p, e.env.Now())
+	sn.m.Upgrade(p, e.stamp(window))
 	e.installed(sn, page, wire.Write, cycle)
 }
 
@@ -72,7 +82,7 @@ func (e *Engine) upgrade(sn *segNode, page int32, window time.Duration, cycle ui
 func (e *Engine) downgrade(sn *segNode, page int32, mask mmu.Copyset, window time.Duration, cycle uint32) {
 	p := int(page)
 	seg := int32(sn.meta.ID)
-	sn.m.Downgrade(p, e.env.Now())
+	sn.m.Downgrade(p, e.stamp(window))
 	e.count(obs.CDowngrade)
 	if !sn.releasing() {
 		e.emit(obs.Event{Type: obs.EvDowngrade, Seg: seg, Page: page, Cycle: cycle})

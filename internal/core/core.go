@@ -57,10 +57,16 @@ type Env interface {
 	// loopback must deliver with no network charge).
 	Send(to int, m NetMsg)
 	// Exec runs fn after charging cost of CPU service time at this
-	// site. Live environments may ignore cost and run fn directly, but
-	// must still serialize all engine entry points.
+	// site. Live environments may ignore cost and run fn directly (and
+	// then say so, Inline), but must still serialize all engine entry
+	// points.
 	Exec(cost time.Duration, fn func())
 }
+
+// Inline is what an Env whose Exec runs fn at once, charging nothing,
+// implements besides. New asks once; such an engine calls what it would
+// hand Exec itself, with no closure built only to be run straight away.
+type Inline interface{ ExecInline() }
 
 // InvalPolicy selects how an unexpired Δ window is handled when an
 // invalidation arrives at the clock site.
@@ -404,6 +410,10 @@ type Engine struct {
 	rel   *rel     // nil unless Options.Reliability set
 	obs   *obs.Obs // nil when observability is off
 
+	// inline is set when env is Inline: the engine runs at once what it
+	// would hand Exec.
+	inline bool
+
 	// The clock site's share of the options: how an unexpired window
 	// answers an invalidation, and how wide one fans out.
 	policy InvalPolicy
@@ -445,6 +455,7 @@ func New(env Env, opt Options) *Engine {
 		policy: opt.Policy,
 		fanout: opt.InvalFanout,
 	}
+	_, e.inline = env.(Inline)
 	if opt.Obs != nil {
 		e.reg = opt.Obs.Metrics
 	}
@@ -514,6 +525,17 @@ func (e *Engine) countN(c obs.Counter, n int64) {
 
 // markStale counts a tolerated out-of-cycle or inconsistent message.
 func (e *Engine) markStale() { e.count(obs.CStale) }
+
+// tolerate takes a message the protocol cannot send without the
+// reliability layer: there it is a bug, and panics; with the layer — a
+// straggler of an aborted cycle, a duplicate, a record behind a degraded
+// grant — it is counted (markStale), and the caller drops or repairs it.
+func (e *Engine) tolerate(what string, m *wire.Msg) {
+	if e.rel == nil {
+		panic(fmt.Sprintf("core: site %d: %s: %v", e.site, what, m))
+	}
+	e.markStale()
+}
 
 // fnvOffset and fnvPrime are the FNV-1a 64-bit parameters RecordOp
 // digests op payloads with.
@@ -762,10 +784,6 @@ func (e *Engine) Fault(seg int32, page int32, write bool, pid int32, wake func()
 		return // the request already made answers this fault
 	}
 	e.count(obs.CRequestSent)
-	cost := e.costs.Request
-	if sn.curLib == e.site {
-		cost = e.costs.LocalFault
-	}
 	m := &wire.Msg{
 		Kind: kind,
 		Seg:  seg,
@@ -776,6 +794,14 @@ func (e *Engine) Fault(seg int32, page int32, write bool, pid int32, wake func()
 	}
 	lib := sn.curLib
 	e.armReqTimer(sn, seg, page)
+	if e.inline {
+		e.transmit(lib, m)
+		return
+	}
+	cost := e.costs.Request
+	if lib == e.site {
+		cost = e.costs.LocalFault
+	}
 	e.env.Exec(cost, func() { e.transmit(lib, m) })
 }
 
@@ -824,11 +850,16 @@ func (e *Engine) wakeAll(sn *segNode) {
 // parameter is any so engines with different message sets satisfy a
 // common transport interface). Transports call it for every message
 // addressed to this site; the engine charges the appropriate service
-// cost and then handles it. Loopback messages (From == this site) cost
-// nothing: their work is part of the service that produced them, which
-// is why colocating requester and library wins (§7.3).
+// cost and then handles it (at once, under an Inline env). Loopback
+// messages (From == this site) cost nothing: their work is part of the
+// service that produced them, which is why colocating requester and
+// library wins (§7.3).
 func (e *Engine) Deliver(payload any) {
 	m := payload.(*wire.Msg)
+	if e.inline {
+		e.receive(m)
+		return
+	}
 	cost := time.Duration(0)
 	if int(m.From) != e.site {
 		switch m.Kind {

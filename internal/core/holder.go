@@ -146,17 +146,11 @@ func (e *Engine) Frame(seg, page int32) []byte {
 func (e *Engine) handleAddReader(sn *segNode, m *wire.Msg) {
 	p := int(m.Page)
 	if !sn.m.Present(p) {
-		if e.rel == nil {
-			panic(fmt.Sprintf("core: site %d: add-reader for absent page: %v", e.site, m))
-		}
 		// Our copy is gone (dropped by an earlier degraded grant); the
 		// library's record is behind. Fail the whole batch back.
-		e.markStale()
+		e.tolerate("add-reader for absent page", m)
 		m.Readers.ForEach(func(s int) {
-			e.send(sn.curLib, &wire.Msg{
-				Kind: wire.KGrantFail, Mode: wire.Read, Seg: m.Seg, Page: m.Page,
-				Req: int32(s), Cycle: m.Cycle,
-			})
+			e.grantFail(sn.curLib, m, wire.Read, int32(s), false)
 		})
 		return
 	}
@@ -189,19 +183,16 @@ func (e *Engine) handleInval(sn *segNode, m *wire.Msg) {
 	e.count(obs.CInvalRecv)
 	p := int(m.Page)
 	if !sn.m.Present(p) {
-		if e.rel == nil {
-			panic(fmt.Sprintf("core: site %d: inval for absent page: %v", e.site, m))
-		}
 		// Clock copy gone: the cycle cannot be honored here.
-		e.markStale()
-		e.send(sn.curLib, &wire.Msg{
-			Kind: wire.KGrantFail, Mode: wire.Write, Seg: m.Seg, Page: m.Page,
-			Req: m.Req, Upgrade: m.Upgrade, Cycle: m.Cycle,
-		})
+		e.tolerate("inval for absent page", m)
+		e.grantFail(sn.curLib, m, wire.Write, m.Req, m.Upgrade)
 		return
 	}
-	now := e.env.Now()
-	if rem := sn.m.WindowRemaining(p, now); rem > 0 && !mutateSkipWindowCheck {
+	var rem time.Duration
+	if sn.m.Aux(p).Window > 0 { // no window, no clock read: nothing remains of it
+		rem = sn.m.WindowRemaining(p, e.env.Now())
+	}
+	if rem > 0 && !mutateSkipWindowCheck {
 		// The window has not expired: §6.1 "the clock site replies
 		// immediately with the amount of time the library must wait".
 		// However the policy resolves it, this is a Δ denial — the
@@ -235,14 +226,8 @@ func (e *Engine) acceptInval(sn *segNode, m *wire.Msg) {
 		// (optimization 2: it retains its read copy) and distribute
 		// copies to the new readers. The clock site stays here.
 		if sn.m.Prot(p) != mmu.ReadWrite {
-			if e.rel == nil {
-				panic(fmt.Sprintf("core: site %d: downgrade of non-writable page: %v", e.site, m))
-			}
-			e.markStale()
-			e.send(sn.curLib, &wire.Msg{
-				Kind: wire.KGrantFail, Mode: wire.Write, Seg: m.Seg, Page: m.Page,
-				Req: -1, Cycle: m.Cycle,
-			})
+			e.tolerate("downgrade of non-writable page", m)
+			e.grantFail(sn.curLib, m, wire.Write, -1, false)
 			return
 		}
 		e.downgrade(sn, m.Page, mmu.CopysetOf(e.site).Union(m.Readers), m.Delta, m.Cycle)
@@ -402,11 +387,8 @@ func (e *Engine) handleInvalAck(sn *segNode, m *wire.Msg) {
 	}
 	pi := sp.pend
 	if pi == nil || (e.rel != nil && m.Cycle != pi.m.Cycle) {
-		if e.rel != nil {
-			e.markStale()
-			return
-		}
-		panic(fmt.Sprintf("core: site %d: unexpected inval-ack: %v", e.site, m))
+		e.tolerate("unexpected inval-ack", m)
+		return
 	}
 	pi.ack(m)
 	if !pi.remaining.Empty() {
@@ -506,14 +488,11 @@ func (e *Engine) handlePageSend(sn *segNode, m *wire.Msg) {
 // (optimization 1) at the requester.
 func (e *Engine) handleUpgradeGrant(sn *segNode, m *wire.Msg) {
 	p := int(m.Page)
-	if sn.m.Prot(p) != mmu.ReadOnly {
-		if e.rel == nil {
-			panic(fmt.Sprintf("core: site %d: upgrade grant for %v page: %v", e.site, sn.m.Prot(p), m))
-		}
-		if sn.m.Prot(p) == mmu.ReadWrite {
+	if prot := sn.m.Prot(p); prot != mmu.ReadOnly {
+		e.tolerate(fmt.Sprintf("upgrade grant for %v page", prot), m)
+		if prot == mmu.ReadWrite {
 			// Raced duplicate: we are already the writer; complete the
 			// cycle anyway.
-			e.markStale()
 			e.send(sn.curLib, &wire.Msg{
 				Kind: wire.KInstalled, Mode: wire.Write, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle,
 			})
@@ -523,11 +502,7 @@ func (e *Engine) handleUpgradeGrant(sn *segNode, m *wire.Msg) {
 		// the in-place upgrade cannot apply. The clock (the sender)
 		// holds the frame it captured for this cycle; ask it to rehome
 		// the page through the library.
-		e.markStale()
-		e.send(int(m.From), &wire.Msg{
-			Kind: wire.KGrantFail, Mode: wire.Write, Upgrade: true,
-			Seg: m.Seg, Page: m.Page, Req: int32(e.site), Cycle: m.Cycle,
-		})
+		e.grantFail(int(m.From), m, wire.Write, int32(e.site), true)
 		return
 	}
 	e.upgrade(sn, m.Page, m.Delta, m.Cycle)

@@ -227,23 +227,17 @@ func (e *Engine) handleLibrary(sn *segNode, m *wire.Msg) {
 
 	case wire.KInstalled:
 		if p.grant.installs <= 0 || m.Cycle != p.cycle {
-			if e.rel != nil {
-				// A completion from an aborted cycle, or a duplicate that
-				// survived give-up: harmless once denial went out.
-				e.markStale()
-				return
-			}
-			panic(fmt.Sprintf("core: site %d: unexpected installed: %v", e.site, m))
+			// A completion from an aborted cycle, or a duplicate that
+			// survived give-up: harmless once denial went out.
+			e.tolerate("unexpected installed", m)
+			return
 		}
 		e.libInstalled(sn, m.Page)
 
 	case wire.KBusy:
 		if !p.grant.active || m.Cycle != p.cycle {
-			if e.rel != nil {
-				e.markStale()
-				return
-			}
-			panic(fmt.Sprintf("core: site %d: busy with no cycle: %v", e.site, m))
+			e.tolerate("busy with no cycle", m)
+			return
 		}
 		e.count(obs.CRetry)
 		e.countN(obs.CWindowWait, int64(m.Remaining))
@@ -299,27 +293,36 @@ func (e *Engine) libProcess(sn *segNode, page int32) {
 			}
 			e.libStartReadCycle(sn, page, batch)
 		case reqWrite:
-			p.queue = p.queue[1:]
+			p.dequeue()
 			if head.site == p.writer {
 				e.libAlready(sn, page, head.site, wire.Write)
 				continue
 			}
 			e.libStartWriteCycle(sn, page, head.site)
 		case reqReleaseRead, reqReleaseWrite:
-			p.queue = p.queue[1:]
+			p.dequeue()
 			e.libProcessRelease(sn, page, head)
 		}
 	}
 }
 
-// libCollectReads removes every read request from the queue, replies
-// KAlready to already-satisfied ones, and returns the batch to grant
-// together (§6.1: "Read requests for the same page are batched
+// dequeue removes the queue's head. The queue keeps its array, so a
+// page's steady stream of requests appends without allocating; the
+// vacated entry lets its release payload go.
+func (p *libPage) dequeue() {
+	n := copy(p.queue, p.queue[1:])
+	p.queue[n] = libReq{}
+	p.queue = p.queue[:n]
+}
+
+// libCollectReads removes every read request from the queue, in place,
+// replies KAlready to already-satisfied ones, and returns the batch to
+// grant together (§6.1: "Read requests for the same page are batched
 // together and granted to all the readers at one time").
 func (e *Engine) libCollectReads(sn *segNode, page int32) mmu.Copyset {
 	p := &sn.lib.pages[page]
 	var batch mmu.Copyset
-	var rest []libReq
+	rest := p.queue[:0]
 	for _, r := range p.queue {
 		if r.kind != reqRead {
 			rest = append(rest, r)
@@ -334,6 +337,7 @@ func (e *Engine) libCollectReads(sn *segNode, page int32) mmu.Copyset {
 		}
 		batch = batch.Add(r.site)
 	}
+	clear(p.queue[len(rest):])
 	p.queue = rest
 	return batch
 }

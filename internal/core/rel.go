@@ -429,10 +429,16 @@ func (e *Engine) invalOrderFailed(sn *segNode, m *wire.Msg, to int) {
 			})
 		})
 	}
-	e.send(sn.curLib, &wire.Msg{
-		Kind: wire.KGrantFail, Mode: wire.Write, Seg: m.Seg, Page: m.Page,
-		Req: pi.m.Req, Cycle: pi.m.Cycle,
-	})
+	e.grantFail(sn.curLib, pi.m, wire.Write, pi.m.Req, false)
+}
+
+// grantFail tells to that the cycle of m, a message of the cycle, cannot
+// complete here for requester req: a reader of a read batch, the
+// requester of a write grant (upgrade: it holds no copy to upgrade), or
+// -1 for the whole cycle. The library answers with handleGrantFail.
+func (e *Engine) grantFail(to int, m *wire.Msg, mode wire.Mode, req int32, upgrade bool) {
+	e.send(to, &wire.Msg{Kind: wire.KGrantFail, Mode: mode, Seg: m.Seg, Page: m.Page,
+		Req: req, Upgrade: upgrade, Cycle: m.Cycle})
 }
 
 // failPage fails every blocked accessor on the page with err: the

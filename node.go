@@ -178,12 +178,10 @@ func (n *node) call(fn func()) {
 	<-ch
 }
 
+// close stops the site: nothing is accepted after it, and it returns
+// once the loop has worked off the inbox and exited.
 func (n *node) close() {
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
 	n.closed = true
 	n.cond.Signal()
 	n.mu.Unlock()
@@ -247,10 +245,12 @@ func (e nodeEnv) Send(to int, m core.NetMsg) {
 	_ = e.n.tr.Send(to, m.(*wire.Msg))
 }
 
-// Exec runs fn now. A live node charges no CPU cost, and the engine
-// calls Exec only as the last thing a step does: queueing fn would cost
-// a lock round trip and put it behind items nothing orders it against.
-func (e nodeEnv) Exec(cost time.Duration, fn func()) {
-	_ = cost // live nodes run at native speed
-	fn()
-}
+// Exec runs fn now: a live node runs at native speed and charges no
+// CPU cost, and the engine calls Exec only as the last thing a step
+// does, so queueing fn would cost a lock round trip and put it behind
+// items nothing orders it against. ExecInline says so to core.New, and
+// the engine then makes no closure for Exec at all: it runs the work
+// itself.
+func (nodeEnv) Exec(_ time.Duration, fn func()) { fn() }
+
+func (nodeEnv) ExecInline() {}

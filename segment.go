@@ -54,24 +54,49 @@ type liveSlowPath struct {
 	faultLat *obs.Hist // fault_latency_ns, fed by Fault; nil without metrics
 }
 
-// waker is what an access sleeps on: a one-slot channel, and the wake
-// function the engine keeps while a fault is outstanding. Every fault
-// or turn the site accepts is answered on ch once — the engine calls a
-// waiter's wake once — and waited for by its accessor, so a waker goes
-// back to the pool with its slot empty. The pool is worth
-// three allocations a fault (a channel of errors is two) and 2.4–3.1 %
-// of a fault-inproc op's p50, on 9 of 10 pairs with and without it
-// (hypotheses/e24-access-check/FINDINGS.md).
+// waker is what an access sleeps on: a one-slot channel, the wake
+// function the engine keeps while a fault is outstanding, and the fault
+// step (fault) with its arguments, which the accessor sets before each
+// round. Every fault or turn the site accepts is answered on ch once —
+// the engine calls a waiter's wake once — and waited for by its
+// accessor, so a waker goes back to the pool with its slot empty, and
+// the step, which may run on whichever goroutine holds the site's turn,
+// reads its arguments before anything can answer the round. Made once
+// per waker, the channel, wake and step cost a fault no allocation
+// (hypotheses/e24-access-check/FINDINGS.md,
+// hypotheses/e38-step-allocs/FINDINGS.md).
 type waker struct {
 	ch   chan error
-	wake func() // signal(nil), made once with the channel
+	wake func() // signal(nil)
+	step func() // fault
+
+	eng       *core.Engine
+	seg, page int32
+	write     bool
 }
 
 var wakers = sync.Pool{New: func() any {
 	w := &waker{ch: make(chan error, 1)}
 	w.wake = func() { w.signal(nil) }
+	w.step = w.fault
 	return w
 }}
+
+// fault is the step of one fault round, run with the site's turn.
+func (w *waker) fault() {
+	if err := w.eng.FaultError(w.seg, w.page); err != nil {
+		// A previous fault on this page was degraded (peer unreachable
+		// past the retry budget). Surface it instead of refaulting into
+		// the same partition.
+		w.signal(err)
+		return
+	}
+	if w.eng.CheckAccess(w.seg, w.page, w.write) == mmu.NoFault {
+		w.signal(nil) // the page arrived between the check and here
+		return
+	}
+	w.eng.Fault(w.seg, w.page, w.write, 0, w.wake)
+}
 
 // signal answers a fault. It runs in a step, which must never block:
 // were the slot taken, the accessor is about to retry anyway.
@@ -82,8 +107,12 @@ func (w *waker) signal(err error) {
 	}
 }
 
-// Release ends the access that took the waker (mem.Waiter).
-func (w *waker) Release() { wakers.Put(w) }
+// Release ends the access that took the waker (mem.Waiter). A pooled
+// waker keeps no engine: a closed cluster's is not held by the pool.
+func (w *waker) Release() {
+	w.eng = nil
+	wakers.Put(w)
+}
 
 // takeWaker returns the access's waker, from the pool the first time.
 func takeWaker(w mem.Waiter) *waker {
@@ -146,22 +175,8 @@ func (s *liveSlowPath) fault(page int32, write bool, wk *waker) error {
 		return ErrDetached
 	}
 	nd := s.site.node
-	segID := int32(s.seg.ID)
-	ok := nd.run(loopItem{fn: func() {
-		if err := nd.eng.FaultError(segID, page); err != nil {
-			// A previous fault on this page was degraded (peer
-			// unreachable past the retry budget). Surface it instead of
-			// refaulting into the same partition.
-			wk.signal(err)
-			return
-		}
-		if nd.eng.CheckAccess(segID, page, write) == mmu.NoFault {
-			wk.signal(nil) // the page arrived between the check and here
-			return
-		}
-		nd.eng.Fault(segID, page, write, 0, wk.wake)
-	}})
-	if !ok {
+	wk.eng, wk.seg, wk.page, wk.write = nd.eng, int32(s.seg.ID), page, write
+	if !nd.run(loopItem{fn: wk.step}) {
 		return ErrDetached
 	}
 	return <-wk.ch
