@@ -4,8 +4,13 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"mirage/internal/check"
+	"mirage/internal/obs"
 )
 
 func runSim(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -209,5 +214,40 @@ func TestTablesSameWithAndWithoutMetrics(t *testing.T) {
 		if row == nil || row[1] != dumped {
 			t.Errorf("%v: site 1 read faults: table row %v, registry %s", scenario, row, dumped)
 		}
+	}
+}
+
+// TestRelayCrashViolationsPinned runs the relay-crash reproduction of
+// the lease gap (DESIGN.md §7.3): site 5 crashes with a read grant in
+// flight, the library gives up on its KInstalled and denies it, and
+// its copy outlives later writes. The run's own check stops at the
+// checker's default cap of 100 violations, so the test re-checks the
+// trace with no cap. Both counts are pins: a change may lower them,
+// never raise them.
+func TestRelayCrashViolationsPinned(t *testing.T) {
+	const maxCapped, maxAll = 100, 563
+	trace := filepath.Join(t.TempDir(), "relay.jsonl")
+	code, stdout, stderr := runSim(t,
+		"-workload", "readers", "-sites", "20", "-fanout", "4", "-delta", "2ms", "-dur", "20s",
+		"-check", "-chaos", "seed=7; crash site=5 from=400ms until=10s", "-trace", trace)
+	capped := 0
+	if m := regexp.MustCompile(`coherence check: \d+ events, (\d+) violation`).FindStringSubmatch(stdout); m != nil {
+		capped, _ = strconv.Atoi(m[1])
+	} else if code != 0 || !strings.Contains(stdout, "clean") {
+		t.Fatalf("no check verdict: code %d\n%s%s", code, stdout, stderr)
+	}
+	f, err := os.Open(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	hdr, events, err := obs.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := len(check.Verify(check.Config{Sites: hdr.Sites, Delta: 2 * time.Millisecond, Reliable: true, MaxViolations: 1 << 20}, events))
+	t.Logf("relay crash: %d violations reported by the run (cap 100), %d in the whole trace", capped, all)
+	if capped > maxCapped || all > maxAll {
+		t.Fatalf("relay crash: %d reported and %d in all, pinned at %d and %d", capped, all, maxCapped, maxAll)
 	}
 }

@@ -13,10 +13,17 @@ import (
 )
 
 // TCPMesh carries the Mirage wire protocol over real TCP sockets: one
-// listener per site and one outbound connection per (sender, receiver)
-// pair, established lazily and kept open — the Locus virtual-circuit
-// discipline. Frames are the wire binary encoding behind a 4-byte
-// length prefix; TCP's ordering gives the per-circuit FIFO the
+// listener per site and one circuit per pair of sites, established
+// lazily by whichever site sends first and kept open — the Locus
+// virtual-circuit discipline (§7.1). A circuit carries both directions:
+// the dialer opens the socket with a hello (a magic word and its site
+// id) and reads it from then on, and the acceptor adopts the socket as
+// its own circuit to that peer, so a reply travels back on the socket
+// its request came in on and carries the kernel's ack for it. If both
+// sites dial at once, each keeps sending on the socket it dialed and
+// both sockets are read; a sender's traffic leaves its socket only by
+// evict-and-redial. Frames are the wire binary encoding behind a
+// 4-byte length prefix; TCP's ordering gives the per-sender FIFO the
 // protocol assumes.
 //
 // Data path. Send appends the encoded frame straight into the peer
@@ -27,11 +34,11 @@ import (
 // circuit are recycled forever: the steady-state send path allocates
 // nothing. TCP_NODELAY is set explicitly on every circuit:
 // batching happens here, where message boundaries are known, never in
-// the kernel where it would add delay. Inbound, each connection reuses
-// a single read buffer sized up to the max frame; decoded control
-// messages borrow nothing from it, and page-carrying messages get their
-// Data copied out (wire.Msg.CloneData) before the handler — which may
-// retain the message indefinitely — sees them.
+// the kernel where it would add delay. Inbound, each socket has one
+// reader that reuses a single read buffer sized up to the max frame;
+// decoded control messages borrow nothing from it, and page-carrying
+// messages get their Data copied out (wire.Msg.CloneData) before the
+// handler — which may retain the message indefinitely — sees them.
 //
 // The mesh is for sites within one OS (typically loopback): the
 // control plane (segment naming) stays in-process, as noted in
@@ -70,11 +77,13 @@ func (m *TCPMesh) SetObs(o *obs.Obs) {
 // memory at two staging buffers of roughly this size.
 const maxQueuedBytes = 1 << 20
 
-// tcpConn is one outbound circuit: a staging buffer of encoded frames
-// drained by a writer goroutine that owns the socket. Senders encode
-// under mu, appending to out; the writer swaps out/offs with the spare
-// pair, so the two buffers ping-pong between the roles and the data
-// path reaches steady state with zero allocation.
+// tcpConn is a site's circuit to one peer: a staging buffer of encoded
+// frames drained by a writer goroutine that owns the socket's sending
+// side. The socket is one the writer dialed or one the peer dialed and
+// this site adopted; either way a reader serves its other side.
+// Senders encode under mu, appending to out; the writer swaps out/offs
+// with the spare pair, so the two buffers ping-pong between the roles
+// and the data path reaches steady state with zero allocation.
 type tcpConn struct {
 	m  *TCPMesh
 	to int
@@ -88,8 +97,9 @@ type tcpConn struct {
 	spareOffs []int
 	closed    bool
 
-	// c is the established socket. It is owned by the writer goroutine;
-	// tests fault it deliberately (under mu) to exercise redial.
+	// c is the established socket, dialed or adopted. The writer
+	// goroutine owns its sending side; tests fault it deliberately
+	// (under mu) to exercise redial.
 	c net.Conn
 }
 
@@ -148,7 +158,51 @@ func (m *TCPMesh) accept() {
 		m.inbound[c] = struct{}{}
 		m.mu.Unlock()
 		m.wg.Add(1)
-		go m.serve(c)
+		go m.serve(c, true)
+	}
+}
+
+// helloMagic opens every dialed socket, followed by the dialer's site
+// id: helloLen bytes that tell the acceptor whose circuit it is.
+const (
+	helloMagic = 0x4d697263 // "Mirc"
+	helloLen   = 8
+)
+
+// hello is what a site writes on a socket it dialed before any frame.
+func hello(site int) []byte {
+	h := make([]byte, helloLen)
+	binary.BigEndian.PutUint32(h[:4], helloMagic)
+	binary.BigEndian.PutUint32(h[4:], uint32(site))
+	return h
+}
+
+// adopt checks an accepted socket's hello and, if this site has no
+// circuit to the dialer yet, makes the socket that circuit, so replies
+// travel back on the socket their requests came in on. A simultaneous
+// dial leaves the circuit this site already has in place: the socket
+// is then only read. adopt reports false for a hello that is not one
+// or names no peer of this site.
+func (m *TCPMesh) adopt(h [helloLen]byte, c net.Conn) bool {
+	peer := binary.BigEndian.Uint32(h[4:])
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if binary.BigEndian.Uint32(h[:4]) != helloMagic || peer >= uint32(len(m.addrs)) || int(peer) == m.site {
+		return false
+	}
+	if _, ok := m.conns[int(peer)]; !ok && !m.closed {
+		noDelay(c)
+		m.newConn(int(peer), c)
+	}
+	return true
+}
+
+// noDelay sets TCP_NODELAY. It is explicit, though it is Go's default:
+// batching is done at the frame layer, the kernel must never sit on a
+// flushed batch.
+func noDelay(c net.Conn) {
+	if t, ok := c.(*net.TCPConn); ok {
+		t.SetNoDelay(true)
 	}
 }
 
@@ -157,13 +211,16 @@ func (m *TCPMesh) accept() {
 // kernel read.
 const readBufSize = 64 * 1024
 
-// serve reads frames from one inbound connection and delivers them.
+// serve reads frames from one socket and delivers them: an accepted one
+// after its hello, or one this site dialed, on which the peer answers.
 // One frame buffer is reused for the whole connection; wire.Decode
 // aliases message Data into it, so data-carrying messages are cloned
 // before the handler retains them. Control messages (the vast majority
 // of protocol traffic) borrow nothing and allocate nothing here beyond
-// the Msg itself.
-func (m *TCPMesh) serve(c net.Conn) {
+// the Msg itself. On exit the socket is closed, so a circuit whose peer
+// hung up fails its next write and redials instead of writing into a
+// dead socket.
+func (m *TCPMesh) serve(c net.Conn, accepted bool) {
 	defer m.wg.Done()
 	defer func() {
 		c.Close()
@@ -172,6 +229,16 @@ func (m *TCPMesh) serve(c net.Conn) {
 		m.mu.Unlock()
 	}()
 	r := bufio.NewReaderSize(c, readBufSize)
+	if accepted {
+		var h [helloLen]byte
+		if _, err := io.ReadFull(r, h[:]); err != nil {
+			return
+		}
+		if !m.adopt(h, c) {
+			m.count(obs.CTCPCorruptStream)
+			return
+		}
+	}
 	var hdr [4]byte
 	var buf []byte // reused frame buffer, grown on demand up to MaxFrame
 	for {
@@ -240,13 +307,19 @@ func (m *TCPMesh) conn(to int) (*tcpConn, error) {
 	if to < 0 || to >= len(m.addrs) || to == m.site {
 		return nil, fmt.Errorf("transport: site %d has no circuit to site %d", m.site, to)
 	}
-	tc := &tcpConn{m: m, to: to}
+	return m.newConn(to, nil), nil
+}
+
+// newConn records the circuit to peer `to` and starts its writer; c is
+// an adopted socket, or nil for the writer to dial. m.mu is held.
+func (m *TCPMesh) newConn(to int, c net.Conn) *tcpConn {
+	tc := &tcpConn{m: m, to: to, c: c}
 	tc.cond = sync.NewCond(&tc.mu)
 	tc.space = sync.NewCond(&tc.mu)
 	m.conns[to] = tc
 	m.wg.Add(1)
 	go tc.writeLoop()
-	return tc, nil
+	return tc
 }
 
 // enqueue encodes one message into the circuit's staging buffer,
@@ -385,7 +458,9 @@ func (c *tcpConn) writeFrames(data []byte, offs []int, from int) (unsent int) {
 }
 
 // socket returns the circuit's established socket, dialing if needed.
-// A nil return means the peer is unreachable (counted).
+// A dialed socket opens with the hello and gets a reader, since the
+// peer will answer on it. A nil return means the peer is unreachable
+// (counted).
 func (c *tcpConn) socket() net.Conn {
 	c.mu.Lock()
 	if c.closed {
@@ -406,14 +481,15 @@ func (c *tcpConn) socket() net.Conn {
 	}
 	c.m.mu.Unlock()
 	conn, err := net.Dial("tcp", addr)
+	if err == nil {
+		noDelay(conn)
+		if _, err = conn.Write(hello(c.m.site)); err != nil {
+			conn.Close()
+		}
+	}
 	if err != nil {
 		c.m.count(obs.CTCPWriteError)
 		return nil
-	}
-	if t, ok := conn.(*net.TCPConn); ok {
-		// Explicit, though it is Go's default: batching is done here at
-		// the frame layer, the kernel must never sit on a flushed batch.
-		t.SetNoDelay(true)
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -422,6 +498,8 @@ func (c *tcpConn) socket() net.Conn {
 		return nil
 	}
 	c.c = conn
+	c.m.wg.Add(1)
+	go c.m.serve(conn, false)
 	c.mu.Unlock()
 	return conn
 }

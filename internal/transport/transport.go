@@ -14,10 +14,11 @@ import (
 
 // Handler receives delivered messages for a site. A fabric calls it
 // from whichever goroutine the message arrived on — the sender's own
-// for InprocMesh, one reader per inbound connection for TCPMesh, a
-// timer's for a chaos-delayed copy — so it must be safe to call from
-// several goroutines at once, and it must not block: it runs on the
-// sender's time. What a fabric guarantees in return is order per
+// for InprocMesh, one reader per socket for TCPMesh (a pair of sites
+// shares one socket, two after a simultaneous dial), a timer's for a
+// chaos-delayed copy — so it must be safe to call from several
+// goroutines at once, and it must not block: it runs on the sender's
+// time. What a fabric guarantees in return is order per
 // sender: the messages one goroutine sent to a site reach that site's
 // handler in the order they were sent, each call returning before the
 // next begins. The live node's handlers are the model: the in-process
