@@ -93,6 +93,7 @@ import (
 
 	"mirage"
 	"mirage/internal/check"
+	"mirage/internal/core"
 	"mirage/internal/exp"
 	"mirage/internal/load"
 	"mirage/internal/vaxmodel"
@@ -495,7 +496,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		t := exp.NewTable("policy", "schedules", "choice points", "deepest", "max branch", "complete", "violations")
 		for pol := 0; pol <= 2; pol++ {
 			sc := check.Scenario{
-				Sites: 2, Pages: 1, Delta: 10 * time.Millisecond, Policy: pol,
+				Sites: 2, Pages: 1, Delta: 10 * time.Millisecond,
+				Options: core.Options{Policy: core.InvalPolicy(pol)},
 				Ops: []check.Op{
 					{Site: 0, Page: 0, Write: true, Val: 7},
 					{Site: 1, Page: 0, Write: true, Val: 9},
@@ -525,8 +527,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			seeds = append(seeds, s)
 		}
 		chaotic := check.Scenario{
-			Sites: 3, Pages: 2, Delta: 5 * time.Millisecond, Policy: 2,
-			Chaos: "drop p=0.15; dup p=0.1; delay p=0.2 max=5ms",
+			Sites: 3, Pages: 2, Delta: 5 * time.Millisecond,
+			Chaos:   "drop p=0.15; dup p=0.1; delay p=0.2 max=5ms",
+			Options: core.Options{Policy: core.PolicyQueue},
 		}
 		res := check.RandomWalk(chaotic, seeds, check.ExploreOpts{OpsPerWalk: 10})
 		fmt.Fprintf(stdout, "random walk under chaos: %d seeds, %d choice points, %d violations\n",

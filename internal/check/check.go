@@ -71,6 +71,9 @@ const (
 	// InvLiveness: the run drained with ops still blocked (explorer
 	// harness only; never produced by the trace checker).
 	InvLiveness = "liveness"
+	// InvPanic: an engine panicked while the kernel stepped; the run
+	// ended there (explorer harness only).
+	InvPanic = "panic"
 	// InvRecord: the library's record disagreed with actual page
 	// placement after quiescence (explorer harness only).
 	InvRecord = "final-record-agreement"

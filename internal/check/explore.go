@@ -126,21 +126,8 @@ func RandomWalk(sc Scenario, seeds []int64, opt ExploreOpts) Result {
 		if opt.MaxRuns > 0 && res.Runs >= opt.MaxRuns {
 			return res
 		}
-		run := sc
-		if run.Ops == nil {
-			n := opt.OpsPerWalk
-			if n <= 0 {
-				n = 8
-			}
-			run.Ops = GenOps(seed, run.Sites, max(run.Pages, 1), n)
-		}
-		if run.Chaos != "" {
-			if p, err := chaos.Parse(run.Chaos); err == nil && p.Seed == 0 {
-				p.Seed = seed
-				run.Chaos = p.String()
-			}
-		}
-		sch := &scheduler{rng: rand.New(rand.NewSource(seed))}
+		run := sc.walk(seed, opt.OpsPerWalk)
+		sch := &scheduler{rng: newRng(seed)}
 		r := runScenario(run, sch, opt.MaxSteps)
 		res.observe(sch)
 		if len(r.violations) > 0 {
@@ -149,6 +136,24 @@ func RandomWalk(sc Scenario, seeds []int64, opt ExploreOpts) Result {
 		}
 	}
 	return res
+}
+
+// walk is the scenario RandomWalk runs for a seed: n generated ops (0
+// = 8) when it has none, and a chaos plan without a seed given this one.
+func (sc Scenario) walk(seed int64, n int) Scenario {
+	if sc.Ops == nil {
+		if n <= 0 {
+			n = 8
+		}
+		sc.Ops = GenOps(seed, sc.Sites, max(sc.Pages, 1), n)
+	}
+	if sc.Chaos != "" {
+		if p, err := chaos.Parse(sc.Chaos); err == nil && p.Seed == 0 {
+			p.Seed = seed
+			sc.Chaos = p.String()
+		}
+	}
+	return sc
 }
 
 // newRng is the one rand constructor in the package; exploration and

@@ -2,9 +2,11 @@ package check
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
+	"mirage/internal/core"
 	"mirage/internal/obs"
 )
 
@@ -12,7 +14,8 @@ import (
 // two sites, one page, conflicting writes plus a read-back.
 func tinyScenario() Scenario {
 	return Scenario{
-		Sites: 2, Pages: 1, Delta: 10 * ms, Policy: 2, // queue
+		Sites: 2, Pages: 1, Delta: 10 * ms,
+		Options: core.Options{Policy: core.PolicyQueue},
 		Ops: []Op{
 			{Site: 0, Write: true, Val: 7},
 			{Site: 1, Write: true, Val: 9},
@@ -29,7 +32,8 @@ func tinyScenario() Scenario {
 // catch. Shared with mutation_test.go.
 func windowScenario() Scenario {
 	return Scenario{
-		Sites: 3, Pages: 1, Delta: 50 * ms, Policy: 2,
+		Sites: 3, Pages: 1, Delta: 50 * ms,
+		Options: core.Options{Policy: core.PolicyQueue},
 		Ops: []Op{
 			{Site: 1, Write: true, Val: 7},
 			{Site: 2, Write: true, Val: 9},
@@ -58,9 +62,13 @@ func replScenario() Scenario {
 		)
 	}
 	return Scenario{
-		Sites: 3, Pages: 2, Policy: 2, Replicas: 2,
+		Sites: 3, Pages: 2,
 		Chaos: "crash site=0 from=25ms",
 		Ops:   ops,
+		Options: core.Options{
+			Policy:      core.PolicyQueue,
+			Replication: &core.Replication{Replicas: 2},
+		},
 	}
 }
 
@@ -96,7 +104,7 @@ func TestReplScenarioCleanDefault(t *testing.T) {
 func TestWindowScenarioCleanDefault(t *testing.T) {
 	for pol := 0; pol <= 2; pol++ {
 		sc := windowScenario()
-		sc.Policy = pol
+		sc.Options.Policy = core.InvalPolicy(pol)
 		res := Exhaustive(sc, ExploreOpts{MaxRuns: 5000})
 		if res.Counterexample != nil {
 			t.Fatalf("policy %d: %v", pol, res.Violations)
@@ -125,7 +133,7 @@ func TestExhaustiveTinyComplete(t *testing.T) {
 func TestExhaustiveAllPolicies(t *testing.T) {
 	for pol := 0; pol <= 2; pol++ {
 		sc := tinyScenario()
-		sc.Policy = pol
+		sc.Options.Policy = core.InvalPolicy(pol)
 		sc.Ops = sc.Ops[:3] // keep retry-policy trees small
 		res := Exhaustive(sc, ExploreOpts{MaxDepth: 20, MaxRuns: 20000})
 		t.Logf("policy=%d runs=%d complete=%v truncated=%d", pol, res.Runs, res.Complete, res.Truncated)
@@ -144,8 +152,9 @@ func TestExhaustiveMaxRunsBound(t *testing.T) {
 
 func TestRandomWalkCleanUnderChaos(t *testing.T) {
 	sc := Scenario{
-		Sites: 3, Pages: 2, Delta: 5 * ms, Policy: 2,
-		Chaos: "drop p=0.15; dup p=0.1; delay p=0.2 max=5ms",
+		Sites: 3, Pages: 2, Delta: 5 * ms,
+		Chaos:   "drop p=0.15; dup p=0.1; delay p=0.2 max=5ms",
+		Options: core.Options{Policy: core.PolicyQueue},
 	}
 	seeds := make([]int64, 12)
 	for i := range seeds {
@@ -162,7 +171,7 @@ func TestRandomWalkCleanUnderChaos(t *testing.T) {
 }
 
 func TestRandomWalkCleanNoChaos(t *testing.T) {
-	sc := Scenario{Sites: 3, Pages: 2, Delta: 8 * ms, Policy: 0}
+	sc := Scenario{Sites: 3, Pages: 2, Delta: 8 * ms}
 	res := RandomWalk(sc, []int64{101, 102, 103, 104, 105}, ExploreOpts{OpsPerWalk: 12})
 	if res.Counterexample != nil {
 		t.Fatalf("violation in correct protocol: %v", res.Violations)
@@ -213,9 +222,10 @@ func TestReplayByteIdentical(t *testing.T) {
 
 func TestReplayChaosDeterministic(t *testing.T) {
 	sc := Scenario{
-		Sites: 3, Pages: 1, Delta: 5 * ms, Policy: 2,
-		Ops:   GenOps(42, 3, 1, 8),
-		Chaos: "seed=42; drop p=0.2; delay p=0.3 max=4ms",
+		Sites: 3, Pages: 1, Delta: 5 * ms,
+		Ops:     GenOps(42, 3, 1, 8),
+		Chaos:   "seed=42; drop p=0.2; delay p=0.3 max=4ms",
+		Options: core.Options{Policy: core.PolicyQueue},
 	}
 	r := Repro{Scenario: sc, Choices: []int{2, 1, 0, 1}}
 	a, b := r.Replay(), r.Replay()
@@ -224,23 +234,42 @@ func TestReplayChaosDeterministic(t *testing.T) {
 	}
 }
 
+// A repro survives the JSON round trip whole, with every layer of its
+// stack, and replays the same trace. The harness owns Obs and Costs: the
+// JSON carries neither, and a scenario that sets them runs the same.
 func TestReproEncodeDecodeRoundTrip(t *testing.T) {
-	r := Repro{Scenario: tinyScenario(), Choices: []int{1, 2, 3}}
-	r.Scenario.Chaos = "seed=7; drop p=0.1"
-	var buf bytes.Buffer
-	if err := r.Encode(&buf); err != nil {
-		t.Fatal(err)
+	tiny := Repro{Scenario: tinyScenario(), Choices: []int{1, 2, 3}}
+	tiny.Scenario.Chaos = "seed=7; drop p=0.1"
+	all := Repro{Scenario: Scenario{Sites: 6, Pages: 2, Delta: 5 * ms,
+		Ops: GenOps(7, 6, 2, 12), Chaos: "seed=7; " + latticeLoss}, Choices: []int{1, 0, 2}}
+	for _, l := range layers {
+		l.set(&all.Scenario.Options)
 	}
-	got, err := DecodeRepro(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Scenario.Sites != r.Scenario.Sites || got.Scenario.Chaos != r.Scenario.Chaos ||
-		len(got.Choices) != 3 || got.Choices[1] != 2 {
-		t.Fatalf("round trip mangled repro: %+v", got)
-	}
-	if got.Replay().TraceSHA != r.Replay().TraceSHA {
-		t.Fatal("decoded repro replays differently")
+	owned := all
+	owned.Scenario.Options.Obs = obs.New()
+	owned.Scenario.Options.Costs = &core.Costs{Request: ms}
+	owned.Scenario.Options.Sites = 3
+	for _, r := range []Repro{tiny, all, owned} {
+		var buf bytes.Buffer
+		if err := r.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeRepro(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := r
+		want.Scenario.Options.Obs, want.Scenario.Options.Costs, want.Scenario.Options.Sites = nil, nil, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip mangled repro:\n got %+v\nwant %+v", got, want)
+		}
+		a := got.Replay()
+		if a.TraceSHA != r.Replay().TraceSHA {
+			t.Fatal("decoded repro replays differently")
+		}
+		if a.Events == 0 || len(a.Violations) > 0 {
+			t.Fatalf("decoded repro ran %d events: %v", a.Events, a.Violations)
+		}
 	}
 }
 
@@ -250,6 +279,12 @@ func TestDecodeReproRejectsGarbage(t *testing.T) {
 	}
 	if _, err := DecodeRepro(bytes.NewReader([]byte("{}"))); err == nil {
 		t.Fatal("want error for empty scenario")
+	}
+	// The format before Scenario carried core.Options: decoding it would
+	// drop the stack and replay a different run.
+	old := `{"scenario":{"sites":3,"pages":1,"delta":0,"policy":2,"failover":true,"replicas":1,"ops":[]},"choices":[]}`
+	if _, err := DecodeRepro(bytes.NewReader([]byte(old))); err == nil {
+		t.Fatal("want error for a repro in the old format")
 	}
 }
 
@@ -308,28 +343,24 @@ var _ = time.Second
 // hold taken and its Unhold skipped fails them on exactly that page, and
 // passes again once the page is given back.
 func TestLeakedHoldIsCaught(t *testing.T) {
-	n := newMigNet(t, 2, obs.New())
-	n.access(0, 0, true, 1)
-	n.access(1, 0, false, 0)
-	n.k.Run()
-	sc := Scenario{Sites: 2, Pages: 2}
-	final := func() []Violation {
-		return append(idle(n.engines, []int32{scenarioSeg}), finalChecks(sc, n.engines)...)
-	}
-	if v := final(); len(v) != 0 {
+	h := drive(t, Scenario{Sites: 2, Pages: 2})
+	h.access(t, 0, 0, true, 1)
+	h.access(t, 1, 0, false, 0)
+	h.k.Run()
+	if v := h.check(); len(v) != 0 {
 		t.Fatalf("drained cluster: %v", v)
 	}
 	for _, write := range []bool{false, true} {
-		m := n.engines[0].Seg(scenarioSeg)
+		m := h.engines[0].Seg(scenarioSeg)
 		if _, ok := m.Hold(1, write); !ok {
 			t.Fatalf("library site refused a hold (write=%v) on its own page", write)
 		}
-		v := final()
+		v := h.check()
 		if len(v) != 1 || v[0].Invariant != InvIdleWord {
 			t.Fatalf("leaked hold (write=%v): violations = %v, want one %s", write, v, InvIdleWord)
 		}
 		m.Unhold(1, write)
-		if v := final(); len(v) != 0 {
+		if v := h.check(); len(v) != 0 {
 			t.Fatalf("after the Unhold (write=%v): %v", write, v)
 		}
 	}

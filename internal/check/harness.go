@@ -33,16 +33,13 @@ func (o Op) String() string {
 }
 
 // Scenario is a self-contained explorable configuration: cluster shape,
-// protocol knobs, the op workload, and an optional chaos plan. It
+// protocol stack, the op workload, and an optional chaos plan. It
 // serializes to JSON inside a Repro, so everything that influences the
 // run must live here.
 type Scenario struct {
 	Sites int           `json:"sites"`
 	Pages int           `json:"pages"`
 	Delta time.Duration `json:"delta"`
-	// Policy is the clock site's invalidation policy (core.InvalPolicy:
-	// 0 retry, 1 honor-close, 2 queue).
-	Policy int `json:"policy"`
 	// Hop is the per-hop message delay; 0 means 1ms. Distinct from 0 so
 	// protocol steps have duration and Δ windows mean something.
 	Hop time.Duration `json:"hop,omitempty"`
@@ -51,13 +48,11 @@ type Scenario struct {
 	// it brings the reliability layer (chaos without it livelocks by
 	// design).
 	Chaos string `json:"chaos,omitempty"`
-	// Failover enables the takeover layer (and brings the reliability
-	// layer under it), so crash windows in Chaos lead to recoveries
-	// instead of failed ops.
-	Failover bool `json:"failover,omitempty"`
-	// Replicas is the segment's replication factor
-	// (core.Replication.Replicas); > 0 brings Failover.
-	Replicas int `json:"replicas,omitempty"`
+	// Options is the protocol stack: the invalidation policy and the
+	// layers, resolved by ForCluster as every cluster's are. The harness
+	// owns Sites, Obs and Costs, and times any Reliability or Failover
+	// layer the resolved stack has to the hop.
+	Options core.Options `json:"options"`
 }
 
 func (sc Scenario) withDefaults() Scenario {
@@ -114,12 +109,16 @@ type runResult struct {
 const defaultMaxSteps = 2_000_000
 
 // harness wires core engines over the sim kernel with chooser-driven
-// scheduling, mirroring the ipc cluster's environment in miniature.
+// scheduling, mirroring the ipc cluster's environment in miniature. It
+// is the one simulated cluster in this package: the explorer runs every
+// schedule on one, and the hand-driven tests drive one an op at a time.
 type harness struct {
+	sc      Scenario     // with defaults
+	opt     core.Options // the resolved stack every engine runs
 	k       *sim.Kernel
 	engines []*core.Engine
+	order   *EventOrder
 	inj     *chaos.Injector
-	hop     time.Duration
 	done    int
 	failed  int
 }
@@ -139,7 +138,7 @@ func (e hEnv) Exec(cost time.Duration, fn func()) { e.h.k.After(cost, fn) }
 
 func (e hEnv) Send(to int, m core.NetMsg) {
 	h := e.h
-	d := h.hop
+	d := h.sc.Hop
 	if to == e.site {
 		// Loopback: immediate and exempt from chaos, like ipc's.
 		d = 0
@@ -165,33 +164,22 @@ const (
 	scenarioPageSize = 64
 )
 
-// runScenario executes one schedule of the scenario and checks it: the
-// run goes through VerifyRun, as every simulated cluster's does, and the
-// quiesced cluster through the liveness and record-agreement checks.
-// maxSteps 0 means defaultMaxSteps.
-func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
+// newHarness builds the scenario's cluster on a fresh kernel whose
+// same-instant ties sch decides: the resolved stack on every site, the
+// scenario's segment created at site 0 and attached everywhere else. An
+// error is a scenario that cannot run.
+func newHarness(sc Scenario, sch *scheduler) (*harness, error) {
 	sc = sc.withDefaults()
-	if maxSteps <= 0 {
-		maxSteps = defaultMaxSteps
-	}
-	h := &harness{k: sim.NewKernel(), hop: sc.Hop}
+	h := &harness{sc: sc, k: sim.NewKernel()}
 	h.k.SetChooser(sch.choose)
-
-	order := NewEventOrder(obs.NewBufferCap(1<<22), func(site int, seg int32) *mmu.Seg {
+	h.order = NewEventOrder(obs.NewBufferCap(1<<22), func(site int, seg int32) *mmu.Seg {
 		return h.engines[site].Seg(seg)
 	})
-	o := &obs.Obs{Tracer: order}
-	opt := core.Options{Policy: core.InvalPolicy(sc.Policy), Costs: &core.Costs{}, Obs: o}
-	if sc.Failover {
-		opt.Failover = &core.Failover{}
-	}
-	if sc.Replicas > 0 {
-		opt.Replication = &core.Replication{Replicas: sc.Replicas}
-	}
-	opt, err := opt.ForCluster(sc.Sites, sc.Delta, sc.Chaos != "")
+	opt, err := sc.Options.ForCluster(sc.Sites, sc.Delta, sc.Chaos != "")
 	if err != nil {
-		return schemaFailure(err.Error())
+		return nil, err
 	}
+	opt.Costs, opt.Obs = &core.Costs{}, &obs.Obs{Tracer: h.order}
 	// The layers the stack has, timed to the hop so a give-up or a
 	// recovery happens in bounded virtual time.
 	if opt.Reliability != nil {
@@ -205,10 +193,11 @@ func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
 	if opt.Failover != nil {
 		opt.Failover = &core.Failover{RecoverTimeout: 100 * sc.Hop}
 	}
+	h.opt = opt
 	if sc.Chaos != "" {
 		plan, err := chaos.Parse(sc.Chaos)
 		if err != nil {
-			return schemaFailure(fmt.Sprintf("bad chaos plan: %v", err))
+			return nil, fmt.Errorf("bad chaos plan: %v", err)
 		}
 		h.inj = chaos.New(*plan)
 	}
@@ -224,12 +213,28 @@ func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
 	for i := 1; i < sc.Sites; i++ {
 		h.engines[i].AttachSegment(meta)
 	}
+	return h, nil
+}
+
+// runScenario executes one schedule of the scenario and checks it: the
+// run goes through VerifyRun, as every simulated cluster's does, and the
+// quiesced cluster through the liveness and record-agreement checks. A
+// panic raised while the kernel steps ends the run with one panic
+// violation. maxSteps 0 means defaultMaxSteps.
+func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
+	if maxSteps <= 0 {
+		maxSteps = defaultMaxSteps
+	}
+	h, err := newHarness(sc, sch)
+	if err != nil {
+		return schemaFailure(err.Error())
+	}
 
 	// Queue ops per site; each site runs its ops sequentially through a
 	// fault loop, all sites starting concurrently at t=0.
-	bySite := make([][]Op, sc.Sites)
+	bySite := make([][]Op, h.sc.Sites)
 	for _, op := range sc.Ops {
-		if op.Site < 0 || op.Site >= sc.Sites || op.Page < 0 || int(op.Page) >= sc.Pages {
+		if op.Site < 0 || op.Site >= h.sc.Sites || op.Page < 0 || int(op.Page) >= h.sc.Pages {
 			return schemaFailure(fmt.Sprintf("op %v outside scenario bounds", op))
 		}
 		bySite[op.Site] = append(bySite[op.Site], op)
@@ -240,13 +245,13 @@ func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
 		}
 	}
 
-	res := runResult{}
-	for res.steps < maxSteps && h.k.Step() {
-		res.steps++
+	steps, p := h.run(maxSteps)
+	res := runResult{steps: steps, opsDone: h.done, opsFailed: h.failed, trace: h.order.Buffer().Events()}
+	if p != nil {
+		res.violations = []Violation{{Invariant: InvPanic, Index: -1, Detail: fmt.Sprint(p)}}
+		return res
 	}
-	res.opsDone, res.opsFailed = h.done, h.failed
-	res.trace = order.Buffer().Events()
-	res.violations = VerifyRun(ConfigFor(opt, sc.Delta), order, h.engines, []int32{scenarioSeg})
+	res.violations = h.check()
 	if res.steps >= maxSteps {
 		res.violations = append(res.violations, Violation{
 			Invariant: InvLiveness, Index: -1,
@@ -259,8 +264,24 @@ func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
 				len(sc.Ops)-h.done-h.failed, len(sc.Ops)),
 		})
 	}
-	res.violations = append(res.violations, finalChecks(sc, h.engines)...)
 	return res
+}
+
+// run steps the kernel until it drains or has taken maxSteps steps, and
+// returns the steps taken and what a step panicked with, nil if none did.
+func (h *harness) run(maxSteps int) (steps int, panicked any) {
+	defer func() { panicked = recover() }()
+	for steps < maxSteps && h.k.Step() {
+		steps++
+	}
+	return steps, nil
+}
+
+// check is every check of the finished run: VerifyRun with the
+// configuration the resolved stack implies, then the final checks.
+func (h *harness) check() []Violation {
+	out := VerifyRun(ConfigFor(h.opt, h.sc.Delta), h.order, h.engines, []int32{scenarioSeg})
+	return append(out, h.finalChecks()...)
 }
 
 // schemaFailure is the result of a scenario that cannot run.
@@ -316,13 +337,13 @@ func tryOp(e *core.Engine, op Op, retry func()) (done bool, err error) {
 }
 
 // finalChecks looks at the cluster after the run, beyond what VerifyRun
-// covers. Without faults the drained cluster must be quiescent with the
-// library record matching actual placement — the explorer's port of the
-// core quick-test oracle; under chaos the record may legitimately be
-// degraded (shed entries, denied grants), and the trace checker already
-// covered safety.
-func finalChecks(sc Scenario, engines []*core.Engine) []Violation {
-	if sc.Chaos != "" {
+// covers. Without a fault injector the drained cluster must be quiescent,
+// with the record of the site that holds the library now matching actual
+// placement — the explorer's port of the core quick-test oracle; under
+// chaos the record may legitimately be degraded (shed entries, denied
+// grants), and the trace checker already covered safety.
+func (h *harness) finalChecks() []Violation {
+	if h.inj != nil {
 		return nil
 	}
 	var out []Violation
@@ -332,15 +353,16 @@ func finalChecks(sc Scenario, engines []*core.Engine) []Violation {
 			Detail: fmt.Sprintf("page %d: ", page) + fmt.Sprintf(format, args...),
 		})
 	}
-	for p := 0; p < sc.Pages; p++ {
+	lib := h.engines[librarySite(h.order.Buffer().Events(), scenarioSeg)]
+	for p := 0; p < h.sc.Pages; p++ {
 		page := int32(p)
-		st := engines[0].LibraryState(scenarioSeg, page)
+		st := lib.LibraryState(scenarioSeg, page)
 		if st.Busy || st.Queued > 0 {
 			bad(page, "library not quiescent at drain (busy=%v queued=%d)",
 				st.Busy, st.Queued)
 			continue
 		}
-		for s, e := range engines {
+		for s, e := range h.engines {
 			prot := e.Seg(scenarioSeg).Prot(p)
 			switch {
 			case st.Writer == s:
@@ -359,6 +381,22 @@ func finalChecks(sc Scenario, engines []*core.Engine) []Violation {
 		}
 	}
 	return out
+}
+
+// librarySite is where a trace leaves the library of a segment created
+// at site 0: the site of its last rehoming event — a takeover, an
+// election or a migration, each traced at the successor — or site 0 if
+// it never moved.
+func librarySite(events []obs.Event, seg int32) int {
+	for i := len(events) - 1; i >= 0; i-- {
+		switch ev := events[i]; ev.Type {
+		case obs.EvRecover, obs.EvElect, obs.EvMigrate:
+			if ev.Seg == seg {
+				return int(ev.Site)
+			}
+		}
+	}
+	return 0
 }
 
 // ConfigFor is the history checker's configuration for the trace of a

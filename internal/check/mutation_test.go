@@ -110,7 +110,7 @@ func TestMutationWindowViolationCaught(t *testing.T) {
 func TestMutationLeftWriteOutstandingCaught(t *testing.T) {
 	core.MutateLeaveWriteOutstanding = true
 	defer func() { core.MutateLeaveWriteOutstanding = false }()
-	sc := Scenario{Sites: 2, Pages: 1, Policy: 2, Ops: []Op{{Site: 1, Write: true, Val: 7}}}
+	sc := Scenario{Sites: 2, Pages: 1, Options: core.Options{Policy: core.PolicyQueue}, Ops: []Op{{Site: 1, Write: true, Val: 7}}}
 	res := Exhaustive(sc, ExploreOpts{MaxRuns: 50})
 	if res.Counterexample == nil {
 		t.Fatalf("mutation not caught in %d runs", res.Runs)
@@ -126,7 +126,7 @@ func TestMutationLeftWriteOutstandingCaught(t *testing.T) {
 func TestMutationEventAfterWordCaught(t *testing.T) {
 	core.MutateEventAfterWord = true
 	defer func() { core.MutateEventAfterWord = false }()
-	sc := Scenario{Sites: 2, Pages: 1, Policy: 2, Ops: []Op{{Site: 1, Write: true, Val: 7}}}
+	sc := Scenario{Sites: 2, Pages: 1, Options: core.Options{Policy: core.PolicyQueue}, Ops: []Op{{Site: 1, Write: true, Val: 7}}}
 	res := Exhaustive(sc, ExploreOpts{MaxRuns: 1})
 	if res.Counterexample == nil {
 		t.Fatalf("mutation not caught in %d runs", res.Runs)

@@ -75,10 +75,14 @@ func (r Repro) Encode(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// DecodeRepro reads a repro written by Encode.
+// DecodeRepro reads a repro written by Encode. A key the format does not
+// have is an error: a repro in an older format would otherwise decode
+// into a different stack and replay a different run.
 func DecodeRepro(rd io.Reader) (Repro, error) {
 	var r Repro
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
+	dec := json.NewDecoder(rd)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&r); err != nil {
 		return Repro{}, fmt.Errorf("check: decode repro: %w", err)
 	}
 	if r.Scenario.Sites <= 0 {

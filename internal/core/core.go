@@ -123,17 +123,17 @@ func DefaultCosts() Costs {
 // Options configure an Engine.
 type Options struct {
 	Policy InvalPolicy
-	Costs  *Costs // nil means DefaultCosts
+	Costs  *Costs `json:"-"` // nil means DefaultCosts
 	// Sites is the cluster size, stated once: the successor walk, the
 	// holder rebuild's query set, the follower groups and the ack-timeout
 	// scale all read it, so every engine of a cluster must be given the
 	// same value. ForCluster sets it; a caller building engines directly
 	// resolves its stack there too.
-	Sites int
+	Sites int `json:"-"`
 	// Obs, when non-nil, receives protocol metrics and (if its Tracer
 	// is set) structured coherence events. nil — the default — keeps
 	// every hot path at a single pointer test and zero allocations.
-	Obs *obs.Obs
+	Obs *obs.Obs `json:"-"`
 	// Reliability, when non-nil, enables the reliable-delivery layer
 	// and the degraded-grant recovery paths (DESIGN.md §7). nil keeps
 	// the engine byte-identical to the paper reproduction, which

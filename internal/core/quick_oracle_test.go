@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mirage/internal/check"
+	"mirage/internal/core"
 )
 
 // TestQuickCoherenceRandomSchedule drives random interleavings of reads
@@ -21,10 +22,10 @@ func TestQuickCoherenceRandomSchedule(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sc := check.Scenario{
-			Sites:  2 + rng.Intn(3),
-			Pages:  1 + rng.Intn(3),
-			Delta:  time.Duration(rng.Intn(3)) * 10 * time.Millisecond,
-			Policy: rng.Intn(3),
+			Sites:   2 + rng.Intn(3),
+			Pages:   1 + rng.Intn(3),
+			Delta:   time.Duration(rng.Intn(3)) * 10 * time.Millisecond,
+			Options: core.Options{Policy: core.InvalPolicy(rng.Intn(3))},
 		}
 		res := check.RandomWalk(sc, []int64{seed},
 			check.ExploreOpts{OpsPerWalk: 10 + rng.Intn(30)})
@@ -49,10 +50,10 @@ func TestQuickConcurrentFaultStorm(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		sites := 2 + rng.Intn(4)
 		sc := check.Scenario{
-			Sites:  sites,
-			Pages:  1,
-			Delta:  time.Duration(rng.Intn(4)) * 5 * time.Millisecond,
-			Policy: rng.Intn(3),
+			Sites:   sites,
+			Pages:   1,
+			Delta:   time.Duration(rng.Intn(4)) * 5 * time.Millisecond,
+			Options: core.Options{Policy: core.InvalPolicy(rng.Intn(3))},
 		}
 		for s := 0; s < sites; s++ {
 			for j := 0; j < 1+rng.Intn(3); j++ {
