@@ -37,7 +37,7 @@ const confSize = 2000
 // attach at the creating site. A row must not call t.Fatal — it would
 // end the task's goroutine under the kernel.
 func onSim(t *testing.T, row func(*testing.T, surface)) {
-	c := ipc.NewCluster(2, ipc.Config{PageSize: 512})
+	c := ipc.NewCluster(2, ipc.Config{})
 	ran := false
 	c.Site(0).Spawn("conformance", 0, func(p *ipc.Proc) {
 		id, err := p.Shmget(7, confSize, mem.Create, 0o666)

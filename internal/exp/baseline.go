@@ -54,9 +54,7 @@ func BaselineComparison(dur time.Duration) []BaselinePoint {
 			switch eng := c.Site(i).DSM.(type) {
 			case interface{ Stats() core.Stats }:
 				total += eng.Stats().PagesSent
-			case *ivy.Engine:
-				total += eng.Stats().PagesSent
-			case *ivy.Dynamic:
+			case interface{ Stats() ivy.Stats }:
 				total += eng.Stats().PagesSent
 			}
 		}

@@ -68,13 +68,11 @@ var (
 	ErrReadOnly = mem.ErrReadOnly
 )
 
-// Config parameterizes a cluster. Zero values take paper defaults.
+// Config parameterizes a cluster. Zero values take paper defaults; the
+// page size, the largest segment and the scheduler are the paper's.
 type Config struct {
-	PageSize int           // default vaxmodel.PageSize
-	Delta    time.Duration // default Δ for new segments
-	MaxBytes int           // max segment size; default vaxmodel.MaxSegmentBytes
-	Sched    sched.Config  // per-site scheduler parameters
-	Engine   core.Options  // protocol options (policy, tracer, tuner)
+	Delta  time.Duration // default Δ for new segments
+	Engine core.Options  // protocol options (policy, tracer, tuner)
 
 	// Chaos, when set, injects the fault plan into the simulated
 	// network, and brings the reliability layer.
@@ -150,12 +148,6 @@ func (e env) Exec(cost time.Duration, fn func()) {
 
 // NewCluster builds an n-site cluster.
 func NewCluster(n int, cfg Config) *Cluster {
-	if cfg.PageSize == 0 {
-		cfg.PageSize = vaxmodel.PageSize
-	}
-	if cfg.MaxBytes == 0 {
-		cfg.MaxBytes = vaxmodel.MaxSegmentBytes
-	}
 	// The option contract is ForCluster's (it also brings each layer's
 	// base); a simulated cluster that breaks it is a bug in the
 	// experiment that built it.
@@ -166,7 +158,7 @@ func NewCluster(n int, cfg Config) *Cluster {
 	cfg.Engine = eng
 	c := &Cluster{
 		K:            sim.NewKernel(),
-		Registry:     mem.NewRegistry(cfg.PageSize, cfg.Delta, cfg.MaxBytes),
+		Registry:     mem.NewRegistry(vaxmodel.PageSize, cfg.Delta, vaxmodel.MaxSegmentBytes),
 		sems:         make(map[SemID]*semSet),
 		semsByKey:    make(map[mem.Key]*semSet),
 		nextSem:      1,
@@ -196,7 +188,7 @@ func NewCluster(n int, cfg Config) *Cluster {
 		chaos.WrapNetwork(c.Net, c.Chaos, func() time.Duration { return c.K.Now().Duration() })
 	}
 	for i := 0; i < n; i++ {
-		s := &Site{c: c, id: i, CPU: sched.New(c.K, fmt.Sprintf("site%d", i), cfg.Sched)}
+		s := &Site{c: c, id: i, CPU: sched.New(c.K, fmt.Sprintf("site%d", i), sched.Config{})}
 		if cfg.NewDSM != nil {
 			s.DSM = cfg.NewDSM(env{s})
 		} else {

@@ -2,7 +2,6 @@ package ivy
 
 import (
 	"fmt"
-	"time"
 
 	"mirage/internal/core"
 	"mirage/internal/mem"
@@ -21,194 +20,70 @@ import (
 // It plugs into ipc.Config.NewDSM like the centralized Engine and the
 // Mirage engine, so the three protocols are directly comparable on the
 // identical substrate.
-type Dynamic struct {
-	env   core.Env
-	site  int
-	segs  map[int32]*dynSeg
-	stats Stats
-	costs core.Costs
-}
+type Dynamic struct{ requester }
 
 // dynPage is one page's state at one site.
 type dynPage struct {
 	probOwner int
 	owner     bool
-	copyset   siteMask // meaningful only while owner
-	busy      bool     // owner collecting invalidation acks
-	queue     []*Msg   // requests awaiting the owner
-	waitInv   int      // outstanding invalidation acks
-	grantUp   bool     // the ack completion upgrades this site in place
-}
-
-type dynSeg struct {
-	meta  *mem.Segment
-	m     *mmu.Seg
-	pages []dynPage
-
-	waiters map[int32][]func()
-	outR    map[int32]bool
-	outW    map[int32]bool
-
-	releasesPending int
+	copyset   mmu.Copyset // meaningful only while owner
+	busy      bool        // owner collecting invalidation acks
+	queue     []*Msg      // requests awaiting the owner
+	waitInv   int         // outstanding invalidation acks
 }
 
 // NewDynamic creates a dynamic-manager engine on env.
 func NewDynamic(env core.Env) *Dynamic {
-	return &Dynamic{
-		env:   env,
-		site:  env.Site(),
-		segs:  make(map[int32]*dynSeg),
-		costs: core.DefaultCosts(),
-	}
+	return &Dynamic{newRequester(env, func(sn *segNode) {
+		// The initial probOwner hint is the creating site.
+		sn.dyn = make([]dynPage, sn.meta.Pages)
+		for p := range sn.dyn {
+			sn.dyn[p].probOwner = sn.meta.Library
+		}
+	})}
 }
-
-// Stats returns a snapshot of the counters.
-func (e *Dynamic) Stats() Stats { return e.stats }
 
 // CreateSegment initializes the creating site as initial owner of all
 // pages.
 func (e *Dynamic) CreateSegment(meta *mem.Segment) {
-	sn := e.register(meta)
-	now := e.env.Now()
-	for p := 0; p < meta.Pages; p++ {
-		sn.m.Install(p, nil, mmu.ReadWrite, now)
-		sn.pages[p].owner = true
-		sn.pages[p].probOwner = e.site
-		sn.pages[p].copyset = maskOf(e.site)
+	sn := e.create(meta)
+	for p := range sn.dyn {
+		sn.dyn[p] = dynPage{probOwner: e.site, owner: true, copyset: mmu.CopysetOf(e.site)}
 	}
 }
 
-// AttachSegment registers the segment here; the initial probOwner hint
-// is the creating site.
-func (e *Dynamic) AttachSegment(meta *mem.Segment) { e.register(meta) }
-
-func (e *Dynamic) register(meta *mem.Segment) *dynSeg {
-	if sn, ok := e.segs[int32(meta.ID)]; ok {
-		return sn
-	}
-	sn := &dynSeg{
-		meta:    meta,
-		m:       mmu.NewSeg(meta.Pages, meta.PageSize),
-		pages:   make([]dynPage, meta.Pages),
-		waiters: make(map[int32][]func()),
-		outR:    make(map[int32]bool),
-		outW:    make(map[int32]bool),
-	}
-	for p := range sn.pages {
-		sn.pages[p].probOwner = meta.Library
-	}
-	e.segs[int32(meta.ID)] = sn
-	return sn
-}
-
-// DestroySegment drops local state and wakes waiters.
-func (e *Dynamic) DestroySegment(id int32) {
-	sn, ok := e.segs[id]
-	if !ok {
-		return
-	}
-	delete(e.segs, id)
-	sn.m.Close() // for good: an attach may outlive the segment
-	for p, ws := range sn.waiters {
-		for _, w := range ws {
-			w()
-		}
-		delete(sn.waiters, p)
-	}
-}
-
-// Seg returns the site's page table for a segment (nil if it is not
-// attached here): where the access layer checks and holds a page.
-func (e *Dynamic) Seg(id int32) *mmu.Seg {
-	sn, ok := e.segs[id]
-	if !ok {
-		return nil
-	}
-	return sn.m
-}
-
-func (e *Dynamic) send(to int, m *Msg) {
-	m.From = int32(e.site)
-	e.env.Send(to, m)
-}
-
-// Fault requests page access for a local process.
+// Fault requests page access for a local process: the request goes to
+// the page's probable owner, unless this site owns the page and
+// upgrades its own copy.
 func (e *Dynamic) Fault(seg, page int32, write bool, pid int32, wake func()) {
-	sn, ok := e.segs[seg]
-	if !ok {
-		e.env.Exec(0, wake)
-		return
-	}
-	if write {
-		e.stats.WriteFaults++
-	} else {
-		e.stats.ReadFaults++
-	}
-	sn.waiters[page] = append(sn.waiters[page], wake)
-
-	dp := &sn.pages[page]
-	if write && dp.owner {
+	sn, k := e.fault(seg, page, write, wake)
+	switch {
+	case k == kInvalid:
+	case k == kWriteReq && sn.dyn[page].owner:
 		// Owner upgrading its own (read-only) copy: no forwarding —
 		// invalidate the copy set directly, in place.
-		if !sn.outW[page] {
-			sn.outW[page] = true
-			e.env.Exec(e.costs.LocalFault, func() { e.ownerLocalUpgrade(sn, page) })
-		}
-		return
-	}
-	var k kind
-	switch {
-	case write && !sn.outW[page]:
-		sn.outW[page] = true
-		k = kWriteReq
-	case !write && !sn.outR[page] && !sn.outW[page]:
-		sn.outR[page] = true
-		k = kReadReq
+		e.env.Exec(e.costs.LocalFault, func() { e.ownerLocalUpgrade(sn, page) })
 	default:
-		return
-	}
-	e.stats.RequestsSent++
-	m := &Msg{Kind: k, Seg: seg, Page: page, Req: int32(e.site)}
-	to := dp.probOwner
-	e.env.Exec(e.costs.Request, func() { e.send(to, m) })
-}
-
-func (e *Dynamic) wakeWaiters(sn *dynSeg, page int32) {
-	ws := sn.waiters[page]
-	if len(ws) == 0 {
-		return
-	}
-	delete(sn.waiters, page)
-	for _, w := range ws {
-		w()
+		e.request(seg, page, k, sn.dyn[page].probOwner, e.costs.Request)
 	}
 }
 
 // Deliver injects a received message.
 func (e *Dynamic) Deliver(payload any) {
 	m := payload.(*Msg)
-	cost := time.Duration(0)
-	if int(m.From) != e.site {
-		switch m.Kind {
-		case kPage:
-			cost = e.costs.Install
-		default:
-			cost = e.costs.Input
-		}
+	cost := e.costs.Input
+	if m.Kind == kPage {
+		cost = e.costs.Install
 	}
-	e.env.Exec(cost, func() { e.handle(m) })
+	e.deliver(m, cost, e.handle)
 }
 
-func (e *Dynamic) handle(m *Msg) {
-	sn, ok := e.segs[m.Seg]
-	if !ok {
-		return // straggler after destroy
-	}
+func (e *Dynamic) handle(sn *segNode, m *Msg) {
 	switch m.Kind {
 	case kReadReq, kWriteReq:
 		e.handleRequest(sn, m)
 	case kInvalidate:
-		e.handleDynInvalidate(sn, m)
+		e.invalidate(sn, m, sn.dyn[m.Page].owner)
 	case kInvAck:
 		e.handleDynInvAck(sn, m)
 	case kPage:
@@ -225,8 +100,8 @@ func (e *Dynamic) handle(m *Msg) {
 // handleRequest runs at any site a request reaches: the owner serves
 // it, everyone else forwards along its probOwner hint (updating the
 // hint toward the requester — Li & Hudak's path compression).
-func (e *Dynamic) handleRequest(sn *dynSeg, m *Msg) {
-	dp := &sn.pages[m.Page]
+func (e *Dynamic) handleRequest(sn *segNode, m *Msg) {
+	dp := &sn.dyn[m.Page]
 	if !dp.owner {
 		to := dp.probOwner
 		if to == e.site || int(m.Req) == e.site {
@@ -250,19 +125,18 @@ func (e *Dynamic) handleRequest(sn *dynSeg, m *Msg) {
 }
 
 // serveAsOwner grants a request from the owning site.
-func (e *Dynamic) serveAsOwner(sn *dynSeg, m *Msg) {
-	dp := &sn.pages[m.Page]
+func (e *Dynamic) serveAsOwner(sn *segNode, m *Msg) {
+	dp := &sn.dyn[m.Page]
 	p := int(m.Page)
 	req := int(m.Req)
-	now := e.env.Now()
 	if m.Kind == kReadReq {
 		if req == e.site {
 			// Stale self-request; our copy is valid.
-			e.finishLocal(sn, m.Page, wire.Read)
+			e.granted(sn, m.Page, wire.Read)
 			return
 		}
 		if sn.m.Prot(p) == mmu.ReadWrite {
-			sn.m.Downgrade(p, now)
+			sn.m.Downgrade(p, e.env.Now())
 		}
 		dp.copyset = dp.copyset.Add(req)
 		e.stats.PagesSent++
@@ -282,12 +156,12 @@ func (e *Dynamic) serveAsOwner(sn *dynSeg, m *Msg) {
 	cs := dp.copyset.Remove(e.site).Remove(req)
 	sn.m.Invalidate(p)
 	dp.owner = false
-	dp.copyset = 0
+	dp.copyset = mmu.Copyset{}
 	dp.probOwner = req
 	e.stats.PagesSent++
 	e.send(req, &Msg{
 		Kind: kPage, Mode: wire.Write, Seg: m.Seg, Page: m.Page, Req: m.Req,
-		Copyset: uint64(cs), Data: data,
+		Copyset: cs, Data: data,
 	})
 	// Requests queued behind this grant chase the new owner.
 	e.drainQueue(sn, m.Page)
@@ -295,12 +169,12 @@ func (e *Dynamic) serveAsOwner(sn *dynSeg, m *Msg) {
 
 // ownerLocalUpgrade invalidates the copy set and upgrades the owner's
 // own copy in place.
-func (e *Dynamic) ownerLocalUpgrade(sn *dynSeg, page int32) {
-	dp := &sn.pages[page]
+func (e *Dynamic) ownerLocalUpgrade(sn *segNode, page int32) {
+	dp := &sn.dyn[page]
 	if !dp.owner {
 		// Ownership moved before the local upgrade ran; refault via
 		// the normal path.
-		sn.outW[page] = false
+		sn.reqs[page].outW = false
 		e.wakeWaiters(sn, page)
 		return
 	}
@@ -312,93 +186,52 @@ func (e *Dynamic) ownerLocalUpgrade(sn *dynSeg, page int32) {
 		})
 		return
 	}
-	targets := dp.copyset.Remove(e.site)
-	if targets.Empty() {
+	e.invalidateCopies(sn, page, dp.copyset.Remove(e.site))
+}
+
+// invalidateCopies has the owner invalidate targets' copies before its
+// write access completes, at once when there are none.
+func (e *Dynamic) invalidateCopies(sn *segNode, page int32, targets mmu.Copyset) {
+	dp := &sn.dyn[page]
+	if dp.waitInv = e.sendInvalidates(sn, page, targets); dp.waitInv == 0 {
 		e.finishOwnerUpgrade(sn, page)
 		return
 	}
 	dp.busy = true
-	dp.grantUp = true
-	dp.waitInv = targets.Count()
-	targets.ForEach(func(s int) {
-		e.send(s, &Msg{Kind: kInvalidate, Seg: int32(sn.meta.ID), Page: page})
-	})
 }
 
-func (e *Dynamic) finishOwnerUpgrade(sn *dynSeg, page int32) {
-	dp := &sn.pages[page]
-	now := e.env.Now()
+func (e *Dynamic) finishOwnerUpgrade(sn *segNode, page int32) {
+	dp := &sn.dyn[page]
 	if sn.m.Prot(int(page)) == mmu.ReadOnly {
-		sn.m.Upgrade(int(page), now)
+		sn.m.Upgrade(int(page), e.env.Now())
 	}
-	dp.copyset = maskOf(e.site)
+	dp.copyset = mmu.CopysetOf(e.site)
 	dp.busy = false
-	dp.grantUp = false
-	e.finishLocal(sn, page, wire.Write)
+	e.granted(sn, page, wire.Write)
 	e.drainQueue(sn, page)
-}
-
-// finishLocal completes a locally-satisfied fault.
-func (e *Dynamic) finishLocal(sn *dynSeg, page int32, mode wire.Mode) {
-	if mode == wire.Write {
-		sn.outW[page] = false
-		sn.outR[page] = false
-	} else {
-		sn.outR[page] = false
-	}
-	e.wakeWaiters(sn, page)
 }
 
 // handleDynPage installs a granted page; write grants carry ownership
 // and the copy set to invalidate.
-func (e *Dynamic) handleDynPage(sn *dynSeg, m *Msg) {
+func (e *Dynamic) handleDynPage(sn *segNode, m *Msg) {
 	e.stats.PagesReceived++
-	dp := &sn.pages[m.Page]
-	p := int(m.Page)
-	now := e.env.Now()
+	dp := &sn.dyn[m.Page]
+	e.install(sn, m.Page, m.Data, m.Mode)
 	if m.Mode == wire.Read {
-		if sn.m.Present(p) {
-			sn.m.Invalidate(p)
-		}
-		sn.m.Install(p, m.Data, mmu.ReadOnly, now)
 		dp.probOwner = int(m.From)
-		e.finishLocal(sn, m.Page, wire.Read)
+		e.granted(sn, m.Page, wire.Read)
 		e.drainQueue(sn, m.Page)
 		return
 	}
 	// Ownership arrives.
-	if sn.m.Present(p) {
-		sn.m.Invalidate(p)
-	}
-	sn.m.Install(p, m.Data, mmu.ReadWrite, now)
 	dp.owner = true
 	dp.probOwner = e.site
-	dp.copyset = maskOf(e.site)
-	targets := siteMask(m.Copyset).Remove(e.site)
-	if targets.Empty() {
-		e.finishLocal(sn, m.Page, wire.Write)
-		e.drainQueue(sn, m.Page)
-		return
-	}
-	dp.busy = true
-	dp.grantUp = true
-	dp.waitInv = targets.Count()
-	targets.ForEach(func(s int) {
-		e.send(s, &Msg{Kind: kInvalidate, Seg: m.Seg, Page: m.Page})
-	})
+	dp.copyset = mmu.CopysetOf(e.site)
+	e.invalidateCopies(sn, m.Page, m.Copyset.Remove(e.site))
 }
 
-func (e *Dynamic) handleDynInvalidate(sn *dynSeg, m *Msg) {
-	e.stats.Invalidations++
-	p := int(m.Page)
-	if sn.m.Present(p) && !sn.pages[m.Page].owner {
-		sn.m.Invalidate(p)
-	}
-	e.send(int(m.From), &Msg{Kind: kInvAck, Seg: m.Seg, Page: m.Page})
-}
-
-func (e *Dynamic) handleDynInvAck(sn *dynSeg, m *Msg) {
-	dp := &sn.pages[m.Page]
+func (e *Dynamic) handleDynInvAck(sn *segNode, m *Msg) {
+	dp := &sn.dyn[m.Page]
 	if !dp.busy || dp.waitInv <= 0 {
 		panic(fmt.Sprintf("ivy/dynamic: site %d: unexpected inv-ack %v", e.site, m))
 	}
@@ -409,8 +242,8 @@ func (e *Dynamic) handleDynInvAck(sn *dynSeg, m *Msg) {
 }
 
 // drainQueue re-dispatches requests parked at this site.
-func (e *Dynamic) drainQueue(sn *dynSeg, page int32) {
-	dp := &sn.pages[page]
+func (e *Dynamic) drainQueue(sn *segNode, page int32) {
+	dp := &sn.dyn[page]
 	q := dp.queue
 	dp.queue = nil
 	for _, m := range q {
@@ -423,73 +256,30 @@ func (e *Dynamic) drainQueue(sn *dynSeg, page int32) {
 // invalidation acks); owned pages transfer ownership home to the
 // creating site.
 func (e *Dynamic) ReleaseSegment(seg int32) {
-	sn, ok := e.segs[seg]
-	if !ok || sn.meta.Library == e.site {
-		return
-	}
-	sn.m.Close()
-	for p := 0; p < sn.m.Pages(); p++ {
-		dp := &sn.pages[p]
-		if dp.owner {
-			sn.releasesPending++
-			e.send(sn.meta.Library, &Msg{
-				Kind: kRelease, Seg: seg, Page: int32(p),
-				Copyset: uint64(dp.copyset.Remove(e.site)),
-				Data:    append([]byte(nil), sn.m.Frame(p)...),
-			})
+	e.release(seg, func(sn *segNode, p int) {
+		if dp := &sn.dyn[p]; dp.owner {
+			e.sendHome(sn, p, dp.copyset.Remove(e.site))
 		} else if sn.m.Present(p) {
 			sn.m.Invalidate(p)
 		}
-	}
-	if sn.releasesPending == 0 {
-		sn.m.Open()
-	}
+	})
 }
 
 // handleDynRelease runs at the creating site: it adopts ownership of a
 // released page.
-func (e *Dynamic) handleDynRelease(sn *dynSeg, m *Msg) {
-	dp := &sn.pages[m.Page]
-	p := int(m.Page)
-	now := e.env.Now()
-	if sn.m.Present(p) {
-		sn.m.Invalidate(p)
-	}
-	cs := siteMask(m.Copyset).Remove(int(m.From))
-	prot := mmu.ReadWrite
-	if !cs.Remove(e.site).Empty() {
-		prot = mmu.ReadOnly
-	}
-	sn.m.Install(p, m.Data, prot, now)
+func (e *Dynamic) handleDynRelease(sn *segNode, m *Msg) {
+	dp := &sn.dyn[m.Page]
 	dp.owner = true
 	dp.probOwner = e.site
-	dp.copyset = cs.Add(e.site)
+	dp.copyset = e.adopt(sn, m.Page, m.Data, m.Copyset.Remove(int(m.From)))
 	e.send(int(m.From), &Msg{Kind: kReleaseDone, Seg: m.Seg, Page: m.Page})
 	e.drainQueue(sn, m.Page)
 }
 
-func (e *Dynamic) handleDynReleaseDone(sn *dynSeg, m *Msg) {
-	p := int(m.Page)
-	if sn.m.Present(p) {
-		sn.m.Invalidate(p)
-	}
-	dp := &sn.pages[m.Page]
+func (e *Dynamic) handleDynReleaseDone(sn *segNode, m *Msg) {
+	dp := &sn.dyn[m.Page]
 	dp.owner = false
-	dp.copyset = 0
+	dp.copyset = mmu.Copyset{}
 	dp.probOwner = sn.meta.Library
-	sn.releasesPending--
-	if sn.releasesPending == 0 {
-		sn.m.Open()
-		for page := range sn.waiters {
-			e.wakeWaiters(sn, page)
-		}
-	}
+	e.releaseDone(sn, m.Page)
 }
-
-// FaultError implements ipc.DSM; the dynamic-manager baseline has no
-// failure model, so accesses never surface degraded-grant errors.
-func (d *Dynamic) FaultError(seg, page int32) error { return nil }
-
-// RecordOp implements ipc.DSM; the dynamic-manager baseline does not
-// emit the coherence checker's op events.
-func (d *Dynamic) RecordOp(seg, page int32, off int, write bool, b []byte) {}

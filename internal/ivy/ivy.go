@@ -21,12 +21,10 @@ package ivy
 
 import (
 	"fmt"
-	"time"
 
 	"mirage/internal/core"
 	"mirage/internal/mem"
 	"mirage/internal/mmu"
-	"mirage/internal/vaxmodel"
 	"mirage/internal/wire"
 )
 
@@ -78,7 +76,7 @@ type Msg struct {
 	Page    int32
 	From    int32
 	Req     int32
-	Copyset uint64 // dynamic manager: copy set shipped with ownership
+	Copyset mmu.Copyset // dynamic manager: copy set shipped with ownership
 	Data    []byte
 }
 
@@ -110,228 +108,86 @@ type Stats struct {
 	Forwards      int // forwards handled as owner
 }
 
-type mgrReq struct {
-	site  int
-	write bool
-	data  []byte // for releases
-	kind  kind
-}
-
 // mgrPage is the manager's per-page record.
 type mgrPage struct {
 	owner   int
-	copyset siteMask // read-copy holders, including the owner
+	copyset mmu.Copyset // read-copy holders, including the owner
 	busy    bool
 	waitInv int
-	grant   mgrReq
-	queue   []mgrReq
-}
-
-type segNode struct {
-	meta *mem.Segment
-	m    *mmu.Seg
-
-	waiters map[int32][]func()
-	outR    map[int32]bool
-	outW    map[int32]bool
-
-	mgr []mgrPage // non-nil at the manager site
-
-	releasesPending int
+	grant   *Msg   // the request being served
+	queue   []*Msg // requests and releases awaiting the page
 }
 
 // Engine is one site's IVY protocol instance. It implements the same
 // DSM surface as the Mirage engine and plugs into ipc.Config.NewDSM.
-type Engine struct {
-	env   core.Env
-	site  int
-	segs  map[int32]*segNode
-	stats Stats
-	costs core.Costs
-}
+type Engine struct{ requester }
 
 // New creates an IVY engine on env.
-func New(env core.Env) *Engine {
-	return &Engine{
-		env:   env,
-		site:  env.Site(),
-		segs:  make(map[int32]*segNode),
-		costs: core.DefaultCosts(),
-	}
-}
-
-// Stats returns a snapshot of the counters.
-func (e *Engine) Stats() Stats { return e.stats }
+func New(env core.Env) *Engine { return &Engine{newRequester(env, nil)} }
 
 // CreateSegment initializes manager state at the creating site.
 func (e *Engine) CreateSegment(meta *mem.Segment) {
-	sn := e.register(meta)
+	sn := e.create(meta)
 	sn.mgr = make([]mgrPage, meta.Pages)
-	now := e.env.Now()
-	for p := 0; p < meta.Pages; p++ {
-		sn.m.Install(p, nil, mmu.ReadWrite, now)
-		sn.mgr[p].owner = e.site
-		sn.mgr[p].copyset = maskOf(e.site)
+	for p := range sn.mgr {
+		sn.mgr[p] = mgrPage{owner: e.site, copyset: mmu.CopysetOf(e.site)}
 	}
 }
 
-// AttachSegment registers the segment at a non-manager site.
-func (e *Engine) AttachSegment(meta *mem.Segment) { e.register(meta) }
-
-func (e *Engine) register(meta *mem.Segment) *segNode {
-	if sn, ok := e.segs[int32(meta.ID)]; ok {
-		return sn
-	}
-	sn := &segNode{
-		meta:    meta,
-		m:       mmu.NewSeg(meta.Pages, meta.PageSize),
-		waiters: make(map[int32][]func()),
-		outR:    make(map[int32]bool),
-		outW:    make(map[int32]bool),
-	}
-	e.segs[int32(meta.ID)] = sn
-	return sn
-}
-
-// DestroySegment drops all local state and wakes pending waiters.
-func (e *Engine) DestroySegment(id int32) {
-	sn, ok := e.segs[id]
-	if !ok {
-		return
-	}
-	delete(e.segs, id)
-	sn.m.Close() // for good: an attach may outlive the segment
-	for p, ws := range sn.waiters {
-		for _, w := range ws {
-			w()
-		}
-		delete(sn.waiters, p)
-	}
-}
-
-// Seg returns the site's page table for a segment (nil if it is not
-// attached here): where the access layer checks and holds a page.
-func (e *Engine) Seg(id int32) *mmu.Seg {
-	sn, ok := e.segs[id]
-	if !ok {
-		return nil
-	}
-	return sn.m
-}
-
-// Fault requests page access for a local process.
+// Fault requests page access for a local process: the request goes to
+// the manager, at the cost of a local fault when this site is it.
 func (e *Engine) Fault(seg, page int32, write bool, pid int32, wake func()) {
-	sn, ok := e.segs[seg]
-	if !ok {
-		e.env.Exec(0, wake)
+	sn, k := e.fault(seg, page, write, wake)
+	if k == kInvalid {
 		return
 	}
-	if write {
-		e.stats.WriteFaults++
-	} else {
-		e.stats.ReadFaults++
-	}
-	sn.waiters[page] = append(sn.waiters[page], wake)
-
-	var k kind
-	switch {
-	case write && !sn.outW[page]:
-		sn.outW[page] = true
-		k = kWriteReq
-	case !write && !sn.outR[page] && !sn.outW[page]:
-		sn.outR[page] = true
-		k = kReadReq
-	default:
-		return
-	}
-	e.stats.RequestsSent++
 	cost := e.costs.Request
 	if sn.meta.Library == e.site {
 		cost = e.costs.LocalFault
 	}
-	m := &Msg{Kind: k, Seg: seg, Page: page, From: int32(e.site), Req: int32(e.site)}
-	mgr := sn.meta.Library
-	e.env.Exec(cost, func() { e.env.Send(mgr, m) })
-}
-
-func (e *Engine) wakeWaiters(sn *segNode, page int32) {
-	ws := sn.waiters[page]
-	if len(ws) == 0 {
-		return
-	}
-	delete(sn.waiters, page)
-	for _, w := range ws {
-		w()
-	}
+	e.request(seg, page, k, sn.meta.Library, cost)
 }
 
 // ReleaseSegment returns this site's copies to the manager on the last
 // local detach.
 func (e *Engine) ReleaseSegment(seg int32) {
-	sn, ok := e.segs[seg]
-	if !ok || sn.meta.Library == e.site {
-		return
-	}
-	sn.m.Close()
-	for p := 0; p < sn.m.Pages(); p++ {
-		if !sn.m.Present(p) {
-			continue
+	e.release(seg, func(sn *segNode, p int) {
+		if sn.m.Present(p) {
+			e.sendHome(sn, p, mmu.Copyset{})
 		}
-		sn.releasesPending++
-		e.send(sn.meta.Library, &Msg{
-			Kind: kRelease, Seg: seg, Page: int32(p),
-			Data: append([]byte(nil), sn.m.Frame(p)...),
-		})
-	}
-	if sn.releasesPending == 0 {
-		sn.m.Open()
-	}
-}
-
-func (e *Engine) send(to int, m *Msg) {
-	m.From = int32(e.site)
-	e.env.Send(to, m)
+	})
 }
 
 // Deliver injects a received protocol message.
 func (e *Engine) Deliver(payload any) {
 	m := payload.(*Msg)
-	cost := time.Duration(0)
-	if int(m.From) != e.site {
-		switch m.Kind {
-		case kReadReq, kWriteReq, kConfirm, kInvAck, kRelease:
-			cost = e.costs.Server
-		case kPage:
-			cost = e.costs.Install
-		default:
-			cost = e.costs.Input
-		}
+	cost := e.costs.Input
+	switch m.Kind {
+	case kReadReq, kWriteReq, kConfirm, kInvAck, kRelease:
+		cost = e.costs.Server
+	case kPage:
+		cost = e.costs.Install
 	}
-	e.env.Exec(cost, func() { e.handle(m) })
+	e.deliver(m, cost, e.handle)
 }
 
-func (e *Engine) handle(m *Msg) {
-	sn, ok := e.segs[m.Seg]
-	if !ok {
-		return // straggler after destroy
-	}
+func (e *Engine) handle(sn *segNode, m *Msg) {
 	switch m.Kind {
-	case kReadReq, kWriteReq:
-		e.mgrEnqueue(sn, m, mgrReq{site: int(m.From), write: m.Kind == kWriteReq, kind: m.Kind})
-	case kRelease:
-		e.mgrEnqueue(sn, m, mgrReq{site: int(m.From), data: append([]byte(nil), m.Data...), kind: kRelease})
+	case kReadReq, kWriteReq, kRelease:
+		e.mgrEnqueue(sn, m)
 	case kForward:
 		e.handleForward(sn, m)
 	case kInvalidate:
-		e.handleInvalidate(sn, m)
+		e.invalidate(sn, m, false)
 	case kInvAck:
 		e.mgrInvAck(sn, m)
 	case kPage:
-		e.handlePage(sn, m)
+		e.stats.PagesReceived++
+		e.installPage(sn, m.Page, m.Data, m.Mode)
 	case kConfirm:
 		e.mgrConfirm(sn, m)
 	case kReleaseDone:
-		e.handleReleaseDone(sn, m)
+		e.releaseDone(sn, m.Page)
 	default:
 		panic(fmt.Sprintf("ivy: site %d: unhandled %v", e.site, m))
 	}
@@ -339,12 +195,12 @@ func (e *Engine) handle(m *Msg) {
 
 // --- manager side ---
 
-func (e *Engine) mgrEnqueue(sn *segNode, m *Msg, r mgrReq) {
+func (e *Engine) mgrEnqueue(sn *segNode, m *Msg) {
 	if sn.mgr == nil {
 		panic(fmt.Sprintf("ivy: site %d is not the manager for %v", e.site, m))
 	}
 	mp := &sn.mgr[m.Page]
-	mp.queue = append(mp.queue, r)
+	mp.queue = append(mp.queue, m)
 	e.mgrProcess(sn, m.Page)
 }
 
@@ -353,13 +209,13 @@ func (e *Engine) mgrProcess(sn *segNode, page int32) {
 	for !mp.busy && len(mp.queue) > 0 {
 		r := mp.queue[0]
 		mp.queue = mp.queue[1:]
-		switch r.kind {
+		switch r.Kind {
 		case kRelease:
 			e.mgrRelease(sn, page, r)
 		case kReadReq:
 			mp.busy = true
 			mp.grant = r
-			e.send(mp.owner, &Msg{Kind: kForward, Mode: wire.Read, Seg: int32(sn.meta.ID), Page: page, Req: int32(r.site)})
+			e.send(mp.owner, &Msg{Kind: kForward, Mode: wire.Read, Seg: int32(sn.meta.ID), Page: page, Req: r.From})
 		case kWriteReq:
 			mp.busy = true
 			mp.grant = r
@@ -367,15 +223,10 @@ func (e *Engine) mgrProcess(sn *segNode, page int32) {
 			// discards when it forwards) and the requester's own
 			// (overwritten by the incoming page; basic IVY ships the
 			// data even to a requester that held a read copy).
-			targets := mp.copyset.Remove(mp.owner).Remove(r.site)
-			mp.waitInv = targets.Count()
+			mp.waitInv = e.sendInvalidates(sn, page, mp.copyset.Remove(mp.owner).Remove(int(r.From)))
 			if mp.waitInv == 0 {
 				e.mgrForwardWrite(sn, page)
-				continue
 			}
-			targets.ForEach(func(s int) {
-				e.send(s, &Msg{Kind: kInvalidate, Seg: int32(sn.meta.ID), Page: page})
-			})
 		}
 	}
 }
@@ -384,7 +235,7 @@ func (e *Engine) mgrForwardWrite(sn *segNode, page int32) {
 	mp := &sn.mgr[page]
 	e.send(mp.owner, &Msg{
 		Kind: kForward, Mode: wire.Write, Seg: int32(sn.meta.ID), Page: page,
-		Req: int32(mp.grant.site),
+		Req: mp.grant.From,
 	})
 }
 
@@ -404,41 +255,31 @@ func (e *Engine) mgrConfirm(sn *segNode, m *Msg) {
 	if !mp.busy {
 		panic(fmt.Sprintf("ivy: site %d: confirm with no grant %v", e.site, m))
 	}
-	r := mp.grant
-	if r.write {
-		mp.owner = r.site
-		mp.copyset = maskOf(r.site)
+	if site := int(mp.grant.From); mp.grant.Kind == kWriteReq {
+		mp.owner = site
+		mp.copyset = mmu.CopysetOf(site)
 	} else {
-		mp.copyset = mp.copyset.Add(r.site)
+		mp.copyset = mp.copyset.Add(site)
 	}
 	mp.busy = false
-	mp.grant = mgrReq{}
+	mp.grant = nil
 	e.mgrProcess(sn, m.Page)
 }
 
-func (e *Engine) mgrRelease(sn *segNode, page int32, r mgrReq) {
+func (e *Engine) mgrRelease(sn *segNode, page int32, r *Msg) {
 	mp := &sn.mgr[page]
+	site := int(r.From)
 	switch {
-	case mp.owner == r.site:
+	case mp.owner == site:
 		// Owner going away: the manager takes the page home. Other
 		// read copies may remain, so the reinstalled home copy is
 		// writable only when none do.
-		now := e.env.Now()
-		if sn.m.Present(int(page)) {
-			sn.m.Invalidate(int(page))
-		}
-		rest := mp.copyset.Remove(r.site)
-		prot := mmu.ReadWrite
-		if !rest.Remove(e.site).Empty() {
-			prot = mmu.ReadOnly
-		}
-		sn.m.Install(int(page), r.data, prot, now)
 		mp.owner = e.site
-		mp.copyset = rest.Add(e.site)
-	case mp.copyset.Has(r.site):
-		mp.copyset = mp.copyset.Remove(r.site)
+		mp.copyset = e.adopt(sn, page, r.Data, mp.copyset.Remove(site))
+	case mp.copyset.Has(site):
+		mp.copyset = mp.copyset.Remove(site)
 	}
-	e.send(r.site, &Msg{Kind: kReleaseDone, Seg: int32(sn.meta.ID), Page: page})
+	e.send(site, &Msg{Kind: kReleaseDone, Seg: int32(sn.meta.ID), Page: page})
 }
 
 // --- holder side ---
@@ -450,14 +291,13 @@ func (e *Engine) handleForward(sn *segNode, m *Msg) {
 	if !sn.m.Present(p) {
 		panic(fmt.Sprintf("ivy: site %d: forward for absent page %v", e.site, m))
 	}
-	now := e.env.Now()
 	data := append([]byte(nil), sn.m.Frame(p)...)
 	if m.Mode == wire.Write {
 		// Ownership moves; this copy dies (write-invalidate).
 		sn.m.Invalidate(p)
 	} else if sn.m.Prot(p) == mmu.ReadWrite {
 		// Owner keeps a read copy on a read forward.
-		sn.m.Downgrade(p, now)
+		sn.m.Downgrade(p, e.env.Now())
 	}
 	if int(m.Req) == e.site {
 		// Forward back to self (manager colocations); install directly.
@@ -468,66 +308,10 @@ func (e *Engine) handleForward(sn *segNode, m *Msg) {
 	e.send(int(m.Req), &Msg{Kind: kPage, Mode: m.Mode, Seg: m.Seg, Page: m.Page, Req: m.Req, Data: data})
 }
 
-func (e *Engine) handleInvalidate(sn *segNode, m *Msg) {
-	e.stats.Invalidations++
-	p := int(m.Page)
-	if sn.m.Present(p) {
-		sn.m.Invalidate(p)
-	}
-	e.send(int(m.From), &Msg{Kind: kInvAck, Seg: m.Seg, Page: m.Page})
-}
-
-func (e *Engine) handlePage(sn *segNode, m *Msg) {
-	e.stats.PagesReceived++
-	e.installPage(sn, m.Page, m.Data, m.Mode)
-}
-
+// installPage maps a granted page and confirms the transfer to the
+// manager.
 func (e *Engine) installPage(sn *segNode, page int32, data []byte, mode wire.Mode) {
-	p := int(page)
-	now := e.env.Now()
-	if data != nil {
-		prot := mmu.ReadOnly
-		if mode == wire.Write {
-			prot = mmu.ReadWrite
-		}
-		if sn.m.Present(p) {
-			sn.m.Invalidate(p)
-		}
-		sn.m.Install(p, data, prot, now)
-	} else if mode == wire.Write && sn.m.Prot(p) == mmu.ReadOnly {
-		sn.m.Upgrade(p, now)
-	}
-	e.send(int(sn.meta.Library), &Msg{Kind: kConfirm, Mode: mode, Seg: int32(sn.meta.ID), Page: page})
-	if mode == wire.Write {
-		sn.outW[page] = false
-		sn.outR[page] = false
-	} else {
-		sn.outR[page] = false
-	}
-	e.wakeWaiters(sn, page)
+	e.install(sn, page, data, mode)
+	e.send(sn.meta.Library, &Msg{Kind: kConfirm, Mode: mode, Seg: int32(sn.meta.ID), Page: page})
+	e.granted(sn, page, mode)
 }
-
-func (e *Engine) handleReleaseDone(sn *segNode, m *Msg) {
-	p := int(m.Page)
-	if sn.m.Present(p) {
-		sn.m.Invalidate(p)
-	}
-	sn.releasesPending--
-	if sn.releasesPending == 0 {
-		sn.m.Open()
-		for page := range sn.waiters {
-			e.wakeWaiters(sn, page)
-		}
-	}
-}
-
-// Paper-cost sanity: the IVY engine uses the same vaxmodel charges.
-var _ = vaxmodel.PageSize
-
-// FaultError implements ipc.DSM; the IVY baseline has no failure
-// model, so accesses never surface degraded-grant errors.
-func (e *Engine) FaultError(seg, page int32) error { return nil }
-
-// RecordOp implements ipc.DSM; the IVY baseline does not emit the
-// coherence checker's op events.
-func (e *Engine) RecordOp(seg, page int32, off int, write bool, b []byte) {}
