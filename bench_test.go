@@ -68,7 +68,7 @@ func BenchmarkE5Figure8Representative(b *testing.B) {
 		b.Run(fmt.Sprintf("delta=%v", d), func(b *testing.B) {
 			var pts []exp.Figure8Point
 			for i := 0; i < b.N; i++ {
-				pts = exp.Figure8(exp.CountersConfig{Duration: 10 * time.Second}, []time.Duration{d})
+				pts = exp.Figure8(10*time.Second, []time.Duration{d})
 			}
 			b.ReportMetric(pts[0].InsnPerSec, "insn/s")
 		})
@@ -87,7 +87,7 @@ func BenchmarkE6Thrashing(b *testing.B) {
 func BenchmarkE7InvalidationAblation(b *testing.B) {
 	var pts []exp.PolicyPoint
 	for i := 0; i < b.N; i++ {
-		pts = exp.InvalidationAblation(exp.CountersConfig{Duration: 5 * time.Second},
+		pts = exp.InvalidationAblation(5*time.Second,
 			[]time.Duration{600 * time.Millisecond})
 	}
 	for _, p := range pts {
@@ -98,7 +98,7 @@ func BenchmarkE7InvalidationAblation(b *testing.B) {
 func BenchmarkE8DynamicDelta(b *testing.B) {
 	var r exp.DynamicDeltaResult
 	for i := 0; i < b.N; i++ {
-		r = exp.DynamicDelta(exp.CountersConfig{Duration: 5 * time.Second})
+		r = exp.DynamicDelta(5 * time.Second)
 	}
 	b.ReportMetric(r.Fixed[0], "fixed0_insn/s")
 	b.ReportMetric(r.Fixed[2], "fixed600_insn/s")

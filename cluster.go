@@ -34,6 +34,10 @@ type Cluster struct {
 	closed   bool
 }
 
+// maxSegmentBytes bounds a live cluster's segment size (Shmget returns
+// ErrInvalid above it).
+const maxSegmentBytes = 16 << 20
+
 // NewCluster starts n sites. With Options.TCP the sites exchange
 // protocol traffic over TCP sockets; otherwise a sender appends its
 // message to the receiving site's inbox itself.
@@ -65,7 +69,7 @@ func NewCluster(n int, opts Options) (*Cluster, error) {
 	}
 	c := &Cluster{
 		opts:     opts,
-		registry: mem.NewRegistry(opts.PageSize, opts.Delta, opts.MaxSegmentBytes),
+		registry: mem.NewRegistry(opts.PageSize, opts.Delta, maxSegmentBytes),
 		checkCfg: check.ConfigFor(engOpts, opts.Delta),
 	}
 	c.checkCfg.Slack = liveCheckSlack

@@ -342,7 +342,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			750 * time.Millisecond, 900 * time.Millisecond, 1200 * time.Millisecond,
 			2400 * time.Millisecond,
 		}
-		pts := exp.Figure8(exp.CountersConfig{Duration: d}, deltas)
+		pts := exp.Figure8(d, deltas)
 		t := exp.NewTable("Δ", "read-write insn/s", "bar")
 		for _, p := range pts {
 			t.Row(p.Delta, int(p.InsnPerSec), strings.Repeat("#", int(p.InsnPerSec/4000)))
@@ -366,7 +366,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *quick {
 			d = 5 * time.Second
 		}
-		pts := exp.InvalidationAblation(exp.CountersConfig{Duration: d},
+		pts := exp.InvalidationAblation(d,
 			[]time.Duration{120 * time.Millisecond, 600 * time.Millisecond, 900 * time.Millisecond})
 		t := exp.NewTable("policy", "Δ", "insn/s", "retries")
 		for _, p := range pts {
@@ -381,7 +381,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *quick {
 			d = 5 * time.Second
 		}
-		r := exp.DynamicDelta(exp.CountersConfig{Duration: d})
+		r := exp.DynamicDelta(d)
 		t := exp.NewTable("Δ", "fixed insn/s", "AutoDelta seeded there, insn/s")
 		for i, d := range exp.DynamicDeltas {
 			t.Row(d, int(r.Fixed[i]), int(r.Adaptive[i]))
@@ -744,7 +744,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cell := func(wl string, p exp.AutoDeltaPoint) {
 			name := fmt.Sprintf("Δ=%d ticks", p.DeltaTicks)
 			if p.DeltaTicks < 0 {
-				name = fmt.Sprintf("auto (seed %d)", r.Config.SeedTicks)
+				name = fmt.Sprintf("auto (seed %d)", vaxmodel.QuantumTicks)
 			}
 			p99 := "-"
 			if p.P99 > 0 {

@@ -33,7 +33,6 @@ package app
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // Segment is the slice of a DSM segment handle the store needs. Both
@@ -120,14 +119,6 @@ type Config struct {
 	// PageSize (default 128). Capacity per record is SlotSize-8 bytes
 	// of key+value.
 	SlotSize int
-	// ProbeWindow bounds linear probing; 0 means the whole shard.
-	ProbeWindow int
-	// LockRetries bounds the shard-lock acquisition loop (default 64
-	// attempts with exponential backoff).
-	LockRetries int
-	// LockBackoff is the initial retry sleep, doubling per attempt up
-	// to 64× (default 100µs).
-	LockBackoff time.Duration
 }
 
 // WithDefaults returns the config with zero fields defaulted.
@@ -147,21 +138,18 @@ func (c Config) WithDefaults() Config {
 	if c.SlotSize == 0 {
 		c.SlotSize = 128
 	}
-	if c.ProbeWindow == 0 || c.ProbeWindow > c.SlotsPerShard {
-		c.ProbeWindow = c.SlotsPerShard
-	}
-	if c.LockRetries == 0 {
-		c.LockRetries = 64
-	}
-	if c.LockBackoff == 0 {
-		c.LockBackoff = 100 * time.Microsecond
-	}
 	return c
 }
 
 // Validate reports a config the layout rules reject.
 func (c Config) Validate() error {
 	c = c.WithDefaults()
+	if c.Shards < 1 {
+		return fmt.Errorf("app: Shards %d below 1", c.Shards)
+	}
+	if c.SlotsPerShard < 1 {
+		return fmt.Errorf("app: SlotsPerShard %d below 1", c.SlotsPerShard)
+	}
 	if c.SlotSize < slotHdr+2 {
 		return fmt.Errorf("app: SlotSize %d below minimum %d", c.SlotSize, slotHdr+2)
 	}

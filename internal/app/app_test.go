@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,6 +59,11 @@ func (m *memSeg) Clear(off int) error {
 
 func newTestStore(t *testing.T, cfg Config) *Store {
 	t.Helper()
+	return newTestStoreOpt(t, cfg, Options{Obs: obs.New()})
+}
+
+func newTestStoreOpt(t *testing.T, cfg Config, opt Options) *Store {
+	t.Helper()
 	cfg = cfg.WithDefaults()
 	segs := make([]Segment, cfg.Shards)
 	for i := range segs {
@@ -70,7 +76,7 @@ func newTestStore(t *testing.T, cfg Config) *Store {
 		}
 		segs[i] = seg
 	}
-	st, err := New(cfg, segs, Options{Obs: obs.New()})
+	st, err := New(cfg, segs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +84,19 @@ func newTestStore(t *testing.T, cfg Config) *Store {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := (Config{SlotSize: 100}).Validate(); err == nil {
-		t.Fatal("SlotSize 100 does not divide 512; want error")
-	}
-	if err := (Config{SlotSize: 4}).Validate(); err == nil {
-		t.Fatal("SlotSize below record header; want error")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"SlotSize 100 does not divide 512", Config{SlotSize: 100}},
+		{"SlotSize below record header", Config{SlotSize: 4}},
+		{"SlotSize above PageSize", Config{PageSize: 256, SlotSize: 512}},
+		{"negative Shards", Config{Shards: -1}},
+		{"negative SlotsPerShard", Config{SlotsPerShard: -1}},
+	} {
+		if err := tc.cfg.Validate(); err == nil {
+			t.Errorf("%s (%+v): Validate accepted it", tc.name, tc.cfg)
+		}
 	}
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
@@ -316,9 +330,13 @@ func TestLibraryForRendezvous(t *testing.T) {
 
 func TestLockContention(t *testing.T) {
 	// Hammer one shard from many goroutines: every put lands, the lock
-	// serializes, and conflicts are counted.
-	cfg := Config{Shards: 1, SlotsPerShard: 64, SlotSize: 64, LockBackoff: time.Microsecond}
-	st := newTestStore(t, cfg)
+	// serializes, and every collision is counted once, with one backoff.
+	cfg := Config{Shards: 1, SlotsPerShard: 64, SlotSize: 64}
+	var sleeps atomic.Int64
+	st := newTestStoreOpt(t, cfg, Options{Sleep: func(d time.Duration) {
+		sleeps.Add(1)
+		time.Sleep(d)
+	}})
 	const g, n = 8, 50
 	var wg sync.WaitGroup
 	errs := make(chan error, g)
@@ -350,17 +368,33 @@ func TestLockContention(t *testing.T) {
 	if seq, _ := st.Seq([]byte("w0")); seq != n {
 		t.Fatalf("seq: %d, want %d", seq, n)
 	}
+	if c := st.Stats().Total().Conflicts; c != sleeps.Load() {
+		t.Fatalf("conflicts %d, backoffs %d: want one backoff per collision", c, sleeps.Load())
+	}
 }
 
 func TestShardBusyOnWedgedLock(t *testing.T) {
-	cfg := Config{Shards: 1, LockRetries: 3, LockBackoff: time.Microsecond}
-	st := newTestStore(t, cfg)
+	var slept []time.Duration
+	st := newTestStoreOpt(t, Config{Shards: 1}, Options{Sleep: func(d time.Duration) { slept = append(slept, d) }})
 	// Wedge the lock as a crashed holder would.
 	if _, err := st.segs[0].TestAndSet(hdrLock); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Put([]byte("k"), []byte("v")); !errors.Is(err, ErrShardBusy) {
 		t.Fatalf("wedged lock: %v, want ErrShardBusy", err)
+	}
+	// The whole budget is spent: one conflict and one backoff per try,
+	// the backoff doubling from lockBackoff and capped at 64 times it.
+	if c := st.Stats().Total().Conflicts; c != lockRetries {
+		t.Fatalf("conflicts %d, want %d", c, lockRetries)
+	}
+	want := make([]time.Duration, lockRetries)
+	for i, d := 0, time.Duration(lockBackoff); i < lockRetries; i++ {
+		want[i] = d
+		d = min(2*d, 64*lockBackoff)
+	}
+	if fmt.Sprint(slept) != fmt.Sprint(want) {
+		t.Fatalf("backoffs %v, want %v", slept, want)
 	}
 	// Gets stay lock-free and keep serving.
 	if _, err := st.Get([]byte("k")); !errors.Is(err, ErrNoKey) {

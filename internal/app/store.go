@@ -110,16 +110,17 @@ func (s *Store) op(shard int) func() {
 	}
 }
 
-// probe scans the key's probe window in its shard. It returns the
-// matching slot index and parsed record when the key is present
-// (found), and otherwise the first insertable slot (a tombstone or the
-// terminating empty slot; -1 when the window is full). buf must be
-// SlotSize bytes and holds the found slot's bytes on return.
+// probe scans the key's shard linearly from its home slot, the whole
+// shard at most. It returns the matching slot index and parsed record
+// when the key is present (found), and otherwise the first insertable
+// slot (a tombstone or the terminating empty slot; -1 when the shard is
+// full). buf must be SlotSize bytes and holds the found slot's bytes on
+// return.
 func (s *Store) probe(shard int, key []byte, buf []byte) (idx int, rec record, found bool, free int, err error) {
 	seg := s.segs[shard]
 	home := s.cfg.homeSlot(key)
 	free = -1
-	for p := 0; p < s.cfg.ProbeWindow; p++ {
+	for p := 0; p < s.cfg.SlotsPerShard; p++ {
 		i := (home + p) % s.cfg.SlotsPerShard
 		if err = seg.ReadAt(buf, s.cfg.slotOff(i)); err != nil {
 			return 0, rec, false, free, err
@@ -350,6 +351,13 @@ func (s *Store) fillSlot(buf, key, val []byte, seq uint32) {
 	copy(buf[slotHdr+len(key):], val)
 }
 
+// The shard lock's retry budget: lockRetries attempts, sleeping
+// lockBackoff after the first collision and doubling up to 64×.
+const (
+	lockRetries = 64
+	lockBackoff = 100 * time.Microsecond
+)
+
 // lock takes the shard's writer lock: the §7.2 interlocked TestAndSet
 // on the header page, with exponential-backoff retries. Every
 // collision counts as a conflict; exhausting the budget returns
@@ -358,9 +366,8 @@ func (s *Store) fillSlot(buf, key, val []byte, seq uint32) {
 func (s *Store) lock(shard int) error {
 	seg := s.segs[shard]
 	sc := &s.stats.shards[shard]
-	backoff := s.cfg.LockBackoff
-	maxBackoff := s.cfg.LockBackoff * 64
-	for i := 0; i < s.cfg.LockRetries; i++ {
+	backoff := lockBackoff
+	for i := 0; i < lockRetries; i++ {
 		old, err := seg.TestAndSet(hdrLock)
 		if err != nil {
 			return fmt.Errorf("app: lock shard %d: %w", shard, err)
@@ -371,7 +378,7 @@ func (s *Store) lock(shard int) error {
 		sc.conflicts.Add(1)
 		s.o.Count(s.site, obs.CAppConflict)
 		s.sleep(backoff)
-		if backoff < maxBackoff {
+		if backoff < 64*lockBackoff {
 			backoff *= 2
 		}
 	}

@@ -19,9 +19,6 @@ type ExploreOpts struct {
 	// MaxSteps is the kernel step budget per run (0 = 2e6); exceeding
 	// it is a liveness violation, not a hang.
 	MaxSteps int
-	// ShrinkBudget caps replays spent minimizing a counterexample
-	// (0 = 400).
-	ShrinkBudget int
 	// OpsPerWalk is the generated workload length when RandomWalk gets
 	// a scenario with nil Ops (0 = 8).
 	OpsPerWalk int

@@ -40,10 +40,7 @@ type Scenario struct {
 	Sites int           `json:"sites"`
 	Pages int           `json:"pages"`
 	Delta time.Duration `json:"delta"`
-	// Hop is the per-hop message delay; 0 means 1ms. Distinct from 0 so
-	// protocol steps have duration and Δ windows mean something.
-	Hop time.Duration `json:"hop,omitempty"`
-	Ops []Op          `json:"ops"`
+	Ops   []Op          `json:"ops"`
 	// Chaos, when non-empty, is an internal/chaos plan in its grammar;
 	// it brings the reliability layer (chaos without it livelocks by
 	// design).
@@ -51,16 +48,13 @@ type Scenario struct {
 	// Options is the protocol stack: the invalidation policy and the
 	// layers, resolved by ForCluster as every cluster's are. The harness
 	// owns Sites, Obs and Costs, and times any Reliability or Failover
-	// layer the resolved stack has to the hop.
+	// layer the resolved stack has to the message delay, hop.
 	Options core.Options `json:"options"`
 }
 
 func (sc Scenario) withDefaults() Scenario {
 	if sc.Pages <= 0 {
 		sc.Pages = 1
-	}
-	if sc.Hop == 0 {
-		sc.Hop = time.Millisecond
 	}
 	return sc
 }
@@ -138,7 +132,7 @@ func (e hEnv) Exec(cost time.Duration, fn func()) { e.h.k.After(cost, fn) }
 
 func (e hEnv) Send(to int, m core.NetMsg) {
 	h := e.h
-	d := h.sc.Hop
+	d := hop
 	if to == e.site {
 		// Loopback: immediate and exempt from chaos, like ipc's.
 		d = 0
@@ -162,6 +156,9 @@ func (e hEnv) Send(to int, m core.NetMsg) {
 const (
 	scenarioSeg      = 1
 	scenarioPageSize = 64
+	// hop is every message's delay between two sites: not zero, so
+	// protocol steps take time and Δ windows mean something.
+	hop = time.Millisecond
 )
 
 // newHarness builds the scenario's cluster on a fresh kernel whose
@@ -184,14 +181,14 @@ func newHarness(sc Scenario, sch *scheduler) (*harness, error) {
 	// recovery happens in bounded virtual time.
 	if opt.Reliability != nil {
 		opt.Reliability = &core.Reliability{
-			AckTimeout:     20 * sc.Hop,
-			MaxBackoff:     200 * sc.Hop,
+			AckTimeout:     20 * hop,
+			MaxBackoff:     200 * hop,
 			MaxAttempts:    5,
-			RequestTimeout: 4000 * sc.Hop,
+			RequestTimeout: 4000 * hop,
 		}
 	}
 	if opt.Failover != nil {
-		opt.Failover = &core.Failover{RecoverTimeout: 100 * sc.Hop}
+		opt.Failover = &core.Failover{RecoverTimeout: 100 * hop}
 	}
 	h.opt = opt
 	if sc.Chaos != "" {

@@ -91,17 +91,17 @@ func DecodeRepro(rd io.Reader) (Repro, error) {
 	return r, nil
 }
 
+// shrinkBudget caps the replays Shrink spends on one counterexample.
+const shrinkBudget = 400
+
 // Shrink minimizes a violating repro: first it tries dropping ops (each
 // removal re-validated by replaying, then by a handful of fresh random
 // schedules), then it truncates the choice prefix to the shortest that
 // still violates and zeroes the remaining picks. The result's
-// Violations are from its final replay. Budget: opt.ShrinkBudget
-// replays (default 400).
+// Violations are from its final replay. It spends at most shrinkBudget
+// replays.
 func Shrink(r Repro, opt ExploreOpts) Repro {
-	budget := opt.ShrinkBudget
-	if budget <= 0 {
-		budget = 400
-	}
+	budget := shrinkBudget
 	// A candidate "still violates" if replaying its choices does, or —
 	// for op removals, where old choices may no longer line up — if a
 	// short deterministic search finds a new violating schedule.

@@ -34,10 +34,6 @@ type AutoDeltaConfig struct {
 	// {0, 1, 2, 6, 12} — the E16 shape: floor, sub-quantum, the quantum
 	// crossover at 6, and past it).
 	Ticks []int
-	// SeedTicks is the segment Δ the controller cell starts from
-	// (default 6 — one scheduling quantum, maximally wrong for the
-	// write-sharing workloads whose best fixed Δ is 0).
-	SeedTicks int
 	// PingPongDur is the ping-pong measurement window (default 5s).
 	PingPongDur time.Duration
 	// Warmup runs the ping-pong workload unmeasured before the window,
@@ -55,18 +51,16 @@ type AutoDeltaConfig struct {
 	// AffinityDur is the affinity scenario's offered window (default
 	// 10s; placement needs its demand windows and cooldown).
 	AffinityDur time.Duration
-	// Tolerance is the relative margin the controller must reach of the
-	// best fixed cell's score (default 0.05).
-	Tolerance float64
 }
+
+// autoTolerance is the relative margin of the best fixed cell's score
+// the controller cell must reach.
+const autoTolerance = 0.05
 
 // WithDefaults returns the config with zero fields defaulted.
 func (c AutoDeltaConfig) WithDefaults() AutoDeltaConfig {
 	if len(c.Ticks) == 0 {
 		c.Ticks = []int{0, 1, 2, 6, 12}
-	}
-	if c.SeedTicks == 0 {
-		c.SeedTicks = 6
 	}
 	if c.PingPongDur == 0 {
 		c.PingPongDur = 5 * time.Second
@@ -83,9 +77,6 @@ func (c AutoDeltaConfig) WithDefaults() AutoDeltaConfig {
 	if c.AffinityDur == 0 {
 		c.AffinityDur = 10 * time.Second
 	}
-	if c.Tolerance == 0 {
-		c.Tolerance = 0.05
-	}
 	return c
 }
 
@@ -93,7 +84,7 @@ func (c AutoDeltaConfig) WithDefaults() AutoDeltaConfig {
 // controller (DeltaTicks -1).
 type AutoDeltaPoint struct {
 	// DeltaTicks is the fixed Δ in clock ticks; -1 marks the controller
-	// cell (seeded at AutoDeltaConfig.SeedTicks).
+	// cell (seeded at vaxmodel.QuantumTicks).
 	DeltaTicks int `json:"delta_ticks"`
 	// Score is the workload's figure of merit, higher better:
 	// cycles/sec for ping-pong, goodput req/s for service and affinity.
@@ -126,7 +117,7 @@ type AutoDeltaWorkload struct {
 	// BestFixed indexes the highest-scoring fixed cell.
 	BestFixed int `json:"best_fixed"`
 	// AutoMatchesBest reports Auto.Score >= best fixed score scaled by
-	// (1 - Tolerance).
+	// (1 - autoTolerance).
 	AutoMatchesBest bool `json:"auto_matches_best"`
 }
 
@@ -155,12 +146,13 @@ func (c AutoDeltaConfig) affinity() MigrationConfig {
 
 // cluster is the cluster one cell runs on: the workload's size and
 // options, and the segments' Δ — pinned at ticks in a fixed cell; in the
-// controller cell (ticks < 0) the deliberately wrong SeedTicks the
-// production-default controller starts from.
+// controller cell (ticks < 0) one scheduling quantum, the deliberately
+// wrong Δ the production-default controller starts from (the
+// write-sharing workloads' best fixed Δ is 0).
 func (c AutoDeltaConfig) cluster(workload string, ticks int) (int, ipc.Config) {
 	cfg := ipc.Config{Delta: time.Duration(ticks) * vaxmodel.ClockTick}
 	if ticks < 0 {
-		cfg.Delta = time.Duration(c.SeedTicks) * vaxmodel.ClockTick
+		cfg.Delta = vaxmodel.Quantum
 		cfg.Engine.AutoDelta = &core.AutoDelta{}
 	}
 	switch workload {
@@ -188,7 +180,7 @@ func (c AutoDeltaConfig) run(workload string, cl *ipc.Cluster) (float64, time.Du
 	var rung load.Rung
 	switch workload {
 	case "pingpong":
-		st := runPingPong(cl, 0, 1, PingPongConfig{UseYield: true}, 512, c.Warmup+c.PingPongDur)
+		st := runPingPong(cl, 0, 1, true, 512, c.Warmup+c.PingPongDur)
 		warm := 0
 		cl.Site(0).Spawn("warmup-mark", 0, func(p *ipc.Proc) {
 			p.Sleep(c.Warmup)
@@ -254,7 +246,7 @@ func AutoDeltaSweep(cfg AutoDeltaConfig) AutoDeltaSweepResult {
 				wl.BestFixed = i
 			}
 		}
-		wl.AutoMatchesBest = wl.Auto.Score >= wl.Fixed[wl.BestFixed].Score*(1-cfg.Tolerance)
+		wl.AutoMatchesBest = wl.Auto.Score >= wl.Fixed[wl.BestFixed].Score*(1-autoTolerance)
 		r.Workloads = append(r.Workloads, wl)
 	}
 	return r
@@ -266,7 +258,7 @@ func AutoDeltaSweep(cfg AutoDeltaConfig) AutoDeltaSweepResult {
 func (r AutoDeltaSweepResult) WriteFindings(w io.Writer) {
 	cfg := r.Config.WithDefaults()
 	fmt.Fprintf(w, "E23 — closed-loop Δ tuning (seed Δ %d ticks, grid %v, tolerance %.0f%%)\n",
-		cfg.SeedTicks, cfg.Ticks, cfg.Tolerance*100)
+		vaxmodel.QuantumTicks, cfg.Ticks, autoTolerance*100)
 	fmt.Fprintf(w, "Hypothesis: started from a deliberately wrong Δ, Options.AutoDelta matches the\n")
 	fmt.Fprintf(w, "best fixed Δ on every workload (within tolerance), with every traced run clean\n")
 	fmt.Fprintf(w, "under the coherence checker at the Delta = Min sound bound.\n")
@@ -284,7 +276,7 @@ func (r AutoDeltaSweepResult) WriteFindings(w io.Writer) {
 		}
 		best := wl.Fixed[wl.BestFixed]
 		fmt.Fprintf(w, "  auto (seed %d): score %8.1f  denials %6d  %d grows / %d shrinks / %d retunes",
-			cfg.SeedTicks, wl.Auto.Score, wl.Auto.Denials, wl.Auto.Grows, wl.Auto.Shrinks, wl.Auto.Retunes)
+			vaxmodel.QuantumTicks, wl.Auto.Score, wl.Auto.Denials, wl.Auto.Grows, wl.Auto.Shrinks, wl.Auto.Retunes)
 		if wl.Auto.P99 > 0 {
 			fmt.Fprintf(w, "  p99 %v", wl.Auto.P99)
 		}

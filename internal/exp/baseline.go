@@ -62,7 +62,7 @@ func BaselineComparison(dur time.Duration) []BaselinePoint {
 	}
 
 	worst := func(name string, c *ipc.Cluster) {
-		st := runPingPong(c, 0, 1, PingPongConfig{UseYield: true}, 512, dur)
+		st := runPingPong(c, 0, 1, true, 512, dur)
 		c.Run()
 		out = append(out, BaselinePoint{
 			System: name, Workload: "worst-case",
@@ -72,7 +72,7 @@ func BaselineComparison(dur time.Duration) []BaselinePoint {
 		})
 	}
 	rep := func(name string, c *ipc.Cluster) {
-		st := runCounters(c, 0, 1, CountersConfig{Duration: dur})
+		st := runCounters(c, 0, 1, dur)
 		c.Run()
 		out = append(out, BaselinePoint{
 			System: name, Workload: "representative",

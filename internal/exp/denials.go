@@ -46,7 +46,7 @@ func DeltaDenialSweep(dur time.Duration, ticks []int) []DeltaDenialPoint {
 	return sweep(ticks, func(k int) DeltaDenialPoint {
 		p := DeltaDenialPoint{DeltaTicks: k}
 		p.Trace = simulate(2, ipc.Config{Delta: time.Duration(k) * vaxmodel.ClockTick}, func(c *ipc.Cluster) {
-			st := runPingPong(c, 0, 1, PingPongConfig{UseYield: true}, 512, dur)
+			st := runPingPong(c, 0, 1, true, 512, dur)
 			c.Run()
 			m := c.Obs.Metrics
 			p.CyclesPerSec = float64(st.cycles) / dur.Seconds()

@@ -122,7 +122,7 @@ var PaperSingleSite = SingleSiteResult{NoYield: 5, WithYield: 166, Speedup: 35}
 func SingleSiteWorstCase(dur time.Duration) SingleSiteResult {
 	run := func(useYield bool) float64 {
 		c := ipc.NewCluster(1, ipc.Config{})
-		st := runPingPong(c, 0, 0, PingPongConfig{UseYield: useYield}, 512, dur)
+		st := runPingPong(c, 0, 0, useYield, 512, dur)
 		c.Run()
 		return float64(st.cycles) / dur.Seconds()
 	}
@@ -156,7 +156,7 @@ func Figure7(dur time.Duration, ticks []int) []Figure7Point {
 		p := Figure7Point{DeltaTicks: k}
 		for _, yield := range []bool{true, false} {
 			c := ipc.NewCluster(2, ipc.Config{Delta: delta})
-			st := runPingPong(c, 0, 1, PingPongConfig{UseYield: yield}, 512, dur)
+			st := runPingPong(c, 0, 1, yield, 512, dur)
 			c.Run()
 			v := float64(st.cycles) / dur.Seconds()
 			if yield {
@@ -186,7 +186,7 @@ type WorstCaseTraffic struct {
 func MeasureWorstCaseTraffic(dur time.Duration, deltaTicks int) WorstCaseTraffic {
 	delta := time.Duration(deltaTicks) * vaxmodel.ClockTick
 	c := ipc.NewCluster(2, ipc.Config{Delta: delta})
-	st := runPingPong(c, 0, 1, PingPongConfig{UseYield: true}, 512, dur)
+	st := runPingPong(c, 0, 1, true, 512, dur)
 	c.Run()
 	ns := c.Net.Stats()
 	t := WorstCaseTraffic{DeltaTicks: deltaTicks, Cycles: st.cycles}
@@ -229,19 +229,16 @@ const (
 )
 
 // Figure8 sweeps Δ for the two conflicting read-writers. Each point
-// runs cfg.Duration of virtual time (the paper's 10 s).
-func Figure8(cfg CountersConfig, deltas []time.Duration) []Figure8Point {
-	if cfg.Duration == 0 {
-		cfg.Duration = 10 * time.Second
-	}
+// runs dur of virtual time (the paper's 10 s).
+func Figure8(dur time.Duration, deltas []time.Duration) []Figure8Point {
 	return sweep(deltas, func(d time.Duration) Figure8Point {
 		c := ipc.NewCluster(2, ipc.Config{Delta: d})
-		st := runCounters(c, 0, 1, cfg)
+		st := runCounters(c, 0, 1, dur)
 		c.Run()
 		iters := st.iters[0] + st.iters[1]
 		return Figure8Point{
 			Delta:      d,
-			InsnPerSec: 2 * float64(iters) / cfg.Duration.Seconds(), // read + write per iteration
+			InsnPerSec: 2 * float64(iters) / dur.Seconds(), // read + write per iteration
 		}
 	})
 }
@@ -267,7 +264,7 @@ func ThrashingAmelioration(dur time.Duration, ticks []int) []ThrashPoint {
 	return sweep(ticks, func(k int) ThrashPoint {
 		delta := time.Duration(k) * vaxmodel.ClockTick
 		c := ipc.NewCluster(2, ipc.Config{Delta: delta})
-		st := runPingPong(c, 0, 1, PingPongConfig{UseYield: true}, 512, dur)
+		st := runPingPong(c, 0, 1, true, 512, dur)
 		units := 0
 		c.Site(0).Spawn("bystander", 0, func(p *ipc.Proc) {
 			for p.Now() < dur {
@@ -298,11 +295,9 @@ type PolicyPoint struct {
 
 // InvalidationAblation compares the paper's two-attempt retry against
 // the honor-if-close and queued-invalidation optimizations it proposes
-// (§7.1: both were unimplemented in the prototype).
-func InvalidationAblation(cfg CountersConfig, deltas []time.Duration) []PolicyPoint {
-	if cfg.Duration == 0 {
-		cfg.Duration = 10 * time.Second
-	}
+// (§7.1: both were unimplemented in the prototype). Each point runs
+// dur of virtual time.
+func InvalidationAblation(dur time.Duration, deltas []time.Duration) []PolicyPoint {
 	// Flatten the policy × Δ grid so every cell is one parallel point.
 	type cell struct {
 		policy core.InvalPolicy
@@ -319,13 +314,13 @@ func InvalidationAblation(cfg CountersConfig, deltas []time.Duration) []PolicyPo
 			Delta:  cl.d,
 			Engine: core.Options{Policy: cl.policy},
 		})
-		st := runCounters(c, 0, 1, cfg)
+		st := runCounters(c, 0, 1, dur)
 		c.Run()
 		iters := st.iters[0] + st.iters[1]
 		return PolicyPoint{
 			Policy:     cl.policy,
 			Delta:      cl.d,
-			InsnPerSec: 2 * float64(iters) / cfg.Duration.Seconds(),
+			InsnPerSec: 2 * float64(iters) / dur.Seconds(),
 			Retries:    c.Site(0).Eng.Stats().Retries + c.Site(1).Eng.Stats().Retries,
 		}
 	})
@@ -349,16 +344,13 @@ type DynamicDeltaResult struct {
 // DynamicDelta runs the counters workload at each of DynamicDeltas
 // twice: fixed, and as the seed of the AutoDelta controller with its
 // defaults — the one tuning routine there is (§8.0 ships its own
-// disabled).
-func DynamicDelta(cfg CountersConfig) DynamicDeltaResult {
-	if cfg.Duration == 0 {
-		cfg.Duration = 10 * time.Second
-	}
+// disabled). Each run lasts dur of virtual time.
+func DynamicDelta(dur time.Duration) DynamicDeltaResult {
 	run := func(d time.Duration, ad *core.AutoDelta) float64 {
 		c := ipc.NewCluster(2, ipc.Config{Delta: d, Engine: core.Options{AutoDelta: ad}})
-		st := runCounters(c, 0, 1, cfg)
+		st := runCounters(c, 0, 1, dur)
 		c.Run()
-		return 2 * float64(st.iters[0]+st.iters[1]) / cfg.Duration.Seconds()
+		return 2 * float64(st.iters[0]+st.iters[1]) / dur.Seconds()
 	}
 	// The eight configurations are independent runs: fan them out.
 	var r DynamicDeltaResult

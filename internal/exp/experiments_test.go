@@ -103,8 +103,7 @@ func TestE4TrafficPerCycle(t *testing.T) {
 }
 
 func TestE5Figure8Shape(t *testing.T) {
-	cfg := CountersConfig{Duration: 10 * time.Second}
-	pts := Figure8(cfg, []time.Duration{
+	pts := Figure8(10*time.Second, []time.Duration{
 		0, 120 * time.Millisecond, 600 * time.Millisecond, 1200 * time.Millisecond,
 	})
 	at := func(d time.Duration) float64 {
@@ -157,7 +156,7 @@ func TestE6ThrashingAmelioration(t *testing.T) {
 }
 
 func TestE7InvalidationAblation(t *testing.T) {
-	pts := InvalidationAblation(CountersConfig{Duration: 8 * time.Second},
+	pts := InvalidationAblation(8*time.Second,
 		[]time.Duration{900 * time.Millisecond})
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
@@ -185,7 +184,7 @@ func TestE7InvalidationAblation(t *testing.T) {
 }
 
 func TestE8DynamicDelta(t *testing.T) {
-	r := DynamicDelta(CountersConfig{Duration: 8 * time.Second})
+	r := DynamicDelta(8 * time.Second)
 	if r.Fixed[2] <= r.Fixed[0] {
 		t.Fatalf("Δ=600 should beat Δ=0: %+v", r)
 	}

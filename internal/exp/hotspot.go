@@ -156,7 +156,7 @@ type LoadSensitivityResult struct {
 func LoadSensitivity(dur time.Duration) LoadSensitivityResult {
 	run := func(loaded bool) float64 {
 		c := ipc.NewCluster(2, ipc.Config{Delta: 600 * time.Millisecond})
-		st := runCounters(c, 0, 1, CountersConfig{Duration: dur})
+		st := runCounters(c, 0, 1, dur)
 		if loaded {
 			c.Site(1).Spawn("hog", 0, func(p *ipc.Proc) {
 				for p.Now() < dur {

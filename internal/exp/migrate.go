@@ -49,14 +49,6 @@ type MigrationConfig struct {
 	Workers int
 	// QueueCap bounds each lane's backlog (default 16).
 	QueueCap int
-	// KeysPerShard sizes each shard's key pool (default 12).
-	KeysPerShard int
-	// CrossFrac is the fraction of each lane's ops aimed at the whole
-	// keyspace instead of its affine pool (default 0.1). The cross
-	// traffic keeps invalidating the hot sites' copies, which is what
-	// sustains library demand after warm-up — and what keeps the
-	// hot/cold demand ratio visible to the placement policy.
-	CrossFrac float64
 	// ReadFrac is the read fraction of the op mix (default 0.65 — more
 	// writes than the library default so cross traffic keeps
 	// invalidating the hot sites' copies, sustaining the fault-driven
@@ -93,12 +85,6 @@ func (c MigrationConfig) WithDefaults() MigrationConfig {
 	}
 	if c.QueueCap == 0 {
 		c.QueueCap = 16
-	}
-	if c.KeysPerShard == 0 {
-		c.KeysPerShard = 12
-	}
-	if c.CrossFrac == 0 {
-		c.CrossFrac = 0.1
 	}
 	if c.ReadFrac == 0 {
 		c.ReadFrac = 0.65
@@ -150,7 +136,7 @@ func (c MigrationConfig) Spec() load.Spec {
 		Frontends: c.Sites * c.Workers,
 		Workers:   1,
 		QueueCap:  c.QueueCap,
-		Keys:      c.Shards * c.KeysPerShard,
+		Keys:      c.Shards * keysPerShard,
 		ReadFrac:  c.ReadFrac,
 		Skew:      load.SkewUniform,
 		SLO:       c.SLO,
@@ -158,18 +144,21 @@ func (c MigrationConfig) Spec() load.Spec {
 	}
 }
 
+// keysPerShard sizes each shard's key pool.
+const keysPerShard = 12
+
 // shardPools scans the key id space upward until every shard holds
-// KeysPerShard ids, returning the per-shard pools plus the union in
+// keysPerShard ids, returning the per-shard pools plus the union in
 // scan order. Key ids are what load.Execute hashes through KeyBytes,
 // so pool membership is exact.
 func (c MigrationConfig) shardPools() (pools [][]uint64, all []uint64) {
 	c = c.WithDefaults()
 	appCfg := c.AppConfig()
 	pools = make([][]uint64, c.Shards)
-	need := c.Shards * c.KeysPerShard
+	need := c.Shards * keysPerShard
 	for k := uint64(0); len(all) < need; k++ {
 		s := appCfg.ShardOf(load.KeyBytes(k))
-		if len(pools[s]) >= c.KeysPerShard {
+		if len(pools[s]) >= keysPerShard {
 			continue
 		}
 		pools[s] = append(pools[s], k)
@@ -217,11 +206,18 @@ type MigrationSweepResult struct {
 	ReplayMatches bool
 }
 
+// crossPercent is the share of each lane's ops, in percent, aimed at
+// the whole keyspace instead of its affine pool. The cross traffic keeps
+// invalidating the hot sites' copies, which is what sustains library
+// demand after warm-up — and what keeps the hot/cold demand ratio
+// visible to the placement policy.
+const crossPercent = 10
+
 // rekey maps a lane's op at a site into the pool of the shards hot there
 // in the phase in force at its arrival. The skewed scenario mis-homes
 // every shard from the start and never changes; shifting starts matched
-// and rotates at Duration/2. A CrossFrac slice of the stream roams the
-// whole keyspace.
+// and rotates at Duration/2. A crossPercent slice of the stream roams
+// the whole keyspace.
 func (c MigrationConfig) rekey(shift bool) func(site int, op load.Op) load.Op {
 	c = c.WithDefaults()
 	pools, all := c.shardPools()
@@ -246,15 +242,13 @@ func (c MigrationConfig) rekey(shift bool) func(site int, op load.Op) load.Op {
 	for s := range first {
 		first[s], second[s] = sitePool(s, firstRot), sitePool(s, secondRot)
 	}
-	crossMod := uint64(100)
-	crossCut := uint64(float64(crossMod) * c.CrossFrac)
 	return func(site int, op load.Op) load.Op {
-		mix := op.Key * 2654435761 % crossMod
+		mix := op.Key * 2654435761 % 100
 		pool := first[site]
 		if shift && op.T >= half {
 			pool = second[site]
 		}
-		if mix < crossCut {
+		if mix < crossPercent {
 			op.Key = all[op.Key%uint64(len(all))]
 		} else {
 			op.Key = pool[op.Key%uint64(len(pool))]

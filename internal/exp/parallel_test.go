@@ -17,9 +17,9 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 		defer func() { Parallelism = old }()
 		dur := 200 * time.Millisecond
 		f7 = Figure7(dur, []int{0, 2, 8})
-		f8 = Figure8(CountersConfig{Duration: dur}, []time.Duration{0, 120 * time.Millisecond, 600 * time.Millisecond})
+		f8 = Figure8(dur, []time.Duration{0, 120 * time.Millisecond, 600 * time.Millisecond})
 		ns = NSiteWorstCase(dur, []int{2, 3})
-		pp = InvalidationAblation(CountersConfig{Duration: dur}, []time.Duration{0, 120 * time.Millisecond})
+		pp = InvalidationAblation(dur, []time.Duration{0, 120 * time.Millisecond})
 		return
 	}
 	f7a, f8a, nsa, ppa := run(1)

@@ -278,7 +278,7 @@ func TestPolicySweepUnderDelays(t *testing.T) {
 			}
 			return 0
 		}
-		st := runCounters(c, 0, 1, CountersConfig{Duration: 3 * time.Second})
+		st := runCounters(c, 0, 1, 3*time.Second)
 		c.Run()
 		if st.iters[0]+st.iters[1] == 0 {
 			t.Fatalf("policy %v: no progress under delay", pol)
@@ -290,7 +290,7 @@ func TestPolicySweepUnderDelays(t *testing.T) {
 // protection invariant repeatedly during a busy run.
 func TestSingleWriterInvariantDuringChurn(t *testing.T) {
 	c := ipc.NewCluster(3, ipc.Config{Delta: 3 * time.Millisecond})
-	runCounters(c, 0, 1, CountersConfig{Duration: 2 * time.Second})
+	runCounters(c, 0, 1, 2*time.Second)
 	violations := 0
 	var sample func()
 	sample = func() {

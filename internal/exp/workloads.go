@@ -43,33 +43,27 @@ func attachShared(p *ipc.Proc, create bool, size int) *ipc.Shm {
 	}
 }
 
-// PingPongConfig parameterizes the worst-case application (Figure 4).
-type PingPongConfig struct {
-	UseYield  bool
-	SpinBatch int // busy-wait polls bundled per shared read (model granularity)
-}
-
 // pingPongStats is written by the workload processes.
 type pingPongStats struct {
 	cycles int
 }
 
+// spinBatch is how many busy-wait polls one shared read stands for
+// (the model's granularity).
+const spinBatch = 32
+
 // spinWait polls until read() reports done. With yield() the process
 // relinquishes the CPU between polls (§7.2's fix); without it the
 // process busy-waits, burning its scheduling quantum.
-func spinWait(p *ipc.Proc, cfg PingPongConfig, read func() bool) {
-	batch := cfg.SpinBatch
-	if batch <= 0 {
-		batch = 32
-	}
+func spinWait(p *ipc.Proc, useYield bool, read func() bool) {
 	for {
 		if read() {
 			return
 		}
-		if cfg.UseYield {
+		if useYield {
 			p.Yield()
 		} else {
-			p.Compute(time.Duration(batch) * vaxmodel.SpinCheck)
+			p.Compute(spinBatch * vaxmodel.SpinCheck)
 		}
 	}
 }
@@ -92,8 +86,8 @@ func replyVal(i int) uint32 { return uint32(2_000_000 + i) }
 // writes CHECKVAL into the first location of each pair and waits for
 // proc 2 at siteB to write CHECKVAL+1 into the second (Figure 4). Both
 // run until the virtual deadline; the returned counter is read after
-// the cluster drains.
-func runPingPong(c *ipc.Cluster, siteA, siteB int, cfg PingPongConfig, segSize int, deadline time.Duration) *pingPongStats {
+// the cluster drains. useYield picks the §7.2 variant.
+func runPingPong(c *ipc.Cluster, siteA, siteB int, useYield bool, segSize int, deadline time.Duration) *pingPongStats {
 	st := &pingPongStats{}
 	c.Site(siteA).Spawn("pp1", 0, func(p *ipc.Proc) {
 		h := attachShared(p, true, segSize)
@@ -107,7 +101,7 @@ func runPingPong(c *ipc.Cluster, siteA, siteB int, cfg PingPongConfig, segSize i
 				return
 			}
 			traceEv(p, "p1 write o1 done; spin o2")
-			spinWait(p, cfg, func() bool {
+			spinWait(p, useYield, func() bool {
 				if p.Now() >= deadline {
 					return true
 				}
@@ -130,7 +124,7 @@ func runPingPong(c *ipc.Cluster, siteA, siteB int, cfg PingPongConfig, segSize i
 			}
 			o1, o2 := pingPongSlots(i, segSize)
 			traceEv(p, "p2 spin o1")
-			spinWait(p, cfg, func() bool {
+			spinWait(p, useYield, func() bool {
 				if p.Now() >= deadline {
 					return true
 				}
@@ -150,23 +144,6 @@ func runPingPong(c *ipc.Cluster, siteA, siteB int, cfg PingPongConfig, segSize i
 	return st
 }
 
-// CountersConfig parameterizes the representative application (§8.0):
-// two processes on different sites run for-loops that decrement
-// separate values living on the same page, testing the termination
-// condition each iteration (one shared read plus one shared write per
-// iteration; the VAX decrement is a read-modify-write, so the faulting
-// access is a write fault). A process counts its value down from
-// IterPerRound — about 600 ms of loop work at the default, the
-// processor-locality interval behind Figure 8's Δ=600 ms knee — then
-// spends LocalWork of purely local computation before starting the
-// next countdown. The run lasts Duration (the paper's 10 s).
-type CountersConfig struct {
-	IterPerRound int           // decrements per countdown (default ≈600 ms of work)
-	LocalWork    time.Duration // off-page computation between countdowns
-	Duration     time.Duration // measurement window
-	Chunk        int           // iterations bundled per model step
-}
-
 // DefaultIterPerRound makes one countdown ≈600 ms of pure loop work:
 // the locality knee the paper's Figure 8 exhibits at Δ=600 ms.
 func DefaultIterPerRound() int {
@@ -178,21 +155,29 @@ type countersStats struct {
 	iters [2]int // committed loop iterations per process
 }
 
-// runCounters spawns the two conflicting read-writers. Offsets 0 and 4
-// of the shared page hold the two counters.
-func runCounters(c *ipc.Cluster, siteA, siteB int, cfg CountersConfig) *countersStats {
+// The representative application's shape: countersLocalWork of purely
+// local computation between countdowns, and countersChunk iterations
+// bundled per model step.
+const (
+	countersLocalWork = 200 * time.Millisecond
+	countersChunk     = 96
+)
+
+// runCounters spawns the representative application (§8.0): two
+// processes on different sites run for-loops that decrement separate
+// values living on the same page, testing the termination condition
+// each iteration (one shared read plus one shared write per iteration;
+// the VAX decrement is a read-modify-write, so the faulting access is a
+// write fault). A process counts its value down from
+// DefaultIterPerRound — about 600 ms of loop work, the
+// processor-locality interval behind Figure 8's Δ=600 ms knee — then
+// spends countersLocalWork before starting the next countdown, until
+// the virtual deadline (the paper's 10 s). Offsets 0 and 4 of the
+// shared page hold the two counters.
+func runCounters(c *ipc.Cluster, siteA, siteB int, deadline time.Duration) *countersStats {
 	st := &countersStats{}
 	iterCost := 2 * vaxmodel.SharedMemInstruction
-	if cfg.IterPerRound == 0 {
-		cfg.IterPerRound = DefaultIterPerRound()
-	}
-	if cfg.LocalWork == 0 {
-		cfg.LocalWork = 200 * time.Millisecond
-	}
-	chunk := cfg.Chunk
-	if chunk <= 0 {
-		chunk = 96
-	}
+	iterPerRound := DefaultIterPerRound()
 	worker := func(idx int, create bool) func(p *ipc.Proc) {
 		myOff := idx * 4
 		return func(p *ipc.Proc) {
@@ -200,22 +185,21 @@ func runCounters(c *ipc.Cluster, siteA, siteB int, cfg CountersConfig) *counters
 				p.Sleep(time.Millisecond)
 			}
 			h := attachShared(p, create, 512)
-			deadline := cfg.Duration
 			for {
 				if p.Now() >= deadline {
 					return
 				}
 				// Reset this process's value: a write (fault) that
 				// starts the countdown burst.
-				if h.SetUint32(myOff, uint32(cfg.IterPerRound)) != nil {
+				if h.SetUint32(myOff, uint32(iterPerRound)) != nil {
 					return
 				}
-				remaining := cfg.IterPerRound
+				remaining := iterPerRound
 				for remaining > 0 {
 					if p.Now() >= deadline {
 						return
 					}
-					n := chunk
+					n := countersChunk
 					if n > remaining {
 						n = remaining
 					}
@@ -234,7 +218,7 @@ func runCounters(c *ipc.Cluster, siteA, siteB int, cfg CountersConfig) *counters
 				// page stays here, idle, until the partner's request
 				// and this page's window pry it loose — the
 				// "retention" behaviour of §8.0.
-				p.Compute(cfg.LocalWork)
+				p.Compute(countersLocalWork)
 			}
 		}
 	}
@@ -246,7 +230,7 @@ func runCounters(c *ipc.Cluster, siteA, siteB int, cfg CountersConfig) *counters
 // RunPingPongForDebug exposes the worst-case run for calibration
 // tooling; it returns completed cycles after the cluster drains.
 func RunPingPongForDebug(c *ipc.Cluster, a, b int, yield bool, dur time.Duration) int {
-	st := runPingPong(c, a, b, PingPongConfig{UseYield: yield}, 512, dur)
+	st := runPingPong(c, a, b, yield, 512, dur)
 	c.Run()
 	return st.cycles
 }
@@ -254,7 +238,7 @@ func RunPingPongForDebug(c *ipc.Cluster, a, b int, yield bool, dur time.Duration
 // RunCountersForDebug exposes the representative run for calibration
 // tooling; it returns read-write instructions per second.
 func RunCountersForDebug(c *ipc.Cluster, dur time.Duration) float64 {
-	st := runCounters(c, 0, 1, CountersConfig{Duration: dur})
+	st := runCounters(c, 0, 1, dur)
 	c.Run()
 	return 2 * float64(st.iters[0]+st.iters[1]) / dur.Seconds()
 }

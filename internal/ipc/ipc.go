@@ -188,7 +188,7 @@ func NewCluster(n int, cfg Config) *Cluster {
 		chaos.WrapNetwork(c.Net, c.Chaos, func() time.Duration { return c.K.Now().Duration() })
 	}
 	for i := 0; i < n; i++ {
-		s := &Site{c: c, id: i, CPU: sched.New(c.K, fmt.Sprintf("site%d", i), sched.Config{})}
+		s := &Site{c: c, id: i, CPU: sched.New(c.K)}
 		if cfg.NewDSM != nil {
 			s.DSM = cfg.NewDSM(env{s})
 		} else {

@@ -51,8 +51,6 @@ type Stats struct {
 	Bytes      int // cumulative payload bytes delivered
 	Dropped    int // messages lost to the fault hook
 	Duplicated int // extra copies delivered by the fault hook
-	TxBusy     time.Duration
-	RxBusy     time.Duration
 }
 
 // Fault is the injection verdict for one message, produced by the
@@ -179,7 +177,6 @@ func (n *Network) chargeTx(m Message) sim.Time {
 	}
 	txDone := start.Add(side)
 	tx.txBusyUntil = txDone
-	n.stats.TxBusy += side
 	return txDone
 }
 
@@ -200,7 +197,6 @@ func (n *Network) transmit(m Message, extra time.Duration) {
 		}
 		rxDone := rstart.Add(side)
 		rx.rxBusyUntil = rxDone
-		n.stats.RxBusy += side
 		n.k.At(rxDone, func() { n.deliverNow(m) })
 	})
 }

@@ -14,8 +14,8 @@
 //     in the operating system to service network messages"). Like the
 //     Locus server processes, kernel work is scheduled: it runs at
 //     once on an idle CPU, but against a computing user task it must
-//     wait for the next scheduler pass — the RescheduleLatency grid
-//     (every other clock tick), when the UNIX scheduler recomputes
+//     wait for the next scheduler pass — the KernelPreemptGrid
+//     (every third clock tick), when the UNIX scheduler recomputes
 //     priorities and a woken kernel server preempts. This is the
 //     mechanism behind §7.2/§7.3: a busy-waiting process delays the
 //     colocated library's service work at every protocol step, which
@@ -25,6 +25,9 @@
 // Task.Compute, and service handlers only through CPU.KernelWork
 // costs. Dispatching a user task charges a context switch plus the
 // lazy shared-memory remap cost of §6.2 (RemapPages × RemapPerPage).
+//
+// The machine is the paper's: every duration and threshold is a
+// vaxmodel constant.
 package sched
 
 import (
@@ -36,66 +39,15 @@ import (
 	"mirage/internal/vaxmodel"
 )
 
-// Config sets the scheduler's machine parameters. Zero fields take the
-// vaxmodel defaults.
-type Config struct {
-	Quantum           time.Duration // round-robin quantum
-	ClockTick         time.Duration // scheduler clock granularity
-	ContextSwitch     time.Duration // dispatch cost excluding remap
-	RemapPerPage      time.Duration // lazy remap cost per mapped shared page
-	RescheduleLatency time.Duration // delay before a yielding task runs again when alone
-	YieldCost         time.Duration // CPU charge of the yield() system call itself
-	KernelPreemptGrid time.Duration // scheduler passes at which kernel work preempts user compute
-	// HogThreshold is the recent-CPU-usage fraction above which a task
-	// counts as compute-bound: its accumulated p_cpu has decayed its
-	// priority below the kernel servers', so they preempt it at the
-	// next clock tick instead of waiting for a scheduler pass.
-	HogThreshold float64
-	// LoadTau is the decay horizon of the recent-usage estimate.
-	LoadTau time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.Quantum == 0 {
-		c.Quantum = vaxmodel.Quantum
-	}
-	if c.ClockTick == 0 {
-		c.ClockTick = vaxmodel.ClockTick
-	}
-	if c.ContextSwitch == 0 {
-		c.ContextSwitch = vaxmodel.ContextSwitch
-	}
-	if c.RemapPerPage == 0 {
-		c.RemapPerPage = vaxmodel.RemapPerPage
-	}
-	if c.RescheduleLatency == 0 {
-		c.RescheduleLatency = vaxmodel.RescheduleLatency
-	}
-	if c.YieldCost == 0 {
-		c.YieldCost = vaxmodel.YieldCost
-	}
-	if c.KernelPreemptGrid == 0 {
-		c.KernelPreemptGrid = vaxmodel.KernelPreemptGrid
-	}
-	if c.HogThreshold == 0 {
-		c.HogThreshold = vaxmodel.HogThreshold
-	}
-	if c.LoadTau == 0 {
-		c.LoadTau = vaxmodel.PriorityDecayTau
-	}
-	return c
-}
-
 // Stats are cumulative scheduler counters for one CPU.
 type Stats struct {
-	UserBusy        time.Duration // CPU time consumed by user Compute
-	KernelBusy      time.Duration // CPU time consumed by kernel work
-	SwitchBusy      time.Duration // dispatch (context switch + remap) time
-	Dispatches      int
-	Preemptions     int // quantum expirations that switched tasks
-	Yields          int
-	KernelJobs      int
-	KernelQueueWait time.Duration // total enqueue-to-start delay of kernel work
+	UserBusy    time.Duration // CPU time consumed by user Compute
+	KernelBusy  time.Duration // CPU time consumed by kernel work
+	SwitchBusy  time.Duration // dispatch (context switch + remap) time
+	Dispatches  int
+	Preemptions int // quantum expirations that switched tasks
+	Yields      int
+	KernelJobs  int
 }
 
 type cpuState int
@@ -110,14 +62,12 @@ const (
 type kwork struct {
 	cost time.Duration
 	fn   func()
-	at   sim.Time // enqueue time, for queue-delay accounting
+	at   sim.Time // enqueue time; the work preempts at the next scheduler pass after it
 }
 
 // CPU is one site's processor.
 type CPU struct {
-	k    *sim.Kernel
-	name string
-	cfg  Config
+	k *sim.Kernel
 
 	state      cpuState
 	running    bool  // the current task's goroutine holds control right now
@@ -132,8 +82,8 @@ type CPU struct {
 }
 
 // New creates a CPU on kernel k.
-func New(k *sim.Kernel, name string, cfg Config) *CPU {
-	return &CPU{k: k, name: name, cfg: cfg.withDefaults()}
+func New(k *sim.Kernel) *CPU {
+	return &CPU{k: k}
 }
 
 // Kernel returns the owning simulation kernel.
@@ -172,7 +122,7 @@ type Task struct {
 	RemapPages func() int
 
 	// Recent-usage estimate (the p_cpu analogue): exponentially decayed
-	// busy time, horizon cfg.LoadTau.
+	// busy time, horizon vaxmodel.PriorityDecayTau.
 	loadVal float64  // decayed busy seconds
 	loadAt  sim.Time // last decay point
 }
@@ -186,7 +136,7 @@ func (t *Task) noteBusy(d time.Duration) {
 func (t *Task) decayLoad() {
 	now := t.cpu.k.Now()
 	if dt := now.Sub(t.loadAt); dt > 0 {
-		t.loadVal *= math.Exp(-dt.Seconds() / t.cpu.cfg.LoadTau.Seconds())
+		t.loadVal *= math.Exp(-dt.Seconds() / vaxmodel.PriorityDecayTau.Seconds())
 	}
 	t.loadAt = now
 }
@@ -195,7 +145,7 @@ func (t *Task) decayLoad() {
 // steady state for a task that computes continuously approaches 1.
 func (t *Task) Load() float64 {
 	t.decayLoad()
-	return t.loadVal / t.cpu.cfg.LoadTau.Seconds()
+	return t.loadVal / vaxmodel.PriorityDecayTau.Seconds()
 }
 
 // Name returns the task's name.
@@ -307,7 +257,7 @@ func (c *CPU) maybeRun() {
 // point, and kernel work queued behind a busy process waits for the
 // boundary, not a full quantum from dispatch.
 func (c *CPU) nextQuantumBoundary(now sim.Time) sim.Time {
-	q := sim.Time(c.cfg.Quantum)
+	q := sim.Time(vaxmodel.Quantum)
 	return (now/q + 1) * q
 }
 
@@ -319,9 +269,9 @@ func (c *CPU) nextQuantumBoundary(now sim.Time) sim.Time {
 // priority has decayed (Load above HogThreshold) it preempts at the
 // next clock tick.
 func (c *CPU) nextSchedPass(t sim.Time) sim.Time {
-	g := sim.Time(c.cfg.KernelPreemptGrid)
-	if c.cur != nil && c.cur.Load() >= c.cfg.HogThreshold {
-		g = sim.Time(c.cfg.ClockTick)
+	g := sim.Time(vaxmodel.KernelPreemptGrid)
+	if c.cur != nil && c.cur.Load() >= vaxmodel.HogThreshold {
+		g = sim.Time(vaxmodel.ClockTick)
 	}
 	return (t/g + 1) * g
 }
@@ -341,7 +291,6 @@ func (c *CPU) kqReady() bool {
 func (c *CPU) startKernel() {
 	w := c.kq[0]
 	c.kq = c.kq[1:]
-	c.stats.KernelQueueWait += c.k.Now().Sub(w.at)
 	c.state = stKernel
 	c.stats.KernelBusy += w.cost
 	c.k.After(w.cost, func() {
@@ -358,9 +307,9 @@ func (c *CPU) dispatch() {
 	c.runq = c.runq[1:]
 	t.ready = false
 	c.cur = t // current from switch start, so Wakeup treats it as running
-	cost := c.cfg.ContextSwitch
+	cost := vaxmodel.ContextSwitch
 	if t.RemapPages != nil {
-		cost += time.Duration(t.RemapPages()) * c.cfg.RemapPerPage
+		cost += time.Duration(t.RemapPages()) * vaxmodel.RemapPerPage
 	}
 	c.state = stSwitch
 	c.stats.SwitchBusy += cost
@@ -403,7 +352,7 @@ func (c *CPU) runCur() {
 			// Alone on the site: the yielded process does not run
 			// again until the scheduler's next pass (§7.3's observed
 			// 33 ms sleeps).
-			c.k.After(c.cfg.RescheduleLatency, func() { t.wake() })
+			c.k.After(vaxmodel.RescheduleLatency, func() { t.wake() })
 		}
 		c.maybeRun()
 	case reqSleep:
@@ -527,7 +476,7 @@ func (t *Task) Compute(d time.Duration) {
 // caller is alone it becomes runnable again after the reschedule
 // latency.
 func (t *Task) Yield() {
-	t.Compute(t.cpu.cfg.YieldCost)
+	t.Compute(vaxmodel.YieldCost)
 	t.park(reqYield)
 }
 

@@ -8,29 +8,26 @@ import (
 	"mirage/internal/vaxmodel"
 )
 
-// fastCfg removes dispatch overheads so tests can assert exact timings.
-func fastCfg() Config {
-	return Config{
-		Quantum:           100 * time.Millisecond,
-		ClockTick:         10 * time.Millisecond,
-		ContextSwitch:     time.Nanosecond,
-		RemapPerPage:      time.Nanosecond,
-		RescheduleLatency: 30 * time.Millisecond,
-		YieldCost:         time.Nanosecond,
-		KernelPreemptGrid: 30 * time.Millisecond,
-	}
-}
+// The CPU is the VAX of package vaxmodel, so every expected time below
+// is computed from its constants: a dispatch costs cs, quanta end on a
+// grid of q, kernel work queued against a computing task waits for the
+// next multiple of grid.
+const (
+	cs   = vaxmodel.ContextSwitch
+	q    = vaxmodel.Quantum
+	grid = vaxmodel.KernelPreemptGrid
+)
 
 func TestComputeConsumesTime(t *testing.T) {
 	k := sim.NewKernel()
-	c := New(k, "cpu0", fastCfg())
+	c := New(k)
 	var end sim.Time
 	c.Spawn("w", func(tk *Task) {
 		tk.Compute(25 * time.Millisecond)
 		end = tk.Now()
 	})
 	k.Run()
-	want := 25*time.Millisecond + time.Nanosecond // + context switch
+	want := cs + 25*time.Millisecond
 	if end.Duration() != want {
 		t.Fatalf("compute finished at %v, want %v", end, want)
 	}
@@ -41,44 +38,45 @@ func TestComputeConsumesTime(t *testing.T) {
 
 func TestRoundRobinQuantum(t *testing.T) {
 	k := sim.NewKernel()
-	cfg := fastCfg()
-	cfg.Quantum = 20 * time.Millisecond
-	c := New(k, "cpu0", cfg)
+	c := New(k)
+	const work = 150 * time.Millisecond
 	var doneA, doneB sim.Time
 	c.Spawn("a", func(tk *Task) {
-		tk.Compute(30 * time.Millisecond)
+		tk.Compute(work)
 		doneA = tk.Now()
 	})
 	c.Spawn("b", func(tk *Task) {
-		tk.Compute(30 * time.Millisecond)
+		tk.Compute(work)
 		doneB = tk.Now()
 	})
 	k.Run()
-	// a runs 20, b runs 20, a runs 10 (done at ~50), b runs 10 (~60).
-	if doneA.Duration() < 49*time.Millisecond || doneA.Duration() > 51*time.Millisecond {
-		t.Fatalf("a done at %v, want ~50ms", doneA)
+	// a runs [cs, q), b runs [q+cs, 2q), a finishes its rest from 2q+cs,
+	// then b finishes its rest after one more switch. Each first slice
+	// is q-cs long.
+	rest := work - (q - cs)
+	if want := 2*q + cs + rest; doneA.Duration() != want {
+		t.Fatalf("a done at %v, want %v", doneA, want)
 	}
-	if doneB.Duration() < 59*time.Millisecond || doneB.Duration() > 61*time.Millisecond {
-		t.Fatalf("b done at %v, want ~60ms", doneB)
+	if want := 2*q + cs + rest + cs + rest; doneB.Duration() != want {
+		t.Fatalf("b done at %v, want %v", doneB, want)
 	}
-	if c.Stats().Preemptions < 2 {
-		t.Fatalf("preemptions = %d, want >= 2", c.Stats().Preemptions)
+	if c.Stats().Preemptions != 2 {
+		t.Fatalf("preemptions = %d, want 2", c.Stats().Preemptions)
 	}
 }
 
 func TestLoneTaskKeepsCPUAcrossQuantum(t *testing.T) {
 	k := sim.NewKernel()
-	cfg := fastCfg()
-	cfg.Quantum = 10 * time.Millisecond
-	c := New(k, "cpu0", cfg)
+	c := New(k)
+	const work = 250 * time.Millisecond // crosses two quantum boundaries
 	var end sim.Time
 	c.Spawn("solo", func(tk *Task) {
-		tk.Compute(45 * time.Millisecond)
+		tk.Compute(work)
 		end = tk.Now()
 	})
 	k.Run()
-	if end.Duration() > 46*time.Millisecond {
-		t.Fatalf("solo task done at %v; quantum expiry must not delay a lone task", end)
+	if want := cs + work; end.Duration() != want {
+		t.Fatalf("solo task done at %v, want %v; quantum expiry must not delay a lone task", end, want)
 	}
 	if c.Stats().Preemptions != 0 {
 		t.Fatalf("preemptions = %d, want 0", c.Stats().Preemptions)
@@ -87,12 +85,11 @@ func TestLoneTaskKeepsCPUAcrossQuantum(t *testing.T) {
 
 func TestKernelWorkWaitsForSchedulerPass(t *testing.T) {
 	// A busy user task holds the CPU; kernel work queued mid-compute
-	// runs at the next scheduler pass (the RescheduleLatency grid),
-	// where the woken server preempts — not immediately, and not a
-	// whole quantum later.
+	// runs at the next scheduler pass (the KernelPreemptGrid), where the
+	// woken server preempts — not immediately, and not a whole quantum
+	// later.
 	k := sim.NewKernel()
-	cfg := fastCfg() // resched grid = 30ms
-	c := New(k, "cpu0", cfg)
+	c := New(k)
 	var kernelAt sim.Time
 	c.Spawn("spin", func(tk *Task) {
 		tk.Compute(300 * time.Millisecond)
@@ -101,16 +98,16 @@ func TestKernelWorkWaitsForSchedulerPass(t *testing.T) {
 		c.KernelWork(time.Millisecond, func() { kernelAt = k.Now() })
 	})
 	k.Run()
-	// Next pass after 15ms on a 30ms grid is 30ms; +1ms of work.
-	if kernelAt.Duration() < 30*time.Millisecond || kernelAt.Duration() > 32*time.Millisecond {
-		t.Fatalf("kernel work completed at %v, want right after the 30ms pass", kernelAt)
+	// The first pass after 15ms is at grid; then 1ms of work.
+	if want := grid + time.Millisecond; kernelAt.Duration() != want {
+		t.Fatalf("kernel work completed at %v, want %v (right after the pass at %v)", kernelAt, want, grid)
 	}
 }
 
 func TestKernelWorkRunsWhenTaskBlocks(t *testing.T) {
 	// The moment the computing task blocks, pending kernel work runs.
 	k := sim.NewKernel()
-	c := New(k, "cpu0", fastCfg())
+	c := New(k)
 	var kernelAt sim.Time
 	tk := c.Spawn("worker", func(tk *Task) {
 		tk.Compute(20 * time.Millisecond)
@@ -120,8 +117,10 @@ func TestKernelWorkRunsWhenTaskBlocks(t *testing.T) {
 		c.KernelWork(time.Millisecond, func() { kernelAt = k.Now() })
 	})
 	k.RunFor(time.Second)
-	if kernelAt.Duration() < 20*time.Millisecond || kernelAt.Duration() > 22*time.Millisecond {
-		t.Fatalf("kernel work at %v, want right after the task blocks at ~20ms", kernelAt)
+	// The task blocks at cs+20ms, before the pass at grid; then 1ms of
+	// work.
+	if want := cs + 20*time.Millisecond + time.Millisecond; kernelAt.Duration() != want {
+		t.Fatalf("kernel work at %v, want %v (right after the task blocks)", kernelAt, want)
 	}
 	tk.Wakeup()
 	k.Run()
@@ -129,7 +128,7 @@ func TestKernelWorkRunsWhenTaskBlocks(t *testing.T) {
 
 func TestKernelWorkImmediateWhenIdle(t *testing.T) {
 	k := sim.NewKernel()
-	c := New(k, "cpu0", fastCfg())
+	c := New(k)
 	var at sim.Time
 	k.After(3*time.Millisecond, func() {
 		c.KernelWork(2*time.Millisecond, func() { at = k.Now() })
@@ -142,7 +141,7 @@ func TestKernelWorkImmediateWhenIdle(t *testing.T) {
 
 func TestKernelWorkFIFOChain(t *testing.T) {
 	k := sim.NewKernel()
-	c := New(k, "cpu0", fastCfg())
+	c := New(k)
 	var order []int
 	c.KernelWork(time.Millisecond, func() { order = append(order, 1) })
 	c.KernelWork(time.Millisecond, func() { order = append(order, 2) })
@@ -158,34 +157,31 @@ func TestKernelWorkFIFOChain(t *testing.T) {
 
 func TestComputeResumesAfterKernelWork(t *testing.T) {
 	k := sim.NewKernel()
-	cfg := fastCfg()
-	cfg.Quantum = 10 * time.Millisecond
-	cfg.KernelPreemptGrid = 10 * time.Millisecond
-	c := New(k, "cpu0", cfg)
+	c := New(k)
+	const work = 150 * time.Millisecond
 	var end sim.Time
 	c.Spawn("w", func(tk *Task) {
-		tk.Compute(30 * time.Millisecond)
+		tk.Compute(work)
 		end = tk.Now()
 	})
 	k.After(5*time.Millisecond, func() {
 		c.KernelWork(4*time.Millisecond, func() {})
 	})
 	k.Run()
-	// Task computes its 10ms quantum [~0,10), kernel [10,14), task
-	// resumes [14,34+eps).
-	want := 34 * time.Millisecond
-	got := end.Duration()
-	if got < want || got > want+time.Millisecond {
-		t.Fatalf("compute end = %v, want ~%v (preempted compute must resume)", got, want)
+	// Task computes [cs, grid), kernel [grid, grid+4ms), task resumes
+	// and, alone, keeps the CPU across the quantum boundary: the
+	// compute ends 4ms after it would have alone.
+	if want := cs + work + 4*time.Millisecond; end.Duration() != want {
+		t.Fatalf("compute end = %v, want %v (preempted compute must resume)", end, want)
 	}
-	if c.Stats().UserBusy != 30*time.Millisecond {
-		t.Fatalf("UserBusy = %v, want exactly 30ms", c.Stats().UserBusy)
+	if c.Stats().UserBusy != work {
+		t.Fatalf("UserBusy = %v, want exactly %v", c.Stats().UserBusy, work)
 	}
 }
 
 func TestYieldHandsOffToOtherTask(t *testing.T) {
 	k := sim.NewKernel()
-	c := New(k, "cpu0", fastCfg())
+	c := New(k)
 	var order []string
 	c.Spawn("a", func(tk *Task) {
 		order = append(order, "a1")
@@ -209,7 +205,7 @@ func TestYieldHandsOffToOtherTask(t *testing.T) {
 
 func TestYieldAloneSleepsRescheduleLatency(t *testing.T) {
 	k := sim.NewKernel()
-	c := New(k, "cpu0", fastCfg()) // resched latency 30ms
+	c := New(k)
 	var t0, t1 sim.Time
 	c.Spawn("solo", func(tk *Task) {
 		t0 = tk.Now()
@@ -217,29 +213,32 @@ func TestYieldAloneSleepsRescheduleLatency(t *testing.T) {
 		t1 = tk.Now()
 	})
 	k.Run()
-	gap := t1.Sub(t0)
-	if gap < 30*time.Millisecond || gap > 31*time.Millisecond {
-		t.Fatalf("lone yield latency = %v, want ~30ms", gap)
+	// The yield call's own cost, the reschedule latency, then a
+	// dispatch.
+	want := vaxmodel.YieldCost + vaxmodel.RescheduleLatency + cs
+	if gap := t1.Sub(t0); gap != want {
+		t.Fatalf("lone yield latency = %v, want %v", gap, want)
 	}
 }
 
 func TestSleepWakes(t *testing.T) {
 	k := sim.NewKernel()
-	c := New(k, "cpu0", fastCfg())
+	c := New(k)
 	var woke sim.Time
 	c.Spawn("s", func(tk *Task) {
 		tk.Sleep(40 * time.Millisecond)
 		woke = tk.Now()
 	})
 	k.Run()
-	if woke.Duration() < 40*time.Millisecond || woke.Duration() > 41*time.Millisecond {
-		t.Fatalf("woke at %v", woke)
+	// Dispatched at cs, sleeps 40ms, dispatched again.
+	if want := cs + 40*time.Millisecond + cs; woke.Duration() != want {
+		t.Fatalf("woke at %v, want %v", woke, want)
 	}
 }
 
 func TestBlockAndWakeup(t *testing.T) {
 	k := sim.NewKernel()
-	c := New(k, "cpu0", fastCfg())
+	c := New(k)
 	var resumed sim.Time
 	tk := c.Spawn("b", func(tk *Task) {
 		tk.Block()
@@ -252,14 +251,14 @@ func TestBlockAndWakeup(t *testing.T) {
 		tk.Wakeup()
 	})
 	k.Run()
-	if resumed.Duration() < 25*time.Millisecond || resumed.Duration() > 26*time.Millisecond {
-		t.Fatalf("resumed at %v", resumed)
+	if want := 25*time.Millisecond + cs; resumed.Duration() != want {
+		t.Fatalf("resumed at %v, want %v", resumed, want)
 	}
 }
 
 func TestWakeupOfRunnableIsNoop(t *testing.T) {
 	k := sim.NewKernel()
-	c := New(k, "cpu0", fastCfg())
+	c := New(k)
 	tk := c.Spawn("b", func(tk *Task) {
 		tk.Block()
 	})
@@ -272,18 +271,19 @@ func TestWakeupOfRunnableIsNoop(t *testing.T) {
 
 func TestBlockedTaskFreesCPU(t *testing.T) {
 	k := sim.NewKernel()
-	c := New(k, "cpu0", fastCfg())
-	var bRan bool
+	c := New(k)
+	var bRan sim.Time
 	tk := c.Spawn("blocker", func(tk *Task) {
 		tk.Block()
 	})
 	c.Spawn("other", func(tk *Task) {
 		tk.Compute(5 * time.Millisecond)
-		bRan = true
+		bRan = tk.Now()
 	})
 	k.RunFor(50 * time.Millisecond)
-	if !bRan {
-		t.Fatal("other task should run while first is blocked")
+	// The blocker's dispatch, then the other's, then its compute.
+	if want := 2*cs + 5*time.Millisecond; bRan.Duration() != want {
+		t.Fatalf("other task done at %v, want %v: it should run while the first is blocked", bRan, want)
 	}
 	tk.Wakeup()
 	k.Run()
@@ -291,10 +291,7 @@ func TestBlockedTaskFreesCPU(t *testing.T) {
 
 func TestDispatchChargesRemap(t *testing.T) {
 	k := sim.NewKernel()
-	cfg := fastCfg()
-	cfg.ContextSwitch = time.Millisecond
-	cfg.RemapPerPage = vaxmodel.RemapPerPage
-	c := New(k, "cpu0", cfg)
+	c := New(k)
 	var end sim.Time
 	tk := c.Spawn("mapped", func(tk *Task) {
 		tk.Compute(time.Millisecond)
@@ -302,11 +299,11 @@ func TestDispatchChargesRemap(t *testing.T) {
 	})
 	tk.RemapPages = func() int { return 10 }
 	k.Run()
-	want := time.Millisecond + 10*vaxmodel.RemapPerPage + time.Millisecond
+	want := cs + 10*vaxmodel.RemapPerPage + time.Millisecond
 	if end.Duration() != want {
 		t.Fatalf("end = %v, want %v (switch + 10-page remap + compute)", end, want)
 	}
-	if c.Stats().SwitchBusy != time.Millisecond+10*vaxmodel.RemapPerPage {
+	if c.Stats().SwitchBusy != cs+10*vaxmodel.RemapPerPage {
 		t.Fatalf("SwitchBusy = %v", c.Stats().SwitchBusy)
 	}
 }
@@ -315,9 +312,7 @@ func TestBusyWaitQuantumHandoff(t *testing.T) {
 	// Reproduces the single-site §7.2 effect in miniature: a busy
 	// waiter burns its whole quantum before the partner runs.
 	k := sim.NewKernel()
-	cfg := fastCfg()
-	cfg.Quantum = 50 * time.Millisecond
-	c := New(k, "cpu0", cfg)
+	c := New(k)
 	flag := false
 	var partnerRan sim.Time
 	c.Spawn("spinner", func(tk *Task) {
@@ -330,20 +325,16 @@ func TestBusyWaitQuantumHandoff(t *testing.T) {
 		partnerRan = tk.Now()
 	})
 	k.RunFor(time.Second)
-	if partnerRan.Duration() < 50*time.Millisecond {
-		t.Fatalf("setter ran at %v, want after the 50ms quantum", partnerRan)
-	}
-	if partnerRan.Duration() > 52*time.Millisecond {
-		t.Fatalf("setter ran at %v, want right after quantum expiry", partnerRan)
+	// The poll that crosses the boundary is cut there; then a dispatch.
+	if want := q + cs; partnerRan.Duration() != want {
+		t.Fatalf("setter ran at %v, want %v: right after the quantum expires", partnerRan, want)
 	}
 }
 
 func TestYieldAvoidsQuantumWaste(t *testing.T) {
 	// Same setup but the spinner yields: the setter runs immediately.
 	k := sim.NewKernel()
-	cfg := fastCfg()
-	cfg.Quantum = 50 * time.Millisecond
-	c := New(k, "cpu0", cfg)
+	c := New(k)
 	flag := false
 	var partnerRan sim.Time
 	c.Spawn("spinner", func(tk *Task) {
@@ -357,14 +348,16 @@ func TestYieldAvoidsQuantumWaste(t *testing.T) {
 		partnerRan = tk.Now()
 	})
 	k.RunFor(time.Second)
-	if partnerRan.Duration() > 5*time.Millisecond {
-		t.Fatalf("setter ran at %v, want nearly immediately with yield", partnerRan)
+	// One poll and one yield call, then the setter's dispatch.
+	want := cs + 10*time.Microsecond + vaxmodel.YieldCost + cs
+	if partnerRan.Duration() != want {
+		t.Fatalf("setter ran at %v, want %v: at once with yield", partnerRan, want)
 	}
 }
 
 func TestTaskExitReleasesCPU(t *testing.T) {
 	k := sim.NewKernel()
-	c := New(k, "cpu0", fastCfg())
+	c := New(k)
 	var second sim.Time
 	c.Spawn("one", func(tk *Task) {
 		tk.Compute(time.Millisecond)
@@ -374,8 +367,8 @@ func TestTaskExitReleasesCPU(t *testing.T) {
 		second = tk.Now()
 	})
 	k.Run()
-	if second == 0 {
-		t.Fatal("second task never ran")
+	if want := 2*cs + 2*time.Millisecond; second.Duration() != want {
+		t.Fatalf("second task done at %v, want %v", second, want)
 	}
 	if k.Live() != 0 {
 		t.Fatalf("live procs = %d", k.Live())
@@ -384,7 +377,7 @@ func TestTaskExitReleasesCPU(t *testing.T) {
 
 func TestManyTasksAllComplete(t *testing.T) {
 	k := sim.NewKernel()
-	c := New(k, "cpu0", fastCfg())
+	c := New(k)
 	done := 0
 	for i := 0; i < 25; i++ {
 		c.Spawn("t", func(tk *Task) {
@@ -403,24 +396,25 @@ func TestManyTasksAllComplete(t *testing.T) {
 
 func TestUserBusyAccountingExact(t *testing.T) {
 	k := sim.NewKernel()
-	cfg := fastCfg()
-	cfg.Quantum = 7 * time.Millisecond // force many preemptions
-	c := New(k, "cpu0", cfg)
+	c := New(k)
 	total := time.Duration(0)
 	for i := 0; i < 5; i++ {
-		d := time.Duration(i+1) * 3 * time.Millisecond
+		d := time.Duration(i+1) * 60 * time.Millisecond // most span quanta
 		total += d
 		c.Spawn("t", func(tk *Task) { tk.Compute(d) })
 	}
 	// Interleave kernel work to exercise retiming.
 	for i := 1; i <= 10; i++ {
 		c.KernelWork(500*time.Microsecond, func() {})
-		k.After(time.Duration(i)*4*time.Millisecond, func() {
+		k.After(time.Duration(i)*40*time.Millisecond, func() {
 			c.KernelWork(500*time.Microsecond, func() {})
 		})
 	}
 	k.Run()
 	if c.Stats().UserBusy != total {
 		t.Fatalf("UserBusy = %v, want exactly %v", c.Stats().UserBusy, total)
+	}
+	if c.Stats().Preemptions == 0 {
+		t.Fatal("no preemptions: the test no longer crosses a quantum")
 	}
 }

@@ -78,11 +78,10 @@ func (h *eventHeap) Pop() any {
 // Kernel is a discrete-event simulator. The zero value is not usable;
 // call NewKernel.
 type Kernel struct {
-	now     Time
-	seq     uint64
-	queue   eventHeap
-	running bool
-	procs   int // live processes (diagnostic)
+	now   Time
+	seq   uint64
+	queue eventHeap
+	procs int // live processes (diagnostic)
 
 	// sameInstant counts consecutively executed events that did not
 	// advance the clock. A zero-cost event cycle (A schedules B at the

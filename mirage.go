@@ -222,8 +222,6 @@ type Options struct {
 	// can be changed later with Site.SetSegmentDelta, or tuned online
 	// by AutoDelta.
 	Delta time.Duration
-	// MaxSegmentBytes bounds segment size; default 16 MiB.
-	MaxSegmentBytes int
 	// Policy is the invalidation policy; default PolicyRetry (the
 	// paper prototype's two-attempt behaviour). PolicyQueue is usually
 	// the better choice for new deployments.
@@ -260,9 +258,9 @@ type Options struct {
 	// page's Δ online instead of granting the fixed Options.Delta: the
 	// closed loop starts from Delta (clamped into the controller's
 	// band) and walks it per observed sharing pattern. &AutoDelta{}
-	// takes the defaults. When verifying traced AutoDelta runs, pass
-	// AutoDelta.Min as the checker's Delta — the sound lower bound on
-	// every granted window.
+	// takes the defaults. Cluster.VerifyTrace checks a traced run at
+	// AutoDelta.Min, the sound lower bound on every granted window
+	// (Cluster.CheckConfig); the caller passes nothing.
 	AutoDelta *AutoDelta
 	// Chaos, when non-nil, injects faults into the transport fabric per
 	// the plan. It brings Reliability: the lossless-fabric engine has no
@@ -299,9 +297,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.PageSize == 0 {
 		o.PageSize = vaxmodel.PageSize
-	}
-	if o.MaxSegmentBytes == 0 {
-		o.MaxSegmentBytes = 16 << 20
 	}
 	if o.TCPAddr == "" {
 		o.TCPAddr = "127.0.0.1:0"

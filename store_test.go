@@ -105,6 +105,35 @@ func TestOpenStoreRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
+// TestOpenStoresRefusesBadGeometry: a store config with no shards or
+// no slots is an error from OpenStores and OpenStore, not a panic and
+// not a store whose every Put fails.
+func TestOpenStoresRefusesBadGeometry(t *testing.T) {
+	c, err := NewCluster(2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, cfg := range []StoreConfig{
+		{Shards: -1},
+		{SlotsPerShard: -1},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("OpenStores(%+v) panicked: %v", cfg, r)
+				}
+			}()
+			if _, err := c.OpenStores(cfg); err == nil {
+				t.Errorf("OpenStores(%+v) opened a store", cfg)
+			}
+			if _, err := c.Site(0).OpenStore(cfg); err == nil {
+				t.Errorf("OpenStore(%+v) opened a store", cfg)
+			}
+		}()
+	}
+}
+
 // TestStoreShardFull: overfilling one shard surfaces ErrShardFull
 // rather than evicting.
 func TestStoreShardFull(t *testing.T) {
