@@ -52,7 +52,6 @@ func NewCluster(n int, opts Options) (*Cluster, error) {
 		Reliability: opts.Reliability,
 		Failover:    opts.Failover,
 		Placement:   opts.Placement,
-		Replication: opts.Replication,
 		AutoDelta:   opts.AutoDelta,
 		Obs:         opts.Obs,
 		InvalFanout: opts.InvalFanout,

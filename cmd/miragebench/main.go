@@ -57,13 +57,13 @@
 // first SLO-violating rung, liveness below the knee); -out records the
 // knee and the p99 at the last sustained rung per ladder.
 //
-// E22 prices consensus-replicated library records
-// (Options.Replication): a replication-factor × failure-mode grid over
-// a contended counter workload measures the standby cost of quorum
-// gating while nothing fails, the takeover latency of the log election
-// against E18's holder rebuild (isolated and correlated crashes), and
-// the degraded and fallback modes, the replication invariants among
-// the checks; -out records the full grid.
+// E22 prices quorum-replicated library records (Options.Failover): a
+// replication-factor × failure-mode grid over a contended counter
+// workload measures the standby cost of quorum gating while nothing
+// fails, the takeover latency of the log election (isolated and
+// correlated crashes), a follower crash, and the unavailability of a
+// quorum loss, the replication invariants among the checks; -out
+// records the full grid.
 //
 // E21 prices voluntary library migration (Options.Placement): the
 // affinity workload runs skewed (every shard mis-homed for the whole
@@ -208,7 +208,7 @@ func liveServiceLadder(cfg exp.ServiceConfig) ([]load.Rung, error) {
 		spec := cfg.Spec(rate)
 		rungs = append(rungs, load.RunLive(spec, func(frontend int, op load.Op) (bool, error) {
 			// Lane f maps to site f / Workers, as in the simulator.
-			return load.Execute(stores[frontend/cfg.Workers], spec, op)
+			return load.Execute(stores[frontend/exp.ServiceWorkers], spec, op)
 		}))
 	}
 	return rungs, nil
@@ -773,13 +773,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "paper: §8.0 \"a per-segment tuning routine exists but ships disabled\" — E23 turns the loop on per page and scores it against the offline optimum")
 	})
 
-	run("e22", "beyond the paper: consensus-replicated library records (E22)", func() {
+	run("e22", "beyond the paper: quorum-replicated library records (E22)", func() {
 		perSite := 20
 		if *quick {
 			perSite = 8
 		}
 		r := exp.ReplicationSweep(perSite)
-		t := exp.NewTable("scenario", "R", "completed", "elapsed", "appends", "commits", "degraded",
+		t := exp.NewTable("scenario", "R", "completed", "elapsed", "appends", "commits",
 			"elections", "recoveries", "recovery", "unavail", "events", "violations")
 		for _, p := range r.Points {
 			recLat := "-"
@@ -792,12 +792,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 				recLat = max.Round(time.Millisecond).String()
 			}
-			rep := "off"
-			if p.Replicas > 0 {
-				rep = fmt.Sprintf("%d", p.Replicas)
-			}
-			t.Row(p.Name, rep, p.Completed, p.Elapsed.Round(time.Millisecond),
-				p.Appends, p.Commits, p.Degraded, p.Elections, p.Recoveries,
+			t.Row(p.Name, p.Replicas, p.Completed, p.Elapsed.Round(time.Millisecond),
+				p.Appends, p.Commits, p.Elections, p.Recoveries,
 				recLat, fmt.Sprintf("%.0fms", p.UnavailMs), p.Events, len(p.Violations))
 			if !p.Completed {
 				code = 1
@@ -809,7 +805,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		replay(r.ReplayMatches)
 		rec.Replication = &replicationRecord{Points: r.Points, ReplayMatches: r.ReplayMatches}
-		fmt.Fprintln(stdout, "paper: §10.0 tolerates no site failures; E18 rebuilt records reactively — E22 replicates them ahead of the crash and prices both sides")
+		fmt.Fprintln(stdout, "paper: §10.0 tolerates no site failures; E22 replicates the records ahead of the crash and prices the standby and the takeover")
 	})
 
 	run("e11", "§6.2 lazy remap cost", func() {

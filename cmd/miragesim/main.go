@@ -42,21 +42,18 @@
 // violation is printed and the command exits 1. The virtual clock
 // makes the check exact — no timestamp slack is needed.
 //
-// -failover turns on library-site failover (DESIGN.md §11): when a
-// chaos plan fail-stops the library site, the next live site by number
-// reconstructs its records from the survivors and resumes granting
-// under a bumped library epoch. The flag implies the reliability
-// layer; the per-site failover/recovery/fencing counters are printed
-// after the run.
+// -failover turns on library-site failover (DESIGN.md §11, §15): every
+// segment's library record is replicated to a group of follower sites,
+// and when a chaos plan fail-stops the library a member of the group is
+// elected by a vote quorum and installs the record from the merged logs
+// under a bumped library epoch; below quorum nothing installs and the
+// segment's accesses fail until the group is back. The flag implies the
+// reliability layer; the per-site failover/recovery/fencing and
+// append/commit/election counters are printed after the run.
 //
-// -replicas R replicates each segment's library record to the R sites
-// after the library in ID order (DESIGN.md §15, docs/REPLICATION.md):
-// every record mutation is mirrored to a follower quorum before it is
-// acknowledged, so when a chaos plan fail-stops the library the
-// successor is elected from the replication group and installs from
-// its log tail — no holder interrogation, no recovery pause. The flag
-// implies -failover; the append/commit/degraded/election counters join
-// the failover table.
+// -replicas R sets the group size, the R sites after the library in ID
+// order (docs/REPLICATION.md); it implies -failover, whose default is
+// min(2, sites−1).
 //
 // -autodelta turns on the per-page closed-loop Δ controller (DESIGN.md
 // §16, docs/TUNING.md) at production defaults: -delta becomes the seed
@@ -67,9 +64,8 @@
 //
 // -migrate additionally lets a library voluntarily rehome a segment to
 // the site that dominates its request demand (DESIGN.md §14,
-// docs/PLACEMENT.md), reusing the failover epoch fence for the
-// handoff. It implies -failover; the migrations/refused counters join
-// the failover table.
+// docs/PLACEMENT.md), under the library-epoch fence failover uses; the
+// migrations/refused counters are printed after the run.
 //
 // -runs N executes the scenario N times concurrently (one virtual
 // cluster each) and verifies every run produced identical results —
@@ -121,9 +117,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tracePath := fs.String("trace", "", "write the protocol event trace (schema-v1 JSONL) to this file")
 	metrics := fs.Bool("metrics", false, "dump the observability metrics registry after the run")
 	chaosSpec := fs.String("chaos", "", `fault plan, e.g. "drop p=0.05; delay p=0.3 max=20ms; partition sites=1 from=2s until=3s"`)
-	failover := fs.Bool("failover", false, "elect a successor library when the library site fail-stops (implies the ARQ layer)")
-	migrate := fs.Bool("migrate", false, "let libraries voluntarily rehome hot segments to their dominant requester (implies -failover)")
-	replicas := fs.Int("replicas", 0, "replicate library records to R follower sites for pauseless takeover (implies -failover)")
+	failover := fs.Bool("failover", false, "elect a successor library from the replicated record when the library site fail-stops (implies the ARQ layer)")
+	migrate := fs.Bool("migrate", false, "let libraries voluntarily rehome hot segments to their dominant requester")
+	replicas := fs.Int("replicas", 0, "replicate library records to R follower sites (implies -failover; default min(2, sites-1))")
 	autodelta := fs.Bool("autodelta", false, "close the Δ loop: per-page controller at production defaults (-delta seeds it)")
 	chaosSeed := fs.Int64("chaos-seed", 0, "override the plan's seed (0 keeps the plan's own)")
 	runs := fs.Int("runs", 1, "run the scenario N times in parallel and verify identical results")
@@ -191,14 +187,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// The layers the flags ask for; ForCluster brings the ones they
-	// rest on (-failover, -migrate and -replicas the ARQ layer, a chaos
-	// plan too) and refuses a bad value, which is a bad flag here.
+	// rest on (-failover and -replicas the ARQ layer, a chaos plan too)
+	// and refuses a bad value, which is a bad flag here.
 	layers := core.Options{Policy: pol, InvalFanout: *fanout}
-	if *failover {
-		layers.Failover = &core.Failover{}
-	}
-	if *replicas != 0 {
-		layers.Replication = &core.Replication{Replicas: *replicas}
+	if *failover || *replicas != 0 {
+		layers.Failover = &core.Failover{Replicas: *replicas}
 	}
 	if *autodelta {
 		layers.AutoDelta = &core.AutoDelta{}
@@ -250,13 +243,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			headline = runReaders(c, *dur)
 		case "service":
 			cfg := exp.ServiceConfig{Sites: n, Duration: *dur, Skew: svcSkew}.WithDefaults()
-			svc = app.NewStats(cfg.Shards)
+			svc = app.NewStats(cfg.AppConfig().Shards)
 			g := exp.RunService(c, cfg, *rate, svc, o)
 			headline = fmt.Sprintf("%.1f req/s goodput at %.0f offered; shed %d, p50 %v, p99 %v, liveness=%v",
 				g.Goodput, *rate, g.Shed, time.Duration(g.Latency.P50), time.Duration(g.Latency.P99), g.LivenessOK)
 		case "affinity":
 			cfg := exp.MigrationConfig{Sites: n, Duration: *dur, Rate: *rate}.WithDefaults()
-			svc = app.NewStats(cfg.Shards)
+			svc = app.NewStats(cfg.AppConfig().Shards)
 			g := exp.RunAffinity(c, cfg, false, svc, o)
 			migs := 0
 			for i := 0; i < c.Sites(); i++ {
@@ -350,7 +343,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rt.WriteTo(stdout)
 	}
 
-	if layers.Failover != nil {
+	if layers.Failover != nil || layers.Placement != nil {
 		ft := exp.NewTable("site", "failovers", "recoveries", "stale-epoch fenced", "migrations", "refused")
 		for i := 0; i < c.Sites(); i++ {
 			es := c.Site(i).Eng.Stats()
@@ -360,11 +353,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ft.WriteTo(stdout)
 	}
 
-	if layers.Replication != nil {
-		rt := exp.NewTable("site", "appends", "commits", "degraded", "elections")
+	if layers.Failover != nil {
+		rt := exp.NewTable("site", "appends", "commits", "elections")
 		for i := 0; i < c.Sites(); i++ {
 			es := c.Site(i).Eng.Stats()
-			rt.Row(i, es.Appends, es.ReplCommits, es.ReplDegraded, es.Elections)
+			rt.Row(i, es.Appends, es.ReplCommits, es.Elections)
 		}
 		fmt.Fprintln(stdout)
 		rt.WriteTo(stdout)

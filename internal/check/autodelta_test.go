@@ -63,9 +63,8 @@ func TestVerifyAcceptsAutoDeltaMigratedTrace(t *testing.T) {
 func TestVerifyAcceptsAutoDeltaTakeoverTrace(t *testing.T) {
 	h := drive(t, Scenario{Sites: 3, Pages: 2, Delta: 30 * time.Millisecond,
 		Options: core.Options{
-			Failover:    &core.Failover{},
-			Replication: &core.Replication{Replicas: 2},
-			AutoDelta:   fastAutoDelta(),
+			Failover:  &core.Failover{Replicas: 2},
+			AutoDelta: fastAutoDelta(),
 		}})
 
 	for i := 0; i < 8; i++ {

@@ -24,7 +24,7 @@
 //   - exactly-once grant application: no grant cycle commits twice and
 //     no granted install is applied twice (reliability layer, DESIGN.md
 //     §7);
-//   - replicated-log agreement: with Options.Replication on, sites
+//   - replicated-log agreement: with Options.Failover on, sites
 //     apply log entries in strictly ascending index order and agree on
 //     every (epoch, index) position, and no quorum-acknowledged
 //     mutation is lost across a takeover election (DESIGN.md §15).

@@ -66,8 +66,8 @@ func replScenario() Scenario {
 		Chaos: "crash site=0 from=25ms",
 		Ops:   ops,
 		Options: core.Options{
-			Policy:      core.PolicyQueue,
-			Replication: &core.Replication{Replicas: 2},
+			Policy:   core.PolicyQueue,
+			Failover: &core.Failover{Replicas: 2},
 		},
 	}
 }

@@ -188,7 +188,7 @@ func newHarness(sc Scenario, sch *scheduler) (*harness, error) {
 		}
 	}
 	if opt.Failover != nil {
-		opt.Failover = &core.Failover{RecoverTimeout: 100 * hop}
+		opt.Failover = &core.Failover{RecoverTimeout: 100 * hop, Replicas: opt.Failover.Replicas}
 	}
 	h.opt = opt
 	if sc.Chaos != "" {

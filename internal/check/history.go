@@ -79,7 +79,7 @@ type replEntrySeen struct {
 }
 
 // replCheck is the checker's shadow of one segment's replicated log
-// (Options.Replication traces only; allocated on the first EvReplicate
+// (Options.Failover traces only; allocated on the first EvReplicate
 // or EvElect for the segment).
 type replCheck struct {
 	// seen is the entry identity first observed per log position; every
@@ -256,9 +256,7 @@ func (c *Checker) replicate(ev obs.Event) {
 // was acknowledged to a requester was first committed by a follower
 // quorum, and the vote quorum is sized to intersect every commit
 // quorum — so a merged tail behind the committed high-water mark means
-// an acknowledged mutation was lost (InvApplyLost). Degraded releases
-// deliberately emit no commit event, which keeps this one-sided-sound
-// when the group has lost its quorum.
+// an acknowledged mutation was lost (InvApplyLost).
 func (c *Checker) elect(ev obs.Event) {
 	rc := c.replSeg(ev.Seg)
 	tailEpoch, tailIdx := uint32(ev.Cycle), uint32(ev.Arg)

@@ -124,11 +124,10 @@ func DefaultCosts() Costs {
 type Options struct {
 	Policy InvalPolicy
 	Costs  *Costs `json:"-"` // nil means DefaultCosts
-	// Sites is the cluster size, stated once: the successor walk, the
-	// holder rebuild's query set, the follower groups and the ack-timeout
-	// scale all read it, so every engine of a cluster must be given the
-	// same value. ForCluster sets it; a caller building engines directly
-	// resolves its stack there too.
+	// Sites is the cluster size, stated once: the follower groups, the
+	// placement scan and the ack-timeout scale all read it, so every
+	// engine of a cluster must be given the same value. ForCluster sets
+	// it; a caller building engines directly resolves its stack there too.
 	Sites int `json:"-"`
 	// Obs, when non-nil, receives protocol metrics and (if its Tracer
 	// is set) structured coherence events. nil — the default — keeps
@@ -140,25 +139,19 @@ type Options struct {
 	// assumes the Locus virtual-circuit guarantees.
 	Reliability *Reliability
 	// Failover, when non-nil, enables library-site takeover (DESIGN.md
-	// §11): a site that finds the library unreachable nominates a
-	// successor, which rebuilds the record from surviving holders under
-	// a bumped library epoch. It brings Reliability, whose give-up verdict
-	// is its trigger.
+	// §11, §15): every segment's library mirrors its page records to a
+	// group of Replicas follower sites, and a site that finds the library
+	// unreachable nominates a member of that group, which installs the
+	// record only from a vote quorum of the group's logs. It brings
+	// Reliability, whose give-up verdict is its trigger, and arms the
+	// library-epoch fence.
 	Failover *Failover
 	// Placement, when non-nil, enables voluntary library migration
 	// (DESIGN.md §14): the library watches per-site request demand and
-	// rehomes the library role to a remote site that dominates it, using
-	// the failover epoch fence for the handoff. It brings Failover (and
-	// so Reliability).
+	// rehomes the library role to a remote site that dominates it. It
+	// arms the library-epoch fence for the handoff; with Failover also
+	// set, the successor draws its epoch from a vote of the group.
 	Placement *Placement
-	// Replication, when non-nil with Replicas > 0, mirrors every library
-	// page-record mutation to a group of follower sites before the
-	// mutation is acknowledged (DESIGN.md §15, docs/REPLICATION.md), so
-	// a takeover installs the record from the replicated log instead of
-	// interrogating every holder. It brings Failover (and so
-	// Reliability), and falls back to the legacy holder rebuild when the
-	// group quorum is lost.
-	Replication *Replication
 	// AutoDelta, when non-nil, enables the built-in per-page closed-loop
 	// Δ controller (DESIGN.md §16, docs/TUNING.md): the library watches
 	// each page's denial signals and write-sharing pattern and walks Δ
@@ -184,12 +177,12 @@ var ErrInvalidOptions = errors.New("invalid cluster options")
 // "Resolved config"). Given the cluster size n, the segments' default Δ
 // and whether a chaos plan is attached, it returns the options every
 // engine of the cluster is built with: the size filled in, and each
-// layer's base brought along — Placement and Replication bring Failover,
-// Failover and a chaos plan bring Reliability — so every subset of
+// layer's base brought along — Failover and a chaos plan bring
+// Reliability, and Failover's group size is filled in — so every subset of
 // layers is a valid stack. A bad value is an error wrapping
 // ErrInvalidOptions (and ErrTooManySites or ErrNegativeDelta where one
 // applies): a size outside [1, mmu.MaxSites], a negative Δ, a negative
-// or inverted AutoDelta band, Replicas outside [0, n).
+// or inverted AutoDelta band, Failover.Replicas outside [0, n).
 func (o Options) ForCluster(n int, delta time.Duration, chaos bool) (Options, error) {
 	bad := func(format string, a ...any) (Options, error) {
 		return o, fmt.Errorf("%w: "+format, append([]any{ErrInvalidOptions}, a...)...)
@@ -210,15 +203,13 @@ func (o Options) ForCluster(n int, delta time.Duration, chaos bool) (Options, er
 			return bad("AutoDelta band [%v, %v] inverted", band.Min, band.Max)
 		}
 	}
-	replicas := 0
-	if o.Replication != nil {
-		replicas = o.Replication.Replicas
-	}
-	if replicas < 0 || replicas >= n {
-		return bad("Replication.Replicas %d outside [0, %d)", replicas, n)
-	}
-	if o.Failover == nil && (o.Placement != nil || replicas > 0) {
-		o.Failover = &Failover{}
+	if o.Failover != nil {
+		fo := *o.Failover
+		if fo.Replicas < 0 || fo.Replicas >= n {
+			return bad("Failover.Replicas %d outside [0, %d)", fo.Replicas, n)
+		}
+		fo.Replicas = cmp.Or(fo.Replicas, min(2, n-1))
+		o.Failover = &fo
 	}
 	if o.Reliability == nil && (o.Failover != nil || chaos) {
 		o.Reliability = &Reliability{}
@@ -266,11 +257,10 @@ type Stats struct {
 	Migrations        int // library roles accepted here via voluntary migration
 	MigrationsRefused int // outbound offers refused, aborted, or superseded
 
-	// Replication counters; all zero unless Options.Replication is set.
-	Appends      int // log entries appended by this site as leader
-	ReplCommits  int // entries acknowledged by a follower quorum
-	ReplDegraded int // gated mutations released without quorum (group degraded)
-	Elections    int // takeovers completed from the replicated log at this site
+	// Replicated-record counters; all zero unless Options.Failover is set.
+	Appends     int // log entries appended by this site as leader
+	ReplCommits int // entries acknowledged by a follower quorum
+	Elections   int // takeovers completed from the replicated log at this site
 
 	// AutoDelta counters; all zero unless Options.AutoDelta is set.
 	DeltaGrows   int // controller raised a page's Δ (additive step)
@@ -374,6 +364,7 @@ type segNode struct {
 	// this site is obtaining the record as the successor, and partials
 	// holds the chunked payloads (sendChunked) still arriving.
 	curLib   int
+	blind    bool          // the epoch was adopted from a message that does not name its library
 	segEpoch atomic.Uint32 // written on the engine's goroutine; a Mapping reads it
 	recov    *recovery
 	partials map[partialKey]*partial
@@ -389,7 +380,7 @@ type segNode struct {
 	place  *placeTrack
 	migOut *migration
 
-	// Replication state (Options.Replication): the per-segment log. At
+	// Replicated-record state (Options.Failover): the per-segment log. At
 	// the leader repl.lead is non-nil and gates record mutations on
 	// quorum acks; at followers repl mirrors the applied record so an
 	// election can install from it.
@@ -407,8 +398,9 @@ type Engine struct {
 	site  int
 	sites int // Options.Sites, the cluster size
 	segs  map[int32]*segNode
-	rel   *rel     // nil unless Options.Reliability set
-	obs   *obs.Obs // nil when observability is off
+	loose map[int32]*segNode // logs of segments not attached here (looseLog)
+	rel   *rel               // nil unless Options.Reliability set
+	obs   *obs.Obs           // nil when observability is off
 
 	// inline is set when env is Inline: the engine runs at once what it
 	// would hand Exec.
@@ -427,15 +419,17 @@ type Engine struct {
 	reg    *obs.Registry
 
 	// The opt-in layers, resolved once by New: nil when off, defaults
-	// filled in when on. auto is the Δ controller. Of the rehoming layers
-	// each rests on the one before — Failover's trigger is the reliable
-	// channel's give-up verdict, Placement and Replication ride Failover's
-	// epoch fence — and ForCluster brought each one's base, so the engine
-	// asks one pointer per layer. replication is nil with zero Replicas.
-	auto        *AutoDelta
-	failover    *Failover
-	placement   *Placement
-	replication *Replication
+	// filled in when on. auto is the Δ controller. Failover's trigger is
+	// the reliable channel's give-up verdict, which ForCluster brought;
+	// its group size is failover.Replicas. fence is set when either
+	// rehoming layer is: every message then carries the library epoch and
+	// traffic of a superseded one is rejected. rehomeTimeout bounds a
+	// takeover's and a migration offer's waits.
+	auto          *AutoDelta
+	failover      *Failover
+	placement     *Placement
+	fence         bool
+	rehomeTimeout time.Duration
 }
 
 // New creates an engine for env's site from a stack ForCluster resolved:
@@ -451,6 +445,7 @@ func New(env Env, opt Options) *Engine {
 		site:   env.Site(),
 		sites:  opt.Sites,
 		segs:   make(map[int32]*segNode),
+		loose:  make(map[int32]*segNode),
 		obs:    opt.Obs,
 		policy: opt.Policy,
 		fanout: opt.InvalFanout,
@@ -462,18 +457,15 @@ func New(env Env, opt Options) *Engine {
 	if opt.Reliability != nil {
 		e.rel = newRel(e, opt.Reliability.withDefaults(opt.Sites))
 	}
-	if opt.Failover != nil {
-		fo := *opt.Failover
-		fo.RecoverTimeout = cmp.Or(fo.RecoverTimeout, 2*time.Second)
-		e.failover = &fo
+	e.failover, e.rehomeTimeout = opt.Failover, 2*time.Second
+	if fo := opt.Failover; fo != nil {
+		e.rehomeTimeout = cmp.Or(fo.RecoverTimeout, e.rehomeTimeout)
 	}
 	if opt.Placement != nil {
 		p := opt.Placement.withDefaults()
 		e.placement = &p
 	}
-	if opt.Replication != nil && opt.Replication.Replicas > 0 {
-		e.replication = opt.Replication
-	}
+	e.fence = e.failover != nil || e.placement != nil
 	if opt.AutoDelta != nil {
 		ad := opt.AutoDelta.withDefaults()
 		e.auto = &ad
@@ -492,7 +484,7 @@ func (e *Engine) emit(ev obs.Event) {
 		return
 	}
 	var sn *segNode
-	if e.failover != nil { // the only thing the segment is looked up for
+	if e.fence { // the only thing the segment is looked up for
 		sn = e.segs[ev.Seg]
 	}
 	e.emitFor(sn, ev)
@@ -504,7 +496,7 @@ func (e *Engine) emit(ev obs.Event) {
 func (e *Engine) emitFor(sn *segNode, ev obs.Event) {
 	ev.T = e.env.Now()
 	ev.Site = int32(e.site)
-	if sn != nil && e.failover != nil {
+	if sn != nil && e.fence {
 		ev.Epoch = sn.segEpoch.Load() // 0 until a first takeover
 	}
 	e.obs.Emit(ev)
@@ -640,7 +632,6 @@ func (e *Engine) Stats() Stats {
 		MigrationsRefused: n(obs.CMigrationRefused),
 		Appends:           n(obs.CAppend),
 		ReplCommits:       n(obs.CReplCommit),
-		ReplDegraded:      n(obs.CReplDegraded),
 		Elections:         n(obs.CElect),
 		DeltaGrows:        n(obs.CDeltaGrow),
 		DeltaShrinks:      n(obs.CDeltaShrink),
@@ -665,7 +656,7 @@ func (e *Engine) CreateSegment(meta *mem.Segment) {
 		lib.pages[p].writer = e.site
 		lib.pages[p].clock = e.site
 	}
-	if e.replication != nil {
+	if e.failover != nil {
 		e.replSeedLeader(sn)
 	}
 }
@@ -687,6 +678,13 @@ func (e *Engine) register(meta *mem.Segment) *segNode {
 		pages:  make([]sitePage, meta.Pages),
 		curLib: meta.Library,
 	}
+	if l := e.loose[int32(meta.ID)]; l != nil {
+		// A group member attaching a segment whose log it kept: the log,
+		// the epoch and the library it knows come along.
+		delete(e.loose, int32(meta.ID))
+		sn.repl, sn.curLib = l.repl, l.curLib
+		sn.segEpoch.Store(l.segEpoch.Load())
+	}
 	e.segs[int32(meta.ID)] = sn
 	return sn
 }
@@ -696,6 +694,7 @@ func (e *Engine) register(meta *mem.Segment) *segNode {
 // Pending waiters are woken so their access loops can observe the
 // destruction.
 func (e *Engine) DestroySegment(id int32) {
+	delete(e.loose, id)
 	sn, ok := e.segs[id]
 	if !ok {
 		return
@@ -709,8 +708,8 @@ func (e *Engine) DestroySegment(id int32) {
 // resetPages applies sitePage.reset to every page of the segment, in
 // page order so that the rollbacks' events land identically across
 // replays. A collection that dies with its epoch is rolled back without
-// a library to tell: the new one rebuilds from reports. A destroyed
-// segment has no page table to roll back into.
+// a library to tell: the new one learns from the log and its probes. A
+// destroyed segment has no page table to roll back into.
 func (e *Engine) resetPages(sn *segNode, requests, cycles bool) {
 	for p := range sn.pages {
 		if pi := sn.pages[p].reset(requests, cycles); pi != nil && e.live(sn) {
@@ -899,26 +898,26 @@ func (e *Engine) handle(m *wire.Msg) {
 		From: m.From, To: int32(e.site), Cycle: m.Cycle})
 	sn, ok := e.segs[m.Seg]
 	if !ok {
-		if e.failover != nil && int(m.From) != e.site {
+		if e.fence && int(m.From) != e.site {
 			// This site never attached the segment, so it can neither
-			// report holdings, host the library role nor mirror the log.
-			// Refuse explicitly so the sender moves on (to the next
-			// candidate, back to granting, or to benching this follower)
-			// instead of waiting out a timeout. SegEpoch is set where the
-			// receiver checks it, because transmit cannot stamp a segment
-			// this site does not know.
+			// report holdings nor host the library role. Refuse a trigger
+			// or a probe explicitly so the sender moves on instead of
+			// waiting out a timeout. SegEpoch is set where the receiver
+			// checks it, because transmit cannot stamp a segment this site
+			// does not know. A group member keeps the segment's log all the
+			// same (looseLog). A migration offer goes only to a site that
+			// requested the segment's pages.
 			from := int(m.From)
 			switch m.Kind {
 			case wire.KRecover: // trigger fields echoed
 				e.send(from, &wire.Msg{Kind: wire.KRecoverReply, Seg: m.Seg, Page: -2,
 					Req: m.Req, Readers: m.Readers, SegEpoch: m.SegEpoch})
 				return
-			case wire.KMigrate:
-				e.send(from, &wire.Msg{Kind: wire.KMigrateAck, Seg: m.Seg, Page: -1})
-				return
-			case wire.KAppend:
-				e.send(from, &wire.Msg{Kind: wire.KAppendAck, Seg: m.Seg, Page: -2, SegEpoch: m.SegEpoch})
-				return
+			case wire.KAppend, wire.KVote:
+				if e.failover != nil {
+					e.looseLog(m)
+					return
+				}
 			}
 		}
 		e.count(obs.CDropped)
@@ -930,12 +929,12 @@ func (e *Engine) handle(m *wire.Msg) {
 		// Rehoming traffic resolves epoch skew itself, so it skips the
 		// generic fence.
 		fenced = false
-		if e.failover == nil {
+		if !e.fence {
 			e.count(obs.CDropped)
 			return
 		}
 	case wire.KAppend, wire.KAppendAck, wire.KVote:
-		if e.replication == nil {
+		if e.failover == nil {
 			e.count(obs.CDropped)
 			return
 		}
@@ -948,7 +947,7 @@ func (e *Engine) handle(m *wire.Msg) {
 			return
 		}
 	}
-	if fenced && e.failover != nil && int(m.From) != e.site {
+	if fenced && e.fence && int(m.From) != e.site {
 		// Library-epoch fencing: traffic of a superseded epoch is dead
 		// with its library; traffic from a newer one means a takeover
 		// this site has not heard of yet.
@@ -971,10 +970,16 @@ func (e *Engine) handle(m *wire.Msg) {
 		e.handleMigrateAck(sn, m)
 	case wire.KReadReq, wire.KWriteReq, wire.KReleaseRead, wire.KReleaseWrite,
 		wire.KInstalled, wire.KBusy:
-		if sn.recov != nil {
-			// Mid-takeover: the record is still being obtained. Serve the
-			// request once it is installed.
-			sn.recov.buffered = append(sn.recov.buffered, m)
+		if rc := sn.recov; rc != nil {
+			// Mid-takeover: served once the record is installed. A request
+			// to a stalled election asks the missing voters again and
+			// waits for that round: the first request after the group is
+			// back installs the record, and one made while it is still away
+			// fails.
+			rc.buffered = append(rc.buffered, m)
+			if rc.stalled && (m.Kind == wire.KReadReq || m.Kind == wire.KWriteReq) {
+				e.solicitVotes(sn, rc)
+			}
 			return
 		}
 		e.handleLibrary(sn, m)
@@ -1032,7 +1037,7 @@ func (e *Engine) transmit(to int, m *wire.Msg) {
 	}
 	e.emit(obs.Event{Type: obs.EvMsgSend, Kind: m.Kind, Seg: m.Seg, Page: m.Page,
 		From: int32(e.site), To: int32(to), Cycle: m.Cycle})
-	if e.failover != nil {
+	if e.fence {
 		// Stamp the sender's library epoch. Retransmissions keep the
 		// stamp of their first send: a message conceived under a dead
 		// epoch must not masquerade as current.

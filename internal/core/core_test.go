@@ -23,7 +23,8 @@ type testNet struct {
 	k       *sim.Kernel
 	engines []*Engine
 	delay   time.Duration
-	down    map[int]bool // crashed sites: traffic to/from them is dropped
+	down    map[int]bool    // crashed sites: traffic to/from them is dropped
+	cut     map[[2]int]bool // one-way cuts: traffic from [0] to [1] is dropped
 	// mangle, when set, sees every message on its way out and may damage
 	// it (retransmissions pass again: keep it idempotent).
 	mangle func(to int, m *wire.Msg)
@@ -41,7 +42,7 @@ func (e tEnv) After(d time.Duration, fn func()) func() {
 	return func() { t.Cancel() }
 }
 func (e tEnv) Send(to int, m NetMsg) {
-	if e.n.down[to] || e.n.down[e.site] {
+	if e.n.down[to] || e.n.down[e.site] || e.n.cut[[2]int{e.site, to}] {
 		return // a crashed site neither sends nor receives
 	}
 	if wm, ok := m.(*wire.Msg); ok && e.n.mangle != nil {

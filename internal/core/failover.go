@@ -2,7 +2,7 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
+	"slices"
 	"time"
 
 	"mirage/internal/mmu"
@@ -13,16 +13,17 @@ import (
 // Library-site failover (DESIGN.md §11).
 //
 // The paper fixes a segment's library site for life (§6.0) and leans on
-// Locus for availability; here, when the reliability layer declares the
-// library unreachable, the detecting site nominates a successor — the
-// next site after the dead library in ID order — and sends it a
-// KRecover trigger. The successor bumps the segment's *library epoch*,
-// rebuilds the authoritative record by querying every surviving site
-// for its page holdings, and resumes granting. Every protocol message
-// carries the sender's idea of the epoch (wire.Msg.SegEpoch): messages
-// from superseded epochs are rejected, which both fences in-flight
-// traffic of the dead epoch and tells a deposed library that comes back
-// that it has been replaced.
+// Locus for availability. Here every library mirrors its page records
+// to a group of follower sites (replog.go), and when the reliability
+// layer declares the library unreachable, the detecting site nominates
+// a member of that group and sends it a KRecover trigger. The candidate
+// bumps the segment's *library epoch* and installs the record only from
+// a vote quorum of the group's logs; below quorum nothing installs, and
+// the segment's faults fail with ErrUnreachable until enough of the
+// group is back. Every protocol message carries the sender's idea of
+// the epoch (wire.Msg.SegEpoch): messages from superseded epochs are
+// rejected, which both fences in-flight traffic of the dead epoch and
+// tells a deposed library that comes back that it has been replaced.
 //
 // Pages with no surviving copy are deliberately NOT zero-filled: the
 // only good data is wherever the dead library left it, so the record
@@ -31,44 +32,50 @@ import (
 // rejoins the new epoch; a site that rejoins and reports holdings the
 // record cannot account for is reconciled by lateReport.
 
-// Failover enables library-site takeover. It requires
-// Options.Reliability: the takeover trigger is the reliable channel's
-// give-up verdict on a request to the library.
+// Failover enables library-site takeover. It brings Options.Reliability:
+// the takeover trigger is the reliable channel's give-up verdict on a
+// request to the library.
 type Failover struct {
-	// RecoverTimeout bounds the successor's wait for holder reports;
-	// sites that have not replied by then are treated as crashed and
-	// their copies as lost. Default 2s.
+	// RecoverTimeout bounds a candidate's wait for ballots and for the
+	// holdings of the sites an in-flight intent involves; a voter that
+	// has not answered by then leaves the election short of its quorum,
+	// and a probed site that has not is taken to hold nothing. Default 2s.
 	RecoverTimeout time.Duration
+	// Replicas is the number of follower sites mirroring each segment's
+	// record: the Replicas sites after the current library in ID order.
+	// ForCluster fills in min(2, n−1).
+	Replicas int
 }
 
-// recovery is the successor's transient takeover state for one segment.
+// recovery is a candidacy for one segment, from the epoch bump until
+// the record is installed: the vote, then the holdings of the sites the
+// log's in-flight intents involve.
 type recovery struct {
-	from    int           // the dead library being replaced
-	started time.Duration // for the recovery-latency histogram
-	waiting map[int]bool  // sites whose holdings report is still due
-	// got accumulates, per page, what the holders reported: readers,
-	// writer, the first reporter claiming the clock role, and as delta
-	// the granted window of the most authoritative holder so far (rank:
-	// 3 writer, 2 clock, 1 reader, 0 none). Holders are the only
-	// survivors that know a tuned Δ — every install carried its grant's —
-	// so the rebuild keeps it instead of clobbering it with the segment
-	// default. An election reads got only to resolve in-flight intents.
-	got  []libRecord
-	rank []int
+	from    int                   // the library being replaced
+	started time.Duration         // for the recovery-latency histogram
+	log     replSeg               // the ballots merged: best epoch, its highest index, per-page latest entries
+	due     map[int]bool          // voters, or once probing the probed sites, whose answer is still due
+	voted   mmu.Copyset           // voters whose ballot is merged
+	votes   int                   // ballots merged, the candidate's own included
+	stalled bool                  // the vote fell short: requests are denied until it does not
+	probing bool                  // the vote is in and the intents' sites are asked
+	held    map[int32]int         // per page, the probed site that reported the writable copy
+	copies  map[int32]mmu.Copyset // per page, the probed sites that reported any copy
+	replied mmu.Copyset           // the probed sites whose report is in, this one's included
 	// Library-bound messages (new-epoch requests from sites that
 	// already adopted) buffered until the record is installed.
 	buffered []*wire.Msg
 	cancel   func() // RecoverTimeout timer
-	// elect is non-nil when this takeover runs as a replicated-log
-	// election (docs/REPLICATION.md) instead of a holder rebuild.
-	elect *replElect
+	// offer is set when the role arrives by migration: the old library's
+	// exact record, installed once the vote grants the epoch.
+	offer *libSource
 }
 
 // armRecovery (re)starts the takeover's timeout: fn runs when it
 // expires. Whatever ends the takeover first disarms it.
 func (e *Engine) armRecovery(sn *segNode, rc *recovery, fn func(*segNode)) {
 	rc.disarm()
-	rc.cancel = e.after(sn, e.failover.RecoverTimeout, func() { fn(sn) })
+	rc.cancel = e.after(sn, e.rehomeTimeout, func() { fn(sn) })
 }
 
 func (rc *recovery) disarm() {
@@ -78,34 +85,26 @@ func (rc *recovery) disarm() {
 	}
 }
 
-// Holdings-report record layout: 13 bytes per held page — the page
-// number, a state byte, and the holder's granted window Δ — packed
-// into KRecoverReply.Data. The window is what lets a takeover restore
-// per-page tuned Δs: holders are the only survivors that know them
-// (every install carried the grant's Δ), and the replicated log is not
-// always on.
+// Holdings-report record layout: 5 bytes per held page — the page
+// number and a state byte — packed into KRecoverReply.Data.
 const (
 	recRead  = 1 << 0 // site holds a read copy
 	recWrite = 1 << 1 // site holds the writable copy
-	recClock = 1 << 2 // site believes it has the clock role
 
-	holdingBytes = 4 + 1 + 8
+	holdingBytes = 4 + 1
 )
 
-// triggerFailover nominates a successor for the segment's unreachable
-// library and sends it a KRecover trigger. tried accumulates candidates
-// already attempted (the trigger itself may be undeliverable); it
-// returns false when no candidate remains and the caller should fall
-// back to the degraded-grant path.
+// triggerFailover nominates a member of the unreachable library's group
+// and sends it a KRecover trigger. tried accumulates candidates already
+// attempted (the trigger itself may be undeliverable); it returns false
+// when no member remains and the caller should fail the access.
 func (e *Engine) triggerFailover(sn *segNode, seg int32, tried mmu.Copyset) bool {
-	dead, sites := sn.curLib, e.sites
-	for i := 1; i < sites; i++ {
-		cand := (dead + i) % sites
+	for _, cand := range e.replFollowers(sn.curLib) {
 		if tried.Has(cand) {
 			continue
 		}
 		e.count(obs.CFailover)
-		e.emit(obs.Event{Type: obs.EvFailover, Seg: seg, From: int32(dead), To: int32(cand)})
+		e.emit(obs.Event{Type: obs.EvFailover, Seg: seg, From: int32(sn.curLib), To: int32(cand)})
 		e.send(cand, &wire.Msg{Kind: wire.KRecover, Seg: seg, Page: -1,
 			Req: int32(cand), Readers: tried.Add(cand)})
 		return true
@@ -121,7 +120,7 @@ func (e *Engine) handleRecover(sn *segNode, m *wire.Msg) {
 	switch {
 	case m.SegEpoch > sn.segEpoch.Load():
 		e.adoptEpoch(sn, m.SegEpoch, int(m.Req))
-		e.sendHoldings(sn)
+		e.sendHoldings(sn, int(m.Req))
 	case m.SegEpoch == sn.segEpoch.Load() && int(m.Req) == e.site && !m.Readers.Empty():
 		// Takeover trigger: only triggerFailover stamps the tried mask,
 		// so an empty Readers cannot nominate a successor. Identity
@@ -130,159 +129,131 @@ func (e *Engine) handleRecover(sn *segNode, m *wire.Msg) {
 		// the receiver, treating it as a trigger would launch a crash
 		// recovery against a live library.
 		e.beginRecovery(sn)
+		if sn.recov != nil && int(m.From) != e.site {
+			// The trigger's sender learns the candidacy at once and asks
+			// here: served once the record installs, denied while the vote
+			// stalls — not left waiting on a library that is gone.
+			e.send(int(m.From), &wire.Msg{Kind: wire.KRecover, Seg: m.Seg, Page: -1, Req: int32(e.site)})
+		}
 	case m.SegEpoch == sn.segEpoch.Load():
 		switch {
-		case int(m.Req) == e.site:
-			// An identity notice naming this site. If we hold the role,
+		case int(m.Req) == int(m.From):
+			// A holdings probe from a candidate of this epoch: answer it
+			// whoever this site takes for the library. Reports merge
+			// idempotently, and a probe that raced the epoch notice lands
+			// here too.
+			e.sendHoldings(sn, int(m.From))
+		case int(m.Req) == e.site, int(m.From) != sn.curLib:
+			// An identity notice naming this site: if we hold the role,
 			// there is nothing to learn; if we do not, the sender's belief
 			// and ours are both stale — drop it and let the requester-side
-			// timeout backstop resolve the page.
-		case int(m.From) != sn.curLib:
-			// Stale chatter from a site this epoch already left behind.
-		case int(m.Req) == int(m.From):
-			// A query that raced another new-epoch message which already
-			// moved us forward: (re-)report. Reports merge idempotently.
-			e.sendHoldings(sn)
-		case int(m.Req) != e.site:
+			// timeout backstop resolve the page. Or stale chatter from a
+			// site this epoch already left behind.
+		default:
 			// Same-epoch identity correction: the site this site still
 			// addresses as library says the role lives at Req. Happens
 			// when the epoch was adopted blind (adoptAhead learns the
 			// number, not the identity) after a voluntary migration, which
 			// broadcasts nothing. Re-aim outstanding requests at the
 			// successor the deposed library names.
-			sn.curLib = int(m.Req)
+			sn.curLib, sn.blind = int(m.Req), false
 			e.resetPages(sn, true, false)
 			e.wakeAll(sn)
 		}
-	default:
-		e.markStale() // trigger or notice from a superseded epoch
+	case int(m.From) != e.site:
+		// A trigger or notice from a superseded epoch: its sender has not
+		// heard of the takeover yet. Tell it.
+		e.staleEpoch(sn, m)
 	}
 }
 
-// beginRecovery starts the takeover at the nominated successor: bump
-// the epoch, claim the library role, and obtain the record — from the
-// group's logs if this site mirrors the dead library's, else from every
-// surviving site's holdings. Granting resumes in installLibrary.
+// beginRecovery starts the takeover at the nominated member of the dead
+// library's group: bump the epoch, claim the library role, and run the
+// election (beginElection). Granting resumes in installLibrary, and only
+// once a vote quorum answered.
 func (e *Engine) beginRecovery(sn *segNode) {
-	if sn.lib != nil || sn.recov != nil || sn.curLib == e.site {
-		return // already the library, or a takeover is running
-	}
-	dead := sn.curLib
-	sn.segEpoch.Add(1)
-	sn.curLib = e.site
-	rc := &recovery{
-		from:    dead,
-		started: e.env.Now(),
-		waiting: make(map[int]bool),
-		got:     make([]libRecord, sn.m.Pages()),
-		rank:    make([]int, sn.m.Pages()),
-	}
-	for pg := range rc.got {
-		rc.got[pg] = freshRecord(sn.meta, pg)
-	}
-	sn.recov = rc
-	// Requests aimed at the dead library are dead with it; blocked
-	// faults re-issue against this site once the record is installed.
-	// So are this site's own clock-side collections: roll them back now,
-	// before its holdings are read, so a copy it had invalidated for a
-	// cycle the crash killed is reported like any survivor's (adoptEpoch
-	// does the same at every other site before it reports).
-	e.resetPages(sn, true, true)
-	if e.replication != nil && e.replGroupHas(dead, e.site) {
-		// This site mirrors the dead library's log: run an election and
-		// install from the merged log tail instead of interrogating every
-		// holder (docs/REPLICATION.md). Falls back to the holder rebuild
-		// if the vote quorum cannot be reached.
-		e.beginElection(sn, rc)
+	if e.failover == nil || sn.lib != nil || sn.recov != nil || sn.curLib == e.site ||
+		sn.blind || !slices.Contains(e.replFollowers(sn.curLib), e.site) {
+		// Already the library, a takeover is running, or not this site's
+		// to run: only a member of the library's group may stand, and only
+		// if it knows which library that is — a group asked by mistake
+		// need not have heard of what the library committed.
 		return
 	}
-	e.queryHoldings(sn, rc, e.everySite())
+	e.candidacy(sn, nil)
+}
+
+// candidacy makes this site the candidate for the epoch after the
+// current one — epoch bumped, role claimed, the replaced library's
+// requests and this site's clock-side collections forgotten, and the
+// blocked faults woken to ask here — and runs the election. The
+// collections roll back now, before this site's holdings are read, so
+// a copy it had invalidated for a cycle the epoch killed is reported
+// like any survivor's (adoptEpoch does the same at every other site).
+func (e *Engine) candidacy(sn *segNode, offer *libSource) {
+	rc := &recovery{from: sn.curLib, started: e.env.Now(), due: make(map[int]bool),
+		held: make(map[int32]int), copies: make(map[int32]mmu.Copyset), offer: offer}
+	sn.segEpoch.Add(1)
+	sn.curLib, sn.recov = e.site, rc
+	e.resetPages(sn, true, true)
+	e.wakeAll(sn) // to re-request here: served, or denied, with everyone's
+	e.beginElection(sn, rc)
 }
 
 // queryHoldings merges this site's own holdings, sends the holdings
-// query to the sites asked (never this one or the dead library) and
+// query to the sites asked (never this one or the replaced library) and
 // arms the report timeout; recovery finishes immediately when there is
 // nobody to ask.
 func (e *Engine) queryHoldings(sn *segNode, rc *recovery, ask mmu.Copyset) {
 	rc.merge(e.site, e.localHoldings(sn))
 	ask.Remove(e.site).Remove(rc.from).ForEach(func(s int) {
-		rc.waiting[s] = true
+		rc.due[s] = true
 		e.send(s, &wire.Msg{Kind: wire.KRecover, Seg: int32(sn.meta.ID), Page: -1, Req: int32(e.site)})
 	})
-	if len(rc.waiting) == 0 {
+	if len(rc.due) == 0 {
 		e.finishRecovery(sn)
 		return
 	}
 	e.armRecovery(sn, rc, e.finishRecovery)
 }
 
-// everySite is the set a holder rebuild has to ask.
-func (e *Engine) everySite() mmu.Copyset {
-	var all mmu.Copyset
-	for s := 0; s < e.sites; s++ {
-		all = all.Add(s)
-	}
-	return all
-}
-
-// recovPeerDone marks one queried site's report complete (or the site
-// itself unreachable) and finishes recovery when none remain.
+// recovPeerDone marks one probed site done — its report merged, or the
+// site unreachable or never attached, so that its copies, if any, stay
+// as the log names them — and finishes recovery when none remains due.
 func (e *Engine) recovPeerDone(sn *segNode, s int) {
 	rc := sn.recov
-	if rc == nil || !rc.waiting[s] {
+	if rc == nil || !rc.probing || !rc.due[s] {
+		e.markStale()
 		return
 	}
-	delete(rc.waiting, s)
-	if len(rc.waiting) == 0 {
+	delete(rc.due, s)
+	if len(rc.due) == 0 {
 		e.finishRecovery(sn)
 	}
 }
 
-// finishRecovery installs what the takeover obtained: every awaited
-// report is in, or the sites still silent are treated as crashed and
-// their copies as lost.
+// finishRecovery installs what the candidacy obtained: every awaited
+// probe report is in, or the sites still silent keep the copies the
+// log names.
 func (e *Engine) finishRecovery(sn *segNode) {
 	rc := sn.recov
-	if rc == nil {
-		return
-	}
-	src := e.holderSource(sn, rc)
-	if rc.elect != nil {
-		src = e.logSource(sn, rc)
+	src := e.logSource(sn, rc)
+	if rc.offer != nil {
+		src = *rc.offer
 	}
 	if err := e.installLibrary(sn, src); err != nil {
-		if rc.elect == nil {
-			// Reports are merged by page and sender, both checked on arrival.
-			panic(fmt.Sprintf("core: site %d: holder rebuild: %v", e.site, err))
-		}
 		// A log that names pages or sites that do not exist proves
-		// nothing: ask the holders instead.
+		// nothing: serve no request from it.
 		e.markStale()
-		e.electionFallback(sn)
+		e.stallElection(sn)
 	}
-}
-
-// holderSource is the first rehoming source (DESIGN.md §11.2): the
-// record as the surviving holders reported it. It is not exact — a
-// crash can interrupt a cycle anywhere — and a page nobody reported
-// stays as freshRecord left it, for installLibrary to orphan.
-func (e *Engine) holderSource(sn *segNode, rc *recovery) libSource {
-	return libSource{recs: rc.got, prev: rc.from, prevDead: true, epoch: sn.segEpoch.Load(),
-		announce: func() { e.announceRecovery(sn, rc) }}
-}
-
-// announceRecovery counts and traces a completed crash takeover.
-func (e *Engine) announceRecovery(sn *segNode, rc *recovery) {
-	e.count(obs.CRecovery)
-	e.obs.Observe(obs.HRecoverLatency, int64(e.env.Now()-rc.started))
-	e.emit(obs.Event{Type: obs.EvRecover, Seg: int32(sn.meta.ID), Arg: int64(rc.from)})
 }
 
 // handleRecoverReply takes one site's holdings report. During recovery
-// it feeds the record rebuild; at an established library it is a late
-// report from a site that just rejoined the epoch (see lateReport).
-// Either way only a complete report counts: the reclaim sweep and the
-// orphan rule both read absence from it.
+// it answers a probe; at an established library it is a late report
+// from a site that just rejoined the epoch (see lateReport). Either way
+// only a complete report counts: the reclaim sweep reads absence from
+// it.
 func (e *Engine) handleRecoverReply(sn *segNode, m *wire.Msg) {
 	if m.SegEpoch != sn.segEpoch.Load() {
 		e.markStale()
@@ -306,13 +277,12 @@ func (e *Engine) handleRecoverReply(sn *segNode, m *wire.Msg) {
 	if !whole {
 		return
 	}
-	hs := e.decodeHoldings(sn, data)
-	switch {
-	case sn.recov != nil:
-		sn.recov.merge(from, hs)
-		e.recovPeerDone(sn, from)
+	switch hs, rc := e.decodeHoldings(sn, data), sn.recov; {
 	case sn.lib != nil:
 		e.lateReport(sn, from, hs)
+	case rc != nil && rc.probing && rc.due[from]:
+		rc.merge(from, hs)
+		e.recovPeerDone(sn, from)
 	default:
 		e.markStale()
 	}
@@ -330,10 +300,25 @@ func (e *Engine) adoptEpoch(sn *segNode, epoch uint32, newLib int) {
 		return
 	}
 	sn.segEpoch.Store(epoch)
-	sn.curLib = newLib
-	// If this site WAS the library it is deposed: a successor recovered
-	// while it was presumed dead, and the successor's record is
-	// authoritative now.
+	sn.curLib, sn.blind = newLib, false
+	// If this site WAS the library it is deposed: a successor took the
+	// role, by election or by the offer this site made, and the
+	// successor's record is authoritative now. The requests still queued
+	// here are the successor's to serve: their requesters are told where
+	// it is (releasing sites re-issue from their own releasing path).
+	if lib := sn.lib; lib != nil {
+		var notify mmu.Copyset
+		for pg := range lib.pages {
+			for _, r := range lib.pages[pg].queue {
+				if r.site != e.site {
+					notify = notify.Add(r.site)
+				}
+			}
+		}
+		notify.ForEach(func(s int) {
+			e.send(s, &wire.Msg{Kind: wire.KRecover, Seg: int32(sn.meta.ID), Page: -1, Req: int32(newLib)})
+		})
+	}
 	sn.lib = nil
 	if sn.repl != nil {
 		// Deposed as replication leader too: quorum gates die with the
@@ -347,11 +332,15 @@ func (e *Engine) adoptEpoch(sn *segNode, epoch uint32, newLib int) {
 		sn.recov.disarm()
 		sn.recov = nil
 	}
-	if sn.migOut != nil {
-		// An outbound migration offer superseded by a higher epoch (or
-		// committed by the ack that called us): moot either way.
-		if sn.migOut.cancel != nil {
-			sn.migOut.cancel()
+	if mig := sn.migOut; mig != nil {
+		// An outbound migration offer committed (the successor's ack, or
+		// a voter that already heard of the successor's epoch) or
+		// superseded by a higher epoch.
+		if newLib == mig.target {
+			e.obs.Observe(obs.HMigrateLatency, int64(e.env.Now()-mig.started))
+		}
+		if mig.cancel != nil {
+			mig.cancel()
 		}
 		sn.migOut = nil
 	}
@@ -374,32 +363,31 @@ func (e *Engine) adoptEpoch(sn *segNode, epoch uint32, newLib int) {
 // learns of its replacement from exactly this notice.
 func (e *Engine) staleEpoch(sn *segNode, m *wire.Msg) {
 	e.count(obs.CStaleEpoch)
-	e.send(int(m.From), &wire.Msg{
-		Kind: wire.KRecover, Seg: m.Seg, Page: -1, Req: int32(sn.curLib),
-	})
+	e.send(int(m.From), &wire.Msg{Kind: wire.KRecover, Seg: m.Seg, Page: -1, Req: int32(sn.curLib)})
 }
 
 // adoptAhead handles a non-KRecover message stamped with an epoch this
 // site has not adopted yet (the query is in flight on another circuit).
 // Library-origin kinds identify the new library directly; for the rest
-// the epoch number advances now and the identity follows with the query.
+// the epoch number advances now, blind, and the identity follows with
+// the query or the next library message.
 func (e *Engine) adoptAhead(sn *segNode, m *wire.Msg) {
-	newLib := sn.curLib
 	switch m.Kind {
 	case wire.KInval, wire.KAddReader, wire.KAlready, wire.KDenied,
 		wire.KClockHandoff, wire.KReleaseDone, wire.KAppend, wire.KVote:
-		// Library-origin kinds; a KVote ahead of our epoch comes from an
-		// election winner, which is the library of the epoch it installs.
-		newLib = int(m.From)
+		// Library-origin kinds; a KVote ahead of our epoch comes from a
+		// candidate, which is the library of the epoch it asks for.
+		e.adoptEpoch(sn, m.SegEpoch, int(m.From))
+	default:
+		e.adoptEpoch(sn, m.SegEpoch, sn.curLib)
+		sn.blind = true
 	}
-	e.adoptEpoch(sn, m.SegEpoch, newLib)
 }
 
 // holding is one decoded holdings-report record.
 type holding struct {
-	page   int32
-	state  byte
-	window time.Duration // the granted Δ this copy was installed with
+	page  int32
+	state byte
 }
 
 // localHoldings reports this site's present pages for the segment.
@@ -409,28 +397,22 @@ func (e *Engine) localHoldings(sn *segNode) []holding {
 		if !sn.m.Present(p) {
 			continue
 		}
-		var st byte
+		st := byte(recRead)
 		if sn.m.Prot(p) == mmu.ReadWrite {
-			st = recWrite | recClock
-		} else {
-			st = recRead
-			if !sn.m.Aux(p).ReaderMask.Empty() {
-				st |= recClock
-			}
+			st = recWrite
 		}
-		hs = append(hs, holding{page: int32(p), state: st, window: sn.m.Aux(p).Window})
+		hs = append(hs, holding{page: int32(p), state: st})
 	}
 	return hs
 }
 
-// sendHoldings ships this site's holdings to the current library.
-func (e *Engine) sendHoldings(sn *segNode) {
+// sendHoldings ships this site's holdings to the site that asked.
+func (e *Engine) sendHoldings(sn *segNode, to int) {
 	hs := e.localHoldings(sn)
 	tmpl := wire.Msg{Kind: wire.KRecoverReply, Seg: int32(sn.meta.ID), Page: -1}
-	e.sendChunked(sn.curLib, tmpl, nil, len(hs), func(m *wire.Msg, i int) {
+	e.sendChunked(to, tmpl, nil, len(hs), func(m *wire.Msg, i int) {
 		m.Data = binary.BigEndian.AppendUint32(m.Data, uint32(hs[i].page))
 		m.Data = append(m.Data, hs[i].state)
-		m.Data = binary.BigEndian.AppendUint64(m.Data, uint64(hs[i].window))
 	})
 }
 
@@ -439,36 +421,21 @@ func (e *Engine) sendHoldings(sn *segNode) {
 func (e *Engine) decodeHoldings(sn *segNode, data []byte) []holding {
 	var hs []holding
 	for ; len(data) >= holdingBytes; data = data[holdingBytes:] {
-		h := holding{page: int32(binary.BigEndian.Uint32(data)), state: data[4],
-			window: time.Duration(binary.BigEndian.Uint64(data[5:]))}
-		if h.page >= 0 && int(h.page) < sn.m.Pages() && h.state&(recRead|recWrite) != 0 && h.window >= 0 {
+		h := holding{page: int32(binary.BigEndian.Uint32(data)), state: data[4]}
+		if h.page >= 0 && int(h.page) < sn.m.Pages() && h.state&(recRead|recWrite) != 0 {
 			hs = append(hs, h)
 		}
 	}
 	return hs
 }
 
-// merge folds one site's report into the rebuild state.
+// merge folds one probed site's report into the probe state.
 func (rc *recovery) merge(site int, hs []holding) {
+	rc.replied = rc.replied.Add(site)
 	for _, h := range hs {
-		rp := &rc.got[h.page]
-		rank := 1
+		rc.copies[h.page] = rc.copies[h.page].Add(site)
 		if h.state&recWrite != 0 {
-			rp.writer = site
-			rank = 3
-		} else {
-			rp.readers = rp.readers.Add(site)
-		}
-		if h.state&recClock != 0 {
-			if rp.clock < 0 {
-				rp.clock = site
-			}
-			if rank < 2 {
-				rank = 2
-			}
-		}
-		if rank > rc.rank[h.page] {
-			rp.delta, rc.rank[h.page] = h.window, rank
+			rc.held[h.page] = site
 		}
 	}
 }

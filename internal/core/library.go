@@ -159,7 +159,7 @@ func (e *Engine) SetPageDelta(seg, page int32, delta time.Duration) error {
 }
 
 // SetSegmentDelta changes Δ for every page of the segment and resets
-// the segment default (meta.Delta) that future rebuilds seed unknown
+// the segment default (meta.Delta) that a takeover seeds unlogged
 // pages with. It fails as SetPageDelta does.
 func (e *Engine) SetSegmentDelta(seg int32, delta time.Duration) error {
 	if delta < 0 {
@@ -180,7 +180,7 @@ func (e *Engine) SetSegmentDelta(seg int32, delta time.Duration) error {
 // handleLibrary dispatches messages addressed to the library role.
 func (e *Engine) handleLibrary(sn *segNode, m *wire.Msg) {
 	if sn.lib == nil {
-		if e.failover != nil {
+		if e.fence {
 			// A requester addressed us as library at the current epoch but
 			// the role lives elsewhere. Reachable when the sender adopted
 			// the epoch from a message that does not name the library
@@ -208,6 +208,7 @@ func (e *Engine) handleLibrary(sn *segNode, m *wire.Msg) {
 		// starts here the request joins the frozen queue and is re-aimed
 		// at the successor when the handoff commits.
 		e.noteDemand(sn, int(m.From))
+		e.replRetry(sn)
 		kind := reqRead
 		if m.Kind == wire.KWriteReq {
 			kind = reqWrite

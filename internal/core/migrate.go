@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"time"
 
-	"mirage/internal/mmu"
 	"mirage/internal/obs"
 	"mirage/internal/wire"
 )
@@ -170,7 +169,7 @@ func (e *Engine) startMigration(sn *segNode, target int, now time.Duration) {
 	mig := &migration{target: target, started: now}
 	sn.migOut = mig
 	e.sendOffer(sn, target)
-	mig.cancel = e.after(sn, e.failover.RecoverTimeout, func() { e.abortMigration(sn, true) })
+	mig.cancel = e.after(sn, e.rehomeTimeout, func() { e.abortMigration(sn, true) })
 }
 
 // sendOffer ships every page record to the successor as one chunked
@@ -239,16 +238,27 @@ func (e *Engine) handleMigrate(sn *segNode, m *wire.Msg) {
 	}
 	src, err := e.offerSource(sn, m, data)
 	if err == nil {
-		err = e.installLibrary(sn, src)
+		err = e.checkRecords(sn, src)
 	}
 	if err != nil {
 		// A damaged offer installs nothing, not the part that parsed.
 		e.markStale()
 		refuse()
+		return
 	}
+	if e.failover == nil {
+		e.installLibrary(sn, src) // checked above: it cannot refuse
+		return
+	}
+	// The epoch the offer installs under is drawn as an election draws
+	// it, from a vote quorum of the old library's group: otherwise a
+	// takeover that believes the old library dead could elect a second
+	// library for the same epoch. The offer installs once the vote is in.
+	sn.curLib = from
+	e.candidacy(sn, &src)
 }
 
-// offerSource is the third rehoming source (DESIGN.md §14): the old
+// offerSource is the migration rehoming source (DESIGN.md §14): the old
 // library's own record of a quiescent segment, transferred rather than
 // reconstructed, so it is exact and the old library is alive. The epoch
 // is created at the installation, not at the offer: no site can address
@@ -272,38 +282,16 @@ func (e *Engine) offerSource(sn *segNode, m *wire.Msg, data []byte) (libSource, 
 }
 
 // handleMigrateAck runs at the old library: a refusal resumes granting
-// under the unchanged epoch; an acceptance deposes this site and
-// re-aims everything that queued during the transfer at the successor.
+// under the unchanged epoch; an acceptance deposes this site, and
+// adoptEpoch re-aims everything that queued during the transfer at the
+// successor.
 func (e *Engine) handleMigrateAck(sn *segNode, m *wire.Msg) {
-	mig := sn.migOut
-	if mig == nil || int(m.From) != mig.target {
+	switch mig := sn.migOut; {
+	case mig == nil || int(m.From) != mig.target || m.Page >= 0 && m.SegEpoch <= sn.segEpoch.Load():
 		e.markStale()
-		return
-	}
-	if m.Page < 0 {
+	case m.Page < 0:
 		e.abortMigration(sn, false)
-		return
+	default:
+		e.adoptEpoch(sn, m.SegEpoch, mig.target)
 	}
-	if m.SegEpoch <= sn.segEpoch.Load() {
-		e.markStale()
-		return
-	}
-	e.obs.Observe(obs.HMigrateLatency, int64(e.env.Now()-mig.started))
-	// Collect the frozen queue's requesters before adoptEpoch drops the
-	// record (and, with it, the committed offer and its timer).
-	// Read/write requesters re-request at the successor when the notice
-	// moves them forward; releasing sites re-issue their releases from
-	// adoptEpoch's own releasing path.
-	var notify mmu.Copyset
-	for pg := range sn.lib.pages {
-		for _, r := range sn.lib.pages[pg].queue {
-			if r.site != e.site {
-				notify = notify.Add(r.site)
-			}
-		}
-	}
-	e.adoptEpoch(sn, m.SegEpoch, mig.target)
-	notify.ForEach(func(s int) {
-		e.send(s, &wire.Msg{Kind: wire.KRecover, Seg: m.Seg, Page: -1, Req: int32(mig.target)})
-	})
 }

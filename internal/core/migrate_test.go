@@ -17,7 +17,6 @@ func migOptions(o *obs.Obs) Options {
 			AckTimeout: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond,
 			MaxAttempts: 5, RequestTimeout: 10 * time.Second,
 		},
-		Failover: &Failover{},
 		Placement: &Placement{
 			Window: 50 * time.Millisecond, MinRequests: 4,
 			Share: 0.5, PingPong: 0.8, Cooldown: time.Hour,

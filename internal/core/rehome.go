@@ -13,11 +13,11 @@ import (
 // Rehoming: one record, one install step (DESIGN.md §18).
 //
 // The paper fixes a segment's library site for life (§6.0). Here the
-// role moves for three reasons — a crash with nothing but the holders
-// left to ask (failover.go), a crash with a replicated log to read
-// (replog.go), and a voluntary handoff to the hottest requester
-// (migrate.go) — and the three differ only in how they OBTAIN the
-// library's state. What is obtained is always the same thing, one
+// role moves for two reasons — a crash, after which a vote quorum of the
+// library's group elects a successor from the replicated log
+// (failover.go, replog.go), and a voluntary handoff to the hottest
+// requester (migrate.go) — and the two differ only in how they OBTAIN
+// the library's state. What is obtained is always the same thing, one
 // libRecord per page, and what is done with it is always the same
 // thing, installLibrary. Each source is a small function yielding a
 // libSource; the record has one wire form; a payload too large for one
@@ -215,19 +215,16 @@ func (sn *segNode) reassemble(m *wire.Msg, hdr int) ([]byte, bool) {
 }
 
 // libSource is a library state on its way to being installed at this
-// site, as one of the three rehoming sources obtained it: holder
-// reports (holderSource), the merged log tail (logSource), a migration
-// offer (offerSource).
+// site, as one of the two rehoming sources obtained it: the merged log
+// tail (logSource) or a migration offer (offerSource).
 type libSource struct {
 	recs []libRecord
 	prev int // the library being replaced
 	// exact: recs are prev's own record of a quiescent segment, so every
-	// copy and every clock site's reader mask already agree with them.
-	// Otherwise they were pieced together after a crash and installLibrary
-	// repairs them.
-	exact bool
-	// prevDead: prev crashed, and every copy it held is gone with it.
-	prevDead bool
+	// copy and every clock site's reader mask already agree with them,
+	// and prev is alive. Otherwise they were pieced together after prev
+	// was lost, with every copy it held, and installLibrary repairs them.
+	exact    bool
 	epoch    uint32 // the epoch the installed library grants under
 	announce func() // the source's counters, trace events and confirmation
 }
@@ -239,8 +236,8 @@ type libSource struct {
 //
 //   - Nothing is installed from a state that does not name every page
 //     exactly once and only sites of this cluster: the error leaves the
-//     site exactly as it was, and the source's caller refuses or falls
-//     back.
+//     site exactly as it was, and the source's caller refuses or serves
+//     nothing.
 //   - A state that is not exact is repaired page by page until it is one
 //     the protocol could have reached (repairRecord), with the messages
 //     that make the holders agree with it.
@@ -271,30 +268,25 @@ func (e *Engine) installLibrary(sn *segNode, src libSource) error {
 	sn.lib = lib
 	rc := sn.recov
 	sn.recov = nil
-	if rc != nil {
-		rc.disarm()
-	}
 	// Transient state of older epochs is dead. So are this site's own
 	// requests if the previous library is alive: they sit in its frozen
 	// queue, which it drops on hearing of this installation, and the woken
 	// faults re-issue them here. (A dead library's were forgotten when the
 	// takeover began; those made since wait in rc.buffered.)
-	e.resetPages(sn, !src.prevDead, true)
+	e.resetPages(sn, src.exact, true)
 	// Accepting the role starts a fresh demand window and a cooldown, so
 	// the segment cannot bounce straight back.
 	now := e.env.Now()
 	sn.place = &placeTrack{demand: make(map[int]int), windowStart: now, lastMove: now}
-	if e.replication != nil {
+	if e.failover != nil {
 		// Whatever the source, the installed record IS the new epoch's log
 		// head: seed the log from it and base this leader's follower group
-		// eagerly — the group changes with the leader. A holder rebuild ran
-		// because no group could vouch for a log; the next crash must find
-		// one that has heard of everything this library grants.
+		// eagerly — the group changes with the leader.
 		e.replSeedLeader(sn)
-		e.replBaseFollowers(sn)
 	}
 	src.announce()
 	if rc != nil {
+		rc.disarm()
 		for _, m := range rc.buffered {
 			e.handleLibrary(sn, m)
 		}
@@ -329,13 +321,11 @@ func (e *Engine) checkRecords(sn *segNode, src libSource) error {
 	return nil
 }
 
-// repairRecord turns what survivors and logs said about a page after a
-// crash into a record the protocol could have reached, and tells the
-// holders what changed.
+// repairRecord turns what the logs and the probed holders said about a
+// page after a crash into a record the protocol could have reached, and
+// tells the holders what changed.
 func (e *Engine) repairRecord(seg int32, r *libRecord, src libSource) {
-	if src.prevDead {
-		r.readers = r.readers.Remove(src.prev)
-	}
+	r.readers = r.readers.Remove(src.prev)
 	switch {
 	case r.writer != mmu.NoWriter:
 		// Read copies alongside a writer are leftovers of a write cycle

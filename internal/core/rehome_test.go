@@ -107,14 +107,6 @@ func FuzzLibRecordDecode(f *testing.F) {
 	})
 }
 
-// failoverOptions enables crash takeover without replication: the
-// holder-rebuild source.
-func failoverOptions() Options {
-	opt := replOptions(nil, 0)
-	opt.Replication = nil
-	return opt
-}
-
 // TestSourcesInstallTheSameRecord pushes one quiescent library state
 // through each of the three rehoming sources and requires the same
 // writer, clock, readers and Δ per page at the successor. No copy sits
@@ -126,10 +118,6 @@ func TestSourcesInstallTheSameRecord(t *testing.T) {
 		opt  Options
 		move func(n *testNet) // takes the role from site 0 to site 1
 	}{
-		{"holders", failoverOptions(), func(n *testNet) {
-			n.crash(0)
-			n.engines[1].beginRecovery(n.engines[1].segs[1])
-		}},
 		{"log", replOptions(nil, 2), func(n *testNet) {
 			n.crash(0)
 			n.engines[1].beginRecovery(n.engines[1].segs[1])
@@ -189,9 +177,9 @@ func TestSourcesInstallTheSameRecord(t *testing.T) {
 }
 
 // TestTunedDeltaSurvivesRehoming: a page's tuned Δ must reach the
-// successor whichever way the role moves — shipped with the offer,
-// read from the replicated log, or restored from the windows the
-// holders were granted — never clobbered by the segment default.
+// successor whichever way the role moves — shipped with the offer or
+// read from the replicated log — never clobbered by the segment
+// default.
 func TestTunedDeltaSurvivesRehoming(t *testing.T) {
 	crashLibrary := func(n *testNet) {
 		n.crash(0)
@@ -278,30 +266,6 @@ func TestTunedDeltaSurvivesRehoming(t *testing.T) {
 				}
 				if el := n.engines[1].Stats().Elections; el != 1 {
 					t.Fatalf("successor Elections = %d, want 1", el)
-				}
-				postGrantWindow(t, n, tuned)
-			},
-		},
-		{
-			// Without replication the holders are the only survivors that
-			// know their granted windows: the rebuild restores Δ from them.
-			name: "holders", opt: failoverOptions(), pages: 1, seed: 0,
-			tune: func(n *testNet) time.Duration {
-				const tuned = 25 * time.Millisecond
-				if err := n.engines[0].SetPageDelta(1, 0, tuned); err != nil {
-					n.t.Fatal(err)
-				}
-				n.acquire(1, 1, 0, true) // site 1 holds the page with the tuned window
-				n.settle()
-				if w := n.engines[1].Seg(1).Aux(0).Window; w != tuned {
-					n.t.Fatalf("setup: holder window = %v, want %v", w, tuned)
-				}
-				return tuned
-			},
-			move: crashLibrary,
-			check: func(t *testing.T, n *testNet, tuned time.Duration) {
-				if st := n.engines[1].Stats(); st.Elections != 0 || st.Recoveries != 1 {
-					t.Fatalf("Elections=%d Recoveries=%d, want a holder rebuild (0/1)", st.Elections, st.Recoveries)
 				}
 				postGrantWindow(t, n, tuned)
 			},

@@ -282,6 +282,18 @@ func (e *Engine) deliveryFailed(to int, m *wire.Msg) {
 		return
 	}
 	switch m.Kind {
+	case wire.KReadReq, wire.KWriteReq, wire.KReleaseRead, wire.KReleaseWrite:
+		if e.fence && m.SegEpoch != sn.segEpoch.Load() {
+			// A request or release of a superseded epoch: adoptEpoch
+			// forgot the request — the page's request now outstanding, if
+			// any, is another one this give-up says nothing about — and
+			// re-issued the release against the current library, resetting
+			// the pending count this give-up must not decrement.
+			e.count(obs.CDropped)
+			return
+		}
+	}
+	switch m.Kind {
 	case wire.KReadReq, wire.KWriteReq:
 		// The library is unreachable. With failover enabled, nominate a
 		// successor and leave the faults blocked — the request deadline
@@ -334,8 +346,8 @@ func (e *Engine) deliveryFailed(to int, m *wire.Msg) {
 
 	case wire.KRecover:
 		if sn.recov != nil && int(m.Req) == e.site {
-			// Our holdings query never got through: the queried site is
-			// crashed too; rebuild without its report.
+			// Our holdings probe never got through: the probed site is
+			// cut off too; resolve without its report.
 			e.recovPeerDone(sn, to)
 			return
 		}
@@ -355,13 +367,6 @@ func (e *Engine) deliveryFailed(to int, m *wire.Msg) {
 		e.abortMigration(sn, false)
 
 	case wire.KReleaseRead, wire.KReleaseWrite:
-		if e.failover != nil && m.SegEpoch != sn.segEpoch.Load() {
-			// A release conceived under a superseded epoch: adoptEpoch
-			// already re-issued it against the current library and reset
-			// the pending count, so this give-up must not decrement it.
-			e.count(obs.CDropped)
-			return
-		}
 		// The library never heard the release; keep the copy and stop
 		// waiting so local accesses work again.
 		if sn.releasesPending > 0 {
@@ -373,24 +378,17 @@ func (e *Engine) deliveryFailed(to int, m *wire.Msg) {
 		}
 
 	case wire.KAppend:
-		// A follower's append channel gave up: bench it so its slot stops
-		// counting toward (or blocking) the quorum.
-		e.replFollowerFailed(sn, to)
+		// A follower's append channel gave up: it is sent nothing until
+		// the quorum needs it, and then the whole log (replRetry).
+		if rl := sn.repl; rl != nil && rl.lead != nil {
+			rl.lead.based[to] = false
+		}
 
 	case wire.KAppendAck:
 		// The leader is unreachable from this follower — the same verdict
 		// a lost request gives a requester: nominate a successor.
 		if e.failover != nil && to == sn.curLib &&
 			e.triggerFailover(sn, m.Seg, mmu.Copyset{}) {
-			return
-		}
-		e.count(obs.CDropped)
-
-	case wire.KVote:
-		// An election solicitation (Req == this site) that never reached
-		// its voter; replies are best-effort like other notifications.
-		if int(m.Req) == e.site {
-			e.voteSolicitFailed(sn, to)
 			return
 		}
 		e.count(obs.CDropped)
@@ -557,9 +555,9 @@ func (e *Engine) libDeny(sn *segNode, page int32, site int, mode wire.Mode, drop
 func (e *Engine) handleGrantFail(sn *segNode, m *wire.Msg) {
 	if sn.lib == nil {
 		if sn.curLib == e.site {
-			// Mid-recovery (the role is claimed but the record is not
-			// rebuilt yet) the failed cycle belongs to the old record and
-			// cannot be matched after the rebuild; forwarding would loop
+			// Mid-takeover (the role is claimed but the record is not
+			// installed yet) the failed cycle belongs to the old record and
+			// cannot be matched after the install; forwarding would loop
 			// the message back here at zero cost. Drop it — the denied
 			// requester's timeout backstop re-drives the page.
 			e.markStale()
@@ -591,11 +589,16 @@ func (e *Engine) handleGrantFail(sn *segNode, m *wire.Msg) {
 		// The grant carried the only current copy (or, for an upgrade,
 		// the clock's captured frame): rehome it so the data survives
 		// and the page stays grantable. The requester's stale read copy,
-		// if any, is superseded — the denial says to drop it.
-		p.endCycle()
-		e.libReclaim(sn, m.Page, append([]byte(nil), m.Data...))
-		e.libDeny(sn, m.Page, g.to, wire.Write, m.Upgrade)
-		e.libProcess(sn, m.Page)
+		// if any, is superseded — the denial says to drop it. With a
+		// replicated record the rehome waits for the group like a cycle
+		// does: a library the group has replaced installs nothing.
+		data := append([]byte(nil), m.Data...)
+		e.replGate(sn, m.Page, e.site, e.site, mmu.Copyset{}, func() {
+			p.endCycle()
+			e.libReclaim(sn, m.Page, data)
+			e.libDeny(sn, m.Page, g.to, wire.Write, m.Upgrade)
+			e.libProcess(sn, m.Page)
+		})
 
 	default:
 		// Whole-cycle abort before any data moved (the clock rolled

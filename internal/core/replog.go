@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -12,18 +13,15 @@ import (
 	"mirage/internal/wire"
 )
 
-// Consensus-replicated library records (DESIGN.md §15, docs/REPLICATION.md).
+// Quorum-replicated library records (DESIGN.md §15, docs/REPLICATION.md).
 //
-// Failover (DESIGN.md §11) rebuilds the library record after a crash by
-// interrogating every surviving holder — a cluster-wide pause whose
-// length grows with the site count. Replication removes the pause: the
-// library (leader) mirrors every page-record mutation to a small group
-// of follower sites as log entries BEFORE the mutation's effects reach
-// the rest of the cluster, so a successor already inside the group can
-// install the record from its log tail instead of reconstructing it.
-// The log term is the existing per-segment library epoch: a takeover
-// bumps it exactly as failover does, and the same epoch fence that
-// isolates a dead library's traffic isolates a dead leader's stream.
+// With Options.Failover on, every segment's library (the leader) mirrors
+// every page-record mutation to a small group of follower sites as log
+// entries BEFORE the mutation's effects reach the rest of the cluster,
+// and a takeover installs the record from a vote quorum of the group's
+// logs (failover.go). The log term is the per-segment library epoch: a
+// takeover bumps it, and the same epoch fence that isolates a dead
+// library's traffic isolates a dead leader's stream.
 //
 // Safety hinges on WHEN an entry is written relative to the mutation it
 // describes. Grant cycles log a write-ahead *intent* (prior and post
@@ -34,46 +32,42 @@ import (
 // the crash prevented from materializing — which every holder path
 // already degrades around (a KInval at an absent page answers
 // KGrantFail, a stale reader entry acks invalidation orders vacuously).
-// Completed cycles, releases, reclaims and Δ retunes log a *set* entry
-// carrying the committed record. Entries are full per-page snapshots,
-// so both ends compact the log to the latest entry per page — no
-// unbounded log, and a vote reply is at most one entry per page.
-type Replication struct {
-	// Replicas is the number of follower sites mirroring each segment's
-	// record: the R sites after the current library in ID order. 0
-	// disables replication (the zero Options.Replication is inert).
-	Replicas int
-}
+// A gate whose quorum cannot form holds its cycle: the leader grants
+// nothing the group has not heard of. Completed cycles, reclaims and Δ
+// retunes log a *set* entry carrying the committed record, and releases
+// wait for theirs. Entries are full per-page snapshots, so both ends
+// compact the log to the latest entry per page — no unbounded log, and
+// a vote reply is at most one entry per page.
+//
+// A vote is a promise: a site answers a solicitation for epoch E only
+// from the site it knows as E's library — adopting E from the
+// solicitation makes the solicitor that site — and a candidate knows
+// itself. Any two vote quorums of a group share a member, so no two
+// sites install the same epoch; a migration draws its epoch the same way.
 
 // replFollowers returns the follower group for a segment led by
 // leader: the Replicas sites after it in ID order.
 func (e *Engine) replFollowers(leader int) []int {
 	var out []int
-	for i := 1; len(out) < e.replication.Replicas && i < e.sites; i++ {
+	for i := 1; len(out) < e.failover.Replicas && i < e.sites; i++ {
 		out = append(out, (leader+i)%e.sites)
 	}
 	return out
-}
-
-// replGroupHas reports whether s is in the follower group of a segment
-// led by leader.
-func (e *Engine) replGroupHas(leader, s int) bool {
-	return slices.Contains(e.replFollowers(leader), s)
 }
 
 // replQuorum is the number of group members (leader counts itself)
 // whose applied log must cover an intent before its cycle opens: a
 // majority of leader + Replicas followers.
 func (e *Engine) replQuorum() int {
-	return (e.replication.Replicas+1)/2 + 1
+	return (e.failover.Replicas+1)/2 + 1
 }
 
-// replVoteQuorum is the number of group logs (the winner's own
-// included) an election must merge before installing: sized so any
-// vote set intersects any commit set in at least one surviving
-// follower.
+// replVoteQuorum is the number of followers' logs (the candidate's own
+// included when it is one) an election must merge before installing:
+// sized so any vote set intersects any commit set in at least one
+// surviving follower, and any two vote sets in one.
 func (e *Engine) replVoteQuorum() int {
-	return e.replication.Replicas + 2 - e.replQuorum()
+	return e.failover.Replicas + 2 - e.replQuorum()
 }
 
 // replEntry is one log entry: a full snapshot of one page's record
@@ -102,7 +96,6 @@ type replSeg struct {
 type replLead struct {
 	followers []int
 	acked     map[int]uint32 // per-follower cumulative applied index
-	dead      map[int]bool   // followers the channel gave up on
 	based     map[int]bool   // followers holding this epoch's base snapshot
 	gates     []*replGate
 }
@@ -117,18 +110,6 @@ type replGate struct {
 	release func()
 }
 
-// replElect is an election winner's vote-merge state, carried on the
-// recovery struct so the existing request buffering covers the whole
-// takeover. A ballot merges only once reassemble has all of it, so a
-// truncated higher-epoch ballot can never replace the merge wholesale
-// with a partial page set.
-type replElect struct {
-	log     replSeg      // the merge so far: best epoch, its highest index, per-page latest entries
-	waiting map[int]bool // voters whose ballot is still due
-	votes   int          // complete ballots merged, the winner's own included
-	need    int          // replVoteQuorum
-}
-
 // replActive reports whether this site is currently gating mutations
 // through a live replication group for the segment.
 func (e *Engine) replActive(sn *segNode) bool {
@@ -138,7 +119,8 @@ func (e *Engine) replActive(sn *segNode) bool {
 // replSeedLeader makes this site the segment's log leader for the
 // current epoch: one set entry per page (indexes 1..P) snapshotting
 // the just-installed record, so the epoch's log is complete from entry
-// one and followers re-base from it.
+// one, shipped to every follower at once — a member that has not
+// attached the segment keeps it all the same (looseLog).
 func (e *Engine) replSeedLeader(sn *segNode) {
 	rl := &replSeg{epoch: sn.segEpoch.Load(), pages: make(map[int32]*replEntry, len(sn.lib.pages))}
 	for pg := range sn.lib.pages {
@@ -148,22 +130,12 @@ func (e *Engine) replSeedLeader(sn *segNode) {
 	rl.lead = &replLead{
 		followers: e.replFollowers(e.site),
 		acked:     make(map[int]uint32),
-		dead:      make(map[int]bool),
 		based:     make(map[int]bool),
 	}
 	sn.repl = rl
-}
-
-// replBaseFollowers ships the just-seeded log to every follower at
-// once. installLibrary's choice, where the group members are
-// known-attached; segment creation bases lazily on first append
-// instead, so a follower that has not attached yet is not benched
-// before it ever joined.
-func (e *Engine) replBaseFollowers(sn *segNode) {
-	ld := sn.repl.lead
-	for _, f := range ld.followers {
+	for _, f := range rl.lead.followers {
 		e.replSendLog(sn, f)
-		ld.based[f] = true
+		rl.lead.based[f] = true
 	}
 }
 
@@ -240,12 +212,9 @@ func replDigest(b []byte) uint32 {
 // ---- Leader: appending and gating ----
 
 // replAppend appends one entry to the leader's log and streams it to
-// the live followers. A non-nil cont is gated on the group quorum
-// acknowledging the entry (released immediately when the quorum is
-// already unreachable — degraded, counted, and deliberately without a
-// commit event so the checker's durability invariant stays one-sided).
-// A nil cont is fire-and-forget: the entry replicates but nothing
-// waits on it.
+// the followers. A non-nil cont is gated on the group quorum
+// acknowledging the entry; a nil cont is fire-and-forget: the entry
+// replicates but nothing waits on it.
 func (e *Engine) replAppend(sn *segNode, ent *replEntry, cont func()) {
 	if !e.replActive(sn) {
 		if cont != nil {
@@ -263,18 +232,9 @@ func (e *Engine) replAppend(sn *segNode, ent *replEntry, cont func()) {
 	e.count(obs.CAppend)
 	seg := int32(sn.meta.ID)
 	for _, f := range ld.followers {
-		if ld.dead[f] {
-			continue
+		if ld.based[f] { // one the channel gave up on waits for replRetry
+			e.send(f, &wire.Msg{Kind: wire.KAppend, Seg: seg, Page: ent.post.page, Cycle: ent.index, Data: enc})
 		}
-		if !ld.based[f] {
-			// First contact this epoch (or a re-based revival): ship the
-			// whole compacted log — per-page latest entries, the new one
-			// included — so the follower's ballot is complete.
-			e.replSendLog(sn, f)
-			ld.based[f] = true
-			continue
-		}
-		e.send(f, &wire.Msg{Kind: wire.KAppend, Seg: seg, Page: ent.post.page, Cycle: ent.index, Data: enc})
 	}
 	if cont == nil {
 		return
@@ -284,14 +244,12 @@ func (e *Engine) replAppend(sn *segNode, ent *replEntry, cont func()) {
 	e.replRecomputeGates(sn)
 }
 
-// tail returns the log's entries above index after, in index order (a
-// follower's applied-index stream must ascend).
-func (rl *replSeg) tail(after uint32) []*replEntry {
+// entries returns the log's entries in index order (a follower's
+// applied-index stream must ascend).
+func (rl *replSeg) entries() []*replEntry {
 	var ents []*replEntry
 	for _, ent := range rl.pages {
-		if ent.index > after {
-			ents = append(ents, ent)
-		}
+		ents = append(ents, ent)
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].index < ents[j].index })
 	return ents
@@ -300,7 +258,7 @@ func (rl *replSeg) tail(after uint32) []*replEntry {
 // replSendLog ships the leader's whole compacted log to one follower:
 // a snapshot (Page -1), each chunk stamped with its last index.
 func (e *Engine) replSendLog(sn *segNode, f int) {
-	ents := sn.repl.tail(0)
+	ents := sn.repl.entries()
 	tmpl := wire.Msg{Kind: wire.KAppend, Seg: int32(sn.meta.ID), Page: -1}
 	e.sendChunked(f, tmpl, nil, len(ents), func(m *wire.Msg, i int) {
 		m.Data = encodeReplEntry(m.Data, ents[i])
@@ -309,61 +267,58 @@ func (e *Engine) replSendLog(sn *segNode, f int) {
 }
 
 // replRecomputeGates re-evaluates every pending gate against the
-// current ack state. A gate whose quorum arrived commits (EvReplicate
-// with From == Site, the replication-lag sample, the counter); when
-// the live group can no longer form a quorum at all, every gate is
-// released degraded instead — blocking grants on acks that cannot come
-// would trade durability for a livelock.
+// current ack state. A gate whose quorum arrived — the leader, whose own
+// log covers its gates, and the followers that acknowledged its index —
+// commits (EvReplicate with From == Site, the replication-lag sample,
+// the counter) and releases; the others wait.
 func (e *Engine) replRecomputeGates(sn *segNode) {
 	ld := sn.repl.lead
 	if ld == nil || len(ld.gates) == 0 {
 		return
 	}
-	q := e.replQuorum()
-	degraded := ld.covering(0) < q // index 0: everyone live
 	seg := int32(sn.meta.ID)
 	var keep []*replGate
 	for _, g := range ld.gates {
-		switch {
-		case ld.covering(g.index) >= q:
-			e.count(obs.CReplCommit)
-			e.obs.Observe(obs.HReplLag, int64(e.env.Now()-g.started))
-			e.emit(obs.Event{Type: obs.EvReplicate, Seg: seg, Page: g.page,
-				From: int32(e.site), Arg: int64(g.index), Cycle: g.digest})
-			g.release()
-		case degraded:
-			e.count(obs.CReplDegraded)
-			g.release()
-		default:
-			keep = append(keep, g)
+		n := 1
+		for _, f := range ld.followers {
+			if ld.acked[f] >= g.index {
+				n++
+			}
 		}
+		if n < e.replQuorum() {
+			keep = append(keep, g)
+			continue
+		}
+		e.count(obs.CReplCommit)
+		e.obs.Observe(obs.HReplLag, int64(e.env.Now()-g.started))
+		e.emit(obs.Event{Type: obs.EvReplicate, Seg: seg, Page: g.page,
+			From: int32(e.site), Arg: int64(g.index), Cycle: g.digest})
+		g.release()
 	}
 	ld.gates = keep
-}
-
-// covering counts the group members whose log has reached index: the
-// live followers that acknowledged it, and the leader, whose own log
-// always covers its gates.
-func (ld *replLead) covering(index uint32) int {
-	n := 1
-	for _, f := range ld.followers {
-		if !ld.dead[f] && ld.acked[f] >= index {
-			n++
-		}
-	}
-	return n
 }
 
 // replGateCycleOpen logs a grant cycle's write-ahead intent — the
 // record as it stands and as the cycle will commit it: with the given
 // writer, clock and readers — and defers the cycle's opening send to
-// the quorum commit. The continuation
-// re-checks the cycle (by number) before sending: an epoch change or
-// abort in the gap must not fire a dead cycle's invalidation.
+// the quorum commit.
 func (e *Engine) replGateCycleOpen(sn *segNode, page int32, to int, open *wire.Msg,
 	writer, clock int, readers mmu.Copyset) {
-	if !e.replActive(sn) {
+	if !e.replActive(sn) { // no closure on the ungated path: it costs every fault an allocation
 		e.send(to, open)
+		return
+	}
+	e.replGate(sn, page, writer, clock, readers, func() { e.send(to, open) })
+}
+
+// replGate logs an intent for the page's grant cycle to end with the
+// given writer, clock and readers, and runs fn at the quorum commit, or
+// at once without a live group. The continuation re-checks the cycle
+// (by number) first: an epoch change or abort in the gap must not act
+// for a dead cycle.
+func (e *Engine) replGate(sn *segNode, page int32, writer, clock int, readers mmu.Copyset, fn func()) {
+	if !e.replActive(sn) {
+		fn()
 		return
 	}
 	prior := sn.lib.pages[page].logged() // the cycle commits to the record only when it finishes
@@ -375,7 +330,7 @@ func (e *Engine) replGateCycleOpen(sn *segNode, page int32, to int, open *wire.M
 			return
 		}
 		if p := &sn.lib.pages[page]; p.grant.active && p.cycle == cyc {
-			e.send(to, open)
+			fn()
 		}
 	})
 }
@@ -391,17 +346,18 @@ func (e *Engine) replAppendSet(sn *segNode, page int32) {
 // ---- Follower: applying the stream ----
 
 // handleAppend applies a batch of log entries at a follower and
-// acknowledges its cumulative applied index. The generic epoch fence
-// already matched the message to this site's epoch; a stream from a
-// newer term than the local log resets it (the leader re-bases every
-// epoch with a full snapshot, so nothing carried over is needed). A
-// snapshot (Page -1) applies only once all of it is here: a log reset
-// to half a snapshot would be a ballot that names half the pages.
+// acknowledges its cumulative applied index. The epoch fence already
+// matched the message to this site's epoch; a stream from a newer term
+// than the local log resets it (the leader re-bases every epoch with a
+// full snapshot, so nothing carried over is needed). A snapshot (Page
+// -1) applies only once all of it is here: a log reset to half a
+// snapshot would be a ballot that names half the pages.
 func (e *Engine) handleAppend(sn *segNode, m *wire.Msg) {
+	ack := &wire.Msg{Kind: wire.KAppendAck, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle, SegEpoch: m.SegEpoch}
 	if mutateReplAckWithoutApply {
 		// MUTATION BUILD: acknowledge the append without applying it —
 		// the lie the acked-append-lost invariant exists to catch.
-		e.send(int(m.From), &wire.Msg{Kind: wire.KAppendAck, Seg: m.Seg, Page: m.Page, Cycle: m.Cycle})
+		e.send(int(m.From), ack)
 		return
 	}
 	data := m.Data
@@ -414,15 +370,41 @@ func (e *Engine) handleAppend(sn *segNode, m *wire.Msg) {
 	if sn.repl == nil {
 		sn.repl = &replSeg{}
 	}
-	rl := sn.repl
-	err := rl.absorb(m.SegEpoch, 0, data, func(ent *replEntry, enc []byte) {
-		e.emit(obs.Event{Type: obs.EvReplicate, Seg: m.Seg, Page: ent.post.page,
+	err := sn.repl.absorb(m.SegEpoch, 0, data, func(ent *replEntry, enc []byte) {
+		e.emitFor(sn, obs.Event{Type: obs.EvReplicate, Seg: m.Seg, Page: ent.post.page,
 			From: m.From, Arg: int64(ent.index), Cycle: replDigest(enc)})
 	})
 	if err != nil {
 		e.markStale()
 	}
-	e.send(int(m.From), &wire.Msg{Kind: wire.KAppendAck, Seg: m.Seg, Page: m.Page, Cycle: rl.lastIndex})
+	ack.Cycle = sn.repl.lastIndex
+	e.send(int(m.From), ack)
+}
+
+// looseLog is handle's path for a log message at a group member that
+// never attached the segment: the member keeps the log and the epoch it
+// promised all the same, in a segNode that holds nothing else, so its
+// ballot counts toward every quorum like any member's. The epoch rule
+// is the fence's: a newer epoch is adopted with the sender as its
+// library, an older one is dropped. AttachSegment takes the node over.
+func (e *Engine) looseLog(m *wire.Msg) {
+	sn := e.loose[m.Seg]
+	if sn == nil {
+		sn = &segNode{curLib: int(m.From)}
+		e.loose[m.Seg] = sn
+	}
+	if m.SegEpoch < sn.segEpoch.Load() {
+		return
+	}
+	if m.SegEpoch > sn.segEpoch.Load() {
+		sn.segEpoch.Store(m.SegEpoch)
+		sn.curLib = int(m.From)
+	}
+	if m.Kind == wire.KAppend {
+		e.handleAppend(sn, m)
+	} else {
+		e.handleVote(sn, m)
+	}
 }
 
 // absorb folds entries written under epoch into the log, the one rule
@@ -459,221 +441,200 @@ func (rl *replSeg) absorb(epoch, last uint32, data []byte, taken func(ent *replE
 }
 
 // handleAppendAck runs at the leader: a cumulative-ack advance
-// re-evaluates the gates, a refusal (Page -2: the peer holds no state
-// for the segment) benches the follower with a timed retry, and any
-// current-epoch ack from a benched follower revives it (with a re-base,
-// since it missed entries while benched). Stale-epoch acks never get
-// here — the generic fence drops them — so the ack counting only ever
-// sees appliers of the current term.
+// re-evaluates the gates. Stale-epoch acks never get here — the generic
+// fence drops them — so the ack counting only ever sees appliers of the
+// current term.
 func (e *Engine) handleAppendAck(sn *segNode, m *wire.Msg) {
 	rl := sn.repl
-	if rl == nil || rl.lead == nil {
+	if rl == nil || rl.lead == nil || !slices.Contains(rl.lead.followers, int(m.From)) {
 		e.markStale()
 		return
 	}
-	ld := rl.lead
-	f := int(m.From)
-	if !slices.Contains(ld.followers, f) {
-		e.markStale()
-		return
-	}
-	if m.Page == -2 {
-		e.replFollowerFailed(sn, f)
-		return
-	}
-	if m.Cycle > ld.acked[f] {
-		ld.acked[f] = m.Cycle
-	}
-	if ld.dead[f] {
-		ld.dead[f] = false
-		ld.based[f] = false
-	}
+	rl.lead.acked[int(m.From)] = max(rl.lead.acked[int(m.From)], m.Cycle)
 	e.replRecomputeGates(sn)
 }
 
-// replArmRevival schedules one retry for a benched follower: after the
-// recovery timeout the next append re-bases it. A follower that is
-// really gone just benches again — bounded, periodic, and deterministic
-// in simulation.
-func (e *Engine) replArmRevival(sn *segNode, f int) {
-	epoch := sn.segEpoch.Load()
-	e.after(sn, e.failover.RecoverTimeout, func() {
-		if sn.segEpoch.Load() == epoch && sn.repl != nil && sn.repl.lead != nil {
-			sn.repl.lead.dead[f] = false
-			sn.repl.lead.based[f] = false
-		}
-	})
-}
-
-// replFollowerFailed benches a follower whose append channel gave up
-// and re-evaluates the gates (the quorum may have shrunk past reach).
-func (e *Engine) replFollowerFailed(sn *segNode, f int) {
+// replRetry runs on every request the library takes. A follower the
+// channel gave up on is sent nothing — each append would cost a whole
+// retry ladder toward a site that is gone — until the followers still
+// streamed cannot form the quorum while a gate waits: then each is sent
+// the whole log again, so the first request after the group is back
+// commits what waited, as a request to a stalled election asks its
+// voters again. A follower left behind meanwhile is safe: every entry
+// committed without it is on a commit quorum of the others.
+func (e *Engine) replRetry(sn *segNode) {
 	rl := sn.repl
-	if rl == nil || rl.lead == nil {
-		e.count(obs.CDropped)
+	if rl == nil || rl.lead == nil || len(rl.lead.gates) == 0 {
 		return
 	}
-	rl.lead.dead[f] = true
-	rl.lead.based[f] = false
-	e.replArmRevival(sn, f)
-	e.replRecomputeGates(sn)
+	n := 1
+	for _, f := range rl.lead.followers {
+		if rl.lead.based[f] {
+			n++
+		}
+	}
+	if n >= e.replQuorum() {
+		return
+	}
+	for _, f := range rl.lead.followers {
+		if !rl.lead.based[f] {
+			e.replSendLog(sn, f)
+			rl.lead.based[f] = true
+		}
+	}
 }
 
 // ---- Election: takeover from the log ----
 
-// beginElection starts the replicated branch of a takeover at the
-// nominated successor (beginRecovery already bumped the epoch, claimed
-// the role and forgot the dead library's requests): solicit the group's
-// log tails, merge a vote quorum, and install from the merged log —
-// no cluster-wide holdings interrogation. Vote timeout or an
-// unreachable quorum falls back to the holder rebuild under the
-// already-bumped epoch.
+// beginElection solicits the group's ballots for the candidacy rc: the
+// logs of the replaced library's group, merged until a vote quorum has
+// answered. The candidate's own log is the first ballot when it is a
+// member (a copy: a lost race must leave this site's ballot for the next
+// election as it was). A ballot merges only once reassemble has all of
+// it, so a truncated higher-epoch ballot can never replace the merge
+// wholesale with a partial page set.
 func (e *Engine) beginElection(sn *segNode, rc *recovery) {
-	// The winner's own log is the first ballot (a copy: a lost race must
-	// leave this site's ballot for the next election as it was).
-	el := &replElect{waiting: make(map[int]bool), votes: 1, need: e.replVoteQuorum()}
-	el.log.pages = make(map[int32]*replEntry)
-	if rl := sn.repl; rl != nil {
-		el.log.epoch, el.log.lastIndex = rl.epoch, rl.lastIndex
-		for pg, ent := range rl.pages {
-			el.log.pages[pg] = ent
+	rc.log.pages = make(map[int32]*replEntry)
+	if slices.Contains(e.replFollowers(rc.from), e.site) {
+		rc.votes = 1
+		if rl := sn.repl; rl != nil {
+			rc.log.epoch, rc.log.lastIndex = rl.epoch, rl.lastIndex
+			maps.Copy(rc.log.pages, rl.pages)
 		}
 	}
-	rc.elect = el
-	ballot := binary.BigEndian.AppendUint32(nil, el.log.epoch)
-	ballot = binary.BigEndian.AppendUint32(ballot, el.log.lastIndex)
-	for _, s := range e.replFollowers(rc.from) {
-		if s == e.site {
-			continue
-		}
-		el.waiting[s] = true
-		e.send(s, &wire.Msg{Kind: wire.KVote, Seg: int32(sn.meta.ID), Page: -1,
-			Req: int32(e.site), Data: append([]byte(nil), ballot...)})
-	}
-	if el.votes >= el.need || len(el.waiting) == 0 {
+	e.solicitVotes(sn, rc)
+}
+
+// solicitVotes asks every member whose ballot is neither merged nor
+// due, and settles, stalls or waits for the round.
+func (e *Engine) solicitVotes(sn *segNode, rc *recovery) {
+	switch {
+	case rc.votes >= e.replVoteQuorum():
 		e.settleElection(sn)
 		return
+	case len(rc.due) > 0:
+		return // a round is out
 	}
-	e.armRecovery(sn, rc, e.electionFallback)
+	rc.stalled = false
+	for _, s := range e.replFollowers(rc.from) {
+		if s != e.site && !rc.voted.Has(s) {
+			rc.due[s] = true
+			e.send(s, &wire.Msg{Kind: wire.KVote, Seg: int32(sn.meta.ID), Page: -1, Req: int32(e.site)})
+		}
+	}
+	e.armRecovery(sn, rc, e.stallElection)
+}
+
+// stallElection ends a round that did not reach the vote quorum:
+// nothing installs, and the requests that waited for the record are
+// denied. The candidacy stays — the epoch it promised itself is its
+// own — and asks again on the next request (handle).
+func (e *Engine) stallElection(sn *segNode) {
+	rc := sn.recov
+	rc.disarm()
+	clear(rc.due)
+	rc.stalled, rc.probing = true, false
+	held := rc.buffered[:0]
+	for _, m := range rc.buffered {
+		switch m.Kind {
+		case wire.KReadReq:
+			e.libDeny(sn, m.Page, int(m.Req), wire.Read, false)
+		case wire.KWriteReq:
+			e.libDeny(sn, m.Page, int(m.Req), wire.Write, false)
+		default:
+			held = append(held, m)
+		}
+	}
+	rc.buffered = held
 }
 
 // handleVote serves both directions of the election exchange. A
 // solicitation (From == Req, another site) is answered with this
-// site's ballot: log epoch, applied index, and the per-page latest
-// entries the solicitor's own log cannot already hold. A reply (Req ==
-// this site) merges once all of it has arrived.
+// site's ballot, if the solicitor is the library this site knows for
+// the epoch: a vote is a promise, and a candidate knows itself. A reply
+// (Req == this site) merges once all of it has arrived.
 func (e *Engine) handleVote(sn *segNode, m *wire.Msg) {
 	from := int(m.From)
-	switch {
+	switch rc := sn.recov; {
 	case int(m.Req) == from && from != e.site:
-		e.sendVoteReply(sn, from, m.Data)
-	case int(m.Req) == e.site && from != e.site:
-		rc := sn.recov
-		if rc == nil || rc.elect == nil || !rc.elect.waiting[from] {
-			e.markStale()
-			return
+		if rc != nil && from < e.site && m.SegEpoch == sn.segEpoch.Load() {
+			// A lower-numbered candidate for this site's own epoch: this
+			// candidacy withdraws, installs nothing, and votes. Without the
+			// order two candidates that each promised themselves would
+			// refuse each other for good.
+			e.stallElection(sn)
+			sn.recov, sn.curLib = nil, from
+			e.resetPages(sn, true, false)
+			e.wakeAll(sn)
 		}
-		el := rc.elect
+		if sn.curLib == from {
+			e.sendVoteReply(sn.repl, m.Seg, sn.segEpoch.Load(), from)
+		}
+	case int(m.Req) == e.site && rc != nil && !rc.probing && rc.due[from]:
 		b, whole := sn.reassemble(m, 8)
 		if !whole {
 			return
 		}
-		delete(el.waiting, from)
+		delete(rc.due, from)
+		rc.voted = rc.voted.Add(from)
 		// A ballot cut off by a damaged entry still counts as a vote, with
 		// the entries ahead of the damage.
-		_ = el.log.absorb(binary.BigEndian.Uint32(b[0:]), binary.BigEndian.Uint32(b[4:]), b[8:], nil)
-		el.votes++
-		if el.votes >= el.need || len(el.waiting) == 0 {
-			e.settleElection(sn)
-		}
+		_ = rc.log.absorb(binary.BigEndian.Uint32(b[0:]), binary.BigEndian.Uint32(b[4:]), b[8:], nil)
+		rc.votes++
+		e.solicitVotes(sn, rc)
 	default:
 		e.markStale()
 	}
 }
 
-// sendVoteReply ships this site's ballot to an election winner, every
-// chunk headed by the log's (epoch, index). The solicitation carries
-// the winner's own so a same-epoch reply can skip entries the winner's
-// log already covers, and a ballot older than the solicitor's is the
-// header alone: its entries cannot beat anything the winner merged.
-func (e *Engine) sendVoteReply(sn *segNode, to int, ballot []byte) {
-	var solEpoch, solIdx uint32
-	if len(ballot) >= 8 {
-		solEpoch = binary.BigEndian.Uint32(ballot[0:])
-		solIdx = binary.BigEndian.Uint32(ballot[4:])
-	}
+// sendVoteReply ships a ballot (rl, nil for an empty log) to an election
+// candidate: every chunk headed by the log's (epoch, index) and stamped
+// with the voter's epoch, the entries the whole compacted log.
+func (e *Engine) sendVoteReply(rl *replSeg, seg int32, epoch uint32, to int) {
 	hdr := make([]byte, 8)
 	var ents []*replEntry
-	if rl := sn.repl; rl != nil {
+	if rl != nil {
 		binary.BigEndian.PutUint32(hdr[0:], rl.epoch)
 		binary.BigEndian.PutUint32(hdr[4:], rl.lastIndex)
-		switch {
-		case rl.epoch > solEpoch:
-			ents = rl.tail(0)
-		case rl.epoch == solEpoch:
-			ents = rl.tail(solIdx)
-		}
+		ents = rl.entries()
 	}
-	tmpl := wire.Msg{Kind: wire.KVote, Seg: int32(sn.meta.ID), Page: -1, Req: int32(to)}
+	tmpl := wire.Msg{Kind: wire.KVote, Seg: seg, Page: -1, Req: int32(to), SegEpoch: epoch}
 	e.sendChunked(to, tmpl, hdr, len(ents), func(m *wire.Msg, i int) {
 		m.Data = encodeReplEntry(m.Data, ents[i])
 	})
 }
 
-// voteSolicitFailed reacts to an undeliverable solicitation: the voter
-// is gone; if no awaited ballot remains and the quorum is short, the
-// election cannot complete and the holder rebuild takes over.
-func (e *Engine) voteSolicitFailed(sn *segNode, to int) {
-	rc := sn.recov
-	if rc == nil || rc.elect == nil || !rc.elect.waiting[to] {
-		e.count(obs.CDropped)
-		return
-	}
-	delete(rc.elect.waiting, to)
-	if len(rc.elect.waiting) == 0 {
-		// And the quorum is short, or the election would have settled.
-		e.electionFallback(sn)
-	}
-}
-
-// electionFallback abandons the vote and reconstructs the record from
-// the holders (holderSource) under the already-bumped epoch: quorum
-// lost means the log's completeness can no longer be proven, and an
-// unprovable log is worth less than the holders' own word.
-func (e *Engine) electionFallback(sn *segNode) {
-	rc := sn.recov
-	if rc == nil || rc.elect == nil {
-		return
-	}
-	rc.disarm()
-	rc.elect = nil
-	e.queryHoldings(sn, rc, e.everySite())
-}
-
-// settleElection runs once the vote quorum is merged. Pages whose
-// latest entry is a still-in-flight intent are ambiguous — the crash
-// may have landed before, during, or after the cycle the intent
-// announced — so the involved sites (old writer, new writer, clock)
-// are probed with the ordinary holdings query; everything else
-// installs straight from the log. The probe doubles as the epoch
-// notice: it forces adoptEpoch at the target, which rolls back the
-// target's pending invalidation state before it reports.
+// settleElection runs once the vote quorum is merged. A migration
+// installs the offer it holds: the epoch was all it needed. Otherwise
+// every site the log names is probed with the ordinary holdings query.
+// The log knows of every copy granted, but not of one given up since:
+// a release the lost library never confirmed leaves a reader that no
+// longer holds the page. And a page whose latest entry is a still
+// in-flight intent is ambiguous — the crash may have landed before,
+// during, or after the cycle the intent announced. The probe doubles as
+// the epoch notice: it forces adoptEpoch at the target, which rolls back
+// the target's pending invalidation state before it reports.
 func (e *Engine) settleElection(sn *segNode) {
 	rc := sn.recov
-	if rc == nil || rc.elect == nil {
+	rc.disarm()
+	clear(rc.due)
+	switch {
+	case rc.offer != nil:
+		e.finishRecovery(sn)
+		return
+	case rc.log.epoch+1 != sn.segEpoch.Load():
+		// No ballot carries the replaced library's own log: it may have
+		// installed a record its group never stored. Nothing installs.
+		e.stallElection(sn)
 		return
 	}
-	rc.disarm()
-	el := rc.elect
-	el.waiting = nil
 	var targets mmu.Copyset
-	for _, ent := range el.log.pages {
-		if !ent.intent {
-			continue
-		}
-		for _, s := range []int{ent.post.writer, ent.post.clock, ent.prior.clock, ent.prior.writer} {
-			if s >= 0 && s < e.sites { // a log may name anything
-				targets = targets.Add(s)
+	for _, ent := range rc.log.pages {
+		for _, r := range []libRecord{ent.post, ent.prior} {
+			for _, s := range append(r.readers.Sites(), r.writer, r.clock) {
+				if s >= 0 && s < e.sites { // a log may name anything
+					targets = targets.Add(s)
+				}
 			}
 		}
 	}
@@ -681,44 +642,48 @@ func (e *Engine) settleElection(sn *segNode) {
 	// probed), resolve intents it was itself involved in: e.g. an upgrade
 	// intent whose new writer is the electing site — whether it took
 	// effect is written in the local MMU, not in anyone else's report.
+	rc.probing = true
 	e.queryHoldings(sn, rc, targets)
 }
 
 // resolveIntent picks the record for a page whose log tail is an
 // in-flight intent, from the probed holdings of the involved sites.
-// A write (or upgrade) took effect only if its new writer actually
-// holds the writable copy; a downgrade failed only if the old writer
-// still holds it; a pure reader extension is always safe to adopt —
+// One copy decides: a write (or upgrade) took effect only if its new
+// writer holds the writable copy, and a downgrade failed only if the old
+// writer still does; a pure reader extension is always safe to adopt —
 // a listed reader without a copy just acks its invalidations vacuously.
+// When the deciding copy is at the replaced library, which no probe
+// reaches, the page stays with it (writes aimed there fail fast while it
+// is away) and every read copy either record names is ordered discarded
+// (repairRecord): whichever way the cycle went, no copy outlives a write
+// the lost library may still make.
 func resolveIntent(rc *recovery, ent *replEntry) libRecord {
-	held := rc.got[ent.post.page].writer // who reported the writable copy
-	switch {
-	case ent.post.writer != mmu.NoWriter:
-		if held == ent.post.writer {
-			return ent.post
-		}
-		return ent.prior
-	case ent.prior.writer != mmu.NoWriter:
-		if held == ent.prior.writer {
-			return ent.prior
-		}
-		return ent.post
-	default:
-		return ent.post
+	post, prior := ent.post, ent.prior
+	held, ok := rc.held[post.page] // who reported the writable copy
+	decider, took := post.writer, post.writer != mmu.NoWriter
+	if !took {
+		decider = prior.writer
 	}
+	switch {
+	case decider == rc.from:
+		post.writer, post.readers = rc.from, post.readers.Union(prior.readers)
+		return post
+	case decider == mmu.NoWriter || (ok && held == decider) == took:
+		return post
+	}
+	return prior
 }
 
-// logSource is the second rehoming source (DESIGN.md §15): the merged
+// logSource is the crash rehoming source (DESIGN.md §15): the merged
 // log tail, each in-flight intent resolved. It is not exact — the log
 // runs ahead of the holders by design, and the dead leader's own copies
 // are in it — and a page never logged never left its creator, the dead
 // leader: it stays as freshRecord left it, for installLibrary to orphan
 // like any page with no surviving copy.
 func (e *Engine) logSource(sn *segNode, rc *recovery) libSource {
-	el := rc.elect
 	recs := make([]libRecord, sn.m.Pages())
 	for pg := range recs {
-		switch ent := el.log.pages[int32(pg)]; {
+		switch ent := rc.log.pages[int32(pg)]; {
 		case ent == nil:
 			recs[pg] = freshRecord(sn.meta, pg)
 		case ent.intent:
@@ -726,11 +691,20 @@ func (e *Engine) logSource(sn *segNode, rc *recovery) libSource {
 		default:
 			recs[pg] = ent.post
 		}
+		// A site that answered without the copy the record names has
+		// given it up.
+		r, page := &recs[pg], int32(pg)
+		r.readers = r.readers.Subtract(rc.replied.Subtract(rc.copies[page]))
+		if w, ok := rc.held[page]; rc.replied.Has(r.writer) && (!ok || w != r.writer) {
+			r.writer = mmu.NoWriter
+		}
 	}
-	return libSource{recs: recs, prev: rc.from, prevDead: true, epoch: sn.segEpoch.Load(), announce: func() {
+	return libSource{recs: recs, prev: rc.from, epoch: sn.segEpoch.Load(), announce: func() {
 		e.count(obs.CElect)
 		e.emit(obs.Event{Type: obs.EvElect, Seg: int32(sn.meta.ID), From: int32(rc.from),
-			Cycle: el.log.epoch, Arg: int64(el.log.lastIndex)})
-		e.announceRecovery(sn, rc)
+			Cycle: rc.log.epoch, Arg: int64(rc.log.lastIndex)})
+		e.count(obs.CRecovery)
+		e.obs.Observe(obs.HRecoverLatency, int64(e.env.Now()-rc.started))
+		e.emit(obs.Event{Type: obs.EvRecover, Seg: int32(sn.meta.ID), Arg: int64(rc.from)})
 	}}
 }

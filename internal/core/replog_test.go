@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -17,15 +18,54 @@ func replOptions(o *obs.Obs, replicas int) Options {
 			AckTimeout: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond,
 			MaxAttempts: 5, RequestTimeout: 10 * time.Second,
 		},
-		Failover:    &Failover{RecoverTimeout: 500 * time.Millisecond},
-		Replication: &Replication{Replicas: replicas},
-		Obs:         o,
+		Failover: &Failover{RecoverTimeout: 500 * time.Millisecond, Replicas: replicas},
+		Obs:      o,
 	}
 }
 
 // crash marks a site dead: every message to or from it is dropped, so
-// its peers' reliable channels give up on it.
-func (n *testNet) crash(site int) { n.down[site] = true }
+// its peers' reliable channels give up on it. revive undoes it.
+func (n *testNet) crash(site int)  { n.down[site] = true }
+func (n *testNet) revive(site int) { delete(n.down, site) }
+
+// partition cuts every message between a site and each of others, both
+// ways, leaving the rest of the network whole.
+func (n *testNet) partition(site int, others ...int) {
+	if n.cut == nil {
+		n.cut = make(map[[2]int]bool)
+	}
+	for _, o := range others {
+		n.cut[[2]int{site, o}], n.cut[[2]int{o, site}] = true, true
+	}
+}
+
+// try drives a fault loop at a site until the access is granted (nil)
+// or the engine fails it (the error), stepping the simulation between.
+func (n *testNet) try(site int, seg, page int32, write bool) error {
+	n.t.Helper()
+	e := n.engines[site]
+	var err error
+	done := false
+	var loop func()
+	loop = func() {
+		if e.CheckAccess(seg, page, write) == mmu.NoFault {
+			done = true
+			return
+		}
+		if err = e.FaultError(seg, page); err != nil {
+			done = true
+			return
+		}
+		e.Fault(seg, page, write, 100+int32(site), loop)
+	}
+	loop()
+	for !done {
+		if !n.k.Step() {
+			n.t.Fatalf("site %d: try(seg=%d page=%d write=%v) starved", site, seg, page, write)
+		}
+	}
+	return err
+}
 
 // TestReplEntryCodecRoundTrip round-trips entries through the wire form
 // across both copyset encodings (the sparse member list and the dense
@@ -114,9 +154,6 @@ func TestReplQuorumGatesMutations(t *testing.T) {
 	if st.ReplCommits == 0 {
 		t.Fatal("no quorum commits at the leader")
 	}
-	if st.ReplDegraded != 0 {
-		t.Fatalf("ReplDegraded = %d with the whole group alive", st.ReplDegraded)
-	}
 	// Followers mirror the record: their compacted log's latest entries
 	// must agree with the leader's authoritative record.
 	for _, f := range []int{1, 2} {
@@ -204,39 +241,51 @@ func TestReplElectionInstallsFromLog(t *testing.T) {
 	}
 }
 
-// TestReplElectionFallback: when the vote quorum is unreachable the
-// takeover must fall back to the legacy holder rebuild — a recovery
-// without an election.
+// TestReplElectionFallback: below the vote quorum there is no fallback.
+// Nothing installs, and an access that needs the library fails with
+// ErrUnreachable. Once the group is back, the next request's election
+// installs the record, and the returning follower's copy serves it.
 func TestReplElectionFallback(t *testing.T) {
 	n := newTestNet(t, 3, replOptions(nil, 2))
 	n.newSeg(2, 0)
 
-	n.acquire(1, 1, 0, false) // survivor holds a read copy of page 0
+	n.acquire(1, 1, 1, true)  // site 1 writes page 1
+	n.acquire(2, 1, 0, false) // site 2 holds a read copy of page 0
 	n.settle()
 
 	n.crash(0)
-	n.crash(2) // the only other voter dies with the leader
-	// The write upgrade must reach the library: give-up nominates site 1,
-	// whose election cannot reach a quorum and falls back to the rebuild.
-	n.acquire(1, 1, 0, true)
+	n.crash(2) // the only other voter is cut off with the leader
+	// The write must reach the library: give-up nominates site 1, whose
+	// election cannot reach a quorum.
+	if err := n.try(1, 1, 0, true); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("write below quorum: %v, want ErrUnreachable", err)
+	}
 	n.settle()
+	if st := n.engines[1].Stats(); st.Elections != 0 || st.Recoveries != 0 {
+		t.Fatalf("Elections=%d Recoveries=%d below quorum, want nothing installed", st.Elections, st.Recoveries)
+	}
+	if n.engines[1].segs[1].lib != nil {
+		t.Fatal("site 1 installed a library below quorum")
+	}
 
-	st := n.engines[1].Stats()
-	if st.Elections != 0 {
-		t.Fatalf("Elections = %d after quorum loss, want 0 (fallback)", st.Elections)
+	n.revive(2)
+	n.acquire(1, 1, 0, false)
+	n.settle()
+	if st := n.engines[1].Stats(); st.Elections != 1 || st.Recoveries != 1 {
+		t.Fatalf("Elections=%d Recoveries=%d once the group is back, want 1/1", st.Elections, st.Recoveries)
 	}
-	if st.Recoveries != 1 {
-		t.Fatalf("Recoveries = %d, want 1", st.Recoveries)
+	if ls := n.engines[1].LibraryState(1, 0); !ls.Readers.Has(1) || !ls.Readers.Has(2) {
+		t.Errorf("page 0 readers = %v after the election, want sites 1 and 2", ls.Readers)
 	}
-	// The rebuilt record granted the upgrade: site 1 writes page 0.
-	if ls := n.engines[1].LibraryState(1, 0); ls.Writer != 1 {
-		t.Errorf("page 0 writer = %d after fallback rebuild, want 1", ls.Writer)
+	if ls := n.engines[1].LibraryState(1, 1); ls.Writer != 1 {
+		t.Errorf("page 1 writer = %d after the election, want 1", ls.Writer)
 	}
 }
 
 // TestReplDegradedReleasesGates: when the live group cannot form a
-// quorum, gated mutations must release degraded instead of wedging the
-// grant path.
+// quorum, a gated mutation is held, not released: the write fails with
+// ErrUnreachable and grants nothing. Once the group is back, the gate
+// commits and a write is granted.
 func TestReplDegradedReleasesGates(t *testing.T) {
 	n := newTestNet(t, 4, replOptions(nil, 3))
 	n.newSeg(1, 0)
@@ -247,15 +296,60 @@ func TestReplDegradedReleasesGates(t *testing.T) {
 	n.crash(3)
 
 	// Quorum is 3 of {0,1,2,3}; only the leader and follower 1 survive.
+	if err := n.try(0, 1, 0, true); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("write below quorum: %v, want ErrUnreachable", err)
+	}
+	if ls := n.engines[0].LibraryState(1, 0); ls.Writer != 1 {
+		t.Errorf("page 0 writer = %d below quorum, want 1 (nothing granted)", ls.Writer)
+	}
+	if n.engines[1].CheckAccess(1, 0, true) != mmu.NoFault {
+		t.Error("site 1 lost its writable copy to a cycle the group never heard of")
+	}
+
+	n.revive(2)
+	n.revive(3)
 	n.acquire(0, 1, 0, true)
 	n.settle()
-
-	st := n.engines[0].Stats()
-	if st.ReplDegraded == 0 {
-		t.Fatal("no degraded gate releases with the quorum unreachable")
-	}
 	if ls := n.engines[0].LibraryState(1, 0); ls.Writer != 0 {
-		t.Errorf("page 0 writer = %d, want 0 (grant must proceed degraded)", ls.Writer)
+		t.Errorf("page 0 writer = %d once the group is back, want 0", ls.Writer)
+	}
+	n.checkSingleWriter(1, 0)
+}
+
+// TestDeposedLibraryOpensNoCycle: a library cut off from its group
+// while the group elects a successor grants nothing. Its write fault
+// needs a cycle whose intent the group must acknowledge, and the group
+// now answers only the new epoch: the fault fails with ErrUnreachable,
+// and the holder it would have invalidated keeps its copy.
+func TestDeposedLibraryOpensNoCycle(t *testing.T) {
+	o := obs.New()
+	n := newTestNet(t, 4, replOptions(o, 2))
+	n.newSeg(1, 0)
+
+	n.acquire(3, 1, 0, false) // the library downgrades; site 3 reads
+	n.settle()
+
+	n.partition(0, 1, 2)      // the library loses its group, not site 3
+	n.acquire(1, 1, 0, false) // give-up at site 1 elects it
+	n.settle()
+	if st := n.engines[1].Stats(); st.Elections != 1 {
+		t.Fatalf("site 1 Elections = %d, want 1", st.Elections)
+	}
+
+	if err := n.try(0, 1, 0, true); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("write at the deposed library: %v, want ErrUnreachable", err)
+	}
+	n.settle()
+	if n.engines[0].CheckAccess(1, 0, true) == mmu.NoFault {
+		t.Error("the deposed library granted itself the writable copy")
+	}
+	if n.engines[3].CheckAccess(1, 0, false) != mmu.NoFault {
+		t.Error("site 3's read copy was invalidated by a cycle the group never heard of")
+	}
+	for _, ev := range o.Buffer().Events() {
+		if ev.Type == obs.EvPageState && ev.Site == 0 && ev.Arg == 2 && ev.Epoch == 0 && ev.T > 0 {
+			t.Errorf("the deposed library installed a writable copy at %v", ev.T)
+		}
 	}
 }
 

@@ -161,8 +161,8 @@ func TestReattachWakesInPageOrder(t *testing.T) {
 // are counted as dropped before a handler sees them.
 func TestOutOfRangePageIsDropped(t *testing.T) {
 	const pages = 3
-	layered := Options{Reliability: &Reliability{}, Failover: &Failover{},
-		Placement: &Placement{}, Replication: &Replication{Replicas: 1}}
+	layered := Options{Reliability: &Reliability{}, Failover: &Failover{Replicas: 1},
+		Placement: &Placement{}}
 	for name, opt := range map[string]Options{"plain": {}, "layered": layered} {
 		n := newTestNet(t, 3, opt)
 		n.newSeg(pages, 0)

@@ -43,15 +43,16 @@ type AutoDeltaConfig struct {
 	// service/affinity workloads need none: their goodput scores
 	// integrate the whole offered window by construction.
 	Warmup time.Duration
-	// Rate is the service/affinity offered load in req/s (default 150,
-	// below the E19 knee so latency reflects page movement).
-	Rate float64
 	// ServiceDur is the service rung's offered window (default 3s).
 	ServiceDur time.Duration
 	// AffinityDur is the affinity scenario's offered window (default
 	// 10s; placement needs its demand windows and cooldown).
 	AffinityDur time.Duration
 }
+
+// autoRate is the service/affinity cells' offered load in req/s, below
+// the E19 knee so latency reflects page movement.
+const autoRate = 150
 
 // autoTolerance is the relative margin of the best fixed cell's score
 // the controller cell must reach.
@@ -67,9 +68,6 @@ func (c AutoDeltaConfig) WithDefaults() AutoDeltaConfig {
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 2 * time.Second
-	}
-	if c.Rate == 0 {
-		c.Rate = 150
 	}
 	if c.ServiceDur == 0 {
 		c.ServiceDur = 3 * time.Second
@@ -137,11 +135,11 @@ var autoDeltaWorkloads = []string{"pingpong", "service", "affinity"}
 // service and affinity are the E19 and E21 configs the service and
 // affinity cells run.
 func (c AutoDeltaConfig) service() ServiceConfig {
-	return ServiceConfig{Duration: c.ServiceDur, Rates: []float64{c.Rate}}.WithDefaults()
+	return ServiceConfig{Duration: c.ServiceDur, Rates: []float64{autoRate}}.WithDefaults()
 }
 
 func (c AutoDeltaConfig) affinity() MigrationConfig {
-	return MigrationConfig{Rate: c.Rate, Duration: c.AffinityDur}.WithDefaults()
+	return MigrationConfig{Rate: autoRate, Duration: c.AffinityDur}.WithDefaults()
 }
 
 // cluster is the cluster one cell runs on: the workload's size and
@@ -166,7 +164,6 @@ func (c AutoDeltaConfig) cluster(workload string, ticks int) (int, ipc.Config) {
 	// controller cell, tuned Δs shipping in the migration records.
 	mcfg := c.affinity()
 	cfg.Engine.Reliability = failoverRel()
-	cfg.Engine.Failover = &core.Failover{}
 	cfg.Engine.Placement = mcfg.Policy()
 	return mcfg.Sites, cfg
 }
@@ -190,10 +187,10 @@ func (c AutoDeltaConfig) run(workload string, cl *ipc.Cluster) (float64, time.Du
 		return float64(st.cycles-warm) / c.PingPongDur.Seconds(), 0
 	case "service":
 		scfg := c.service()
-		rung = RunService(cl, scfg, c.Rate, app.NewStats(scfg.Shards), nil)
+		rung = RunService(cl, scfg, autoRate, app.NewStats(storeShards), nil)
 	default:
 		mcfg := c.affinity()
-		rung = RunAffinity(cl, mcfg, false, app.NewStats(mcfg.Shards), nil)
+		rung = RunAffinity(cl, mcfg, false, app.NewStats(storeShards), nil)
 	}
 	return rung.Goodput, time.Duration(rung.Latency.P99)
 }

@@ -18,8 +18,8 @@ import (
 // implementation does not tolerate site failures", §10.0). This sweep
 // fail-stops the library — then its successor — mid-workload and
 // measures what the takeover protocol costs: per-takeover recovery
-// latency (trigger to records rebuilt) and end-to-end throughput as the
-// crash count rises.
+// latency (trigger to the elected record installed) and end-to-end
+// throughput as the crash count rises.
 
 // FailoverPoint is one crash-count measurement of the contended-counter
 // workload. The two incrementing sites are never crashed; the library
@@ -33,7 +33,7 @@ type FailoverPoint struct {
 	Degraded   int    // accessor-visible degraded grants
 	MaxEpoch   uint32 // highest library epoch seen in the trace
 	// RecoverLatency is, per takeover, the virtual time from the first
-	// failover trigger to the successor committing the rebuilt records
+	// failover trigger to the successor installing the elected records
 	// (both taken from the trace).
 	RecoverLatency []time.Duration
 	// TraceJSONL is the run's full schema-v1 trace, replayable through
@@ -65,8 +65,8 @@ func failoverRel() *core.Reliability {
 // E22 share. Site 0 creates the segment (and so is the initial library
 // and log leader), writes the seed value, and idles into its crash
 // window. Sites 1 to sites-3 attach without accessing: silent members,
-// first in line for takeover and, under replication, the followers (an
-// unattached site refuses the log stream). The last two sites, never
+// first in line for takeover as the library's followers. The last two
+// sites, never
 // crashed, do the increments, paced so the workload straddles every
 // crash window. Holding every attach past the measured window keeps
 // release traffic out of the trace.
@@ -74,7 +74,7 @@ type crashCase struct {
 	sites    int
 	key      mem.Key
 	crashes  []chaos.Crash
-	replicas int // replication factor; 0 leaves replication off
+	replicas int // Failover.Replicas; 0 takes the default, min(2, sites−1)
 }
 
 // CounterRun is what the library-crash counter workload measures, in E18
@@ -90,13 +90,10 @@ type CounterRun struct {
 	UnavailMs float64
 }
 
-// config is the case's cluster: the crash plan, the reliability and
-// takeover layers, and replication when it has a factor.
+// config is the case's cluster: the crash plan and the reliability and
+// takeover layers, with the case's group size.
 func (cc crashCase) config() ipc.Config {
-	eng := core.Options{Reliability: failoverRel(), Failover: &core.Failover{}}
-	if cc.replicas > 0 {
-		eng.Replication = &core.Replication{Replicas: cc.replicas}
-	}
+	eng := core.Options{Reliability: failoverRel(), Failover: &core.Failover{Replicas: cc.replicas}}
 	return ipc.Config{Chaos: &chaos.Plan{Seed: 42, Crashes: cc.crashes}, Engine: eng}
 }
 

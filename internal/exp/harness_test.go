@@ -36,9 +36,9 @@ func TestTracingDoesNotPerturbAPoint(t *testing.T) {
 		{"E18/E22 library crash", crash.sites, crash.config,
 			func(c *ipc.Cluster) any { return crash.run(c, 4) }},
 		{"E19 service rung under chaos", svc.Sites, func() ipc.Config { return serviceCluster(svc, true) },
-			func(c *ipc.Cluster) any { return RunService(c, svc, 200, app.NewStats(svc.Shards), nil) }},
+			func(c *ipc.Cluster) any { return RunService(c, svc, 200, app.NewStats(storeShards), nil) }},
 		{"E21 shifting affinity with placement", mig.Sites, func() ipc.Config { return mig.cluster(true) },
-			func(c *ipc.Cluster) any { return RunAffinity(c, mig, true, app.NewStats(mig.Shards), nil) }},
+			func(c *ipc.Cluster) any { return RunAffinity(c, mig, true, app.NewStats(storeShards), nil) }},
 		{"E23 ping-pong controller cell", 2, func() ipc.Config { _, cfg := ad.cluster("pingpong", -1); return cfg },
 			func(c *ipc.Cluster) any { score, _ := ad.run("pingpong", c); return score }},
 	} {
@@ -83,7 +83,7 @@ func TestCheckConfigDerivedFromCluster(t *testing.T) {
 		e := cfg.Engine
 		c, err := mirage.NewCluster(n, mirage.Options{Delta: cfg.Delta, Chaos: cfg.Chaos, Policy: e.Policy,
 			Reliability: e.Reliability, Failover: e.Failover, Placement: e.Placement,
-			Replication: e.Replication, AutoDelta: e.AutoDelta, InvalFanout: e.InvalFanout})
+			AutoDelta: e.AutoDelta, InvalFanout: e.InvalFanout})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestCheckConfigDerivedFromCluster(t *testing.T) {
 		{"E20 checked, relay crash", point(20, scale("seed=7; crash site=5 from=2200ms until=10s")),
 			check.Config{Sites: 20, Delta: 2 * time.Millisecond, Reliable: true}},
 		{"E21", point(mig.Sites, mig.cluster(true)), check.Config{Sites: 4, Reliable: true}},
-		{"E22", point(replSites, replCase(2, failStops(0)).config()), check.Config{Sites: 7, Reliable: true}},
+		{"E22", point(replSites, replCase(2, failStops([]int{0}, nil)).config()), check.Config{Sites: 7, Reliable: true}},
 		{"E23 pingpong", func() (int, ipc.Config) { return ad.cluster("pingpong", -1) }, check.Config{Sites: 2, Delta: floor}},
 		{"E23 service", func() (int, ipc.Config) { return ad.cluster("service", -1) }, check.Config{Sites: 4, Delta: floor}},
 		{"E23 affinity", func() (int, ipc.Config) { return ad.cluster("affinity", -1) },

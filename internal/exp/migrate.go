@@ -27,15 +27,12 @@ import (
 // compares p99 and goodput, with every run's trace — the on-runs'
 // carrying the EvMigrate commits — verified by the coherence checker.
 
-// MigrationConfig parameterizes the E21 sweep.
+// MigrationConfig parameterizes the E21 sweep. The store settings no
+// program varies are E19's (storeSeed and the rest), with
+// affinityReadFrac for the op mix.
 type MigrationConfig struct {
-	// Seed drives the load streams (default 1).
-	Seed int64
 	// Sites is the cluster size (default 4).
 	Sites int
-	// Shards and SlotsPerShard fix the store geometry (defaults 8, 32).
-	Shards        int
-	SlotsPerShard int
 	// Rate is the offered aggregate load in requests/second (default
 	// 150 — below the E19 knee, so latency reflects page-move distance
 	// rather than saturation).
@@ -45,34 +42,18 @@ type MigrationConfig struct {
 	// post-rotation — long enough for the policy's window and cooldown
 	// to rehome the hot shards and for the benefit to register.
 	Duration time.Duration
-	// Workers is the per-site lane count (default 2).
-	Workers int
-	// QueueCap bounds each lane's backlog (default 16).
-	QueueCap int
-	// ReadFrac is the read fraction of the op mix (default 0.65 — more
-	// writes than the library default so cross traffic keeps
-	// invalidating the hot sites' copies, sustaining the fault-driven
-	// demand signal the placement policy feeds on).
-	ReadFrac float64
-	// OpCost is per-request CPU before the store call (default 500µs).
-	OpCost time.Duration
-	// SLO is the p99 objective findings report against (default 1s).
-	SLO time.Duration
 }
+
+// affinityReadFrac is E21's read fraction: more writes than the store
+// default, so cross traffic keeps invalidating the hot sites' copies,
+// sustaining the fault-driven demand signal the placement policy feeds
+// on.
+const affinityReadFrac = 0.65
 
 // WithDefaults returns the config with zero fields defaulted.
 func (c MigrationConfig) WithDefaults() MigrationConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	if c.Sites == 0 {
 		c.Sites = 4
-	}
-	if c.Shards == 0 {
-		c.Shards = 8
-	}
-	if c.SlotsPerShard == 0 {
-		c.SlotsPerShard = 32
 	}
 	if c.Rate == 0 {
 		c.Rate = 150
@@ -80,28 +61,13 @@ func (c MigrationConfig) WithDefaults() MigrationConfig {
 	if c.Duration == 0 {
 		c.Duration = 16 * time.Second
 	}
-	if c.Workers == 0 {
-		c.Workers = 4
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 16
-	}
-	if c.ReadFrac == 0 {
-		c.ReadFrac = 0.65
-	}
-	if c.OpCost == 0 {
-		c.OpCost = 500 * time.Microsecond
-	}
-	if c.SLO == 0 {
-		c.SLO = time.Second
-	}
 	return c
 }
 
 // AppConfig builds the store geometry.
 func (c MigrationConfig) AppConfig() app.Config {
 	c = c.WithDefaults()
-	return app.Config{Shards: c.Shards, Sites: c.Sites, SlotsPerShard: c.SlotsPerShard, SlotSize: 64}
+	return app.Config{Shards: storeShards, Sites: c.Sites, SlotsPerShard: storeSlotsPerShard, SlotSize: 64}
 }
 
 // Policy is the placement policy the on-points run. The knobs are
@@ -130,17 +96,17 @@ func (c MigrationConfig) Policy() *core.Placement {
 func (c MigrationConfig) Spec() load.Spec {
 	c = c.WithDefaults()
 	return load.Spec{
-		Seed:      c.Seed,
+		Seed:      storeSeed,
 		Rate:      c.Rate,
 		Duration:  c.Duration,
-		Frontends: c.Sites * c.Workers,
+		Frontends: c.Sites * ServiceWorkers,
 		Workers:   1,
-		QueueCap:  c.QueueCap,
-		Keys:      c.Shards * keysPerShard,
-		ReadFrac:  c.ReadFrac,
+		QueueCap:  storeQueueCap,
+		Keys:      storeShards * keysPerShard,
+		ReadFrac:  affinityReadFrac,
 		Skew:      load.SkewUniform,
-		SLO:       c.SLO,
-		OpCost:    c.OpCost,
+		SLO:       storeSLO,
+		OpCost:    storeOpCost,
 	}
 }
 
@@ -154,8 +120,8 @@ const keysPerShard = 12
 func (c MigrationConfig) shardPools() (pools [][]uint64, all []uint64) {
 	c = c.WithDefaults()
 	appCfg := c.AppConfig()
-	pools = make([][]uint64, c.Shards)
-	need := c.Shards * keysPerShard
+	pools = make([][]uint64, storeShards)
+	need := storeShards * keysPerShard
 	for k := uint64(0); len(all) < need; k++ {
 		s := appCfg.ShardOf(load.KeyBytes(k))
 		if len(pools[s]) >= keysPerShard {
@@ -228,7 +194,7 @@ func (c MigrationConfig) rekey(shift bool) func(site int, op load.Op) load.Op {
 	}
 	sitePool := func(site, rot int) []uint64 {
 		var out []uint64
-		for s := 0; s < c.Shards; s++ {
+		for s := 0; s < storeShards; s++ {
 			if c.affinityHome(s, rot) == site {
 				out = append(out, pools[s]...)
 			}
@@ -265,13 +231,14 @@ func (c MigrationConfig) rekey(shift bool) func(site int, op load.Op) load.Op {
 // caller decides whether the cluster's engines run a placement policy.
 func RunAffinity(c *ipc.Cluster, cfg MigrationConfig, shift bool, stats *app.Stats, o *obs.Obs) load.Rung {
 	cfg = cfg.WithDefaults()
-	return serve(c, cfg.AppConfig(), cfg.Spec(), cfg.Workers, cfg.rekey(shift), stats, o)
+	return serve(c, cfg.AppConfig(), cfg.Spec(), ServiceWorkers, cfg.rekey(shift), stats, o)
 }
 
-// cluster is the cluster an E21 cell runs on: the takeover layers the
-// handoff rides on, and the placement policy when the cell has it.
+// cluster is the cluster an E21 cell runs on: the reliability layer,
+// and the placement policy when the cell has it. Its takeover under
+// this load is core's TestFailoverUnderOverload.
 func (c MigrationConfig) cluster(placement bool) ipc.Config {
-	eng := core.Options{Reliability: failoverRel(), Failover: &core.Failover{}}
+	eng := core.Options{Reliability: failoverRel()}
 	if placement {
 		eng.Placement = c.Policy()
 	}
@@ -287,7 +254,7 @@ func runMigrationPoint(cfg MigrationConfig, shift, placement bool) MigrationPoin
 		pt.Scenario = "shifting"
 	}
 	pt.Trace = simulate(cfg.Sites, cfg.cluster(placement), func(c *ipc.Cluster) {
-		pt.Rung = RunAffinity(c, cfg, shift, app.NewStats(cfg.Shards), nil)
+		pt.Rung = RunAffinity(c, cfg, shift, app.NewStats(storeShards), nil)
 		for i := 0; i < c.Sites(); i++ {
 			st := c.Site(i).Eng.Stats()
 			pt.Migrations += st.Migrations
@@ -325,7 +292,7 @@ func (r MigrationSweepResult) Cell(scenario string, placement bool) *MigrationPo
 func (r MigrationSweepResult) WriteFindings(w io.Writer) {
 	cfg := r.Config.WithDefaults()
 	fmt.Fprintf(w, "E21 — voluntary library migration (seed %d, %d sites, %d shards, %.0f req/s, %s)\n",
-		cfg.Seed, cfg.Sites, cfg.Shards, cfg.Rate, cfg.Duration)
+		storeSeed, cfg.Sites, storeShards, cfg.Rate, cfg.Duration)
 	fmt.Fprintf(w, "Hypothesis: when request affinity and library placement disagree, enabling\n")
 	fmt.Fprintf(w, "Options.Placement rehomes the hot shards' libraries to their dominant\n")
 	fmt.Fprintf(w, "requesters and improves p99 latency or goodput; with affinity matched it\n")

@@ -8,29 +8,28 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// E22 — beyond the paper: consensus-replicated library records
-// (Options.Replication, DESIGN.md §15). E18 priced reactive takeover:
-// the successor interrogates every surviving holder and rebuilds the
-// page records from their reports, an outage bounded below by a network
-// round trip to the slowest survivor. This experiment prices the
-// proactive alternative — every record mutation is mirrored to a
-// follower quorum before it is acknowledged, so the elected follower
-// installs from its own log tail with no interrogation at all — and
-// measures what the standby costs while nothing is failing.
+// E22 — beyond the paper: quorum-replicated library records
+// (Options.Failover, DESIGN.md §15). Every record mutation is mirrored
+// to a follower quorum before it takes effect, so a takeover installs
+// the record from a vote quorum of the group's logs; this experiment
+// prices that standby while nothing is failing and the takeover when
+// something does.
 //
-// The sweep crosses replication factor {off, 2, 4} with a clean run and
-// a leader fail-stop, then adds the two non-leader failure modes at
-// R=2: a follower crash (the group degrades but the leader keeps
-// granting) and a quorum loss (leader and one of two followers die
-// together, forcing the election to fall back to E18's holder rebuild).
-// Every point's trace verifies through the coherence checker, including
-// the two replication invariants (log-prefix, acked-append-lost).
+// The sweep crosses replication factor {2, 4} with a clean run and a
+// leader fail-stop, then adds the failure modes around the group at
+// R=2: a correlated crash (the leader with a bystander holder, whom the
+// election never consults), a follower crash (the leader keeps granting
+// on the remaining quorum) and a quorum loss (leader and one of two
+// followers die together: nothing installs, and the counter is
+// unavailable until the follower returns). Every point's trace verifies
+// through the coherence checker, including the two replication
+// invariants (log-prefix, acked-append-lost).
 
 // ReplicationPoint is one cell of the E22 grid: a failure scenario at a
 // replication factor, measured over a contended counter workload.
 type ReplicationPoint struct {
 	Name     string // clean | leader-crash | follower-crash | quorum-loss
-	Replicas int    // replication factor R (0 = KRecover baseline)
+	Replicas int    // replication factor R
 	CounterRun
 
 	Failovers  int // takeover triggers across all sites
@@ -38,7 +37,6 @@ type ReplicationPoint struct {
 	Elections  int // takeovers completed from the replicated log
 	Appends    int // log entries appended by leaders
 	Commits    int // entries acknowledged by a follower quorum
-	Degraded   int // gated mutations released without quorum
 
 	// RecoverLatency is, per takeover, the virtual time from the first
 	// failover trigger to the successor resuming grants (trace
@@ -60,11 +58,14 @@ type ReplicationSweepResult struct {
 const replSites = 7
 
 // failStops is the E22 grid's crash plan: the listed sites fail-stopped
-// at 400ms, for good.
-func failStops(sites ...int) []chaos.Crash {
+// at 400ms, for good, and the returning ones cut off from 400ms to 2s.
+func failStops(sites, returning []int) []chaos.Crash {
 	var cs []chaos.Crash
 	for _, s := range sites {
 		cs = append(cs, chaos.Crash{Site: s, From: 400 * time.Millisecond})
+	}
+	for _, s := range returning {
+		cs = append(cs, chaos.Crash{Site: s, From: 400 * time.Millisecond, Until: 2 * time.Second})
 	}
 	return cs
 }
@@ -88,39 +89,37 @@ func runReplicationPoint(name string, replicas, perSite int, crashes []chaos.Cra
 			pt.Elections += st.Elections
 			pt.Appends += st.Appends
 			pt.Commits += st.ReplCommits
-			pt.Degraded += st.ReplDegraded
 		}
 		pt.RecoverLatency, _ = takeovers(c)
 	})
 	return pt
 }
 
-// replicationCell is one E22 scenario: a name, a replication factor, and
-// the sites crashed.
+// replicationCell is one E22 scenario: a name, a replication factor,
+// the sites crashed for good and the sites cut off for a while.
 type replicationCell struct {
-	name     string
-	replicas int
-	crash    []int
+	name            string
+	replicas        int
+	crash, returned []int
 }
 
 // replicationGrid is the E22 scenario set. The crash lists name sites
 // by their group role: 0 is the leader, 1..R its followers.
 func replicationGrid() []replicationCell {
 	return []replicationCell{
-		{"clean", 0, nil},
-		{"clean", 2, nil},
-		{"clean", 4, nil},
-		{"leader-crash", 0, []int{0}},
-		{"leader-crash", 2, []int{0}},
-		{"leader-crash", 4, []int{0}},
+		{"clean", 2, nil, nil},
+		{"clean", 4, nil, nil},
+		{"leader-crash", 2, []int{0}, nil},
+		{"leader-crash", 4, []int{0}, nil},
 		// The correlated crash fells the library together with a
-		// bystander holder (site 4, outside the R=2 group): the holder
-		// rebuild must wait out the dead bystander's ARQ give-up before
-		// committing, while the log election never consults it.
-		{"correlated-crash", 0, []int{0, 4}},
-		{"correlated-crash", 2, []int{0, 4}},
-		{"follower-crash", 2, []int{1}},
-		{"quorum-loss", 2, []int{0, 2}},
+		// bystander holder (site 4, outside the R=2 group), whom the
+		// election never consults.
+		{"correlated-crash", 2, []int{0, 4}, nil},
+		{"follower-crash", 2, []int{1}, nil},
+		// The leader dies and one of its two followers is cut off until
+		// 2 s: below the vote quorum nothing installs, and the segment is
+		// unavailable until the follower returns.
+		{"quorum-loss", 2, []int{0}, []int{2}},
 	}
 }
 
@@ -129,7 +128,7 @@ func replicationGrid() []replicationCell {
 // across the worker pool.
 func ReplicationSweep(perSite int) ReplicationSweepResult {
 	pts, replay := sweepReplayed(replicationGrid(), func(g replicationCell) ReplicationPoint {
-		return runReplicationPoint(g.name, g.replicas, perSite, failStops(g.crash...))
+		return runReplicationPoint(g.name, g.replicas, perSite, failStops(g.crash, g.returned))
 	})
 	return ReplicationSweepResult{Points: pts, ReplayMatches: replay}
 }

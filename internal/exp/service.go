@@ -24,23 +24,38 @@ import (
 // and the liveness invariant (every admitted request completes; queue
 // depth stays bounded). The ladder's knee — the first rung where the
 // service stops keeping up — is the headline number, with the first
-// SLO-violating rung (p99 over ServiceConfig.SLO) alongside it.
+// SLO-violating rung (p99 over storeSLO) alongside it.
 
 // serviceKey is the segment key base for shard segments; shard i uses
 // serviceKey+i.
 const serviceKey mem.Key = 0x5345 // "SE"
 
+// The store experiments' settings that no program varies (E19, E21, and
+// E23's service and affinity cells): the load streams' seed (E19's chaos
+// schedule's too), the store geometry, the service lanes per site and
+// their backlog bound, the per-request CPU charged before the store call,
+// and the p99 objective the findings report against — one second of
+// queueing headroom over a base service time of ~65 ms of 1989-vintage
+// page moves.
+const (
+	storeSeed          = 1
+	storeShards        = 8
+	storeSlotsPerShard = 32
+	// ServiceWorkers is the service lanes per site; the live ladder maps
+	// lane f to site f/ServiceWorkers, as the simulator does.
+	ServiceWorkers = 4
+	storeQueueCap  = 16
+	storeOpCost    = 500 * time.Microsecond
+	storeSLO       = time.Second
+	// serviceKeys is E19's keyspace: half the store's slot capacity.
+	serviceKeys = 128
+)
+
 // ServiceConfig parameterizes the E19 ladder.
 type ServiceConfig struct {
-	// Seed drives the load streams and any chaos schedule (default 1).
-	Seed int64
 	// Sites is the cluster size; shards spread their library sites
 	// round-robin across it (default 4).
 	Sites int
-	// Shards and SlotsPerShard fix the store geometry (defaults 8 and
-	// 32).
-	Shards        int
-	SlotsPerShard int
 	// Rates is the offered-load ladder in requests/second (default
 	// {25, 50, 100, 200, 400} — the simulated cluster's capacity is
 	// ~250 req/s, so the default ladder straddles its knee).
@@ -48,22 +63,8 @@ type ServiceConfig struct {
 	// Duration is each rung's offered window of virtual time (default
 	// 5s).
 	Duration time.Duration
-	// Workers is the per-site service concurrency (default 4).
-	Workers int
-	// QueueCap bounds each service lane's backlog (default 16).
-	QueueCap int
-	// Keys is the keyspace size (default 128 — half the store's slot
-	// capacity at the default geometry).
-	Keys int
 	// Skew is the key-popularity distribution (default SkewZipf).
 	Skew load.Skew
-	// OpCost is per-request CPU charged by a worker before the store
-	// call (default 500µs).
-	OpCost time.Duration
-	// SLO is the p99 objective the findings report against (default
-	// 1s — the base service time is ~65ms of 1989-vintage page moves,
-	// so the objective is one second of queueing headroom over it).
-	SLO time.Duration
 	// Chaos adds a second ladder under message drops and delays (with
 	// the reliability layer on, so the protocol retries through them).
 	Chaos bool
@@ -71,17 +72,8 @@ type ServiceConfig struct {
 
 // WithDefaults returns the config with zero fields defaulted.
 func (c ServiceConfig) WithDefaults() ServiceConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	if c.Sites == 0 {
 		c.Sites = 4
-	}
-	if c.Shards == 0 {
-		c.Shards = 8
-	}
-	if c.SlotsPerShard == 0 {
-		c.SlotsPerShard = 32
 	}
 	if len(c.Rates) == 0 {
 		c.Rates = []float64{25, 50, 100, 200, 400}
@@ -89,23 +81,8 @@ func (c ServiceConfig) WithDefaults() ServiceConfig {
 	if c.Duration == 0 {
 		c.Duration = 5 * time.Second
 	}
-	if c.Workers == 0 {
-		c.Workers = 4
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 16
-	}
-	if c.Keys == 0 {
-		c.Keys = 128
-	}
-	if c.Skew == 0 && c.Keys > 0 {
+	if c.Skew == 0 {
 		c.Skew = load.SkewZipf
-	}
-	if c.OpCost == 0 {
-		c.OpCost = 500 * time.Microsecond
-	}
-	if c.SLO == 0 {
-		c.SLO = time.Second
 	}
 	return c
 }
@@ -117,16 +94,16 @@ func (c ServiceConfig) WithDefaults() ServiceConfig {
 func (c ServiceConfig) Spec(rate float64) load.Spec {
 	c = c.WithDefaults()
 	return load.Spec{
-		Seed:      c.Seed,
+		Seed:      storeSeed,
 		Rate:      rate,
 		Duration:  c.Duration,
-		Frontends: c.Sites * c.Workers,
+		Frontends: c.Sites * ServiceWorkers,
 		Workers:   1,
-		QueueCap:  c.QueueCap,
-		Keys:      c.Keys,
+		QueueCap:  storeQueueCap,
+		Keys:      serviceKeys,
 		Skew:      c.Skew,
-		SLO:       c.SLO,
-		OpCost:    c.OpCost,
+		SLO:       storeSLO,
+		OpCost:    storeOpCost,
 	}
 }
 
@@ -136,7 +113,7 @@ func (c ServiceConfig) Spec(rate float64) load.Spec {
 // proc's mapped footprint is a direct per-wakeup CPU tax.
 func (c ServiceConfig) AppConfig() app.Config {
 	c = c.WithDefaults()
-	return app.Config{Shards: c.Shards, Sites: c.Sites, SlotsPerShard: c.SlotsPerShard, SlotSize: 64}
+	return app.Config{Shards: storeShards, Sites: c.Sites, SlotsPerShard: storeSlotsPerShard, SlotSize: 64}
 }
 
 // ServiceChaosPlan is the fault schedule the chaos ladder runs under:
@@ -275,7 +252,7 @@ const serviceSlack = 10 * time.Second
 // counters. This is the miragesim -workload service entry point.
 func RunService(c *ipc.Cluster, cfg ServiceConfig, rate float64, stats *app.Stats, o *obs.Obs) load.Rung {
 	cfg = cfg.WithDefaults()
-	return serve(c, cfg.AppConfig(), cfg.Spec(rate), cfg.Workers, nil, stats, o)
+	return serve(c, cfg.AppConfig(), cfg.Spec(rate), ServiceWorkers, nil, stats, o)
 }
 
 // serviceCluster is the cluster an E19 rung runs on: under the chaos
@@ -284,7 +261,7 @@ func serviceCluster(cfg ServiceConfig, withChaos bool) ipc.Config {
 	if !withChaos {
 		return ipc.Config{}
 	}
-	return ipc.Config{Chaos: ServiceChaosPlan(cfg.Seed), Engine: core.Options{Reliability: failoverRel()}}
+	return ipc.Config{Chaos: ServiceChaosPlan(storeSeed), Engine: core.Options{Reliability: failoverRel()}}
 }
 
 // serviceRung is one simulated E19 rung: its score, its store
@@ -299,7 +276,7 @@ type serviceRung struct {
 func serviceRungSim(cfg ServiceConfig, rate float64, withChaos bool) serviceRung {
 	var r serviceRung
 	r.Trace = simulate(cfg.Sites, serviceCluster(cfg, withChaos), func(c *ipc.Cluster) {
-		stats := app.NewStats(cfg.Shards)
+		stats := app.NewStats(storeShards)
 		r.Rung = RunService(c, cfg, rate, stats, nil)
 		r.App = stats.Total()
 	})
@@ -336,7 +313,7 @@ func ScoreLadder(transport string, withChaos bool, cfg ServiceConfig, rungs []lo
 	cfg = cfg.WithDefaults()
 	l := ServiceLadder{Transport: transport, Chaos: withChaos, Rungs: rungs}
 	l.Knee = load.Knee(rungs, cfg.Spec(0))
-	l.FirstSLO = load.FirstSLOViolation(rungs, cfg.SLO)
+	l.FirstSLO = load.FirstSLOViolation(rungs, storeSLO)
 	l.LivenessBelowKnee = true
 	end := len(rungs)
 	if l.Knee >= 0 {
@@ -406,10 +383,10 @@ func ServiceSweep(cfg ServiceConfig) ServiceSweepResult {
 func (r ServiceSweepResult) WriteFindings(w io.Writer) {
 	cfg := r.Config.WithDefaults()
 	fmt.Fprintf(w, "E19 — service saturation (seed %d, %d sites, %d shards, %s skew, %s rungs)\n",
-		cfg.Seed, cfg.Sites, cfg.Shards, cfg.Skew, cfg.Duration)
+		storeSeed, cfg.Sites, storeShards, cfg.Skew, cfg.Duration)
 	fmt.Fprintf(w, "Hypothesis: the session store on Mirage shows a clean saturation knee on an\n")
 	fmt.Fprintf(w, "open-loop rate ladder; below the knee every admitted request completes with\n")
-	fmt.Fprintf(w, "bounded queues (liveness), and the p99 SLO of %v breaks at or before the knee.\n", cfg.SLO)
+	fmt.Fprintf(w, "bounded queues (liveness), and the p99 SLO of %v breaks at or before the knee.\n", storeSLO)
 	for _, l := range r.Ladders {
 		name := l.Transport
 		if l.Chaos {
@@ -429,10 +406,10 @@ func (r ServiceSweepResult) WriteFindings(w io.Writer) {
 				time.Duration(l.Rungs[l.Knee-1].Latency.P99))
 		}
 		if l.FirstSLO < 0 {
-			fmt.Fprintf(w, "  SLO: p99 ≤ %v on every rung\n", cfg.SLO)
+			fmt.Fprintf(w, "  SLO: p99 ≤ %v on every rung\n", storeSLO)
 		} else {
 			fmt.Fprintf(w, "  SLO: first p99 > %v at rung %d (%.0f req/s, p99 %v)\n",
-				cfg.SLO, l.FirstSLO, l.Rungs[l.FirstSLO].Rate,
+				storeSLO, l.FirstSLO, l.Rungs[l.FirstSLO].Rate,
 				time.Duration(l.Rungs[l.FirstSLO].Latency.P99))
 		}
 		fmt.Fprintf(w, "  liveness below knee: %v\n", Verdict(l.LivenessBelowKnee))

@@ -107,7 +107,7 @@ func TestSpawnServiceOnCallerCluster(t *testing.T) {
 	cfg := ServiceConfig{Duration: 2 * time.Second}.WithDefaults()
 	o := obs.New()
 	c := ipc.NewCluster(cfg.Sites, ipc.Config{Engine: core.Options{Obs: o}})
-	stats := app.NewStats(cfg.Shards)
+	stats := app.NewStats(storeShards)
 	g := RunService(c, cfg, 25, stats, o)
 	if g.Completed == 0 || !g.LivenessOK {
 		t.Fatalf("unhealthy rung: %+v", g)

@@ -24,7 +24,7 @@ var statsCounters = map[string]obs.Counter{
 	"Reissued":  obs.CReissued,
 	"Failovers": obs.CFailover, "Recoveries": obs.CRecovery, "StaleEpoch": obs.CStaleEpoch,
 	"Migrations": obs.CMigration, "MigrationsRefused": obs.CMigrationRefused,
-	"Appends": obs.CAppend, "ReplCommits": obs.CReplCommit, "ReplDegraded": obs.CReplDegraded,
+	"Appends": obs.CAppend, "ReplCommits": obs.CReplCommit,
 	"Elections":  obs.CElect,
 	"DeltaGrows": obs.CDeltaGrow, "DeltaShrinks": obs.CDeltaShrink,
 }
@@ -74,8 +74,7 @@ func TestStatsIsAViewOfTheRegistry(t *testing.T) {
 		Chaos: plan,
 		Engine: core.Options{
 			Reliability: testRel(),
-			Failover:    &core.Failover{RecoverTimeout: 500 * time.Millisecond},
-			Replication: &core.Replication{Replicas: 2},
+			Failover:    &core.Failover{RecoverTimeout: 500 * time.Millisecond, Replicas: 2},
 			AutoDelta:   &core.AutoDelta{},
 			Obs:         o,
 		},

@@ -81,10 +81,9 @@ const (
 	// Placement layer: voluntary library migration.
 	CMigration
 	CMigrationRefused
-	// Replication layer: consensus-replicated library records.
+	// Replicated library records (the failover layer).
 	CAppend
 	CReplCommit
-	CReplDegraded
 	CElect
 	// AutoDelta controller: per-page closed-loop Δ adjustments.
 	CDeltaGrow
@@ -157,7 +156,6 @@ var counterNames = [...]string{
 	CMigrationRefused: "refused_migrations",
 	CAppend:           "appends",
 	CReplCommit:       "repl_commits",
-	CReplDegraded:     "repl_degraded",
 	CElect:            "elections",
 	CDeltaGrow:        "delta_grow",
 	CDeltaShrink:      "delta_shrink",

@@ -64,11 +64,10 @@ func TestSummaryReferenceView(t *testing.T) {
 		// Libraries move: a page's receipts are at the old site and at the
 		// new one, and both count.
 		"migration": record(4, ipc.Config{Engine: core.Options{
-			Reliability: &core.Reliability{}, Failover: &core.Failover{},
-			Placement: exp.MigrationConfig{}.Policy(),
+			Reliability: &core.Reliability{}, Placement: exp.MigrationConfig{}.Policy(),
 		}}, func(c *ipc.Cluster, o *obs.Obs) {
 			cfg := exp.MigrationConfig{Duration: 6 * time.Second, Rate: 150}.WithDefaults()
-			exp.RunAffinity(c, cfg, false, app.NewStats(cfg.Shards), o)
+			exp.RunAffinity(c, cfg, false, app.NewStats(cfg.AppConfig().Shards), o)
 		}),
 	}
 	for name, events := range traces {

@@ -86,16 +86,19 @@ const (
 // field defaults.
 type Reliability = core.Reliability
 
-// Failover configures library-site failover: when a segment's library
-// site stays unreachable past the reliability layer's retry budget, a
-// deterministic successor (the next live site by number) reconstructs
-// the library's page records by querying the surviving holders, bumps
-// the segment's library epoch — carried on every subsequent protocol
-// message and trace event, fencing the deposed library's stragglers —
-// and resumes granting. It brings Options.Reliability, whose give-up
-// verdict is its trigger. The zero value is usable: NewCluster fills in
-// the cluster size, and RecoverTimeout (the bound on waiting for holder
-// reports) defaults per core.Failover.
+// Failover configures library-site failover: each segment's library
+// mirrors every page-record mutation to the Replicas sites after it in
+// ID order before the mutation takes effect, and when the library stays
+// unreachable past the reliability layer's retry budget, a member of
+// that group bumps the segment's library epoch — carried on every
+// subsequent protocol message and trace event, fencing the deposed
+// library's stragglers — and installs the records from a vote quorum of
+// the group's logs. Below quorum nothing installs: the segment's
+// accesses fail with ErrUnreachable until enough of the group is back.
+// It brings Options.Reliability, whose give-up verdict is its trigger.
+// The zero value is usable: NewCluster fills in the cluster size and
+// Replicas = min(2, n−1), and RecoverTimeout defaults per
+// core.Failover. See docs/REPLICATION.md.
 type Failover = core.Failover
 
 // Placement configures voluntary library migration: each library site
@@ -103,23 +106,12 @@ type Failover = core.Failover
 // remote site dominates a window (and the runner-up is far enough
 // behind that the traffic is not ping-pong write sharing), hands the
 // library role to it using the same epoch-fenced handoff machinery as
-// failover — but with the page records transferred exactly instead of
-// reconstructed, since the outgoing library is alive and quiescent.
-// It brings Options.Failover (and so Reliability). The zero
-// value takes the defaults documented on core.Placement; see
+// failover — but with the page records transferred exactly, since the
+// outgoing library is alive and quiescent. With Failover also set, the
+// successor's epoch is granted by a vote of the old library's group.
+// The zero value takes the defaults documented on core.Placement; see
 // docs/PLACEMENT.md for the protocol and policy guidance.
 type Placement = core.Placement
-
-// Replication configures consensus-replicated library records: each
-// segment's library mirrors every page-record mutation to the Replicas
-// sites after it in ID order before the mutation is acknowledged, so a
-// library-site crash is survived by electing a follower that installs
-// the record from its replicated log — no cluster-wide holder
-// interrogation, no reconstruction pause. It brings Options.Failover
-// (and so Reliability); when the follower quorum is lost the
-// takeover falls back to failover's holder rebuild. NewCluster fills in
-// the cluster size. See docs/REPLICATION.md.
-type Replication = core.Replication
 
 // AutoDelta configures the built-in per-page closed-loop Δ controller:
 // the library watches each page's denial signals (count and
@@ -196,8 +188,8 @@ var (
 	ErrTooManySites = mmu.ErrTooManySites
 	// ErrInvalidOptions is what every error of NewCluster's option
 	// checks wraps: a size outside [1, MaxSites], a negative Delta or page
-	// size, a negative or inverted AutoDelta band, Replicas outside
-	// [0, n), DebugAddr without Obs, Check without a tracer.
+	// size, a negative or inverted AutoDelta band, Failover.Replicas
+	// outside [0, n), DebugAddr without Obs, Check without a tracer.
 	ErrInvalidOptions = core.ErrInvalidOptions
 )
 
@@ -239,21 +231,17 @@ type Options struct {
 	// paper-faithful engine, which assumes a lossless ordered fabric.
 	Reliability *Reliability
 	// Failover, when non-nil, enables library-site failover on top of
-	// the ARQ layer: segments survive a library-site crash by electing
-	// a successor that rebuilds the page records from surviving
-	// holders. It brings Reliability. &Failover{} takes the defaults.
+	// the ARQ layer: every segment's records are replicated to a small
+	// group of follower sites, and a library-site crash is survived by
+	// electing a group member that installs them from a vote quorum of
+	// the group's logs. It brings Reliability. &Failover{} takes the
+	// defaults.
 	Failover *Failover
-	// Placement, when non-nil, enables voluntary library migration on
-	// top of failover: a segment's library follows its demand, rehoming
-	// itself to a site that dominates the request stream. It brings
-	// Failover. &Placement{} takes the defaults.
+	// Placement, when non-nil, enables voluntary library migration: a
+	// segment's library follows its demand, rehoming itself to a site
+	// that dominates the request stream. &Placement{} takes the
+	// defaults.
 	Placement *Placement
-	// Replication, when non-nil with Replicas > 0, replicates each
-	// segment's library record to follower sites ahead of every
-	// acknowledged mutation, making library takeover pauseless (the
-	// elected follower installs from its log instead of rebuilding from
-	// holders). It brings Failover. &Replication{Replicas: 2} is typical.
-	Replication *Replication
 	// AutoDelta, when non-nil, lets each segment's library tune every
 	// page's Δ online instead of granting the fixed Options.Delta: the
 	// closed loop starts from Delta (clamped into the controller's

@@ -23,7 +23,7 @@ func simCluster(n int, o Options) (c *ipc.Cluster, err error) {
 	}()
 	return ipc.NewCluster(n, ipc.Config{Delta: o.Delta, Chaos: o.Chaos, Engine: core.Options{
 		Policy: o.Policy, Reliability: o.Reliability, Failover: o.Failover, Placement: o.Placement,
-		Replication: o.Replication, AutoDelta: o.AutoDelta, InvalFanout: o.InvalFanout, Obs: o.Obs,
+		AutoDelta: o.AutoDelta, InvalFanout: o.InvalFanout, Obs: o.Obs,
 	}}), nil
 }
 
@@ -123,8 +123,8 @@ func TestClusterOptionsContract(t *testing.T) {
 		{name: "inverted AutoDelta band", n: 2,
 			opts: Options{AutoDelta: &AutoDelta{Min: 20 * time.Millisecond, Max: 10 * time.Millisecond}}},
 		{name: "AutoDelta.Min above the default Max", n: 2, opts: Options{AutoDelta: &AutoDelta{Min: time.Hour}}},
-		{name: "negative Replicas", n: 3, opts: Options{Replication: &Replication{Replicas: -1}}},
-		{name: "Replicas = sites", n: 3, opts: Options{Replication: &Replication{Replicas: 3}}},
+		{name: "negative Replicas", n: 3, opts: Options{Failover: &Failover{Replicas: -1}}},
+		{name: "Replicas = sites", n: 3, opts: Options{Failover: &Failover{Replicas: 3}}},
 		{name: "negative page size", n: 2, opts: Options{PageSize: -512}, liveOnly: true},
 		{name: "DebugAddr without Obs", n: 2, opts: Options{DebugAddr: "127.0.0.1:0"}, liveOnly: true},
 		{name: "Check without Obs", n: 2, opts: Options{Check: true}, liveOnly: true},
@@ -170,8 +170,7 @@ func TestClusterOptionsContract(t *testing.T) {
 		opts Options
 	}{
 		{"Failover brings Reliability", Options{Failover: &Failover{}}},
-		{"Placement brings Failover", Options{Placement: &Placement{}}},
-		{"Replication brings Failover", Options{Replication: &Replication{Replicas: 1}}},
+		{"Failover with Replicas brings Reliability", Options{Failover: &Failover{Replicas: 1}}},
 		{"a chaos plan brings Reliability", Options{Chaos: lossy}},
 	} {
 		t.Run("brings/"+tc.name, func(t *testing.T) {

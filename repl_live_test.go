@@ -14,8 +14,8 @@ import (
 // writes across a two-page segment (every access needs a fresh library
 // cycle, so the replicated log is appended to continuously) while the
 // injector fail-stops the leader mid-load. A survivor's next request
-// must elect a follower that installs from its log tail — not the
-// KRecover holder rebuild — service must resume for both sites, and the
+// must elect a follower that installs from its log tail, service must
+// resume for both sites, and the
 // wall-clock trace must verify coherent, including the log-prefix and
 // acked-append-lost invariants the replication events feed.
 func TestLiveReplicatedTakeoverUnderLoad(t *testing.T) {
@@ -34,10 +34,9 @@ func TestLiveReplicatedTakeoverUnderLoad(t *testing.T) {
 			MaxBackoff:  40 * time.Millisecond,
 			MaxAttempts: 6,
 		},
-		Failover:    &Failover{},
-		Replication: &Replication{Replicas: 2},
-		Obs:         NewObs(),
-		Check:       true,
+		Failover: &Failover{Replicas: 2},
+		Obs:      NewObs(),
+		Check:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
