@@ -10,15 +10,17 @@
 // only the starting point: with voluntary migration enabled
 // (mirage.Options.Placement) a shard's library follows its demand.
 //
-// Layout: a shard segment begins with one header page (magic, geometry,
-// and the shard's writer lock byte), followed by a contiguous array of
-// fixed-size record slots. SlotSize divides PageSize, so a slot never
-// crosses a page: a one-call ReadAt or WriteAt of a slot is atomic
-// under the protocol's page-granularity single-writer rule, which is
-// what makes lock-free Gets safe. Mutations (Put/Delete/CAS) serialize
-// per shard on the header lock via the interlocked TestAndSet the
-// paper studies in §7.2 — expensive across sites, which is precisely
-// the per-shard hotspot the obs counters are there to show.
+// Layout: a shard segment begins with one header page (magic and
+// geometry), followed by a contiguous array of fixed-size record slots,
+// each ending in its own writer lock byte. SlotSize divides PageSize, so a
+// slot never crosses a page: a one-call ReadAt or WriteAt of a slot is
+// atomic under the protocol's page-granularity single-writer rule,
+// which is what makes lock-free Gets safe. Mutations (Put/Delete/CAS)
+// of a key serialize on the lock of its home slot via the interlocked
+// TestAndSet the paper studies in §7.2; that TestAndSet is the fault
+// that brings the page the mutation writes, so a cross-site Put costs
+// one fault. An insert into another free slot also takes that slot's
+// lock.
 //
 // Keys hash with FNV-1a 64: the low digits pick the shard, the high
 // digits the home slot; collisions probe linearly with tombstones, so
@@ -39,7 +41,7 @@ import (
 // mirage.Segment (live clusters) and ipc.Shm (the simulator) satisfy
 // it. ReadAt/WriteAt spans within one page are atomic with respect to
 // the coherence protocol; TestAndSet/Clear are the interlocked byte
-// operations backing the shard lock.
+// operations backing the slot locks.
 type Segment interface {
 	ReadAt(b []byte, off int) error
 	WriteAt(b []byte, off int) error
@@ -57,17 +59,17 @@ var (
 	ErrShardFull = errors.New("app: shard full")
 	// ErrTooLarge reports a key or value that cannot fit a slot.
 	ErrTooLarge = errors.New("app: key+value exceed slot capacity")
-	// ErrShardBusy reports a mutation that could not take the shard
-	// lock within the retry budget (a crashed or wedged lock holder).
-	ErrShardBusy = errors.New("app: shard lock busy")
+	// ErrShardBusy reports a mutation that could not take a slot lock
+	// within the retry budget (a crashed or wedged lock holder).
+	ErrShardBusy = errors.New("app: slot lock busy")
 	// ErrCorrupt reports a shard whose header does not carry the
 	// expected magic and geometry.
 	ErrCorrupt = errors.New("app: shard header corrupt")
 )
 
 // Magic is the value at byte 0 of every formatted shard (little
-// endian): "MKV1".
-const Magic uint32 = 0x31564B4D
+// endian): "MKV2", the layout with a lock byte in every slot.
+const Magic uint32 = 0x32564B4D
 
 // Header page layout (byte offsets within page 0 of a shard segment).
 const (
@@ -75,11 +77,12 @@ const (
 	hdrShard    = 4  // uint32: shard index
 	hdrSlots    = 8  // uint32: slot count
 	hdrSlotSize = 12 // uint32: slot size in bytes
-	hdrLock     = 16 // byte: shard writer lock (TestAndSet/Clear)
-	hdrBytes    = 17
+	hdrBytes    = 16
 )
 
-// Slot layout (byte offsets within a slot).
+// Slot layout (byte offsets within a slot). The record is bytes
+// [0, SlotSize-1); the slot's last byte is its writer lock (lockOff),
+// never written with the record.
 const (
 	slotState = 0 // byte: slot state
 	slotKLen  = 1 // byte: key length
@@ -116,7 +119,7 @@ type Config struct {
 	// SlotsPerShard is the record capacity of each shard (default 64).
 	SlotsPerShard int
 	// SlotSize is the fixed record slot size in bytes; must divide
-	// PageSize (default 128). Capacity per record is SlotSize-8 bytes
+	// PageSize (default 128). Capacity per record is SlotSize-9 bytes
 	// of key+value.
 	SlotSize int
 }
@@ -150,8 +153,8 @@ func (c Config) Validate() error {
 	if c.SlotsPerShard < 1 {
 		return fmt.Errorf("app: SlotsPerShard %d below 1", c.SlotsPerShard)
 	}
-	if c.SlotSize < slotHdr+2 {
-		return fmt.Errorf("app: SlotSize %d below minimum %d", c.SlotSize, slotHdr+2)
+	if c.SlotSize < slotHdr+3 {
+		return fmt.Errorf("app: SlotSize %d below minimum %d", c.SlotSize, slotHdr+3)
 	}
 	if c.PageSize%c.SlotSize != 0 {
 		return fmt.Errorf("app: SlotSize %d does not divide PageSize %d", c.SlotSize, c.PageSize)
@@ -230,11 +233,17 @@ func (c Config) slotOff(i int) int {
 	return c.PageSize + i*c.SlotSize
 }
 
+// lockOff returns the byte offset of slot i's writer lock, its last
+// byte.
+func (c Config) lockOff(i int) int {
+	return c.slotOff(i) + c.SlotSize - 1
+}
+
 // MaxValue returns the largest value the store can hold for a key of
 // length klen (0 when the key itself cannot fit).
 func (c Config) MaxValue(klen int) int {
 	c = c.WithDefaults()
-	n := c.SlotSize - slotHdr - klen
+	n := c.SlotSize - 1 - slotHdr - klen
 	if n < 0 || klen > 255 {
 		return 0
 	}

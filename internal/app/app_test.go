@@ -127,6 +127,14 @@ func TestCheckShardRejects(t *testing.T) {
 	if err := CheckShard(seg, other, 3); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("geometry mismatch: got %v, want ErrCorrupt", err)
 	}
+	// A shard in the old layout, whose writer lock sat in the header
+	// and whose slots have no lock byte, is refused.
+	if err := seg.WriteAt([]byte("MKV1"), hdrMagic); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckShard(seg, cfg, 3); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("MKV1 header: got %v, want ErrCorrupt", err)
+	}
 }
 
 func TestCRUD(t *testing.T) {
@@ -267,8 +275,20 @@ func TestTooLarge(t *testing.T) {
 	if err := st.Put(nil, []byte("v")); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("empty key: %v", err)
 	}
-	if st.Config().MaxValue(1) != st.Config().SlotSize-slotHdr-1 {
-		t.Fatalf("MaxValue: %d", st.Config().MaxValue(1))
+	// A one-byte key leaves the slot less its header, the key and the
+	// lock byte; a value of exactly that size fits.
+	max := st.Config().MaxValue(1)
+	if max != st.Config().SlotSize-slotHdr-2 {
+		t.Fatalf("MaxValue: %d", max)
+	}
+	if err := st.Put([]byte("k"), bytes.Repeat([]byte("x"), max+1)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("value one byte over MaxValue: %v", err)
+	}
+	if err := st.Put([]byte("k"), bytes.Repeat([]byte("x"), max)); err != nil {
+		t.Fatalf("value of MaxValue bytes: %v", err)
+	}
+	if v, err := st.Get([]byte("k")); err != nil || len(v) != max {
+		t.Fatalf("get of MaxValue bytes: %d bytes, %v", len(v), err)
 	}
 }
 
@@ -376,8 +396,8 @@ func TestLockContention(t *testing.T) {
 func TestShardBusyOnWedgedLock(t *testing.T) {
 	var slept []time.Duration
 	st := newTestStoreOpt(t, Config{Shards: 1}, Options{Sleep: func(d time.Duration) { slept = append(slept, d) }})
-	// Wedge the lock as a crashed holder would.
-	if _, err := st.segs[0].TestAndSet(hdrLock); err != nil {
+	// Wedge the key's home-slot lock as a crashed holder would.
+	if _, err := st.segs[0].TestAndSet(st.cfg.lockOff(st.cfg.homeSlot([]byte("k")))); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Put([]byte("k"), []byte("v")); !errors.Is(err, ErrShardBusy) {
@@ -433,5 +453,110 @@ func TestStatsAttribution(t *testing.T) {
 	}
 	if st.Stats().Digest() == "" {
 		t.Fatal("empty digest")
+	}
+}
+
+// hookSeg runs before once, just ahead of the first TestAndSet of off.
+type hookSeg struct {
+	Segment
+	off    int
+	before func()
+}
+
+func (h *hookSeg) TestAndSet(off int) (byte, error) {
+	if f := h.before; off == h.off && f != nil {
+		h.before = nil
+		f()
+	}
+	return h.Segment.TestAndSet(off)
+}
+
+// An insert locks its target slot after the probe chose it. When
+// another key fills that slot in between, the insert must read the slot
+// again under its lock and probe on, or it overwrites the other record.
+func TestInsertRechecksTargetSlot(t *testing.T) {
+	cfg := Config{Shards: 1, SlotsPerShard: 8, SlotSize: 64}.WithDefaults()
+	other := newTestStore(t, cfg)
+	keyAt := func(home int, not string) []byte { return keyHomedAt(cfg, home, not) }
+	// x takes slot 2; a, homed there too, probes on to slot 3, which b
+	// (homed at 3) fills between a's probe and a's lock of slot 3.
+	x, b := keyAt(2, ""), keyAt(3, "")
+	a := keyAt(2, string(x))
+	if err := other.Put(x, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	seg := &hookSeg{Segment: other.segs[0], off: cfg.lockOff(3), before: func() {
+		if err := other.Put(b, []byte("b")); err != nil {
+			t.Error(err)
+		}
+	}}
+	st, err := New(cfg, []Segment{seg}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(a, []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if seg.before != nil {
+		t.Fatal("the insert never locked slot 3")
+	}
+	for k, want := range map[string]string{string(x): "x", string(a): "a", string(b): "b"} {
+		if v, err := st.Get([]byte(k)); err != nil || string(v) != want {
+			t.Errorf("key %s: %q, %v; want %q", k, v, err, want)
+		}
+	}
+}
+
+// keyHomedAt returns the first key "k<i>" other than not whose home
+// slot is home.
+func keyHomedAt(cfg Config, home int, not string) []byte {
+	for i := 0; ; i++ {
+		if k := []byte(fmt.Sprintf("k%d", i)); cfg.homeSlot(k) == home && string(k) != not {
+			return k
+		}
+	}
+}
+
+// An insert that finds its target slot's lock held backs off holding no
+// lock. Were it to wait holding its home slot's lock, an insert holding
+// the target and wanting that home slot would deadlock against it until
+// both budgets ran out.
+func TestInsertBacksOffHoldingNoLock(t *testing.T) {
+	cfg := Config{Shards: 1, SlotsPerShard: 8, SlotSize: 64}.WithDefaults()
+	var st *Store
+	sleeps := 0
+	st = newTestStoreOpt(t, cfg, Options{Sleep: func(time.Duration) {
+		sleeps++
+		old, err := st.segs[0].TestAndSet(cfg.lockOff(2))
+		if err != nil || old != 0 {
+			t.Fatalf("backing off with the home slot's lock held (%d, %v)", old, err)
+		}
+		st.unlock(0, 2)
+		st.unlock(0, 3) // the other insert lets go of slot 3
+	}})
+	// x takes slot 2; a, homed there too, inserts into slot 3, whose
+	// lock another insert holds.
+	x := keyHomedAt(cfg, 2, "")
+	a := keyHomedAt(cfg, 2, string(x))
+	if err := st.Put(x, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.segs[0].TestAndSet(cfg.lockOff(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(a, []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if sleeps != 1 || st.Stats().Total().Conflicts != 1 {
+		t.Fatalf("%d backoffs, %d conflicts; want 1 and 1", sleeps, st.Stats().Total().Conflicts)
+	}
+	// Two inserts, two misses: the retried one counts its probe once.
+	if c := st.Stats().Total(); c.Misses != 2 || c.Hits != 0 {
+		t.Fatalf("hits %d, misses %d; want 0 and 2", c.Hits, c.Misses)
+	}
+	for k, want := range map[string]string{string(x): "x", string(a): "a"} {
+		if v, err := st.Get([]byte(k)); err != nil || string(v) != want {
+			t.Errorf("key %s: %q, %v; want %q", k, v, err, want)
+		}
 	}
 }

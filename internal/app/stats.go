@@ -7,8 +7,8 @@ import (
 )
 
 // ShardCounters is one shard's operation attribution. All fields are
-// cumulative; Conflicts counts shard-lock collisions (a TestAndSet
-// that found the lock held) plus CAS value mismatches — the store's
+// cumulative; Conflicts counts slot-lock collisions (a TestAndSet
+// that found a slot's lock held) plus CAS value mismatches — the store's
 // contention signal, the application-level analogue of the protocol's
 // Δ-denial counter.
 type ShardCounters struct {
@@ -32,10 +32,11 @@ func (s ShardCounters) Add(o ShardCounters) ShardCounters {
 
 // shardCell is the atomic backing of one shard's counters.
 type shardCell struct {
-	gets, puts, deletes, cases atomic.Int64
-	hits, misses               atomic.Int64
-	conflicts                  atomic.Int64
-	errors                     atomic.Int64
+	gets         atomic.Int64
+	muts         [3]atomic.Int64 // puts, deletes, CASes: by opPut, opDelete, opCAS
+	hits, misses atomic.Int64
+	conflicts    atomic.Int64
+	errors       atomic.Int64
 }
 
 // Stats is the per-shard counter table for one store. Frontends on the
@@ -56,7 +57,7 @@ func NewStats(shards int) *Stats {
 func (st *Stats) Shard(i int) ShardCounters {
 	c := &st.shards[i]
 	return ShardCounters{
-		Gets: c.gets.Load(), Puts: c.puts.Load(), Deletes: c.deletes.Load(), CASes: c.cases.Load(),
+		Gets: c.gets.Load(), Puts: c.muts[opPut].Load(), Deletes: c.muts[opDelete].Load(), CASes: c.muts[opCAS].Load(),
 		Hits: c.hits.Load(), Misses: c.misses.Load(),
 		Conflicts: c.conflicts.Load(), Errors: c.errors.Load(),
 	}

@@ -2,6 +2,7 @@ package app
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"time"
 
@@ -101,13 +102,21 @@ func parseSlot(buf []byte) record {
 	}
 }
 
-// op wraps an operation with latency and op-count accounting.
-func (s *Store) op(shard int) func() {
-	start := s.now()
-	return func() {
-		s.o.Observe(obs.HAppOpLatency, int64(s.now()-start))
-		s.o.Count(s.site, obs.CAppOp)
+// begin and end time and count one op, and read the clock only when
+// there is an Obs to take the sample: `defer s.end(s.begin())`.
+func (s *Store) begin() time.Duration {
+	if s.o == nil {
+		return 0
 	}
+	return s.now()
+}
+
+func (s *Store) end(start time.Duration) {
+	if s.o == nil {
+		return
+	}
+	s.o.Observe(obs.HAppOpLatency, int64(s.now()-start))
+	s.o.Count(s.site, obs.CAppOp)
 }
 
 // probe scans the key's shard linearly from its home slot, the whole
@@ -159,7 +168,7 @@ func (s *Store) Get(key []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer s.op(shard)()
+	defer s.end(s.begin())
 	sc := &s.stats.shards[shard]
 	sc.gets.Add(1)
 	buf := make([]byte, s.cfg.SlotSize)
@@ -168,13 +177,9 @@ func (s *Store) Get(key []byte) ([]byte, error) {
 		sc.errors.Add(1)
 		return nil, fmt.Errorf("app: get shard %d: %w", shard, err)
 	}
-	if !found {
-		sc.misses.Add(1)
-		s.o.Count(s.site, obs.CAppMiss)
+	if !s.hit(shard, found) {
 		return nil, ErrNoKey
 	}
-	sc.hits.Add(1)
-	s.o.Count(s.site, obs.CAppHit)
 	val := make([]byte, rec.vlen)
 	copy(val, buf[slotHdr+rec.klen:slotHdr+rec.klen+rec.vlen])
 	return val, nil
@@ -183,78 +188,14 @@ func (s *Store) Get(key []byte) ([]byte, error) {
 // Put stores the value under key, inserting or updating in place. The
 // record's sequence number advances by one on every rewrite.
 func (s *Store) Put(key, val []byte) error {
-	shard, err := s.checkKey(key, val)
-	if err != nil {
-		return err
-	}
-	defer s.op(shard)()
-	sc := &s.stats.shards[shard]
-	sc.puts.Add(1)
-	if err := s.lock(shard); err != nil {
-		sc.errors.Add(1)
-		return err
-	}
-	defer s.unlock(shard)
-	buf := make([]byte, s.cfg.SlotSize)
-	idx, rec, found, free, err := s.probe(shard, key, buf)
-	if err != nil {
-		sc.errors.Add(1)
-		return fmt.Errorf("app: put shard %d: %w", shard, err)
-	}
-	seq := uint32(1)
-	if found {
-		seq = rec.seq + 1
-		free = idx
-		sc.hits.Add(1)
-		s.o.Count(s.site, obs.CAppHit)
-	} else {
-		sc.misses.Add(1)
-		s.o.Count(s.site, obs.CAppMiss)
-		if free == -1 {
-			sc.errors.Add(1)
-			return fmt.Errorf("%w: shard %d", ErrShardFull, shard)
-		}
-	}
-	s.fillSlot(buf, key, val, seq)
-	if err := s.segs[shard].WriteAt(buf, s.cfg.slotOff(free)); err != nil {
-		sc.errors.Add(1)
-		return fmt.Errorf("app: put shard %d: %w", shard, err)
-	}
-	return nil
+	_, err := s.mutate(opPut, key, nil, val)
+	return err
 }
 
 // Delete removes the key, leaving a tombstone; ErrNoKey when absent.
 func (s *Store) Delete(key []byte) error {
-	shard, err := s.checkKey(key, nil)
-	if err != nil {
-		return err
-	}
-	defer s.op(shard)()
-	sc := &s.stats.shards[shard]
-	sc.deletes.Add(1)
-	if err := s.lock(shard); err != nil {
-		sc.errors.Add(1)
-		return err
-	}
-	defer s.unlock(shard)
-	buf := make([]byte, s.cfg.SlotSize)
-	idx, _, found, _, err := s.probe(shard, key, buf)
-	if err != nil {
-		sc.errors.Add(1)
-		return fmt.Errorf("app: delete shard %d: %w", shard, err)
-	}
-	if !found {
-		sc.misses.Add(1)
-		s.o.Count(s.site, obs.CAppMiss)
-		return ErrNoKey
-	}
-	sc.hits.Add(1)
-	s.o.Count(s.site, obs.CAppHit)
-	if err := s.segs[shard].WriteAt([]byte{SlotTomb}, s.cfg.slotOff(idx)+slotState); err != nil {
-		sc.errors.Add(1)
-		return fmt.Errorf("app: delete shard %d: %w", shard, err)
-	}
-	return nil
+	_, err := s.mutate(opDelete, key, nil, nil)
+	return err
 }
 
 // CAS conditionally replaces the key's value: when old is nil the key
@@ -262,56 +203,139 @@ func (s *Store) Delete(key []byte) error {
 // must equal old. It reports whether the swap landed; a false return
 // with nil error is a value conflict (counted per shard).
 func (s *Store) CAS(key, old, val []byte) (swapped bool, err error) {
+	return s.mutate(opCAS, key, old, val)
+}
+
+// The three mutations, which index shardCell.muts.
+const (
+	opPut = iota
+	opDelete
+	opCAS
+)
+
+var opNames = [...]string{opPut: "put", opDelete: "delete", opCAS: "cas"}
+
+// mutate runs one Put, Delete or CAS under the lock of the key's home
+// slot, which serializes every mutation of the key. Only those can free
+// the key's slot, so an update or a delete writes the slot the probe
+// found with no further lock; an insert into a free slot other than
+// the home slot takes that slot's lock as well (claim). Taking the home
+// lock faults the home page in writable, so a probe that stays on that
+// page, the record write and the unlock are all hits.
+//
+// A mutation never waits for a lock while it holds one: a collision on
+// either lock releases what it holds, counts a conflict and backs off,
+// lockBackoff after the first and doubling up to 64×, for lockRetries
+// tries. Exhausting the budget returns ErrShardBusy rather than
+// spinning forever, so a crashed lock holder degrades its keys instead
+// of hanging their clients.
+func (s *Store) mutate(op int, key, old, val []byte) (bool, error) {
 	shard, err := s.checkKey(key, val)
 	if err != nil {
 		return false, err
 	}
-	defer s.op(shard)()
+	defer s.end(s.begin())
 	sc := &s.stats.shards[shard]
-	sc.cases.Add(1)
-	if err := s.lock(shard); err != nil {
-		sc.errors.Add(1)
+	sc.muts[op].Add(1)
+	backoff := lockBackoff
+	for i := 0; i < lockRetries; i++ {
+		ok, err := s.mutateLocked(op, shard, key, old, val)
+		switch {
+		case err == errHeld:
+			sc.conflicts.Add(1)
+			s.o.Count(s.site, obs.CAppConflict)
+			s.sleep(backoff)
+			backoff = min(2*backoff, 64*lockBackoff)
+		case err != nil && !errors.Is(err, ErrNoKey):
+			sc.errors.Add(1)
+			return false, fmt.Errorf("app: %s shard %d: %w", opNames[op], shard, err)
+		default:
+			return ok, err
+		}
+	}
+	sc.errors.Add(1)
+	return false, fmt.Errorf("%w: %s shard %d", ErrShardBusy, opNames[op], shard)
+}
+
+func (s *Store) mutateLocked(op, shard int, key, old, val []byte) (bool, error) {
+	home := s.cfg.homeSlot(key)
+	if err := s.tryLock(shard, home); err != nil {
 		return false, err
 	}
-	defer s.unlock(shard)
+	defer s.unlock(shard, home)
 	buf := make([]byte, s.cfg.SlotSize)
 	idx, rec, found, free, err := s.probe(shard, key, buf)
 	if err != nil {
-		sc.errors.Add(1)
-		return false, fmt.Errorf("app: cas shard %d: %w", shard, err)
+		return false, err
 	}
 	seq := uint32(1)
-	switch {
-	case !found && old == nil:
-		// Compare-and-create.
-		sc.misses.Add(1)
-		s.o.Count(s.site, obs.CAppMiss)
-		if free == -1 {
-			sc.errors.Add(1)
-			return false, fmt.Errorf("%w: shard %d", ErrShardFull, shard)
-		}
-	case !found:
-		sc.misses.Add(1)
-		s.o.Count(s.site, obs.CAppMiss)
-		return false, ErrNoKey
-	default:
-		sc.hits.Add(1)
-		s.o.Count(s.site, obs.CAppHit)
-		cur := buf[slotHdr+rec.klen : slotHdr+rec.klen+rec.vlen]
-		if old == nil || !bytes.Equal(cur, old) {
-			sc.conflicts.Add(1)
-			s.o.Count(s.site, obs.CAppConflict)
-			return false, nil
-		}
+	if found {
 		seq = rec.seq + 1
-		free = idx
+	} else if op == opPut || op == opCAS && old == nil {
+		// An insert. A collision on the target slot's lock returns
+		// before the probe is counted, so the retried op counts once.
+		if idx, err = s.claim(shard, home, free, key, buf); err == errHeld {
+			return false, err
+		}
+		if err == nil && idx != home {
+			defer s.unlock(shard, idx)
+		}
+	}
+	s.hit(shard, found)
+	switch {
+	case err != nil:
+		return false, err
+	case !found && (op == opDelete || op == opCAS && old != nil):
+		return false, ErrNoKey
+	case op == opCAS && found && (old == nil || !bytes.Equal(buf[slotHdr+rec.klen:slotHdr+rec.klen+rec.vlen], old)):
+		s.stats.shards[shard].conflicts.Add(1)
+		s.o.Count(s.site, obs.CAppConflict)
+		return false, nil
+	case op == opDelete:
+		return true, s.segs[shard].WriteAt([]byte{SlotTomb}, s.cfg.slotOff(idx)+slotState)
 	}
 	s.fillSlot(buf, key, val, seq)
-	if err := s.segs[shard].WriteAt(buf, s.cfg.slotOff(free)); err != nil {
-		sc.errors.Add(1)
-		return false, fmt.Errorf("app: cas shard %d: %w", shard, err)
+	return true, s.segs[shard].WriteAt(buf[:s.cfg.SlotSize-1], s.cfg.slotOff(idx))
+}
+
+// claim returns a free slot to insert the key into, locked: the home
+// slot, whose lock the caller holds, or free slot t under its own lock.
+// Another key may fill t between the probe and the lock, so t is read
+// again under its lock and the probe runs again when t is taken. A
+// held lock on t returns errHeld rather than waiting for it.
+func (s *Store) claim(shard, home, t int, key, buf []byte) (int, error) {
+	for t != home {
+		if t == -1 {
+			return -1, ErrShardFull
+		}
+		if err := s.tryLock(shard, t); err != nil {
+			return -1, err
+		}
+		err := s.segs[shard].ReadAt(buf[:slotHdr], s.cfg.slotOff(t))
+		if err == nil && buf[slotState] != SlotLive {
+			return t, nil
+		}
+		s.unlock(shard, t)
+		if err != nil {
+			return -1, err
+		}
+		if _, _, _, t, err = s.probe(shard, key, buf); err != nil {
+			return -1, err
+		}
 	}
-	return true, nil
+	return t, nil
+}
+
+// hit counts a probe's outcome as a hit or a miss and returns found.
+func (s *Store) hit(shard int, found bool) bool {
+	if found {
+		s.stats.shards[shard].hits.Add(1)
+		s.o.Count(s.site, obs.CAppHit)
+	} else {
+		s.stats.shards[shard].misses.Add(1)
+		s.o.Count(s.site, obs.CAppMiss)
+	}
+	return found
 }
 
 // Seq returns the key's current record sequence number (0 when
@@ -331,14 +355,15 @@ func (s *Store) Seq(key []byte) (uint32, error) {
 
 // checkKey validates sizes and resolves the shard.
 func (s *Store) checkKey(key, val []byte) (int, error) {
-	if len(key) == 0 || len(key) > 255 || slotHdr+len(key)+len(val) > s.cfg.SlotSize {
+	if len(key) == 0 || len(key) > 255 || slotHdr+len(key)+len(val) > s.cfg.SlotSize-1 {
 		return 0, fmt.Errorf("%w: key %d val %d bytes into %d-byte slots",
 			ErrTooLarge, len(key), len(val), s.cfg.SlotSize)
 	}
 	return s.cfg.ShardOf(key), nil
 }
 
-// fillSlot serializes a live record into buf (len SlotSize).
+// fillSlot serializes a live record into buf (len SlotSize); the lock
+// byte, the last, stays zero and is never written with the record.
 func (s *Store) fillSlot(buf, key, val []byte, seq uint32) {
 	for i := range buf {
 		buf[i] = 0
@@ -351,44 +376,34 @@ func (s *Store) fillSlot(buf, key, val []byte, seq uint32) {
 	copy(buf[slotHdr+len(key):], val)
 }
 
-// The shard lock's retry budget: lockRetries attempts, sleeping
+// The slot locks' retry budget: lockRetries attempts, sleeping
 // lockBackoff after the first collision and doubling up to 64×.
 const (
 	lockRetries = 64
 	lockBackoff = 100 * time.Microsecond
 )
 
-// lock takes the shard's writer lock: the §7.2 interlocked TestAndSet
-// on the header page, with exponential-backoff retries. Every
-// collision counts as a conflict; exhausting the budget returns
-// ErrShardBusy rather than spinning forever, so a crashed lock holder
-// degrades the shard instead of hanging its clients.
-func (s *Store) lock(shard int) error {
-	seg := s.segs[shard]
-	sc := &s.stats.shards[shard]
-	backoff := lockBackoff
-	for i := 0; i < lockRetries; i++ {
-		old, err := seg.TestAndSet(hdrLock)
-		if err != nil {
-			return fmt.Errorf("app: lock shard %d: %w", shard, err)
-		}
-		if old == 0 {
-			return nil
-		}
-		sc.conflicts.Add(1)
-		s.o.Count(s.site, obs.CAppConflict)
-		s.sleep(backoff)
-		if backoff < 64*lockBackoff {
-			backoff *= 2
-		}
+// errHeld reports a slot lock another mutation holds.
+var errHeld = errors.New("app: slot lock held")
+
+// tryLock makes one attempt at a slot's writer lock: the §7.2
+// interlocked TestAndSet on the slot's lock byte. It returns errHeld
+// when the lock is taken.
+func (s *Store) tryLock(shard, slot int) error {
+	old, err := s.segs[shard].TestAndSet(s.cfg.lockOff(slot))
+	if err != nil {
+		return fmt.Errorf("lock slot %d: %w", slot, err)
 	}
-	return fmt.Errorf("%w: shard %d", ErrShardBusy, shard)
+	if old != 0 {
+		return errHeld
+	}
+	return nil
 }
 
-// unlock releases the shard lock.
-func (s *Store) unlock(shard int) {
+// unlock releases a slot lock.
+func (s *Store) unlock(shard, slot int) {
 	// A failed Clear (e.g. a degraded grant mid-fault) leaves the lock
 	// set; the next locker's retry budget surfaces ErrShardBusy, and
 	// the error is already visible on the mutation that failed.
-	_ = s.segs[shard].Clear(hdrLock)
+	_ = s.segs[shard].Clear(s.cfg.lockOff(slot))
 }

@@ -297,6 +297,8 @@ type pageRel struct {
 	cancelReq func() // requests: the end-to-end deadline, nil when not armed
 	err       error  // requests: the degraded-grant verdict the accessor has yet to take
 	stash     []byte // cycles: the frame the clock site captured for an upgrade grant
+	readCycle uint32 // requests: the cycle whose page send installed the copy held
+	denied    uint32 // requests: the last read cycle the library denied this site
 }
 
 // relPart returns the reliability layer's share of the record, made on
@@ -336,7 +338,8 @@ func (sp *sitePage) reset(requests, cycles bool) (rolled *pendingInval) {
 			if r.cancelReq != nil {
 				r.cancelReq()
 			}
-			r.cancelReq, r.err = nil, nil
+			// Cycle numbers are the old library's.
+			r.cancelReq, r.err, r.readCycle, r.denied = nil, nil, 0, 0
 		}
 	}
 	if cycles {

@@ -28,6 +28,9 @@ type testNet struct {
 	// mangle, when set, sees every message on its way out and may damage
 	// it (retransmissions pass again: keep it idempotent).
 	mangle func(to int, m *wire.Msg)
+	// hold, when set, sees every message on its way out; one it returns
+	// true for is not delivered (the test keeps it, to deliver late).
+	hold func(from, to int, m *wire.Msg) bool
 }
 
 type tEnv struct {
@@ -47,6 +50,9 @@ func (e tEnv) Send(to int, m NetMsg) {
 	}
 	if wm, ok := m.(*wire.Msg); ok && e.n.mangle != nil {
 		e.n.mangle(to, wm)
+	}
+	if wm, ok := m.(*wire.Msg); ok && e.n.hold != nil && e.n.hold(e.site, to, wm) {
+		return
 	}
 	d := e.n.delay
 	if to == e.site {

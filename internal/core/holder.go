@@ -309,12 +309,6 @@ func (e *Engine) reissue(c *collection, subtrees mmu.Copyset, seg, page int32, c
 func (e *Engine) finishWriteGrant(sn *segNode, m *wire.Msg, data []byte) {
 	req := int(m.Req)
 	if m.Upgrade {
-		if req == e.site {
-			// Clock site upgrading itself: flip the protection in place
-			// and notify the library directly.
-			e.upgrade(sn, m.Page, m.Delta, m.Cycle)
-			return
-		}
 		// Optimization 1: no page copy; a notification acknowledges the
 		// write request. The captured frame is stashed so a failed
 		// delivery (or an upgrade landing on an invalid copy) can still
@@ -322,10 +316,15 @@ func (e *Engine) finishWriteGrant(sn *segNode, m *wire.Msg, data []byte) {
 		if e.rel != nil && data != nil {
 			sn.pages[m.Page].relPart().stash = data
 		}
-		e.send(req, &wire.Msg{
-			Kind: wire.KUpgradeGrant, Seg: m.Seg, Page: m.Page, Delta: m.Delta,
-			Cycle: m.Cycle,
-		})
+		up := &wire.Msg{Kind: wire.KUpgradeGrant, Seg: m.Seg, Page: m.Page, Delta: m.Delta, Cycle: m.Cycle, From: int32(e.site)}
+		if req == e.site {
+			// A clock site upgrading itself takes the grant as a requester
+			// does: in place, or failed back to itself when its own read
+			// copy went while the invalidations were out.
+			e.handleUpgradeGrant(sn, up)
+		} else {
+			e.send(req, up)
+		}
 		return
 	}
 	if data == nil {
@@ -473,7 +472,18 @@ func (e *Engine) handlePageSend(sn *segNode, m *wire.Msg) {
 		e.count(obs.CDropped)
 		return
 	}
+	if r := sp.rel; r != nil && m.Mode == wire.Read && m.Cycle != 0 && m.Cycle == r.denied {
+		// A copy from a read cycle the library aborted (handleDenied).
+		// Should the number be a successor library's live cycle instead,
+		// the failure report shrinks its batch and denies this site.
+		e.count(obs.CDropped)
+		e.grantFail(sn.curLib, m, wire.Read, int32(e.site), false)
+		return
+	}
 	e.count(obs.CPageRecv)
+	if e.rel != nil {
+		sp.relPart().readCycle = m.Cycle
+	}
 	prot := mmu.ReadOnly
 	if m.Mode == wire.Write {
 		prot = mmu.ReadWrite
@@ -524,14 +534,23 @@ func (e *Engine) handleAlready(sn *segNode, m *wire.Msg) {
 		sp.takeErr()
 	}
 	sp.reqProgress()
-	if e.rel != nil && m.Mode == wire.Read && !sn.m.Present(int(m.Page)) &&
-		len(sp.waiters) > 0 && !sn.releasing() {
-		// The record lists us as a reader but the copy is gone (dropped
-		// by an earlier degraded grant). Shed the stale record entry;
-		// the refault's fresh request, queued behind this correction on
-		// the same circuit, then earns a real grant.
-		e.markStale()
-		e.send(sn.curLib, &wire.Msg{Kind: wire.KReleaseRead, Seg: m.Seg, Page: m.Page})
+	if e.rel != nil && len(sp.waiters) > 0 && !sn.releasing() {
+		// The refault's fresh request, queued behind a correction on the
+		// same circuit, then earns a real grant.
+		switch p := int(m.Page); {
+		case m.Mode == wire.Read && !sn.m.Present(p):
+			// The record lists us as a reader but the copy is gone (dropped
+			// by an earlier degraded grant): shed the stale record entry.
+			e.markStale()
+			e.send(sn.curLib, &wire.Msg{Kind: wire.KReleaseRead, Seg: m.Seg, Page: m.Page})
+		case m.Mode == wire.Write && sn.m.Prot(p) != mmu.ReadWrite:
+			// The record names us the writer but the copy is not writable:
+			// a read cycle's invalidation downgraded it and the library then
+			// gave up on that cycle. Hand the copy home as the writer's.
+			e.markStale()
+			e.send(sn.curLib, &wire.Msg{Kind: wire.KReleaseWrite, Seg: m.Seg, Page: m.Page,
+				Data: e.drop(sn, m.Page, 0, true)})
+		}
 	}
 	e.wakeWaiters(sn, m.Page)
 }

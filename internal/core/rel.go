@@ -510,8 +510,21 @@ func (sp *sitePage) reqProgress() {
 
 // handleDenied runs at a requester whose queued request the library
 // could not serve (a peer in the grant path is unreachable).
+//
+// A read cycle is aborted when the library gives up on its clock site,
+// and a give-up does not mean the clock never acted: it may have
+// shipped this site a copy the library's record will not list. That
+// copy is dropped, here if it came first and in handlePageSend if it
+// comes later.
 func (e *Engine) handleDenied(sn *segNode, m *wire.Msg) {
 	e.count(obs.CDenied)
+	if m.Mode == wire.Read && m.Cycle != 0 {
+		r := sn.pages[m.Page].relPart()
+		r.denied = m.Cycle
+		if r.readCycle == m.Cycle && sn.m.Prot(int(m.Page)) == mmu.ReadOnly {
+			e.drop(sn, m.Page, m.Cycle, true)
+		}
+	}
 	e.failPage(sn, m.Seg, m.Page, fmt.Errorf("%w: library denied %v of seg %d page %d", ErrUnreachable, m.Mode, m.Seg, m.Page))
 }
 
@@ -539,13 +552,15 @@ func (e *Engine) libAbortCycle(sn *segNode, page int32) {
 	e.libProcess(sn, page)
 }
 
-// libDeny tells a requester its request failed. drop hints that the
-// requester's stale read copy was superseded (the library rehomed the
-// page) and must be discarded.
+// libDeny tells a requester its request failed, in the page's current
+// cycle at a library. drop hints that the requester's stale read copy
+// was superseded (the library rehomed the page) and must be discarded.
 func (e *Engine) libDeny(sn *segNode, page int32, site int, mode wire.Mode, drop bool) {
-	e.send(site, &wire.Msg{
-		Kind: wire.KDenied, Mode: mode, Upgrade: drop, Seg: int32(sn.meta.ID), Page: page,
-	})
+	m := &wire.Msg{Kind: wire.KDenied, Mode: mode, Upgrade: drop, Seg: int32(sn.meta.ID), Page: page}
+	if sn.lib != nil {
+		m.Cycle = sn.lib.pages[page].cycle
+	}
+	e.send(site, m)
 }
 
 // handleGrantFail runs at the library when a grant could not complete.

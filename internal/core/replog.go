@@ -242,6 +242,7 @@ func (e *Engine) replAppend(sn *segNode, ent *replEntry, cont func()) {
 	g := &replGate{index: ent.index, page: ent.post.page, digest: dig, started: e.env.Now(), release: cont}
 	ld.gates = append(ld.gates, g)
 	e.replRecomputeGates(sn)
+	e.replRetry(sn) // the gate may be the first to wait on followers given up on
 }
 
 // entries returns the log's entries in index order (a follower's
@@ -454,14 +455,15 @@ func (e *Engine) handleAppendAck(sn *segNode, m *wire.Msg) {
 	e.replRecomputeGates(sn)
 }
 
-// replRetry runs on every request the library takes. A follower the
-// channel gave up on is sent nothing — each append would cost a whole
-// retry ladder toward a site that is gone — until the followers still
-// streamed cannot form the quorum while a gate waits: then each is sent
-// the whole log again, so the first request after the group is back
-// commits what waited, as a request to a stalled election asks its
-// voters again. A follower left behind meanwhile is safe: every entry
-// committed without it is on a commit quorum of the others.
+// replRetry runs on every request the library takes and on every gate
+// it opens. A follower the channel gave up on is sent nothing — each
+// append would cost a whole retry ladder toward a site that is gone —
+// until the followers still streamed cannot form the quorum while a
+// gate waits: then each is sent the whole log again, so the first
+// request after the group is back commits what waited, as a request to
+// a stalled election asks its voters again. A follower left behind
+// meanwhile is safe: every entry committed without it is on a commit
+// quorum of the others.
 func (e *Engine) replRetry(sn *segNode) {
 	rl := sn.repl
 	if rl == nil || rl.lead == nil || len(rl.lead.gates) == 0 {

@@ -353,6 +353,35 @@ func TestDeposedLibraryOpensNoCycle(t *testing.T) {
 	}
 }
 
+// A library whose channel gave up on its followers, on a fire-and-forget
+// append, and has no gate waiting must ask them again when its next
+// request opens a gate. Streaming only to the followers it still trusts,
+// the gate could never commit: the request waited out its whole
+// deadline, and under E21's overload a deposed library that no site
+// addressed any more kept its own fault blocked past the run's end.
+func TestGateRetriesGivenUpFollowers(t *testing.T) {
+	n := newTestNet(t, 4, replOptions(nil, 2))
+	n.newSeg(2, 0)
+	n.acquire(3, 1, 1, true)
+	n.settle()
+	n.partition(0, 1, 2)
+	if err := n.engines[0].SetPageDelta(1, 0, 0); err != nil { // streamed to no one
+		t.Fatal(err)
+	}
+	n.settle()
+	if ld := n.engines[0].segs[1].repl.lead; ld.based[1] || ld.based[2] || len(ld.gates) != 0 {
+		t.Fatalf("followers based %v, %d gates: want both given up and none waiting", ld.based, len(ld.gates))
+	}
+	n.cut = nil // the group is back
+	start := n.k.Now()
+	if err := n.try(0, 1, 1, false); err != nil {
+		t.Fatalf("read at the library after the group returned: %v", err)
+	}
+	if d := n.k.Now().Sub(start); d > time.Second {
+		t.Fatalf("the read took %v: the gate waited for a request that never came", d)
+	}
+}
+
 // TestReplConcurrentClusters runs the append-storm and crash-election
 // scenarios in parallel goroutines, each on a private cluster. The
 // engines are actor-serialized; this catches any package-level state

@@ -43,6 +43,8 @@ func fillSitePage(t *testing.T, sp *sitePage) {
 				*x = &invalRelay{}
 			case *[]byte:
 				*x = []byte{1}
+			case *uint32:
+				*x = 1
 			case **pageRel: // filled field by field
 			default:
 				t.Fatalf("%v.%s: fillSitePage does not know type %v", v.Type(), v.Type().Field(i).Name, f.Type())

@@ -34,8 +34,9 @@ type MigrationConfig struct {
 	// Sites is the cluster size (default 4).
 	Sites int
 	// Rate is the offered aggregate load in requests/second (default
-	// 150 — below the E19 knee, so latency reflects page-move distance
-	// rather than saturation).
+	// 295: the lowest rate, in 5 req/s steps, at which the shifting
+	// scenario's static baseline sheds as much as it did at 150 before a
+	// Put became one fault — the over-run migration is there to relieve).
 	Rate float64
 	// Duration is the offered window (default 16s); the shifting
 	// scenario rotates affinity at Duration/2, so half the run is
@@ -56,7 +57,7 @@ func (c MigrationConfig) WithDefaults() MigrationConfig {
 		c.Sites = 4
 	}
 	if c.Rate == 0 {
-		c.Rate = 150
+		c.Rate = 295
 	}
 	if c.Duration == 0 {
 		c.Duration = 16 * time.Second

@@ -82,3 +82,16 @@ func TestMigrationFindings(t *testing.T) {
 		}
 	}
 }
+
+// At 300 req/s the shifting affinity load makes a clock site grant
+// itself an upgrade after its own read copy was dropped while the
+// invalidations were out. The self path upgraded the invalid page and
+// panicked the simulation ("mmu: upgrade of invalid page 2"); it now
+// takes the grant as a remote requester does and fails it back.
+func TestSelfUpgradeOfLostCopyFailsTheGrant(t *testing.T) {
+	p := runMigrationPoint(MigrationConfig{Rate: 300}, true, false)
+	if p.Rung.Completed == 0 {
+		t.Fatal("the shifting cell completed no ops")
+	}
+	t.Logf("shifting off-cell at 300 req/s: goodput %.1f, %d violations", p.Rung.Goodput, len(p.Violations))
+}

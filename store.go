@@ -139,9 +139,9 @@ func (s *Site) OpenStore(cfg StoreConfig) (*Store, error) {
 }
 
 // createStoreShard creates (or joins) shard's segment at its library
-// site. A freshly created segment gets a formatted header; an existing
-// one is validated against cfg instead — rejoining a live store must
-// never reformat it.
+// site. A freshly created segment, all zero, gets a formatted header;
+// any other is validated against cfg instead — rejoining a live store
+// must never reformat it, nor one in an older layout.
 func createStoreShard(s *Site, cfg StoreConfig, shard int) (*Segment, error) {
 	id, err := s.Shmget(StoreKeyBase+Key(shard), cfg.ShardBytes(), Create, 0o600)
 	if err != nil {
@@ -155,7 +155,7 @@ func createStoreShard(s *Site, cfg StoreConfig, shard int) (*Segment, error) {
 	if err := h.ReadAt(magic[:], 0); err != nil {
 		return nil, fmt.Errorf("mirage: read store shard %d header: %w", shard, err)
 	}
-	if binary.LittleEndian.Uint32(magic[:]) == app.Magic {
+	if binary.LittleEndian.Uint32(magic[:]) != 0 {
 		if err := app.CheckShard(h, cfg, shard); err != nil {
 			return nil, err
 		}
