@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mirage/internal/obs"
 	"mirage/internal/transport"
 	"mirage/internal/wire"
 )
@@ -179,12 +180,13 @@ func TestFaultRunsOnTheFaultingGoroutine(t *testing.T) {
 var raceEnabled bool
 
 // TestLiveFaultAllocs: an in-process fault between idle sites allocates
-// its four messages and page data, nothing else. The cycle of
+// its messages and page data, nothing else. The cycle of
 // BenchmarkLiveFaultCycle — an upgrade, a write fault, a read fault — is
-// twelve messages, the two frames installed where a copy had been
-// dropped, and the read copy's payload: 15. A closure made only to be
-// run at once (the engine's for Exec, the slow path's for its step)
-// costs three or more a cycle, and a library queue regrowing one.
+// eleven messages (the write fault, shipped by the library, has no
+// KInstalled), the two frames installed where a copy had been dropped,
+// and the read copy's payload: 14. A closure made only to be run at once
+// (the engine's for Exec, the slow path's for its step) costs three or
+// more a cycle, and a library queue regrowing one.
 func TestLiveFaultAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled wakers at random")
@@ -213,8 +215,8 @@ func TestLiveFaultAllocs(t *testing.T) {
 		}
 	}
 	cycle() // warm: the pooled waker, the queues' arrays
-	if allocs := testing.AllocsPerRun(200, cycle); allocs > 15 {
-		t.Fatalf("an in-process fault cycle allocates %.1f times, want at most 15", allocs)
+	if allocs := testing.AllocsPerRun(200, cycle); allocs > 14 {
+		t.Fatalf("an in-process fault cycle allocates %.1f times, want at most 14", allocs)
 	}
 }
 
@@ -272,6 +274,59 @@ func TestFaultStepRunsOnTheTurnHolder(t *testing.T) {
 		if ran == 0 {
 			t.Fatalf("page %d: the turn's holder sent none of the fault's messages (%v)", p, on)
 		}
+	}
+}
+
+// sendCounter is a tracer that counts the messages the engines send,
+// and the KInstalled notices among them.
+type sendCounter struct{ all, installed atomic.Int64 }
+
+func (c *sendCounter) Emit(ev obs.Event) {
+	if ev.Type == obs.EvMsgSend {
+		c.all.Add(1)
+		if ev.Kind == wire.KInstalled {
+			c.installed.Add(1)
+		}
+	}
+}
+
+// TestLibraryShippedWriteSendsNoInstalled: a write fault on a page
+// library site 0 holds is three messages on either mesh — the request,
+// the library's KInval to itself and the page — because a write grant
+// the library ships itself is complete when it is sent, and its grantee
+// sends no KInstalled. A read grant and an upgrade, whose copy or grant
+// comes from site 1, still send one each.
+func TestLibraryShippedWriteSendsNoInstalled(t *testing.T) {
+	for _, tcp := range []bool{false, true} {
+		t.Run(map[bool]string{false: "inproc", true: "tcp"}[tcp], func(t *testing.T) {
+			sent := new(sendCounter)
+			c := newTestCluster(t, 2, Options{TCP: tcp, Obs: &Obs{Tracer: sent}})
+			id, err := c.Site(0).Shmget(IPCPrivate, 512, Create, 0o600)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lib, _ := c.Site(0).Attach(id, false)
+			seg, _ := c.Site(1).Attach(id, false)
+			for _, step := range []struct {
+				name            string
+				do              func() error
+				msgs, installed int64
+			}{
+				{"write fault at site 1", func() error { return seg.SetUint32(0, 1) }, 3, 0},
+				{"read fault at site 0", func() error { _, err := lib.Uint32(0); return err }, 4, 1},
+				{"upgrade at site 0", func() error { return lib.SetUint32(0, 2) }, 4, 1},
+			} {
+				all, installed := sent.all.Load(), sent.installed.Load()
+				if err := step.do(); err != nil {
+					t.Fatalf("%s: %v", step.name, err)
+				}
+				all, installed = sent.all.Load()-all, sent.installed.Load()-installed
+				if all != step.msgs || installed != step.installed {
+					t.Errorf("%s: %d messages, %d of them KInstalled; want %d and %d",
+						step.name, all, installed, step.msgs, step.installed)
+				}
+			}
+		})
 	}
 }
 

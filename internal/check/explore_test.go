@@ -41,6 +41,25 @@ func windowScenario() Scenario {
 	}
 }
 
+// overtakeScenario has the library ship a write grant while the next
+// write request waits in its queue: the grant is complete when it is
+// sent, so the next cycle's KInval leaves for the new writer in the same
+// instant as its page, and the explorer delivers the two in either
+// order. Correct engines hold a KInval that arrives first until the page
+// is in; the mutation test turns the hold off. Shared with
+// mutation_test.go.
+func overtakeScenario() Scenario {
+	return Scenario{
+		Sites: 3, Pages: 1,
+		Options: core.Options{Policy: core.PolicyQueue},
+		Ops: []Op{
+			{Site: 1, Write: true, Val: 7},
+			{Site: 2, Write: true, Val: 9},
+			{Site: 1, Write: false},
+		},
+	}
+}
+
 // replScenario is the replicated-takeover configuration shared with
 // mutation_test.go: 3 sites, replication factor 2, the leader crashing
 // mid-run. Sites 1 and 2 each alternate writing their own page and
@@ -112,6 +131,18 @@ func TestWindowScenarioCleanDefault(t *testing.T) {
 		if !res.Complete {
 			t.Fatalf("policy %d: window scenario should enumerate fully (runs=%d)", pol, res.Runs)
 		}
+	}
+}
+
+// In the default build every interleaving of the overtaking scenario
+// explores clean, the KInval-first orders included.
+func TestOvertakeScenarioCleanDefault(t *testing.T) {
+	res := Exhaustive(overtakeScenario(), ExploreOpts{})
+	if res.Counterexample != nil {
+		t.Fatalf("violation in correct protocol: %v", res.Violations)
+	}
+	if !res.Complete {
+		t.Fatalf("overtaking scenario should enumerate fully (runs=%d)", res.Runs)
 	}
 }
 

@@ -139,3 +139,23 @@ func TestMutationEventAfterWordCaught(t *testing.T) {
 		}
 	}
 }
+
+// TestMutationOvertakenInvalCaught: with core's MutateRunOvertakenInval
+// on, a grantee runs a KInval that overtook its write grant's page at
+// once. It has no copy to invalidate, so the engine panics; the explorer
+// must find the order that delivers the KInval first and hand back a
+// replayable repro of the panic.
+func TestMutationOvertakenInvalCaught(t *testing.T) {
+	core.MutateRunOvertakenInval = true
+	defer func() { core.MutateRunOvertakenInval = false }()
+	res := Exhaustive(overtakeScenario(), ExploreOpts{MaxRuns: 200})
+	if res.Counterexample == nil {
+		t.Fatalf("mutation not caught in %d runs", res.Runs)
+	}
+	wantInv(t, res.Violations, InvPanic)
+	r := *res.Counterexample
+	t.Logf("counterexample: ops=%v choices=%v: %v", r.Scenario.Ops, r.Choices, res.Violations[0])
+	if a := r.Replay(); len(a.Violations) == 0 || a.Violations[0].Invariant != InvPanic {
+		t.Fatalf("replay shows %v, want the panic", a.Violations)
+	}
+}

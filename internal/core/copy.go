@@ -69,7 +69,7 @@ func (e *Engine) upgrade(sn *segNode, page int32, window time.Duration, cycle ui
 	e.emit(obs.Event{Type: obs.EvUpgrade, Seg: seg, Page: page, Cycle: cycle})
 	e.emit(obs.Event{Type: obs.EvPageState, Seg: seg, Page: page, Arg: 2})
 	sn.m.Upgrade(p, e.stamp(window))
-	e.installed(sn, page, wire.Write, cycle)
+	e.installed(sn, page, wire.Write, cycle, true)
 }
 
 // downgrade makes the writer's copy read-only, retaining it
@@ -130,13 +130,16 @@ func (e *Engine) reinstate(sn *segNode, page int32, pi *pendingInval) bool {
 }
 
 // installed is the requester's end of a grant that landed here: the
-// library hears the cycle is complete, the requests it answered stop
-// being outstanding, a degraded-grant verdict still cached for the page
-// is dropped — without this an access after the peer heals would fail
-// with the stale error instead of using the copy — and the blocked
-// faults recheck.
-func (e *Engine) installed(sn *segNode, page int32, mode wire.Mode, cycle uint32) {
-	e.send(sn.curLib, &wire.Msg{Kind: wire.KInstalled, Mode: mode, Seg: int32(sn.meta.ID), Page: page, Cycle: cycle})
+// library hears the cycle is complete (if notify: a write grant that was
+// complete when sent needs no notice, shipCompletes), the requests it
+// answered stop being outstanding, a degraded-grant verdict still cached
+// for the page is dropped — without this an access after the peer heals
+// would fail with the stale error instead of using the copy — and the
+// blocked faults recheck.
+func (e *Engine) installed(sn *segNode, page int32, mode wire.Mode, cycle uint32, notify bool) {
+	if notify {
+		e.send(sn.curLib, &wire.Msg{Kind: wire.KInstalled, Mode: mode, Seg: int32(sn.meta.ID), Page: page, Cycle: cycle})
+	}
 	sp := &sn.pages[page]
 	sp.outR = false
 	if mode == wire.Write && !MutateLeaveWriteOutstanding {

@@ -286,10 +286,11 @@ type sitePage struct {
 	// Other sites' grant cycles this site is serving.
 	pend  *pendingInval // clock site: copies being collected for a write grant
 	relay *invalRelay   // interior site: a delegated invalidation subtree
+	held  *wire.Msg     // the next cycle's KInval, arrived before this site's write grant
 
 	// The reliability layer's share, nil until it first has something
 	// to keep: the record is paid per page per attached site, and set
-	// out flat these three fields are 40 of its 96 bytes.
+	// out flat these five fields would take it from 64 bytes to 112.
 	rel *pageRel
 }
 
@@ -323,13 +324,14 @@ func (sp *sitePage) takeErr() error {
 // reset is the only code that ends in-flight state. Besides the blocked
 // faults a record holds two kinds — this site's own requests (flags,
 // deadline, verdict) and the cycles it serves for other sites
-// (collection, relay, captured frame) — and the events that end state
-// differ only in which they end (DESIGN.md §19 has the table): a library
-// that moved within the epoch ends the requests, a superseded epoch
-// both, an arriving role the cycles and, if the old library lives, the
-// requests, destroy both. The blocked faults survive them all: the
-// caller wakes them, to ask the current library again or to find the
-// segment gone. reset returns the collection the caller owes a rollback.
+// (collection, relay, held invalidation, captured frame) — and the
+// events that end state differ only in which they end (DESIGN.md §19
+// has the table): a library that moved within the epoch ends the
+// requests, a superseded epoch both, an arriving role the cycles and, if
+// the old library lives, the requests, destroy both. The blocked faults
+// survive them all: the caller wakes them, to ask the current library
+// again or to find the segment gone. reset returns the collection the
+// caller owes a rollback.
 func (sp *sitePage) reset(requests, cycles bool) (rolled *pendingInval) {
 	r := sp.rel
 	if requests {
@@ -344,7 +346,7 @@ func (sp *sitePage) reset(requests, cycles bool) (rolled *pendingInval) {
 	}
 	if cycles {
 		rolled = sp.pend
-		sp.pend, sp.relay = nil, nil
+		sp.pend, sp.relay, sp.held = nil, nil, nil
 		if r != nil {
 			r.stash = nil
 		}

@@ -488,6 +488,74 @@ func TestWriterWriterTransfers(t *testing.T) {
 	n.checkSingleWriter(1, 0)
 }
 
+// TestOvertakingInvalIsHeldUntilThePageIsIn: a write grant the library
+// ships itself is complete when it is sent, so the next cycle's KInval
+// to the new writer can reach it before its page. Site 1's page is kept
+// back while site 2's write opens that cycle; site 1, with no copy and
+// its write request out, holds the KInval, and once the page is in it
+// installs it, then serves the KInval — the page goes on to site 2 with
+// site 1's byte in it. Run at once, the KInval finds no copy and the
+// engine panics ("inval for absent page").
+func TestOvertakingInvalIsHeldUntilThePageIsIn(t *testing.T) {
+	n := newTestNet(t, 3, Options{Obs: &obs.Obs{Tracer: obs.NewBuffer()}})
+	n.newSeg(1, 0)
+	var page *wire.Msg
+	n.hold = func(from, to int, m *wire.Msg) bool {
+		if from == 0 && to == 1 && m.Kind == wire.KPageSend && page == nil {
+			page = m
+			return true
+		}
+		return false
+	}
+	e1, e2 := n.engines[1], n.engines[2]
+	e1.Fault(1, 0, true, 101, func() {})
+	n.settle()
+	if page == nil {
+		t.Fatal("the library shipped site 1 no page")
+	}
+	if st := n.engines[0].LibraryState(1, 0); st.Busy || st.Writer != 1 {
+		t.Fatalf("library after shipping site 1's write grant: %+v, want the cycle committed to site 1", st)
+	}
+	e2.Fault(1, 0, true, 102, func() {})
+	n.settle()
+	if e1.segs[1].pages[0].held == nil {
+		t.Fatal("site 1 did not hold the KInval that reached it before its page")
+	}
+	if e2.CheckAccess(1, 0, true) == mmu.NoFault {
+		t.Fatal("site 2 holds the page before site 1 had it")
+	}
+
+	page.Data[0] = 7
+	e1.Deliver(page)
+	n.settle()
+	if e1.segs[1].pages[0].held != nil {
+		t.Fatal("the held KInval is still held after the install")
+	}
+	if e1.Seg(1).Present(0) || e2.Seg(1).Prot(0) != mmu.ReadWrite || e2.Frame(1, 0)[0] != 7 {
+		t.Fatalf("after the held KInval: site 1 present=%v, site 2 %v with byte %d; want site 2 the writer with 7",
+			e1.Seg(1).Present(0), e2.Seg(1).Prot(0), e2.Frame(1, 0)[0])
+	}
+	if st := n.engines[0].LibraryState(1, 0); st.Busy || st.Writer != 2 || st.Clock != 2 {
+		t.Fatalf("library state %+v, want site 2 the writer and no cycle open", st)
+	}
+	n.checkSingleWriter(1, 0)
+
+	// Site 1's page state went writable, then empty, in that order, and
+	// it counted the held KInval once.
+	var states []int64
+	for _, ev := range n.engines[0].obs.Buffer().Events() {
+		if ev.Type == obs.EvPageState && ev.Site == 1 {
+			states = append(states, ev.Arg)
+		}
+	}
+	if !slices.Equal(states, []int64{int64(mmu.ReadWrite), int64(mmu.Invalid)}) {
+		t.Fatalf("site 1's page states %v, want [writable, none]", states)
+	}
+	if got := e1.Stats().InvalsReceived; got != 1 {
+		t.Fatalf("site 1 counted %d invalidations received, want 1", got)
+	}
+}
+
 func TestSetPageAndSegmentDelta(t *testing.T) {
 	n := newTestNet(t, 2, Options{})
 	n.newSeg(2, 10*time.Millisecond)

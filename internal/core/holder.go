@@ -180,8 +180,15 @@ func (e *Engine) shipReadCopies(sn *segNode, m *wire.Msg) {
 // any other outstanding readers, and distribute the page to the new
 // writer or new readers.
 func (e *Engine) handleInval(sn *segNode, m *wire.Msg) {
-	e.count(obs.CInvalRecv)
 	p := int(m.Page)
+	if sp := &sn.pages[p]; !sn.m.Present(p) && sp.outW && e.shipCompletes(sn, int(m.From)) && !MutateRunOvertakenInval {
+		// The next cycle's invalidation overtook the page of the write
+		// grant it follows (no per-circuit order is assumed): held, and
+		// run once the page is in (handlePageSend).
+		sp.held = m
+		return
+	}
+	e.count(obs.CInvalRecv)
 	if !sn.m.Present(p) {
 		// Clock copy gone: the cycle cannot be honored here.
 		e.tolerate("inval for absent page", m)
@@ -339,6 +346,19 @@ func (e *Engine) finishWriteGrant(sn *segNode, m *wire.Msg, data []byte) {
 		Cycle: m.Cycle,
 		Data:  data,
 	})
+	if e.shipCompletes(sn, e.site) {
+		// Nothing the cycle waits for is left: the grantee sends no
+		// KInstalled, and the queue is served on now.
+		e.libInstalled(sn, m.Page)
+	}
+}
+
+// shipCompletes reports whether a write grant whose page site from
+// ships is complete when it is sent: the library ships it itself, on a
+// stack with no Reliability layer to abort the cycle and no fence to
+// move the role (DESIGN.md §4b). Upgrades and read grants are not.
+func (e *Engine) shipCompletes(sn *segNode, from int) bool {
+	return e.rel == nil && !e.fence && from == sn.curLib
 }
 
 // handleInvalOrder runs at a reader told to discard its copy. With a
@@ -491,7 +511,11 @@ func (e *Engine) handlePageSend(sn *segNode, m *wire.Msg) {
 	// A stale copy can exist if a read grant raced a later write request
 	// from this site; the incoming page is authoritative.
 	e.install(sn, m.Page, m.Data, prot, mmu.Copyset{}, m.Delta, m.Cycle)
-	e.installed(sn, m.Page, m.Mode, m.Cycle)
+	e.installed(sn, m.Page, m.Mode, m.Cycle, m.Mode == wire.Read || !e.shipCompletes(sn, int(m.From)))
+	if held := sp.held; held != nil {
+		sp.held = nil
+		e.handleInval(sn, held)
+	}
 }
 
 // handleUpgradeGrant flips a read copy to writable in place

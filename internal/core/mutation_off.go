@@ -27,3 +27,10 @@ const MutateLeaveWriteOutstanding = false
 // publishes it. Under -tags mirage_mutation it is a variable the mutation
 // test sets, to prove the page-event-order invariant sees the swap.
 const MutateEventAfterWord = false
+
+// MutateRunOvertakenInval is the production value of the overtaking
+// mutation switch: a grantee holds an invalidation that reaches it before
+// its write grant's page and runs it after the install. Under -tags
+// mirage_mutation it is a variable the mutation test sets, to prove the
+// explorer sees an overtaking invalidation run at once.
+const MutateRunOvertakenInval = false

@@ -33,3 +33,12 @@ var MutateLeaveWriteOutstanding = false
 // §17), which nothing but the page-event-order invariant sees: the
 // trace itself is byte for byte the same.
 var MutateEventAfterWord = false
+
+// MutateRunOvertakenInval: MUTATION BUILD, and off until a test turns it
+// on. A grantee then runs an invalidation that overtook its write grant's
+// page at once instead of holding it until the page is in: with no copy
+// to invalidate, the engine panics ("inval for absent page"), which the
+// explorer reports as a counterexample. It is a variable, like the two
+// above: on beside the window mutation it would end that kill's
+// schedules in this panic first.
+var MutateRunOvertakenInval = false

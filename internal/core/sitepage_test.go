@@ -41,6 +41,8 @@ func fillSitePage(t *testing.T, sp *sitePage) {
 				*x = &pendingInval{m: &wire.Msg{}} // no captured frame: nothing to roll back
 			case **invalRelay:
 				*x = &invalRelay{}
+			case **wire.Msg:
+				*x = &wire.Msg{}
 			case *[]byte:
 				*x = []byte{1}
 			case *uint32:

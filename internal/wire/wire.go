@@ -64,7 +64,9 @@ const (
 	// copy — optimization 1 (clock -> requester).
 	KUpgradeGrant
 	// KInstalled tells the library a grant landed, completing (its
-	// share of) the cycle (new holder -> library).
+	// share of) the cycle (new holder -> library). A write grant whose
+	// page the library shipped itself, on a stack with no reliability
+	// layer and no epoch fence, is complete when sent and has none.
 	KInstalled
 	// KAlready tells a requester the library found its request already
 	// satisfied (library -> requester); the requester rechecks and
