@@ -12,7 +12,9 @@ import (
 // outcome into (hit, err) for the report: a miss on Get/Delete is a
 // valid outcome, not an error, and a CAS of an absent key becomes a
 // compare-and-create. A lost CAS race reports hit (the key exists) with
-// no error — the conflict is attributed by the store's own counters.
+// no error — the conflict is attributed by the store's own counters —
+// and a CAS whose key is deleted between its Get and its swap reports
+// a miss, as the Get would have.
 func Execute(st *app.Store, spec Spec, op Op) (hit bool, err error) {
 	spec = spec.WithDefaults()
 	key := KeyBytes(op.Key)
@@ -41,6 +43,9 @@ func Execute(st *app.Store, spec Spec, op Op) (hit bool, err error) {
 			return false, err
 		}
 		_, err = st.CAS(key, cur, ValBytes(op.Key, spec.ValBytes))
+		if errors.Is(err, app.ErrNoKey) {
+			return false, nil
+		}
 		return true, err
 	}
 }

@@ -1,6 +1,7 @@
 package load
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -260,10 +261,12 @@ func TestRunLiveSheds(t *testing.T) {
 }
 
 // memSeg is an in-memory app.Segment for exercising Execute without a
-// cluster.
+// cluster. beforeLock, when set, runs once at the next TestAndSet,
+// before it takes the byte: a test's way in between two store calls.
 type memSeg struct {
-	mu sync.Mutex
-	b  []byte
+	mu         sync.Mutex
+	b          []byte
+	beforeLock func()
 }
 
 func (m *memSeg) ReadAt(b []byte, off int) error {
@@ -281,6 +284,10 @@ func (m *memSeg) WriteAt(b []byte, off int) error {
 }
 
 func (m *memSeg) TestAndSet(off int) (byte, error) {
+	if f := m.beforeLock; f != nil {
+		m.beforeLock = nil
+		f()
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	old := m.b[off]
@@ -340,6 +347,42 @@ func TestExecuteAgainstStore(t *testing.T) {
 	}
 	if tot.Puts == 0 || tot.Gets == 0 || tot.CASes == 0 {
 		t.Fatalf("mix not exercised: %+v", tot)
+	}
+}
+
+// TestExecuteCASOfDeletedKeyIsAMiss deletes the key between the Get
+// and the swap of an OpCAS (a Get takes no lock, so the first lock the
+// op takes is the swap's): the CAS lost a race with a Delete, which is
+// a miss, as for a Get or a Delete of the key, and not an error.
+func TestExecuteCASOfDeletedKeyIsAMiss(t *testing.T) {
+	cfg := app.Config{Shards: 1, SlotsPerShard: 16}.WithDefaults()
+	seg := &memSeg{b: make([]byte, cfg.ShardBytes())}
+	if err := app.Format(seg, cfg, 0); err != nil {
+		t.Fatal(err)
+	}
+	st, err := app.New(cfg, []app.Segment{seg}, app.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{ValBytes: 8}
+	op := Op{Kind: OpCAS, Key: 3}
+	key := KeyBytes(op.Key)
+	if err := st.Put(key, ValBytes(op.Key, spec.ValBytes)); err != nil {
+		t.Fatal(err)
+	}
+	seg.beforeLock = func() {
+		if err := st.Delete(key); err != nil {
+			t.Errorf("delete between the get and the swap: %v", err)
+		}
+	}
+	if hit, err := Execute(st, spec, op); hit || err != nil {
+		t.Fatalf("CAS of a key deleted after its get: hit %v, err %v; want a miss", hit, err)
+	}
+	if seg.beforeLock != nil {
+		t.Fatal("the CAS took no lock after its get")
+	}
+	if _, err := st.Get(key); !errors.Is(err, app.ErrNoKey) {
+		t.Fatalf("get after the lost CAS: %v, want ErrNoKey", err)
 	}
 }
 

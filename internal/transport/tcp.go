@@ -1,12 +1,14 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
+	"syscall"
+	"time"
 
 	"mirage/internal/obs"
 	"mirage/internal/wire"
@@ -31,14 +33,22 @@ import (
 // goroutine per circuit swaps the staged bytes out and pushes them
 // with one contiguous write, so a burst of N protocol messages costs
 // one syscall, not N write+flush pairs. The two staging buffers per
-// circuit are recycled forever: the steady-state send path allocates
-// nothing. TCP_NODELAY is set explicitly on every circuit:
-// batching happens here, where message boundaries are known, never in
-// the kernel where it would add delay. Inbound, each socket has one
-// reader that reuses a single read buffer sized up to the max frame;
-// decoded control messages borrow nothing from it, and page-carrying
-// messages get their Data copied out (wire.Msg.CloneData) before the
-// handler — which may retain the message indefinitely — sees them.
+// circuit are recycled, so the steady-state send path allocates
+// nothing; one that a burst grew past a chunk is dropped once the
+// circuit has stayed idle for trimAfter. TCP_NODELAY is set explicitly on every circuit: batching
+// happens here, where message boundaries are known, never in the
+// kernel where it would add delay. Inbound, each socket has one reader
+// that waits for readability holding no buffer, then reads what the
+// kernel has into a 64 KiB chunk borrowed from a package-wide pool —
+// one borrow per readiness, not per frame — and decodes every whole
+// frame in place. It keeps the chunk only while a frame straddles two
+// reads (a frame longer than a chunk gets a buffer of its own size for
+// that frame), so an idle circuit holds no read buffer, as a Locus
+// circuit fills a network buffer per message and holds none between
+// (§7.1). Decoded control messages borrow nothing from the chunk, and
+// page-carrying messages get their Data copied out
+// (wire.Msg.CloneData) before the handler — which may retain the
+// message indefinitely — sees them.
 //
 // The mesh is for sites within one OS (typically loopback): the
 // control plane (segment naming) stays in-process, as noted in
@@ -56,6 +66,8 @@ type TCPMesh struct {
 	wg      sync.WaitGroup
 
 	obs *obs.Obs // flush and fault metrics sink; nil when observability is off
+
+	held atomic.Int64 // read buffers this mesh's readers hold: 0 on an idle mesh
 }
 
 // SetObs attaches an observability sink: each writer-goroutine batch
@@ -74,7 +86,8 @@ func (m *TCPMesh) SetObs(o *obs.Obs) {
 // outrun the socket block in Send until the writer drains — the same
 // backpressure a blocking write syscall used to provide, but applied
 // per batch instead of per message. The bound also caps the circuit's
-// memory at two staging buffers of roughly this size.
+// memory at two staging buffers of roughly this size while a burst
+// lasts; after it, neither is kept past one chunk (readBufSize).
 const maxQueuedBytes = 1 << 20
 
 // tcpConn is a site's circuit to one peer: a staging buffer of encoded
@@ -95,6 +108,7 @@ type tcpConn struct {
 	offs      []int      // start offset of each staged frame in out
 	spareOut  []byte     // recycled staging buffer
 	spareOffs []int
+	trim      *time.Timer // drops what a burst grew once the circuit idles
 	closed    bool
 
 	// c is the established socket, dialed or adopted. The writer
@@ -108,6 +122,9 @@ type tcpConn struct {
 // all sites are created, call SetPeers with every site's address (in
 // site order) on each mesh.
 func NewTCPSite(site int, addr string, h Handler) (*TCPMesh, error) {
+	if errNoRawRead != nil {
+		return nil, errNoRawRead
+	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -206,18 +223,41 @@ func noDelay(c net.Conn) {
 	}
 }
 
-// readBufSize is the bufio size on both sides of a circuit: big enough
-// that a full page frame plus a batch of control frames drains in one
-// kernel read.
+// readBufSize is the size of the chunk a reader borrows for one read:
+// big enough that a full page frame plus a batch of control frames
+// drains in one kernel read.
 const readBufSize = 64 * 1024
+
+// chunks lends read buffers to every mesh's readers. A reader borrows a
+// chunk when its socket turns readable and hands it back once no frame
+// straddles the read, so an idle circuit holds none and the pool's GC
+// clearing frees what no socket is reading into. Unlike a pool of one
+// buffer per frame in flight (DESIGN.md §8.2), the chunks out at once
+// are at most one per socket being read, and each goes back before its
+// reader waits, so a collection rarely leaves the pool empty.
+var chunks = sync.Pool{New: func() any { return new([readBufSize]byte) }}
+
+// reader is the receiving side of one socket. Between reads it holds a
+// buffer only while a frame straddles them: the pooled chunk, or, for a
+// frame longer than a chunk, a buffer of that frame's own size.
+type reader struct {
+	m     *TCPMesh
+	c     net.Conn
+	fill  func(fd uintptr) bool // r.read, bound once: raw.Read takes it every readiness
+	buf   []byte                // unparsed bytes from buf[0]; nil while the reader holds nothing
+	chunk *[readBufSize]byte    // the pooled chunk under buf, nil under a frame's own buffer
+	hello bool                  // an accepted socket whose hello is still to come
+	err   error                 // what ended the stream
+}
 
 // serve reads frames from one socket and delivers them: an accepted one
 // after its hello, or one this site dialed, on which the peer answers.
-// One frame buffer is reused for the whole connection; wire.Decode
-// aliases message Data into it, so data-carrying messages are cloned
-// before the handler retains them. Control messages (the vast majority
-// of protocol traffic) borrow nothing and allocate nothing here beyond
-// the Msg itself. On exit the socket is closed, so a circuit whose peer
+// Each wait for readability holds no buffer; a readable socket's bytes
+// go into a chunk borrowed from the pool, every whole frame in it is
+// decoded in place, and data-carrying messages are cloned before the
+// handler retains them. Control messages (the vast majority of
+// protocol traffic) borrow nothing and allocate nothing here beyond the
+// Msg itself. On exit the socket is closed, so a circuit whose peer
 // hung up fails its next write and redials instead of writing into a
 // dead socket.
 func (m *TCPMesh) serve(c net.Conn, accepted bool) {
@@ -228,49 +268,129 @@ func (m *TCPMesh) serve(c net.Conn, accepted bool) {
 		delete(m.inbound, c)
 		m.mu.Unlock()
 	}()
-	r := bufio.NewReaderSize(c, readBufSize)
-	if accepted {
-		var h [helloLen]byte
-		if _, err := io.ReadFull(r, h[:]); err != nil {
-			return
-		}
-		if !m.adopt(h, c) {
-			m.count(obs.CTCPCorruptStream)
-			return
-		}
+	raw, err := c.(syscall.Conn).SyscallConn()
+	if err != nil {
+		return
 	}
-	var hdr [4]byte
-	var buf []byte // reused frame buffer, grown on demand up to MaxFrame
+	r := &reader{m: m, c: c, hello: accepted}
+	r.fill = r.read
+	defer r.drop()
+	for raw.Read(r.fill) == nil && r.err == nil && r.deliver() {
+	}
+}
+
+// read is the raw-socket callback: one read(2) into the buffer the
+// reader holds, borrowing a chunk first if it holds none. It reports
+// false, so that raw.Read waits for readability, only when the kernel
+// has nothing; a reader with no straddling frame then hands its chunk
+// back before the wait.
+func (r *reader) read(fd uintptr) bool {
+	if r.buf == nil {
+		r.borrow()
+	}
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return
+		n, err := sysRead(fd, r.buf[len(r.buf):cap(r.buf)])
+		switch {
+		case err == syscall.EINTR:
+			continue
+		case err == syscall.EAGAIN:
+			if len(r.buf) == 0 {
+				r.drop()
+			}
+			return false
+		case err != nil:
+			r.err = err
+		case n == 0:
+			r.err = io.EOF
+		default:
+			r.buf = r.buf[:len(r.buf)+n]
 		}
-		n := binary.BigEndian.Uint32(hdr[:])
+		return true
+	}
+}
+
+// deliver parses what the reader holds: the hello of an accepted
+// socket, then every whole frame, each decoded in place and handed to
+// the handler. The straddling tail, if any, moves to the front of a
+// buffer that can take the rest of its frame; with no tail the chunk
+// is kept for the next read attempt, which hands it back if the kernel
+// has nothing. deliver reports false when the stream is corrupt.
+func (r *reader) deliver() bool {
+	b := r.buf
+	need := 0 // the length of the straddling tail's frame, prefix included
+	for len(b) > 0 {
+		if r.hello {
+			if len(b) < helloLen {
+				need = helloLen
+				break
+			}
+			if !r.m.adopt([helloLen]byte(b), r.c) {
+				r.m.count(obs.CTCPCorruptStream)
+				return false
+			}
+			r.hello, b = false, b[helloLen:]
+			continue
+		}
+		if len(b) < 4 {
+			need = 4
+			break
+		}
+		n := binary.BigEndian.Uint32(b)
 		if n > wire.MaxFrame {
 			// No legal frame is this long; the stream has lost sync and
 			// cannot be resynchronized — drop the connection.
-			m.count(obs.CTCPCorruptStream)
-			return
+			r.m.count(obs.CTCPCorruptStream)
+			return false
 		}
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
+		if len(b) < 4+int(n) {
+			need = 4 + int(n)
+			break
 		}
-		frame := buf[:n]
-		if _, err := io.ReadFull(r, frame); err != nil {
-			return
-		}
-		msg, _, err := wire.Decode(frame)
+		msg, _, err := wire.Decode(b[4 : 4+n])
 		if err != nil {
-			m.count(obs.CTCPDecodeError)
-			return
+			r.m.count(obs.CTCPDecodeError)
+			return false
 		}
 		if msg.Data != nil {
-			// The handler owns the message from here on and the frame
-			// buffer is about to be overwritten: un-alias the payload.
+			// The handler owns the message from here on and the read
+			// buffer is about to be reused: un-alias the payload.
 			msg.Data = msg.CloneData()
 		}
-		m.handler(&msg)
+		r.m.handler(&msg)
+		b = b[4+n:]
 	}
+	switch {
+	case len(b) == 0 && r.chunk == nil:
+		r.drop() // an oversized frame's own buffer, spent
+	case need > cap(r.buf):
+		own := make([]byte, len(b), need)
+		copy(own, b)
+		chunks.Put(r.chunk)
+		r.buf, r.chunk = own, nil
+	default:
+		r.buf = r.buf[:copy(r.buf[:cap(r.buf)], b)]
+	}
+	return true
+}
+
+// borrow takes a chunk from the pool for the next read.
+func (r *reader) borrow() {
+	r.chunk = chunks.Get().(*[readBufSize]byte)
+	r.buf = r.chunk[:0]
+	r.m.held.Add(1)
+}
+
+// drop lets go of whatever buffer the reader holds: a chunk goes back
+// to the pool, a frame's own buffer to the collector.
+func (r *reader) drop() {
+	if r.buf == nil {
+		return
+	}
+	if r.chunk != nil {
+		chunks.Put(r.chunk)
+	}
+	r.buf, r.chunk = nil, nil
+	r.m.held.Add(-1)
 }
 
 // Send implements Transport. It encodes the message into the peer
@@ -373,6 +493,9 @@ func (c *tcpConn) writeLoop() {
 			c.c.Close()
 		}
 		c.out, c.offs = nil, nil
+		if c.trim != nil {
+			c.trim.Stop()
+		}
 		c.mu.Unlock()
 	}()
 	c.m.mu.Lock()
@@ -417,7 +540,38 @@ func (c *tcpConn) writeLoop() {
 			// Recycle the drained staging pair for the next swap.
 			c.spareOut, c.spareOffs = batch[:0], offs[:0]
 		}
+		if len(c.out) == 0 && max(cap(c.out), cap(c.spareOut)) > readBufSize {
+			// Going idle with a buffer a burst grew past one chunk: let
+			// go of it if the burst is still over after trimAfter.
+			if c.trim == nil {
+				c.trim = time.AfterFunc(trimAfter, c.trimIdle)
+			} else {
+				c.trim.Reset(trimAfter)
+			}
+		}
 		c.mu.Unlock()
+	}
+}
+
+// trimAfter is how long a circuit must stay idle before its writer
+// lets go of a staging buffer that a burst grew past one chunk. A
+// stream that pauses for less keeps both buffers, so a sender that
+// outruns the socket does not regrow them after every catch-up.
+const trimAfter = 50 * time.Millisecond
+
+// trimIdle drops the staging buffers grown past one chunk if nothing
+// has been staged since the writer went idle.
+func (c *tcpConn) trimIdle() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.out) > 0 {
+		return // busy again: the next idle turn re-arms the trim
+	}
+	if cap(c.out) > readBufSize {
+		c.out, c.offs = nil, nil
+	}
+	if cap(c.spareOut) > readBufSize {
+		c.spareOut, c.spareOffs = nil, nil
 	}
 }
 

@@ -465,34 +465,50 @@ func TestSimultaneousDialKeepsSenderOrder(t *testing.T) {
 }
 
 func TestTCPRetainedDataSurvivesBufferReuse(t *testing.T) {
-	// The receive path reuses one frame buffer per connection and
-	// wire.Decode aliases Data into it. The mesh must un-alias before
-	// delivery: a handler that retains a page message (as the engine's
-	// reliability layer does) must see its payload intact after later
-	// frames overwrite the read buffer.
-	var c0, c1 collect
-	m0, _ := newTCPPair(t, c0.handler(), c1.handler())
+	// A reader decodes in place from a chunk it borrows from a pool
+	// every mesh's readers share, and wire.Decode aliases Data into it.
+	// The mesh must un-alias before delivery: a handler that retains a
+	// page message (as the engine's reliability layer does) must see its
+	// payload intact after later frames, read into the same chunk by
+	// another circuit's reader, have overwritten it. Sites 0 and 2 both
+	// send to site 1, so two readers take turns with the pool's chunks.
+	const n = 3
+	var cs [n]collect
+	meshes := make([]*TCPMesh, n)
+	addrs := make([]string, n)
+	for i := range meshes {
+		m, err := NewTCPSite(i, "127.0.0.1:0", cs[i].handler())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		meshes[i], addrs[i] = m, m.Addr()
+	}
+	for _, m := range meshes {
+		m.SetPeers(addrs)
+	}
 	page := make([]byte, 512)
 	for i := range page {
 		page[i] = byte(i)
 	}
-	if err := m0.Send(1, &wire.Msg{Kind: wire.KPageSend, Page: 1, Data: page}); err != nil {
+	if err := meshes[0].Send(1, &wire.Msg{Kind: wire.KPageSend, Page: 1, Data: page}); err != nil {
 		t.Fatal(err)
 	}
-	got := c1.wait(t, 1)
-	retained := got[0]
-	// Flood the same connection with frames carrying different bytes so
-	// the reused read buffer is overwritten many times.
+	retained := cs[1].wait(t, 1)[0]
+	// Flood both circuits with frames carrying different bytes so the
+	// chunks are overwritten many times, by either reader.
 	junk := make([]byte, 512)
 	for i := range junk {
 		junk[i] = 0xAA
 	}
 	for i := 0; i < 200; i++ {
-		if err := m0.Send(1, &wire.Msg{Kind: wire.KPageSend, Page: 2, Data: junk}); err != nil {
-			t.Fatal(err)
+		for _, from := range []int{0, 2} {
+			if err := meshes[from].Send(1, &wire.Msg{Kind: wire.KPageSend, Page: 2, Data: junk}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	c1.wait(t, 201)
+	cs[1].wait(t, 401)
 	for i, b := range retained.Data {
 		if b != byte(i) {
 			t.Fatalf("retained Data corrupted at %d: got %#x, want %#x (read buffer aliasing)", i, b, byte(i))
