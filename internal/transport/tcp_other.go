@@ -4,12 +4,13 @@ package transport
 
 import (
 	"errors"
-	"fmt"
-	"runtime"
+	"net"
+	"syscall"
 )
 
-// A TCPMesh reader issues read(2) on its socket itself; off unix there
-// is no such call, and NewTCPSite refuses with errNoRawRead.
-func sysRead(uintptr, []byte) (int, error) { return 0, errNoRawRead }
+// Off unix a reader cannot issue a socket read itself: it blocks in
+// net.Conn.Read holding its chunk (reader.readConn), as a reader of a
+// conn with no descriptor does on unix.
+func rawConn(net.Conn) syscall.RawConn { return nil }
 
-var errNoRawRead = fmt.Errorf("transport: TCP mesh on %s: %w", runtime.GOOS, errors.ErrUnsupported)
+func sysRead(uintptr, []byte) (int, bool, error) { return 0, false, errors.ErrUnsupported }

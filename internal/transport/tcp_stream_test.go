@@ -25,6 +25,36 @@ func streamSite(tb testing.TB) (*TCPMesh, chan *wire.Msg) {
 	return m, got
 }
 
+// streamConn opens a stream into m: a socket dialed to m, or, with
+// pipe, one end of a net.Pipe whose other end m serves as an accepted
+// conn. A pipe has no descriptor, so its reader blocks in Read, as every
+// reader does off unix.
+func streamConn(tb testing.TB, m *TCPMesh, pipe bool) net.Conn {
+	tb.Helper()
+	if !pipe {
+		c, err := net.Dial("tcp", m.Addr())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return c
+	}
+	c, served := net.Pipe()
+	if !m.serveInbound(served) {
+		tb.Fatal("mesh closed")
+	}
+	return c
+}
+
+// idleHeld is how many read buffers the reader of a conn like c holds
+// between frames: none while it waits for readability, its chunk while
+// it blocks in Read (a pipe, or any socket off unix).
+func idleHeld(c net.Conn) int64 {
+	if rawConn(c) != nil {
+		return 0
+	}
+	return 1
+}
+
 // stream is a hello from site 1 and the frames of msgs, as a dialer
 // writes them.
 func stream(msgs []*wire.Msg) []byte {
@@ -87,8 +117,8 @@ func writePieces(tb testing.TB, c net.Conn, b []byte, cuts []int) {
 }
 
 // expect receives len(want) messages and checks each against want by
-// its encoding, then waits for the mesh's readers to hold no buffer.
-func expect(tb testing.TB, m *TCPMesh, got chan *wire.Msg, want []*wire.Msg) {
+// its encoding, then waits for the mesh's readers to hold idle buffers.
+func expect(tb testing.TB, m *TCPMesh, got chan *wire.Msg, want []*wire.Msg, idle int64) {
 	tb.Helper()
 	for i, w := range want {
 		select {
@@ -100,7 +130,7 @@ func expect(tb testing.TB, m *TCPMesh, got chan *wire.Msg, want []*wire.Msg) {
 			tb.Fatalf("message %d of %d never delivered", i, len(want))
 		}
 	}
-	waitHeld(tb, m, 0)
+	waitHeld(tb, m, idle)
 }
 
 // waitHeld waits for the read buffers m's readers hold to reach n.
@@ -121,14 +151,23 @@ func waitHeld(tb testing.TB, m *TCPMesh, n int64) {
 // frame of wire.MaxFrame — longer than a read chunk — cut inside its
 // prefix and across the chunk's size, with a short frame behind it in
 // the same write. Every frame arrives whole and in order, and once the
-// stream is quiet the reader holds no buffer.
+// stream is quiet the reader holds no buffer. The same stream through
+// a pipe checks the reader that blocks in Read, holding one chunk.
 func TestTCPFramesSplitAcrossReads(t *testing.T) {
-	m, got := streamSite(t)
-	c, err := net.Dial("tcp", m.Addr())
-	if err != nil {
-		t.Fatal(err)
+	for _, pipe := range []bool{false, true} {
+		name := "socket"
+		if pipe {
+			name = "pipe"
+		}
+		t.Run(name, func(t *testing.T) { framesSplitAcrossReads(t, pipe) })
 	}
+}
+
+func framesSplitAcrossReads(t *testing.T, pipe bool) {
+	m, got := streamSite(t)
+	c := streamConn(t, m, pipe)
 	defer c.Close()
+	idle := idleHeld(c)
 
 	msgs := streamMsgs()
 	b := stream(msgs)
@@ -137,7 +176,7 @@ func TestTCPFramesSplitAcrossReads(t *testing.T) {
 		cuts[i] = i + 1
 	}
 	writePieces(t, c, b, cuts)
-	expect(t, m, got, msgs)
+	expect(t, m, got, msgs, idle)
 
 	var burst []byte
 	var many []*wire.Msg
@@ -150,7 +189,7 @@ func TestTCPFramesSplitAcrossReads(t *testing.T) {
 	if _, err := c.Write(burst); err != nil {
 		t.Fatal(err)
 	}
-	expect(t, m, got, many)
+	expect(t, m, got, many, idle)
 
 	big := []*wire.Msg{maxFrameMsg(t), streamMsgs()[0]}
 	var b2 []byte
@@ -158,15 +197,18 @@ func TestTCPFramesSplitAcrossReads(t *testing.T) {
 		b2 = wire.AppendFrame(b2, msg)
 	}
 	writePieces(t, c, b2, []int{2, 1000, readBufSize - 10, readBufSize + 10, wire.MaxFrame + 1})
-	expect(t, m, got, big)
+	expect(t, m, got, big, idle)
+	c.Close()
+	waitHeld(t, m, 0)
 }
 
 // FuzzTCPFrameStream writes the stream of TestTCPFramesSplitAcrossReads
 // (hello, control, page and copyset frames) into a mesh in pieces
 // whose lengths the fuzzer picks: each input byte is one piece's length
-// less one, the rest of the stream follows in one write. Every frame
-// must arrive whole and in order, and the reader must end up holding
-// no buffer.
+// less one, the rest of the stream follows in one write. The stream
+// goes through a socket and through a pipe. Every frame must arrive
+// whole and in order, and each reader must end up holding its idle
+// buffers: none on the socket, its chunk on the pipe until it closes.
 func FuzzTCPFrameStream(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -185,13 +227,13 @@ func FuzzTCPFrameStream(f *testing.F) {
 			at += 1 + int(p)
 			cuts = append(cuts, at)
 		}
-		c, err := net.Dial("tcp", m.Addr())
-		if err != nil {
-			t.Fatal(err)
+		for _, pipe := range []bool{false, true} {
+			c := streamConn(t, m, pipe)
+			writePieces(t, c, b, cuts)
+			expect(t, m, got, msgs, idleHeld(c))
+			c.Close()
+			waitHeld(t, m, 0)
 		}
-		defer c.Close()
-		writePieces(t, c, b, cuts)
-		expect(t, m, got, msgs)
 	})
 }
 
@@ -199,8 +241,8 @@ func FuzzTCPFrameStream(f *testing.F) {
 // after traffic both ways, and after a 1 MiB burst of 64 KiB frames
 // that outgrows a read chunk on the receiving side and the staging
 // buffers on the sending side, the readers of both sites hold no
-// buffer and neither staging buffer of the sender is kept past one
-// chunk.
+// buffer (off unix, each its one chunk) and neither staging buffer of
+// the sender is kept past one chunk.
 func TestTCPIdleCircuitHoldsNoBuffer(t *testing.T) {
 	var c0, c1 collect
 	m0, m1 := newTCPPair(t, c0.handler(), c1.handler())
@@ -212,8 +254,14 @@ func TestTCPIdleCircuitHoldsNoBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	c0.wait(t, 1)
-	waitHeld(t, m0, 0)
-	waitHeld(t, m1, 0)
+	m0.mu.Lock()
+	tc := m0.conns[1]
+	m0.mu.Unlock()
+	tc.mu.Lock()
+	idle := idleHeld(tc.c)
+	tc.mu.Unlock()
+	waitHeld(t, m0, idle)
+	waitHeld(t, m1, idle)
 
 	page := make([]byte, wire.MaxData)
 	const frames = 16 // 1 MiB of data
@@ -228,12 +276,9 @@ func TestTCPIdleCircuitHoldsNoBuffer(t *testing.T) {
 			t.Fatalf("burst frame %d: %v", i, msg)
 		}
 	}
-	waitHeld(t, m0, 0)
-	waitHeld(t, m1, 0)
+	waitHeld(t, m0, idle)
+	waitHeld(t, m1, idle)
 
-	m0.mu.Lock()
-	tc := m0.conns[1]
-	m0.mu.Unlock()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		tc.mu.Lock()
@@ -246,5 +291,22 @@ func TestTCPIdleCircuitHoldsNoBuffer(t *testing.T) {
 			t.Fatalf("after the burst the staging buffers hold %d and %d bytes, want at most %d each", out, spare, readBufSize)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTCPTrimSparesAWritingCircuit fires the writer's trim while the
+// writer holds a batch: the empty staging buffer it swapped in is the
+// one a burst grew, and the stream is still running, so the trim keeps
+// it. Once the writer is idle again the trim drops it.
+func TestTCPTrimSparesAWritingCircuit(t *testing.T) {
+	c := &tcpConn{out: make([]byte, 0, 2*readBufSize)}
+	c.trimIdle()
+	if cap(c.out) <= readBufSize {
+		t.Fatal("trim dropped the staging buffer of a circuit that is writing")
+	}
+	c.spareOut = make([]byte, 0, 2*readBufSize)
+	c.trimIdle()
+	if c.out != nil || c.spareOut != nil {
+		t.Fatalf("idle circuit keeps staging buffers of %d and %d bytes", cap(c.out), cap(c.spareOut))
 	}
 }

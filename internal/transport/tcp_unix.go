@@ -2,11 +2,35 @@
 
 package transport
 
-import "syscall"
+import (
+	"net"
+	"syscall"
+)
 
-// sysRead is one read(2) on a socket the runtime keeps non-blocking:
-// syscall.EAGAIN means the kernel has nothing for it yet.
-func sysRead(fd uintptr, p []byte) (int, error) { return syscall.Read(int(fd), p) }
+// rawConn is c's descriptor for the reads a reader issues itself, or
+// nil for a conn that has none, whose reader then blocks in c.Read.
+func rawConn(c net.Conn) syscall.RawConn {
+	if sc, ok := c.(syscall.Conn); ok {
+		if raw, err := sc.SyscallConn(); err == nil {
+			return raw
+		}
+	}
+	return nil
+}
 
-// errNoRawRead is nil where sysRead works.
-var errNoRawRead error
+// sysRead is one read(2) on a socket the runtime keeps non-blocking,
+// retried on EINTR. again reports that the kernel has nothing yet.
+func sysRead(fd uintptr, p []byte) (n int, again bool, err error) {
+	for {
+		n, err = syscall.Read(int(fd), p)
+		switch {
+		case err == syscall.EINTR:
+			continue
+		case err == syscall.EAGAIN:
+			return 0, true, nil
+		case err != nil:
+			return 0, false, err
+		}
+		return n, false, nil
+	}
+}
