@@ -7,7 +7,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mirage/internal/obs"
 	"mirage/internal/wire"
@@ -27,29 +26,28 @@ import (
 // 4-byte length prefix; TCP's ordering gives the per-sender FIFO the
 // protocol assumes.
 //
-// Data path. Send appends the encoded frame straight into the peer
-// circuit's staging buffer (wire.AppendFrame); a dedicated writer
-// goroutine per circuit swaps the staged bytes out and pushes them
-// with one contiguous write, so a burst of N protocol messages costs
-// one syscall, not N write+flush pairs. The two staging buffers per
-// circuit are recycled, so the steady-state send path allocates
-// nothing; one that a burst grew past a chunk is dropped once the
-// circuit has stayed idle for trimAfter. TCP_NODELAY is set
-// explicitly on every circuit: batching happens here, where message
-// boundaries are known, never in the kernel where it would add delay.
-// Inbound, each socket has one reader that waits for readability
-// holding no buffer, then reads what the kernel has into a 64 KiB
-// chunk borrowed from a package-wide pool — one borrow per readiness,
-// not per frame — and decodes every whole frame in place. It keeps
-// the chunk only while a frame straddles two reads (a frame longer
-// than a chunk gets a buffer of its own size for that frame), so an
-// idle circuit holds no read buffer, as a Locus circuit fills a
-// network buffer per message and holds none between (§7.1). Off unix,
-// where the mesh cannot issue the read itself, a reader blocks in
-// Read holding its chunk instead, one 64 KiB buffer a socket. Decoded
-// control messages borrow nothing from the chunk, and page-carrying
-// messages get their Data copied out (wire.Msg.CloneData) before the
-// handler — which may retain the message indefinitely — sees them.
+// Data path. Both ends of a circuit keep one buffer rule, the Locus
+// one: a circuit fills a network buffer per message and holds none
+// between (§7.1). The buffer is a 64 KiB chunk borrowed from a
+// package-wide pool, or, for a frame longer than a chunk, a buffer of
+// that frame's own size. Send appends the encoded frame straight into
+// the circuit's staged chunk (wire.AppendFrame), borrowing one if none
+// is staged and waiting while its frame does not fit; a writer
+// goroutine per circuit takes the staged chunk, pushes it with one
+// contiguous write and hands it back, so a burst of N protocol
+// messages costs one syscall, not N. TCP_NODELAY is set explicitly on
+// every circuit: batching happens here, where message boundaries are
+// known, never in the kernel where it would add delay. Each socket has
+// one reader that waits for readability holding no buffer, then reads
+// what the kernel has into a borrowed chunk — one borrow per
+// readiness, not per frame — decodes every whole frame in place, and
+// keeps the chunk only while a frame straddles two reads. So an idle
+// circuit holds no buffer at either end. Off unix, where the mesh
+// cannot issue the read itself, a reader blocks in Read holding its
+// chunk instead, one 64 KiB buffer a socket. Decoded control messages
+// borrow nothing from the chunk, and page-carrying messages get their
+// Data copied out (wire.Msg.CloneData) before the handler — which may
+// retain the message indefinitely — sees them.
 //
 // The mesh is for sites within one OS (typically loopback): the
 // control plane (segment naming) stays in-process, as noted in
@@ -68,7 +66,7 @@ type TCPMesh struct {
 
 	obs *obs.Obs // flush and fault metrics sink; nil when observability is off
 
-	held atomic.Int64 // read buffers this mesh's readers hold: 0 on an idle mesh
+	held atomic.Int64 // buffers this mesh's readers and writers hold: 0 on an idle mesh
 }
 
 // SetObs attaches an observability sink: each writer-goroutine batch
@@ -83,34 +81,26 @@ func (m *TCPMesh) SetObs(o *obs.Obs) {
 	m.mu.Unlock()
 }
 
-// maxQueuedBytes bounds one circuit's staging buffer. Senders that
-// outrun the socket block in Send until the writer drains — the same
-// backpressure a blocking write syscall used to provide, but applied
-// per batch instead of per message. The bound also caps the circuit's
-// memory at two staging buffers of roughly this size while a burst
-// lasts; after it, neither is kept past one chunk (readBufSize).
-const maxQueuedBytes = 1 << 20
-
-// tcpConn is a site's circuit to one peer: a staging buffer of encoded
+// tcpConn is a site's circuit to one peer: a staged chunk of encoded
 // frames drained by a writer goroutine that owns the socket's sending
 // side. The socket is one the writer dialed or one the peer dialed and
 // this site adopted; either way a reader serves its other side.
-// Senders encode under mu, appending to out; the writer swaps out/offs
-// with the spare pair, so the two buffers ping-pong between the roles
-// and the data path reaches steady state with zero allocation.
+// Senders encode under mu, appending to out; the writer takes out
+// whole and hands it back to the pool after the write, so a circuit
+// holds at most one staged chunk and one being written, none when
+// idle. A sender whose frame does not fit in the staged chunk waits
+// for the writer to take it — the backpressure a blocking write
+// syscall used to provide, applied per batch instead of per message.
 type tcpConn struct {
 	m  *TCPMesh
 	to int
 
-	mu        sync.Mutex
-	cond      *sync.Cond // signaled when the staging buffer becomes non-empty
-	space     *sync.Cond // signaled when the writer frees staging space
-	out       []byte     // staged length-prefixed frames awaiting write
-	offs      []int      // start offset of each staged frame in out
-	spareOut  []byte     // recycled staging buffer
-	spareOffs []int
-	trim      *time.Timer // drops what a burst grew once the circuit idles
-	closed    bool
+	mu     sync.Mutex
+	cond   *sync.Cond // signaled when a frame is staged into an empty circuit
+	space  *sync.Cond // signaled when the writer takes the staged chunk
+	out    buffer     // staged length-prefixed frames awaiting write
+	frames int        // frames in out
+	closed bool
 
 	// c is the established socket, dialed or adopted. The writer
 	// goroutine owns its sending side; tests fault it deliberately
@@ -227,29 +217,62 @@ func noDelay(c net.Conn) {
 	}
 }
 
-// readBufSize is the size of the chunk a reader borrows for one read:
-// big enough that a full page frame plus a batch of control frames
-// drains in one kernel read.
-const readBufSize = 64 * 1024
+// chunkSize is the size of the chunk a reader borrows for one read and
+// a circuit stages frames into: big enough that a full page frame plus
+// a batch of control frames drains in one kernel read or write.
+const chunkSize = 64 * 1024
 
-// chunks lends read buffers to every mesh's readers. A reader borrows a
-// chunk when its socket turns readable and hands it back once no frame
-// straddles the read, so an idle circuit holds none and the pool's GC
-// clearing frees what no socket is reading into. Unlike a pool of one
+// chunks lends buffers to every mesh's readers and writers. A reader
+// borrows a chunk when its socket turns readable and hands it back once
+// no frame straddles the read; a circuit borrows one when a frame is
+// staged into it empty, and its writer hands it back after the write.
+// So an idle circuit holds none, and the pool's GC clearing frees what
+// no socket is reading into or writing from. Unlike a pool of one
 // buffer per frame in flight (DESIGN.md §8.2), the chunks out at once
-// are at most one per socket being read, and each goes back before its
-// reader waits, so a collection rarely leaves the pool empty.
-var chunks = sync.Pool{New: func() any { return new([readBufSize]byte) }}
+// are at most one per socket being read and two per circuit writing,
+// and each goes back within its read or write, so a collection rarely
+// leaves the pool empty.
+var chunks = sync.Pool{New: func() any { return new([chunkSize]byte) }}
+
+// buffer is what either end of a circuit holds while it reads or
+// stages: a chunk from the pool, or, for a frame longer than a chunk, a
+// buffer of that frame's own size.
+type buffer struct {
+	b     []byte           // nil while nothing is held
+	chunk *[chunkSize]byte // the pooled chunk under b, nil under a frame's own buffer
+}
+
+// borrow returns an empty buffer with room for n bytes: a pooled chunk,
+// or one of its own size for n over a chunk.
+func (m *TCPMesh) borrow(n int) buffer {
+	m.held.Add(1)
+	if n > chunkSize {
+		return buffer{b: make([]byte, 0, n)}
+	}
+	c := chunks.Get().(*[chunkSize]byte)
+	return buffer{b: c[:0], chunk: c}
+}
+
+// drop lets go of whatever b holds: a chunk goes back to the pool, a
+// frame's own buffer to the collector.
+func (m *TCPMesh) drop(b *buffer) {
+	if b.b == nil {
+		return
+	}
+	if b.chunk != nil {
+		chunks.Put(b.chunk)
+	}
+	*b = buffer{}
+	m.held.Add(-1)
+}
 
 // reader is the receiving side of one socket. Between reads it holds a
-// buffer only while a frame straddles them: the pooled chunk, or, for a
-// frame longer than a chunk, a buffer of that frame's own size.
+// buffer only while a frame straddles them.
 type reader struct {
 	m     *TCPMesh
 	c     net.Conn
 	fill  func(fd uintptr) bool // r.read, bound once: raw.Read takes it every readiness
-	buf   []byte                // unparsed bytes from buf[0]; nil while the reader holds nothing
-	chunk *[readBufSize]byte    // the pooled chunk under buf, nil under a frame's own buffer
+	in    buffer                // unparsed bytes from in.b[0]
 	hello bool                  // an accepted socket whose hello is still to come
 	err   error                 // what ended the stream
 }
@@ -275,7 +298,7 @@ func (m *TCPMesh) serve(c net.Conn, accepted bool) {
 		m.mu.Unlock()
 	}()
 	r := &reader{m: m, c: c, hello: accepted}
-	defer r.drop()
+	defer m.drop(&r.in)
 	if raw := rawConn(c); raw != nil {
 		r.fill = r.read
 		for raw.Read(r.fill) == nil && r.err == nil && r.deliver() {
@@ -292,14 +315,15 @@ func (m *TCPMesh) serve(c net.Conn, accepted bool) {
 // has nothing; a reader with no straddling frame then hands its chunk
 // back before the wait.
 func (r *reader) read(fd uintptr) bool {
-	if r.buf == nil {
-		r.borrow()
+	if r.in.b == nil {
+		r.in = r.m.borrow(chunkSize)
 	}
-	n, again, err := sysRead(fd, r.buf[len(r.buf):cap(r.buf)])
+	b := r.in.b
+	n, again, err := sysRead(fd, b[len(b):cap(b)])
 	switch {
 	case again:
-		if len(r.buf) == 0 {
-			r.drop()
+		if len(b) == 0 {
+			r.m.drop(&r.in)
 		}
 		return false
 	case err != nil:
@@ -307,7 +331,7 @@ func (r *reader) read(fd uintptr) bool {
 	case n == 0:
 		r.err = io.EOF
 	default:
-		r.buf = r.buf[:len(r.buf)+n]
+		r.in.b = b[:len(b)+n]
 	}
 	return true
 }
@@ -317,11 +341,12 @@ func (r *reader) read(fd uintptr) bool {
 // chunk while Read waits. It reports false when the stream ended with
 // nothing read.
 func (r *reader) readConn() bool {
-	if r.buf == nil {
-		r.borrow()
+	if r.in.b == nil {
+		r.in = r.m.borrow(chunkSize)
 	}
-	n, err := r.c.Read(r.buf[len(r.buf):cap(r.buf)])
-	r.buf, r.err = r.buf[:len(r.buf)+n], err
+	b := r.in.b
+	n, err := r.c.Read(b[len(b):cap(b)])
+	r.in.b, r.err = b[:len(b)+n], err
 	return n > 0 || err == nil
 }
 
@@ -332,7 +357,7 @@ func (r *reader) readConn() bool {
 // is kept for the next read attempt, which hands it back if the kernel
 // has nothing. deliver reports false when the stream is corrupt.
 func (r *reader) deliver() bool {
-	b := r.buf
+	b := r.in.b
 	need := 0 // the length of the straddling tail's frame, prefix included
 	for len(b) > 0 {
 		if r.hello {
@@ -376,47 +401,27 @@ func (r *reader) deliver() bool {
 		b = b[4+n:]
 	}
 	switch {
-	case len(b) == 0 && r.chunk == nil:
-		r.drop() // an oversized frame's own buffer, spent
-	case need > cap(r.buf):
-		own := make([]byte, len(b), need)
-		copy(own, b)
-		chunks.Put(r.chunk)
-		r.buf, r.chunk = own, nil
+	case len(b) == 0 && r.in.chunk == nil:
+		r.m.drop(&r.in) // an oversized frame's own buffer, spent
+	case need > cap(r.in.b):
+		own := r.m.borrow(need)
+		own.b = append(own.b, b...)
+		r.m.drop(&r.in)
+		r.in = own
 	default:
-		r.buf = r.buf[:copy(r.buf[:cap(r.buf)], b)]
+		r.in.b = r.in.b[:copy(r.in.b[:cap(r.in.b)], b)]
 	}
 	return true
 }
 
-// borrow takes a chunk from the pool for the next read.
-func (r *reader) borrow() {
-	r.chunk = chunks.Get().(*[readBufSize]byte)
-	r.buf = r.chunk[:0]
-	r.m.held.Add(1)
-}
-
-// drop lets go of whatever buffer the reader holds: a chunk goes back
-// to the pool, a frame's own buffer to the collector.
-func (r *reader) drop() {
-	if r.buf == nil {
-		return
-	}
-	if r.chunk != nil {
-		chunks.Put(r.chunk)
-	}
-	r.buf, r.chunk = nil, nil
-	r.m.held.Add(-1)
-}
-
 // Send implements Transport. It encodes the message into the peer
-// circuit's staging buffer and returns; the writer goroutine owns the
-// socket, so Send blocks only when the circuit's staging bound is full
-// (backpressure), never on the wire. Only structural problems (mesh
-// closed, unknown peer, own site) surface here; socket faults are
-// absorbed by the writer — it evicts the circuit, redials once, and
-// counts it in the registry (the reliability layer, when enabled, owns
-// retry pacing beyond that).
+// circuit's staged chunk and returns; the writer goroutine owns the
+// socket, so Send blocks only while its frame does not fit in the
+// staged chunk (backpressure), never on the wire. Only structural
+// problems (mesh closed, unknown peer, own site) surface here; socket
+// faults are absorbed by the writer — it evicts the circuit, redials
+// once, and counts it in the registry (the reliability layer, when
+// enabled, owns retry pacing beyond that).
 func (m *TCPMesh) Send(to int, msg *wire.Msg) error {
 	tc, err := m.conn(to)
 	if err != nil {
@@ -458,26 +463,28 @@ func (m *TCPMesh) newConn(to int, c net.Conn) *tcpConn {
 	return tc
 }
 
-// enqueue encodes one message into the circuit's staging buffer,
-// blocking while the buffer is at its byte bound. It reports false
-// when the circuit is closed.
+// enqueue encodes one message into the circuit's staged chunk,
+// borrowing one if none is staged, and waiting while the frame does not
+// fit in the one that is. It reports false when the circuit is closed.
 func (c *tcpConn) enqueue(msg *wire.Msg) bool {
+	n := 4 + msg.EncodedLen()
 	c.mu.Lock()
-	for len(c.out) >= maxQueuedBytes && !c.closed {
+	for c.out.b != nil && len(c.out.b)+n > cap(c.out.b) && !c.closed {
 		c.space.Wait()
 	}
 	if c.closed {
 		c.mu.Unlock()
 		return false
 	}
-	c.offs = append(c.offs, len(c.out))
-	c.out = wire.AppendFrame(c.out, msg)
-	if len(c.offs) == 1 {
-		// 0 → non-empty transition: the writer may be waiting. While the
-		// buffer stays non-empty the writer is awake (or already woken)
-		// and will re-check before sleeping, so no further signal needed.
+	if c.out.b == nil {
+		// Nothing staged: the writer may be waiting. While a chunk stays
+		// staged the writer is awake (or already woken) and will re-check
+		// before sleeping, so no further signal is needed.
+		c.out = c.m.borrow(n)
 		c.cond.Signal()
 	}
+	c.out.b = wire.AppendFrame(c.out.b, msg)
+	c.frames++
 	c.mu.Unlock()
 	return true
 }
@@ -495,12 +502,13 @@ func (c *tcpConn) shutdown() {
 	c.mu.Unlock()
 }
 
-// writeLoop drains the staging buffer: all frames staged at wakeup go
-// out as one contiguous write, so senders bursting protocol traffic
-// pay one syscall per batch. On a write fault it evicts the socket and
-// redials once, resending only the frames the dead socket had not
-// fully accepted; if the fresh socket fails too, the batch is dropped
-// and counted (retransmission is the reliability layer's job).
+// writeLoop drains the circuit: it takes the staged chunk at wakeup and
+// pushes it as one contiguous write, so senders bursting protocol
+// traffic pay one syscall per batch, then hands the chunk back. On a
+// write fault it evicts the socket and redials once, resending only the
+// frames the dead socket had not fully accepted; if the fresh socket
+// fails too, the batch is dropped and counted (retransmission is the
+// reliability layer's job).
 func (c *tcpConn) writeLoop() {
 	defer c.m.wg.Done()
 	defer func() {
@@ -508,125 +516,81 @@ func (c *tcpConn) writeLoop() {
 		if c.c != nil {
 			c.c.Close()
 		}
-		c.out, c.offs = nil, nil
-		if c.trim != nil {
-			c.trim.Stop()
-		}
+		c.m.drop(&c.out)
 		c.mu.Unlock()
 	}()
 	c.m.mu.Lock()
 	o := c.m.obs
 	c.m.mu.Unlock()
-	var batch []byte
-	var offs []int
 	for {
 		c.mu.Lock()
-		for len(c.out) == 0 && !c.closed {
+		for c.out.b == nil && !c.closed {
 			c.cond.Wait()
 		}
 		if c.closed {
 			c.mu.Unlock()
 			return
 		}
-		batch, c.out = c.out, c.spareOut[:0]
-		offs, c.offs = c.offs, c.spareOffs[:0]
-		c.spareOut, c.spareOffs = nil, nil
+		batch, frames := c.out, c.frames
+		c.out, c.frames = buffer{}, 0
 		c.space.Broadcast()
 		c.mu.Unlock()
 
 		o.Count(c.m.site, obs.CFlushBatch)
-		o.CountN(c.m.site, obs.CFlushFrame, int64(len(offs)))
-		o.CountN(c.m.site, obs.CFlushByte, int64(len(batch)))
-		o.Observe(obs.HFlushFrames, int64(len(offs)))
-		o.Observe(obs.HFlushBytes, int64(len(batch)))
+		o.CountN(c.m.site, obs.CFlushFrame, int64(frames))
+		o.CountN(c.m.site, obs.CFlushByte, int64(len(batch.b)))
+		o.Observe(obs.HFlushFrames, int64(frames))
+		o.Observe(obs.HFlushBytes, int64(len(batch.b)))
 
-		rest := c.writeFrames(batch, offs, 0)
-		if rest > 0 {
+		sent := c.writeFrom(batch.b, 0)
+		if sent < len(batch.b) {
 			// Evict the dead socket and retry the unsent tail once on a
 			// fresh one; drop it if that fails as well.
 			if c.redial() {
-				rest = c.writeFrames(batch, offs, len(offs)-rest)
+				sent = c.writeFrom(batch.b, sent)
 			}
-			if rest > 0 {
+			if sent < len(batch.b) {
 				c.m.count(obs.CTCPWriteError) // the tail is dropped
 			}
 		}
-		c.mu.Lock()
-		if c.spareOut == nil {
-			// Recycle the drained staging pair for the next swap.
-			c.spareOut, c.spareOffs = batch[:0], offs[:0]
-		}
-		if len(c.out) == 0 && max(cap(c.out), cap(c.spareOut)) > readBufSize {
-			// Going idle with a buffer a burst grew past one chunk: let
-			// go of it if the burst is still over after trimAfter.
-			if c.trim == nil {
-				c.trim = time.AfterFunc(trimAfter, c.trimIdle)
-			} else {
-				c.trim.Reset(trimAfter)
-			}
-		}
-		c.mu.Unlock()
+		c.m.drop(&batch)
 	}
 }
 
-// trimAfter is how long a circuit must stay idle before its writer
-// lets go of a staging buffer that a burst grew past one chunk. A
-// stream that pauses for less keeps both buffers, so a sender that
-// outruns the socket does not regrow them after every catch-up. The
-// longest such pause measured (bursts of 1 024 4 KiB pages, each waited
-// on) was 21 ms; no benchmark workload grows a buffer past a chunk.
-const trimAfter = 50 * time.Millisecond
-
-// trimIdle drops the staging buffers grown past one chunk if nothing
-// has been staged since the writer went idle.
-func (c *tcpConn) trimIdle() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.out) > 0 || c.spareOut == nil {
-		return // staged again, or mid-write: the next idle turn re-arms the trim
-	}
-	if cap(c.out) > readBufSize {
-		c.out, c.offs = nil, nil
-	}
-	if cap(c.spareOut) > readBufSize {
-		c.spareOut, c.spareOffs = nil, nil
-	}
-}
-
-// writeFrames pushes the staged frames starting at frame index `from`
-// with one contiguous write, dialing first if the circuit has no
-// socket. It returns the number of frames (from the batch's tail) that
-// were not fully accepted by the socket; 0 means complete success.
-func (c *tcpConn) writeFrames(data []byte, offs []int, from int) (unsent int) {
-	if from >= len(offs) {
-		return 0
-	}
+// writeFrom pushes the frames of batch from offset `from`, a frame
+// boundary short of its end, with one contiguous write, dialing first
+// if the circuit has no socket. It returns where the frames the socket
+// did not fully accept begin: len(batch) means complete success.
+func (c *tcpConn) writeFrom(batch []byte, from int) int {
 	conn := c.socket()
 	if conn == nil {
-		return len(offs) - from
+		return from
 	}
-	base := offs[from]
-	n, err := conn.Write(data[base:])
+	n, err := conn.Write(batch[from:])
 	if err == nil {
-		return 0
+		return len(batch)
 	}
 	c.evict(conn)
-	// Find the first frame the socket did not fully accept: everything
-	// before it was handed to the kernel (and possibly delivered), so
-	// resending those on a fresh circuit would duplicate them. The
-	// partially accepted frame itself is safe to resend — the receiver
-	// drops a connection that dies mid-frame without delivering it.
-	written := base + n
-	for i := from; i < len(offs); i++ {
-		end := len(data)
-		if i+1 < len(offs) {
-			end = offs[i+1]
-		}
+	return resendFrom(batch, from+n)
+}
+
+// resendFrom returns the offset of the first frame in batch that the
+// socket did not fully accept when its first `written` bytes went out,
+// walking the frames' own length prefixes. Everything before it was
+// handed to the kernel (and possibly delivered), so resending those on
+// a fresh circuit would duplicate them. The partially accepted frame
+// itself is safe to resend — the receiver drops a connection that dies
+// mid-frame without delivering it.
+func resendFrom(batch []byte, written int) int {
+	at := 0
+	for at < len(batch) {
+		end := at + 4 + int(binary.BigEndian.Uint32(batch[at:]))
 		if end > written {
-			return len(offs) - i
+			break
 		}
+		at = end
 	}
-	return 0
+	return at
 }
 
 // socket returns the circuit's established socket, dialing if needed.

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -196,7 +198,7 @@ func framesSplitAcrossReads(t *testing.T, pipe bool) {
 	for _, msg := range big {
 		b2 = wire.AppendFrame(b2, msg)
 	}
-	writePieces(t, c, b2, []int{2, 1000, readBufSize - 10, readBufSize + 10, wire.MaxFrame + 1})
+	writePieces(t, c, b2, []int{2, 1000, chunkSize - 10, chunkSize + 10, wire.MaxFrame + 1})
 	expect(t, m, got, big, idle)
 	c.Close()
 	waitHeld(t, m, 0)
@@ -239,10 +241,9 @@ func FuzzTCPFrameStream(f *testing.F) {
 
 // TestTCPIdleCircuitHoldsNoBuffer pins what an idle circuit keeps:
 // after traffic both ways, and after a 1 MiB burst of 64 KiB frames
-// that outgrows a read chunk on the receiving side and the staging
-// buffers on the sending side, the readers of both sites hold no
-// buffer (off unix, each its one chunk) and neither staging buffer of
-// the sender is kept past one chunk.
+// that outgrows a read chunk on the receiving side, the readers and
+// writers of both sites hold no buffer (off unix, each reader its one
+// chunk), and the sender stages nothing once the burst is delivered.
 func TestTCPIdleCircuitHoldsNoBuffer(t *testing.T) {
 	var c0, c1 collect
 	m0, m1 := newTCPPair(t, c0.handler(), c1.handler())
@@ -276,37 +277,194 @@ func TestTCPIdleCircuitHoldsNoBuffer(t *testing.T) {
 			t.Fatalf("burst frame %d: %v", i, msg)
 		}
 	}
+	// Every frame delivered was taken from staging before it was
+	// written, so nothing can be staged now.
+	tc.mu.Lock()
+	staged := len(tc.out.b)
+	tc.mu.Unlock()
+	if staged != 0 {
+		t.Fatalf("after the burst is delivered the circuit stages %d bytes", staged)
+	}
 	waitHeld(t, m0, idle)
 	waitHeld(t, m1, idle)
+}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		tc.mu.Lock()
-		out, spare := cap(tc.out), cap(tc.spareOut)
-		tc.mu.Unlock()
-		if out <= readBufSize && spare <= readBufSize {
-			break
+// TestTCPShortWriteResendsFromFirstUnacceptedFrame cuts a batch of
+// three frames wherever a short write may stop: the resend starts at
+// the first frame the socket did not fully accept, so no frame is sent
+// twice and none is lost.
+func TestTCPShortWriteResendsFromFirstUnacceptedFrame(t *testing.T) {
+	var batch []byte
+	var starts []int
+	for _, msg := range streamMsgs() {
+		starts = append(starts, len(batch))
+		batch = wire.AppendFrame(batch, msg)
+	}
+	second, third := starts[1], starts[2] // the second frame carries a page
+	for _, tt := range []struct {
+		name          string
+		written, want int
+	}{
+		{"nothing accepted", 0, 0},
+		{"inside the first length prefix", 2, 0},
+		{"inside a length prefix", second + 3, second},
+		{"inside a frame", second + 4 + 100, second},
+		{"on a frame boundary", third, third},
+		{"the whole batch", len(batch), len(batch)},
+	} {
+		if got := resendFrom(batch, tt.written); got != tt.want {
+			t.Errorf("%s: %d bytes written, resend from %d, want %d", tt.name, tt.written, got, tt.want)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("after the burst the staging buffers hold %d and %d bytes, want at most %d each", out, spare, readBufSize)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestTCPTrimSparesAWritingCircuit fires the writer's trim while the
-// writer holds a batch: the empty staging buffer it swapped in is the
-// one a burst grew, and the stream is still running, so the trim keeps
-// it. Once the writer is idle again the trim drops it.
-func TestTCPTrimSparesAWritingCircuit(t *testing.T) {
-	c := &tcpConn{out: make([]byte, 0, 2*readBufSize)}
-	c.trimIdle()
-	if cap(c.out) <= readBufSize {
-		t.Fatal("trim dropped the staging buffer of a circuit that is writing")
+// TestTCPStagingAcrossChunkEdges streams control frames, 4 KiB pages
+// and one frame longer than a chunk from one sender through a circuit
+// whose socket is a pipe the test reads. A pipe write returns only once
+// all of it is read, and each read returns the rest of one write, so
+// the test holds the writer on one batch while it looks at the next and
+// sees the batches one by one:
+//   - the first frame goes out alone, and the frames behind it fill one
+//     chunk until one does not fit, on which the sender waits;
+//   - the over-size frame waits for an empty circuit and is staged
+//     alone in a buffer of its own size, not a pooled chunk;
+//   - every frame arrives once and in order, no batch is longer than a
+//     chunk but the over-size frame's, and the circuit holds at most two
+//     buffers while it writes and none once it is idle.
+func TestTCPStagingAcrossChunkEdges(t *testing.T) {
+	m, _ := streamSite(t)
+	pr, pw := net.Pipe()
+	defer pr.Close()
+	m.mu.Lock()
+	tc := m.newConn(1, pw)
+	m.mu.Unlock()
+	staged := func() (frames int, b []byte, own bool) {
+		tc.mu.Lock()
+		defer tc.mu.Unlock()
+		return tc.frames, tc.out.b, tc.out.b != nil && tc.out.chunk == nil
 	}
-	c.spareOut = make([]byte, 0, 2*readBufSize)
-	c.trimIdle()
-	if c.out != nil || c.spareOut != nil {
-		t.Fatalf("idle circuit keeps staging buffers of %d and %d bytes", cap(c.out), cap(c.spareOut))
+	waitStaged := func(what string, ok func(frames int, b []byte, own bool) bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !ok(staged()) {
+			if time.Now().After(deadline) {
+				n, b, own := staged()
+				t.Fatalf("never staged %s: %d frames in %d bytes, own buffer %v", what, n, len(b), own)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
+
+	page := make([]byte, 4096)
+	next := func(i int) *wire.Msg {
+		if i%2 == 1 {
+			return &wire.Msg{Kind: wire.KPageSend, Seg: 1, Page: int32(i), From: 1, Data: page}
+		}
+		return &wire.Msg{Kind: wire.KReadReq, Seg: 1, Page: int32(i), From: 1}
+	}
+	msgs := []*wire.Msg{next(0)}
+	fill := 0 // bytes of frames 1..k, the frames that fit in one chunk
+	for {
+		msg := next(len(msgs))
+		msgs = append(msgs, msg)
+		if fill+4+msg.EncodedLen() > chunkSize {
+			break
+		}
+		fill += 4 + msg.EncodedLen()
+	}
+	k := len(msgs) - 2 // msgs[k+1] is the first frame that does not fit
+	big := maxFrameMsg(t)
+	big.Page = int32(len(msgs))
+	msgs = append(msgs, big)
+	for len(msgs) < k+40 {
+		msgs = append(msgs, next(len(msgs)))
+	}
+
+	// The writer takes frame 0 and stays in its write; frames 1..k fit
+	// in one staged chunk.
+	if err := m.Send(1, msgs[0]); err != nil {
+		t.Fatal(err)
+	}
+	waitStaged("nothing", func(n int, b []byte, _ bool) bool { return b == nil })
+	for _, msg := range msgs[1 : k+1] {
+		if err := m.Send(1, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, b, own := staged(); n != k || len(b) != fill || own || m.held.Load() != 2 {
+		t.Fatalf("staged %d frames in %d bytes (own buffer %v), %d buffers held; want %d frames in %d bytes of a chunk, 2 held",
+			n, len(b), own, m.held.Load(), k, fill)
+	}
+	var sent atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, msg := range msgs[k+1:] {
+			if err := m.Send(1, msg); err != nil {
+				t.Error(err)
+				return
+			}
+			sent.Add(1)
+		}
+	}()
+	defer func() { m.Close(); <-done }() // a failed check must not leave the sender blocked
+	// What is checked is that nothing happens: no send may return while
+	// the writer is held and the chunk is full, so give one a while.
+	time.Sleep(20 * time.Millisecond)
+	if n := sent.Load(); n != 0 {
+		t.Fatalf("%d sends returned past a full chunk", n)
+	}
+
+	buf := make([]byte, 2*chunkSize)
+	got := 0
+	// batch reads one write and checks its frames against msgs.
+	batch := func() (frames, size int) {
+		t.Helper()
+		n, err := pr.Read(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if held := m.held.Load(); held > 2 {
+			t.Fatalf("the circuit holds %d buffers while it writes", held)
+		}
+		for b := buf[:n]; len(b) > 0; frames++ {
+			if len(b) < 4 || len(b) < 4+int(binary.BigEndian.Uint32(b)) {
+				t.Fatalf("batch of %d bytes ends inside frame %d", n, got)
+			}
+			end := 4 + int(binary.BigEndian.Uint32(b))
+			if !bytes.Equal(b[4:end], wire.Encode(nil, msgs[got])) {
+				t.Fatalf("frame %d out of order or damaged", got)
+			}
+			b, got = b[end:], got+1
+		}
+		if n > chunkSize && frames != 1 {
+			t.Fatalf("a batch of %d frames in %d bytes, past a chunk", frames, n)
+		}
+		return frames, n
+	}
+	if n, _ := batch(); n != 1 {
+		t.Fatalf("first batch has %d frames, want 1", n)
+	}
+	waitStaged("the frame that did not fit", func(n int, b []byte, own bool) bool { return n == 1 && !own })
+	if n, _ := batch(); n != k {
+		t.Fatalf("second batch has %d frames, want the %d that fit in a chunk", n, k)
+	}
+	waitStaged("the over-size frame", func(n int, b []byte, own bool) bool { return own })
+	if n, b, _ := staged(); n != 1 || len(b) != 4+wire.MaxFrame || cap(b) != len(b) || m.held.Load() != 2 {
+		t.Fatalf("over-size frame staged with %d frames in %d of %d bytes, %d buffers held", n, len(b), cap(b), m.held.Load())
+	}
+	if n, _ := batch(); n != 1 {
+		t.Fatalf("third batch has %d frames, want the one that did not fit", n)
+	}
+	if n, size := batch(); n != 1 || size != 4+wire.MaxFrame {
+		t.Fatalf("fourth batch has %d frames in %d bytes, want the over-size frame alone", n, size)
+	}
+	for got < len(msgs) {
+		batch()
+	}
+	<-done
+	if _, b, _ := staged(); b != nil {
+		t.Fatalf("the idle circuit stages %d bytes", len(b))
+	}
+	waitHeld(t, m, 0)
 }

@@ -103,8 +103,7 @@ func BenchmarkDecodePage(b *testing.B) {
 }
 
 // BenchmarkAppendFrame is the transport send path's encode unit: one
-// length-prefixed frame appended to a TCP circuit's recycled staging
-// buffer.
+// length-prefixed frame appended to a TCP circuit's staged chunk.
 func BenchmarkAppendFrame(b *testing.B) {
 	m := benchMsg()
 	buf := make([]byte, 0, MaxFrame)
@@ -151,9 +150,9 @@ func TestDecodeAllocFree(t *testing.T) {
 	}
 }
 
-// TestAppendFramePooledAllocFree: a frame appended to a recycled
-// staging buffer — the pair each TCP circuit ping-pongs — allocates
-// nothing.
+// TestAppendFramePooledAllocFree: a frame appended to a buffer with
+// room for it — a TCP circuit's staged chunk, borrowed from the pool
+// its readers share — allocates nothing.
 func TestAppendFramePooledAllocFree(t *testing.T) {
 	m := benchMsg()
 	buf := make([]byte, 0, MaxFrame)
