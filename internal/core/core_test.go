@@ -682,14 +682,23 @@ func TestStragglersAfterDestroyAreDropped(t *testing.T) {
 func TestMappedPages(t *testing.T) {
 	n := newTestNet(t, 2, Options{})
 	n.newSeg(4, 0)
-	if got := n.engines[0].Seg(1).PresentCount(); got != 4 {
+	mapped := func(site int) int {
+		seg, k := n.engines[site].Seg(1), 0
+		for p := 0; p < seg.Pages(); p++ {
+			if seg.Present(p) {
+				k++
+			}
+		}
+		return k
+	}
+	if got := mapped(0); got != 4 {
 		t.Fatalf("library mapped = %d", got)
 	}
-	if got := n.engines[1].Seg(1).PresentCount(); got != 0 {
+	if got := mapped(1); got != 0 {
 		t.Fatalf("remote mapped = %d", got)
 	}
 	n.acquire(1, 1, 2, false)
-	if got := n.engines[1].Seg(1).PresentCount(); got != 1 {
+	if got := mapped(1); got != 1 || !n.engines[1].Seg(1).Present(2) {
 		t.Fatalf("after one fetch mapped = %d", got)
 	}
 }

@@ -75,7 +75,8 @@ func (r *libRecord) logged() libRecord {
 //	page u32 | core | denied u32 | denial-remaining EWMA u64 |
 //	flip EWMA u16 | last writer i32
 //
-// The copyset reuses the dual inline/bitmap form of mmu.AppendWire.
+// The copyset is mmu.AppendWire's: a member list or bitmap words,
+// whichever is smaller.
 // Nothing in a record is a point in time: two sites' clocks are
 // unrelated.
 const (

@@ -2,9 +2,11 @@ package mmu
 
 import "testing"
 
-// Inline vs spilled representation microbenches: the inline form
-// covers the paper's common case (§7.2, a handful of readers); the
-// spilled bitmap covers 100-1000-site fan-out.
+// Copyset microbenches. "Inline" sets hold only sites below 64, all in
+// the word held inline: the paper's common case (§7.2, a handful of
+// readers). "Spilled" sets reach past site 63 into the slice of higher
+// words: 100-1000-site fan-out. The names predate the one bitmap and
+// are kept so runs stay comparable across it.
 
 func BenchmarkCopysetAddInline(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -20,29 +21,21 @@ const MaxSites = 1 << 16
 // IDs never silently truncate inside the protocol.
 var ErrTooManySites = errors.New("too many sites: copysets hold at most 65536 sites")
 
-// inlineSites is the member capacity of the inline representation.
-// Mirage sharing is narrow in the common case (§7.2 measures a
-// handful of readers per page), so small sets must stay heap-free.
-const inlineSites = 6
-
 // Copyset is a set of site IDs, used as the auxpte "reader mask"
 // (paper Table 2), in every per-page library record, and on the wire.
-// It replaces the old uint64 SiteMask.
 //
-// It is a value type with copy-on-write spill storage: every method
-// returns a new set and never mutates shared state, so a Copyset may
-// be copied, stored, and compared like the integer mask it replaces.
+// It is the paper's bitmask of sites, widened: site s is bit s&63 of
+// word s>>6. Word 0 is held inline in lo, so a set of sites below 64
+// never touches the heap, whatever its size; words 1 and up live in
+// hi, which is nil or ends in a non-zero word. That one canonical form
+// makes reflect.DeepEqual agree with Equal.
 //
-// Representation: up to inlineSites members live in a small sorted
-// array with no heap storage; larger sets spill to a bitmap of 64-site
-// words. Both forms are kept canonical — spill != nil exactly when
-// Count() > inlineSites, inline members sorted and zero-padded, spill
-// trailing zero words trimmed — so reflect.DeepEqual agrees with
-// Equal.
+// It is a value type: every method returns a new set and never
+// mutates hi, which sets may therefore share, so a Copyset may be
+// copied, stored, and compared like the integer mask it replaces.
 type Copyset struct {
-	n      int32
-	inline [inlineSites]uint16
-	spill  []uint64
+	lo uint64   // sites 0-63
+	hi []uint64 // hi[i] holds sites 64(i+1) to 64(i+1)+63
 }
 
 // CopysetOf builds a Copyset from site IDs.
@@ -54,48 +47,15 @@ func CopysetOf(sites ...int) Copyset {
 	return c
 }
 
-// CopysetFromWords builds a Copyset from a bitmap of 64-site words
-// (site s lives at word s>>6, bit s&63). It takes ownership of words
-// and canonicalizes: trailing zero words are trimmed and small results
-// collapse to the inline form. Words beyond MaxSites/64 are ignored.
-func CopysetFromWords(words []uint64) Copyset {
-	if len(words) > MaxSites/64 {
-		words = words[:MaxSites/64]
+// word returns bitmap word i (sites 64i to 64i+63); zero past the end.
+func (c Copyset) word(i int) uint64 {
+	switch {
+	case i == 0:
+		return c.lo
+	case i <= len(c.hi):
+		return c.hi[i-1]
 	}
-	n := 0
-	for _, w := range words {
-		n += bits.OnesCount64(w)
-	}
-	if n == 0 {
-		return Copyset{}
-	}
-	if n <= inlineSites {
-		var c Copyset
-		for w, v := range words {
-			for v != 0 {
-				b := bits.TrailingZeros64(v)
-				c.inline[c.n] = uint16(w<<6 + b)
-				c.n++
-				v &^= 1 << uint(b)
-			}
-		}
-		return c
-	}
-	i := len(words)
-	for i > 0 && words[i-1] == 0 {
-		i--
-	}
-	return Copyset{n: int32(n), spill: words[:i]}
-}
-
-// inlineIndex returns the position of s among the sorted inline
-// members, or the index it would be inserted at.
-func (c *Copyset) inlineIndex(s int) int {
-	i := 0
-	for i < int(c.n) && int(c.inline[i]) < s {
-		i++
-	}
-	return i
+	return 0
 }
 
 // Add returns c with site s added. Site IDs outside [0, MaxSites)
@@ -105,251 +65,109 @@ func (c Copyset) Add(s int) Copyset {
 	if s < 0 || s >= MaxSites {
 		panic(fmt.Sprintf("mmu: site %d outside copyset range [0,%d)", s, MaxSites))
 	}
-	if c.spill == nil {
-		i := c.inlineIndex(s)
-		if i < int(c.n) && c.inline[i] == uint16(s) {
-			return c
-		}
-		if c.n < inlineSites {
-			copy(c.inline[i+1:c.n+1], c.inline[i:c.n])
-			c.inline[i] = uint16(s)
-			c.n++
-			return c
-		}
-		return c.spillAdd(s)
-	}
-	w, b := s>>6, uint(s&63)
-	if w < len(c.spill) && c.spill[w]&(1<<b) != 0 {
+	if c.Has(s) {
 		return c
 	}
-	nw := len(c.spill)
-	if w >= nw {
-		nw = w + 1
+	if s < 64 {
+		c.lo |= 1 << uint(s)
+		return c
 	}
-	words := make([]uint64, nw)
-	copy(words, c.spill)
-	words[w] |= 1 << b
-	return Copyset{n: c.n + 1, spill: words}
-}
-
-// spillAdd converts a full inline set plus one new member to spill
-// form.
-func (c Copyset) spillAdd(s int) Copyset {
-	max := s
-	if m := int(c.inline[c.n-1]); m > max {
-		max = m
-	}
-	words := make([]uint64, max>>6+1)
-	for i := 0; i < int(c.n); i++ {
-		m := int(c.inline[i])
-		words[m>>6] |= 1 << uint(m&63)
-	}
-	words[s>>6] |= 1 << uint(s&63)
-	return Copyset{n: c.n + 1, spill: words}
+	hi := make([]uint64, max(len(c.hi), s>>6))
+	copy(hi, c.hi)
+	hi[s>>6-1] |= 1 << uint(s&63)
+	c.hi = hi
+	return c
 }
 
 // Remove returns c with site s removed. Removing an absent (or
 // out-of-range) site is a no-op.
 func (c Copyset) Remove(s int) Copyset {
-	if s < 0 || s >= MaxSites {
+	if !c.Has(s) {
 		return c
 	}
-	if c.spill == nil {
-		i := c.inlineIndex(s)
-		if i >= int(c.n) || c.inline[i] != uint16(s) {
-			return c
-		}
-		copy(c.inline[i:], c.inline[i+1:int(c.n)])
-		c.n--
-		c.inline[c.n] = 0
+	if s < 64 {
+		c.lo &^= 1 << uint(s)
 		return c
 	}
-	w, b := s>>6, uint(s&63)
-	if w >= len(c.spill) || c.spill[w]&(1<<b) == 0 {
-		return c
+	hi := slices.Clone(c.hi)
+	hi[s>>6-1] &^= 1 << uint(s&63)
+	for len(hi) > 0 && hi[len(hi)-1] == 0 { // keep hi canonical
+		hi = hi[:len(hi)-1]
 	}
-	if int(c.n)-1 <= inlineSites {
-		var out Copyset
-		c.forEachSpill(func(m int) {
-			if m != s {
-				out.inline[out.n] = uint16(m)
-				out.n++
-			}
-		})
-		return out
+	if len(hi) == 0 {
+		hi = nil
 	}
-	words := make([]uint64, len(c.spill))
-	copy(words, c.spill)
-	words[w] &^= 1 << b
-	i := len(words)
-	for i > 0 && words[i-1] == 0 {
-		i--
-	}
-	return Copyset{n: c.n - 1, spill: words[:i]}
+	c.hi = hi
+	return c
 }
 
 // Has reports whether site s is in the set.
 func (c Copyset) Has(s int) bool {
-	if s < 0 || s >= MaxSites {
-		return false
-	}
-	if c.spill == nil {
-		for i := 0; i < int(c.n); i++ {
-			if int(c.inline[i]) == s {
-				return true
-			}
-		}
-		return false
-	}
-	w := s >> 6
-	return w < len(c.spill) && c.spill[w]&(1<<uint(s&63)) != 0
+	return s >= 0 && c.word(s>>6)&(1<<uint(s&63)) != 0
 }
 
 // Count returns the number of sites in the set.
-func (c Copyset) Count() int { return int(c.n) }
+func (c Copyset) Count() int {
+	n := bits.OnesCount64(c.lo)
+	for _, w := range c.hi {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // Empty reports whether the set has no sites.
-func (c Copyset) Empty() bool { return c.n == 0 }
+func (c Copyset) Empty() bool { return c.lo == 0 && c.hi == nil }
 
 // Sites returns the members in ascending order.
 func (c Copyset) Sites() []int {
-	out := make([]int, 0, c.n)
+	out := make([]int, 0, c.Count())
 	c.ForEach(func(s int) { out = append(out, s) })
 	return out
 }
 
 // ForEach calls fn for each member in ascending order.
 func (c Copyset) ForEach(fn func(s int)) {
-	if c.spill == nil {
-		for i := 0; i < int(c.n); i++ {
-			fn(int(c.inline[i]))
+	for i := 0; i <= len(c.hi); i++ {
+		for v := c.word(i); v != 0; v &= v - 1 {
+			fn(i<<6 + bits.TrailingZeros64(v))
 		}
-		return
 	}
-	c.forEachSpill(fn)
 }
 
-func (c Copyset) forEachSpill(fn func(s int)) {
-	for w, v := range c.spill {
-		for v != 0 {
-			b := bits.TrailingZeros64(v)
-			fn(w<<6 + b)
-			v &^= 1 << uint(b)
+// combine applies op word by word to c and o.
+func (c Copyset) combine(o Copyset, op func(a, b uint64) uint64) Copyset {
+	out := Copyset{lo: op(c.lo, o.lo)}
+	n := max(len(c.hi), len(o.hi))
+	for n > 0 && op(c.word(n), o.word(n)) == 0 {
+		n--
+	}
+	if n > 0 {
+		out.hi = make([]uint64, n)
+		for i := range out.hi {
+			out.hi[i] = op(c.word(i+1), o.word(i+1))
 		}
 	}
+	return out
 }
 
 // Union returns the set of sites in either c or o.
 func (c Copyset) Union(o Copyset) Copyset {
-	if o.Empty() {
-		return c
-	}
-	if c.Empty() {
-		return o
-	}
-	if c.spill == nil && o.spill == nil {
-		out := c
-		for i := 0; i < int(o.n); i++ {
-			out = out.Add(int(o.inline[i]))
-		}
-		return out
-	}
-	words := make([]uint64, c.maxWord()+1)
-	if m := o.maxWord(); m >= len(words) {
-		grown := make([]uint64, m+1)
-		copy(grown, words)
-		words = grown
-	}
-	set := func(s int) { words[s>>6] |= 1 << uint(s&63) }
-	c.ForEach(set)
-	o.ForEach(set)
-	return CopysetFromWords(words)
+	return c.combine(o, func(a, b uint64) uint64 { return a | b })
 }
 
 // Subtract returns the sites in c that are not in o.
 func (c Copyset) Subtract(o Copyset) Copyset {
-	if c.Empty() || o.Empty() {
-		return c
-	}
-	if c.spill == nil {
-		var out Copyset
-		for i := 0; i < int(c.n); i++ {
-			if !o.Has(int(c.inline[i])) {
-				out.inline[out.n] = c.inline[i]
-				out.n++
-			}
-		}
-		return out
-	}
-	words := make([]uint64, len(c.spill))
-	copy(words, c.spill)
-	o.ForEach(func(s int) {
-		if w := s >> 6; w < len(words) {
-			words[w] &^= 1 << uint(s&63)
-		}
-	})
-	return CopysetFromWords(words)
+	return c.combine(o, func(a, b uint64) uint64 { return a &^ b })
 }
 
 // Intersect returns the sites present in both c and o.
 func (c Copyset) Intersect(o Copyset) Copyset {
-	if c.Empty() || o.Empty() {
-		return Copyset{}
-	}
-	if c.spill == nil {
-		var out Copyset
-		for i := 0; i < int(c.n); i++ {
-			if o.Has(int(c.inline[i])) {
-				out.inline[out.n] = c.inline[i]
-				out.n++
-			}
-		}
-		return out
-	}
-	words := make([]uint64, len(c.spill))
-	o.ForEach(func(s int) {
-		if w := s >> 6; w < len(words) {
-			words[w] |= c.spill[w] & (1 << uint(s&63))
-		}
-	})
-	return CopysetFromWords(words)
+	return c.combine(o, func(a, b uint64) uint64 { return a & b })
 }
 
 // Equal reports whether c and o contain the same sites.
 func (c Copyset) Equal(o Copyset) bool {
-	if c.n != o.n {
-		return false
-	}
-	if c.spill == nil {
-		return o.spill == nil && c.inline == o.inline
-	}
-	if o.spill == nil || len(c.spill) != len(o.spill) {
-		return false
-	}
-	for i := range c.spill {
-		if c.spill[i] != o.spill[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Spilled reports whether the set uses the bitmap representation
-// (more than inlineSites members).
-func (c Copyset) Spilled() bool { return c.spill != nil }
-
-// Words returns the spill bitmap (site s at word s>>6, bit s&63), or
-// nil for inline-form sets. The returned slice is shared: callers must
-// not mutate it.
-func (c Copyset) Words() []uint64 { return c.spill }
-
-// maxWord returns the word index of the largest member. The set must
-// be non-empty.
-func (c Copyset) maxWord() int {
-	if c.spill != nil {
-		return len(c.spill) - 1
-	}
-	return int(c.inline[c.n-1]) >> 6
+	return c.lo == o.lo && slices.Equal(c.hi, o.hi)
 }
 
 // String renders the set like "{0,2,5}".
@@ -370,9 +188,10 @@ func (c Copyset) String() string {
 
 // Wire form. A copyset travels as a one-byte tag plus either a list of
 // 16-bit big-endian members (csWireList) or big-endian 64-bit bitmap
-// words (csWireBitmap). The empty set encodes as zero bytes. Encoders
-// pick whichever form is smaller; decoders accept both and canonicalize
-// duplicate or unordered members, so the choice is not protocol.
+// words from word 0 up (csWireBitmap). The empty set encodes as zero
+// bytes. Encoders pick whichever form is smaller, the list on a tie;
+// decoders accept both and canonicalize duplicate or unordered members
+// and trailing zero words, so the choice is not protocol.
 const (
 	csWireList   = 0
 	csWireBitmap = 1
@@ -383,57 +202,57 @@ const (
 // allocation.
 const MaxCopysetWireLen = 1 + 8*(MaxSites/64)
 
+// listForm reports whether c's member list is no longer than its
+// bitmap: at most four members per word. It stops counting once the
+// list has lost.
+func (c Copyset) listForm() bool {
+	limit := 4 * (1 + len(c.hi))
+	n := bits.OnesCount64(c.lo)
+	for _, w := range c.hi {
+		if n > limit {
+			return false
+		}
+		n += bits.OnesCount64(w)
+	}
+	return n <= limit
+}
+
 // WireLen returns the number of bytes AppendWire will write.
 func (c Copyset) WireLen() int {
-	if c.n == 0 {
+	switch {
+	case c.Empty():
 		return 0
+	case c.listForm():
+		return 1 + 2*c.Count()
 	}
-	list := 1 + 2*int(c.n)
-	if c.spill != nil {
-		if bm := 1 + 8*len(c.spill); bm < list {
-			return bm
-		}
-	}
-	return list
+	return 1 + 8*(1+len(c.hi))
 }
 
 // AppendWire appends the wire form of c to buf and returns the
 // extended slice. It allocates only if buf lacks capacity.
 func (c Copyset) AppendWire(buf []byte) []byte {
-	if c.n == 0 {
+	switch {
+	case c.Empty():
 		return buf
-	}
-	if c.spill != nil && 1+8*len(c.spill) < 1+2*int(c.n) {
-		buf = append(buf, csWireBitmap)
-		for _, w := range c.spill {
-			buf = append(buf,
-				byte(w>>56), byte(w>>48), byte(w>>40), byte(w>>32),
-				byte(w>>24), byte(w>>16), byte(w>>8), byte(w))
+	case c.listForm():
+		buf = append(buf, csWireList)
+		for i := 0; i <= len(c.hi); i++ {
+			for v := c.word(i); v != 0; v &= v - 1 {
+				buf = binary.BigEndian.AppendUint16(buf, uint16(i<<6+bits.TrailingZeros64(v)))
+			}
 		}
 		return buf
 	}
-	buf = append(buf, csWireList)
-	if c.spill == nil {
-		for i := 0; i < int(c.n); i++ {
-			s := c.inline[i]
-			buf = append(buf, byte(s>>8), byte(s))
-		}
-		return buf
-	}
-	for w, v := range c.spill {
-		for v != 0 {
-			b := bits.TrailingZeros64(v)
-			s := w<<6 + b
-			buf = append(buf, byte(s>>8), byte(s))
-			v &^= 1 << uint(b)
-		}
+	buf = binary.BigEndian.AppendUint64(append(buf, csWireBitmap), c.lo)
+	for _, w := range c.hi {
+		buf = binary.BigEndian.AppendUint64(buf, w)
 	}
 	return buf
 }
 
 // DecodeCopysetWire decodes one copyset in the form produced by
-// AppendWire; b must be exactly the encoded bytes. Inline-sized lists
-// decode without allocating.
+// AppendWire; b must be exactly the encoded bytes. A set of sites
+// below 64 decodes without allocating, in either form.
 func DecodeCopysetWire(b []byte) (Copyset, error) {
 	if len(b) == 0 {
 		return Copyset{}, nil
@@ -441,42 +260,45 @@ func DecodeCopysetWire(b []byte) (Copyset, error) {
 	if len(b) > MaxCopysetWireLen {
 		return Copyset{}, fmt.Errorf("copyset: %d bytes exceeds max %d", len(b), MaxCopysetWireLen)
 	}
+	var c Copyset
+	body := b[1:]
 	switch b[0] {
 	case csWireList:
-		mb := b[1:]
-		if len(mb) == 0 || len(mb)%2 != 0 {
-			return Copyset{}, fmt.Errorf("copyset: bad member-list length %d", len(mb))
+		if len(body) == 0 || len(body)%2 != 0 {
+			return Copyset{}, fmt.Errorf("copyset: bad member-list length %d", len(body))
 		}
-		n := len(mb) / 2
-		if n <= inlineSites {
-			var c Copyset
-			for i := 0; i < n; i++ {
-				c = c.Add(int(binary.BigEndian.Uint16(mb[2*i:])))
+		top := 0
+		for i := 0; i < len(body); i += 2 {
+			top = max(top, int(binary.BigEndian.Uint16(body[i:])))
+		}
+		if top >= 64 {
+			c.hi = make([]uint64, top>>6)
+		}
+		for i := 0; i < len(body); i += 2 {
+			s := int(binary.BigEndian.Uint16(body[i:]))
+			if s < 64 {
+				c.lo |= 1 << uint(s)
+			} else {
+				c.hi[s>>6-1] |= 1 << uint(s&63)
 			}
-			return c, nil
 		}
-		max := 0
-		for i := 0; i < n; i++ {
-			if s := int(binary.BigEndian.Uint16(mb[2*i:])); s > max {
-				max = s
-			}
-		}
-		words := make([]uint64, max>>6+1)
-		for i := 0; i < n; i++ {
-			s := int(binary.BigEndian.Uint16(mb[2*i:]))
-			words[s>>6] |= 1 << uint(s&63)
-		}
-		return CopysetFromWords(words), nil
+		return c, nil
 	case csWireBitmap:
-		wb := b[1:]
-		if len(wb) == 0 || len(wb)%8 != 0 {
-			return Copyset{}, fmt.Errorf("copyset: bad bitmap length %d", len(wb))
+		if len(body) == 0 || len(body)%8 != 0 {
+			return Copyset{}, fmt.Errorf("copyset: bad bitmap length %d", len(body))
 		}
-		words := make([]uint64, len(wb)/8)
-		for i := range words {
-			words[i] = binary.BigEndian.Uint64(wb[8*i:])
+		c.lo = binary.BigEndian.Uint64(body)
+		n := len(body)/8 - 1
+		for n > 0 && binary.BigEndian.Uint64(body[8*n:]) == 0 {
+			n--
 		}
-		return CopysetFromWords(words), nil
+		if n > 0 {
+			c.hi = make([]uint64, n)
+			for i := range c.hi {
+				c.hi[i] = binary.BigEndian.Uint64(body[8*(i+1):])
+			}
+		}
+		return c, nil
 	}
 	return Copyset{}, fmt.Errorf("copyset: unknown tag %d", b[0])
 }

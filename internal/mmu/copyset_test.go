@@ -56,30 +56,29 @@ func TestCopysetAddIdempotent(t *testing.T) {
 }
 
 func TestCopysetSpillAndShrink(t *testing.T) {
-	c := CopysetOf(10, 20, 30, 40, 50, 60)
-	if c.Spilled() {
-		t.Fatal("6 members should stay inline")
+	// Any number of sites below 64 stays in word 0: no slice.
+	low := CopysetOf(10, 20, 30, 40, 50, 60, 61, 62, 63)
+	if low.hi != nil || low.Count() != 9 {
+		t.Fatalf("sites below 64 should leave hi nil: %#v", low)
 	}
-	c = c.Add(70)
-	if !c.Spilled() || c.Count() != 7 {
-		t.Fatalf("7 members should spill: spilled=%v count=%d", c.Spilled(), c.Count())
+	// Site 64 is bit 0 of word 1, the first word of hi.
+	c := low.Add(64)
+	if len(c.hi) != 1 || c.hi[0] != 1 || c.Count() != 10 {
+		t.Fatalf("site 64 should fill hi[0]: %#v", c)
 	}
-	for _, s := range []int{10, 20, 30, 40, 50, 60, 70} {
+	for _, s := range []int{10, 20, 30, 40, 50, 60, 61, 62, 63, 64} {
 		if !c.Has(s) {
-			t.Fatalf("spilled set missing %d", s)
+			t.Fatalf("set missing %d", s)
 		}
 	}
-	c = c.Remove(40)
-	if c.Spilled() || c.Count() != 6 {
-		t.Fatalf("should shrink back inline: spilled=%v count=%d", c.Spilled(), c.Count())
-	}
-	if !c.Equal(CopysetOf(10, 20, 30, 50, 60, 70)) {
-		t.Fatalf("after shrink: %v", c)
+	// Removing it gives back the set built without it, hi nil again.
+	if got := c.Remove(64); !reflect.DeepEqual(got, low) {
+		t.Fatalf("after removing 64: %#v, want %#v", got, low)
 	}
 }
 
 func TestCopysetValueSemantics(t *testing.T) {
-	a := CopysetOf(1, 100, 200, 300, 400, 500, 600) // spilled
+	a := CopysetOf(1, 100, 200, 300, 400, 500, 600) // words in hi
 	if b := a.Add(700); a.Has(700) || !b.Has(700) {
 		t.Fatal("Add mutated the receiver's shared storage")
 	}
@@ -96,7 +95,7 @@ func TestCopysetCanonicalForms(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("canonical mismatch: %#v vs %#v", a, b)
 	}
-	// Spilled high member removed: trailing words must trim.
+	// High member removed: trailing words must trim.
 	x := CopysetOf(1, 2, 3, 4, 5, 6, 7, 5000).Remove(5000).Add(8)
 	y := CopysetOf(1, 2, 3, 4, 5, 6, 7, 8)
 	if !reflect.DeepEqual(x, y) {
@@ -116,7 +115,7 @@ func TestCopysetUnionSubtract(t *testing.T) {
 	}
 	big := CopysetOf(10, 11, 12, 13, 14, 15, 16, 17)
 	if got := big.Subtract(CopysetOf(12, 16, 99)); !got.Equal(CopysetOf(10, 11, 13, 14, 15, 17)) {
-		t.Fatalf("spilled subtract = %v", got)
+		t.Fatalf("8-member subtract = %v", got)
 	}
 	if got := big.Union(Copyset{}); !got.Equal(big) {
 		t.Fatal("union with empty changed the set")
@@ -125,7 +124,7 @@ func TestCopysetUnionSubtract(t *testing.T) {
 		t.Fatalf("intersect = %v", got)
 	}
 	if got := big.Intersect(CopysetOf(11, 17, 5000)); !got.Equal(CopysetOf(11, 17)) {
-		t.Fatalf("spilled intersect = %v", got)
+		t.Fatalf("8-member intersect = %v", got)
 	}
 	if got := big.Intersect(Copyset{}); !got.Empty() {
 		t.Fatalf("intersect with empty = %v", got)
@@ -148,8 +147,8 @@ func TestCopysetOracle(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		c := Copyset{}
 		ref := map[int]bool{}
-		// Mix of tight site IDs (forces dup hits and inline<->spill
-		// transitions) and sparse high IDs (forces multi-word bitmaps).
+		// Mix of tight site IDs (forces dup hits in word 0) and sparse
+		// high IDs (forces multi-word bitmaps that grow and trim).
 		site := func() int {
 			if rng.Intn(2) == 0 {
 				return rng.Intn(10)
@@ -238,16 +237,37 @@ func TestCopysetOracle(t *testing.T) {
 				t.Fatalf("trial %d: missing member %d", trial, s)
 			}
 		}
-		if c.Spilled() != (len(ref) > inlineSites) {
-			t.Fatalf("trial %d: form not canonical: spilled=%v count=%d", trial, c.Spilled(), len(ref))
+		if !canonical(c) {
+			t.Fatalf("trial %d: hi not canonical: %#v", trial, c)
 		}
 	}
 }
 
+// The raw inputs TestCopysetWireDecodeTolerance decodes; they also
+// seed FuzzCopysetWire.
+var (
+	// Duplicate and unordered list members.
+	dupList = []byte{csWireList, 0, 9, 0, 5, 0, 9, 0, 5, 0, 1, 0, 9, 0, 9}
+	// A bitmap with a trailing zero word.
+	paddedBitmap = []byte{csWireBitmap, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 0}
+	malformed    = [][]byte{
+		{csWireList},                      // empty member list
+		{csWireList, 0, 1, 0},             // odd member bytes
+		{csWireBitmap, 1, 2, 3},           // partial word
+		{2, 0, 0},                         // unknown tag
+		make([]byte, MaxCopysetWireLen+1), // oversized
+	}
+)
+
+// canonical reports whether c's hi is nil or ends in a non-zero word,
+// the form every operation must leave.
+func canonical(c Copyset) bool {
+	return c.hi == nil || (len(c.hi) > 0 && c.hi[len(c.hi)-1] != 0)
+}
+
 func TestCopysetWireDecodeTolerance(t *testing.T) {
 	// Duplicate and unordered list members collapse to set semantics.
-	raw := []byte{csWireList, 0, 9, 0, 5, 0, 9, 0, 5, 0, 1, 0, 9, 0, 9}
-	c, err := DecodeCopysetWire(raw)
+	c, err := DecodeCopysetWire(dupList)
 	if err != nil {
 		t.Fatalf("decode dup list: %v", err)
 	}
@@ -255,25 +275,49 @@ func TestCopysetWireDecodeTolerance(t *testing.T) {
 		t.Fatalf("dup list = %v", c)
 	}
 	// Bitmap with trailing zero words canonicalizes.
-	raw = []byte{csWireBitmap, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 0}
-	c, err = DecodeCopysetWire(raw)
+	c, err = DecodeCopysetWire(paddedBitmap)
 	if err != nil {
 		t.Fatalf("decode bitmap: %v", err)
 	}
 	if !reflect.DeepEqual(c, CopysetOf(1, 2)) {
 		t.Fatalf("bitmap = %v", c)
 	}
-	for _, bad := range [][]byte{
-		{csWireList},                      // empty member list
-		{csWireList, 0, 1, 0},             // odd member bytes
-		{csWireBitmap, 1, 2, 3},           // partial word
-		{2, 0, 0},                         // unknown tag
-		make([]byte, MaxCopysetWireLen+1), // oversized
-	} {
+	for _, bad := range malformed {
 		if _, err := DecodeCopysetWire(bad); err == nil {
 			t.Fatalf("decode accepted malformed %v", bad)
 		}
 	}
+}
+
+// FuzzCopysetWire decodes arbitrary bytes. Whatever decodes must
+// re-encode to bytes that decode to the same set, in no more bytes
+// than it came in, with WireLen saying how many, and in canonical form.
+func FuzzCopysetWire(f *testing.F) {
+	f.Add(dupList)
+	f.Add(paddedBitmap)
+	for _, b := range malformed[:len(malformed)-1] {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		c, err := DecodeCopysetWire(b)
+		if err != nil {
+			return
+		}
+		if !canonical(c) {
+			t.Fatalf("decoded hi not canonical: %#v", c)
+		}
+		enc := c.AppendWire(nil)
+		if len(enc) != c.WireLen() {
+			t.Fatalf("WireLen %d != encoded %d", c.WireLen(), len(enc))
+		}
+		if len(enc) > len(b) {
+			t.Fatalf("re-encoding %d bytes is longer than the input's %d", len(enc), len(b))
+		}
+		again, err := DecodeCopysetWire(enc)
+		if err != nil || !reflect.DeepEqual(again, c) {
+			t.Fatalf("re-encoding decodes to %#v (%v), want %#v", again, err, c)
+		}
+	})
 }
 
 func TestCopysetWirePicksSmallerForm(t *testing.T) {
@@ -281,24 +325,32 @@ func TestCopysetWirePicksSmallerForm(t *testing.T) {
 	for s := 0; s < 100; s++ {
 		dense = dense.Add(s)
 	}
-	if got, want := dense.WireLen(), 1+8*2; got != want {
-		t.Fatalf("dense 100-member set should use a 2-word bitmap: len=%d want %d", got, want)
-	}
 	sparse := CopysetOf(1, 5000, 10000, 20000, 30000, 40000, 50000)
-	if got, want := sparse.WireLen(), 1+2*7; got != want {
-		t.Fatalf("sparse 7-member set should use a member list: len=%d want %d", got, want)
-	}
-	for _, c := range []Copyset{dense, sparse} {
-		dec, err := DecodeCopysetWire(c.AppendWire(nil))
-		if err != nil || !reflect.DeepEqual(dec, c) {
-			t.Fatalf("round trip failed: %v %v", err, dec)
+	for _, tc := range []struct {
+		name string
+		c    Copyset
+		want int
+	}{
+		{"dense 100-member set: a 2-word bitmap", dense, 1 + 8*2},
+		{"sparse 7-member set: a member list", sparse, 1 + 2*7},
+		{"6 members below 64: a 1-word bitmap", CopysetOf(0, 1, 2, 3, 4, 5), 1 + 8},
+		{"4 members below 64: the list on a tie", CopysetOf(0, 1, 2, 3), 1 + 2*4},
+	} {
+		enc := tc.c.AppendWire(nil)
+		if len(enc) != tc.want || tc.c.WireLen() != tc.want {
+			t.Fatalf("%s: encoded %d bytes, WireLen %d, want %d", tc.name, len(enc), tc.c.WireLen(), tc.want)
+		}
+		dec, err := DecodeCopysetWire(enc)
+		if err != nil || !reflect.DeepEqual(dec, tc.c) {
+			t.Fatalf("%s: round trip failed: %v %v", tc.name, err, dec)
 		}
 	}
 }
 
 // Alloc gates: the protocol hot paths add to, iterate, and encode
-// copysets on every fault; the inline form must stay heap-free and
-// spilled iteration/encoding must not allocate beyond the buffer.
+// copysets on every fault. A set of sites below 64, of any size, must
+// stay heap-free in every operation, and iterating or encoding a set
+// with words in hi must not allocate beyond the buffer.
 func TestCopysetAllocGates(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		c := CopysetOf(1).Add(3).Add(5).Remove(3).Add(2)
@@ -306,24 +358,48 @@ func TestCopysetAllocGates(t *testing.T) {
 			t.Fatal("bad count")
 		}
 	}); n != 0 {
-		t.Fatalf("inline add/remove allocates %v/run", n)
+		t.Fatalf("small add/remove allocates %v/run", n)
 	}
-	inline := CopysetOf(1, 2, 3, 4, 5)
-	spilled := CopysetOf(0)
+	seven := CopysetOf(1, 9, 17, 25, 33, 41, 49)
+	var full Copyset
+	for s := 0; s < 64; s++ {
+		full = full.Add(s)
+	}
+	buf := make([]byte, 0, MaxCopysetWireLen)
+	for _, c := range []Copyset{seven, full} {
+		if n := testing.AllocsPerRun(100, func() {
+			d := c.Remove(9).Add(9)
+			u := d.Union(seven).Subtract(CopysetOf(17)).Intersect(full)
+			if !d.Equal(c) || u.Has(17) || !u.Has(9) {
+				t.Fatal("bad set algebra")
+			}
+			buf = c.AppendWire(buf[:0])
+			dec, err := DecodeCopysetWire(buf)
+			if err != nil || !dec.Equal(c) {
+				t.Fatal("bad round trip")
+			}
+			buf = append(buf[:0], csWireList, 0, 63, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6)
+			if _, err := DecodeCopysetWire(buf); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("%d-member set below 64 allocates %v/run", c.Count(), n)
+		}
+	}
+	wide := CopysetOf(0)
 	for s := 10; s < 1010; s++ {
-		spilled = spilled.Add(s)
+		wide = wide.Add(s)
 	}
 	sum := 0
 	if n := testing.AllocsPerRun(100, func() {
-		inline.ForEach(func(s int) { sum += s })
-		spilled.ForEach(func(s int) { sum += s })
+		seven.ForEach(func(s int) { sum += s })
+		wide.ForEach(func(s int) { sum += s })
 	}); n != 0 {
 		t.Fatalf("iterate allocates %v/run", n)
 	}
-	buf := make([]byte, 0, MaxCopysetWireLen)
 	if n := testing.AllocsPerRun(100, func() {
-		buf = inline.AppendWire(buf[:0])
-		buf = spilled.AppendWire(buf[:0])
+		buf = seven.AppendWire(buf[:0])
+		buf = wide.AppendWire(buf[:0])
 	}); n != 0 {
 		t.Fatalf("AppendWire into sized buffer allocates %v/run", n)
 	}

@@ -15,12 +15,12 @@
 //   - the page frames themselves, for pages present at the site.
 //
 // Processes attach segments into address spaces managed by the ipc
-// package; each attached process carries a copy of the master PTEs
-// refreshed lazily at dispatch (§6.2), which the sched layer charges
-// as remap cost. Coherence checks consult the master table: in the
-// paper every path from a master-table change back to user mode passes
-// through the scheduler's remap, so user code never observes a stale
-// process PTE.
+// package. In the paper each attached process carries a copy of the
+// master PTEs, refreshed lazily at dispatch (§6.2); here no such copy
+// exists. Every access checks the master table itself, and the
+// refresh survives only as a cost: ipc sets a process's RemapPages to
+// the page count of its attached segments, and the sched layer charges
+// that many remaps at each dispatch.
 package mmu
 
 import (
@@ -236,24 +236,6 @@ func (s *Seg) Upgrade(p int, now time.Duration) {
 
 // Present reports whether page p has a frame at this site.
 func (s *Seg) Present(p int) bool { return s.Prot(p) != Invalid }
-
-// PresentCount returns how many pages are present at this site.
-func (s *Seg) PresentCount() int {
-	n := 0
-	for p := range s.pages {
-		if s.Present(p) {
-			n++
-		}
-	}
-	return n
-}
-
-// WindowExpired reports whether page p's Δ window has elapsed at time
-// now. A zero window is always expired.
-func (s *Seg) WindowExpired(p int, now time.Duration) bool {
-	a := &s.pages[p].aux
-	return now >= a.InstallTime+a.Window
-}
 
 // WindowRemaining returns how much of page p's Δ window remains at
 // time now (zero if expired).

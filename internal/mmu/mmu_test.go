@@ -26,7 +26,7 @@ func TestNewSegInitialState(t *testing.T) {
 			t.Fatalf("page %d auxpte = %+v", p, a)
 		}
 	}
-	if s.PresentCount() != 0 {
+	if presentCount(s) != 0 {
 		t.Fatal("fresh seg has present pages")
 	}
 }
@@ -181,14 +181,11 @@ func TestWindowExpiry(t *testing.T) {
 	s := newSeg()
 	s.Install(0, nil, ReadWrite, 100*time.Millisecond)
 	s.Aux(0).Window = 30 * time.Millisecond
-	if s.WindowExpired(0, 110*time.Millisecond) {
-		t.Fatal("window should be live at +10ms")
-	}
 	if got := s.WindowRemaining(0, 110*time.Millisecond); got != 20*time.Millisecond {
-		t.Fatalf("remaining = %v", got)
+		t.Fatalf("window should be live at +10ms: remaining %v", got)
 	}
-	if !s.WindowExpired(0, 130*time.Millisecond) {
-		t.Fatal("window should expire exactly at +30ms")
+	if got := s.WindowRemaining(0, 130*time.Millisecond); got != 0 {
+		t.Fatalf("window should expire exactly at +30ms: remaining %v", got)
 	}
 	if got := s.WindowRemaining(0, 200*time.Millisecond); got != 0 {
 		t.Fatalf("remaining after expiry = %v", got)
@@ -198,21 +195,32 @@ func TestWindowExpiry(t *testing.T) {
 func TestZeroWindowAlwaysExpired(t *testing.T) {
 	s := newSeg()
 	s.Install(0, nil, ReadWrite, 5*time.Millisecond)
-	if !s.WindowExpired(0, 5*time.Millisecond) {
-		t.Fatal("Δ=0 must be expired immediately")
+	if got := s.WindowRemaining(0, 5*time.Millisecond); got != 0 {
+		t.Fatalf("Δ=0 must be expired immediately: remaining %v", got)
 	}
+}
+
+// presentCount returns how many of s's pages are present.
+func presentCount(s *Seg) int {
+	n := 0
+	for p := 0; p < s.Pages(); p++ {
+		if s.Present(p) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestPresentCount(t *testing.T) {
 	s := newSeg()
 	s.Install(0, nil, ReadOnly, 0)
 	s.Install(3, nil, ReadWrite, 0)
-	if s.PresentCount() != 2 {
-		t.Fatalf("present = %d", s.PresentCount())
+	if n := presentCount(s); n != 2 || !s.Present(0) || !s.Present(3) {
+		t.Fatalf("present = %d", n)
 	}
 	s.Invalidate(0)
-	if s.PresentCount() != 1 {
-		t.Fatalf("present = %d", s.PresentCount())
+	if n := presentCount(s); n != 1 || s.Present(0) {
+		t.Fatalf("present = %d", n)
 	}
 }
 

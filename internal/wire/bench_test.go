@@ -24,7 +24,7 @@ func benchMsg() Msg {
 }
 
 // benchInvalMsg is the scale-path control message: a KInval whose
-// copyset spans 1000 reader sites (spilled bitmap form).
+// copyset spans 1000 reader sites (a 16-word bitmap on the wire).
 func benchInvalMsg() Msg {
 	var readers mmu.Copyset
 	for s := 0; s < 1000; s++ {

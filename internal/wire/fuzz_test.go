@@ -53,7 +53,7 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, headerLen+4))
-	// Variable-length copyset frames: spilled bitmap, truncated section,
+	// Variable-length copyset frames: a multi-word bitmap, truncated section,
 	// oversized length field, and duplicate members in a list.
 	big := mmu.Copyset{}
 	for s := 0; s < 500; s++ {

@@ -278,7 +278,7 @@ func randCopyset(rng *rand.Rand) mmu.Copyset {
 	var c mmu.Copyset
 	n := rng.Intn(12)
 	if rng.Intn(8) == 0 {
-		n = rng.Intn(2000) // occasionally a big spilled set
+		n = rng.Intn(2000) // occasionally a big multi-word set
 	}
 	for ; n > 0; n-- {
 		c = c.Add(rng.Intn(mmu.MaxSites))

@@ -152,7 +152,7 @@ func TestClusterOptionsContract(t *testing.T) {
 	}
 
 	// The edges inside the range build: one site, and 65 — past the
-	// 64-site wall the copyset's spill form lifted.
+	// 64-site wall, into the copyset's second bitmap word.
 	for _, n := range []int{1, 65} {
 		c, err := NewCluster(n, Options{})
 		if err != nil {
