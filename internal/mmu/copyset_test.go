@@ -79,8 +79,11 @@ func TestCopysetSpillAndShrink(t *testing.T) {
 
 func TestCopysetValueSemantics(t *testing.T) {
 	a := CopysetOf(1, 100, 200, 300, 400, 500, 600) // words in hi
-	if b := a.Add(700); a.Has(700) || !b.Has(700) {
-		t.Fatal("Add mutated the receiver's shared storage")
+	// One site inside hi's words, one past its end.
+	for _, s := range []int{150, 700} {
+		if b := a.Add(s); a.Has(s) || !b.Has(s) {
+			t.Fatalf("Add(%d) mutated the receiver's shared storage", s)
+		}
 	}
 	d := a.Remove(300)
 	if !a.Has(300) || d.Has(300) {
@@ -329,16 +332,18 @@ func TestCopysetWirePicksSmallerForm(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		c    Copyset
+		tag  byte
 		want int
 	}{
-		{"dense 100-member set: a 2-word bitmap", dense, 1 + 8*2},
-		{"sparse 7-member set: a member list", sparse, 1 + 2*7},
-		{"6 members below 64: a 1-word bitmap", CopysetOf(0, 1, 2, 3, 4, 5), 1 + 8},
-		{"4 members below 64: the list on a tie", CopysetOf(0, 1, 2, 3), 1 + 2*4},
+		{"dense 100-member set: a 2-word bitmap", dense, csWireBitmap, 1 + 8*2},
+		{"sparse 7-member set: a member list", sparse, csWireList, 1 + 2*7},
+		{"6 members below 64: a 1-word bitmap", CopysetOf(0, 1, 2, 3, 4, 5), csWireBitmap, 1 + 8},
+		{"4 members below 64: the list on a tie", CopysetOf(0, 1, 2, 3), csWireList, 1 + 2*4},
 	} {
 		enc := tc.c.AppendWire(nil)
-		if len(enc) != tc.want || tc.c.WireLen() != tc.want {
-			t.Fatalf("%s: encoded %d bytes, WireLen %d, want %d", tc.name, len(enc), tc.c.WireLen(), tc.want)
+		if len(enc) != tc.want || tc.c.WireLen() != tc.want || enc[0] != tc.tag {
+			t.Fatalf("%s: encoded %d bytes with tag %d, WireLen %d, want %d with tag %d",
+				tc.name, len(enc), enc[0], tc.c.WireLen(), tc.want, tc.tag)
 		}
 		dec, err := DecodeCopysetWire(enc)
 		if err != nil || !reflect.DeepEqual(dec, tc.c) {
