@@ -30,17 +30,16 @@ type Stats struct {
 	Decisions   int // Apply calls (non-loopback messages seen)
 	Dropped     int // messages lost to drop rules
 	Duplicated  int // extra copies created
-	Delayed     int // messages held by delay/reorder rules
+	Delayed     int // messages held by delay rules
 	Partitioned int // messages cut by a partition window
-	Crashed     int // messages lost to a crash window
 	Rules       []RuleStats
 }
 
 // String renders a compact human-readable summary.
 func (s Stats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "decisions=%d dropped=%d duplicated=%d delayed=%d partitioned=%d crashed=%d",
-		s.Decisions, s.Dropped, s.Duplicated, s.Delayed, s.Partitioned, s.Crashed)
+	fmt.Fprintf(&b, "decisions=%d dropped=%d duplicated=%d delayed=%d partitioned=%d",
+		s.Decisions, s.Dropped, s.Duplicated, s.Delayed, s.Partitioned)
 	for _, r := range s.Rules {
 		fmt.Fprintf(&b, "\n  [%s] matched=%d applied=%d", r.Rule, r.Matched, r.Applied)
 	}
@@ -87,12 +86,7 @@ func (in *Injector) observe(now time.Duration, from, to int, kind wire.Kind, c o
 // New builds an injector for the plan. The plan is copied; a zero seed
 // is replaced with 1 so "no seed" is still reproducible.
 func New(plan Plan) *Injector {
-	p := Plan{
-		Seed:       plan.Seed,
-		Rules:      append([]Rule(nil), plan.Rules...),
-		Partitions: append([]Partition(nil), plan.Partitions...),
-		Crashes:    append([]Crash(nil), plan.Crashes...),
-	}
+	p := plan.clone()
 	if p.Seed == 0 {
 		p.Seed = 1
 	}
@@ -108,11 +102,14 @@ func New(plan Plan) *Injector {
 func (in *Injector) Plan() Plan {
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	return in.plan.clone()
+}
+
+func (p Plan) clone() Plan {
 	return Plan{
-		Seed:       in.plan.Seed,
-		Rules:      append([]Rule(nil), in.plan.Rules...),
-		Partitions: append([]Partition(nil), in.plan.Partitions...),
-		Crashes:    append([]Crash(nil), in.plan.Crashes...),
+		Seed:       p.Seed,
+		Rules:      append([]Rule(nil), p.Rules...),
+		Partitions: append([]Partition(nil), p.Partitions...),
 	}
 }
 
@@ -125,8 +122,8 @@ func (in *Injector) Stats() Stats {
 	return s
 }
 
-// Apply decides the fate of one message sent at time now. Windows
-// (crashes, partitions) are checked first and consume no randomness;
+// Apply decides the fate of one message sent at time now. Partition
+// windows are checked first and consume no randomness;
 // then every matching rule draws from the seeded generator in plan
 // order and the results compose: any drop wins, duplications add,
 // delays add.
@@ -134,13 +131,6 @@ func (in *Injector) Apply(now time.Duration, from, to int, kind wire.Kind) Actio
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.stats.Decisions++
-	for _, c := range in.plan.Crashes {
-		if c.covers(now) && (c.Site == from || c.Site == to) {
-			in.stats.Crashed++
-			in.observe(now, from, to, kind, obs.CChaosCrash, obs.ChaosCrash)
-			return Action{Drop: true}
-		}
-	}
 	for _, p := range in.plan.Partitions {
 		if p.covers(now) && p.cut(from, to) {
 			in.stats.Partitioned++
@@ -179,7 +169,7 @@ func (in *Injector) Apply(now time.Duration, from, to int, kind wire.Kind) Actio
 					From: int32(from), To: int32(to), Arg: obs.ChaosDup,
 				})
 			}
-		case OpDelay, OpReorder:
+		case OpDelay:
 			span := r.MaxDelay - r.MinDelay
 			d := r.MinDelay
 			if span > 0 {

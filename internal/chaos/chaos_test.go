@@ -19,10 +19,12 @@ func samplePlan() Plan {
 			{Op: OpDrop, P: 0.1, From: Any, To: Any, Kind: wire.KPageSend},
 			{Op: OpDup, P: 0.05, From: 1, To: Any, Copies: 1},
 			{Op: OpDelay, P: 0.3, From: Any, To: Any, MinDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond},
-			{Op: OpReorder, P: 0.2, From: Any, To: 2, MaxDelay: 5 * time.Millisecond},
+			{Op: OpDelay, P: 0.2, From: Any, To: 2, MaxDelay: 5 * time.Millisecond},
 		},
-		Partitions: []Partition{{Sites: []int{1, 2}, From: 2 * time.Second, Until: 3 * time.Second}},
-		Crashes:    []Crash{{Site: 1, From: 4 * time.Second, Until: 4500 * time.Millisecond}},
+		Partitions: []Partition{
+			{Sites: []int{1, 2}, From: 2 * time.Second, Until: 3 * time.Second},
+			{Sites: []int{1}, From: 4 * time.Second, Until: 4500 * time.Millisecond},
+		},
 	}
 }
 
@@ -50,7 +52,10 @@ func TestParseRejectsGarbage(t *testing.T) {
 		"warp p=0.1",
 		"delay p=0.1 min=5ms max=1ms",
 		"partition from=1s",
+		"partition site=1 from=1s",
 		"crash from=1s",
+		"crash sites=1 from=1s",
+		"crash site=1,2 from=1s",
 		"dup copies=0 p=0.1",
 		"drop p=0.1 kind=bogus",
 	} {
@@ -95,7 +100,8 @@ func TestWindows(t *testing.T) {
 	if a := in.Apply(3500*time.Millisecond, 0, 1, wire.KReadReq); a.Drop {
 		t.Fatal("partition outlived its window")
 	}
-	// Crash of site 1 during [4s,4.5s): everything touching 1 drops.
+	// Site 1 alone cut off (crashed) during [4s,4.5s): everything
+	// touching 1 drops.
 	if a := in.Apply(4200*time.Millisecond, 0, 1, wire.KReadReq); !a.Drop {
 		t.Fatal("crash did not drop traffic to the dead site")
 	}
@@ -106,7 +112,7 @@ func TestWindows(t *testing.T) {
 		t.Fatal("crash dropped traffic between live sites")
 	}
 	st := in.Stats()
-	if st.Partitioned != 1 || st.Crashed != 2 {
+	if st.Partitioned != 3 {
 		t.Fatalf("window counters: %+v", st)
 	}
 }

@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -9,7 +11,8 @@ import (
 // that reparses to an identical plan — String ∘ Parse is a
 // normalization fixpoint. Experiment logs print executed plans for
 // replay, so this property is what makes a logged plan reproduce the
-// run.
+// run. It also checks that a crash clause is read as the partition of
+// its one site, and a reorder rule as a delay rule.
 func FuzzParseFaultPlan(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -22,6 +25,7 @@ func FuzzParseFaultPlan(f *testing.F) {
 		"partition sites=1,2 from=2s until=3s",
 		"crash site=1 from=4s until=4500ms",
 		"crash site=0 from=100ms",
+		"seed=3; reorder p=0.5 min=1ms max=2ms; crash site=2 from=1s; partition sites=0,1 from=2s",
 		"seed=-1; drop p=1",
 		"drop q=banana",
 		"delay p=0.5 max=1ms min=2ms",
@@ -33,6 +37,10 @@ func FuzzParseFaultPlan(f *testing.F) {
 		if err != nil {
 			return // rejected inputs just need a clean error
 		}
+		alt, err := Parse(respell(s))
+		if err != nil || !reflect.DeepEqual(plan, alt) {
+			t.Fatalf("%q and its respelling %q parse apart: %+v vs %+v (%v)", s, respell(s), plan, alt, err)
+		}
 		out := plan.String()
 		plan2, err := Parse(out)
 		if err != nil {
@@ -43,4 +51,29 @@ func FuzzParseFaultPlan(f *testing.F) {
 			t.Fatalf("plan grammar not a fixpoint:\n  in:  %q\n  out: %q\n  re:  %q", s, out, out2)
 		}
 	})
+}
+
+// respell writes each crash clause in s as the partition of its site,
+// and each reorder rule as a delay rule.
+func respell(s string) string {
+	clauses := strings.Split(s, ";")
+	for i, c := range clauses {
+		f := strings.Fields(c)
+		if len(f) == 0 {
+			continue
+		}
+		switch f[0] {
+		case "reorder":
+			f[0] = "delay"
+		case "crash":
+			f[0] = "partition"
+			for j, kv := range f {
+				if v, ok := strings.CutPrefix(kv, "site="); ok {
+					f[j] = "sites=" + v
+				}
+			}
+		}
+		clauses[i] = strings.Join(f, " ")
+	}
+	return strings.Join(clauses, ";")
 }

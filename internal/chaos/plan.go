@@ -1,12 +1,14 @@
 // Package chaos is a deterministic, seeded fault-plan engine for the
 // Mirage transports. A Plan describes faults to inject — per
-// (from, to, msg-kind) rules dropping, delaying, duplicating or
-// reordering messages, bidirectional partitions, and site
-// crash/restart windows. An Injector executes a plan reproducibly:
-// every probabilistic decision comes from one seeded generator
-// consumed in message order, so in the discrete-event simulator the
-// same seed replays the identical fault schedule, and a failing run
-// can be reproduced from its serialized plan alone.
+// (from, to, msg-kind) rules dropping, delaying or duplicating
+// messages, and partition windows that cut a set of sites off. A
+// crashed site is a partition of that one site: it keeps running, and
+// every other site sees of it what it would see of a dead one. An
+// Injector executes a plan reproducibly: every probabilistic decision
+// comes from one seeded generator consumed in message order, so in the
+// discrete-event simulator the same seed replays the identical fault
+// schedule, and a failing run can be reproduced from its serialized
+// plan alone.
 //
 // The paper's substrate never needed this: Locus virtual circuits made
 // delivery "reliable by construction" and §10.0 defers site failures
@@ -33,18 +35,13 @@ const (
 	// OpDup delivers Copies extra copies of the message.
 	OpDup
 	// OpDelay holds the message for a uniform duration in
-	// [MinDelay, MaxDelay] before it proceeds.
+	// [MinDelay, MaxDelay] before it proceeds. A held message is
+	// overtaken by later traffic, breaking the per-circuit FIFO that
+	// Locus guaranteed, so Parse reads "reorder" as "delay".
 	OpDelay
-	// OpReorder is OpDelay under a name that states its intent: a held
-	// message is overtaken by later traffic, breaking the per-circuit
-	// FIFO that Locus guaranteed. Only safe with the reliability
-	// layer's resequencer enabled.
-	OpReorder
 )
 
-var opNames = map[Op]string{
-	OpDrop: "drop", OpDup: "dup", OpDelay: "delay", OpReorder: "reorder",
-}
+var opNames = map[Op]string{OpDrop: "drop", OpDup: "dup", OpDelay: "delay"}
 
 func (o Op) String() string { return opNames[o] }
 
@@ -58,8 +55,8 @@ type Rule struct {
 	P        float64       // per-message probability, in [0,1]
 	From, To int           // site filters; Any matches all
 	Kind     wire.Kind     // KInvalid matches all kinds
-	MinDelay time.Duration // delay/reorder lower bound
-	MaxDelay time.Duration // delay/reorder upper bound
+	MinDelay time.Duration // delay lower bound
+	MaxDelay time.Duration // delay upper bound
 	Copies   int           // dup: extra copies; default 1
 }
 
@@ -89,7 +86,7 @@ func (r Rule) String() string {
 	if r.Kind != wire.KInvalid {
 		fmt.Fprintf(&b, " kind=%s", r.Kind)
 	}
-	if r.Op == OpDelay || r.Op == OpReorder {
+	if r.Op == OpDelay {
 		if r.MinDelay != 0 {
 			fmt.Fprintf(&b, " min=%s", r.MinDelay)
 		}
@@ -103,6 +100,9 @@ func (r Rule) String() string {
 
 // Partition isolates a set of sites from the rest of the cluster for a
 // window: messages crossing the cut, in either direction, are dropped.
+// A partition of one site is also how a crash is written and modelled:
+// a fail-stop followed, at Until, by a restart with memory intact (a
+// long pause). Recovery-with-state-loss is beyond this subsystem.
 type Partition struct {
 	Sites []int // the isolated side of the cut
 	From  time.Duration
@@ -127,36 +127,11 @@ func (p Partition) String() string {
 	return b.String()
 }
 
-// Crash takes one site off the network for a window: everything it
-// sends or is sent is dropped, modelling a fail-stop crash followed by
-// a restart with memory intact (a long pause). Recovery-with-state-loss
-// is beyond this subsystem.
-type Crash struct {
-	Site  int
-	From  time.Duration
-	Until time.Duration // 0 means forever
-}
-
-func (c Crash) covers(now time.Duration) bool {
-	return now >= c.From && (c.Until == 0 || now < c.Until)
-}
-
-// String renders the crash window in the plan grammar.
-func (c Crash) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "crash site=%d from=%s", c.Site, c.From)
-	if c.Until != 0 {
-		fmt.Fprintf(&b, " until=%s", c.Until)
-	}
-	return b.String()
-}
-
 // Plan is a complete, serializable fault schedule description.
 type Plan struct {
 	Seed       int64
 	Rules      []Rule
 	Partitions []Partition
-	Crashes    []Crash
 }
 
 // String serializes the plan in the grammar Parse accepts; the round
@@ -169,9 +144,6 @@ func (p *Plan) String() string {
 	for _, pt := range p.Partitions {
 		parts = append(parts, pt.String())
 	}
-	for _, c := range p.Crashes {
-		parts = append(parts, c.String())
-	}
 	return strings.Join(parts, "; ")
 }
 
@@ -181,6 +153,9 @@ func (p *Plan) String() string {
 //	seed=42; drop p=0.05 kind=page-send; delay p=0.3 max=20ms;
 //	dup p=0.02 from=1 to=2; reorder p=0.1 max=5ms;
 //	partition sites=1,2 from=2s until=3s; crash site=1 from=4s until=4500ms
+//
+// "reorder" is read as "delay", and "crash site=S" as "partition
+// sites=S" of that one site, so String spells them that way.
 func Parse(s string) (*Plan, error) {
 	p := &Plan{}
 	for _, clause := range strings.Split(s, ";") {
@@ -205,14 +180,10 @@ func Parse(s string) (*Plan, error) {
 		case "drop", "dup", "delay", "reorder":
 			r := Rule{From: Any, To: Any}
 			switch directive {
-			case "drop":
-				r.Op = OpDrop
 			case "dup":
 				r.Op = OpDup
-			case "delay":
+			case "delay", "reorder":
 				r.Op = OpDelay
-			case "reorder":
-				r.Op = OpReorder
 			}
 			for k, v := range kv {
 				switch k {
@@ -250,20 +221,24 @@ func Parse(s string) (*Plan, error) {
 					return nil, fmt.Errorf("chaos: unknown field %q for %s", k, directive)
 				}
 			}
-			if (r.Op == OpDelay || r.Op == OpReorder) && r.MaxDelay < r.MinDelay {
+			if r.Op == OpDelay && r.MaxDelay < r.MinDelay {
 				return nil, fmt.Errorf("chaos: delay max %v < min %v", r.MaxDelay, r.MinDelay)
 			}
 			if r.Op == OpDup && r.Copies == 0 {
 				r.Copies = 1
 			}
 			p.Rules = append(p.Rules, r)
-		case "partition":
-			pt := Partition{}
+		case "partition", "crash":
+			pt, sitesKey := Partition{}, "sites"
+			if directive == "crash" {
+				sitesKey = "site"
+			}
 			for k, v := range kv {
 				switch k {
-				case "sites":
-					if pt.Sites, err = splitInts(v); err != nil {
-						return nil, fmt.Errorf("chaos: bad sites=%q", v)
+				case sitesKey:
+					pt.Sites, err = splitInts(v)
+					if err != nil || directive == "crash" && len(pt.Sites) != 1 {
+						return nil, fmt.Errorf("chaos: bad %s=%q", k, v)
 					}
 				case "from":
 					if pt.From, err = time.ParseDuration(v); err != nil {
@@ -274,37 +249,13 @@ func Parse(s string) (*Plan, error) {
 						return nil, fmt.Errorf("chaos: bad until=%q", v)
 					}
 				default:
-					return nil, fmt.Errorf("chaos: unknown field %q for partition", k)
+					return nil, fmt.Errorf("chaos: unknown field %q for %s", k, directive)
 				}
 			}
 			if len(pt.Sites) == 0 {
-				return nil, fmt.Errorf("chaos: partition with no sites")
+				return nil, fmt.Errorf("chaos: %s with no %s=", directive, sitesKey)
 			}
 			p.Partitions = append(p.Partitions, pt)
-		case "crash":
-			c := Crash{Site: Any}
-			for k, v := range kv {
-				switch k {
-				case "site":
-					if c.Site, err = strconv.Atoi(v); err != nil {
-						return nil, fmt.Errorf("chaos: bad site=%q", v)
-					}
-				case "from":
-					if c.From, err = time.ParseDuration(v); err != nil {
-						return nil, fmt.Errorf("chaos: bad from=%q", v)
-					}
-				case "until":
-					if c.Until, err = time.ParseDuration(v); err != nil {
-						return nil, fmt.Errorf("chaos: bad until=%q", v)
-					}
-				default:
-					return nil, fmt.Errorf("chaos: unknown field %q for crash", k)
-				}
-			}
-			if c.Site == Any {
-				return nil, fmt.Errorf("chaos: crash needs site=")
-			}
-			p.Crashes = append(p.Crashes, c)
 		default:
 			return nil, fmt.Errorf("chaos: unknown directive %q", directive)
 		}

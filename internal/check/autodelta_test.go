@@ -74,7 +74,7 @@ func TestVerifyAcceptsAutoDeltaTakeoverTrace(t *testing.T) {
 	h.k.Run()
 
 	// The library crashes now, for good.
-	h.inj = chaos.New(chaos.Plan{Crashes: []chaos.Crash{{Site: 0, From: h.k.Now().Duration()}}})
+	h.inj = chaos.New(chaos.Plan{Partitions: []chaos.Partition{{Sites: []int{0}, From: h.k.Now().Duration()}}})
 	// Site 2 was invalidated by site 1's last write: this access gives
 	// up on the dead library and triggers the takeover at site 1.
 	h.access(t, 2, 0, false, 0)

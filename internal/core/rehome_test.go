@@ -349,3 +349,86 @@ func TestDamagedMigrationOfferRefused(t *testing.T) {
 	n.checkSingleWriter(1, 0)
 	n.checkSingleWriter(1, 1)
 }
+
+// TestChunkedOfferMatchesOneMessage migrates the library of a segment
+// large enough that sendChunked cuts the offer into several messages —
+// no simulated segment is: vaxmodel caps one at 256 pages, and 60 000
+// bytes of full-form records take about 1 500. The successor must
+// install what one message carrying every record would have installed,
+// page for page, and reassemble must drop a buffered part when a
+// chunk of a newer epoch arrives.
+func TestChunkedOfferMatchesOneMessage(t *testing.T) {
+	const pages = 2400
+	n := newTestNet(t, 3, migOptions(nil))
+	n.newSeg(pages, 0)
+	for pg, d := range map[int32]time.Duration{5: time.Millisecond, 1600: 3 * time.Millisecond, pages - 1: 9 * time.Millisecond} {
+		if err := n.engines[0].SetPageDelta(1, pg, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.acquire(1, 1, 0, true) // page 0: site 1 writes
+	n.acquire(1, 1, 1700, false)
+	n.acquire(2, 1, 1700, false) // page 1700, past the first cut: sites 1 and 2 read
+	n.acquire(2, 1, pages-1, true)
+	n.settle()
+
+	// The control: every record in one message, decoded as an offer.
+	old := n.engines[0].segs[1]
+	var one []byte
+	for i := range old.lib.pages {
+		one = appendRecord(one, &old.lib.pages[i].libRecord, true)
+	}
+	ctl, err := n.engines[1].offerSource(n.engines[1].segs[1], &wire.Msg{}, one)
+	if err != nil || len(ctl.recs) != pages {
+		t.Fatalf("control payload: %d records, %v", len(ctl.recs), err)
+	}
+
+	var chunks []wire.Msg
+	n.mangle = func(to int, m *wire.Msg) {
+		if m.Kind == wire.KMigrate {
+			c := *m
+			c.Data = append([]byte(nil), m.Data...)
+			chunks = append(chunks, c)
+		}
+	}
+	n.engines[0].startMigration(old, 1, n.k.Now().Duration())
+	n.settle()
+
+	if len(chunks) < 2 {
+		t.Fatalf("offer went as %d message(s), want it cut", len(chunks))
+	}
+	for i, c := range chunks {
+		if c.Upgrade != (i == len(chunks)-1) {
+			t.Fatalf("chunk %d of %d: Upgrade=%v", i, len(chunks), c.Upgrade)
+		}
+	}
+	succ := n.engines[1].segs[1].lib
+	if succ == nil {
+		t.Fatal("site 1 did not install the chunked offer")
+	}
+	for i := range succ.pages {
+		if !sameRecord(succ.pages[i].libRecord, ctl.recs[i]) {
+			t.Fatalf("page %d installed %+v, one message installs %+v", i, succ.pages[i].libRecord, ctl.recs[i])
+		}
+	}
+
+	// A part of an older epoch's offer is buffered when the newer
+	// epoch's chunks arrive: they start over.
+	sn := &segNode{}
+	if _, whole := sn.reassemble(&chunks[0], 0); whole {
+		t.Fatal("a first chunk completed the payload")
+	}
+	var got []byte
+	for i := range chunks {
+		c := chunks[i]
+		c.SegEpoch++
+		data, whole := sn.reassemble(&c, 0)
+		if whole != (i == len(chunks)-1) {
+			t.Fatalf("chunk %d of %d: whole=%v", i, len(chunks), whole)
+		}
+		got = data
+	}
+	if !reflect.DeepEqual(got, one) {
+		t.Fatalf("reassembled %d bytes across an epoch change, one message carries %d", len(got), len(one))
+	}
+}

@@ -73,8 +73,8 @@ func failoverRel() *core.Reliability {
 type crashCase struct {
 	sites    int
 	key      mem.Key
-	crashes  []chaos.Crash
-	replicas int // Failover.Replicas; 0 takes the default, min(2, sites−1)
+	crashes  []chaos.Partition // each cuts off one site: a crash
+	replicas int               // Failover.Replicas; 0 takes the default, min(2, sites−1)
 }
 
 // CounterRun is what the library-crash counter workload measures, in E18
@@ -94,7 +94,7 @@ type CounterRun struct {
 // takeover layers, with the case's group size.
 func (cc crashCase) config() ipc.Config {
 	eng := core.Options{Reliability: failoverRel(), Failover: &core.Failover{Replicas: cc.replicas}}
-	return ipc.Config{Chaos: &chaos.Plan{Seed: 42, Crashes: cc.crashes}, Engine: eng}
+	return ipc.Config{Chaos: &chaos.Plan{Seed: 42, Partitions: cc.crashes}, Engine: eng}
 }
 
 // run drives the workload on c, perSite increments at each incrementer.
@@ -201,8 +201,8 @@ func failoverCase(crashes int) crashCase {
 	for i := 0; i < crashes; i++ {
 		// The creator dies first; each successor (the next site by
 		// number) follows 600 ms later, inside the workload span.
-		cc.crashes = append(cc.crashes, chaos.Crash{
-			Site: i, From: 400*time.Millisecond + time.Duration(i)*600*time.Millisecond,
+		cc.crashes = append(cc.crashes, chaos.Partition{
+			Sites: []int{i}, From: 400*time.Millisecond + time.Duration(i)*600*time.Millisecond,
 		})
 	}
 	return cc

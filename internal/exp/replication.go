@@ -59,25 +59,25 @@ const replSites = 7
 
 // failStops is the E22 grid's crash plan: the listed sites fail-stopped
 // at 400ms, for good, and the returning ones cut off from 400ms to 2s.
-func failStops(sites, returning []int) []chaos.Crash {
-	var cs []chaos.Crash
+func failStops(sites, returning []int) []chaos.Partition {
+	var cs []chaos.Partition
 	for _, s := range sites {
-		cs = append(cs, chaos.Crash{Site: s, From: 400 * time.Millisecond})
+		cs = append(cs, chaos.Partition{Sites: []int{s}, From: 400 * time.Millisecond})
 	}
 	for _, s := range returning {
-		cs = append(cs, chaos.Crash{Site: s, From: 400 * time.Millisecond, Until: 2 * time.Second})
+		cs = append(cs, chaos.Partition{Sites: []int{s}, From: 400 * time.Millisecond, Until: 2 * time.Second})
 	}
 	return cs
 }
 
 // replCase is the library-crash counter workload as E22 runs it: at the
 // given replication factor, under the given crashes.
-func replCase(replicas int, crashes []chaos.Crash) crashCase {
+func replCase(replicas int, crashes []chaos.Partition) crashCase {
 	return crashCase{sites: replSites, key: 0x4522, crashes: crashes, replicas: replicas}
 }
 
 // runReplicationPoint runs one E22 grid point.
-func runReplicationPoint(name string, replicas, perSite int, crashes []chaos.Crash) ReplicationPoint {
+func runReplicationPoint(name string, replicas, perSite int, crashes []chaos.Partition) ReplicationPoint {
 	cc := replCase(replicas, crashes)
 	pt := ReplicationPoint{Name: name, Replicas: replicas}
 	pt.Trace = simulate(cc.sites, cc.config(), func(c *ipc.Cluster) {

@@ -60,10 +60,10 @@ func TestE22ReplicationSweep(t *testing.T) {
 // everything site 1 granted — not from what site 2 still held of the
 // first library's.
 func TestReplDoubleCrashElectsFromReseededLog(t *testing.T) {
-	cc := replCase(2, []chaos.Crash{
-		{Site: 0, From: 400 * time.Millisecond},
-		{Site: 2, From: 400 * time.Millisecond, Until: 2 * time.Second},
-		{Site: 1, From: 5 * time.Second},
+	cc := replCase(2, []chaos.Partition{
+		{Sites: []int{0}, From: 400 * time.Millisecond},
+		{Sites: []int{2}, From: 400 * time.Millisecond, Until: 2 * time.Second},
+		{Sites: []int{1}, From: 5 * time.Second},
 	})
 	var run CounterRun
 	var recoveries, elections int

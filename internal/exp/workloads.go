@@ -96,11 +96,9 @@ func runPingPong(c *ipc.Cluster, siteA, siteB int, useYield bool, segSize int, d
 				return
 			}
 			o1, o2 := pingPongSlots(i, segSize)
-			traceEv(p, "p1 write o1 begin")
 			if err := h.SetUint32(o1, checkVal(i)); err != nil {
 				return
 			}
-			traceEv(p, "p1 write o1 done; spin o2")
 			spinWait(p, useYield, func() bool {
 				if p.Now() >= deadline {
 					return true
@@ -111,7 +109,6 @@ func runPingPong(c *ipc.Cluster, siteA, siteB int, useYield bool, segSize int, d
 			if p.Now() >= deadline {
 				return
 			}
-			traceEv(p, "p1 saw reply: cycle done")
 			st.cycles++
 		}
 	})
@@ -123,7 +120,6 @@ func runPingPong(c *ipc.Cluster, siteA, siteB int, useYield bool, segSize int, d
 				return
 			}
 			o1, o2 := pingPongSlots(i, segSize)
-			traceEv(p, "p2 spin o1")
 			spinWait(p, useYield, func() bool {
 				if p.Now() >= deadline {
 					return true
@@ -134,11 +130,9 @@ func runPingPong(c *ipc.Cluster, siteA, siteB int, useYield bool, segSize int, d
 			if p.Now() >= deadline {
 				return
 			}
-			traceEv(p, "p2 saw check; write o2")
 			if err := h.SetUint32(o2, replyVal(i)); err != nil {
 				return
 			}
-			traceEv(p, "p2 wrote o2")
 		}
 	})
 	return st
@@ -241,16 +235,6 @@ func RunCountersForDebug(c *ipc.Cluster, dur time.Duration) float64 {
 	st := runCounters(c, 0, 1, dur)
 	c.Run()
 	return 2 * float64(st.iters[0]+st.iters[1]) / dur.Seconds()
-}
-
-// TraceHook, when set, receives workload-level events for calibration
-// debugging.
-var TraceHook func(site int, ev string)
-
-func traceEv(p *ipc.Proc, ev string) {
-	if TraceHook != nil {
-		TraceHook(p.Site(), ev)
-	}
 }
 
 // SpawnSharedWriter starts a process at the site that periodically

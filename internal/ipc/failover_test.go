@@ -16,8 +16,8 @@ import (
 // (forever when until is 0).
 func crashAt(site int, from, until time.Duration) *chaos.Plan {
 	return &chaos.Plan{
-		Seed:    1,
-		Crashes: []chaos.Crash{{Site: site, From: from, Until: until}},
+		Seed:       1,
+		Partitions: []chaos.Partition{{Sites: []int{site}, From: from, Until: until}},
 	}
 }
 

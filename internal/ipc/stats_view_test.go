@@ -36,7 +36,7 @@ var noStatsField = []obs.Counter{
 	obs.CMsgSent, obs.CMsgRecv, obs.CWireByte, obs.CGrantCycle, obs.CInvalSent,
 	obs.CInvalAcked, obs.CDeltaDenial, obs.CInvalFanout, obs.CRelay,
 	// internal/chaos, internal/transport, internal/netsim, internal/app.
-	obs.CChaosDrop, obs.CChaosDup, obs.CChaosDelay, obs.CChaosPartition, obs.CChaosCrash,
+	obs.CChaosDrop, obs.CChaosDup, obs.CChaosDelay, obs.CChaosPartition,
 	obs.CFlushBatch, obs.CFlushFrame, obs.CFlushByte, obs.CTCPDecodeError, obs.CTCPCorruptStream,
 	obs.CTCPWriteError, obs.CTCPRedial, obs.CNetDelivered, obs.CNetByte,
 	obs.CAppOp, obs.CAppHit, obs.CAppMiss, obs.CAppConflict,

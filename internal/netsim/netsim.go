@@ -91,10 +91,6 @@ type Network struct {
 	// calls and are never faulted.
 	Inject func(m Message) Fault
 
-	// SideElapsed computes the per-side elapsed cost of a message.
-	// Defaults to vaxmodel.MsgSideElapsed.
-	SideElapsed func(payload int) time.Duration
-
 	// Obs, if non-nil, receives per-site delivery counters
 	// (net_delivered / net_bytes, attributed to the receiving site).
 	Obs *obs.Obs
@@ -107,11 +103,7 @@ func New(k *sim.Kernel, n int) *Network {
 	if n > mmu.MaxSites {
 		panic(fmt.Sprintf("netsim: %d sites: %v", n, mmu.ErrTooManySites))
 	}
-	return &Network{
-		k:           k,
-		nics:        make([]nic, n),
-		SideElapsed: vaxmodel.MsgSideElapsed,
-	}
+	return &Network{k: k, nics: make([]nic, n)}
 }
 
 // Sites returns the number of sites.
@@ -128,9 +120,6 @@ func (n *Network) Bind(s SiteID, h Handler) {
 
 // Stats returns a snapshot of the traffic counters.
 func (n *Network) Stats() Stats { return n.stats }
-
-// ResetStats zeroes the traffic counters.
-func (n *Network) ResetStats() { n.stats = Stats{} }
 
 // Send queues a message for delivery. It may be called from any event
 // or process context; it returns immediately, having scheduled the
@@ -169,7 +158,7 @@ func (n *Network) Send(m Message) {
 // chargeTx serializes one transmission on the sender's NIC and returns
 // its completion instant.
 func (n *Network) chargeTx(m Message) sim.Time {
-	side := n.SideElapsed(m.Size)
+	side := vaxmodel.MsgSideElapsed(m.Size)
 	tx := &n.nics[m.From]
 	start := n.k.Now()
 	if tx.txBusyUntil > start {
@@ -183,7 +172,7 @@ func (n *Network) chargeTx(m Message) sim.Time {
 // transmit carries one copy of m across the wire with extra
 // propagation delay.
 func (n *Network) transmit(m Message, extra time.Duration) {
-	side := n.SideElapsed(m.Size)
+	side := vaxmodel.MsgSideElapsed(m.Size)
 	txDone := n.chargeTx(m)
 	if n.Delay != nil {
 		extra += n.Delay(m)

@@ -152,10 +152,6 @@ func TestStatsCounters(t *testing.T) {
 	if s.Bytes != 1088 {
 		t.Fatalf("bytes = %d", s.Bytes)
 	}
-	n.ResetStats()
-	if n.Stats() != (Stats{}) {
-		t.Fatal("ResetStats did not zero")
-	}
 }
 
 func TestDelayHook(t *testing.T) {

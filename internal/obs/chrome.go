@@ -108,18 +108,7 @@ func chromeName(ev Event) string {
 			return "page→invalid"
 		}
 	case EvChaos:
-		switch ev.Arg {
-		case ChaosDup:
-			return "chaos dup"
-		case ChaosDelay:
-			return "chaos delay"
-		case ChaosPartition:
-			return "chaos partition"
-		case ChaosCrash:
-			return "chaos crash"
-		default:
-			return "chaos drop"
-		}
+		return "chaos " + chaosName(ev.Arg)
 	}
 	return ev.Type.String()
 }

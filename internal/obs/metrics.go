@@ -11,6 +11,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"mirage/internal/mmu"
 )
 
 // Counter identifies one monotonic per-site counter in a Registry.
@@ -54,7 +56,6 @@ const (
 	CChaosDup
 	CChaosDelay
 	CChaosPartition
-	CChaosCrash
 	// TCP sender batching (the in-process mesh has no batch).
 	CFlushBatch
 	CFlushFrame
@@ -135,7 +136,6 @@ var counterNames = [...]string{
 	CChaosDup:         "chaos_dups",
 	CChaosDelay:       "chaos_delays",
 	CChaosPartition:   "chaos_partitioned",
-	CChaosCrash:       "chaos_crashed",
 	CFlushBatch:       "flush_batches",
 	CFlushFrame:       "flush_frames",
 	CFlushByte:        "flush_bytes",
@@ -192,10 +192,6 @@ func Hists() []HistID {
 	}
 	return out
 }
-
-// MaxSites is the registry's site capacity; it matches mmu.MaxSites,
-// the copyset (and therefore cluster-size) cap on the public API.
-const MaxSites = 65536
 
 // blockSites is how many per-site shards one lazily-allocated block
 // holds. Shard storage for 65536 sites would be tens of megabytes per
@@ -420,7 +416,7 @@ func (s HistSnapshot) WriteTo(w io.Writer) (int64, error) {
 // allocated on a site's first increment (a one-time CAS); warm-path
 // increments stay allocation-free.
 type Registry struct {
-	blocks [MaxSites / blockSites]atomic.Pointer[shardBlock]
+	blocks [mmu.MaxSites / blockSites]atomic.Pointer[shardBlock]
 	hists  [histCount]Hist
 }
 
@@ -429,7 +425,7 @@ func NewRegistry() *Registry { return &Registry{} }
 
 // shard returns site's shard, materializing its block on first touch.
 func (r *Registry) shard(site int) *shard {
-	if site < 0 || site >= MaxSites {
+	if site < 0 || site >= mmu.MaxSites {
 		site = 0
 	}
 	bp := &r.blocks[site/blockSites]
@@ -449,7 +445,7 @@ func (r *Registry) Add(site int, c Counter, n int64) {
 
 // Get returns counter c for one site.
 func (r *Registry) Get(site int, c Counter) int64 {
-	if site < 0 || site >= MaxSites {
+	if site < 0 || site >= mmu.MaxSites {
 		site = 0
 	}
 	b := r.blocks[site/blockSites].Load()

@@ -129,14 +129,26 @@ const (
 	evTypeCount
 )
 
-// Chaos verdict codes carried in EvChaos.Arg.
+// Chaos verdict codes carried in EvChaos.Arg. Code 4 is retired: traces
+// written before a crash was a one-site partition carry it for a crash,
+// so it is never reused.
 const (
 	ChaosDrop = iota
 	ChaosDup
 	ChaosDelay
 	ChaosPartition
-	ChaosCrash
 )
+
+var chaosNames = [...]string{ChaosDrop: "drop", ChaosDup: "dup", ChaosDelay: "delay", ChaosPartition: "partition"}
+
+// chaosName names an EvChaos verdict in the summary and the Chrome
+// export; a code it does not know reads as a drop.
+func chaosName(verdict int64) string {
+	if verdict < 0 || verdict >= int64(len(chaosNames)) {
+		return chaosNames[ChaosDrop]
+	}
+	return chaosNames[verdict]
+}
 
 var evNames = [...]string{
 	EvInvalid:     "invalid",

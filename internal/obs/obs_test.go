@@ -148,7 +148,7 @@ func TestRegistryConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			site := w % MaxSites
+			site := w
 			for i := 0; i < per; i++ {
 				r.Add(site, CMsgSent, 1)
 				r.Add(site, CFlushByte, 64)

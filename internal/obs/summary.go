@@ -260,18 +260,7 @@ func FormatEvent(ev Event) string {
 			detail = "read batch"
 		}
 	case EvChaos:
-		switch ev.Arg {
-		case ChaosDup:
-			detail = "dup"
-		case ChaosDelay:
-			detail = "delay"
-		case ChaosPartition:
-			detail = "partition"
-		case ChaosCrash:
-			detail = "crash"
-		default:
-			detail = "drop"
-		}
+		detail = chaosName(ev.Arg)
 	}
 	line := fmt.Sprintf("%12v  site%-2d  seg%d/p%-3d  %-12s", ev.T, ev.Site, ev.Seg, ev.Page, ev.Type)
 	if ev.Cycle != 0 {

@@ -127,9 +127,9 @@ type Placement = core.Placement
 type AutoDelta = core.AutoDelta
 
 // FaultPlan is a deterministic, seeded fault-injection plan applied to
-// the cluster's transport fabric (drops, duplicates, delays, reorders,
-// partitions, crash windows). Build one with ParseFaultPlan or
-// literally; see internal/chaos for the grammar.
+// the cluster's transport fabric (drops, duplicates, delays, and
+// partitions; a crash is the partition of one site). Build one with
+// ParseFaultPlan or literally; see internal/chaos for the grammar.
 type FaultPlan = chaos.Plan
 
 // ChaosStats are the injector's cumulative counters.
