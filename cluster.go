@@ -66,6 +66,9 @@ func NewCluster(n int, opts Options) (*Cluster, error) {
 	case opts.Check && !opts.Obs.Tracing():
 		return nil, fmt.Errorf("mirage: %w: Options.Check needs Options.Obs with a tracer (e.g. mirage.NewObs())", ErrInvalidOptions)
 	}
+	if err := opts.Chaos.CheckSites(n); err != nil {
+		return nil, fmt.Errorf("mirage: %w: %v", ErrInvalidOptions, err)
+	}
 	c := &Cluster{
 		opts:     opts,
 		registry: mem.NewRegistry(opts.PageSize, opts.Delta, maxSegmentBytes),
@@ -189,8 +192,7 @@ func (c *Cluster) Close() error {
 	// Destroy engine state so blocked fault loops wake and error out.
 	for _, s := range segs {
 		for _, nd := range c.nodes {
-			id := int32(s.ID)
-			nd.call(func() { nd.eng.DestroySegment(id) })
+			nd.call(func() { nd.eng.DestroySegment(int32(s.ID)) })
 		}
 	}
 	err := c.closer()
@@ -293,16 +295,14 @@ func (s *Site) Remove(id SegID) error {
 // gives ErrNotLibrary; a negative window gives ErrNegativeDelta.
 func (s *Site) SetSegmentDelta(id SegID, delta time.Duration) error {
 	var err error
-	nd := s.node
-	nd.call(func() { err = nd.eng.SetSegmentDelta(int32(id), delta) })
+	s.node.call(func() { err = s.node.eng.SetSegmentDelta(int32(id), delta) })
 	return err
 }
 
 // Stats returns the site's protocol counters.
 func (s *Site) Stats() core.Stats {
 	var st core.Stats
-	nd := s.node
-	nd.call(func() { st = nd.eng.Stats() })
+	s.node.call(func() { st = s.node.eng.Stats() })
 	return st
 }
 

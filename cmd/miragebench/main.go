@@ -102,18 +102,18 @@ import (
 // benchRecord is the -out JSON shape: enough to compare experiment
 // results and harness performance across commits.
 type benchRecord struct {
-	GOOS        string             `json:"goos"`
-	GOARCH      string             `json:"goarch"`
-	CPUs        int                `json:"cpus"`
-	Parallelism int                `json:"parallelism"` // 0 = GOMAXPROCS
-	Quick       bool               `json:"quick"`
-	Experiments []experimentWall   `json:"experiments"`
-	TotalWallS  float64            `json:"total_wall_seconds"`
-	Service     *serviceRecord     `json:"service,omitempty"`
-	Scale       *scaleRecord       `json:"scale,omitempty"`
-	Migration   *migrationRecord   `json:"migration,omitempty"`
-	Replication *replicationRecord `json:"replication,omitempty"`
-	AutoDelta   *autodeltaRecord   `json:"autodelta,omitempty"`
+	GOOS        string                  `json:"goos"`
+	GOARCH      string                  `json:"goarch"`
+	CPUs        int                     `json:"cpus"`
+	Parallelism int                     `json:"parallelism"` // 0 = GOMAXPROCS
+	Quick       bool                    `json:"quick"`
+	Experiments []experimentWall        `json:"experiments"`
+	TotalWallS  float64                 `json:"total_wall_seconds"`
+	Service     *exp.ServiceSweepResult `json:"service,omitempty"`
+	Scale       *scaleRecord            `json:"scale,omitempty"`
+	Migration   *migrationRecord        `json:"migration,omitempty"`
+	Replication *replicationRecord      `json:"replication,omitempty"`
+	AutoDelta   *autodeltaRecord        `json:"autodelta,omitempty"`
 }
 
 // autodeltaRecord is the E23 section of the -out record: per workload,
@@ -154,41 +154,6 @@ type experimentWall struct {
 	WallS float64 `json:"wall_seconds"`
 }
 
-// serviceRecord is the E19 section of the -out record: per ladder, the
-// saturation knee and the tail latency at the last sustained rung
-// (half the knee's offered rate on the default doubling ladder).
-type serviceRecord struct {
-	ReplayMatches bool                  `json:"replay_matches"`
-	Ladders       []serviceLadderRecord `json:"ladders"`
-}
-
-type serviceLadderRecord struct {
-	Transport     string      `json:"transport"`
-	Chaos         bool        `json:"chaos"`
-	Events        int         `json:"verified_events"` // 0 on the live ladder: not verified
-	Violations    int         `json:"violations"`
-	KneeRung      int         `json:"knee_rung"` // -1 = no rung saturated
-	KneeRate      float64     `json:"knee_rate_rps,omitempty"`
-	P99AtHalfKnee int64       `json:"p99_at_half_knee_ns,omitempty"`
-	Rungs         []load.Rung `json:"rungs"`
-}
-
-func serviceRecordOf(r exp.ServiceSweepResult) *serviceRecord {
-	rec := &serviceRecord{ReplayMatches: r.ReplayMatches}
-	for _, l := range r.Ladders {
-		lr := serviceLadderRecord{Transport: l.Transport, Chaos: l.Chaos, Events: l.Events, Violations: l.Violations,
-			KneeRung: l.Knee, Rungs: l.Rungs}
-		if l.Knee >= 0 {
-			lr.KneeRate = l.Rungs[l.Knee].Rate
-		}
-		if l.Knee >= 1 {
-			lr.P99AtHalfKnee = l.Rungs[l.Knee-1].Latency.P99
-		}
-		rec.Ladders = append(rec.Ladders, lr)
-	}
-	return rec
-}
-
 // liveServiceLadder runs the E19 ladder over a real loopback-TCP
 // cluster through the public store API, one shared store served by
 // every site, same op streams and scoring as the simulated ladders.
@@ -207,7 +172,7 @@ func liveServiceLadder(cfg exp.ServiceConfig) ([]load.Rung, error) {
 	for _, rate := range cfg.Rates {
 		spec := cfg.Spec(rate)
 		rungs = append(rungs, load.RunLive(spec, func(frontend int, op load.Op) (bool, error) {
-			// Lane f maps to site f / Workers, as in the simulator.
+			// Lane f maps to site f / ServiceWorkers, as in the simulator.
 			return load.Execute(stores[frontend/exp.ServiceWorkers], spec, op)
 		}))
 	}
@@ -625,7 +590,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				code = 1
 			}
 		}
-		rec.Service = serviceRecordOf(r)
+		rec.Service = &r
 	})
 
 	run("e20", "beyond the paper: scaling past 64 sites — flat vs tree invalidation (E20)", func() {

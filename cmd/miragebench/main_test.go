@@ -107,7 +107,7 @@ func TestE19ServiceLadder(t *testing.T) {
 		t.Fatalf("record service section = %+v", rec.Service)
 	}
 	sim := rec.Service.Ladders[0]
-	if sim.KneeRung != 1 || sim.P99AtHalfKnee <= 0 {
+	if sim.Knee != 1 || sim.P99AtHalfKnee <= 0 {
 		t.Errorf("sim ladder knee = %+v", sim)
 	}
 	if !rec.Service.ReplayMatches {

@@ -8,7 +8,8 @@
 //	counters — the §8.0 representative application (two sites)
 //	readers  — one writer at the library plus N-1 polling readers
 //	service  — the sharded session store under open-loop load (E19);
-//	           -rate and -skew set the offered load, and the per-shard
+//	           -rate and -skew (uniform | zipf | hot) set the offered
+//	           load, and the per-shard
 //	           store counters join the stats tables and -runs digest
 //	affinity — the service store with every site's lanes favoring
 //	           shards whose libraries placement put one site over
@@ -111,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sites := fs.Int("sites", 2, "number of sites (readers and service workloads)")
 	fanout := fs.Int("fanout", 0, "invalidation fan-out tree arity k (0 or 1 = flat per-reader unicast)")
 	rate := fs.Float64("rate", 50, "offered load in req/s (service workload)")
-	skew := fs.String("skew", "zipf", "key popularity: uniform | zipf | hotspot (service workload)")
+	skew := fs.String("skew", "zipf", "key popularity: uniform | zipf | hot (service workload)")
 	yield := fs.Bool("yield", true, "use the yield() call in wait loops (pingpong)")
 	policy := fs.String("policy", "retry", "invalidation policy: retry | honor-close | queue")
 	tracePath := fs.String("trace", "", "write the protocol event trace (schema-v1 JSONL) to this file")
@@ -178,6 +179,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *chaosSpec != "" {
 		var err error
 		basePlan, err = chaos.Parse(*chaosSpec)
+		if err == nil {
+			err = basePlan.CheckSites(n)
+		}
 		if err != nil {
 			return fail("bad -chaos plan: %v", err)
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mirage/internal/check"
+	"mirage/internal/load"
 	"mirage/internal/obs"
 )
 
@@ -27,6 +28,9 @@ func TestBadFlags(t *testing.T) {
 		{"-runs", "0"},
 		{"-workload", "readers", "-sites", "1"},
 		{"-chaos", "drop q=banana"},
+		// A plan naming a site the cluster lacks (2 sites here).
+		{"-workload", "counters", "-dur", "2s", "-chaos", "crash site=9 from=1s"},
+		{"-chaos", "drop p=0.1 to=2"},
 		// Refused by the option contract (core.Options.ForCluster).
 		{"-delta", "-1ms"},
 		{"-replicas", "-1"},
@@ -140,6 +144,21 @@ func TestServiceRun(t *testing.T) {
 		"goodput", "liveness=true", "store (per shard):", "app_ops"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("output missing %q:\n%s", want, stdout)
+		}
+	}
+}
+
+// TestSkewUsageNamesParse: every skew name the -skew usage lists is
+// one load.ParseSkew accepts.
+func TestSkewUsageNamesParse(t *testing.T) {
+	_, _, stderr := runSim(t, "-h")
+	m := regexp.MustCompile(`key popularity: ([a-z |]+) \(`).FindStringSubmatch(stderr)
+	if m == nil {
+		t.Fatalf("no -skew usage in:\n%s", stderr)
+	}
+	for _, name := range strings.Split(m[1], " | ") {
+		if _, err := load.ParseSkew(name); err != nil {
+			t.Errorf("-skew usage lists %q: %v", name, err)
 		}
 	}
 }

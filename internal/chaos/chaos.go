@@ -70,11 +70,11 @@ func (in *Injector) SetObs(o *obs.Obs) {
 	in.mu.Unlock()
 }
 
-// observe records one verdict; called with in.mu held. Chaos verdicts
-// are timestamped with the send time the driver passed to Apply, so
-// simulator traces stay deterministic.
-func (in *Injector) observe(now time.Duration, from, to int, kind wire.Kind, c obs.Counter, verdict int64) {
-	in.obs.Count(from, c)
+// observe records one verdict, adding n to its counter; called with
+// in.mu held. Chaos verdicts are timestamped with the send time the
+// driver passed to Apply, so simulator traces stay deterministic.
+func (in *Injector) observe(now time.Duration, from, to int, kind wire.Kind, c obs.Counter, verdict, n int64) {
+	in.obs.CountN(from, c, n)
 	if in.obs.Tracing() {
 		in.obs.Emit(obs.Event{
 			T: now, Site: int32(from), Type: obs.EvChaos, Kind: kind,
@@ -134,7 +134,7 @@ func (in *Injector) Apply(now time.Duration, from, to int, kind wire.Kind) Actio
 	for _, p := range in.plan.Partitions {
 		if p.covers(now) && p.cut(from, to) {
 			in.stats.Partitioned++
-			in.observe(now, from, to, kind, obs.CChaosPartition, obs.ChaosPartition)
+			in.observe(now, from, to, kind, obs.CChaosPartition, obs.ChaosPartition, 1)
 			return Action{Drop: true}
 		}
 	}
@@ -154,21 +154,12 @@ func (in *Injector) Apply(now time.Duration, from, to int, kind wire.Kind) Actio
 		case OpDrop:
 			a.Drop = true
 			in.stats.Dropped++
-			in.observe(now, from, to, kind, obs.CChaosDrop, obs.ChaosDrop)
+			in.observe(now, from, to, kind, obs.CChaosDrop, obs.ChaosDrop, 1)
 		case OpDup:
-			n := r.Copies
-			if n < 1 {
-				n = 1
-			}
+			n := max(r.Copies, 1)
 			a.Dup += n
 			in.stats.Duplicated += n
-			in.obs.CountN(from, obs.CChaosDup, int64(n))
-			if in.obs.Tracing() {
-				in.obs.Emit(obs.Event{
-					T: now, Site: int32(from), Type: obs.EvChaos, Kind: kind,
-					From: int32(from), To: int32(to), Arg: obs.ChaosDup,
-				})
-			}
+			in.observe(now, from, to, kind, obs.CChaosDup, obs.ChaosDup, int64(n))
 		case OpDelay:
 			span := r.MaxDelay - r.MinDelay
 			d := r.MinDelay
@@ -177,7 +168,7 @@ func (in *Injector) Apply(now time.Duration, from, to int, kind wire.Kind) Actio
 			}
 			a.Delay += d
 			in.stats.Delayed++
-			in.observe(now, from, to, kind, obs.CChaosDelay, obs.ChaosDelay)
+			in.observe(now, from, to, kind, obs.CChaosDelay, obs.ChaosDelay, 1)
 		}
 	}
 	if a.Drop {

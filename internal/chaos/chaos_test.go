@@ -65,6 +65,35 @@ func TestParseRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestCheckSites: every site a plan names must be one of the cluster's;
+// Any and a nil plan name none.
+func TestCheckSites(t *testing.T) {
+	for _, tc := range []struct {
+		plan string
+		ok   bool
+	}{
+		{"drop p=0.1; delay p=0.2 max=1ms", true},
+		{"drop p=0.1 from=2 to=0; partition sites=0,2 from=1s", true},
+		{"crash site=2 from=1s", true},
+		{"crash site=3 from=1s", false},
+		{"partition sites=0,3 from=1s", false},
+		{"drop p=0.1 from=3", false},
+		{"dup p=0.1 to=7", false},
+		{"drop p=0.1 from=-2", false},
+	} {
+		p, err := Parse(tc.plan)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", tc.plan, err)
+		}
+		if err := p.CheckSites(3); (err == nil) != tc.ok {
+			t.Errorf("CheckSites(3) of %q = %v, want ok=%v", tc.plan, err, tc.ok)
+		}
+	}
+	if err := (*Plan)(nil).CheckSites(1); err != nil {
+		t.Errorf("nil plan: %v", err)
+	}
+}
+
 // TestSameSeedSameSchedule is the replayability contract: identical
 // plans produce identical decision sequences for identical inputs.
 func TestSameSeedSameSchedule(t *testing.T) {

@@ -18,6 +18,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,16 +62,8 @@ type Rule struct {
 }
 
 func (r Rule) matches(from, to int, kind wire.Kind) bool {
-	if r.From != Any && r.From != from {
-		return false
-	}
-	if r.To != Any && r.To != to {
-		return false
-	}
-	if r.Kind != wire.KInvalid && r.Kind != kind {
-		return false
-	}
-	return true
+	return (r.From == Any || r.From == from) && (r.To == Any || r.To == to) &&
+		(r.Kind == wire.KInvalid || r.Kind == kind)
 }
 
 // String renders the rule in the plan grammar.
@@ -147,6 +140,29 @@ func (p *Plan) String() string {
 	return strings.Join(parts, "; ")
 }
 
+// CheckSites refuses a plan that names a site an n-site cluster does
+// not have: a partition's site, or a rule's From or To other than Any.
+// Such a window or filter would match no message, so the run it was
+// written for would silently go without its fault. A nil plan names
+// no site.
+func (p *Plan) CheckSites(n int) error {
+	if p == nil {
+		return nil
+	}
+	var named []int
+	for _, r := range p.Rules {
+		named = append(named, r.From, r.To)
+	}
+	named = slices.DeleteFunc(named, func(s int) bool { return s == Any })
+	for _, pt := range p.Partitions {
+		named = append(named, pt.Sites...)
+	}
+	if i := slices.IndexFunc(named, func(s int) bool { return s < 0 || s >= n }); i >= 0 {
+		return fmt.Errorf("chaos: plan names site %d; the cluster has sites 0..%d", named[i], n-1)
+	}
+	return nil
+}
+
 // Parse reads a plan from the grammar String emits: clauses separated
 // by ';', each a directive followed by key=value fields.
 //
@@ -188,37 +204,33 @@ func Parse(s string) (*Plan, error) {
 			for k, v := range kv {
 				switch k {
 				case "p":
-					if r.P, err = strconv.ParseFloat(v, 64); err != nil || r.P < 0 || r.P > 1 {
-						return nil, fmt.Errorf("chaos: bad probability %q", v)
+					r.P, err = strconv.ParseFloat(v, 64)
+					if r.P < 0 || r.P > 1 {
+						err = strconv.ErrRange
 					}
 				case "from":
-					if r.From, err = strconv.Atoi(v); err != nil {
-						return nil, fmt.Errorf("chaos: bad from=%q", v)
-					}
+					r.From, err = strconv.Atoi(v)
 				case "to":
-					if r.To, err = strconv.Atoi(v); err != nil {
-						return nil, fmt.Errorf("chaos: bad to=%q", v)
-					}
+					r.To, err = strconv.Atoi(v)
 				case "kind":
-					kind, ok := wire.ParseKind(v)
-					if !ok {
-						return nil, fmt.Errorf("chaos: unknown kind %q", v)
+					var ok bool
+					if r.Kind, ok = wire.ParseKind(v); !ok {
+						err = strconv.ErrRange
 					}
-					r.Kind = kind
 				case "min":
-					if r.MinDelay, err = time.ParseDuration(v); err != nil {
-						return nil, fmt.Errorf("chaos: bad min=%q", v)
-					}
+					r.MinDelay, err = time.ParseDuration(v)
 				case "max":
-					if r.MaxDelay, err = time.ParseDuration(v); err != nil {
-						return nil, fmt.Errorf("chaos: bad max=%q", v)
-					}
+					r.MaxDelay, err = time.ParseDuration(v)
 				case "copies":
-					if r.Copies, err = strconv.Atoi(v); err != nil || r.Copies < 1 {
-						return nil, fmt.Errorf("chaos: bad copies=%q", v)
+					r.Copies, err = strconv.Atoi(v)
+					if r.Copies < 1 {
+						err = strconv.ErrRange
 					}
 				default:
 					return nil, fmt.Errorf("chaos: unknown field %q for %s", k, directive)
+				}
+				if err != nil {
+					return nil, fmt.Errorf("chaos: bad %s=%q", k, v)
 				}
 			}
 			if r.Op == OpDelay && r.MaxDelay < r.MinDelay {
@@ -237,19 +249,18 @@ func Parse(s string) (*Plan, error) {
 				switch k {
 				case sitesKey:
 					pt.Sites, err = splitInts(v)
-					if err != nil || directive == "crash" && len(pt.Sites) != 1 {
-						return nil, fmt.Errorf("chaos: bad %s=%q", k, v)
+					if directive == "crash" && len(pt.Sites) != 1 {
+						err = strconv.ErrRange
 					}
 				case "from":
-					if pt.From, err = time.ParseDuration(v); err != nil {
-						return nil, fmt.Errorf("chaos: bad from=%q", v)
-					}
+					pt.From, err = time.ParseDuration(v)
 				case "until":
-					if pt.Until, err = time.ParseDuration(v); err != nil {
-						return nil, fmt.Errorf("chaos: bad until=%q", v)
-					}
+					pt.Until, err = time.ParseDuration(v)
 				default:
 					return nil, fmt.Errorf("chaos: unknown field %q for %s", k, directive)
+				}
+				if err != nil {
+					return nil, fmt.Errorf("chaos: bad %s=%q", k, v)
 				}
 			}
 			if len(pt.Sites) == 0 {

@@ -344,6 +344,17 @@ func TestScenarioBoundsChecked(t *testing.T) {
 	wantInv(t, res.violations, InvSchema)
 }
 
+// TestScenarioPlanSitesChecked: a plan naming a site the scenario lacks
+// is refused before anything runs, as a bad plan string is.
+func TestScenarioPlanSitesChecked(t *testing.T) {
+	sc := Scenario{Sites: 2, Pages: 1, Ops: []Op{{Site: 1, Write: true}}, Chaos: "crash site=9 from=1ms"}
+	res := runScenario(sc, &scheduler{}, 0)
+	wantInv(t, res.violations, InvSchema)
+	if res.steps != 0 {
+		t.Fatalf("refused scenario ran %d steps", res.steps)
+	}
+}
+
 func TestSchedulerPrefixThenDefault(t *testing.T) {
 	s := &scheduler{choices: []int{1, 9}}
 	if got := s.choose(3); got != 1 {

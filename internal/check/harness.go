@@ -94,8 +94,6 @@ type runResult struct {
 	violations []Violation
 	trace      []obs.Event
 	steps      int
-	opsDone    int
-	opsFailed  int // degraded ops (chaos runs only)
 }
 
 // defaultMaxSteps bounds one explored run; a run that exhausts it is
@@ -137,11 +135,7 @@ func (e hEnv) Send(to int, m core.NetMsg) {
 		// Loopback: immediate and exempt from chaos, like ipc's.
 		d = 0
 	} else if h.inj != nil {
-		kind := wire.KInvalid
-		if wm, ok := m.(*wire.Msg); ok {
-			kind = wm.Kind
-		}
-		a := h.inj.Apply(h.k.Now().Duration(), e.site, to, kind)
+		a := h.inj.Apply(h.k.Now().Duration(), e.site, to, m.(*wire.Msg).Kind)
 		if a.Drop {
 			return
 		}
@@ -193,6 +187,9 @@ func newHarness(sc Scenario, sch *scheduler) (*harness, error) {
 	h.opt = opt
 	if sc.Chaos != "" {
 		plan, err := chaos.Parse(sc.Chaos)
+		if err == nil {
+			err = plan.CheckSites(sc.Sites)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("bad chaos plan: %v", err)
 		}
@@ -243,7 +240,7 @@ func runScenario(sc Scenario, sch *scheduler, maxSteps int) runResult {
 	}
 
 	steps, p := h.run(maxSteps)
-	res := runResult{steps: steps, opsDone: h.done, opsFailed: h.failed, trace: h.order.Buffer().Events()}
+	res := runResult{steps: steps, trace: h.order.Buffer().Events()}
 	if p != nil {
 		res.violations = []Violation{{Invariant: InvPanic, Index: -1, Detail: fmt.Sprint(p)}}
 		return res

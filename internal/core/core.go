@@ -267,12 +267,6 @@ type Stats struct {
 	DeltaShrinks int // controller halved a page's Δ (multiplicative decrease)
 }
 
-// waiter is a blocked fault continuation.
-type waiter struct {
-	write bool
-	wake  func()
-}
-
 // sitePage is what a site's engine tracks for one page while something
 // is in flight for it: the engine's share of the paper's auxiliary
 // page-table entry (§6.2, Table 2; DESIGN.md §19 sets it beside mmu.page
@@ -280,7 +274,7 @@ type waiter struct {
 // line in reset — TestSitePageResetCoversEveryField fails until it has.
 type sitePage struct {
 	// This site's own faults, and the request made for them.
-	waiters    []waiter // blocked faults; the backing array outlives a wake
+	waiters    []func() // blocked faults' continuations; the backing array outlives a wake
 	outR, outW bool     // read, write request outstanding
 
 	// Other sites' grant cycles this site is serving.
@@ -776,7 +770,7 @@ func (e *Engine) Fault(seg int32, page int32, write bool, pid int32, wake func()
 		e.emit(obs.Event{Type: obs.EvFault, Seg: seg, Page: page})
 	}
 	sp := &sn.pages[page]
-	sp.waiters = append(sp.waiters, waiter{write: write, wake: wake})
+	sp.waiters = append(sp.waiters, wake)
 
 	kind := wire.KReadReq
 	switch {
@@ -815,9 +809,9 @@ func (e *Engine) wakeWaiters(sn *segNode, page int32) {
 	sp := &sn.pages[page]
 	ws := sp.waiters
 	sp.waiters = nil // taken first: a wake may re-enter Fault
-	for i, w := range ws {
-		ws[i] = waiter{}
-		w.wake()
+	for i, wake := range ws {
+		ws[i] = nil
+		wake()
 	}
 	if sp.waiters == nil {
 		sp.waiters = ws[:0] // the backing array serves the page's next fault

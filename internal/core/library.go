@@ -69,12 +69,11 @@ type libPage struct {
 
 // libSeg is the library-site state for one segment.
 type libSeg struct {
-	meta  *mem.Segment
 	pages []libPage
 }
 
 func newLibSeg(meta *mem.Segment) *libSeg {
-	l := &libSeg{meta: meta, pages: make([]libPage, meta.Pages)}
+	l := &libSeg{pages: make([]libPage, meta.Pages)}
 	for i := range l.pages {
 		l.pages[i].libRecord = freshRecord(meta, i)
 	}

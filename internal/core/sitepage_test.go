@@ -31,8 +31,8 @@ func fillSitePage(t *testing.T, sp *sitePage) {
 			switch x := f.Addr().Interface().(type) {
 			case *bool:
 				*x = true
-			case *[]waiter:
-				*x = []waiter{{wake: func() {}}}
+			case *[]func():
+				*x = []func(){func() {}}
 			case *func():
 				*x = func() {}
 			case *error:

@@ -101,13 +101,10 @@ func (c MigrationConfig) Spec() load.Spec {
 		Rate:      c.Rate,
 		Duration:  c.Duration,
 		Frontends: c.Sites * ServiceWorkers,
-		Workers:   1,
 		QueueCap:  storeQueueCap,
 		Keys:      storeShards * keysPerShard,
 		ReadFrac:  affinityReadFrac,
 		Skew:      load.SkewUniform,
-		SLO:       storeSLO,
-		OpCost:    storeOpCost,
 	}
 }
 
@@ -232,7 +229,7 @@ func (c MigrationConfig) rekey(shift bool) func(site int, op load.Op) load.Op {
 // caller decides whether the cluster's engines run a placement policy.
 func RunAffinity(c *ipc.Cluster, cfg MigrationConfig, shift bool, stats *app.Stats, o *obs.Obs) load.Rung {
 	cfg = cfg.WithDefaults()
-	return serve(c, cfg.AppConfig(), cfg.Spec(), ServiceWorkers, cfg.rekey(shift), stats, o)
+	return serve(c, cfg.AppConfig(), cfg.Spec(), cfg.rekey(shift), stats, o)
 }
 
 // cluster is the cluster an E21 cell runs on: the reliability layer,

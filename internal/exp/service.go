@@ -98,12 +98,9 @@ func (c ServiceConfig) Spec(rate float64) load.Spec {
 		Rate:      rate,
 		Duration:  c.Duration,
 		Frontends: c.Sites * ServiceWorkers,
-		Workers:   1,
 		QueueCap:  storeQueueCap,
 		Keys:      serviceKeys,
 		Skew:      c.Skew,
-		SLO:       storeSLO,
-		OpCost:    storeOpCost,
 	}
 }
 
@@ -155,16 +152,13 @@ func openServiceStore(p *ipc.Proc, cfg app.Config, site int, stats *app.Stats, o
 // serve wires one rung of the service workload E19 and E21 share onto
 // c, runs it (the rung's window plus drain slack) and scores it. Per
 // site: a creator proc that formats this site's shards and holds the
-// attaches, plus workers service lanes. Each lane is an independent
-// open-loop frontend — it releases its own Poisson sub-stream, serves
-// ops in arrival order through its own store frontend, and sheds
-// arrivals that find its backlog at QueueCap. Lanes never poll: an idle
-// lane sleeps until its next scheduled arrival, which matters because
-// §6.2's lazy remap charges every mapped page on every dispatch. rekey,
-// when non-nil, maps each arrival before it is queued (E21's affinity).
-// Store attribution accumulates into stats; o (which may be nil)
-// receives the store's app counters.
-func serve(c *ipc.Cluster, appCfg app.Config, spec load.Spec, workers int,
+// attaches, plus ServiceWorkers lanes. Each lane is an independent
+// open-loop frontend (load.Report.Serve on the proc's clock) with its
+// own store frontend; each op costs storeOpCost of CPU before the store
+// call. rekey, when non-nil, maps each op before it is served (E21's
+// affinity). Store attribution accumulates into stats; o (which may be
+// nil) receives the store's app counters.
+func serve(c *ipc.Cluster, appCfg app.Config, spec load.Spec,
 	rekey func(site int, op load.Op) load.Op, stats *app.Stats, o *obs.Obs) load.Rung {
 	rep := load.NewReport()
 	for s := 0; s < appCfg.Sites; s++ {
@@ -187,54 +181,20 @@ func serve(c *ipc.Cluster, appCfg app.Config, spec load.Spec, workers int,
 			}
 			p.Sleep(spec.Duration + serviceSlack) // hold the attaches: the library must outlive the rung
 		})
-		for w := 0; w < workers; w++ {
-			lane := s*workers + w
+		for w := 0; w < ServiceWorkers; w++ {
+			lane := s*ServiceWorkers + w
 			c.Site(s).Spawn("lane", 0, func(p *ipc.Proc) {
 				st := openServiceStore(p, appCfg, s, stats, o)
 				if st == nil {
 					return
 				}
-				g := load.NewGen(spec, lane)
-				var backlog []load.Op
-				admit := func(op load.Op) {
+				rep.Serve(spec, lane, p.Now, p.Sleep, func(op load.Op) (bool, error) {
 					if rekey != nil {
 						op = rekey(s, op)
 					}
-					backlog = append(backlog, op)
-					rep.Admit()
-				}
-				next, more := g.Next()
-				for {
-					if len(backlog) == 0 {
-						if !more {
-							return
-						}
-						if d := next.T - p.Now(); d > 0 {
-							p.Sleep(d)
-						}
-						admit(next)
-						next, more = g.Next()
-					}
-					// Absorb every arrival that came due while serving;
-					// past QueueCap they are shed, keeping the backlog
-					// bounded.
-					for more && next.T <= p.Now() {
-						if len(backlog) >= spec.QueueCap {
-							rep.Shed()
-						} else {
-							admit(next)
-						}
-						next, more = g.Next()
-					}
-					rep.ObserveQueue(len(backlog))
-					op := backlog[0]
-					backlog = backlog[1:]
-					if spec.OpCost > 0 {
-						p.Compute(spec.OpCost)
-					}
-					hit, err := load.Execute(st, spec, op)
-					rep.Done(p.Now()-op.T, hit, err)
-				}
+					p.Compute(storeOpCost)
+					return load.Execute(st, spec, op)
+				})
 			})
 		}
 	}
@@ -252,7 +212,7 @@ const serviceSlack = 10 * time.Second
 // counters. This is the miragesim -workload service entry point.
 func RunService(c *ipc.Cluster, cfg ServiceConfig, rate float64, stats *app.Stats, o *obs.Obs) load.Rung {
 	cfg = cfg.WithDefaults()
-	return serve(c, cfg.AppConfig(), cfg.Spec(rate), ServiceWorkers, nil, stats, o)
+	return serve(c, cfg.AppConfig(), cfg.Spec(rate), nil, stats, o)
 }
 
 // serviceCluster is the cluster an E19 rung runs on: under the chaos
@@ -283,28 +243,36 @@ func serviceRungSim(cfg ServiceConfig, rate float64, withChaos bool) serviceRung
 	return r
 }
 
-// ServiceLadder is one transport's scored rate ladder.
+// ServiceLadder is one transport's scored rate ladder; its JSON form is
+// a ladder of miragebench -out's service section.
 type ServiceLadder struct {
 	// Transport names the execution mode ("sim", "live-tcp").
-	Transport string
+	Transport string `json:"transport"`
 	// Chaos reports whether the ladder ran under the fault plan.
-	Chaos bool
-	// Rungs are the scored rungs in ladder (rate) order.
-	Rungs []load.Rung
-	// Knee indexes the first saturated rung, -1 if none.
-	Knee int
-	// FirstSLO indexes the first rung whose p99 breaks the SLO, -1 if
-	// none.
-	FirstSLO int
-	// LivenessBelowKnee reports whether every rung below the knee kept
-	// the liveness invariant.
-	LivenessBelowKnee bool
-	// App is the aggregated store attribution (sim ladders only; the
-	// live ladder reports through its own cluster's stats).
-	App app.ShardCounters
+	Chaos bool `json:"chaos"`
 	// Events and Violations sum what the trace check found over the
 	// rungs (sim ladders only; a live run is not verified here).
-	Events, Violations int
+	Events     int `json:"verified_events"`
+	Violations int `json:"violations"`
+	// Knee indexes the first saturated rung, -1 if none.
+	Knee int `json:"knee_rung"`
+	// KneeRate is the knee rung's offered rate, 0 if none.
+	KneeRate float64 `json:"knee_rate_rps,omitempty"`
+	// P99AtHalfKnee is the p99 at the last sustained rung (half the
+	// knee's offered rate on the default doubling ladder), 0 unless a
+	// rung below the knee exists.
+	P99AtHalfKnee int64 `json:"p99_at_half_knee_ns,omitempty"`
+	// Rungs are the scored rungs in ladder (rate) order.
+	Rungs []load.Rung `json:"rungs"`
+	// FirstSLO indexes the first rung whose p99 breaks the SLO, -1 if
+	// none.
+	FirstSLO int `json:"-"`
+	// LivenessBelowKnee reports whether every rung below the knee kept
+	// the liveness invariant.
+	LivenessBelowKnee bool `json:"-"`
+	// App is the aggregated store attribution (sim ladders only; the
+	// live ladder reports through its own cluster's stats).
+	App app.ShardCounters `json:"-"`
 }
 
 // ScoreLadder folds scored rungs into a ladder verdict; the live
@@ -314,11 +282,15 @@ func ScoreLadder(transport string, withChaos bool, cfg ServiceConfig, rungs []lo
 	l := ServiceLadder{Transport: transport, Chaos: withChaos, Rungs: rungs}
 	l.Knee = load.Knee(rungs, cfg.Spec(0))
 	l.FirstSLO = load.FirstSLOViolation(rungs, storeSLO)
-	l.LivenessBelowKnee = true
 	end := len(rungs)
 	if l.Knee >= 0 {
 		end = l.Knee
+		l.KneeRate = rungs[l.Knee].Rate
 	}
+	if l.Knee >= 1 {
+		l.P99AtHalfKnee = rungs[l.Knee-1].Latency.P99
+	}
+	l.LivenessBelowKnee = true
 	for _, g := range rungs[:end] {
 		if !g.LivenessOK {
 			l.LivenessBelowKnee = false
@@ -327,16 +299,17 @@ func ScoreLadder(transport string, withChaos bool, cfg ServiceConfig, rungs []lo
 	return l
 }
 
-// ServiceSweepResult is the whole E19 run.
+// ServiceSweepResult is the whole E19 run; its JSON form is miragebench
+// -out's service section.
 type ServiceSweepResult struct {
-	Config ServiceConfig
+	Config ServiceConfig `json:"-"`
+	// ReplayMatches reports the determinism check: the last rung run
+	// twice gave one value and one trace.
+	ReplayMatches bool `json:"replay_matches"`
 	// Ladders holds the simulated ladders (no-chaos first, chaos
 	// second when enabled); callers may append live ladders before
 	// rendering findings.
-	Ladders []ServiceLadder
-	// ReplayMatches reports the determinism check: the last rung run
-	// twice gave one value and one trace.
-	ReplayMatches bool
+	Ladders []ServiceLadder `json:"ladders"`
 }
 
 // ServiceSweep runs the simulated E19 ladder(s): every rung is an

@@ -31,8 +31,8 @@ func TestSlowLinksPreserveCoherence(t *testing.T) {
 		c := ipc.NewCluster(3, ipc.Config{
 			Delta: time.Duration(rng.Intn(3)) * 20 * time.Millisecond,
 		})
-		c.Net.Delay = func(m netsim.Message) time.Duration {
-			return delays[int(m.To)%len(delays)]
+		c.Net.Inject = func(m netsim.Message) netsim.Fault {
+			return netsim.Fault{Delay: delays[int(m.To)%len(delays)]}
 		}
 
 		ok := true
@@ -272,11 +272,11 @@ func TestPolicySweepUnderDelays(t *testing.T) {
 			Delta:  40 * time.Millisecond,
 			Engine: core.Options{Policy: pol},
 		})
-		c.Net.Delay = func(m netsim.Message) time.Duration {
+		c.Net.Inject = func(m netsim.Message) netsim.Fault {
 			if m.To == 0 {
-				return 25 * time.Millisecond
+				return netsim.Fault{Delay: 25 * time.Millisecond}
 			}
-			return 0
+			return netsim.Fault{}
 		}
 		st := runCounters(c, 0, 1, 3*time.Second)
 		c.Run()

@@ -152,6 +152,9 @@ func NewCluster(n int, cfg Config) *Cluster {
 	// base); a simulated cluster that breaks it is a bug in the
 	// experiment that built it.
 	eng, err := cfg.Engine.ForCluster(n, cfg.Delta, cfg.Chaos != nil)
+	if cerr := cfg.Chaos.CheckSites(n); err == nil && cerr != nil {
+		err = fmt.Errorf("%w: %v", core.ErrInvalidOptions, cerr)
+	}
 	if err != nil {
 		panic(fmt.Errorf("ipc: NewCluster: %w", err))
 	}

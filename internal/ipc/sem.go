@@ -33,7 +33,6 @@ var (
 type semWaiter struct {
 	need int
 	task *sched.Task
-	idx  int
 }
 
 // semSet is one semaphore set, owned by its home site.
@@ -129,18 +128,15 @@ func (p *Proc) SemOp(id SemID, idx, delta int) error {
 			done = true
 		default:
 			// Park at the home site until satisfiable.
-			s.waiters[idx] = append(s.waiters[idx], semWaiter{need: -delta, task: p.task, idx: idx})
+			s.waiters[idx] = append(s.waiters[idx], semWaiter{need: -delta, task: p.task})
 		}
 		if done {
 			p.task.Wakeup()
 		}
 	})
+	// Woken by the op itself or by a V that satisfied it (semWake
+	// already applied the decrement).
 	p.task.Block()
-	if !done {
-		// Woken by a V that satisfied us (semWake already applied the
-		// decrement).
-		done = true
-	}
 	// Ride the reply leg home.
 	if d := p.semReplyDelay(s); d > 0 {
 		p.task.Sleep(d)
@@ -192,15 +188,12 @@ func (p *Proc) SemSetVal(id SemID, idx, val int) error {
 	if idx < 0 || idx >= len(s.vals) || val < 0 {
 		return ErrSemRange
 	}
-	done := false
 	p.semRPC(s, func() {
 		s.vals[idx] = val
 		p.site.c.semWake(s, idx)
-		done = true
 		p.task.Wakeup()
 	})
 	p.task.Block()
-	_ = done
 	if d := p.semReplyDelay(s); d > 0 {
 		p.task.Sleep(d)
 	}

@@ -50,52 +50,22 @@ func Execute(st *app.Store, spec Spec, op Op) (hit bool, err error) {
 	}
 }
 
-// RunLive drives one rung open loop on the wall clock: per frontend, a
-// dispatcher goroutine releases ops at their scheduled Poisson arrival
-// times into a bounded queue (cap Spec.QueueCap; a full queue sheds),
-// and Spec.Workers goroutines drain it through do. It blocks until the
+// RunLive drives one rung open loop on the wall clock: one goroutine per
+// frontend runs Serve, with do as its service. It blocks until the
 // offered window ends and every admitted op completes, then scores the
-// rung. do is called concurrently; latency is charged from each op's
-// scheduled arrival.
+// rung. do is called concurrently for different frontends.
 func RunLive(spec Spec, do func(frontend int, op Op) (hit bool, err error)) Rung {
 	spec = spec.WithDefaults()
 	rep := NewReport()
 	start := time.Now()
+	now := func() time.Duration { return time.Since(start) }
 	var wg sync.WaitGroup
 	for f := 0; f < spec.Frontends; f++ {
-		q := make(chan Op, spec.QueueCap)
-		for w := 0; w < spec.Workers; w++ {
-			wg.Add(1)
-			go func(f int) {
-				defer wg.Done()
-				for op := range q {
-					hit, err := do(f, op)
-					rep.Done(time.Since(start)-op.T, hit, err)
-				}
-			}(f)
-		}
 		wg.Add(1)
-		go func(f int, q chan Op) {
+		go func(f int) {
 			defer wg.Done()
-			defer close(q)
-			g := NewGen(spec, f)
-			for {
-				op, ok := g.Next()
-				if !ok {
-					return
-				}
-				if d := op.T - time.Since(start); d > 0 {
-					time.Sleep(d)
-				}
-				select {
-				case q <- op:
-					rep.Admit()
-					rep.ObserveQueue(len(q))
-				default:
-					rep.Shed()
-				}
-			}
-		}(f, q)
+			rep.Serve(spec, f, now, time.Sleep, func(op Op) (bool, error) { return do(f, op) })
+		}(f)
 	}
 	wg.Wait()
 	return rep.Rung(spec)

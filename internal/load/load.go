@@ -11,6 +11,11 @@
 // arrival that finds its frontend's queue full is shed and counted,
 // never buffered without limit.
 //
+// One lane loop serves every stream on either clock: Report.Serve
+// releases a frontend's arrivals, keeps its bounded backlog and serves
+// it in arrival order. RunLive runs it on the wall clock, one goroutine
+// per frontend; the simulator runs it on a proc's virtual clock.
+//
 // Everything is derived from Spec.Seed: per-frontend arrival times,
 // key choices (uniform, Zipf, or a shifting hotspot), operation mix,
 // and value bytes. Two runs with one Spec offer byte-identical op
@@ -108,11 +113,9 @@ type Spec struct {
 	Rate float64
 	// Duration is the offered-load window; arrivals stop after it.
 	Duration time.Duration
-	// Frontends is the number of independent open-loop streams —
-	// one per serving site (default 1).
+	// Frontends is the number of independent open-loop streams, each
+	// served by its own lane (default 1).
 	Frontends int
-	// Workers is the service concurrency per frontend (default 4).
-	Workers int
 	// QueueCap bounds each frontend's admission queue (default 64);
 	// arrivals beyond it are shed.
 	QueueCap int
@@ -142,23 +145,12 @@ type Spec struct {
 	// HotShift is the hot-window rotation period for SkewHotspot
 	// (default Duration/4: the hotspot moves three times per rung).
 	HotShift time.Duration
-	// SLO is the p99 latency objective the findings report against
-	// (default 50ms).
-	SLO time.Duration
-	// OpCost is the per-request CPU cost a simulated worker charges
-	// before touching the store, modeling request parsing and business
-	// logic (default 0; ignored by the live runner, where real CPU
-	// time is already being spent).
-	OpCost time.Duration
 }
 
 // WithDefaults returns the spec with zero fields defaulted.
 func (s Spec) WithDefaults() Spec {
 	if s.Frontends == 0 {
 		s.Frontends = 1
-	}
-	if s.Workers == 0 {
-		s.Workers = 4
 	}
 	if s.QueueCap == 0 {
 		s.QueueCap = 64
@@ -195,9 +187,6 @@ func (s Spec) WithDefaults() Spec {
 		if s.HotShift <= 0 {
 			s.HotShift = time.Second
 		}
-	}
-	if s.SLO == 0 {
-		s.SLO = 50 * time.Millisecond
 	}
 	return s
 }

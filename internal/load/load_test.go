@@ -216,9 +216,69 @@ func TestKneeAndSLO(t *testing.T) {
 	}
 }
 
+// TestServeRule pins the lane loop on a fake clock that only sleep and
+// do advance: every generated arrival is admitted or shed, the backlog
+// never passes its bound, each op's latency is its completion minus its
+// scheduled arrival, an instant service never queues past the op it is
+// serving, and a service slower than the arrivals sheds.
+func TestServeRule(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		svc  time.Duration // per op; the lane's capacity is 1/svc
+	}{
+		{"instant", 0},
+		{"slow", 5 * time.Millisecond}, // 200 req/s against 1000 offered
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := Spec{Seed: 23, Rate: 1000, Duration: time.Second, QueueCap: 8}
+			generated := int64(0)
+			for g := NewGen(spec, 0); ; generated++ {
+				if _, ok := g.Next(); !ok {
+					break
+				}
+			}
+			var clock time.Duration
+			var sum, max int64
+			rep := NewReport()
+			rep.Serve(spec, 0, func() time.Duration { return clock },
+				func(d time.Duration) { clock += d },
+				func(op Op) (bool, error) {
+					clock += tc.svc
+					lat := int64(clock - op.T)
+					sum += lat
+					if lat > max {
+						max = lat
+					}
+					return true, nil
+				})
+			g := rep.Rung(spec)
+			if g.Admitted+g.Shed != generated {
+				t.Fatalf("admitted %d + shed %d != generated %d", g.Admitted, g.Shed, generated)
+			}
+			if g.Completed != g.Admitted {
+				t.Fatalf("completed %d != admitted %d", g.Completed, g.Admitted)
+			}
+			if g.QueueMax > int64(spec.QueueCap) {
+				t.Fatalf("queue high-water %d above cap %d", g.QueueMax, spec.QueueCap)
+			}
+			if rep.lat.Count() != g.Completed || rep.lat.Sum() != sum || rep.lat.Max() != max {
+				t.Fatalf("latencies: count %d sum %d max %d, want %d, %d, %d",
+					rep.lat.Count(), rep.lat.Sum(), rep.lat.Max(), g.Completed, sum, max)
+			}
+			if tc.svc == 0 {
+				if g.Shed != 0 || g.QueueMax != 1 || sum != 0 {
+					t.Fatalf("instant service: shed %d, qmax %d, latency sum %d; want 0, 1, 0", g.Shed, g.QueueMax, sum)
+				}
+			} else if g.Shed == 0 || g.QueueMax != int64(spec.QueueCap) {
+				t.Fatalf("5x overload: shed %d, qmax %d; want shedding at a full backlog of %d", g.Shed, g.QueueMax, spec.QueueCap)
+			}
+		})
+	}
+}
+
 func TestRunLiveBelowSaturation(t *testing.T) {
 	spec := Spec{Seed: 11, Rate: 2000, Duration: 300 * time.Millisecond,
-		Frontends: 2, Workers: 8, QueueCap: 64}
+		Frontends: 16, QueueCap: 64}
 	g := RunLive(spec, func(f int, op Op) (bool, error) {
 		time.Sleep(50 * time.Microsecond)
 		return true, nil
@@ -235,12 +295,17 @@ func TestRunLiveBelowSaturation(t *testing.T) {
 	if g.Completed != g.Admitted {
 		t.Fatalf("completed %d != admitted %d", g.Completed, g.Admitted)
 	}
+	// The backlog's depth counts the op about to be served, on the wall
+	// clock as on the virtual one.
+	if g.QueueMax < 1 {
+		t.Fatalf("queue high-water %d, want at least 1", g.QueueMax)
+	}
 }
 
 func TestRunLiveSheds(t *testing.T) {
-	// One worker at 20ms per op can absorb 50 req/s; offer 2000.
+	// One lane at 20ms per op can absorb 50 req/s; offer 2000.
 	spec := Spec{Seed: 13, Rate: 2000, Duration: 200 * time.Millisecond,
-		Frontends: 1, Workers: 1, QueueCap: 4}
+		Frontends: 1, QueueCap: 4}
 	g := RunLive(spec, func(f int, op Op) (bool, error) {
 		time.Sleep(20 * time.Millisecond)
 		return true, nil
@@ -390,7 +455,7 @@ func TestRunLiveOverStore(t *testing.T) {
 	cfg := app.Config{Shards: 8, SlotsPerShard: 256}
 	st := newTestStore(t, cfg)
 	spec := Spec{Seed: 19, Rate: 4000, Duration: 200 * time.Millisecond,
-		Frontends: 2, Workers: 4, QueueCap: 128, Keys: 500, ValBytes: 24}
+		Frontends: 8, QueueCap: 128, Keys: 500, ValBytes: 24}
 	g := RunLive(spec, func(f int, op Op) (bool, error) {
 		return Execute(st, spec, op)
 	})

@@ -9,11 +9,11 @@ import (
 	"mirage/internal/obs"
 )
 
-// Report accumulates one rung's outcome. Both runners feed it — the
-// live runner from worker goroutines (its methods are atomic), the
-// simulator from cooperative tasks. Latency is measured from the op's
-// scheduled arrival, not its dequeue, so queueing delay is charged to
-// the system (no coordinated omission).
+// Report accumulates one rung's outcome. Every lane feeds it through
+// Serve: live lanes are goroutines (its methods are atomic), simulated
+// ones cooperative procs. Latency is measured from the op's scheduled
+// arrival, not its dequeue, so queueing delay is charged to the system
+// (no coordinated omission).
 type Report struct {
 	admitted  atomic.Int64
 	shed      atomic.Int64
@@ -57,6 +57,50 @@ func (r *Report) Done(lat time.Duration, hit bool, err error) {
 	}
 	if err != nil {
 		r.errs.Add(1)
+	}
+}
+
+// Serve runs frontend f's lane: it releases the frontend's op stream at
+// its scheduled arrival times on the clock now, serves ops one at a time
+// in arrival order through do, and returns when the stream is over and
+// its backlog drained. An idle lane sleeps until its next arrival rather
+// than polling. Every arrival that came due while an op was being served
+// joins the backlog, or is shed once the backlog holds QueueCap ops. The
+// backlog's depth, counting the op about to be served, is observed
+// before each op; its latency runs from its scheduled arrival to now()
+// when do returns.
+func (r *Report) Serve(spec Spec, f int, now func() time.Duration, sleep func(time.Duration),
+	do func(Op) (hit bool, err error)) {
+	spec = spec.WithDefaults()
+	g := NewGen(spec, f)
+	var backlog []Op
+	next, more := g.Next()
+	for {
+		if len(backlog) == 0 {
+			if !more {
+				return
+			}
+			if d := next.T - now(); d > 0 {
+				sleep(d)
+			}
+			backlog = append(backlog, next)
+			r.Admit()
+			next, more = g.Next()
+		}
+		for more && next.T <= now() {
+			if len(backlog) >= spec.QueueCap {
+				r.Shed()
+			} else {
+				backlog = append(backlog, next)
+				r.Admit()
+			}
+			next, more = g.Next()
+		}
+		r.ObserveQueue(len(backlog))
+		op := backlog[0]
+		backlog = backlog[1:]
+		hit, err := do(op)
+		r.Done(now()-op.T, hit, err)
 	}
 }
 

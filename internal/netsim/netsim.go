@@ -82,10 +82,6 @@ type Network struct {
 	nics  []nic
 	stats Stats
 
-	// Delay, if non-nil, returns extra propagation delay to add to a
-	// message delivery. Used by tests to inject slow links.
-	Delay func(m Message) time.Duration
-
 	// Inject, if non-nil, is consulted once per non-loopback Send and
 	// applies the returned Fault. Loopback messages model intra-site
 	// calls and are never faulted.
@@ -174,9 +170,6 @@ func (n *Network) chargeTx(m Message) sim.Time {
 func (n *Network) transmit(m Message, extra time.Duration) {
 	side := vaxmodel.MsgSideElapsed(m.Size)
 	txDone := n.chargeTx(m)
-	if n.Delay != nil {
-		extra += n.Delay(m)
-	}
 	n.k.At(txDone.Add(extra), func() {
 		// Serialize on the receiver's interface.
 		rx := &n.nics[m.To]

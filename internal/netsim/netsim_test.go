@@ -156,7 +156,7 @@ func TestStatsCounters(t *testing.T) {
 
 func TestDelayHook(t *testing.T) {
 	k, n := newNet(t, 2)
-	n.Delay = func(m Message) time.Duration { return 100 * time.Millisecond }
+	n.Inject = func(m Message) Fault { return Fault{Delay: 100 * time.Millisecond} }
 	var at sim.Time
 	n.Bind(0, func(m Message) {})
 	n.Bind(1, func(m Message) { at = k.Now() })

@@ -102,11 +102,15 @@ const (
 	// contents collected for the new writer so they are rehomed at the
 	// library rather than lost.
 	KGrantFail
-	// KRecover drives library failover. Sent to the successor site
-	// (Req == receiver) it triggers a takeover of the segment's library
-	// role; sent by a recovering successor (Req == sender, with the
-	// bumped SegEpoch) it asks a surviving site to adopt the new epoch
-	// and report its page holdings.
+	// KRecover drives library failover and names the current library.
+	// Sent to the successor site (Req == receiver) it triggers a
+	// takeover of the segment's library role; sent by a recovering
+	// successor (Req == sender, with the bumped SegEpoch) it asks a
+	// surviving site to adopt the new epoch and report its page
+	// holdings. As a notice (Req names the library the sender knows, at
+	// the sender's epoch) it tells a site that its message belongs to a
+	// superseded epoch (core's staleEpoch), or a requester queued at a
+	// deposed library where the successor is (adoptEpoch).
 	KRecover
 	// KRecoverReply carries one site's page holdings to the recovering
 	// library (surviving site -> new library). Data is a sequence of
@@ -119,8 +123,9 @@ const (
 	KInvalFail
 	// KMigrate offers the segment's library role to a successor site
 	// (current library -> successor). Data carries the library's page
-	// records as 5-byte holdings records (same shape as KRecoverReply);
-	// Upgrade marks the final chunk, and the final chunk's SegEpoch is
+	// records in their full form (page number, writer, clock, Δ,
+	// copyset and tuning tail; core's appendRecord); Upgrade marks the
+	// final chunk, and the final chunk's SegEpoch is
 	// the epoch the successor must exceed when it installs. Unlike
 	// KRecover the records are transferred, not reconstructed.
 	KMigrate

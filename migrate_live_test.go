@@ -62,16 +62,15 @@ func TestLiveMigrationUnderLoad(t *testing.T) {
 	}
 
 	spec := load.Spec{
-		Seed:     3,
-		Rate:     200,
-		Duration: 1500 * time.Millisecond,
-		Workers:  2,
-		QueueCap: 64,
-		Keys:     24,
-		ReadFrac: 0.3, // write-heavy: upgrades keep the libraries busy
-		ValBytes: 16,
-		Skew:     load.SkewUniform,
-		SLO:      time.Second,
+		Seed:      3,
+		Rate:      200,
+		Duration:  1500 * time.Millisecond,
+		Frontends: 2,
+		QueueCap:  64,
+		Keys:      24,
+		ReadFrac:  0.3, // write-heavy: upgrades keep the libraries busy
+		ValBytes:  16,
+		Skew:      load.SkewUniform,
 	}.WithDefaults()
 	spec.DeleteFrac = 0
 	spec.CASFrac = 0

@@ -108,6 +108,10 @@ func TestClusterOptionsContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	offCluster, err := ParseFaultPlan("crash site=9 from=1s")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name     string
 		n        int
@@ -125,6 +129,7 @@ func TestClusterOptionsContract(t *testing.T) {
 		{name: "AutoDelta.Min above the default Max", n: 2, opts: Options{AutoDelta: &AutoDelta{Min: time.Hour}}},
 		{name: "negative Replicas", n: 3, opts: Options{Failover: &Failover{Replicas: -1}}},
 		{name: "Replicas = sites", n: 3, opts: Options{Failover: &Failover{Replicas: 3}}},
+		{name: "chaos plan names a site past the cluster", n: 2, opts: Options{Chaos: offCluster}},
 		{name: "negative page size", n: 2, opts: Options{PageSize: -512}, liveOnly: true},
 		{name: "DebugAddr without Obs", n: 2, opts: Options{DebugAddr: "127.0.0.1:0"}, liveOnly: true},
 		{name: "Check without Obs", n: 2, opts: Options{Check: true}, liveOnly: true},

@@ -52,15 +52,13 @@ func TestLiveServiceChaosFailover(t *testing.T) {
 		Seed:      1,
 		Rate:      40,
 		Duration:  1500 * time.Millisecond,
-		Frontends: 2, // sites 0 and 1 serve; site 2 is library only
-		Workers:   2,
+		Frontends: 4, // sites 0 and 1 serve two lanes each; site 2 is library only
 		QueueCap:  32,
 		Keys:      24,
 		ReadFrac:  0.7,
 		CASFrac:   0.1,
 		ValBytes:  16,
 		Skew:      load.SkewUniform,
-		SLO:       time.Second,
 	}.WithDefaults()
 	spec.DeleteFrac = 0 // keep probes on pre-warmed pages
 
@@ -73,7 +71,7 @@ func TestLiveServiceChaosFailover(t *testing.T) {
 	}
 
 	rung := load.RunLive(spec, func(frontend int, op load.Op) (bool, error) {
-		return load.Execute(stores[frontend], spec, op)
+		return load.Execute(stores[frontend%2], spec, op)
 	})
 	if rung.Completed == 0 {
 		t.Fatalf("no ops completed: %+v", rung)
