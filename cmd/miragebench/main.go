@@ -7,15 +7,16 @@
 //	miragebench [-e all|e1,e4,e5,...] [-dur 20s] [-quick] [-par N] [-out bench.json]
 //	            [-trace run.jsonl] [-metrics]
 //
-// Experiment IDs follow DESIGN.md's per-experiment index. -quick cuts
-// run lengths for a fast smoke pass. -par caps the sweep worker pool
-// (0 = GOMAXPROCS); results are identical at any setting. -out writes
+// Experiment IDs follow DESIGN.md's per-experiment index; an id the
+// command does not know fails it (exit 2) before anything runs. -quick
+// cuts run lengths for a fast smoke pass. -par caps the sweep worker
+// pool (0 = GOMAXPROCS); results are identical at any setting. -out writes
 // a machine-readable benchmark record (wall times per experiment plus
 // each sweep's grid) to the given file; the live data path is priced by
 // bench/ (bash bench/run.sh).
 //
 // E16 re-runs the Figure 7 Δ-sweep with the observability layer on.
-// -trace saves the Δ = quantum point's protocol trace (schema-v1
+// -trace saves the Δ = quantum point's protocol trace (schema-v2
 // JSONL, for miragetrace); -metrics prints each point's denial
 // histogram in full.
 //
@@ -88,6 +89,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -102,33 +104,18 @@ import (
 // benchRecord is the -out JSON shape: enough to compare experiment
 // results and harness performance across commits.
 type benchRecord struct {
-	GOOS        string                  `json:"goos"`
-	GOARCH      string                  `json:"goarch"`
-	CPUs        int                     `json:"cpus"`
-	Parallelism int                     `json:"parallelism"` // 0 = GOMAXPROCS
-	Quick       bool                    `json:"quick"`
-	Experiments []experimentWall        `json:"experiments"`
-	TotalWallS  float64                 `json:"total_wall_seconds"`
-	Service     *exp.ServiceSweepResult `json:"service,omitempty"`
-	Scale       *scaleRecord            `json:"scale,omitempty"`
-	Migration   *migrationRecord        `json:"migration,omitempty"`
-	Replication *replicationRecord      `json:"replication,omitempty"`
-	AutoDelta   *autodeltaRecord        `json:"autodelta,omitempty"`
-}
-
-// autodeltaRecord is the E23 section of the -out record: per workload,
-// the fixed-Δ grid beside the controller cell and its verdicts, plus
-// the determinism check.
-type autodeltaRecord struct {
-	Workloads     []exp.AutoDeltaWorkload `json:"workloads"`
-	ReplayMatches bool                    `json:"replay_matches"`
-}
-
-// replicationRecord is the E22 section of the -out record: the
-// replication-factor × failure-mode grid plus the determinism check.
-type replicationRecord struct {
-	Points        []exp.ReplicationPoint `json:"points"`
-	ReplayMatches bool                   `json:"replay_matches"`
+	GOOS        string                      `json:"goos"`
+	GOARCH      string                      `json:"goarch"`
+	CPUs        int                         `json:"cpus"`
+	Parallelism int                         `json:"parallelism"` // 0 = GOMAXPROCS
+	Quick       bool                        `json:"quick"`
+	Experiments []experimentWall            `json:"experiments"`
+	TotalWallS  float64                     `json:"total_wall_seconds"`
+	Service     *exp.ServiceSweepResult     `json:"service,omitempty"`
+	Scale       *scaleRecord                `json:"scale,omitempty"`
+	Migration   *migrationRecord            `json:"migration,omitempty"`
+	Replication *exp.ReplicationSweepResult `json:"replication,omitempty"`
+	AutoDelta   *exp.AutoDeltaSweepResult   `json:"autodelta,omitempty"`
 }
 
 // migrationRecord is the E21 section of the -out record: the
@@ -209,23 +196,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Parallelism: *par,
 		Quick:       *quick,
 	}
-	want := map[string]bool{}
-	for _, id := range strings.Split(*which, ",") {
-		want[strings.TrimSpace(strings.ToLower(id))] = true
-	}
-	all := want["all"]
 	code := 0
-	totalStart := time.Now()
+	// run registers an experiment; the wanted ones run in registration
+	// order once every id is known.
+	var ids []string
+	var exps []func()
 	run := func(id, title string, fn func()) {
-		if !all && !want[id] {
+		ids = append(ids, id)
+		exps = append(exps, func() {
+			fmt.Fprintf(stdout, "== %s — %s ==\n", strings.ToUpper(id), title)
+			start := time.Now()
+			fn()
+			wall := time.Since(start).Seconds()
+			rec.Experiments = append(rec.Experiments, experimentWall{ID: id, WallS: wall})
+			fmt.Fprintf(stdout, "   (%.2fs wall)\n\n", wall)
+		})
+	}
+	// saveTrace writes a point's trace to the -trace file.
+	saveTrace := func(jsonl []byte, label string) {
+		if err := os.WriteFile(*tracePath, jsonl, 0o644); err != nil {
+			fmt.Fprintf(stderr, "miragebench: write %s: %v\n", *tracePath, err)
+			code = 1
 			return
 		}
-		fmt.Fprintf(stdout, "== %s — %s ==\n", strings.ToUpper(id), title)
-		start := time.Now()
-		fn()
-		wall := time.Since(start).Seconds()
-		rec.Experiments = append(rec.Experiments, experimentWall{ID: id, WallS: wall})
-		fmt.Fprintf(stdout, "   (%.2fs wall)\n\n", wall)
+		fmt.Fprintf(stdout, "trace (%s): %s\n", label, *tracePath)
 	}
 	// verified prints what the sweep harness found in a simulated
 	// point's trace, and fails the command on any violation.
@@ -439,17 +433,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				p.Remaining.WriteTo(stdout)
 			}
 		}
-		if *tracePath != "" {
-			for _, p := range pts {
-				if p.DeltaTicks != vaxmodel.QuantumTicks {
-					continue
-				}
-				if err := os.WriteFile(*tracePath, p.TraceJSONL, 0o644); err != nil {
-					fmt.Fprintf(stderr, "miragebench: write %s: %v\n", *tracePath, err)
-					code = 1
-					return
-				}
-				fmt.Fprintf(stdout, "trace (Δ=%d ticks): %s\n", p.DeltaTicks, *tracePath)
+		for _, p := range pts {
+			if *tracePath != "" && p.DeltaTicks == vaxmodel.QuantumTicks {
+				saveTrace(p.TraceJSONL, fmt.Sprintf("Δ=%d ticks", p.DeltaTicks))
 			}
 		}
 	})
@@ -538,14 +524,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if code == 0 {
 			fmt.Fprintln(stdout, "all multi-epoch traces verify coherent")
 		}
-		if *tracePath != "" {
-			deepest := r.Points[len(r.Points)-1]
-			if err := os.WriteFile(*tracePath, deepest.TraceJSONL, 0o644); err != nil {
-				fmt.Fprintf(stderr, "miragebench: write %s: %v\n", *tracePath, err)
-				code = 1
-				return
-			}
-			fmt.Fprintf(stdout, "trace (%d crashes): %s\n", deepest.Crashes, *tracePath)
+		if deepest := r.Points[len(r.Points)-1]; *tracePath != "" {
+			saveTrace(deepest.TraceJSONL, fmt.Sprintf("%d crashes", deepest.Crashes))
 		}
 		fmt.Fprintln(stdout, "paper: §10.0 \"the current implementation does not tolerate site failures\" — E18 adds the tolerance and prices it")
 	})
@@ -734,7 +714,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				verified(fmt.Sprintf("%s Δ=%d ticks", wl.Workload, p.DeltaTicks), p.Trace)
 			}
 		}
-		rec.AutoDelta = &autodeltaRecord{Workloads: r.Workloads, ReplayMatches: r.ReplayMatches}
+		rec.AutoDelta = &r
 		fmt.Fprintln(stdout, "paper: §8.0 \"a per-segment tuning routine exists but ships disabled\" — E23 turns the loop on per page and scores it against the offline optimum")
 	})
 
@@ -769,7 +749,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			verified(fmt.Sprintf("%s R=%d", p.Name, p.Replicas), p.Trace)
 		}
 		replay(r.ReplayMatches)
-		rec.Replication = &replicationRecord{Points: r.Points, ReplayMatches: r.ReplayMatches}
+		rec.Replication = &r
 		fmt.Fprintln(stdout, "paper: §10.0 tolerates no site failures; E22 replicates the records ahead of the crash and prices the standby and the takeover")
 	})
 
@@ -784,6 +764,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 			vaxmodel.RemapPerPageMin, vaxmodel.RemapPerPageMax)
 	})
 
+	want := map[string]bool{}
+	for _, id := range strings.Split(*which, ",") {
+		id = strings.TrimSpace(strings.ToLower(id))
+		if id != "all" && !slices.Contains(ids, id) {
+			fmt.Fprintf(stderr, "miragebench: unknown experiment %q (known: all, %s)\n", id, strings.Join(ids, ", "))
+			return 2
+		}
+		want[id] = true
+	}
+	totalStart := time.Now()
+	for i, id := range ids {
+		if want["all"] || want[id] {
+			exps[i]()
+		}
+	}
 	rec.TotalWallS = time.Since(totalStart).Seconds()
 	if *out != "" {
 		data, err := json.MarshalIndent(rec, "", "  ")

@@ -21,13 +21,20 @@ func TestBadFlag(t *testing.T) {
 	}
 }
 
-func TestUnknownExperimentRunsNothing(t *testing.T) {
-	code, stdout, _ := runBench(t, "-e", "e99")
-	if code != 0 {
-		t.Fatalf("code %d", code)
-	}
-	if strings.Contains(stdout, "== ") {
-		t.Errorf("unknown id ran an experiment:\n%s", stdout)
+// TestUnknownExperimentRefused: an id the command does not know, alone
+// or inside a list, runs nothing, exits 2 and lists the known ids.
+func TestUnknownExperimentRefused(t *testing.T) {
+	for _, e := range []string{"e99", "e2,e99", "e2, E17 ,x"} {
+		code, stdout, stderr := runBench(t, "-e", e)
+		if code != 2 {
+			t.Errorf("-e %s: code %d, want 2", e, code)
+		}
+		if strings.Contains(stdout, "== ") {
+			t.Errorf("-e %s ran an experiment:\n%s", e, stdout)
+		}
+		if !strings.Contains(stderr, "known: all, e1, e2") {
+			t.Errorf("-e %s: stderr does not list the known ids: %s", e, stderr)
+		}
 	}
 }
 

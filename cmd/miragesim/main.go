@@ -32,7 +32,7 @@
 //	miragesim -workload affinity -sites 4 -rate 150 -dur 16s -migrate -check
 //	miragesim -workload pingpong -delta 100ms -autodelta -check
 //
-// -trace writes the run's protocol event timeline in the schema-v1
+// -trace writes the run's protocol event timeline in the schema-v2
 // JSONL encoding (docs/OBSERVABILITY.md); analyze it with miragetrace
 // summarize/timeline/chrome/denials (summarize's per-page table is the
 // §9.0 library reference log, as a view of the trace). -metrics dumps
@@ -115,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	skew := fs.String("skew", "zipf", "key popularity: uniform | zipf | hot (service workload)")
 	yield := fs.Bool("yield", true, "use the yield() call in wait loops (pingpong)")
 	policy := fs.String("policy", "retry", "invalidation policy: retry | honor-close | queue")
-	tracePath := fs.String("trace", "", "write the protocol event trace (schema-v1 JSONL) to this file")
+	tracePath := fs.String("trace", "", "write the protocol event trace (schema-v2 JSONL) to this file")
 	metrics := fs.Bool("metrics", false, "dump the observability metrics registry after the run")
 	chaosSpec := fs.String("chaos", "", `fault plan, e.g. "drop p=0.05; delay p=0.3 max=20ms; partition sites=1 from=2s until=3s"`)
 	failover := fs.Bool("failover", false, "elect a successor library from the replicated record when the library site fail-stops (implies the ARQ layer)")

@@ -1,5 +1,5 @@
 // Command miragetrace is the analysis front-end for Mirage's
-// observability artifacts. It reads the schema-v1 JSONL protocol
+// observability artifacts. It reads the schema-v2 JSONL protocol
 // traces produced by miragesim -trace, miragebench -trace, or a live
 // cluster's /debug/obs/trace endpoint.
 //

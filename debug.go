@@ -14,7 +14,7 @@ import (
 // Options.DebugAddr is set:
 //
 //	/debug/obs        metrics registry snapshot as JSON
-//	/debug/obs/trace  the in-memory trace buffer as schema-v1 JSONL
+//	/debug/obs/trace  the in-memory trace buffer as schema-v2 JSONL
 //	/debug/vars       the process-wide expvar map
 //	/debug/pprof/...  the standard runtime profiles
 //

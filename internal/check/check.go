@@ -7,7 +7,7 @@
 // possession. This package turns those claims into executable
 // invariants.
 //
-// The history checker (Checker, Verify) consumes the schema-v1 protocol
+// The history checker (Checker, Verify) consumes the schema-v2 protocol
 // event trace from internal/obs — including the EvRead/EvWrite per-op
 // records the access layers emit — and verifies, per page:
 //

@@ -251,6 +251,24 @@ func TestReplayByteIdentical(t *testing.T) {
 	}
 }
 
+// TestTraceDigestReadsEveryField: two traces that differ in one field
+// of one event, the library epoch included, have different fingerprints.
+func TestTraceDigestReadsEveryField(t *testing.T) {
+	ev := obs.Event{T: ms, Site: 1, Type: obs.EvPageState, Seg: 1, Arg: 2}
+	base := TraceDigest(2, []obs.Event{ev})
+	for name, set := range map[string]func(*obs.Event){
+		"Epoch": func(e *obs.Event) { e.Epoch = 1 },
+		"Cycle": func(e *obs.Event) { e.Cycle = 1 },
+		"From":  func(e *obs.Event) { e.From = 1 },
+	} {
+		other := ev
+		set(&other)
+		if TraceDigest(2, []obs.Event{other}) == base {
+			t.Errorf("traces differing only in %s share a fingerprint", name)
+		}
+	}
+}
+
 func TestReplayChaosDeterministic(t *testing.T) {
 	sc := Scenario{
 		Sites: 3, Pages: 1, Delta: 5 * ms,

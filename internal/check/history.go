@@ -96,7 +96,7 @@ type replCheck struct {
 	commitIdx   uint32
 }
 
-// Checker is the streaming history checker. Feed it a schema-v1 trace
+// Checker is the streaming history checker. Feed it a schema-v2 trace
 // in emission order; that order is sound for live traces too. A site's
 // protocol events are emitted by one goroutine and cross-site events
 // are separated by the message exchange that caused them; a live op

@@ -2,7 +2,6 @@ package check
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -41,30 +40,22 @@ func (r Repro) Replay() ReplayResult {
 	res := runScenario(r.Scenario, sch, 0)
 	return ReplayResult{
 		Violations: res.violations,
-		TraceSHA:   traceSHA(res.trace),
+		TraceSHA:   TraceDigest(r.Scenario.Sites, res.trace),
 		Events:     len(res.trace),
 		Steps:      res.steps,
 	}
 }
 
-// traceSHA hashes the binary image of every event field, giving a
-// formatting-independent fingerprint of a run.
-func traceSHA(events []obs.Event) string {
+// TraceDigest is the sha256 of a run's trace as obs.WriteJSONL writes
+// it under a virtual-clock header for a cluster of the given size: the
+// one fingerprint of a run. Repro.Replay's TraceSHA and
+// ipc.Cluster.TraceDigest (and through it miragesim -runs and
+// scripts/tracesha.sh) are this function, and the trace encoding keeps
+// every field, so two traces share a digest only if they share every
+// event.
+func TraceDigest(sites int, events []obs.Event) string {
 	h := sha256.New()
-	var buf [48]byte
-	for _, ev := range events {
-		binary.LittleEndian.PutUint64(buf[0:], uint64(ev.T))
-		binary.LittleEndian.PutUint32(buf[8:], uint32(ev.Site))
-		binary.LittleEndian.PutUint32(buf[12:], uint32(ev.Type))
-		binary.LittleEndian.PutUint32(buf[16:], uint32(ev.Kind))
-		binary.LittleEndian.PutUint32(buf[20:], uint32(ev.Seg))
-		binary.LittleEndian.PutUint32(buf[24:], uint32(ev.Page))
-		binary.LittleEndian.PutUint32(buf[28:], uint32(ev.From))
-		binary.LittleEndian.PutUint32(buf[32:], uint32(ev.To))
-		binary.LittleEndian.PutUint32(buf[36:], ev.Cycle)
-		binary.LittleEndian.PutUint64(buf[40:], uint64(ev.Arg))
-		h.Write(buf[:])
-	}
+	obs.WriteJSONL(h, obs.NewHeader(obs.ClockVirtual, sites), events) // a hash's Write never fails
 	return hex.EncodeToString(h.Sum(nil))
 }
 

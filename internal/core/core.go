@@ -472,9 +472,6 @@ func New(env Env, opt Options) *Engine {
 	return e
 }
 
-// Site returns the engine's site ID.
-func (e *Engine) Site() int { return e.site }
-
 // emit stamps the current time and this site onto ev and hands it to
 // the tracer. When tracing is off it is a pointer test and a return;
 // the Event value never escapes.

@@ -121,7 +121,7 @@ type AutoDeltaWorkload struct {
 
 // AutoDeltaSweepResult is the whole E23 run.
 type AutoDeltaSweepResult struct {
-	Config AutoDeltaConfig `json:"config"`
+	Config AutoDeltaConfig `json:"-"`
 	// Workloads holds pingpong, service, affinity in that order.
 	Workloads []AutoDeltaWorkload `json:"workloads"`
 	// ReplayMatches reports the determinism check: the affinity

@@ -30,7 +30,7 @@ type DeltaDenialPoint struct {
 	// denial, recorded where the clock site emits EvDeltaDeny.
 	Remaining obs.HistSnapshot
 
-	// TraceJSONL is the run's full protocol trace in the schema-v1
+	// TraceJSONL is the run's full protocol trace in the schema-v2
 	// JSONL encoding — a pure function of the virtual run, so it is
 	// byte-identical across repeats and worker counts.
 	TraceJSONL []byte

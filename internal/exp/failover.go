@@ -36,7 +36,7 @@ type FailoverPoint struct {
 	// failover trigger to the successor installing the elected records
 	// (both taken from the trace).
 	RecoverLatency []time.Duration
-	// TraceJSONL is the run's full schema-v1 trace, replayable through
+	// TraceJSONL is the run's full schema-v2 trace, replayable through
 	// miragetrace (timeline/check).
 	TraceJSONL []byte
 	Trace

@@ -47,10 +47,10 @@ type ReplicationPoint struct {
 
 // ReplicationSweepResult is the whole E22 run.
 type ReplicationSweepResult struct {
-	Points []ReplicationPoint
+	Points []ReplicationPoint `json:"points"`
 	// ReplayMatches reports the determinism check: the last grid point
 	// run twice gave one value and one trace.
-	ReplayMatches bool
+	ReplayMatches bool `json:"replay_matches"`
 }
 
 // replSites is the E22 cluster size: large enough for an R=4 group

@@ -13,8 +13,6 @@
 package ipc
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -248,7 +246,7 @@ func (c *Cluster) VerifyTrace() ([]check.Violation, error) {
 	return check.VerifyRun(c.checkCfg, c.order, engines, segs), nil
 }
 
-// WriteTrace writes the run's trace in the schema-v1 JSONL encoding
+// WriteTrace writes the run's trace in the schema-v2 JSONL encoding
 // (docs/OBSERVABILITY.md) under a virtual-clock header.
 func (c *Cluster) WriteTrace(w io.Writer) error {
 	if c.order == nil {
@@ -257,15 +255,14 @@ func (c *Cluster) WriteTrace(w io.Writer) error {
 	return obs.WriteJSONL(w, obs.NewHeader(obs.ClockVirtual, len(c.sites)), c.order.Buffer().Events())
 }
 
-// TraceDigest is the sha256 of the trace as WriteTrace writes it — what
-// scripts/tracesha.sh pins for miragesim's scenarios — or "" when
-// nothing records one.
+// TraceDigest is check.TraceDigest of the run's trace, the sha256 of
+// what WriteTrace writes — what scripts/tracesha.sh pins for miragesim's
+// scenarios — or "" when nothing records one.
 func (c *Cluster) TraceDigest() string {
-	h := sha256.New()
-	if c.WriteTrace(h) != nil {
+	if c.order == nil {
 		return ""
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return check.TraceDigest(len(c.sites), c.order.Buffer().Events())
 }
 
 // Proc is a simulated user process.
@@ -305,13 +302,6 @@ func (s *Site) Spawn(name string, uid int, fn func(p *Proc)) *Proc {
 	}
 	return p
 }
-
-// Site returns the process's site id.
-func (p *Proc) Site() int { return p.site.id }
-
-// Task exposes the scheduler task (for Compute/Yield/Sleep in
-// workloads).
-func (p *Proc) Task() *sched.Task { return p.task }
 
 // Compute consumes CPU time (workload work).
 func (p *Proc) Compute(d time.Duration) { p.task.Compute(d) }
@@ -382,9 +372,6 @@ type Shm struct {
 	seg   *mem.Segment
 	pages *mmu.Seg // the site's page table for seg
 }
-
-// Seg returns the segment metadata.
-func (h *Shm) Seg() *mem.Segment { return h.seg }
 
 // Fault asks the protocol for the page and sleeps until the local state
 // changes, then tries the hold again (the hardware retries the faulting

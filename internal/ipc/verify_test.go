@@ -75,3 +75,56 @@ func TestVerifyTraceOnTheClusterItself(t *testing.T) {
 		t.Errorf("an untraced cluster has digest %q", d)
 	}
 }
+
+// TestWrittenTraceIsTheBuffer: a replicated run whose library crashes
+// writes a trace that decodes to exactly the events the cluster
+// recorded and checked inline — the failover triggers' successor and
+// the post-election leader's log activity included — so the offline
+// check (miragetrace check) reads the run the inline one read.
+func TestWrittenTraceIsTheBuffer(t *testing.T) {
+	c := NewCluster(4, Config{
+		Chaos:  crashAt(0, 2*time.Second, 0),
+		Engine: core.Options{Reliability: testRel(), Failover: &core.Failover{Replicas: 2}, Obs: obs.New()},
+	})
+	c.Site(0).Spawn("lib", 0, func(p *Proc) {
+		id, _ := p.Shmget(7, 512, mem.Create, rw)
+		h, _ := p.Shmat(id, false)
+		h.SetUint32(0, 1)
+		p.Sleep(time.Minute)
+	})
+	for s := 1; s < 4; s++ {
+		c.Site(s).Spawn("adder", 0, func(p *Proc) {
+			h := attachRetry(t, p)
+			for i := 0; h != nil && i < 40; i++ {
+				h.AddUint32(0, 1) // ErrUnreachable is expected around the takeover
+				p.Sleep(100 * time.Millisecond)
+			}
+			p.Sleep(time.Minute)
+		})
+	}
+	c.RunFor(8 * time.Second)
+
+	var buf bytes.Buffer
+	if err := c.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := obs.ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := c.Obs.Buffer().Events()
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d events, recorded %d", len(got), len(want))
+	}
+	var successor, leader bool
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d decodes as %+v, recorded %+v", i, got[i], want[i])
+		}
+		successor = successor || want[i].Type == obs.EvFailover && want[i].To != 0
+		leader = leader || want[i].Type == obs.EvReplicate && want[i].From != 0
+	}
+	if !successor || !leader {
+		t.Errorf("run too short to test: failover with a successor %v, log activity led from site ≠ 0 %v", successor, leader)
+	}
+}

@@ -102,9 +102,6 @@ func New(k *sim.Kernel, n int) *Network {
 	return &Network{k: k, nics: make([]nic, n)}
 }
 
-// Sites returns the number of sites.
-func (n *Network) Sites() int { return len(n.nics) }
-
 // Bind registers the delivery handler for a site. Each site must be
 // bound exactly once before messages are sent to it.
 func (n *Network) Bind(s SiteID, h Handler) {

@@ -33,22 +33,21 @@ type Header struct {
 // headerSchema is the Header.Schema magic value.
 const headerSchema = "mirage-trace"
 
-// NewHeader returns a v1 header for the given clock domain and size.
+// NewHeader returns a current-schema header for the given clock domain and size.
 func NewHeader(clock string, sites int) Header {
 	return Header{Schema: headerSchema, Version: SchemaVersion, Clock: clock, Sites: sites}
 }
 
 // appendEvent encodes one event as a JSON object with a fixed field
 // order, so identical event sequences serialize to identical bytes —
-// the property the determinism tests assert. Optional fields follow
-// fixed inclusion rules: kind only for message events, from/to only
-// for message-flow and op events (op events reuse them as offset and
-// length), cycle only when non-zero.
+// the property the determinism tests assert. One rule serves every event
+// type: t, site, ev, seg, page and arg are always written, every other
+// field whenever it is non-zero. ReadJSONL reads an absent field as 0,
+// so the encoding loses nothing.
 func appendEvent(b []byte, ev Event) []byte {
 	b = append(b, `{"t":`...)
 	b = strconv.AppendInt(b, int64(ev.T), 10)
-	b = append(b, `,"site":`...)
-	b = strconv.AppendInt(b, int64(ev.Site), 10)
+	b = appendField(b, "site", int64(ev.Site))
 	b = append(b, `,"ev":"`...)
 	b = append(b, ev.Type.String()...)
 	b = append(b, '"')
@@ -57,32 +56,26 @@ func appendEvent(b []byte, ev Event) []byte {
 		b = append(b, ev.Kind.String()...)
 		b = append(b, '"')
 	}
-	b = append(b, `,"seg":`...)
-	b = strconv.AppendInt(b, int64(ev.Seg), 10)
-	b = append(b, `,"page":`...)
-	b = strconv.AppendInt(b, int64(ev.Page), 10)
-	switch ev.Type {
-	case EvMsgSend, EvMsgRecv, EvRetransmit, EvChaos, EvRead, EvWrite:
-		b = append(b, `,"from":`...)
-		b = strconv.AppendInt(b, int64(ev.From), 10)
-		b = append(b, `,"to":`...)
-		b = strconv.AppendInt(b, int64(ev.To), 10)
-	case EvGrantStart:
-		b = append(b, `,"to":`...)
-		b = strconv.AppendInt(b, int64(ev.To), 10)
+	b = appendField(b, "seg", int64(ev.Seg))
+	b = appendField(b, "page", int64(ev.Page))
+	for _, f := range [...]struct {
+		name string
+		v    int64
+	}{{"from", int64(ev.From)}, {"to", int64(ev.To)}, {"cycle", int64(ev.Cycle)}, {"epoch", int64(ev.Epoch)}} {
+		if f.v != 0 {
+			b = appendField(b, f.name, f.v)
+		}
 	}
-	if ev.Cycle != 0 {
-		b = append(b, `,"cycle":`...)
-		b = strconv.AppendUint(b, uint64(ev.Cycle), 10)
-	}
-	if ev.Epoch != 0 {
-		b = append(b, `,"epoch":`...)
-		b = strconv.AppendUint(b, uint64(ev.Epoch), 10)
-	}
-	b = append(b, `,"arg":`...)
-	b = strconv.AppendInt(b, ev.Arg, 10)
-	b = append(b, '}', '\n')
-	return b
+	b = appendField(b, "arg", ev.Arg)
+	return append(b, '}', '\n')
+}
+
+// appendField appends `,"name":v`.
+func appendField(b []byte, name string, v int64) []byte {
+	b = append(b, ',', '"')
+	b = append(b, name...)
+	b = append(b, '"', ':')
+	return strconv.AppendInt(b, v, 10)
 }
 
 // WriteJSONL writes a header line followed by one JSON object per

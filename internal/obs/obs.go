@@ -37,8 +37,10 @@ import (
 )
 
 // SchemaVersion is the version of the JSONL trace schema this package
-// writes. Readers reject traces with a newer major version.
-const SchemaVersion = 1
+// writes. Readers reject traces with a newer version. Version 2 writes
+// every non-zero field of every event; a v1 trace, which dropped from/to
+// on some event types, still reads.
+const SchemaVersion = 2
 
 // EvType discriminates protocol trace events.
 type EvType uint8

@@ -86,9 +86,6 @@ func New(k *sim.Kernel) *CPU {
 	return &CPU{k: k}
 }
 
-// Kernel returns the owning simulation kernel.
-func (c *CPU) Kernel() *sim.Kernel { return c.k }
-
 // Stats returns a snapshot of the counters.
 func (c *CPU) Stats() Stats { return c.stats }
 
@@ -147,12 +144,6 @@ func (t *Task) Load() float64 {
 	t.decayLoad()
 	return t.loadVal / vaxmodel.PriorityDecayTau.Seconds()
 }
-
-// Name returns the task's name.
-func (t *Task) Name() string { return t.name }
-
-// CPU returns the task's processor.
-func (t *Task) CPU() *CPU { return t.cpu }
 
 // Now returns the current virtual time.
 func (t *Task) Now() sim.Time { return t.cpu.k.Now() }

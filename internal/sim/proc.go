@@ -65,12 +65,6 @@ func (p *Proc) park() {
 	<-p.resume            // wait to be rescheduled
 }
 
-// Name returns the name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 

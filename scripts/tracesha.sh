@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
-# Prints one sha256 per recorded miragesim scenario's -trace output. The
-# simulator is deterministic, so a change that is supposed to leave the
-# protocol alone must print exactly scripts/tracesha.txt:
+# Runs each recorded miragesim scenario once with -check and prints one
+# sha256 per scenario's -trace output. The simulator is deterministic, so
+# a change that is supposed to leave the protocol alone must print
+# exactly scripts/tracesha.txt:
 #
 #	bash scripts/tracesha.sh | diff scripts/tracesha.txt -
 #
 # A change that means to alter a trace regenerates the file and says why.
+# A scenario whose run the checker faults fails the script, which prints
+# the scenario's command line (the run is deterministic, so that line is
+# the repro) and miragesim's report on stderr.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,7 +21,13 @@ crash='crash site=0 from=2s'
 run() {
 	name=$1
 	shift
-	"$tmp/miragesim" "$@" -trace "$tmp/$name.jsonl" >/dev/null
+	if ! "$tmp/miragesim" "$@" -check -trace "$tmp/$name.jsonl" >"$tmp/$name.out" 2>&1; then
+		printf '%s: check failed; repro:\n  go run ./cmd/miragesim' "$name" >&2
+		printf ' %q' "$@" -check >&2
+		printf '\n' >&2
+		cat "$tmp/$name.out" >&2
+		exit 1
+	fi
 	printf '%s  %s\n' "$(sha256sum <"$tmp/$name.jsonl" | cut -d' ' -f1)" "$name"
 }
 
