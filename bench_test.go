@@ -188,31 +188,47 @@ func BenchmarkLiveLocalAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkLiveLocalAccessParallel is the same fast path from every
-// processor at once, each goroutine on a page of its own: the access
-// check runs on the caller's goroutine, so resident accesses at one
-// site must not queue behind each other (ns/op falls as -cpu rises).
+// BenchmarkLiveLocalAccessParallel is the same fast path from two
+// goroutines at once: the access check runs on the caller's goroutine,
+// so resident reads at one site must not queue behind each other.
+// "shared" puts both on one page, their words 4 bytes apart (the hit
+// workload's pattern): a read that wrote the page's word would bounce
+// its cache line between them. "distinct" gives each a page of its own.
 func BenchmarkLiveLocalAccessParallel(b *testing.B) {
-	c, err := NewCluster(1, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	const pages = 64
-	ps := c.opts.PageSize
-	id, _ := c.Site(0).Shmget(1, pages*ps, Create, 0o600)
-	seg, _ := c.Site(0).Attach(id, false)
-	var next atomic.Int32
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		off := int(next.Add(1)-1) % pages * ps
-		for pb.Next() {
-			if _, err := seg.Uint32(off); err != nil {
-				b.Error(err)
-				return
+	const drivers = 2
+	for _, tc := range []struct {
+		name string
+		off  func(g, pageSize int) int
+	}{
+		{"shared", func(g, _ int) int { return 4 * g }},
+		{"distinct", func(g, pageSize int) int { return g * pageSize }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			c, err := NewCluster(1, Options{})
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
-	})
+			defer c.Close()
+			ps := c.opts.PageSize
+			id, _ := c.Site(0).Shmget(1, drivers*ps, Create, 0o600)
+			seg, _ := c.Site(0).Attach(id, false)
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for g := 0; g < drivers; g++ {
+				wg.Add(1)
+				go func(g, off int) {
+					defer wg.Done()
+					for i := g; i < b.N; i += drivers {
+						if _, err := seg.Uint32(off); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(g, tc.off(g, ps))
+			}
+			wg.Wait()
+		})
+	}
 }
 
 // BenchmarkLiveRemoteFaultBesideAccessors times a write fault from

@@ -374,26 +374,26 @@ type Shm struct {
 }
 
 // Fault asks the protocol for the page and sleeps until the local state
-// changes, then tries the hold again (the hardware retries the faulting
-// instruction), until it has the page. The whole of it is one
-// FaultLatency sample on the virtual clock.
-func (h *Shm) Fault(page int, write bool, w mem.Waiter) ([]byte, mem.Waiter, error) {
+// changes, until it permits the access; the accessor then retries it
+// (the hardware retries the faulting instruction). The whole of it is
+// one FaultLatency sample on the virtual clock.
+func (h *Shm) Fault(page int, write bool, w mem.Waiter) (mem.Waiter, error) {
 	p := h.proc
 	eng := p.site.DSM
 	segID := int32(h.seg.ID)
 	began := p.Now()
 	for {
 		if h.seg.Removed() {
-			return nil, w, ErrDetached
+			return w, ErrDetached
 		}
 		eng.Fault(segID, int32(page), write, 0, p.task.Wakeup)
 		p.task.Block()
 		if err := eng.FaultError(segID, int32(page)); err != nil {
-			return nil, w, err
+			return w, err
 		}
-		if frame, ok := h.pages.Hold(page, write); ok {
+		if h.pages.Check(page, write) == mmu.NoFault {
 			p.site.c.FaultLatency.Observe(int64(p.Now() - began))
-			return frame, w, nil
+			return w, nil
 		}
 	}
 }

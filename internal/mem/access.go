@@ -21,10 +21,12 @@ var (
 // without a time window calls none of it, unless op records are on.
 type SlowPath interface {
 	// Fault is called when the check refused the access: report the
-	// fault to the protocol engine, sleep until the page's state at this
-	// site changed, and try the hold again, until the page is held. An
-	// error ends the access; a destroyed segment is ErrDetached.
-	Fault(page int, write bool, w Waiter) ([]byte, Waiter, error)
+	// fault to the protocol engine and sleep until the page's state at
+	// this site changed, until it permits the access (mmu.Seg.Check).
+	// The caller then tries the access again, and faults again should
+	// the page have left meanwhile. An error ends the access; a
+	// destroyed segment is ErrDetached.
+	Fault(page int, write bool, w Waiter) (Waiter, error)
 	// Turn is called, with nothing held, after every TurnEvery-th access
 	// an attach makes to pages under a time window.
 	Turn(w Waiter) Waiter
@@ -91,17 +93,68 @@ func (a *Accessor) check(off, n int, write bool) error {
 	return nil
 }
 
-// release ends the paper's loop (§6.1), which an access runs on each
-// page it touches: hold (mmu.Seg.Hold, SlowPath.Fault while refused),
-// load or store, release. While the page is held, readers at this site
-// share it, a writer excludes the rest, the engine cannot take it, and
-// nothing may block or panic (the simulator would stop). release records
-// b, at fo of page, unholds, and takes every TurnEvery-th windowed turn.
+// The paper's loop (§6.1), which an access runs on each page it
+// touches: check, load or store, and on a fault ask the engine for the
+// page and sleep, then try again. A read that is not recorded first
+// tries optimistically (peek): it copies the bytes and keeps them if
+// the page's word did not move, writing nothing. Every other access,
+// and a read that fails the optimistic check, holds the page (hold):
+// it takes it exclusively, moves the bytes, and gives it back
+// (release). Nothing between hold and release may block or panic (the
+// simulator would stop).
+
+// peek is an optimistic read of page (mmu.Seg.Snap, Settled): it copies
+// the page's bytes from fo into b and reports how many, 0 when they
+// cannot be kept. A kept read counts towards the windowed turn.
+func (a *Accessor) peek(b []byte, page, fo int, w Waiter) (int, Waiter) {
+	if a.record {
+		return 0, w
+	}
+	frame, at, ok := a.pages.Snap(page)
+	if !ok {
+		return 0, w
+	}
+	k := copy(b, frame[fo:])
+	if !a.pages.Settled(page, at) {
+		return 0, w
+	}
+	return k, a.turn(at.Windowed(), w)
+}
+
+// hold takes page for an access of the given kind (mmu.Seg.Hold),
+// faulting while the check refuses, and returns its frame.
+func (a *Accessor) hold(page int, write bool, w Waiter) ([]byte, Waiter, error) {
+	for {
+		if frame, ok := a.pages.Hold(page, write); ok {
+			return frame, w, nil
+		}
+		var err error
+		if w, err = a.slow.Fault(page, write, w); err != nil {
+			return nil, w, err
+		}
+	}
+}
+
+// release ends a hold: it records b, at fo of page, unholds, and counts
+// the access towards the windowed turn.
 func (a *Accessor) release(page, fo int, write bool, b []byte, w Waiter) Waiter {
 	if a.record {
 		a.slow.RecordOp(page, fo, write, b)
 	}
-	if a.pages.Unhold(page, write) && a.windowed.Add(1)%TurnEvery == 0 {
+	return a.turn(a.pages.Unhold(page, write), w)
+}
+
+// turn takes the loop's turn after every TurnEvery-th access the attach
+// makes to windowed pages.
+func (a *Accessor) turn(windowed bool, w Waiter) Waiter {
+	if windowed {
+		return a.windowedTurn(w)
+	}
+	return w
+}
+
+func (a *Accessor) windowedTurn(w Waiter) Waiter {
+	if a.windowed.Add(1)%TurnEvery == 0 {
 		w = a.slow.Turn(w)
 	}
 	return w
@@ -115,25 +168,28 @@ func done(w Waiter) {
 }
 
 // copyAt copies b into the segment at off if write is set, else the
-// segment into b: a hold and a release a page, one Waiter for them all.
+// segment into b: the loop once a page, one Waiter for them all.
 func (a *Accessor) copyAt(b []byte, off int, write bool) error {
 	err := a.check(off, len(b), write)
 	var w Waiter
 	for err == nil && len(b) > 0 {
 		page, fo := off/a.pageSize, off%a.pageSize
-		frame, ok := a.pages.Hold(page, write)
-		if !ok {
-			if frame, w, err = a.slow.Fault(page, write, w); err != nil {
-				done(w)
-				return err
+		var k int
+		if !write {
+			k, w = a.peek(b, page, fo, w)
+		}
+		if k == 0 {
+			var frame []byte
+			if frame, w, err = a.hold(page, write, w); err != nil {
+				break
 			}
+			dst, src := b, frame[fo:]
+			if write {
+				dst, src = src, dst
+			}
+			k = copy(dst, src)
+			w = a.release(page, fo, write, frame[fo:fo+k], w)
 		}
-		dst, src := b, frame[fo:]
-		if write {
-			dst, src = src, dst
-		}
-		k := copy(dst, src)
-		w = a.release(page, fo, write, frame[fo:fo+k], w)
 		b, off = b[k:], off+k
 	}
 	done(w)
@@ -159,10 +215,10 @@ const (
 	opClear                    // Clear, one byte
 )
 
-// word is the access of the n-byte word at off: one hold, op, one
-// release. A word across two pages is two holds, not one access:
-// Uint32 and SetUint32 take it through copyAt, which checks it, and
-// AddUint32 refuses it once it passed the checks.
+// word is the access of the n-byte word at off: an optimistic load, or
+// one hold, op, one release. A word across two pages is two accesses,
+// not one: Uint32 and SetUint32 take it through copyAt, which checks
+// it, and AddUint32 refuses it once it passed the checks.
 func (a *Accessor) word(off, n int, op wordOp, v uint32) (uint32, error) {
 	write := op != opLoad
 	page, fo := off/a.pageSize, off%a.pageSize
@@ -179,13 +235,19 @@ func (a *Accessor) word(off, n int, op wordOp, v uint32) (uint32, error) {
 	if fo+n > a.pageSize {
 		panic("mem: AddUint32 across a page boundary")
 	}
-	var w Waiter
-	frame, ok := a.pages.Hold(page, write)
-	if !ok {
-		if frame, w, err = a.slow.Fault(page, write, nil); err != nil {
-			done(w)
-			return 0, err
+	if op == opLoad && !a.record {
+		if frame, at, ok := a.pages.Snap(page); ok {
+			v = binary.LittleEndian.Uint32(frame[fo : fo+4])
+			if a.pages.Settled(page, at) {
+				done(a.turn(at.Windowed(), nil))
+				return v, nil
+			}
 		}
+	}
+	frame, w, err := a.hold(page, write, nil)
+	if err != nil {
+		done(w)
+		return 0, err
 	}
 	b := frame[fo : fo+n]
 	switch op {

@@ -11,7 +11,7 @@ import (
 // it counts the turns.
 type turnCounter struct{ turns int }
 
-func (c *turnCounter) Fault(int, bool, Waiter) ([]byte, Waiter, error) {
+func (c *turnCounter) Fault(int, bool, Waiter) (Waiter, error) {
 	panic("mem: fault on a resident page")
 }
 func (c *turnCounter) Turn(w Waiter) Waiter            { c.turns++; return w }

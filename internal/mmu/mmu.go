@@ -6,8 +6,9 @@
 //   - a master page-table: one PTE per page with a valid bit and a
 //     protection bit (read-only or read-write), exactly the state the
 //     VAX hardware consults. The PTE is one atomic word, so a live
-//     accessor checks it — and holds the page for the length of the
-//     access — on its own goroutine (pte.go, DESIGN.md §17);
+//     accessor checks it on its own goroutine — a read writes nothing,
+//     a write holds the page for the length of the access (pte.go,
+//     DESIGN.md §17);
 //   - an auxiliary parallel page table (auxpte, Table 2): per page,
 //     the reader mask, the page's time window in ticks (Δ), and the
 //     installation time at this site (the writer is the protection: this
@@ -26,6 +27,7 @@ package mmu
 import (
 	"fmt"
 	"time"
+	"unsafe"
 )
 
 // Prot is a page protection level.
@@ -88,26 +90,25 @@ type AuxPTE struct {
 // writable copy.
 const NoWriter = -1
 
-// Seg is the per-site MMU state for one segment. Everything but Hold
-// and Unhold belongs to the one goroutine that drives the site's
-// protocol engine; pte.go says what that goroutine and a holder may
-// each assume of the other.
+// Seg is the per-site MMU state for one segment. Everything but Snap,
+// Settled, Hold and Unhold belongs to the one goroutine that drives the
+// site's protocol engine; pte.go says what that goroutine and an
+// accessor may each assume of the other.
 type Seg struct {
 	pageSize int
 	pages    []page
 }
 
 // page is what an accessor and the hardware see of a page: the pte
-// word, the frame and the paper's auxiliary entry (Table 2). What the
-// site's engine tracks for a page in flight is core.sitePage, what the
-// library owns core.libPage; DESIGN.md §19 has the three side by side.
-// The struct is also what keeps accessors of different pages off each
-// other's cache lines — it is longer than a line, so no two pte words
-// share one.
+// word, the frame pointer and the paper's auxiliary entry (Table 2).
+// What the site's engine tracks for a page in flight is core.sitePage,
+// what the library owns core.libPage; DESIGN.md §19 has the three side
+// by side. The struct is 64 bytes, a cache line: in a line-aligned
+// slice of pages no two pte words share one, so accessors of different
+// pages never contend.
 type page struct {
 	pte
-	frame []byte // changes only with the page taken exclusively
-	aux   AuxPTE
+	aux AuxPTE
 }
 
 // NewSeg creates MMU state for a segment of npages pages.
@@ -125,7 +126,7 @@ func (s *Seg) Pages() int { return len(s.pages) }
 func (s *Seg) PageSize() int { return s.pageSize }
 
 // Prot returns the current protection of page p.
-func (s *Seg) Prot(p int) Prot { return Prot(s.pages[p].Load() & protMask) }
+func (s *Seg) Prot(p int) Prot { return Prot(s.pages[p].word.Load() & protMask) }
 
 // Aux returns a pointer to page p's auxpte for inspection or update.
 // The window is set with SetWindow.
@@ -137,7 +138,7 @@ func (s *Seg) Aux(p int) *AuxPTE { return &s.pages[p].aux }
 func (s *Seg) SetWindow(p int, d time.Duration) {
 	pg := &s.pages[p]
 	pg.aux.Window = d
-	var bit uint32
+	var bit uint64
 	if d > 0 {
 		bit = windowBit
 	}
@@ -148,7 +149,7 @@ func (s *Seg) SetWindow(p int, d time.Duration) {
 // performing it. Every page of a closed segment faults.
 func (s *Seg) Check(p int, write bool) FaultType {
 	switch {
-	case permits(s.pages[p].Load(), write):
+	case permits(s.pages[p].word.Load(), write):
 		return NoFault
 	case write:
 		return WriteFault
@@ -160,14 +161,24 @@ func (s *Seg) Check(p int, write bool) FaultType {
 // Frame returns the frame backing page p, or nil when the page is not
 // present. Callers must respect the protection; the protocol engine is
 // the only writer of invalid/RO frames.
-func (s *Seg) Frame(p int) []byte { return s.pages[p].frame }
+func (s *Seg) Frame(p int) []byte { return s.frameOf(s.pages[p].frame.Load()) }
+
+// frameOf is the frame whose first byte is f, or nil.
+func (s *Seg) frameOf(f *byte) []byte {
+	if f == nil {
+		return nil
+	}
+	return unsafe.Slice(f, s.pageSize)
+}
 
 // Install maps page p at this site with protection prot and contents
-// data (copied; nil means zero-filled), recording the install time for
-// the Δ clock check. Installing with Invalid protection is a model bug.
-// The new protection becomes visible to holders only when Install
-// returns, so an event a caller emits first precedes every access the
-// install enables.
+// data (copied into a new frame; nil means zero-filled), recording the
+// install time for the Δ clock check. Installing with Invalid
+// protection is a model bug. The new protection becomes visible to
+// accessors only when Install returns, so an event a caller emits first
+// precedes every access the install enables. A frame is never written
+// in place by a transition: a reader that loaded the old one reads
+// bytes that no longer change.
 func (s *Seg) Install(p int, data []byte, prot Prot, now time.Duration) {
 	if prot == Invalid {
 		panic("mmu: Install with Invalid protection")
@@ -175,19 +186,12 @@ func (s *Seg) Install(p int, data []byte, prot Prot, now time.Duration) {
 	if data != nil && len(data) != s.pageSize {
 		panic(fmt.Sprintf("mmu: install %d bytes into %d-byte page", len(data), s.pageSize))
 	}
-	pg := s.lock(p)
-	if pg.frame == nil {
-		pg.frame = make([]byte, s.pageSize)
-	}
-	if data != nil {
-		copy(pg.frame, data)
-	} else {
-		for i := range pg.frame {
-			pg.frame[i] = 0
-		}
-	}
+	f := make([]byte, s.pageSize)
+	copy(f, data)
+	pg, w := s.lock(p)
+	pg.storeFrame(&f[0])
 	pg.aux.InstallTime = now
-	pg.unlock(prot)
+	pg.unlock(w, protMask, uint64(prot))
 }
 
 // Invalidate unmaps page p and discards the frame. It returns the old
@@ -195,19 +199,19 @@ func (s *Seg) Install(p int, data []byte, prot Prot, now time.Duration) {
 // its data to the new writer) can use them without an extra copy: it
 // returns only once no holder is left, and none can follow.
 func (s *Seg) Invalidate(p int) []byte {
-	pg := &s.pages[p]
 	if mutateSkipHolderWait {
 		// Overtake the holders. They are left a frame of zeroes rather
 		// than none, so that the checker fails them, not a nil index.
-		f := pg.frame
-		pg.frame = make([]byte, s.pageSize)
-		pg.change(protMask, uint32(Invalid))
+		pg := &s.pages[p]
+		f := s.frameOf(pg.frame.Load())
+		pg.storeFrame(&make([]byte, s.pageSize)[0])
+		pg.change(protMask, uint64(Invalid))
 		return f
 	}
-	s.lock(p)
-	f := pg.frame
-	pg.frame = nil
-	pg.unlock(Invalid)
+	pg, w := s.lock(p)
+	f := s.frameOf(pg.loadFrame())
+	pg.storeFrame(nil)
+	pg.unlock(w, protMask, uint64(Invalid))
 	return f
 }
 
@@ -218,9 +222,9 @@ func (s *Seg) Downgrade(p int, now time.Duration) {
 	if s.Prot(p) != ReadWrite {
 		panic(fmt.Sprintf("mmu: downgrade of %v page %d", s.Prot(p), p))
 	}
-	pg := s.lock(p)
+	pg, w := s.lock(p)
 	pg.aux.InstallTime = now
-	pg.unlock(ReadOnly)
+	pg.unlock(w, protMask, uint64(ReadOnly))
 }
 
 // Upgrade raises a read-only page to read-write in place (optimization
@@ -231,7 +235,7 @@ func (s *Seg) Upgrade(p int, now time.Duration) {
 		panic(fmt.Sprintf("mmu: upgrade of %v page %d", s.Prot(p), p))
 	}
 	s.pages[p].aux.InstallTime = now
-	s.pages[p].change(protMask, uint32(ReadWrite))
+	s.pages[p].change(protMask, uint64(ReadWrite))
 }
 
 // Present reports whether page p has a frame at this site.

@@ -279,18 +279,92 @@ func TestHoldFollowsProtection(t *testing.T) {
 	}
 }
 
-func TestReadersShareOneFrame(t *testing.T) {
-	s := newSeg()
-	s.Install(0, nil, ReadOnly, 0)
-	a, ok1 := s.Hold(0, false)
-	b, ok2 := s.Hold(0, false)
-	if !ok1 || !ok2 || &a[0] != &b[0] || &a[0] != &s.Frame(0)[0] {
-		t.Fatal("two readers did not both get the page's frame")
+// read reads page p's first two bytes the way an accessor does: an
+// optimistic read, and under a hold when that is refused or fails.
+func read(s *Seg, p int) (b0, b1 byte, windowed, ok bool) {
+	if f, at, ok := s.Snap(p); ok {
+		b0, b1 = f[0], f[1]
+		if s.Settled(p, at) {
+			return b0, b1, at.Windowed(), true
+		}
 	}
-	s.Unhold(0, false)
-	s.Unhold(0, false)
-	if got := s.Invalidate(0); &got[0] != &a[0] {
+	f, ok := s.Hold(p, false)
+	if !ok {
+		return 0, 0, false, false
+	}
+	b0, b1 = f[0], f[1]
+	return b0, b1, s.Unhold(p, false), true
+}
+
+// A read writes nothing to the word: not an optimistic one, which only
+// loads it, and not one under a hold, which changes nothing a reader
+// validates against. Readers on many goroutines share the word's line.
+func TestReadersShareTheWordBitIdentical(t *testing.T) {
+	s := newSeg()
+	data := make([]byte, 512)
+	data[0], data[1] = 7, 7
+	s.Install(0, data, ReadOnly, 0)
+	s.SetWindow(0, time.Millisecond)
+	before := s.pages[0].word.Load()
+	const readers, rounds = 4, 1000
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if b0, b1, windowed, ok := read(s, 0); !ok || b0 != 7 || b1 != 7 || !windowed {
+					t.Errorf("read %d %d windowed %v ok %v, want 7 7 windowed", b0, b1, windowed, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if after := s.pages[0].word.Load(); after != before {
+		t.Fatalf("%d reads changed the word %#x -> %#x", readers*rounds, before, after)
+	}
+	if got := s.Invalidate(0); got[0] != 7 {
 		t.Fatal("Invalidate returned another frame")
+	}
+}
+
+// An optimistic read is kept only if nothing that could change the
+// page ended or is under way between its two loads of the word.
+func TestSettledRefusesAMovedPage(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		move func(s *Seg)
+		kept bool
+	}{
+		{"nothing", func(s *Seg) {}, true},
+		{"read under a hold", func(s *Seg) { s.Hold(0, false); s.Unhold(0, false) }, true},
+		{"window set", func(s *Seg) { s.SetWindow(0, time.Millisecond) }, true},
+		{"write", func(s *Seg) { s.Hold(0, true); s.Unhold(0, true) }, false},
+		{"write under way", func(s *Seg) { s.Hold(0, true) }, false},
+		{"downgrade", func(s *Seg) { s.Downgrade(0, 0) }, false},
+		{"invalidate", func(s *Seg) { s.Invalidate(0) }, false},
+		{"reinstall", func(s *Seg) { s.Invalidate(0); s.Install(0, nil, ReadWrite, 0) }, false},
+		{"close", func(s *Seg) { s.Close() }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSeg()
+			s.Install(0, nil, ReadWrite, 0)
+			_, at, ok := s.Snap(0)
+			if !optimisticReads {
+				if ok {
+					t.Fatal("Snap let a read through where optimistic reads are built out")
+				}
+				t.Skip("optimistic reads are built out here")
+			}
+			if !ok {
+				t.Fatal("Snap refused a read-write page")
+			}
+			tc.move(s)
+			if got := s.Settled(0, at); got != tc.kept {
+				t.Fatalf("Settled %v, want %v", got, tc.kept)
+			}
+		})
 	}
 }
 
@@ -321,7 +395,7 @@ func TestRevocationWaitsForHolders(t *testing.T) {
 				revoked.Store(true)
 				close(done)
 			}()
-			for s.pages[0].Load()&waitBit == 0 {
+			for s.pages[0].word.Load()&waitBit == 0 {
 				if revoked.Load() {
 					t.Fatal("revocation overtook the hold")
 				}
@@ -342,8 +416,9 @@ func TestRevocationWaitsForHolders(t *testing.T) {
 	}
 }
 
-// Writers exclude each other and readers: a plain counter in the frame
-// stays exact, and the race detector sees every access ordered.
+// Writers exclude each other, and a reader keeps no bytes a write was
+// half way through: a plain counter in the frame stays exact, and the
+// race detector sees every access under a hold ordered.
 func TestWriteHoldExcludes(t *testing.T) {
 	s := newSeg()
 	s.Install(0, nil, ReadWrite, 0)
@@ -355,18 +430,20 @@ func TestWriteHoldExcludes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				f, ok := s.Hold(0, write)
+				if !write {
+					if b0, b1, _, ok := read(s, 0); ok && b0 != b1 {
+						t.Error("reader saw a write half done")
+					}
+					continue
+				}
+				f, ok := s.Hold(0, true)
 				for !ok { // read-only for a moment: the fault-and-retry loop
 					runtime.Gosched()
-					f, ok = s.Hold(0, write)
+					f, ok = s.Hold(0, true)
 				}
-				if write {
-					f[0]++
-					f[1] = f[0]
-				} else if f[0] != f[1] {
-					t.Error("reader saw a write half done")
-				}
-				s.Unhold(0, write)
+				f[0]++
+				f[1] = f[0]
+				s.Unhold(0, true)
 			}
 		}()
 	}
@@ -381,55 +458,53 @@ func TestWriteHoldExcludes(t *testing.T) {
 	}
 }
 
-// A write that waits for readers stops new ones, as a transition does:
-// the readers it found are the last it waits for. Without that, readers
-// that keep coming keep a write out for as long as they like.
-func TestWaitingWriteStopsNewReaders(t *testing.T) {
+// A transition that waits for a holder stops new holds: the holder it
+// found is the last it waits for. Without that, holds that keep coming
+// keep a revocation out for as long as they like.
+func TestWaitingTransitionStopsNewHolds(t *testing.T) {
 	s := newSeg()
 	s.Install(0, nil, ReadWrite, 0)
-	if _, ok := s.Hold(0, false); !ok {
-		t.Fatal("read hold refused")
+	if _, ok := s.Hold(0, true); !ok {
+		t.Fatal("write hold refused")
 	}
-	var late atomic.Bool // the reader that came after the write got in
-	wrote := make(chan bool)
+	var late atomic.Bool // a hold that came after the transition got in
+	downgraded := make(chan bool)
 	go func() {
-		_, ok := s.Hold(0, true)
-		overtaken := late.Load()
-		s.Unhold(0, true)
-		wrote <- ok && !overtaken
+		s.Downgrade(0, 0)
+		downgraded <- !late.Load()
 	}()
-	for t0 := time.Now(); s.pages[0].Load()&waitBit == 0; runtime.Gosched() {
+	for t0 := time.Now(); s.pages[0].word.Load()&waitBit == 0; runtime.Gosched() {
 		if time.Since(t0) > 5*time.Second {
-			t.Fatal("the write waits for a reader and does not say so")
+			t.Fatal("the transition waits for a holder and does not say so")
 		}
 	}
-	read := make(chan struct{})
+	held := make(chan struct{})
 	go func() {
 		if _, ok := s.Hold(0, false); ok {
 			late.Store(true)
 			s.Unhold(0, false)
 		}
-		close(read)
+		close(held)
 	}()
-	time.Sleep(10 * time.Millisecond) // time enough to join, were it let
+	time.Sleep(10 * time.Millisecond) // time enough to get in, were it let
 	if late.Load() {
-		t.Fatal("a reader joined a page a write was waiting for")
+		t.Fatal("a hold got in while a transition was waiting")
 	}
-	s.Unhold(0, false)
-	if !<-wrote {
-		t.Fatal("the later reader went before the waiting write")
+	s.Unhold(0, true)
+	if !<-downgraded {
+		t.Fatal("the later hold went before the waiting transition")
 	}
-	<-read
+	<-held
 	if !late.Load() {
-		t.Fatal("the later reader never got in")
+		t.Fatal("the later hold never got in")
 	}
-	if w := s.pages[0].Load(); w != uint32(ReadWrite) {
-		t.Fatalf("page word %#x left behind, want an idle read-write page", w)
+	if !s.Idle(0) || s.Prot(0) != ReadOnly {
+		t.Fatalf("page word %#x left behind, want an idle read-only page", s.pages[0].word.Load())
 	}
 }
 
-// The same under load: six readers spinning on a page let three writes
-// through in two seconds before a waiting write stopped them.
+// Readers that keep coming do not starve a write: six goroutines
+// reading a page, under a hold and optimistically, while one writes.
 func TestWriteHoldNotStarvedByReaders(t *testing.T) {
 	s := newSeg()
 	s.Install(0, nil, ReadWrite, 0)
@@ -447,6 +522,7 @@ func TestWriteHoldNotStarvedByReaders(t *testing.T) {
 					copy(buf[:], f)
 					s.Unhold(0, false)
 				}
+				read(s, 0)
 				if first {
 					started.Done()
 				}
@@ -482,17 +558,25 @@ func TestWriteHoldNotStarvedByReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// The word says whether the page has a time window, Unhold reports it,
-// and only SetWindow changes it: not a hold, not a transition.
-func TestUnholdReportsWindow(t *testing.T) {
+// The word says whether the page has a time window; Unhold and an
+// optimistic read report it, and only SetWindow changes it: not an
+// access, not a transition.
+func TestWindowReportedToEveryAccess(t *testing.T) {
 	s := newSeg()
 	s.Install(0, nil, ReadWrite, 0)
 	windowed := func(write bool) bool {
 		t.Helper()
-		if _, ok := s.Hold(0, write); !ok {
-			t.Fatalf("hold (write %v) refused", write)
+		if !write {
+			_, _, w, ok := read(s, 0)
+			if !ok {
+				t.Fatal("read refused")
+			}
+			return w
 		}
-		return s.Unhold(0, write)
+		if _, ok := s.Hold(0, true); !ok {
+			t.Fatal("write hold refused")
+		}
+		return s.Unhold(0, true)
 	}
 	if windowed(false) || windowed(true) {
 		t.Fatal("a page without a window reported one")
@@ -501,14 +585,14 @@ func TestUnholdReportsWindow(t *testing.T) {
 	if s.Aux(0).Window != 2*time.Millisecond {
 		t.Fatalf("window %v, want 2ms", s.Aux(0).Window)
 	}
-	if _, ok := s.Hold(0, false); !ok { // a second reader beside the one below
+	if !windowed(false) || !windowed(true) {
+		t.Fatal("the window went unreported")
+	}
+	if _, ok := s.Hold(0, false); !ok {
 		t.Fatal("read hold refused")
 	}
-	if !windowed(false) {
-		t.Fatal("a reader beside another did not see the window")
-	}
-	if !s.Unhold(0, false) || !windowed(true) {
-		t.Fatal("the window went unreported")
+	if !s.Unhold(0, false) {
+		t.Fatal("a read under a hold did not see the window")
 	}
 	s.Downgrade(0, 0)
 	if s.Prot(0) != ReadOnly || !windowed(false) {
@@ -524,7 +608,7 @@ func TestUnholdReportsWindow(t *testing.T) {
 	if windowed(false) || windowed(true) {
 		t.Fatal("a cleared window is still reported")
 	}
-	if w := s.pages[0].Load(); w != uint32(ReadWrite) {
-		t.Fatalf("page word %#x left behind, want an idle read-write page", w)
+	if !s.Idle(0) || s.Prot(0) != ReadWrite {
+		t.Fatalf("page word %#x left behind, want an idle read-write page", s.pages[0].word.Load())
 	}
 }

@@ -2,10 +2,14 @@
 
 package mmu
 
-// mutateSkipHolderWait is the production value of the access-hold
-// mutation switch: Invalidate takes the page exclusively, so it waits
-// for every access in flight before the frame changes hands. Building
-// with -tags mirage_mutation flips it so the mutation test (root
-// package) can prove the stress test and the checker catch an
-// invalidation that overtakes an access.
-const mutateSkipHolderWait = false
+// The production values of the word's mutation switches. Under -tags
+// mirage_mutation they are variables that a mutation test turns on
+// (mutation_on.go), to prove that what it runs catches the fault.
+const (
+	// mutateSkipHolderWait: Invalidate takes the page exclusively, so it
+	// waits for every access in flight before the frame changes hands.
+	mutateSkipHolderWait = false
+	// mutateAcceptMovedVersion: Settled refuses an optimistic read whose
+	// version moved.
+	mutateAcceptMovedVersion = false
+)

@@ -3,31 +3,46 @@ package mmu
 import (
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 )
 
-// pte is one master page-table entry: the protection the hardware
-// would consult, packed with the hold that stands in for the one thing
-// real hardware gives for free — an access in flight completes before
-// the kernel can take the page away (DESIGN.md §17).
+// pte is one master page-table entry and the frame it maps: the
+// protection the hardware would consult, packed with what stands in for
+// the one thing real hardware gives for free — an access in flight
+// completes before the kernel can take the page away (DESIGN.md §17).
 //
-//	bits 0-1  Prot
-//	bit  2    closed: the segment is releasing or destroyed here; every access faults
-//	bit  3    taken exclusively: by one write access, or by a transition
-//	bit  4    a transition or a write access is waiting for the holders to leave; no new hold
-//	bit  5    windowed: the page's time window Δ is not zero (SetWindow)
-//	bits 6-   number of read accesses holding the page
+//	bits 0-1   Prot
+//	bit  2     closed: the segment is releasing or destroyed here; every access faults
+//	bit  3     taken exclusively: by a write, a read that must not be optimistic, or a transition
+//	bit  4     a transition is waiting for the holder to leave; no new hold
+//	bit  5     windowed: the page's time window Δ is not zero (SetWindow)
+//	bits 32-63 version: one more at the end of every exclusive section
+//	           that may have changed the page (a write's Unhold, a
+//	           transition's unlock)
 //
-// Who may change it: an accessor only ever adds or removes its own
-// hold, or says that it waits for one (Hold, Unhold), on any
-// goroutine; protection, closed and windowed belong to the goroutine
-// that drives the site's engine. A transition that lowers access (Invalidate,
-// Downgrade, Close) first takes the page exclusively, so it returns
-// with every earlier access complete and none under way; one that
-// raises it (Install onto an absent page, Upgrade, Open) just
-// publishes the new word. A page's frame slice is written only with the
-// page taken exclusively and read, off that goroutine, only under a
-// hold.
-type pte struct{ atomic.Uint32 }
+// A read writes nothing. It loads the word, loads the frame and copies
+// the bytes, loads the word again, and keeps the bytes only if the
+// second word still permits the read, shows no exclusive holder and
+// carries the first word's version (Snap, Settled): no section that can
+// change the bytes overlapped the copy. The version cannot wrap inside
+// one read: that would take 2^32 sections during it. A read that fails
+// the check takes the page exclusively, like a write.
+//
+// Who may change it: an accessor only ever takes the page exclusively
+// and gives it back (Hold, Unhold), on any goroutine; protection, closed
+// and windowed belong to the goroutine that drives the site's engine. A
+// transition that lowers access (Invalidate, Downgrade, Close) first
+// takes the page exclusively, so it returns with every earlier holder
+// gone and none under way; one that raises it (Upgrade, Open) just
+// publishes the new word. The frame pointer changes only with the page
+// taken exclusively (Install, Invalidate), and a frame's bytes only
+// under an exclusive hold; an optimistic reader loads the pointer
+// without one, so a frame is never resized, and a frame that leaves the
+// page is never written again by the page's holders.
+type pte struct {
+	word  atomic.Uint64
+	frame atomic.Pointer[byte] // the first byte of a Seg.pageSize frame, or nil
+}
 
 const (
 	protMask  = 3
@@ -35,12 +50,57 @@ const (
 	exclBit   = 1 << 3
 	waitBit   = 1 << 4
 	windowBit = 1 << 5
-	holdOne   = 1 << 6
+	verShift  = 32
+	verOne    = 1 << verShift
 )
+
+// A stepOp names one atomic operation on a page's word or frame
+// pointer, or a waiter's pause, for the step hook (model_off.go).
+type stepOp uint8
+
+const (
+	stepLoad       stepOp = iota // the word, loaded
+	stepCAS                      // the word, compare-and-swapped
+	stepAdd                      // the word, added to
+	stepStore                    // the word, stored
+	stepFrameLoad                // the frame pointer, loaded
+	stepFrameStore               // the frame pointer, stored
+	stepWait                     // a waiter, until the word is not what it saw
+)
+
+func (e *pte) load() uint64 {
+	e.step(stepLoad, 0)
+	return e.word.Load()
+}
+
+func (e *pte) cas(old, new uint64) bool {
+	e.step(stepCAS, 0)
+	return e.word.CompareAndSwap(old, new)
+}
+
+func (e *pte) add(d uint64) uint64 {
+	e.step(stepAdd, 0)
+	return e.word.Add(d)
+}
+
+func (e *pte) store(w uint64) {
+	e.step(stepStore, 0)
+	e.word.Store(w)
+}
+
+func (e *pte) loadFrame() *byte {
+	e.step(stepFrameLoad, 0)
+	return e.frame.Load()
+}
+
+func (e *pte) storeFrame(f *byte) {
+	e.step(stepFrameStore, 0)
+	e.frame.Store(f)
+}
 
 // permits reports whether word w lets an access of the given kind
 // through: the page is open and its protection suffices.
-func permits(w uint32, write bool) bool {
+func permits(w uint64, write bool) bool {
 	if w&closedBit != 0 {
 		return false
 	}
@@ -50,114 +110,149 @@ func permits(w uint32, write bool) bool {
 	return Prot(w&protMask) != Invalid
 }
 
+// readable reports whether word w lets an optimistic read through: the
+// page is open, present, and nobody holds it exclusively.
+func readable(w uint64) bool { return w&(closedBit|exclBit) == 0 && w&protMask != uint64(Invalid) }
+
 // spinsBeforeYield is how often a waiter re-reads a busy word before
 // it starts yielding the processor. Holds last tens of nanoseconds,
 // so the wait is normally over within a few reads; yielding matters
 // when the holder was descheduled, or shares the only processor.
 const spinsBeforeYield = 32
 
-func pause(spins int) {
+// pause follows a look at a busy word, seen.
+func (e *pte) pause(spins int, seen uint64) {
+	e.step(stepWait, seen)
 	if spins >= spinsBeforeYield {
 		runtime.Gosched()
 	}
 }
 
-// Hold is the access check: if page p permits the access it takes the
-// page — shared for a read, exclusively for a write — and returns the
-// frame; the caller moves its bytes and calls Unhold, without blocking
-// in between. ok false is a fault: the caller asks the engine for the
-// page and tries again. Safe on any goroutine.
+// A Snap is the page word an optimistic read began under (Seg.Snap).
+type Snap uint64
+
+// Windowed reports whether the page the snap was taken of is under a
+// time window (SetWindow).
+func (at Snap) Windowed() bool { return at&windowBit != 0 }
+
+// Snap begins an optimistic read of page p: if the word permits a read
+// and nobody holds the page exclusively, it returns the frame and the
+// word. The caller copies its bytes out and keeps them only if
+// Settled(p, at) says the page did not change meanwhile; on ok false or
+// a failed Settled it reads under Hold. Nothing is written, so any
+// number of readers on any goroutines share the page's cache line.
+// Reads that are recorded (Options.Check), and every read of a -race
+// build or of a platform whose loads may pass the validating load, take
+// the page with Hold: Snap refuses them all (optimisticReads).
+func (s *Seg) Snap(p int) (frame []byte, at Snap, ok bool) {
+	e := &s.pages[p].pte
+	w := e.load()
+	f := e.loadFrame() // nil if invalidated since: Settled would refuse
+	if !optimisticReads || !readable(w) || f == nil {
+		return nil, 0, false
+	}
+	return unsafe.Slice(f, s.pageSize), Snap(w), true
+}
+
+// Settled ends an optimistic read of page p begun by Snap: it reports
+// whether the bytes copied since are the page's — the page still
+// permits the read, nobody holds it exclusively, and no exclusive
+// section that can change it ended since the snap.
+func (s *Seg) Settled(p int, at Snap) bool {
+	w := s.pages[p].load()
+	return readable(w) && (w>>verShift == uint64(at)>>verShift || mutateAcceptMovedVersion)
+}
+
+// Hold is the access check for an access that is not an optimistic
+// read: if page p permits the access it takes the page exclusively and
+// returns the frame; the caller moves its bytes and calls Unhold,
+// without blocking in between. ok false is a fault: the caller asks
+// the engine for the page and tries again. Safe on any goroutine.
 //
-// A write that finds readers on the page sets the waiting bit, as a
-// transition does, so that the readers already there are the last it
-// waits for. The bit says that somebody waits, not who: whoever takes
-// the page clears it, and a waiter that lost puts it back. Only one
-// that has set it may take a page that shows it; a write that arrives
-// later queues behind, which keeps a transition from being overtaken
-// for ever.
+// A hold does not take a page that shows the waiting bit: a waiting
+// transition goes before every hold that had not got in when it set
+// the bit, so holds that keep coming cannot keep it out.
 func (s *Seg) Hold(p int, write bool) (frame []byte, ok bool) {
-	e := &s.pages[p]
-	waiting := false // this write has set waitBit
+	e := &s.pages[p].pte
 	for spins := 0; ; spins++ {
-		w := e.Load()
-		if !permits(w, write) {
-			return nil, false
-		}
+		w := e.load()
 		switch {
-		case w&exclBit != 0:
-			// A write access or a transition owns the page, briefly.
-		case !write && w&waitBit == 0:
-			if e.CompareAndSwap(w, w+holdOne) {
-				return e.frame, true
-			}
-			continue // lost a race with another reader; not a wait
-		case !write:
-			// Somebody waits for the readers to leave: not one more.
-		case w >= holdOne && w&waitBit == 0:
-			waiting = e.CompareAndSwap(w, w|waitBit) || waiting
-			continue
-		case w < holdOne && (w&waitBit == 0 || waiting):
-			if e.CompareAndSwap(w, (w|exclBit)&^waitBit) {
-				return e.frame, true
+		case !permits(w, write):
+			return nil, false
+		case w&(exclBit|waitBit) == 0:
+			if e.cas(w, w|exclBit) {
+				return s.frameOf(e.loadFrame()), true
 			}
 			continue
 		}
-		pause(spins)
+		e.pause(spins, w)
 	}
 }
 
-// Unhold ends the access a successful Hold began. It reports whether
-// the page is under a time window (SetWindow), which costs the
-// accessor nothing to learn: the word comes back from the subtraction.
+// Unhold ends the access a successful Hold began; a write's ends with
+// one more version, which fails the optimistic reads it overlapped. It
+// reports whether the page is under a time window (SetWindow), which
+// costs the accessor nothing to learn: the word comes back from the
+// addition.
 func (s *Seg) Unhold(p int, write bool) (windowed bool) {
-	sub := ^uint32(holdOne - 1)
+	d := ^uint64(exclBit - 1) // minus the exclusive bit
 	if write {
-		sub = ^uint32(exclBit - 1)
+		d += verOne
 	}
-	return s.pages[p].Add(sub)&windowBit != 0
+	return s.pages[p].add(d)&windowBit != 0
 }
 
 // lock takes page p exclusively for a transition: it stops new holds,
-// waits for the present ones to end, and returns owning the page.
-func (s *Seg) lock(p int) *page {
-	e := &s.pages[p]
+// waits for the present one to end, and returns owning the page, with
+// the word it left there.
+func (s *Seg) lock(p int) (*page, uint64) {
+	pg := &s.pages[p]
 	for spins := 0; ; spins++ {
-		w := e.Load()
+		w := pg.load()
 		switch {
-		case w&exclBit == 0 && w < holdOne:
-			if e.CompareAndSwap(w, (w|exclBit)&^waitBit) {
-				return e
+		case w&exclBit == 0:
+			if taken := (w | exclBit) &^ waitBit; pg.cas(w, taken) {
+				return pg, taken
 			}
 			continue
 		case w&waitBit == 0:
-			e.CompareAndSwap(w, w|waitBit)
+			pg.cas(w, w|waitBit)
 			continue
 		}
-		pause(spins)
+		pg.pause(spins, w)
 	}
 }
 
-// change replaces the bits of clear with those of set. The engine's
-// goroutine calls it on a page it owns or one only it can change.
-func (e *pte) change(clear, set uint32) {
+// unlock ends a transition's exclusive section, which lock began
+// leaving word w: it replaces the bits of clear with those of set,
+// gives the page up and moves the version. Nobody else writes the word
+// of a page a transition holds — a hold waits, and transitions and
+// change run on one goroutine — so the word is still w.
+func (e *pte) unlock(w, clear, set uint64) {
+	e.store((w&^(clear|exclBit) | set) + verOne)
+}
+
+// change replaces the bits of clear with those of set, leaving the
+// version: a change that takes no access away. The engine's goroutine
+// calls it on a page only it can change.
+func (e *pte) change(clear, set uint64) {
 	for {
-		w := e.Load()
-		if e.CompareAndSwap(w, w&^clear|set) {
+		w := e.load()
+		if e.cas(w, w&^clear|set) {
 			return
 		}
 	}
 }
 
-// unlock publishes the page's new protection and gives the page up.
-func (e *pte) unlock(prot Prot) { e.change(protMask|exclBit, uint32(prot)) }
-
 // Close makes every access to the segment fault, whatever the pages'
 // protection, until Open: the state of a segment between its last
 // local detach and the library's confirmation, and of a destroyed one.
-// On return no access is under way, so the caller may read any frame.
+// On return no access is under way and no read begun before will be
+// kept, so the caller may read any frame.
 func (s *Seg) Close() {
 	for p := range s.pages {
-		s.lock(p).change(exclBit, closedBit)
+		pg, w := s.lock(p)
+		pg.unlock(w, 0, closedBit)
 	}
 }
 
@@ -170,13 +265,11 @@ func (s *Seg) Open() {
 
 // Closed reports whether the segment is closed. Close and Open change
 // every page on the one goroutine that may ask, so any page answers.
-func (s *Seg) Closed() bool { return s.pages[0].Load()&closedBit != 0 }
+func (s *Seg) Closed() bool { return s.pages[0].word.Load()&closedBit != 0 }
 
 // Idle reports whether page p's word shows no access and no transition:
-// no reader, not taken exclusively, nobody waiting. Every page is idle
-// whenever no access or transition is under way; one that is not is a
-// hold that was never given back, and the next transition of the page
-// will wait for it for ever.
-func (s *Seg) Idle(p int) bool {
-	return s.pages[p].Load()&^(protMask|closedBit|windowBit) == 0
-}
+// not taken exclusively, nobody waiting. Every page is idle whenever no
+// access or transition is under way; one that is not is a hold that was
+// never given back, and the next transition of the page will wait for
+// it for ever.
+func (s *Seg) Idle(p int) bool { return s.pages[p].word.Load()&(exclBit|waitBit) == 0 }

@@ -139,11 +139,11 @@ func (s *liveSlowPath) Turn(w mem.Waiter) mem.Waiter {
 	return wk
 }
 
-// Fault is entered when the check refused: fault and retry until the
-// page is held. With metrics on, the whole of it — retries included, as
-// the simulator measures it — is one fault_latency_ns sample; a resident
-// access never comes here and never reads the clock.
-func (s *liveSlowPath) Fault(page int, write bool, w mem.Waiter) ([]byte, mem.Waiter, error) {
+// Fault is entered when the check refused: fault until the page
+// permits the access. With metrics on, the whole of it — rounds
+// included, as the simulator measures it — is one fault_latency_ns
+// sample; a resident access never comes here and never reads the clock.
+func (s *liveSlowPath) Fault(page int, write bool, w mem.Waiter) (mem.Waiter, error) {
 	wk := takeWaker(w)
 	var began time.Time
 	if s.faultLat != nil {
@@ -151,13 +151,13 @@ func (s *liveSlowPath) Fault(page int, write bool, w mem.Waiter) ([]byte, mem.Wa
 	}
 	for {
 		if err := s.fault(int32(page), write, wk); err != nil {
-			return nil, wk, err
+			return wk, err
 		}
-		if frame, ok := s.pages.Seg().Hold(page, write); ok {
+		if s.pages.Seg().Check(page, write) == mmu.NoFault {
 			if s.faultLat != nil {
 				s.faultLat.Observe(int64(time.Since(began)))
 			}
-			return frame, wk, nil
+			return wk, nil
 		}
 	}
 }
