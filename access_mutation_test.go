@@ -10,7 +10,7 @@ import (
 
 // TestMutationHoldOvertakenCaught proves the access stress has teeth.
 // Under the build tag mirage_mutation it turns on mmu's
-// mutateSkipHolderWait, so an invalidation marks the page invalid and
+// MutateSkipHolderWait, so an invalidation marks the page invalid and
 // hands its frame on while accesses still hold it. The stress must notice: an op record lands in
 // the trace after its site gave the page up (valid-copy), a read sees a
 // frame that is no longer the page (read-latest-write, a torn slot), or
@@ -18,8 +18,8 @@ import (
 //
 //	go test -tags mirage_mutation . -run 'TestMutation(HoldOvertaken|MovedVersion)Caught'
 func TestMutationHoldOvertakenCaught(t *testing.T) {
-	mmu.SetMutations(true, false)
-	defer mmu.SetMutations(false, false)
+	mmu.MutateSkipHolderWait = true
+	defer func() { mmu.MutateSkipHolderWait = false }()
 	for attempt := 1; attempt <= 5; attempt++ {
 		c, _, out := runAccessStress(t, Options{}, stressRounds)
 		c.Close()
@@ -40,12 +40,12 @@ func TestMutationHoldOvertakenCaught(t *testing.T) {
 }
 
 // TestMutationMovedVersionCaughtByStress proves the optimistic read's
-// stress has teeth: with mmu's mutateAcceptMovedVersion on, a read is
+// stress has teeth: with mmu's MutateAcceptMovedVersion on, a read is
 // kept although a write ended during it, and the readers beside the
 // writer at its own site must see a torn record.
 func TestMutationMovedVersionCaughtByStress(t *testing.T) {
-	mmu.SetMutations(false, true)
-	defer mmu.SetMutations(false, false)
+	mmu.MutateAcceptMovedVersion = true
+	defer func() { mmu.MutateAcceptMovedVersion = false }()
 	for attempt := 1; attempt <= 5; attempt++ {
 		if out := runReadStress(t, 50000); len(out.faults) > 0 {
 			t.Logf("caught on attempt %d after %d read rounds: %v", attempt, out.reads.Load(), out.faults[0])

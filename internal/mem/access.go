@@ -98,41 +98,29 @@ func (a *Accessor) check(off, n int, write bool) error {
 // page and sleep, then try again. A read that is not recorded first
 // tries optimistically (peek): it copies the bytes and keeps them if
 // the page's word did not move, writing nothing. Every other access,
-// and a read that fails the optimistic check, holds the page (hold):
-// it takes it exclusively, moves the bytes, and gives it back
-// (release). Nothing between hold and release may block or panic (the
-// simulator would stop).
+// and a read that fails the optimistic check peekTries times, holds the
+// page (mmu.Seg.Hold): it takes it exclusively, moves the bytes, and
+// gives it back (release). Nothing between hold and release may block
+// or panic (the simulator would stop).
+
+// peekTries is how often a read tries optimistically before it holds
+// the page. A try fails while a hold is under way, which lasts tens of
+// nanoseconds; holding at once would make the reads beside it fail in
+// turn, one exclusive reader after another.
+const peekTries = 4
 
 // peek is an optimistic read of page (mmu.Seg.Snap, Settled): it copies
-// the page's bytes from fo into b and reports how many, 0 when they
-// cannot be kept. A kept read counts towards the windowed turn.
+// the page's bytes from fo into b and reports how many, 0 when it kept
+// none. A kept read counts towards the windowed turn.
 func (a *Accessor) peek(b []byte, page, fo int, w Waiter) (int, Waiter) {
-	if a.record {
-		return 0, w
-	}
-	frame, at, ok := a.pages.Snap(page)
-	if !ok {
-		return 0, w
-	}
-	k := copy(b, frame[fo:])
-	if !a.pages.Settled(page, at) {
-		return 0, w
-	}
-	return k, a.turn(at.Windowed(), w)
-}
-
-// hold takes page for an access of the given kind (mmu.Seg.Hold),
-// faulting while the check refuses, and returns its frame.
-func (a *Accessor) hold(page int, write bool, w Waiter) ([]byte, Waiter, error) {
-	for {
-		if frame, ok := a.pages.Hold(page, write); ok {
-			return frame, w, nil
-		}
-		var err error
-		if w, err = a.slow.Fault(page, write, w); err != nil {
-			return nil, w, err
+	for try := 0; try < peekTries && !a.record; try++ {
+		if frame, at, ok := a.pages.Snap(page); ok {
+			if k := copy(b, frame[fo:]); a.pages.Settled(page, at) {
+				return k, a.turn(at.Windowed(), w)
+			}
 		}
 	}
+	return 0, w
 }
 
 // release ends a hold: it records b, at fo of page, unholds, and counts
@@ -147,14 +135,7 @@ func (a *Accessor) release(page, fo int, write bool, b []byte, w Waiter) Waiter 
 // turn takes the loop's turn after every TurnEvery-th access the attach
 // makes to windowed pages.
 func (a *Accessor) turn(windowed bool, w Waiter) Waiter {
-	if windowed {
-		return a.windowedTurn(w)
-	}
-	return w
-}
-
-func (a *Accessor) windowedTurn(w Waiter) Waiter {
-	if a.windowed.Add(1)%TurnEvery == 0 {
+	if windowed && a.windowed.Add(1)%TurnEvery == 0 {
 		w = a.slow.Turn(w)
 	}
 	return w
@@ -167,28 +148,54 @@ func done(w Waiter) {
 	}
 }
 
-// copyAt copies b into the segment at off if write is set, else the
-// segment into b: the loop once a page, one Waiter for them all.
-func (a *Accessor) copyAt(b []byte, off int, write bool) error {
+// An accessOp is what an access does to the bytes of the page: copy
+// them out, copy them in, or one of the two read-modify-writes, which
+// take the page as a write does.
+type accessOp uint8
+
+const (
+	opLoad       accessOp = iota // ReadAt, Uint32
+	opStore                      // WriteAt, SetUint32, Clear
+	opAdd                        // AddUint32: b is the 4-byte addend, and then the sum
+	opTestAndSet                 // TestAndSet: b is one byte, and then the old value
+)
+
+// access runs op on the segment's bytes at off and b: the loop once a
+// page, one Waiter for them all. A word across two pages is two
+// accesses, not one; a read-modify-write refuses it once it passed the
+// checks.
+func (a *Accessor) access(b []byte, off int, op accessOp) error {
+	write := op != opLoad
 	err := a.check(off, len(b), write)
+	if err == nil && op >= opAdd && off%a.pageSize+len(b) > a.pageSize {
+		panic("mem: AddUint32 across a page boundary")
+	}
 	var w Waiter
 	for err == nil && len(b) > 0 {
 		page, fo := off/a.pageSize, off%a.pageSize
-		var k int
+		k := 0
 		if !write {
 			k, w = a.peek(b, page, fo, w)
 		}
 		if k == 0 {
-			var frame []byte
-			if frame, w, err = a.hold(page, write, w); err != nil {
-				break
+			frame, ok := a.pages.Hold(page, write)
+			if !ok {
+				w, err = a.slow.Fault(page, write, w)
+				continue
 			}
-			dst, src := b, frame[fo:]
-			if write {
-				dst, src = src, dst
+			h := frame[fo:]
+			switch op {
+			case opLoad:
+				k = copy(b, h)
+			case opStore:
+				k = copy(h, b)
+			case opAdd:
+				binary.LittleEndian.PutUint32(b, binary.LittleEndian.Uint32(b)+binary.LittleEndian.Uint32(h))
+				k = copy(h, b)
+			case opTestAndSet:
+				b[0], h[0], k = h[0], 1, 1
 			}
-			k = copy(dst, src)
-			w = a.release(page, fo, write, frame[fo:fo+k], w)
+			w = a.release(page, fo, write, h[:k], w)
 		}
 		b, off = b[k:], off+k
 	}
@@ -199,81 +206,34 @@ func (a *Accessor) copyAt(b []byte, off int, write bool) error {
 // ReadAt copies len(b) bytes from the segment at off into b,
 // coherently: the bytes reflect the latest completed writes anywhere
 // in the cluster.
-func (a *Accessor) ReadAt(b []byte, off int) error { return a.copyAt(b, off, false) }
+func (a *Accessor) ReadAt(b []byte, off int) error { return a.access(b, off, opLoad) }
 
 // WriteAt copies b into the segment at off.
-func (a *Accessor) WriteAt(b []byte, off int) error { return a.copyAt(b, off, true) }
+func (a *Accessor) WriteAt(b []byte, off int) error { return a.access(b, off, opStore) }
 
-// A wordOp is what a word accessor does to its bytes, the page held.
-type wordOp uint8
-
-const (
-	opLoad       wordOp = iota // Uint32
-	opStore                    // SetUint32
-	opAdd                      // AddUint32
-	opTestAndSet               // TestAndSet, one byte
-	opClear                    // Clear, one byte
-)
-
-// word is the access of the n-byte word at off: an optimistic load, or
-// one hold, op, one release. A word across two pages is two accesses,
-// not one: Uint32 and SetUint32 take it through copyAt, which checks
-// it, and AddUint32 refuses it once it passed the checks.
-func (a *Accessor) word(off, n int, op wordOp, v uint32) (uint32, error) {
-	write := op != opLoad
-	page, fo := off/a.pageSize, off%a.pageSize
-	if fo+n > a.pageSize && op != opAdd {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		err := a.copyAt(b[:], off, write)
-		return binary.LittleEndian.Uint32(b[:]), err
-	}
-	err := a.check(off, n, write)
-	if err != nil {
-		return 0, err
-	}
-	if fo+n > a.pageSize {
-		panic("mem: AddUint32 across a page boundary")
-	}
-	if op == opLoad && !a.record {
+// Uint32 reads a 32-bit little-endian word (the VAX byte order). The
+// first optimistic try is written out here, on the word itself: it is
+// the resident read, and the general loop costs it half again.
+func (a *Accessor) Uint32(off int) (uint32, error) {
+	if page, fo := off/a.pageSize, off%a.pageSize; fo+4 <= a.pageSize && !a.record && a.check(off, 4, false) == nil {
 		if frame, at, ok := a.pages.Snap(page); ok {
-			v = binary.LittleEndian.Uint32(frame[fo : fo+4])
+			v := binary.LittleEndian.Uint32(frame[fo:])
 			if a.pages.Settled(page, at) {
 				done(a.turn(at.Windowed(), nil))
 				return v, nil
 			}
 		}
 	}
-	frame, w, err := a.hold(page, write, nil)
-	if err != nil {
-		done(w)
-		return 0, err
-	}
-	b := frame[fo : fo+n]
-	switch op {
-	case opLoad:
-		v = binary.LittleEndian.Uint32(b)
-	case opStore:
-		binary.LittleEndian.PutUint32(b, v)
-	case opAdd:
-		v += binary.LittleEndian.Uint32(b)
-		binary.LittleEndian.PutUint32(b, v)
-	case opTestAndSet:
-		v, b[0] = uint32(b[0]), 1
-	case opClear:
-		b[0] = 0
-	}
-	done(a.release(page, fo, write, b, w))
-	return v, nil
+	var b [4]byte
+	err := a.access(b[:], off, opLoad)
+	return binary.LittleEndian.Uint32(b[:]), err
 }
-
-// Uint32 reads a 32-bit little-endian word (the VAX byte order).
-func (a *Accessor) Uint32(off int) (uint32, error) { return a.word(off, 4, opLoad, 0) }
 
 // SetUint32 writes a 32-bit little-endian word.
 func (a *Accessor) SetUint32(off int, v uint32) error {
-	_, err := a.word(off, 4, opStore, v)
-	return err
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	return a.access(b[:], off, opStore)
 }
 
 // AddUint32 atomically (with respect to the page's single-writer
@@ -281,19 +241,20 @@ func (a *Accessor) SetUint32(off int, v uint32) error {
 // value — a read-modify-write like the VAX decrement instruction, whose
 // faulting access is a write fault. The word must not span pages.
 func (a *Accessor) AddUint32(off int, delta uint32) (uint32, error) {
-	return a.word(off, 4, opAdd, delta)
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], delta)
+	err := a.access(b[:], off, opAdd)
+	return binary.LittleEndian.Uint32(b[:]), err
 }
 
 // TestAndSet sets the byte at off to 1 under write access and returns
 // its previous value: the VAX interlocked instruction §7.2 studies (and
 // recommends against for cross-site spinlocks).
 func (a *Accessor) TestAndSet(off int) (byte, error) {
-	v, err := a.word(off, 1, opTestAndSet, 0)
-	return byte(v), err
+	var b [1]byte
+	err := a.access(b[:], off, opTestAndSet)
+	return b[0], err
 }
 
 // Clear zeroes the byte at off under write access (spinlock release).
-func (a *Accessor) Clear(off int) error {
-	_, err := a.word(off, 1, opClear, 0)
-	return err
-}
+func (a *Accessor) Clear(off int) error { return a.access([]byte{0}, off, opStore) }

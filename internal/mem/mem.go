@@ -75,16 +75,14 @@ func (s *Segment) Removed() bool { return s.removed.Load() }
 // CanAccess reports whether uid may access the segment; write asks for
 // write permission.
 func (s *Segment) CanAccess(uid int, write bool) bool {
-	if uid == s.Owner {
-		if write {
-			return s.Mode&OwnerWrite != 0
-		}
-		return s.Mode&OwnerRead != 0
-	}
+	bit := OtherRead
 	if write {
-		return s.Mode&OtherWrite != 0
+		bit = OtherWrite
 	}
-	return s.Mode&OtherRead != 0
+	if uid == s.Owner {
+		bit <<= 6 // the owner's bits, two octal digits up
+	}
+	return s.Mode&bit != 0
 }
 
 // Registry is the cluster-wide segment name space.

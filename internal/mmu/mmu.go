@@ -136,13 +136,13 @@ func (s *Seg) Aux(p int) *AuxPTE { return &s.pages[p].aux }
 // and says in the page's word whether there is one, for Unhold to
 // report.
 func (s *Seg) SetWindow(p int, d time.Duration) {
-	pg := &s.pages[p]
-	pg.aux.Window = d
 	var bit uint64
 	if d > 0 {
 		bit = windowBit
 	}
-	pg.change(windowBit, bit)
+	pg, w := s.lock(p)
+	pg.aux.Window = d
+	pg.unlock(w, windowBit, bit)
 }
 
 // Check classifies an access against the master page table without
@@ -189,7 +189,7 @@ func (s *Seg) Install(p int, data []byte, prot Prot, now time.Duration) {
 	f := make([]byte, s.pageSize)
 	copy(f, data)
 	pg, w := s.lock(p)
-	pg.storeFrame(&f[0])
+	pg.frame.Store(&f[0])
 	pg.aux.InstallTime = now
 	pg.unlock(w, protMask, uint64(prot))
 }
@@ -199,18 +199,19 @@ func (s *Seg) Install(p int, data []byte, prot Prot, now time.Duration) {
 // its data to the new writer) can use them without an extra copy: it
 // returns only once no holder is left, and none can follow.
 func (s *Seg) Invalidate(p int) []byte {
-	if mutateSkipHolderWait {
+	if MutateSkipHolderWait {
 		// Overtake the holders. They are left a frame of zeroes rather
-		// than none, so that the checker fails them, not a nil index.
+		// than none, so that the checker fails them, not a nil index;
+		// the addition takes the protection away and leaves their bits.
 		pg := &s.pages[p]
 		f := s.frameOf(pg.frame.Load())
-		pg.storeFrame(&make([]byte, s.pageSize)[0])
-		pg.change(protMask, uint64(Invalid))
+		pg.frame.Store(&make([]byte, s.pageSize)[0])
+		pg.word.Add(-uint64(s.Prot(p)))
 		return f
 	}
 	pg, w := s.lock(p)
-	f := s.frameOf(pg.loadFrame())
-	pg.storeFrame(nil)
+	f := s.frameOf(pg.frame.Load())
+	pg.frame.Store(nil)
 	pg.unlock(w, protMask, uint64(Invalid))
 	return f
 }
@@ -218,24 +219,22 @@ func (s *Seg) Invalidate(p int) []byte {
 // Downgrade reduces a read-write page to read-only, retaining the
 // frame (optimization 2, §6.1). Downgrading a non-writable page is a
 // protocol bug and panics. On return no write holder is left.
-func (s *Seg) Downgrade(p int, now time.Duration) {
-	if s.Prot(p) != ReadWrite {
-		panic(fmt.Sprintf("mmu: downgrade of %v page %d", s.Prot(p), p))
-	}
-	pg, w := s.lock(p)
-	pg.aux.InstallTime = now
-	pg.unlock(w, protMask, uint64(ReadOnly))
-}
+func (s *Seg) Downgrade(p int, now time.Duration) { s.reprotect(p, ReadWrite, ReadOnly, now) }
 
 // Upgrade raises a read-only page to read-write in place (optimization
 // 1: a reader becoming writer receives no page copy). Upgrading a page
 // that is not read-only panics.
-func (s *Seg) Upgrade(p int, now time.Duration) {
-	if s.Prot(p) != ReadOnly {
-		panic(fmt.Sprintf("mmu: upgrade of %v page %d", s.Prot(p), p))
+func (s *Seg) Upgrade(p int, now time.Duration) { s.reprotect(p, ReadOnly, ReadWrite, now) }
+
+// reprotect changes page p's protection from from to to in one
+// transition, recording now as its install time.
+func (s *Seg) reprotect(p int, from, to Prot, now time.Duration) {
+	pg, w := s.lock(p)
+	if Prot(w&protMask) != from {
+		panic(fmt.Sprintf("mmu: %v page %d made %v", Prot(w&protMask), p, to))
 	}
-	s.pages[p].aux.InstallTime = now
-	s.pages[p].change(protMask, uint64(ReadWrite))
+	pg.aux.InstallTime = now
+	pg.unlock(w, protMask, uint64(to))
 }
 
 // Present reports whether page p has a frame at this site.

@@ -9,8 +9,8 @@ import "testing"
 //
 //	go test -tags 'mirage_model mirage_mutation' ./internal/mmu -run TestMutation
 func TestMutationMovedVersionCaughtByModel(t *testing.T) {
-	SetMutations(false, true)
-	defer SetMutations(false, false)
+	MutateAcceptMovedVersion = true
+	defer func() { MutateAcceptMovedVersion = false }()
 	bad := checkAllScenarios(t)
 	if bad == "" {
 		t.Fatal("a read kept across a write went uncaught")
@@ -19,8 +19,8 @@ func TestMutationMovedVersionCaughtByModel(t *testing.T) {
 }
 
 func TestMutationSkipHolderWaitCaughtByModel(t *testing.T) {
-	SetMutations(true, false)
-	defer SetMutations(false, false)
+	MutateSkipHolderWait = true
+	defer func() { MutateSkipHolderWait = false }()
 	bad := checkAllScenarios(t)
 	if bad == "" {
 		t.Fatal("an invalidation that overtakes a holder went uncaught")

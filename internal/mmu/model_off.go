@@ -2,8 +2,16 @@
 
 package mmu
 
-// step is called before each atomic operation on a page's word or
-// frame pointer, and by a waiter before it looks again (pause). It is
-// nothing here; under -tags mirage_model it hands the goroutine to the
-// word model's scheduler (model_on.go, model_test.go).
-func (e *pte) step(op stepOp, seen uint64) {}
+import "sync/atomic"
+
+// The types of a page's word and frame pointer are sync/atomic's, and a
+// waiter's pause before it looks at a busy word again (take) is
+// nothing. Under -tags mirage_model the word model (model_test.go)
+// supplies all three, handing the goroutine to its scheduler before
+// each operation; that file is a test file, so the tag builds the
+// package only under go test.
+type atomicWord = atomic.Uint64
+
+type atomicFrame = atomic.Pointer[byte]
+
+func (e *pte) waiting(seen uint64) {}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -14,7 +15,7 @@ import (
 // on one page — optimistic reads, reads and writes under a hold, and
 // one transition — through every interleaving of their steps, up to
 // the order of independent steps: the atomic operations on the page's
-// word and frame pointer (the step hook, model_on.go) and the accesses'
+// word and frame pointer (the model's own atomic types, below) and the accesses'
 // byte loads and stores. Two steps are independent when they touch
 // different objects or both only read; dynamic partial-order reduction
 // (Flanagan and Godefroid, POPL 2005) runs one interleaving of each
@@ -34,6 +35,65 @@ import (
 //     when it set the waiting bit (overtakeBound).
 //
 //	go test -tags mirage_model ./internal/mmu -run WordModel
+
+// A stepOp names one operation a model goroutine stops at before it
+// runs it: an atomic operation on the page's word or frame pointer, a
+// waiter's pause, or one of an access's byte loads and stores.
+type stepOp uint8
+
+const (
+	stepLoad       stepOp = iota // the word, loaded
+	stepWrite                    // the word, compare-and-swapped or added to
+	stepFrameLoad                // the frame pointer, loaded
+	stepFrameStore               // the frame pointer, stored
+	stepWait                     // a waiter, until the word is not what it saw
+)
+
+// modelStep, when set, is called before each operation on a page's word
+// or frame pointer, and by a waiter with the word it saw busy; the
+// scheduler sets it and blocks the calling goroutine there until it
+// picks it to run the operation.
+var modelStep func(op stepOp, seen uint64)
+
+func step(op stepOp, seen uint64) {
+	if modelStep != nil {
+		modelStep(op, seen)
+	}
+}
+
+// The model's word and frame pointer, in place of sync/atomic's
+// (model_off.go): each operation is a step. raw is the value itself,
+// for the scheduler's own looks.
+type atomicWord struct{ raw atomic.Uint64 }
+
+func (a *atomicWord) Load() uint64 {
+	step(stepLoad, 0)
+	return a.raw.Load()
+}
+
+func (a *atomicWord) CompareAndSwap(old, new uint64) bool {
+	step(stepWrite, 0)
+	return a.raw.CompareAndSwap(old, new)
+}
+
+func (a *atomicWord) Add(d uint64) uint64 {
+	step(stepWrite, 0)
+	return a.raw.Add(d)
+}
+
+type atomicFrame struct{ raw atomic.Pointer[byte] }
+
+func (a *atomicFrame) Load() *byte {
+	step(stepFrameLoad, 0)
+	return a.raw.Load()
+}
+
+func (a *atomicFrame) Store(f *byte) {
+	step(stepFrameStore, 0)
+	a.raw.Store(f)
+}
+
+func (e *pte) waiting(seen uint64) { step(stepWait, seen) }
 
 // overtakeBound is how many holds may get in while a transition waits
 // with the waiting bit set: none.
@@ -86,7 +146,7 @@ func moveOf(op stepOp, seen uint64) move {
 	switch op {
 	case stepLoad, stepWait:
 		return move{op: op, obj: objWord, seen: seen}
-	case stepCAS, stepAdd, stepStore:
+	case stepWrite:
 		return move{op: op, obj: objWord, write: true}
 	case stepFrameLoad:
 		return move{op: op, obj: objFrame}
@@ -168,10 +228,10 @@ func newModel(full bool, scripts ...script) *model {
 // value is the page as a reader would find it now.
 func (m *model) value() string {
 	e := &m.s.pages[0]
-	if !permits(e.word.Load(), false) {
+	if !permits(e.word.raw.Load(), false) {
 		return "-"
 	}
-	f := e.frame.Load()
+	f := e.frame.raw.Load()
 	if f == nil {
 		return "-"
 	}
@@ -198,7 +258,7 @@ func (m *model) at(op stepOp, seen uint64) {
 }
 
 func (m *model) enabled(p *proc) bool {
-	return !p.done && (p.next.op != stepWait || m.s.pages[0].word.Load() != p.next.seen)
+	return !p.done && (p.next.op != stepWait || m.s.pages[0].word.raw.Load() != p.next.seen)
 }
 
 // take runs p's next step to p's arrival at the step after it, and
@@ -223,11 +283,11 @@ func (m *model) take(p *proc) {
 	if p.next.op == stepFrameStore && m.holders > 0 {
 		m.fail("%v changed the frame under %d holder(s)", p.sc, m.holders)
 	}
-	w0, f0 := e.word.Load(), e.frame.Load()
+	w0, f0 := e.word.raw.Load(), e.frame.raw.Load()
 	m.cur = p
 	p.run <- struct{}{}
 	<-m.arrive
-	w1, f1 := e.word.Load(), e.frame.Load()
+	w1, f1 := e.word.raw.Load(), e.frame.raw.Load()
 	if f1 != f0 && f0 != nil {
 		m.retired[f0] = true
 	}
@@ -369,7 +429,7 @@ func (m *model) runOnce() string {
 	m.arrive = make(chan struct{})
 	m.abort, m.trace, m.vals, m.holders, m.tIn, m.tWait, m.retired = false, nil, nil, 0, false, false, map[*byte]bool{}
 	m.procs = nil
-	modelStep = func(e *pte, op stepOp, seen uint64) { m.at(op, seen) }
+	modelStep = m.at
 	defer func() { modelStep = nil }()
 	for i, sc := range m.scripts {
 		p := &proc{id: i, sc: sc, run: make(chan struct{}), clock: make([]int, len(m.scripts))}
@@ -437,7 +497,7 @@ func (m *model) runOnce() string {
 			<-m.arrive
 		}
 	}
-	out := []string{m.value(), fmt.Sprintf("%#x", m.s.pages[0].word.Load()&^(verOne-1))}
+	out := []string{m.value(), fmt.Sprintf("%#x", m.s.pages[0].word.raw.Load()&^(verOne-1))}
 	for _, p := range m.procs {
 		out = append(out, p.result)
 	}

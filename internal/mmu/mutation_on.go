@@ -3,21 +3,14 @@
 package mmu
 
 // MUTATION BUILD: the word's mutation switches, off until a test turns
-// them on (SetMutations).
-var (
-	// mutateSkipHolderWait: Invalidate flips the page to invalid and
-	// hands the frame on without waiting for the accesses that hold it —
-	// the revocation the hold exists to prevent: a write in flight lands
-	// in a frame that is already on its way to another site.
-	mutateSkipHolderWait bool
-	// mutateAcceptMovedVersion: Settled keeps an optimistic read whose
-	// version moved, so a read that a write overlapped returns bytes of
-	// both.
-	mutateAcceptMovedVersion bool
-)
-
-// SetMutations sets the word's mutation switches, for the mutation
-// tests of this package and of the packages that drive it live.
-func SetMutations(skipHolderWait, acceptMovedVersion bool) {
-	mutateSkipHolderWait, mutateAcceptMovedVersion = skipHolderWait, acceptMovedVersion
-}
+// one on.
+//
+// MutateSkipHolderWait: Invalidate flips the page to invalid and hands
+// the frame on without waiting for the accesses that hold it — the
+// revocation the hold exists to prevent: a write in flight lands in a
+// frame that is already on its way to another site.
+//
+// MutateAcceptMovedVersion: Settled keeps an optimistic read whose
+// version moved, so a read that a write overlapped returns bytes of
+// both.
+var MutateSkipHolderWait, MutateAcceptMovedVersion bool

@@ -2,7 +2,6 @@ package mmu
 
 import (
 	"runtime"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -13,7 +12,7 @@ import (
 //
 //	bits 0-1   Prot
 //	bit  2     closed: the segment is releasing or destroyed here; every access faults
-//	bit  3     taken exclusively: by a write, a read that must not be optimistic, or a transition
+//	bit  3     taken exclusively: by a write, a read that is not optimistic, or a transition
 //	bit  4     a transition is waiting for the holder to leave; no new hold
 //	bit  5     windowed: the page's time window Δ is not zero (SetWindow)
 //	bits 32-63 version: one more at the end of every exclusive section
@@ -21,27 +20,29 @@ import (
 //	           transition's unlock)
 //
 // A read writes nothing. It loads the word, loads the frame and copies
-// the bytes, loads the word again, and keeps the bytes only if the
-// second word still permits the read, shows no exclusive holder and
-// carries the first word's version (Snap, Settled): no section that can
-// change the bytes overlapped the copy. The version cannot wrap inside
-// one read: that would take 2^32 sections during it. A read that fails
-// the check takes the page exclusively, like a write.
+// the bytes, loads the word again, and keeps the bytes only if the word
+// is what it was and showed no exclusive holder (Snap, Settled): no
+// section that can change the bytes overlapped the copy. The word
+// cannot come back to what it was inside one read: that would take 2^32
+// versions during it. A read that fails the check takes the page
+// exclusively, like a write.
 //
 // Who may change it: an accessor only ever takes the page exclusively
-// and gives it back (Hold, Unhold), on any goroutine; protection, closed
-// and windowed belong to the goroutine that drives the site's engine. A
-// transition that lowers access (Invalidate, Downgrade, Close) first
-// takes the page exclusively, so it returns with every earlier holder
-// gone and none under way; one that raises it (Upgrade, Open) just
-// publishes the new word. The frame pointer changes only with the page
-// taken exclusively (Install, Invalidate), and a frame's bytes only
-// under an exclusive hold; an optimistic reader loads the pointer
-// without one, so a frame is never resized, and a frame that leaves the
-// page is never written again by the page's holders.
+// and gives it back (Hold, Unhold), on any goroutine; everything else
+// belongs to the goroutine that drives the site's engine, and every
+// change it makes is a transition: it takes the page exclusively (lock),
+// so it begins with every earlier holder gone and none under way, and
+// gives it back with one more version (unlock). The frame pointer
+// changes only in a transition, and a frame's bytes only under an
+// exclusive hold; an optimistic reader loads the pointer without one,
+// so a frame is never resized, and a frame that leaves the page is
+// never written again by the page's holders.
+//
+// The word and the frame pointer are sync/atomic's types (model_off.go);
+// the word model puts in its own, which schedule each operation.
 type pte struct {
-	word  atomic.Uint64
-	frame atomic.Pointer[byte] // the first byte of a Seg.pageSize frame, or nil
+	word  atomicWord
+	frame atomicFrame // the first byte of a Seg.pageSize frame, or nil
 }
 
 const (
@@ -50,83 +51,23 @@ const (
 	exclBit   = 1 << 3
 	waitBit   = 1 << 4
 	windowBit = 1 << 5
-	verShift  = 32
-	verOne    = 1 << verShift
+	verOne    = 1 << 32
 )
-
-// A stepOp names one atomic operation on a page's word or frame
-// pointer, or a waiter's pause, for the step hook (model_off.go).
-type stepOp uint8
-
-const (
-	stepLoad       stepOp = iota // the word, loaded
-	stepCAS                      // the word, compare-and-swapped
-	stepAdd                      // the word, added to
-	stepStore                    // the word, stored
-	stepFrameLoad                // the frame pointer, loaded
-	stepFrameStore               // the frame pointer, stored
-	stepWait                     // a waiter, until the word is not what it saw
-)
-
-func (e *pte) load() uint64 {
-	e.step(stepLoad, 0)
-	return e.word.Load()
-}
-
-func (e *pte) cas(old, new uint64) bool {
-	e.step(stepCAS, 0)
-	return e.word.CompareAndSwap(old, new)
-}
-
-func (e *pte) add(d uint64) uint64 {
-	e.step(stepAdd, 0)
-	return e.word.Add(d)
-}
-
-func (e *pte) store(w uint64) {
-	e.step(stepStore, 0)
-	e.word.Store(w)
-}
-
-func (e *pte) loadFrame() *byte {
-	e.step(stepFrameLoad, 0)
-	return e.frame.Load()
-}
-
-func (e *pte) storeFrame(f *byte) {
-	e.step(stepFrameStore, 0)
-	e.frame.Store(f)
-}
 
 // permits reports whether word w lets an access of the given kind
 // through: the page is open and its protection suffices.
 func permits(w uint64, write bool) bool {
-	if w&closedBit != 0 {
-		return false
-	}
 	if write {
-		return Prot(w&protMask) == ReadWrite
+		return w&(closedBit|protMask) == uint64(ReadWrite)
 	}
-	return Prot(w&protMask) != Invalid
+	return w&closedBit == 0 && w&protMask != uint64(Invalid)
 }
-
-// readable reports whether word w lets an optimistic read through: the
-// page is open, present, and nobody holds it exclusively.
-func readable(w uint64) bool { return w&(closedBit|exclBit) == 0 && w&protMask != uint64(Invalid) }
 
 // spinsBeforeYield is how often a waiter re-reads a busy word before
 // it starts yielding the processor. Holds last tens of nanoseconds,
 // so the wait is normally over within a few reads; yielding matters
 // when the holder was descheduled, or shares the only processor.
 const spinsBeforeYield = 32
-
-// pause follows a look at a busy word, seen.
-func (e *pte) pause(spins int, seen uint64) {
-	e.step(stepWait, seen)
-	if spins >= spinsBeforeYield {
-		runtime.Gosched()
-	}
-}
 
 // A Snap is the page word an optimistic read began under (Seg.Snap).
 type Snap uint64
@@ -146,21 +87,20 @@ func (at Snap) Windowed() bool { return at&windowBit != 0 }
 // the page with Hold: Snap refuses them all (optimisticReads).
 func (s *Seg) Snap(p int) (frame []byte, at Snap, ok bool) {
 	e := &s.pages[p].pte
-	w := e.load()
-	f := e.loadFrame() // nil if invalidated since: Settled would refuse
-	if !optimisticReads || !readable(w) || f == nil {
+	w := e.word.Load()
+	f := e.frame.Load() // nil if invalidated since: Settled would refuse
+	if !optimisticReads || !permits(w, false) || w&exclBit != 0 || f == nil {
 		return nil, 0, false
 	}
 	return unsafe.Slice(f, s.pageSize), Snap(w), true
 }
 
 // Settled ends an optimistic read of page p begun by Snap: it reports
-// whether the bytes copied since are the page's — the page still
-// permits the read, nobody holds it exclusively, and no exclusive
-// section that can change it ended since the snap.
+// whether the bytes copied since are the page's — the word is still
+// the one the snap saw, so no exclusive section began since.
 func (s *Seg) Settled(p int, at Snap) bool {
-	w := s.pages[p].load()
-	return readable(w) && (w>>verShift == uint64(at)>>verShift || mutateAcceptMovedVersion)
+	w := s.pages[p].word.Load()
+	return w == uint64(at) || MutateAcceptMovedVersion && uint32(w) == uint32(at)
 }
 
 // Hold is the access check for an access that is not an optimistic
@@ -168,24 +108,39 @@ func (s *Seg) Settled(p int, at Snap) bool {
 // returns the frame; the caller moves its bytes and calls Unhold,
 // without blocking in between. ok false is a fault: the caller asks
 // the engine for the page and tries again. Safe on any goroutine.
-//
-// A hold does not take a page that shows the waiting bit: a waiting
-// transition goes before every hold that had not got in when it set
-// the bit, so holds that keep coming cannot keep it out.
 func (s *Seg) Hold(p int, write bool) (frame []byte, ok bool) {
 	e := &s.pages[p].pte
+	if _, ok = e.take(write, false); ok {
+		frame = unsafe.Slice(e.frame.Load(), s.pageSize)
+	}
+	return frame, ok
+}
+
+// take takes the page exclusively and returns the word it left there.
+// An access (transition false) gives up, ok false, while the word does
+// not permit it, and does not take a page that shows the waiting bit: a
+// waiting transition goes before every hold that had not got in when
+// it set the bit, so holds that keep coming cannot keep it out. A
+// transition sets the bit while the page is held and waits.
+func (e *pte) take(write, transition bool) (taken uint64, ok bool) {
 	for spins := 0; ; spins++ {
-		w := e.load()
+		w := e.word.Load()
 		switch {
-		case !permits(w, write):
-			return nil, false
-		case w&(exclBit|waitBit) == 0:
-			if e.cas(w, w|exclBit) {
-				return s.frameOf(e.loadFrame()), true
+		case !transition && !permits(w, write):
+			return 0, false
+		case w&exclBit == 0 && (transition || w&waitBit == 0):
+			if taken = (w | exclBit) &^ waitBit; e.word.CompareAndSwap(w, taken) {
+				return taken, true
 			}
 			continue
+		case transition && w&waitBit == 0:
+			e.word.CompareAndSwap(w, w|waitBit)
+			continue
 		}
-		e.pause(spins, w)
+		e.waiting(w)
+		if spins >= spinsBeforeYield {
+			runtime.Gosched()
+		}
 	}
 }
 
@@ -199,49 +154,24 @@ func (s *Seg) Unhold(p int, write bool) (windowed bool) {
 	if write {
 		d += verOne
 	}
-	return s.pages[p].add(d)&windowBit != 0
+	return s.pages[p].word.Add(d)&windowBit != 0
 }
 
 // lock takes page p exclusively for a transition: it stops new holds,
 // waits for the present one to end, and returns owning the page, with
 // the word it left there.
 func (s *Seg) lock(p int) (*page, uint64) {
-	pg := &s.pages[p]
-	for spins := 0; ; spins++ {
-		w := pg.load()
-		switch {
-		case w&exclBit == 0:
-			if taken := (w | exclBit) &^ waitBit; pg.cas(w, taken) {
-				return pg, taken
-			}
-			continue
-		case w&waitBit == 0:
-			pg.cas(w, w|waitBit)
-			continue
-		}
-		pg.pause(spins, w)
-	}
+	w, _ := s.pages[p].take(false, true)
+	return &s.pages[p], w
 }
 
 // unlock ends a transition's exclusive section, which lock began
 // leaving word w: it replaces the bits of clear with those of set,
 // gives the page up and moves the version. Nobody else writes the word
-// of a page a transition holds — a hold waits, and transitions and
-// change run on one goroutine — so the word is still w.
+// of a page a transition holds — a hold waits, and transitions run on
+// one goroutine — so the word is still w and the swap cannot fail.
 func (e *pte) unlock(w, clear, set uint64) {
-	e.store((w&^(clear|exclBit) | set) + verOne)
-}
-
-// change replaces the bits of clear with those of set, leaving the
-// version: a change that takes no access away. The engine's goroutine
-// calls it on a page only it can change.
-func (e *pte) change(clear, set uint64) {
-	for {
-		w := e.load()
-		if e.cas(w, w&^clear|set) {
-			return
-		}
-	}
+	e.word.CompareAndSwap(w, (w&^(clear|exclBit)|set)+verOne)
 }
 
 // Close makes every access to the segment fault, whatever the pages'
@@ -259,7 +189,8 @@ func (s *Seg) Close() {
 // Open ends Close: accesses again go by each page's protection.
 func (s *Seg) Open() {
 	for p := range s.pages {
-		s.pages[p].change(closedBit, 0)
+		pg, w := s.lock(p)
+		pg.unlock(w, closedBit, 0)
 	}
 }
 
