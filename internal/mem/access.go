@@ -59,13 +59,12 @@ type Waiter interface{ Release() }
 // Detach are functions for that reason). It is safe for concurrent use
 // if its SlowPath is.
 type Accessor struct {
-	size, pageSize int
-	pages          *mmu.Seg
-	slow           SlowPath
-	readonly       bool
-	record         bool
-	detached       atomic.Bool
-	windowed       atomic.Uint32 // accesses to windowed pages, for the turn
+	size, pageSize   int
+	pages            *mmu.Seg
+	slow             SlowPath
+	readonly, record bool
+	detached         atomic.Bool
+	windowed         atomic.Uint32 // accesses to windowed pages, for the turn
 }
 
 // NewAccessor returns the accessors of an attach of seg at the site
@@ -96,8 +95,8 @@ func (a *Accessor) check(off, n int, write bool) error {
 // The paper's loop (§6.1), which an access runs on each page it
 // touches: check, load or store, and on a fault ask the engine for the
 // page and sleep, then try again. A read that is not recorded first
-// tries optimistically (peek): it copies the bytes and keeps them if
-// the page's word did not move, writing nothing. Every other access,
+// tries optimistically: it copies the bytes and keeps them if the
+// page's word did not move, writing nothing. Every other access,
 // and a read that fails the optimistic check peekTries times, holds the
 // page (mmu.Seg.Hold): it takes it exclusively, moves the bytes, and
 // gives it back (release). Nothing between hold and release may block
@@ -109,20 +108,6 @@ func (a *Accessor) check(off, n int, write bool) error {
 // turn, one exclusive reader after another.
 const peekTries = 4
 
-// peek is an optimistic read of page (mmu.Seg.Snap, Settled): it copies
-// the page's bytes from fo into b and reports how many, 0 when it kept
-// none. A kept read counts towards the windowed turn.
-func (a *Accessor) peek(b []byte, page, fo int, w Waiter) (int, Waiter) {
-	for try := 0; try < peekTries && !a.record; try++ {
-		if frame, at, ok := a.pages.Snap(page); ok {
-			if k := copy(b, frame[fo:]); a.pages.Settled(page, at) {
-				return k, a.turn(at.Windowed(), w)
-			}
-		}
-	}
-	return 0, w
-}
-
 // release ends a hold: it records b, at fo of page, unholds, and counts
 // the access towards the windowed turn.
 func (a *Accessor) release(page, fo int, write bool, b []byte, w Waiter) Waiter {
@@ -133,9 +118,17 @@ func (a *Accessor) release(page, fo int, write bool, b []byte, w Waiter) Waiter 
 }
 
 // turn takes the loop's turn after every TurnEvery-th access the attach
-// makes to windowed pages.
+// makes to windowed pages. The count is a call of its own so that turn,
+// which every access calls, inlines into the resident word's path.
 func (a *Accessor) turn(windowed bool, w Waiter) Waiter {
-	if windowed && a.windowed.Add(1)%TurnEvery == 0 {
+	if windowed {
+		return a.windowedTurn(w)
+	}
+	return w
+}
+
+func (a *Accessor) windowedTurn(w Waiter) Waiter {
+	if a.windowed.Add(1)%TurnEvery == 0 {
 		w = a.slow.Turn(w)
 	}
 	return w
@@ -174,8 +167,12 @@ func (a *Accessor) access(b []byte, off int, op accessOp) error {
 	for err == nil && len(b) > 0 {
 		page, fo := off/a.pageSize, off%a.pageSize
 		k := 0
-		if !write {
-			k, w = a.peek(b, page, fo, w)
+		for try := 0; k == 0 && !write && !a.record && try < peekTries; try++ {
+			if frame, at, ok := a.pages.Snap(page); ok { // mmu.Seg.Snap, Settled
+				if n := copy(b, frame[fo:]); a.pages.Settled(page, at) {
+					k, w = n, a.turn(at.Windowed(), w)
+				}
+			}
 		}
 		if k == 0 {
 			frame, ok := a.pages.Hold(page, write)
@@ -183,24 +180,29 @@ func (a *Accessor) access(b []byte, off int, op accessOp) error {
 				w, err = a.slow.Fault(page, write, w)
 				continue
 			}
-			h := frame[fo:]
-			switch op {
-			case opLoad:
-				k = copy(b, h)
-			case opStore:
-				k = copy(h, b)
-			case opAdd:
-				binary.LittleEndian.PutUint32(b, binary.LittleEndian.Uint32(b)+binary.LittleEndian.Uint32(h))
-				k = copy(h, b)
-			case opTestAndSet:
-				b[0], h[0], k = h[0], 1, 1
-			}
-			w = a.release(page, fo, write, h[:k], w)
+			k = apply(op, b, frame[fo:])
+			w = a.release(page, fo, write, frame[fo:fo+k], w)
 		}
 		b, off = b[k:], off+k
 	}
 	done(w)
 	return err
+}
+
+// apply does op to b and the page's bytes from h, the page held, and
+// reports how many bytes of the page it read or wrote.
+func apply(op accessOp, b, h []byte) int {
+	switch op {
+	case opLoad:
+		return copy(b, h)
+	case opStore:
+		return copy(h, b)
+	case opAdd:
+		binary.LittleEndian.PutUint32(b, binary.LittleEndian.Uint32(b)+binary.LittleEndian.Uint32(h))
+		return copy(h, b)
+	}
+	b[0], h[0] = h[0], 1
+	return 1
 }
 
 // ReadAt copies len(b) bytes from the segment at off into b,
@@ -211,14 +213,14 @@ func (a *Accessor) ReadAt(b []byte, off int) error { return a.access(b, off, opL
 // WriteAt copies b into the segment at off.
 func (a *Accessor) WriteAt(b []byte, off int) error { return a.access(b, off, opStore) }
 
-// Uint32 reads a 32-bit little-endian word (the VAX byte order). The
-// first optimistic try is written out here, on the word itself: it is
-// the resident read, and the general loop costs it half again.
+// Uint32 reads a 32-bit little-endian word (the VAX byte order). Its
+// first optimistic try is written out here, on the word itself, as is
+// SetUint32's hold: they are the resident access, which the general
+// loop costs a third again (hit's p50s, E52).
 func (a *Accessor) Uint32(off int) (uint32, error) {
 	if page, fo := off/a.pageSize, off%a.pageSize; fo+4 <= a.pageSize && !a.record && a.check(off, 4, false) == nil {
 		if frame, at, ok := a.pages.Snap(page); ok {
-			v := binary.LittleEndian.Uint32(frame[fo:])
-			if a.pages.Settled(page, at) {
+			if v := binary.LittleEndian.Uint32(frame[fo:]); a.pages.Settled(page, at) {
 				done(a.turn(at.Windowed(), nil))
 				return v, nil
 			}
@@ -229,11 +231,10 @@ func (a *Accessor) Uint32(off int) (uint32, error) {
 	return binary.LittleEndian.Uint32(b[:]), err
 }
 
-// SetUint32 writes a 32-bit little-endian word.
+// SetUint32 writes a 32-bit little-endian word; see Uint32.
 func (a *Accessor) SetUint32(off int, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return a.access(b[:], off, opStore)
+	_, err := a.word(off, 4, opStore, v)
+	return err
 }
 
 // AddUint32 atomically (with respect to the page's single-writer
@@ -241,19 +242,33 @@ func (a *Accessor) SetUint32(off int, v uint32) error {
 // value — a read-modify-write like the VAX decrement instruction, whose
 // faulting access is a write fault. The word must not span pages.
 func (a *Accessor) AddUint32(off int, delta uint32) (uint32, error) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], delta)
-	err := a.access(b[:], off, opAdd)
-	return binary.LittleEndian.Uint32(b[:]), err
+	return a.word(off, 4, opAdd, delta)
 }
 
 // TestAndSet sets the byte at off to 1 under write access and returns
 // its previous value: the VAX interlocked instruction §7.2 studies (and
 // recommends against for cross-site spinlocks).
 func (a *Accessor) TestAndSet(off int) (byte, error) {
-	var b [1]byte
-	err := a.access(b[:], off, opTestAndSet)
-	return b[0], err
+	v, err := a.word(off, 1, opTestAndSet, 0)
+	return byte(v), err
+}
+
+// word is a write accessor's op on the n-byte word at off, v the value
+// stored or added; it returns the word after op (the sum, or the byte
+// TestAndSet found). A word inside one page is held here, on the word
+// itself, without the loop, and faults through it.
+func (a *Accessor) word(off, n int, op accessOp, v uint32) (uint32, error) {
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	if page, fo := off/a.pageSize, off%a.pageSize; fo+n <= a.pageSize && a.check(off, n, true) == nil {
+		if frame, ok := a.pages.Hold(page, true); ok {
+			k := apply(op, b[:n], frame[fo:])
+			done(a.release(page, fo, true, frame[fo:fo+k], nil))
+			return binary.LittleEndian.Uint32(b[:]), nil
+		}
+	}
+	err := a.access(b[:n], off, op)
+	return binary.LittleEndian.Uint32(b[:]), err
 }
 
 // Clear zeroes the byte at off under write access (spinlock release).

@@ -121,13 +121,12 @@ func (r *Registry) PageSize() int { return r.pageSize }
 func (r *Registry) GetSegment(key Key, size int, flags, mode, uid, site int) (*Segment, error) {
 	if key != IPCPrivate {
 		if s, ok := r.byKey[key]; ok {
-			if flags&Create != 0 && flags&Exclusive != 0 {
+			switch {
+			case flags&Create != 0 && flags&Exclusive != 0:
 				return nil, ErrExists
-			}
-			if size > s.Size {
+			case size > s.Size:
 				return nil, ErrInvalid
-			}
-			if !s.CanAccess(uid, false) {
+			case !s.CanAccess(uid, false):
 				return nil, ErrPermission
 			}
 			return s, nil
@@ -136,19 +135,15 @@ func (r *Registry) GetSegment(key Key, size int, flags, mode, uid, site int) (*S
 			return nil, ErrNotFound
 		}
 	}
-	if size <= 0 {
+	if size <= 0 || r.maxBytes > 0 && size > r.maxBytes {
 		return nil, ErrInvalid
 	}
-	if r.maxBytes > 0 && size > r.maxBytes {
-		return nil, ErrInvalid
-	}
-	pages := (size + r.pageSize - 1) / r.pageSize
 	s := &Segment{
 		ID:       r.nextID,
 		Key:      key,
 		Size:     size,
 		PageSize: r.pageSize,
-		Pages:    pages,
+		Pages:    (size + r.pageSize - 1) / r.pageSize,
 		Library:  site,
 		Delta:    r.defaultDelta,
 		Owner:    uid,
@@ -167,13 +162,12 @@ func (r *Registry) GetSegment(key Key, size int, flags, mode, uid, site int) (*S
 // checking uid's permission. write requests a read-write attach.
 func (r *Registry) Attach(id SegID, site, uid int, write bool) (*Segment, error) {
 	s, ok := r.byID[id]
-	if !ok {
+	switch {
+	case !ok:
 		return nil, ErrNotFound
-	}
-	if s.Removed() {
+	case s.Removed():
 		return nil, ErrRemoved
-	}
-	if !s.CanAccess(uid, write) {
+	case !s.CanAccess(uid, write):
 		return nil, ErrPermission
 	}
 	s.attaches[site]++
@@ -197,11 +191,10 @@ func (r *Registry) Detach(id SegID, site int) (lastHere, destroyed bool, err err
 		return false, false, nil
 	}
 	delete(s.attaches, site)
-	if len(s.attaches) == 0 {
+	if destroyed = len(s.attaches) == 0; destroyed {
 		r.destroy(s)
-		return true, true, nil
 	}
-	return true, false, nil
+	return true, destroyed, nil
 }
 
 // Remove marks the segment for destruction (shmctl IPC_RMID): it is
@@ -215,12 +208,11 @@ func (r *Registry) Remove(id SegID, uid int) error {
 	if uid != s.Owner {
 		return ErrPermission
 	}
+	// Hide the name now; an attached segment dies on last detach.
+	delete(r.byKey, s.Key)
 	if len(s.attaches) == 0 {
 		r.destroy(s)
-		return nil
 	}
-	// Hide the name now; the segment dies on last detach.
-	delete(r.byKey, s.Key)
 	return nil
 }
 
