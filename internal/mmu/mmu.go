@@ -134,15 +134,18 @@ func (s *Seg) Aux(p int) *AuxPTE { return &s.pages[p].aux }
 
 // SetWindow records the time window Δ this site was given page p for,
 // and says in the page's word whether there is one, for Unhold to
-// report.
+// report. Only a change of that bit is a transition: the engine sets
+// the window on every change of a copy, mostly to what it was.
 func (s *Seg) SetWindow(p int, d time.Duration) {
 	var bit uint64
 	if d > 0 {
 		bit = windowBit
 	}
-	pg, w := s.lock(p)
-	pg.aux.Window = d
-	pg.unlock(w, windowBit, bit)
+	s.pages[p].aux.Window = d
+	if s.pages[p].word.Load()&windowBit != bit {
+		pg, w := s.lock(p)
+		pg.unlock(w, windowBit, bit)
+	}
 }
 
 // Check classifies an access against the master page table without
